@@ -15,10 +15,13 @@ unordered pair among its four mutually adjacent cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.geometry.point import Side
-from repro.grid.grid import Grid
+from repro.grid.grid import AdjacentPairs, Grid
 from repro.grid.statistics import GridStatistics
 
 #: Quartet-relative cell positions.
@@ -34,6 +37,17 @@ SIDE_NEIGHBORS = {
 
 #: Diagonally opposite position within a quartet.
 DIAGONAL = {"bl": "tr", "br": "tl", "tl": "br", "tr": "bl"}
+
+#: The six unordered position pairs of a quartet.
+PAIR_POSITIONS = tuple(
+    (pos_a, pos_b) for i, pos_a in enumerate(POSITIONS) for pos_b in POSITIONS[i + 1 :]
+)
+
+#: ``(tail, head)`` positions of a quartet's 12 directed edges, in the order
+#: :meth:`QuartetSubgraph.edges` yields them: both directions of each pair.
+EDGE_POSITIONS = tuple(
+    edge for a, b in PAIR_POSITIONS for edge in ((a, b), (b, a))
+)
 
 #: The four triangles (triples of positions) of a quartet subgraph.
 TRIANGLES = (
@@ -74,8 +88,8 @@ class QuartetSubgraph:
         corner: tuple[int, int],
         ref: tuple[float, float],
         cells: dict[str, int],
-        pair_types: dict[frozenset, Side],
-        stats: GridStatistics | None = None,
+        pair_types: Mapping[frozenset, Side],
+        weights: Mapping[tuple[int, int], float] | None = None,
     ):
         self.corner = corner
         self.ref = ref
@@ -84,17 +98,12 @@ class QuartetSubgraph:
         if len(self.pos_of) != 4:
             raise ValueError("quartet must consist of four distinct cells")
         self._edges: dict[tuple[int, int], DirectedEdge] = {}
-        for pos_a in POSITIONS:
-            a = self.cells[pos_a]
-            for pos_b in POSITIONS:
-                if pos_a >= pos_b:
-                    continue
-                b = self.cells[pos_b]
-                side = pair_types[frozenset((a, b))]
-                w_ab = stats.edge_weight(a, b, side) if stats else 0.0
-                w_ba = stats.edge_weight(b, a, side) if stats else 0.0
-                self._edges[(a, b)] = DirectedEdge(a, b, side, w_ab)
-                self._edges[(b, a)] = DirectedEdge(b, a, side, w_ba)
+        for pos_a, pos_b in PAIR_POSITIONS:
+            a, b = self.cells[pos_a], self.cells[pos_b]
+            side = pair_types[frozenset((a, b))]
+            w_ab, w_ba = (weights[(a, b)], weights[(b, a)]) if weights else (0.0, 0.0)
+            self._edges[(a, b)] = DirectedEdge(a, b, side, w_ab)
+            self._edges[(b, a)] = DirectedEdge(b, a, side, w_ba)
 
     # ------------------------------------------------------------------
     def edge(self, tail: int, head: int) -> DirectedEdge:
@@ -102,7 +111,7 @@ class QuartetSubgraph:
         return self._edges[(tail, head)]
 
     def edges(self):
-        """All 12 directed edges."""
+        """All 12 directed edges, in :data:`EDGE_POSITIONS` order."""
         return self._edges.values()
 
     def side_neighbors(self, cell_id: int) -> tuple[int, int]:
@@ -145,6 +154,18 @@ class QuartetSubgraph:
             e.locked = False
 
 
+def agreed_r_mask(pairs: AdjacentPairs, pair_types: Mapping[frozenset, Side]) -> np.ndarray:
+    """``pair_types`` as an array over ``pairs``: true where R is replicated."""
+    return np.fromiter(
+        (
+            pair_types[frozenset(pair)] is Side.R
+            for pair in zip(pairs.a.tolist(), pairs.b.tolist())
+        ),
+        dtype=bool,
+        count=len(pairs),
+    )
+
+
 class AgreementGraph:
     """The full graph of agreements over a grid.
 
@@ -161,11 +182,21 @@ class AgreementGraph:
         self.grid = grid
         self.pair_types = dict(pair_types)
         self.stats = stats
+        weights = None
+        if stats is not None:
+            # every directed edge weight (Sect. 4.3) in one array pass
+            pairs = grid.adjacent_pair_arrays()
+            w_ab, w_ba = stats.edge_weights_array(
+                pairs, agreed_r_mask(pairs, self.pair_types)
+            )
+            a, b = pairs.a.tolist(), pairs.b.tolist()
+            weights = dict(zip(zip(a, b), w_ab.tolist()))
+            weights.update(zip(zip(b, a), w_ba.tolist()))
         self.quartets: dict[tuple[int, int], QuartetSubgraph] = {}
         for corner in grid.interior_corners():
             cells = grid.quartet_cells(*corner)
             self.quartets[corner] = QuartetSubgraph(
-                corner, grid.corner_coords(*corner), cells, self.pair_types, stats
+                corner, grid.corner_coords(*corner), cells, self.pair_types, weights
             )
 
     def pair_type(self, cell_a: int, cell_b: int) -> Side:

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import abc
 
+import numpy as np
+
 from repro.geometry.point import Side
-from repro.grid.grid import Grid
+from repro.grid.grid import AdjacentPairs, Grid
 from repro.grid.statistics import GridStatistics
 
 
@@ -29,6 +31,21 @@ class AgreementPolicy(abc.ABC):
     @abc.abstractmethod
     def decide(self, stats: GridStatistics, cell_a: int, cell_b: int) -> Side:
         """The input to replicate between two adjacent cells."""
+
+    def decide_pairs(self, stats: GridStatistics, pairs: AdjacentPairs) -> np.ndarray:
+        """:meth:`decide` for every pair at once: true where R is replicated.
+
+        This default asks :meth:`decide` pair by pair; the built-in
+        policies override it with array algebra that must agree with it.
+        """
+        return np.fromiter(
+            (
+                self.decide(stats, a, b) is Side.R
+                for a, b in zip(pairs.a.tolist(), pairs.b.tolist())
+            ),
+            dtype=bool,
+            count=len(pairs),
+        )
 
 
 class LPiBPolicy(AgreementPolicy):
@@ -52,6 +69,14 @@ class LPiBPolicy(AgreementPolicy):
         s_total = stats.cell_count(cell_a, Side.S) + stats.cell_count(cell_b, Side.S)
         return Side.R if r_total <= s_total else Side.S
 
+    def decide_pairs(self, stats: GridStatistics, pairs: AdjacentPairs) -> np.ndarray:
+        r, s = (sum(stats.directed_candidates_array(pairs, side)) for side in Side)
+        r_total, s_total = (
+            stats.cell_counts(side)[pairs.a] + stats.cell_counts(side)[pairs.b]
+            for side in Side
+        )
+        return np.where(r != s, r < s, r_total <= s_total)
+
 
 class DiffPolicy(AgreementPolicy):
     """Least points in the cell with the greatest ``|#R - #S|`` (DIFF)."""
@@ -69,6 +94,12 @@ class DiffPolicy(AgreementPolicy):
             r, s = r_b, s_b
         return Side.R if r <= s else Side.S
 
+    def decide_pairs(self, stats: GridStatistics, pairs: AdjacentPairs) -> np.ndarray:
+        r, s = stats.cell_counts(Side.R), stats.cell_counts(Side.S)
+        r_a, s_a, r_b, s_b = r[pairs.a], s[pairs.a], r[pairs.b], s[pairs.b]
+        a_decides = np.abs(r_a - s_a) >= np.abs(r_b - s_b)
+        return np.where(a_decides, r_a <= s_a, r_b <= s_b)
+
 
 class UniformPolicy(AgreementPolicy):
     """Universal replication of one input: the PBSM baseline."""
@@ -80,12 +111,17 @@ class UniformPolicy(AgreementPolicy):
     def decide(self, stats: GridStatistics, cell_a: int, cell_b: int) -> Side:
         return self.side
 
+    def decide_pairs(self, stats: GridStatistics, pairs: AdjacentPairs) -> np.ndarray:
+        return np.full(len(pairs), self.side is Side.R)
+
 
 def instantiate_pair_types(
     grid: Grid, stats: GridStatistics, policy: AgreementPolicy
 ) -> dict[frozenset, Side]:
     """Decide the agreement type of every adjacent cell pair of a grid."""
+    pairs = grid.adjacent_pair_arrays()
+    agreed_r = policy.decide_pairs(stats, pairs)
     return {
-        frozenset((a, b)): policy.decide(stats, a, b)
-        for a, b, _kind in grid.adjacent_pairs()
+        frozenset(pair): Side.R if is_r else Side.S
+        for pair, is_r in zip(zip(pairs.a.tolist(), pairs.b.tolist()), agreed_r.tolist())
     }

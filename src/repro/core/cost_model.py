@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.agreements.policies import DiffPolicy, LPiBPolicy, instantiate_pair_types
+from repro.agreements.policies import DiffPolicy, LPiBPolicy
 from repro.engine.metrics import CostModel
 from repro.engine.shuffle import KEY_BYTES
 from repro.geometry.point import Side
@@ -143,22 +143,13 @@ class AnalyticalCostModel:
         #: sample-join cardinality estimator (optional).
         self.sample_results = sample_results
         self.sample_results_rate = sample_results_rate or sample_rate
-        # the replication walk and the post-replication populations
-        # depend only on the method; the planner prices many
-        # (kernel, workers) points per method, so memoize them
-        self._repl_cache: dict[str, dict[Side, float]] = {}
-        self._counts_cache: dict[str, dict[Side, np.ndarray]] = {}
+        # the replica inflow depends only on the method; the planner
+        # prices many (kernel, workers) points per method, so memoize it
+        self._inflow_cache: dict[str, dict[Side, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     # replication
     # ------------------------------------------------------------------
-    def _pair_types_for(self, method: str) -> dict | None:
-        if method == "lpib":
-            return instantiate_pair_types(self.grid, self.stats, LPiBPolicy())
-        if method == "diff":
-            return instantiate_pair_types(self.grid, self.stats, DiffPolicy())
-        return None
-
     def _replicated_side(self, method: str) -> Side | None:
         if method == "uni_r":
             return Side.R
@@ -168,60 +159,40 @@ class AnalyticalCostModel:
             return Side.R if self.n_r <= self.n_s else Side.S
         return None
 
+    def _replica_inflow(self, method: str) -> dict[Side, np.ndarray]:
+        """Per-cell replicas each input receives, in counting-sample units.
+
+        Agreement decisions come from ``stats``, counts from
+        ``count_stats`` (see *Selection bias* above).
+        """
+        inflow = self._inflow_cache.get(method)
+        if inflow is None:
+            pairs = self.grid.adjacent_pair_arrays()
+            policy = {"lpib": LPiBPolicy, "diff": DiffPolicy}.get(method)
+            agreed_r = None if policy is None else policy().decide_pairs(self.stats, pairs)
+            inflow = self.count_stats.replica_inflows(
+                pairs, agreed_r, self._replicated_side(method)
+            )
+            self._inflow_cache[method] = inflow
+        return inflow
+
     def predicted_replication(self, method: str) -> dict[Side, float]:
         """Expected replicated objects per input, scaled to full data."""
-        cached = self._repl_cache.get(method)
-        if cached is not None:
-            return dict(cached)
-        pair_types = self._pair_types_for(method)
-        replicated = self._replicated_side(method)
-        out = {Side.R: 0.0, Side.S: 0.0}
-        for a, b, _kind in self.grid.adjacent_pairs():
-            if pair_types is not None:
-                sides: tuple[Side, ...] = (pair_types[frozenset((a, b))],)
-            elif replicated is not None:
-                sides = (replicated,)
-            else:
-                sides = ()
-            for side in sides:
-                out[side] += self.count_stats.directed_candidates(a, b, side)
-                out[side] += self.count_stats.directed_candidates(b, a, side)
         scale = 1.0 / self.count_phi
-        result = {side: count * scale for side, count in out.items()}
-        self._repl_cache[method] = dict(result)
-        return result
+        return {
+            side: float(inflow.sum()) * scale
+            for side, inflow in self._replica_inflow(method).items()
+        }
 
     # ------------------------------------------------------------------
     # per-cell populations after replication
     # ------------------------------------------------------------------
     def _post_replication_counts(self, method: str) -> dict[Side, np.ndarray]:
-        cached = self._counts_cache.get(method)
-        if cached is not None:
-            return {side: arr for side, arr in cached.items()}
-        pair_types = self._pair_types_for(method)
-        replicated = self._replicated_side(method)
-        n = self.grid.num_cells
-        counts = {
-            side: np.array(
-                [self.count_stats.cell_count(c, side) for c in range(n)],
-                dtype=np.float64,
-            )
-            for side in Side
-        }
-        for a, b, _kind in self.grid.adjacent_pairs():
-            if pair_types is not None:
-                sides: tuple[Side, ...] = (pair_types[frozenset((a, b))],)
-            elif replicated is not None:
-                sides = (replicated,)
-            else:
-                sides = ()
-            for side in sides:
-                counts[side][b] += self.count_stats.directed_candidates(a, b, side)
-                counts[side][a] += self.count_stats.directed_candidates(b, a, side)
         scale = 1.0 / self.count_phi
-        result = {side: arr * scale for side, arr in counts.items()}
-        self._counts_cache[method] = result
-        return result
+        return {
+            side: (self.count_stats.cell_counts(side) + inflow) * scale
+            for side, inflow in self._replica_inflow(method).items()
+        }
 
     # ------------------------------------------------------------------
     # headline predictions
@@ -243,13 +214,7 @@ class AnalyticalCostModel:
         # Use the UNI(R) population: every R point within eps of a border
         # is present wherever its partners are, so per-cell products of
         # (replicated R) x (native S) cover cross-border pairs once.
-        native_s = np.array(
-            [
-                self.count_stats.cell_count(c, Side.S)
-                for c in range(self.grid.num_cells)
-            ],
-            dtype=np.float64,
-        ) / self.count_phi
+        native_s = self.count_stats.cell_counts(Side.S) / self.count_phi
         return float(np.sum(counts[Side.R] * native_s) * match_prob)
 
     # ------------------------------------------------------------------
@@ -340,8 +305,9 @@ class AnalyticalCostModel:
         bcast_payload = grid_broadcast_bytes(self.grid)
         if method in ("lpib", "diff"):
             quartets = max(self.grid.nx - 1, 0) * max(self.grid.ny - 1, 0)
-            pairs = sum(1 for _ in self.grid.adjacent_pairs())
-            bcast_payload += quartets * (32 + 12 * 24) + pairs * 12
+            bcast_payload += (
+                quartets * (32 + 12 * 24) + self.grid.num_adjacent_pairs * 12
+            )
 
         construction = (
             (self.n_r + self.n_s) * cm.map_tuple_cost / w

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.geometry.mbr import MBR
 
 #: Directions of a cell's four borders, in the canonical order used by
@@ -25,6 +27,36 @@ BORDERS = ("E", "W", "N", "S")
 
 #: Cell corners in canonical order.
 CORNERS = ("NE", "NW", "SE", "SW")
+
+#: Columns of the per-cell *facing* tables (sample counts, plain-strip
+#: destinations): the four borders, then the four corners.
+FACINGS = BORDERS + CORNERS
+
+# Per-cell emission order of ``Grid.adjacent_pairs``: the E, N, NE and NW
+# neighbour, with the FACINGS column through which each cell of the pair
+# faces the other (E|W, N|S, NE|SW, NW|SE).
+_FACING_A = np.array([0, 2, 4, 5], dtype=np.int64)
+_FACING_B = np.array([1, 3, 7, 6], dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class AdjacentPairs:
+    """Every adjacent cell pair of a grid as parallel arrays.
+
+    Same pairs, in the same order, as :meth:`Grid.adjacent_pairs`
+    (``a < b`` by flat id).  ``facing_a`` / ``facing_b`` are the
+    :data:`FACINGS` columns of the border or corner through which ``a``
+    faces ``b`` and ``b`` faces ``a``; columns below 4 mean the cells are
+    side-adjacent.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    facing_a: np.ndarray
+    facing_b: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.a)
 
 
 @dataclass(frozen=True)
@@ -160,6 +192,23 @@ class Grid:
                 if cx > 0 and cy + 1 < self.ny:
                     a = self.cell_id(cx - 1, cy + 1)
                     yield (min(cid, a), max(cid, a), "corner")
+
+    @property
+    def num_adjacent_pairs(self) -> int:
+        """How many pairs :meth:`adjacent_pairs` yields (side + corner)."""
+        nx, ny = self.nx, self.ny
+        return (nx - 1) * ny + nx * (ny - 1) + 2 * (nx - 1) * (ny - 1)
+
+    def adjacent_pair_arrays(self) -> AdjacentPairs:
+        """:meth:`adjacent_pairs` as arrays, for whole-grid array algebra."""
+        nx = self.nx
+        cid = np.arange(self.num_cells, dtype=np.int64)
+        cx, cy = cid % nx, cid // nx
+        east, north, west = cx + 1 < nx, cy + 1 < self.ny, cx > 0
+        exists = np.stack([east, north, east & north, west & north], axis=1)
+        a, direction = np.nonzero(exists)  # row-major: per cell, E N NE NW
+        b = a + np.array([1, nx, nx + 1, nx - 1], dtype=np.int64)[direction]
+        return AdjacentPairs(a, b, _FACING_A[direction], _FACING_B[direction])
 
     def pair_kind(self, cell_a: int, cell_b: int) -> str:
         """Adjacency kind of two cells: ``"side"``, ``"corner"``.

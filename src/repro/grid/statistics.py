@@ -12,7 +12,10 @@ input.  For every cell and each input side we track:
   candidates for replication to the diagonally adjacent cell).
 
 Counters are stored in dense numpy arrays indexed by flat cell id, so
-collection is fully vectorized.
+collection is fully vectorized.  The scalar queries (``pair_candidates``,
+``directed_candidates``, ``edge_weight``) are the reference; the ``*_array``
+methods answer the same questions for every adjacent pair of the grid at
+once, over :class:`repro.grid.grid.AdjacentPairs`.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.point import Side
-from repro.grid.grid import BORDERS, CORNERS, Grid
+from repro.grid.grid import BORDERS, CORNERS, FACINGS, AdjacentPairs, Grid
 
-_BORDER_IDX = {name: i for i, name in enumerate(BORDERS)}
-_CORNER_IDX = {name: i for i, name in enumerate(CORNERS)}
+_FACING_IDX = {name: i for i, name in enumerate(FACINGS)}
+_BORDER_IDX = {name: _FACING_IDX[name] for name in BORDERS}
+_CORNER_IDX = {name: _FACING_IDX[name] for name in CORNERS}
 
 
 class GridStatistics:
@@ -33,8 +37,8 @@ class GridStatistics:
         self.grid = grid
         n = grid.num_cells
         self._totals = {s: np.zeros(n, dtype=np.int64) for s in Side}
-        self._strips = {s: np.zeros((n, 4), dtype=np.int64) for s in Side}
-        self._corners = {s: np.zeros((n, 4), dtype=np.int64) for s in Side}
+        # one column per FACINGS entry: the four strips, then the four corners
+        self._facing_counts = {s: np.zeros((n, 8), dtype=np.int64) for s in Side}
         self._sampled = {s: 0 for s in Side}
 
     # ------------------------------------------------------------------
@@ -62,29 +66,21 @@ class GridStatistics:
         dyt = (y0 + g.cell_h) - ys
         eps = g.eps
 
+        eps_sq = eps * eps
         near = {
             "E": dxr <= eps,
             "W": dxl <= eps,
             "N": dyt <= eps,
             "S": dyb <= eps,
+            "NE": dxr * dxr + dyt * dyt <= eps_sq,
+            "NW": dxl * dxl + dyt * dyt <= eps_sq,
+            "SE": dxr * dxr + dyb * dyb <= eps_sq,
+            "SW": dxl * dxl + dyb * dyb <= eps_sq,
         }
-        strips = self._strips[side]
+        facing = self._facing_counts[side]
         for name, mask in near.items():
             if mask.any():
-                np.add.at(strips[:, _BORDER_IDX[name]], cid[mask], 1)
-
-        eps_sq = eps * eps
-        corner_dist_sq = {
-            "NE": dxr * dxr + dyt * dyt,
-            "NW": dxl * dxl + dyt * dyt,
-            "SE": dxr * dxr + dyb * dyb,
-            "SW": dxl * dxl + dyb * dyb,
-        }
-        corners = self._corners[side]
-        for name, dist_sq in corner_dist_sq.items():
-            mask = dist_sq <= eps_sq
-            if mask.any():
-                np.add.at(corners[:, _CORNER_IDX[name]], cid[mask], 1)
+                np.add.at(facing[:, _FACING_IDX[name]], cid[mask], 1)
 
     # ------------------------------------------------------------------
     # queries
@@ -99,11 +95,11 @@ class GridStatistics:
 
     def strip_count(self, cell_id: int, border: str, side: Side) -> int:
         """Sampled points of one input within ``eps`` of a cell border."""
-        return int(self._strips[side][cell_id, _BORDER_IDX[border]])
+        return int(self._facing_counts[side][cell_id, _BORDER_IDX[border]])
 
     def corner_count(self, cell_id: int, corner: str, side: Side) -> int:
         """Sampled points of one input within ``eps`` of a cell corner."""
-        return int(self._corners[side][cell_id, _CORNER_IDX[corner]])
+        return int(self._facing_counts[side][cell_id, _CORNER_IDX[corner]])
 
     def pair_candidates(self, cell_a: int, cell_b: int, side: Side) -> int:
         """Candidate points of one input for replication between two cells.
@@ -147,6 +143,65 @@ class GridStatistics:
         r = self._totals[Side.R][cell_id] * scale
         s = self._totals[Side.S][cell_id] * scale
         return float(r * s)
+
+    # ------------------------------------------------------------------
+    # the same queries over every adjacent pair at once
+    # ------------------------------------------------------------------
+    def cell_counts(self, side: Side) -> np.ndarray:
+        """:meth:`cell_count` of every cell (the live counter array)."""
+        return self._totals[side]
+
+    def directed_candidates_array(
+        self, pairs: AdjacentPairs, side: Side
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`directed_candidates` of every pair: ``(a -> b, b -> a)``."""
+        facing = self._facing_counts[side]
+        return facing[pairs.a, pairs.facing_a], facing[pairs.b, pairs.facing_b]
+
+    def edge_weights_array(
+        self, pairs: AdjacentPairs, agreed_r: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`edge_weight` of every pair's two directed edges.
+
+        ``agreed_r`` is true where the pair's agreement type is R.
+        Returns ``(a -> b, b -> a)`` weights.
+        """
+        r_ab, r_ba = self.directed_candidates_array(pairs, Side.R)
+        s_ab, s_ba = self.directed_candidates_array(pairs, Side.S)
+        tot_r, tot_s = self._totals[Side.R], self._totals[Side.S]
+        return (
+            np.where(agreed_r, r_ab * tot_s[pairs.b], s_ab * tot_r[pairs.b]),
+            np.where(agreed_r, r_ba * tot_s[pairs.a], s_ba * tot_r[pairs.a]),
+        )
+
+    def replica_inflows(
+        self,
+        pairs: AdjacentPairs,
+        agreed_r: np.ndarray | None,
+        replicated: Side | None = None,
+    ) -> dict[Side, np.ndarray]:
+        """Per-cell candidates of each input arriving from adjacent cells.
+
+        With ``agreed_r`` (true where a pair's agreement type is R) each
+        pair carries its agreed input; without it, every pair carries the
+        universally ``replicated`` input, if any.  Values are whole numbers
+        held as float64.
+        """
+        n = self.grid.num_cells
+        inflows = {}
+        for side in Side:
+            if agreed_r is not None:
+                carries = agreed_r == (side is Side.R)
+            elif side is replicated:
+                carries = slice(None)
+            else:
+                inflows[side] = np.zeros(n)
+                continue
+            into_b, into_a = self.directed_candidates_array(pairs, side)
+            inflows[side] = np.bincount(
+                pairs.b[carries], weights=into_b[carries], minlength=n
+            ) + np.bincount(pairs.a[carries], weights=into_a[carries], minlength=n)
+        return inflows
 
     # ------------------------------------------------------------------
     # helpers

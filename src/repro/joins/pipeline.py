@@ -53,7 +53,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.agreements.graph import AgreementGraph
+from repro.agreements.graph import AgreementGraph, agreed_r_mask
 from repro.agreements.marking import generate_duplicate_free_graph
 from repro.agreements.policies import (
     DiffPolicy,
@@ -522,23 +522,12 @@ def adaptive_lpt_costs(
     agreement types (adaptive methods) or the universally replicated input
     (PBSM baselines).
     """
-    n = grid.num_cells
-    inflow = {Side.R: np.zeros(n), Side.S: np.zeros(n)}
-    for a, b, _kind in grid.adjacent_pairs():
-        if pair_types is not None:
-            sides: tuple[Side, ...] = (pair_types[frozenset((a, b))],)
-        else:
-            sides = (replicated,) if replicated is not None else ()
-        for side in sides:
-            inflow[side][b] += stats.directed_candidates(a, b, side)
-            inflow[side][a] += stats.directed_candidates(b, a, side)
-    costs: dict[int, float] = {}
-    for cell in range(n):
-        r_est = stats.cell_count(cell, Side.R) + inflow[Side.R][cell]
-        s_est = stats.cell_count(cell, Side.S) + inflow[Side.S][cell]
-        if r_est and s_est:
-            costs[cell] = float(r_est * s_est)
-    return costs
+    pairs = grid.adjacent_pair_arrays()
+    agreed_r = None if pair_types is None else agreed_r_mask(pairs, pair_types)
+    inflow = stats.replica_inflows(pairs, agreed_r, replicated)
+    r_est, s_est = (stats.cell_counts(side) + inflow[side] for side in Side)
+    joinable = np.nonzero((r_est != 0) & (s_est != 0))[0]
+    return dict(zip(joinable.tolist(), (r_est * s_est)[joinable].tolist()))
 
 
 def lpt_partitioner(costs: Mapping[int, float], num_workers: int) -> ExplicitPartitioner:

@@ -25,7 +25,15 @@ from typing import Iterable, Protocol
 
 import numpy as np
 
-from repro.agreements.graph import AgreementGraph, QuartetSubgraph
+from repro.agreements.graph import (
+    DIAGONAL,
+    EDGE_POSITIONS,
+    POSITIONS,
+    SIDE_NEIGHBORS,
+    AgreementGraph,
+    QuartetSubgraph,
+    agreed_r_mask,
+)
 from repro.geometry.distance import euclidean
 from repro.geometry.point import Side
 from repro.grid.areas import AreaKind, classify_point
@@ -128,69 +136,114 @@ def supar(
     return assigned
 
 
-class _QuartetPlan:
-    """Precompiled replication decisions of one (quartet, native cell) pair.
+#: Table entry for "no cell".
+_NO_CELL = -1
 
-    After Algorithm 1 has run, every edge-type/mark condition in
-    Algorithms 3 and 4 is static; only the point's distances remain to be
-    checked at assignment time.  Compiling them once turns the per-point
-    hot path into table lookups plus a couple of float comparisons.
+# A quartet position is also the corner of the native cell at which the
+# quartet sits: the ``bl`` cell meets it at its NE corner, ``br`` at NW,
+# ``tl`` at SE, ``tr`` at SW -- the CORNERS order of ``repro.grid.grid``.
+_POS = {pos: i for i, pos in enumerate(POSITIONS)}
+_EDGE = {(_POS[t], _POS[h]): i for i, (t, h) in enumerate(EDGE_POSITIONS)}
+#: Per position: its x-neighbour, its y-neighbour, its diagonal.
+_NEIGHBOURS = tuple(
+    (*(_POS[p] for p in SIDE_NEIGHBORS[pos]), _POS[DIAGONAL[pos]]) for pos in POSITIONS
+)
+
+#: Columns of a compiled quartet table row (one per native cell and corner).
+_MED_X, _MED_Y, _DIAG_NEAR, _DIAG_FAR, _SUP_X, _SUP_Y = range(6)
+
+
+def _compile_quartet_tables(graph: AgreementGraph) -> dict[Side, np.ndarray]:
+    """Algorithms 3 and 4 as one ``(num_cells * 4, 6)`` table per input.
+
+    After Algorithm 1 has run, every edge-type/mark condition of MeDuPAr
+    and SupAr is static; only the point's distances remain to be checked
+    at assignment time.  Row ``native * 4 + corner`` holds, for a point of
+    that input in ``native`` consulting the quartet at that corner of its
+    cell: the two MeDuPAr side cells, the diagonal cell if the point is
+    within ``eps`` of the reference point and if it is not (redirect), and
+    the SupAr destination for the x- and the y-neighbour's withheld
+    points -- each :data:`_NO_CELL` when the conditions rule it out.
     """
+    subs = list(graph.quartets.values())
+    cells = np.array(
+        [[sub.cells[pos] for pos in POSITIONS] for sub in subs], dtype=np.int64
+    ).reshape(-1, 4)
+    edge_is_r = np.array(
+        [[e.side is Side.R for e in sub.edges()] for sub in subs], dtype=bool
+    ).reshape(-1, 12)
+    marked = np.array(
+        [[e.marked for e in sub.edges()] for sub in subs], dtype=bool
+    ).reshape(-1, 12)
 
-    __slots__ = (
-        "ref",
-        "medupar_sides",
-        "diag_cell",
-        "diag_if_near",
-        "diag_if_far",
-        "supar_rules",
-    )
+    tables = {}
+    for side in Side:
+        same = edge_is_r == (side is Side.R)
+        sends = same & ~marked  # carries this input's duplicate-prone points
+        withheld = same & marked
+        other_withheld = ~same & marked
+        other_sends = ~same & ~marked
+        table = np.full((graph.grid.num_cells * 4, 6), _NO_CELL, dtype=np.int64)
+        for i, (xn, yn, diag) in enumerate(_NEIGHBOURS):
+            rows = cells[:, i] * 4 + i
+            to_diag = sends[:, _EDGE[i, diag]]
+            redirect = withheld[:, _EDGE[i, xn]] | withheld[:, _EDGE[i, yn]]
+            table[rows, _DIAG_NEAR] = np.where(to_diag, cells[:, diag], _NO_CELL)
+            table[rows, _DIAG_FAR] = np.where(to_diag & redirect, cells[:, diag], _NO_CELL)
+            for j, k, med_col, sup_col in ((xn, yn, _MED_X, _SUP_X), (yn, xn, _MED_Y, _SUP_Y)):
+                table[rows, med_col] = np.where(sends[:, _EDGE[i, j]], cells[:, j], _NO_CELL)
+                # SupAr: j withholds the other input's points from the native
+                # cell; meet them in k, else in the diagonal cell
+                active = other_withheld[:, _EDGE[j, i]]
+                via_k = active & sends[:, _EDGE[i, k]] & other_sends[:, _EDGE[j, k]]
+                via_diag = active & to_diag & other_sends[:, _EDGE[j, diag]]
+                table[rows, sup_col] = np.where(
+                    via_k, cells[:, k], np.where(via_diag, cells[:, diag], _NO_CELL)
+                )
+        tables[side] = table
+    return tables
 
-    def __init__(self, sub: QuartetSubgraph, native: int, side: Side, grid: Grid):
-        self.ref = sub.ref
-        side_cells = sub.side_neighbors(native)
-        self.medupar_sides = tuple(
-            cj
-            for cj in side_cells
-            if sub.edge(native, cj).side == side and not sub.edge(native, cj).marked
-        )
-        cl = sub.diagonal(native)
-        e_il = sub.edge(native, cl)
-        usable_diag = e_il.side == side and not e_il.marked
-        self.diag_cell = cl if usable_diag else -1
-        self.diag_if_near = usable_diag
-        self.diag_if_far = usable_diag and any(
-            sub.edge(native, cj).side == side and sub.edge(native, cj).marked
-            for cj in side_cells
-        )
-        # SupAr: for each side neighbour whose edge towards the native cell
-        # is marked with the opposite type, resolve the destination cell.
-        rules = []
-        for cj in side_cells:
-            e_ji = sub.edge(cj, native)
-            if e_ji.side == side or not e_ji.marked:
-                continue
-            ck = side_cells[1] if cj == side_cells[0] else side_cells[0]
-            e_ik, e_jk = sub.edge(native, ck), sub.edge(cj, ck)
-            e_jl = sub.edge(cj, cl)
-            if (
-                e_ik.side == side
-                and not e_ik.marked
-                and e_jk.side != side
-                and not e_jk.marked
-            ):
-                dest = ck
-            elif (
-                e_il.side == side
-                and not e_il.marked
-                and e_jl.side != side
-                and not e_jl.marked
-            ):
-                dest = cl
-            else:
-                continue
-            rules.append((grid.cell_mbr(*grid.cell_pos(cj)), dest))
-        self.supar_rules = tuple(rules)
+
+def _compile_plain_tables(graph: AgreementGraph) -> dict[Side, np.ndarray]:
+    """Algorithm 2, lines 12-15: ``native * 4 + border`` -> the neighbour
+    across that border when the pair's agreement type is the table's input."""
+    pairs = graph.grid.adjacent_pair_arrays()
+    agreed_r = agreed_r_mask(pairs, graph.pair_types)
+    tables = {}
+    for side in Side:
+        sel = (pairs.facing_a < 4) & (agreed_r == (side is Side.R))
+        a, b = pairs.a[sel], pairs.b[sel]
+        table = np.full(graph.grid.num_cells * 4, _NO_CELL, dtype=np.int64)
+        table[a * 4 + pairs.facing_a[sel]] = b
+        table[b * 4 + pairs.facing_b[sel]] = a
+        tables[side] = table
+    return tables
+
+
+def _mindist_sq(
+    grid: Grid, cx: np.ndarray, cy: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """Squared MINDIST from each point to cell ``(cx, cy)``: ``grid.cell_mbr``
+    and ``MBR.mindist_point`` term for term, without the root."""
+    x0 = grid.mbr.xmin + cx * grid.cell_w
+    y0 = grid.mbr.ymin + cy * grid.cell_h
+    dx = np.maximum(np.maximum(x0 - x, 0.0), x - (x0 + grid.cell_w))
+    dy = np.maximum(np.maximum(y0 - y, 0.0), y - (y0 + grid.cell_h))
+    return dx * dx + dy * dy
+
+
+def _root_le(sq: np.ndarray, eps: float) -> np.ndarray:
+    """``sq ** 0.5 <= eps`` exactly as the scalar ``MBR.mindist_point`` decides it.
+
+    Python's ``** 0.5`` is libm ``pow``, which is not correctly rounded: it
+    is one ulp off ``np.sqrt`` on about one input in a thousand.  Entries
+    that close to ``eps`` are re-decided with the scalar expression.
+    """
+    root = np.sqrt(sq)
+    le = root <= eps
+    for i in np.nonzero(np.abs(root - eps) <= 2.0 * np.spacing(eps))[0].tolist():
+        le[i] = float(sq[i]) ** 0.5 <= eps
+    return le
 
 
 class AdaptiveAssigner:
@@ -201,18 +254,8 @@ class AdaptiveAssigner:
             raise ValueError("agreement graph was built for a different grid")
         self.grid = grid
         self.graph = graph
-        self._plans: dict[tuple[tuple[int, int], int, Side], _QuartetPlan] = {}
-        for corner, sub in graph.quartets.items():
-            for native in sub.cells.values():
-                for side in Side:
-                    self._plans[(corner, native, side)] = _QuartetPlan(
-                        sub, native, side, grid
-                    )
-        self._pair_type_fast: dict[tuple[int, int], Side] = {}
-        for pair, side in graph.pair_types.items():
-            a, b = tuple(pair)
-            self._pair_type_fast[(a, b)] = side
-            self._pair_type_fast[(b, a)] = side
+        self._quartet_tables = _compile_quartet_tables(graph)
+        self._plain_tables = _compile_plain_tables(graph)
 
     def assign(self, x: float, y: float, side: Side) -> tuple[int, ...]:
         """All cells the point is assigned to; the native cell comes first."""
@@ -249,118 +292,100 @@ class AdaptiveAssigner:
         extra.discard(native)
         return (native, *sorted(extra))
 
-    def _assign_fast(self, x: float, y: float, side: Side) -> tuple[int, ...]:
-        """Compiled-plan equivalent of :meth:`assign` (same output)."""
-        grid = self.grid
-        eps = grid.eps
-        cx = int((x - grid.mbr.xmin) / grid.cell_w)
-        cx = 0 if cx < 0 else (grid.nx - 1 if cx >= grid.nx else cx)
-        cy = int((y - grid.mbr.ymin) / grid.cell_h)
-        cy = 0 if cy < 0 else (grid.ny - 1 if cy >= grid.ny else cy)
-        native = cy * grid.nx + cx
-
-        x0 = grid.mbr.xmin + cx * grid.cell_w
-        y0 = grid.mbr.ymin + cy * grid.cell_h
-        near_x = 0
-        if x0 + grid.cell_w - x <= eps and cx + 1 < grid.nx:
-            near_x = 1
-        elif x - x0 <= eps and cx > 0:
-            near_x = -1
-        near_y = 0
-        if y0 + grid.cell_h - y <= eps and cy + 1 < grid.ny:
-            near_y = 1
-        elif y - y0 <= eps and cy > 0:
-            near_y = -1
-        if near_x == 0 and near_y == 0:
-            return (native,)
-
-        extra: set[int] = set()
-        if near_x != 0 and near_y != 0:
-            corner = (cx + (near_x > 0), cy + (near_y > 0))
-            plan = self._plans.get((corner, native, side))
-            if plan is not None:
-                extra.update(plan.medupar_sides)
-                if plan.diag_cell >= 0:
-                    dx = x - plan.ref[0]
-                    dy = y - plan.ref[1]
-                    near_ref = dx * dx + dy * dy <= eps * eps
-                    if (near_ref and plan.diag_if_near) or (
-                        not near_ref and plan.diag_if_far
-                    ):
-                        extra.add(plan.diag_cell)
-            supp = (
-                corner,
-                (corner[0], corner[1] - near_y),
-                (corner[0] - near_x, corner[1]),
-            )
-        else:
-            cj = (cy + near_y) * grid.nx + (cx + near_x)
-            if self._pair_type_fast.get((native, cj)) == side:
-                extra.add(cj)
-            if near_x != 0:
-                qx = cx + (near_x > 0)
-                supp = ((qx, cy), (qx, cy + 1))
-            else:
-                qy = cy + (near_y > 0)
-                supp = ((cx, qy), (cx + 1, qy))
-
-        two_eps_sq = 4.0 * eps * eps
-        for corner in supp:
-            plan = self._plans.get((corner, native, side))
-            if plan is None or not plan.supar_rules:
-                continue
-            dx = x - plan.ref[0]
-            dy = y - plan.ref[1]
-            if dx * dx + dy * dy > two_eps_sq:
-                continue
-            for cj_mbr, dest in plan.supar_rules:
-                if cj_mbr.mindist_point(x, y) <= eps:
-                    extra.add(dest)
-
-        extra.discard(native)
-        return (native, *sorted(extra))
-
     def assign_batch(
         self, xs: np.ndarray, ys: np.ndarray, side: Side
     ) -> tuple[np.ndarray, np.ndarray]:
         """Assign many points at once.
 
         Returns parallel arrays ``(cell_ids, point_indices)``: one entry per
-        (cell, point) assignment.  Points in the no-replication area are
-        handled vectorized; only border-area points take the per-point path.
+        (cell, point) assignment, equal to :meth:`assign` point by point.
+        Emission order is a contract (the shuffle's stable sort keeps it
+        within each cell): first every no-replication-area point in input
+        order, then the border-area points in input order, each as its
+        native cell followed by its other cells ascending, de-duplicated.
+
+        One vectorized pass: zone codes from array comparisons, candidate
+        cells gathered from the tables compiled at construction, one
+        row-wise sort.  The comparisons are the scalar ones, term for term.
         """
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         grid = self.grid
-        cx = np.clip(((xs - grid.mbr.xmin) / grid.cell_w).astype(np.int64), 0, grid.nx - 1)
-        cy = np.clip(((ys - grid.mbr.ymin) / grid.cell_h).astype(np.int64), 0, grid.ny - 1)
-        native = cy * grid.nx + cx
+        nx, eps = grid.nx, grid.eps
+        xmin, ymin, cell_w, cell_h = grid.mbr.xmin, grid.mbr.ymin, grid.cell_w, grid.cell_h
+        # int() and astype both truncate towards zero; points outside the
+        # MBR are clipped into the edge cells
+        cx = np.clip(((xs - xmin) / cell_w).astype(np.int64), 0, nx - 1)
+        cy = np.clip(((ys - ymin) / cell_h).astype(np.int64), 0, grid.ny - 1)
+        native = cy * nx + cx
 
-        x0 = grid.mbr.xmin + cx * grid.cell_w
-        y0 = grid.mbr.ymin + cy * grid.cell_h
-        eps = grid.eps
-        near = (
-            ((x0 + grid.cell_w - xs <= eps) & (cx + 1 < grid.nx))
-            | ((xs - x0 <= eps) & (cx > 0))
-            | ((y0 + grid.cell_h - ys <= eps) & (cy + 1 < grid.ny))
-            | ((ys - y0 <= eps) & (cy > 0))
+        x0 = xmin + cx * cell_w
+        y0 = ymin + cy * cell_h
+        # east/north win over west/south when a cell is narrower than 2 eps
+        # (classify_point's ``elif``)
+        east = (x0 + cell_w - xs <= eps) & (cx + 1 < nx)
+        west = (xs - x0 <= eps) & (cx > 0) & ~east
+        north = (y0 + cell_h - ys <= eps) & (cy + 1 < grid.ny)
+        south = (ys - y0 <= eps) & (cy > 0) & ~north
+        inner = ~(east | west | north | south)
+        border = np.nonzero(~inner)[0]
+
+        x, y, cx, cy, home = xs[border], ys[border], cx[border], cy[border], native[border]
+        near = [flags[border] for flags in (east, west, north, south)]
+        near_x, near_y = near[0] | near[1], near[2] | near[3]
+        wests, souths = near[1].astype(np.int64), near[3].astype(np.int64)
+        quartet_table = self._quartet_tables[side]
+        # one row per border point: its native cell, 3 candidates from its own
+        # zone, 2 SupAr candidates per corner of its cell
+        rows = np.full((len(border), 12), _NO_CELL, dtype=np.int64)
+        rows[:, 0] = home
+        cand = rows[:, 1:]
+
+        # Own zone.  Near two borders (merged duplicate-prone area): MeDuPAr on
+        # the quartet at that corner of the cell.  Near one (plain replication
+        # area): the neighbour across it, if the pair's type is this input.
+        merged = near_x & near_y
+        own = quartet_table[home * 4 + wests + 2 * souths]
+        dx = x - (xmin + (cx + 1 - wests) * cell_w)
+        dy = y - (ymin + (cy + 1 - souths) * cell_h)
+        # squared, as the join kernels compare; the scalar medupar/supar root
+        # this distance, which differs only within an ulp of the circle,
+        # where either answer is correct
+        near_ref = dx * dx + dy * dy <= eps * eps
+        diag = np.where(near_ref, own[:, _DIAG_NEAR], own[:, _DIAG_FAR])
+        across = self._plain_tables[side][home * 4 + np.where(near_x, wests, 2 + souths)]
+        cand[:, 0] = np.where(merged, own[:, _MED_X], across)
+        cand[:, 1] = np.where(merged, own[:, _MED_Y], _NO_CELL)
+        cand[:, 2] = np.where(merged, diag, _NO_CELL)
+
+        # SupAr: a point consults the quartet at each corner of its cell that
+        # ends a border it is near
+        two_eps_sq = 4.0 * eps * eps
+        for corner in range(4):
+            is_west, is_south = corner & 1, corner >> 1
+            sel = np.nonzero(near[is_west] | near[2 + is_south])[0]
+            rules = quartet_table[home[sel] * 4 + corner, _SUP_X:]
+            armed = (rules[:, 0] != _NO_CELL) | (rules[:, 1] != _NO_CELL)
+            sel, rules = sel[armed], rules[armed]
+            px, py, pcx, pcy = x[sel], y[sel], cx[sel], cy[sel]
+            dx = px - (xmin + (pcx + 1 - is_west) * cell_w)
+            dy = py - (ymin + (pcy + 1 - is_south) * cell_h)
+            in_reach = dx * dx + dy * dy <= two_eps_sq
+            neighbours = ((pcx + 1 - 2 * is_west, pcy), (pcx, pcy + 1 - 2 * is_south))
+            for col, (ncx, ncy) in enumerate(neighbours):
+                close = in_reach & _root_le(_mindist_sq(grid, ncx, ncy, px, py), eps)
+                cand[sel, 3 + 2 * corner + col] = np.where(close, rules[:, col], _NO_CELL)
+
+        cand.sort(axis=1)
+        keep = rows != _NO_CELL
+        keep[:, 1:] &= cand != home[:, None]
+        keep[:, 2:] &= cand[:, 1:] != cand[:, :-1]
+        return (
+            np.concatenate([native[inner], rows[keep]]),
+            np.concatenate(
+                [np.nonzero(inner)[0], np.repeat(border, np.count_nonzero(keep, axis=1))]
+            ),
         )
-
-        cells = [native[~near]]
-        idxs = [np.nonzero(~near)[0]]
-        border_idx = np.nonzero(near)[0]
-        extra_cells: list[int] = []
-        extra_points: list[int] = []
-        assign_fast = self._assign_fast
-        xs_list = xs[border_idx].tolist()
-        ys_list = ys[border_idx].tolist()
-        for i, x, y in zip(border_idx.tolist(), xs_list, ys_list):
-            for cell in assign_fast(x, y, side):
-                extra_cells.append(cell)
-                extra_points.append(i)
-        cells.append(np.asarray(extra_cells, dtype=np.int64))
-        idxs.append(np.asarray(extra_points, dtype=np.int64))
-        return np.concatenate(cells), np.concatenate(idxs)
 
 
 def count_replicas(assignments: Iterable[tuple[int, ...]]) -> int:

@@ -8,16 +8,19 @@ partitioning that is simultaneously *correct* (no pair lost) and
 """
 
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.agreements.graph import AgreementGraph
 from repro.agreements.marking import generate_duplicate_free_graph
 from repro.geometry.mbr import MBR
 from repro.geometry.point import Side
+from repro.grid.areas import AreaKind, classify_point
 from repro.grid.grid import Grid
-from repro.replication.assign import AdaptiveAssigner
+from repro.replication.assign import AdaptiveAssigner, _root_le
 from repro.verify.oracle import kdtree_pairs, verify_assignment
 
 EPS = 1.0
@@ -180,3 +183,159 @@ def test_unmarked_mixed_graph_is_correct_but_duplicates(grid_2x2, cloud_2x2):
         if not res.duplicate_free:
             saw_duplicates = True
     assert saw_duplicates, "expected duplicates for some mixed instance"
+
+
+# ----------------------------------------------------------------------
+# assign_batch == assign(), point by point, in values and order
+# ----------------------------------------------------------------------
+def degenerate_points(grid):
+    """Coordinates chosen to sit on every comparison ``assign`` makes.
+
+    Per axis: each interior grid line with ``eps`` to either side of it --
+    all three exactly and one ulp off -- and half an ``eps`` in; each outer
+    edge exactly, one ulp inside and outside, and ``eps`` inside; a cell
+    centre; positions well outside the MBR.  The cloud is their cross
+    product (line x line = quartet corners, ``eps`` x line = exactly ``eps``
+    from a reference point), plus circles of radius ``eps`` and ``2 eps``
+    around every reference point, plus a block of duplicates.
+
+    One kind of point is left out.  ``medupar``/``supar`` root the distance
+    to the reference point (``euclidean(...) <= eps``) where ``assign_batch``
+    -- like the join kernels -- compares squares (``dx*dx + dy*dy <= eps*eps``);
+    within an ulp of the circle the two readings can differ, and either is
+    correct (no partner can lie that exactly behind the reference point
+    without the kernels' own squared test agreeing).  Points on which they
+    differ are dropped; enough circle points survive to pin both readings.
+    """
+    eps = grid.eps
+
+    def ulps(v):
+        return (v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf))
+
+    def axis(lo, step, n):
+        hi = lo + n * step
+        vals = {lo - 0.7 * step, hi + 0.4 * step, lo + 0.5 * step}
+        vals.update((*ulps(lo), *ulps(hi), lo + eps, hi - eps))
+        for i in range(1, n):
+            line = lo + i * step
+            vals.update((*ulps(line), *ulps(line + eps), *ulps(line - eps), line + 0.5 * eps))
+        return sorted(vals)
+
+    def readings_agree(x, y):
+        for corner in grid.interior_corners():
+            rx, ry = grid.corner_coords(*corner)
+            d2 = (x - rx) * (x - rx) + (y - ry) * (y - ry)
+            if (d2 <= eps * eps) != (d2**0.5 <= eps):
+                return False
+            if (d2 > 4.0 * eps * eps) != (d2**0.5 > 2.0 * eps):
+                return False
+        return True
+
+    pts = list(itertools.product(axis(grid.mbr.xmin, grid.cell_w, grid.nx),
+                                 axis(grid.mbr.ymin, grid.cell_h, grid.ny)))
+    circles = []
+    for corner in grid.interior_corners():
+        rx, ry = grid.corner_coords(*corner)
+        for radius in (eps, 2 * eps):
+            circles += [(rx + radius, ry), (rx, ry - radius)]
+            # 3-4-5 directions land on the circle to the last bit or two
+            for ux, uy in ((0.6, 0.8), (-0.8, 0.6), (0.28, -0.96), (-0.6, -0.8)):
+                circles.append((rx + radius * ux, ry + radius * uy))
+            for k in range(6):
+                t = 2 * math.pi * (k + 0.37) / 6
+                circles.append((rx + radius * math.cos(t), ry + radius * math.sin(t)))
+    kept = [p for p in pts + circles if readings_agree(*p)]
+    assert len(pts) + len(circles) - len(kept) <= len(circles) // 2
+    pts = kept + kept[:: max(1, len(kept) // 40)]  # duplicates
+    arr = np.array(pts, dtype=np.float64)
+    return arr[:, 0], arr[:, 1]
+
+
+def assert_batch_equals_reference(assigner, xs, ys, context):
+    """The emission-order contract of ``assign_batch``: the no-replication
+    points first, then each border point as native cell + extras ascending."""
+    grid = assigner.grid
+    points = list(zip(xs.tolist(), ys.tolist()))
+    inner = [
+        i for i, (x, y) in enumerate(points)
+        if classify_point(grid, x, y).kind is AreaKind.NO_REPLICATION
+    ]
+    border = sorted(set(range(len(points))) - set(inner))
+    for side in Side:
+        rows = [assigner.assign(x, y, side) for x, y in points]
+        assert all(len(rows[i]) == 1 for i in inner)
+        cells, idxs = assigner.assign_batch(xs, ys, side)
+        assert cells.dtype == np.int64 and idxs.dtype == np.int64
+        assert cells.tolist() == [rows[i][0] for i in inner] + [c for i in border for c in rows[i]], (context, side)
+        assert idxs.tolist() == inner + [i for i in border for _ in rows[i]], (context, side)
+
+
+BATCH_GRIDS = {
+    "2x2": (MBR(0, 0, 5, 5), 2.0, "all"),
+    "3x2": (MBR(0, 0, 7.5, 5), 2.0, 40),
+    "3x3": (MBR(0, 0, 7.5, 7.5), 2.0, 25),
+    "narrow": (MBR(0, 0, 4.2, 4.2), 2.0, "all"),  # cell sides barely above 2 eps
+    # cell sides below 2 eps: a point can be within eps of both the east and
+    # the west border, and east must win as in classify_point
+    "thin": (MBR(0, 0, 5, 5), 1.2, 10),
+}
+
+
+@pytest.mark.parametrize("name", BATCH_GRIDS)
+def test_batch_equals_reference_on_degenerate_points(name):
+    """Every agreement instance of the one-quartet grids (all 64), and a
+    sample on the multi-quartet ones, with random edge weights mixed in."""
+    mbr, factor, how_many = BATCH_GRIDS[name]
+    grid = Grid(mbr, EPS, factor)
+    pairs = [frozenset(p[:2]) for p in grid.adjacent_pairs()]
+    xs, ys = degenerate_points(grid)
+    rng = random.Random(len(pairs))
+    if how_many == "all":
+        combos = list(itertools.product([Side.R, Side.S], repeat=len(pairs)))
+    else:
+        combos = [tuple(rng.choice([Side.R, Side.S]) for _ in pairs) for _ in range(how_many)]
+        combos += [tuple([Side.R] * len(pairs)), tuple([Side.S] * len(pairs))]
+    for n, combo in enumerate(combos):
+        graph = AgreementGraph(grid, dict(zip(pairs, combo)))
+        if n % 2:  # every other instance marks under random weights
+            for sub in graph.quartets.values():
+                for e in sub.edges():
+                    e.weight = rng.randrange(1000)
+        generate_duplicate_free_graph(graph)
+        assert_batch_equals_reference(AdaptiveAssigner(grid, graph), xs, ys, combo)
+
+
+def test_batch_on_empty_input_and_quartetless_grids():
+    grid = Grid(MBR(0, 0, 5, 5), EPS)
+    pairs = [frozenset(p[:2]) for p in grid.adjacent_pairs()]
+    graph = AgreementGraph(grid, dict.fromkeys(pairs, Side.R))
+    generate_duplicate_free_graph(graph)
+    empty = np.empty(0)
+    for side in Side:
+        cells, idxs = AdaptiveAssigner(grid, graph).assign_batch(empty, empty, side)
+        assert cells.dtype == idxs.dtype == np.int64 and len(cells) == len(idxs) == 0
+
+    # a single row of cells has adjacent pairs but no quartet; one cell, neither
+    for mbr in (MBR(0, 0, 7.5, 2.5), MBR(0, 0, 2.5, 2.5)):
+        strip = Grid(mbr, EPS)
+        assert strip.ny == 1
+        pairs = [frozenset(p[:2]) for p in strip.adjacent_pairs()]
+        for types in ([Side.R, Side.S] * len(pairs), [Side.S] * len(pairs)):
+            graph = AgreementGraph(strip, dict(zip(pairs, types)))
+            generate_duplicate_free_graph(graph)
+            xs, ys = degenerate_points(strip)
+            assert_batch_equals_reference(AdaptiveAssigner(strip, graph), xs, ys, types)
+
+
+def test_root_le_follows_python_pow_where_it_differs_from_sqrt():
+    """``MBR.mindist_point`` roots with ``** 0.5`` (libm ``pow``), which is
+    one ulp off ``np.sqrt`` on ~0.1% of inputs; with ``eps`` between the two
+    roots the vectorized comparison must still side with the scalar one."""
+    sq = np.random.default_rng(5).uniform(0.0, 4.0, 200_000)
+    scalar = np.array([v ** 0.5 for v in sq.tolist()])
+    differs = np.nonzero(scalar != np.sqrt(sq))[0]
+    assert len(differs) > 0, "libm pow agrees with sqrt here; nothing to guard"
+    for i in differs[:50].tolist():
+        for eps in (float(scalar[i]), float(np.sqrt(sq[i]))):
+            got = _root_le(sq[i - 2 : i + 3].copy(), eps)
+            assert got.tolist() == [v ** 0.5 <= eps for v in sq[i - 2 : i + 3].tolist()]

@@ -171,3 +171,39 @@ def test_parallel_backends_not_slower_than_serial():
             f"{backend} join makespan {parallel:.3f}s lost to serial "
             f"{serial:.3f}s on {os.cpu_count()} CPUs"
         )
+
+
+@pytest.mark.perfsmoke
+def test_adaptive_assign_batch_stays_columnar():
+    """``AdaptiveAssigner.assign_batch`` within 15x of ``UniversalAssigner``'s.
+
+    20k uniform points on a factor-2 grid: nearly every point is in a
+    border area, the worst case for the adaptive pass.  Both are array
+    passes over the same points -- the adaptive one gathers from its
+    compiled tables and sorts one candidate row per point (~8x here);
+    a per-point Python loop costs ~33x.
+    """
+    from repro.data.generators import uniform
+    from repro.data.sampling import bernoulli_sample
+    from repro.geometry.point import Side
+    from repro.grid.grid import Grid
+    from repro.grid.statistics import GridStatistics
+    from repro.joins.pipeline import build_grid_assigner
+    from repro.replication.pbsm import UniversalAssigner
+
+    r, s = uniform(N, seed=201), uniform(N, seed=202)
+    grid = Grid(r.mbr().union(s.mbr()), 0.0142, 2.0)
+    stats = GridStatistics(grid)
+    for side, points in ((Side.R, r), (Side.S, s)):
+        sample = bernoulli_sample(points, 0.03, 7)
+        stats.add_points(sample.xs, sample.ys, side)
+    adaptive, _ = build_grid_assigner(grid, "lpib", stats, input_sizes=(N, N))
+    universal = UniversalAssigner(grid, Side.R)
+
+    adaptive_t, (cells, _idxs) = _best_of(lambda: adaptive.assign_batch(r.xs, r.ys, Side.R), 5)
+    universal_t, _ = _best_of(lambda: universal.assign_batch(r.xs, r.ys, Side.R), 5)
+    assert len(cells) > 1.5 * N, "the input must be dominated by border points"
+    assert adaptive_t <= 15 * universal_t, (
+        f"adaptive assign_batch {adaptive_t * 1e3:.1f} ms vs universal "
+        f"{universal_t * 1e3:.1f} ms on {N} points"
+    )

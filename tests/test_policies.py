@@ -123,3 +123,29 @@ class TestInstantiate:
     def test_policy_names(self):
         assert LPiBPolicy().name == "lpib"
         assert DiffPolicy().name == "diff"
+
+
+class TestDecidePairs:
+    """The array decisions must be the scalar ones, ties included."""
+
+    @pytest.mark.parametrize("policy", [LPiBPolicy(), DiffPolicy(), UniformPolicy(Side.S)],
+                             ids=lambda p: p.name)
+    @pytest.mark.parametrize("n", [0, 30, 400])
+    def test_equal_to_pair_by_pair_decide(self, policy, n):
+        from repro.agreements.policies import AgreementPolicy
+
+        grid = Grid(MBR(0, 0, 15, 10), eps=1.0)  # 6x4
+        rng = np.random.default_rng(n)
+        stats = GridStatistics(grid)
+        for side in Side:
+            stats.add_points(rng.uniform(0, 15, n), rng.uniform(0, 10, n), side)
+        pairs = grid.adjacent_pair_arrays()
+        scalar = AgreementPolicy.decide_pairs(policy, stats, pairs)
+        assert policy.decide_pairs(stats, pairs).tolist() == scalar.tolist()
+        if n == 30 and policy.name == "lpib":
+            # the sparse sample must actually exercise both tie levels
+            r, s = (sum(stats.directed_candidates_array(pairs, side)) for side in Side)
+            assert (r == s).any() and (r != s).any()
+        types = instantiate_pair_types(grid, stats, policy)
+        assert list(types) == [frozenset(p[:2]) for p in grid.adjacent_pairs()]
+        assert [t is Side.R for t in types.values()] == scalar.tolist()

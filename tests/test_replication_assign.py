@@ -185,24 +185,6 @@ class TestBatch:
     def test_count_replicas(self):
         assert count_replicas([(1,), (1, 2), (3, 4, 5)]) == 3
 
-    def test_compiled_fast_path_equals_reference(self, grid4x4):
-        """The precompiled-plan path must agree with the literal
-        Algorithm 2/3/4 implementation everywhere."""
-        import random
-
-        rng = random.Random(123)
-        pairs = [frozenset(p[:2]) for p in grid4x4.adjacent_pairs()]
-        types = [rng.choice([Side.R, Side.S]) for _ in pairs]
-        graph = make_graph(grid4x4, types)
-        generate_duplicate_free_graph(graph)
-        assigner = AdaptiveAssigner(grid4x4, graph)
-        nprng = np.random.default_rng(77)
-        for x, y in nprng.uniform(0, 10, size=(800, 2)):
-            for side in Side:
-                assert assigner.assign(float(x), float(y), side) == (
-                    assigner._assign_fast(float(x), float(y), side)
-                )
-
 
 def test_mismatched_grid_rejected(grid2x2, grid4x4):
     graph = make_graph(grid2x2, Side.R)

@@ -112,3 +112,69 @@ def test_example_4_4_edge_weights():
     # s1, s2, s3 anywhere in A
     stats.add_points(np.array([0.5, 1.0, 2.0]), np.array([0.5, 1.0, 1.1]), Side.S)
     assert stats.edge_weight(b, a, Side.R) == 3
+
+
+# ----------------------------------------------------------------------
+# the array adjacency answers exactly what the scalar queries answer
+# ----------------------------------------------------------------------
+def random_stats(grid, seed, n=400):
+    """Few points per cell, so zero counts and ties are common."""
+    rng = np.random.default_rng(seed)
+    stats = GridStatistics(grid)
+    for side in Side:
+        stats.add_points(
+            rng.uniform(grid.mbr.xmin, grid.mbr.xmax, n),
+            rng.uniform(grid.mbr.ymin, grid.mbr.ymax, n),
+            side,
+        )
+    return stats
+
+
+ADJACENCY_GRIDS = [
+    Grid(MBR(0, 0, 10, 10), eps=1.0),  # 4x4
+    Grid(MBR(0, 0, 17.5, 7.5), eps=1.0),  # 7x3
+    Grid(MBR(0, 0, 7.5, 2.5), eps=1.0),  # a single row: no corner pairs
+    Grid(MBR(0, 0, 2.5, 2.5), eps=1.0),  # a single cell: no pairs
+]
+
+
+@pytest.mark.parametrize("grid", ADJACENCY_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
+def test_adjacent_pair_arrays_mirror_adjacent_pairs(grid):
+    pairs = grid.adjacent_pair_arrays()
+    listed = list(grid.adjacent_pairs())
+    assert len(pairs) == len(listed) == grid.num_adjacent_pairs
+    assert list(zip(pairs.a.tolist(), pairs.b.tolist())) == [p[:2] for p in listed]
+    assert [("side" if f < 4 else "corner") for f in pairs.facing_a.tolist()] == [
+        p[2] for p in listed
+    ]
+
+
+@pytest.mark.parametrize("grid", ADJACENCY_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
+@pytest.mark.parametrize("seed", [0, 1])
+def test_array_queries_equal_scalar_queries(grid, seed):
+    stats = random_stats(grid, seed)
+    pairs = grid.adjacent_pair_arrays()
+    ab = list(zip(pairs.a.tolist(), pairs.b.tolist()))
+    for side in Side:
+        fwd, bwd = stats.directed_candidates_array(pairs, side)
+        assert fwd.tolist() == [stats.directed_candidates(a, b, side) for a, b in ab]
+        assert bwd.tolist() == [stats.directed_candidates(b, a, side) for a, b in ab]
+        assert (fwd + bwd).tolist() == [stats.pair_candidates(a, b, side) for a, b in ab]
+        assert stats.cell_counts(side).tolist() == [
+            stats.cell_count(c, side) for c in range(grid.num_cells)
+        ]
+    agreed_r = np.random.default_rng(seed).random(len(pairs)) < 0.5
+    types = [Side.R if r else Side.S for r in agreed_r.tolist()]
+    w_ab, w_ba = stats.edge_weights_array(pairs, agreed_r)
+    assert w_ab.tolist() == [stats.edge_weight(a, b, t) for (a, b), t in zip(ab, types)]
+    assert w_ba.tolist() == [stats.edge_weight(b, a, t) for (a, b), t in zip(ab, types)]
+
+    # replica inflow: per pair, the agreed input's candidates cross both ways
+    for mask, replicated in ((agreed_r, None), (None, Side.S), (None, None)):
+        want = {side: [0.0] * grid.num_cells for side in Side}
+        for (a, b), t in zip(ab, types):
+            for side in (t,) if mask is not None else (replicated,) if replicated else ():
+                want[side][b] += stats.directed_candidates(a, b, side)
+                want[side][a] += stats.directed_candidates(b, a, side)
+        got = stats.replica_inflows(pairs, mask, replicated)
+        assert {side: arr.tolist() for side, arr in got.items()} == want
