@@ -8,7 +8,7 @@ each interior grid corner.  Edge *marking* and *locking* (Algorithm 1)
 turn an arbitrary instance into one with the duplicate-free property.
 """
 
-from repro.agreements.graph import AgreementGraph, DirectedEdge, QuartetSubgraph
+from repro.agreements.graph import AgreementGraph, DirectedEdge, PairTypes, QuartetSubgraph
 from repro.agreements.policies import (
     AgreementPolicy,
     DiffPolicy,
@@ -29,6 +29,7 @@ __all__ = [
     "DiffPolicy",
     "DirectedEdge",
     "LPiBPolicy",
+    "PairTypes",
     "QuartetSubgraph",
     "UniformPolicy",
     "generate_duplicate_free_graph",

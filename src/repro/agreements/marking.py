@@ -15,13 +15,28 @@ descending weight order.  A defensive repair pass afterwards resolves any
 mixed triangle the greedy pass left unmarked; across the exhaustive test
 suite the repair never fires, but it turns a silent correctness hazard
 into an explicit guarantee.
+
+:func:`mark_quartet` is the scalar reference, one quartet at a time over
+its view; :func:`generate_duplicate_free_graph` runs the same algorithm in
+lockstep over the graph's ``(quartets, 12)`` arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.agreements.graph import AgreementGraph, DirectedEdge, QuartetSubgraph
+import numpy as np
+
+from repro.agreements.graph import (
+    DIAGONAL,
+    EDGE_COLUMN,
+    EDGE_POSITIONS,
+    POSITION_INDEX,
+    TRIANGLES,
+    AgreementGraph,
+    DirectedEdge,
+    QuartetSubgraph,
+)
 
 
 class MarkingError(RuntimeError):
@@ -157,8 +172,14 @@ def mark_quartet(sub: QuartetSubgraph, ordering: str = "paper") -> MarkingReport
         _apply_mark(e, e_ik, e_jk)
         report.marked_edges += 1
 
-    # Defensive repair: resolve leftovers ignoring locks (but never marking
-    # over a marked support edge, which would break correctness).
+    _repair_quartet(sub, report)
+    return report
+
+
+def _repair_quartet(sub: QuartetSubgraph, report: MarkingReport) -> None:
+    """Defensive repair: resolve leftover mixed triangles ignoring locks
+    (but never marking over a marked support edge, which would break
+    correctness)."""
     for tri in unresolved_mixed_triangles(sub):
         apex = triangle_apex(sub, tri)
         base = [v for v in tri if v != apex]
@@ -180,14 +201,86 @@ def mark_quartet(sub: QuartetSubgraph, ordering: str = "paper") -> MarkingReport
             raise MarkingError(
                 f"quartet {sub.corner}: mixed triangle {tri} cannot be resolved"
             )
-    return report
+
+
+# Static structure of a quartet's 12 edge columns (EDGE_POSITIONS order).
+# Cell ids ascend with position (bl < br < tl < tr), so ``(tail, head)`` by
+# id -- the scalar tie-break -- is the columns' order by position indexes.
+_ENDS = [(POSITION_INDEX[t], POSITION_INDEX[h]) for t, h in EDGE_POSITIONS]
+_BY_ENDS = np.array([4 * i + j for i, j in _ENDS])
+_IS_SIDE_EDGE = np.array([DIAGONAL[t] != h for t, h in EDGE_POSITIONS])
+# per column e_ij and third vertex k (ascending): the columns of e_ik, of e_jk
+_IK, _JK = (
+    np.array([[EDGE_COLUMN[ends[n], k] for k in range(4) if k not in ends] for ends in _ENDS])
+    for n in (0, 1)
+)
+# per triangle and vertex: the columns of the vertex's two edges into the
+# triangle -- the marking candidates, if the vertex is the apex
+_TRI_OUT = np.array(
+    [
+        [[EDGE_COLUMN[v, w] for w in tri if w != v] for v in tri]
+        for tri in ([POSITION_INDEX[p] for p in names] for names in TRIANGLES)
+    ]
+)
+
+
+def _triangle_state(graph: AgreementGraph) -> tuple[np.ndarray, int]:
+    """Rows with a mixed triangle that lacks a marked apex edge, and the
+    total mixed-triangle count: :func:`unresolved_mixed_triangles` and
+    :func:`mixed_triangles` over every quartet at once."""
+    out = graph.is_r[:, _TRI_OUT]  # (quartets, triangle, vertex, edge)
+    # a vertex whose two edges share a type: every vertex of a pure
+    # triangle, only the apex of a mixed one
+    same = out[..., 0] == out[..., 1]
+    mixed = ~same.all(axis=2)
+    resolved = (same & graph.marked[:, _TRI_OUT].any(axis=3)).any(axis=2)
+    return np.nonzero((mixed & ~resolved).any(axis=1))[0], int(np.count_nonzero(mixed))
 
 
 def generate_duplicate_free_graph(
     graph: AgreementGraph, ordering: str = "paper"
 ) -> MarkingReport:
-    """Mark every quartet of an agreement graph (Sect. 5.2)."""
-    report = MarkingReport()
-    for sub in graph.quartets.values():
-        report.merge(mark_quartet(sub, ordering))
+    """Mark every quartet of an agreement graph (Sect. 5.2).
+
+    :func:`mark_quartet` on all quartets in lockstep: step ``t`` examines
+    every quartet's ``t``-th edge at once, starting from the graph's
+    current marks and locks.
+    """
+    is_r, weight, marked, locked = graph.is_r, graph.weight, graph.marked, graph.locked
+    # _ordered_edges, row by row (lexsort takes the primary key last)
+    keys = {
+        "paper": (_BY_ENDS, -weight, _IS_SIDE_EDGE),
+        "weight_only": (_BY_ENDS, -weight),
+        "arbitrary": (_BY_ENDS,),
+    }
+    if ordering not in keys:
+        raise ValueError(f"unknown ordering {ordering!r}; choose from {ORDERINGS}")
+    order = np.lexsort([np.broadcast_to(key, weight.shape) for key in keys[ordering]])
+    report = MarkingReport(quartets=len(graph.cells))
+    rows = np.arange(len(graph.cells))
+    # e_ij may be marked through k when e_ik shares its type and e_jk does not
+    typed = (is_r[:, _IK] == is_r[:, :, None]) & (is_r[:, _JK] != is_r[:, :, None])
+    for e in order.T:
+        ik, jk = _IK[e], _JK[e]
+        free = ~(marked[rows, e] | locked[rows, e])
+        ok = (
+            free[:, None]
+            & typed[rows, e]
+            & ~marked[rows[:, None], ik]
+            & ~marked[rows[:, None], jk]
+        )
+        # both triangles qualify: the larger locked weight sum wins, then
+        # the lower third vertex
+        support = weight[rows[:, None], ik] + weight[rows[:, None], jk]
+        second = ok[:, 1] & (~ok[:, 0] | (support[:, 1] > support[:, 0]))
+        hit = np.nonzero(ok[:, 0] | ok[:, 1])[0]
+        via = second[hit].astype(np.intp)
+        marked[hit, e[hit]] = True
+        locked[hit, ik[hit, via]] = True
+        locked[hit, jk[hit, via]] = True
+        report.marked_edges += len(hit)
+
+    unresolved, report.mixed_triangles = _triangle_state(graph)
+    for row in unresolved.tolist():  # never taken across the exhaustive suite
+        _repair_quartet(QuartetSubgraph(graph, row), report)
     return report

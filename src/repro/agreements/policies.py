@@ -18,6 +18,7 @@ import abc
 
 import numpy as np
 
+from repro.agreements.graph import PairTypes
 from repro.geometry.point import Side
 from repro.grid.grid import AdjacentPairs, Grid
 from repro.grid.statistics import GridStatistics
@@ -117,11 +118,7 @@ class UniformPolicy(AgreementPolicy):
 
 def instantiate_pair_types(
     grid: Grid, stats: GridStatistics, policy: AgreementPolicy
-) -> dict[frozenset, Side]:
+) -> PairTypes:
     """Decide the agreement type of every adjacent cell pair of a grid."""
-    pairs = grid.adjacent_pair_arrays()
-    agreed_r = policy.decide_pairs(stats, pairs)
-    return {
-        frozenset(pair): Side.R if is_r else Side.S
-        for pair, is_r in zip(zip(pairs.a.tolist(), pairs.b.tolist()), agreed_r.tolist())
-    }
+    agreed_r = policy.decide_pairs(stats, grid.adjacent_pair_arrays())
+    return PairTypes(grid, np.asarray(agreed_r, dtype=bool))

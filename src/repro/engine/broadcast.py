@@ -50,7 +50,7 @@ def grid_broadcast_bytes(grid: Grid) -> int:
 
 def agreement_broadcast_bytes(graph: AgreementGraph) -> int:
     """Serialized size of the grid + agreements broadcast."""
-    edges = sum(len(list(sub.edges())) for sub in graph.quartets.values())
+    edges = 12 * len(graph.quartets)
     return (
         grid_broadcast_bytes(graph.grid)
         + len(graph.quartets) * _QUARTET_BYTES

@@ -63,8 +63,8 @@ class Span:
     ``start``/``end`` are epoch seconds (:func:`time.time`), comparable
     across processes; ``worker`` is the *simulated* worker the span ran
     for (``None`` for driver-side spans); ``cat`` is the coarse span
-    category (``job``, ``stage``, ``task``, ``shuffle``, ``blockstore``,
-    ``recovery``, ``salvage``); ``kind`` distinguishes intervals
+    category (``job``, ``stage``, ``construction``, ``task``, ``shuffle``,
+    ``blockstore``, ``recovery``, ``salvage``); ``kind`` distinguishes intervals
     (``span``) from instant events (``event``).
     """
 

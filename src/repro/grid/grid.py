@@ -37,6 +37,7 @@ FACINGS = BORDERS + CORNERS
 # faces the other (E|W, N|S, NE|SW, NW|SE).
 _FACING_A = np.array([0, 2, 4, 5], dtype=np.int64)
 _FACING_B = np.array([1, 3, 7, 6], dtype=np.int64)
+_DIRECTIONS = {(1, 0): 0, (0, 1): 1, (1, 1): 2, (-1, 1): 3}  # (dx, dy) -> E N NE NW
 
 
 @dataclass(frozen=True)
@@ -209,6 +210,26 @@ class Grid:
         a, direction = np.nonzero(exists)  # row-major: per cell, E N NE NW
         b = a + np.array([1, nx, nx + 1, nx - 1], dtype=np.int64)[direction]
         return AdjacentPairs(a, b, _FACING_A[direction], _FACING_B[direction])
+
+    def adjacent_pair_index(self, cell_a: int, cell_b: int) -> int:
+        """Position of an adjacent pair in :meth:`adjacent_pairs` order.
+
+        Raises ``ValueError`` for non-adjacent or identical cells.
+        """
+        a, b = min(cell_a, cell_b), max(cell_a, cell_b)
+        nx = self.nx
+        ax, ay = self.cell_pos(a)
+        step = (b % nx - ax, b // nx - ay)
+        if step not in _DIRECTIONS or not 0 <= a < b < self.num_cells:
+            raise ValueError(f"cells {cell_a} and {cell_b} are not adjacent")
+        # every row below the top one emits E, N and NE per cell that has an
+        # east neighbour, N for the last cell, NW for all but the first
+        before = ay * (4 * nx - 3)
+        if ay == self.ny - 1:  # top row: E only
+            return before + ax
+        east = ax + 1 < nx
+        offset = (0, east, east + 1, 2 * east + 1)[_DIRECTIONS[step]]
+        return before + 4 * ax - (ax > 0) + offset
 
     def pair_kind(self, cell_a: int, cell_b: int) -> str:
         """Adjacency kind of two cells: ``"side"``, ``"corner"``.

@@ -41,7 +41,7 @@ from repro.engine.faults import FaultPlan
 from repro.engine.metrics import CostModel, JoinMetrics
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.shuffle import KEY_BYTES
-from repro.engine.telemetry import Telemetry
+from repro.engine.telemetry import Telemetry, Tracer
 from repro.geometry.mbr import MBR
 from repro.geometry.point import Side
 from repro.grid.grid import Grid
@@ -237,13 +237,15 @@ class _BuildPartitionStage(Stage):
         if cache is not None and key is not None:
             bundle = cache.get(key)
         if bundle is None:
-            bundle = self._build(ctx.cfg)
+            bundle = self._build(ctx.cfg, ctx.tracer)
             if cache is not None and key is not None:
-                cache.put(key, bundle)
+                with ctx.tracer.span("artifact_cache.put", cat="construction"):
+                    cache.put(key, bundle)
         self._replay(ctx, bundle)
 
-    def _build(self, cfg: JoinConfig) -> dict:
-        """Construct the grid/stats/assigner/partitioner bundle."""
+    def _build(self, cfg: JoinConfig, tracer: Tracer) -> dict:
+        """Construct the grid/stats/assigner/partitioner bundle, each step
+        under a ``construction`` child span of the stage."""
         r, s = self.r, self.s
         mbr = cfg.mbr or r.mbr().union(s.mbr())
         factor = 1.0 if cfg.method == "eps_grid" else cfg.resolution_factor
@@ -252,11 +254,12 @@ class _BuildPartitionStage(Stage):
         needs_stats = cfg.method in ("lpib", "diff") or cfg.cell_assignment == "lpt"
         stats = None
         if needs_stats:
-            stats = GridStatistics(grid)
-            r_sample = bernoulli_sample(r, cfg.sample_rate, cfg.seed)
-            s_sample = bernoulli_sample(s, cfg.sample_rate, cfg.seed + 1)
-            stats.add_points(r_sample.xs, r_sample.ys, Side.R)
-            stats.add_points(s_sample.xs, s_sample.ys, Side.S)
+            with tracer.span("construction.sample_stats", cat="construction"):
+                stats = GridStatistics(grid)
+                r_sample = bernoulli_sample(r, cfg.sample_rate, cfg.seed)
+                s_sample = bernoulli_sample(s, cfg.sample_rate, cfg.seed + 1)
+                stats.add_points(r_sample.xs, r_sample.ys, Side.R)
+                stats.add_points(s_sample.xs, s_sample.ys, Side.S)
 
         # a scratch metrics object captures the agreement statistics (and
         # their insertion order) so _replay can restate them verbatim
@@ -269,6 +272,7 @@ class _BuildPartitionStage(Stage):
             duplicate_free=cfg.duplicate_free,
             marking_ordering=cfg.marking_ordering,
             metrics=scratch,
+            tracer=tracer,
         )
 
         # Algorithm 5 broadcasts the grid (plus agreements) to every
@@ -287,8 +291,9 @@ class _BuildPartitionStage(Stage):
 
         if cfg.cell_assignment == "lpt":
             replicated = getattr(assigner, "replicated", None)
-            costs = adaptive_lpt_costs(grid, stats, pair_types, replicated)
-            partitioner = lpt_partitioner(costs, cfg.num_workers)
+            with tracer.span("construction.lpt", cat="construction"):
+                costs = adaptive_lpt_costs(grid, stats, pair_types, replicated)
+                partitioner = lpt_partitioner(costs, cfg.num_workers)
         elif cfg.cell_assignment == "hash":
             partitioner = HashPartitioner(cfg.resolved_partitions())
         else:

@@ -474,21 +474,26 @@ def build_grid_assigner(
     duplicate_free: bool = True,
     marking_ordering: str = "paper",
     metrics: JoinMetrics | None = None,
+    tracer: Tracer | None = None,
 ):
     """Instantiate the replication scheme a grid method requires.
 
     Returns ``(assigner, pair_types)``; ``pair_types`` is only set for
     the adaptive methods.  Agreement statistics (marked edges, mixed
-    triangles, per-side agreement counts) land in ``metrics.extra``.
+    triangles, per-side agreement counts) land in ``metrics.extra``; the
+    steps run under ``construction.*`` spans of ``tracer``, if given.
     """
     if method in ("lpib", "diff"):
         if stats is None:
             raise ValueError("adaptive methods require sample statistics")
+        span = (tracer if tracer is not None else Tracer(enabled=False)).span
         policy = LPiBPolicy() if method == "lpib" else DiffPolicy()
-        pair_types = instantiate_pair_types(grid, stats, policy)
-        graph = AgreementGraph(grid, pair_types, stats)
+        with span("construction.agreements", cat="construction"):
+            pair_types = instantiate_pair_types(grid, stats, policy)
+            graph = AgreementGraph(grid, pair_types, stats)
         if duplicate_free:
-            report = generate_duplicate_free_graph(graph, marking_ordering)
+            with span("construction.marking", cat="construction"):
+                report = generate_duplicate_free_graph(graph, marking_ordering)
             if metrics is not None:
                 metrics.extra["marked_edges"] = report.marked_edges
                 metrics.extra["mixed_triangles"] = report.mixed_triangles
@@ -496,7 +501,8 @@ def build_grid_assigner(
             counts = graph.agreement_counts()
             metrics.extra["agreements_r"] = counts[Side.R]
             metrics.extra["agreements_s"] = counts[Side.S]
-        return AdaptiveAssigner(grid, graph), pair_types
+        with span("construction.tables", cat="construction"):
+            return AdaptiveAssigner(grid, graph), pair_types
     if method == "uni_r":
         return UniversalAssigner(grid, Side.R), None
     if method == "uni_s":
@@ -511,7 +517,7 @@ def build_grid_assigner(
 def adaptive_lpt_costs(
     grid: Grid,
     stats: GridStatistics,
-    pair_types: dict | None,
+    pair_types: Mapping | None,
     replicated: Side | None,
 ) -> dict[int, float]:
     """Estimated per-cell join cost for LPT (Sect. 6.2).

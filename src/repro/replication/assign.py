@@ -27,12 +27,12 @@ import numpy as np
 
 from repro.agreements.graph import (
     DIAGONAL,
-    EDGE_POSITIONS,
+    EDGE_COLUMN as _EDGE,
+    POSITION_INDEX as _POS,
     POSITIONS,
     SIDE_NEIGHBORS,
     AgreementGraph,
     QuartetSubgraph,
-    agreed_r_mask,
 )
 from repro.geometry.distance import euclidean
 from repro.geometry.point import Side
@@ -142,8 +142,6 @@ _NO_CELL = -1
 # A quartet position is also the corner of the native cell at which the
 # quartet sits: the ``bl`` cell meets it at its NE corner, ``br`` at NW,
 # ``tl`` at SE, ``tr`` at SW -- the CORNERS order of ``repro.grid.grid``.
-_POS = {pos: i for i, pos in enumerate(POSITIONS)}
-_EDGE = {(_POS[t], _POS[h]): i for i, (t, h) in enumerate(EDGE_POSITIONS)}
 #: Per position: its x-neighbour, its y-neighbour, its diagonal.
 _NEIGHBOURS = tuple(
     (*(_POS[p] for p in SIDE_NEIGHBORS[pos]), _POS[DIAGONAL[pos]]) for pos in POSITIONS
@@ -165,20 +163,10 @@ def _compile_quartet_tables(graph: AgreementGraph) -> dict[Side, np.ndarray]:
     the SupAr destination for the x- and the y-neighbour's withheld
     points -- each :data:`_NO_CELL` when the conditions rule it out.
     """
-    subs = list(graph.quartets.values())
-    cells = np.array(
-        [[sub.cells[pos] for pos in POSITIONS] for sub in subs], dtype=np.int64
-    ).reshape(-1, 4)
-    edge_is_r = np.array(
-        [[e.side is Side.R for e in sub.edges()] for sub in subs], dtype=bool
-    ).reshape(-1, 12)
-    marked = np.array(
-        [[e.marked for e in sub.edges()] for sub in subs], dtype=bool
-    ).reshape(-1, 12)
-
+    cells, marked = graph.cells, graph.marked
     tables = {}
     for side in Side:
-        same = edge_is_r == (side is Side.R)
+        same = graph.is_r == (side is Side.R)
         sends = same & ~marked  # carries this input's duplicate-prone points
         withheld = same & marked
         other_withheld = ~same & marked
@@ -208,10 +196,9 @@ def _compile_plain_tables(graph: AgreementGraph) -> dict[Side, np.ndarray]:
     """Algorithm 2, lines 12-15: ``native * 4 + border`` -> the neighbour
     across that border when the pair's agreement type is the table's input."""
     pairs = graph.grid.adjacent_pair_arrays()
-    agreed_r = agreed_r_mask(pairs, graph.pair_types)
     tables = {}
     for side in Side:
-        sel = (pairs.facing_a < 4) & (agreed_r == (side is Side.R))
+        sel = (pairs.facing_a < 4) & (graph.agreed_r == (side is Side.R))
         a, b = pairs.a[sel], pairs.b[sel]
         table = np.full(graph.grid.num_cells * 4, _NO_CELL, dtype=np.int64)
         table[a * 4 + pairs.facing_a[sel]] = b

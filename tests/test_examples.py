@@ -14,6 +14,7 @@ FAST_EXAMPLES = [
     "examples/quickstart.py",
     "examples/spark_style_pipeline.py",
     "examples/agreement_graph_tour.py",
+    "scripts/validate_quartet.py",
 ]
 
 

@@ -309,6 +309,31 @@ def test_every_registered_stage_emits_exactly_one_span(monkeypatch):
     assert "distinct" in stage_spans  # the dedup variant is covered too
 
 
+def test_build_partition_decomposes_into_construction_spans():
+    """Construction is visible step by step, not lumped into its stage."""
+    from repro.serving import ArtifactCache
+
+    _res, telemetry = traced_join(
+        artifact_cache=ArtifactCache(1 << 26), artifact_key=("spans",)
+    )
+    spans = telemetry.tracer.spans()
+    stage = next(s for s in spans if s.name == "build_partition")
+    children = [s for s in spans if s.parent_id == stage.span_id]
+    assert [s.name for s in children] == [
+        "construction.sample_stats",
+        "construction.agreements",
+        "construction.marking",
+        "construction.tables",
+        "construction.lpt",
+        "artifact_cache.put",
+    ]
+    assert {s.cat for s in children} == {"construction"}
+    assert sum(s.duration for s in children) <= stage.duration
+    # a one-shot run has no cache to put into
+    _res, plain = traced_join()
+    assert "artifact_cache.put" not in {s.name for s in plain.tracer.spans()}
+
+
 def test_serial_and_processes_record_the_same_span_set():
     _res_a, tel_a = traced_join(backend="serial")
     _res_b, tel_b = traced_join(backend="processes")
