@@ -41,7 +41,7 @@ from repro.engine.telemetry import (
     write_trace,
 )
 from repro.joins.api import ALL_METHODS, spatial_join
-from repro.joins.distance_join import GRID_METHODS
+from repro.joins.distance_join import GRID_METHODS, JoinConfig, distance_join
 from repro.joins.generalized_join import METHODS as GENERALIZED_METHODS
 from repro.joins.generalized_join import PARTITIONS
 from repro.joins.local import LOCAL_KERNELS
@@ -169,8 +169,6 @@ def _capture_pins(args: argparse.Namespace) -> dict:
         value = getattr(args, dest, None)
         if value is not None:
             pins[dim] = value
-    if getattr(args, "no_fused", False):
-        pins["fused"] = False
     return pins
 
 
@@ -237,7 +235,6 @@ def _execution_options(args: argparse.Namespace) -> dict:
     options = {
         "execution_backend": args.backend,
         "max_retries": args.max_retries,
-        "fused": not args.no_fused,
     }
     if args.task_timeout is not None:
         options["task_timeout"] = args.task_timeout
@@ -323,6 +320,7 @@ def _run_join_variant(args: argparse.Namespace):
 
         planned = plan_join(
             r, s, args.eps, pins=args._pins, seed=args.seed,
+            base=JoinConfig(eps=args.eps, **_execution_options(args)),
         )
         args._planned = planned
         chosen = planned.chosen
@@ -330,17 +328,7 @@ def _run_join_variant(args: argparse.Namespace):
         args.method = chosen.method
         args.kernel = chosen.kernel
         args.workers = chosen.workers
-        options = {
-            "num_workers": chosen.workers,
-            "local_kernel": chosen.kernel,
-            "resolution_factor": chosen.resolution_factor,
-            **_execution_options(args),
-        }
-        options["execution_backend"] = chosen.backend
-        result = spatial_join(
-            r, s, eps=args.eps, method=chosen.method, **options
-        )
-        return result, len(r), len(s)
+        return distance_join(r, s, planned.config, planned.plan), len(r), len(s)
     options = {}
     if args.method not in ("naive",):
         options["num_workers"] = args.workers
@@ -894,10 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("--seed", type=int, default=0,
                       help="seed of the planner's statistics sample "
                            "(--tuning auto)")
-    join.add_argument("--no-fused", action="store_true",
-                      help="run the discrete assign/shuffle/join stages "
-                           "instead of the fused columnar path "
-                           "(bit-identical results; debugging aid)")
     join.add_argument("--faults", type=_fault_spec, default=None,
                       metavar="SPEC",
                       help="deterministic fault injection, e.g. "

@@ -409,7 +409,6 @@ class ClusterService:
         absorb,
         prepare,
         checkpoints,
-        batch: bool,
     ) -> dict[int, np.ndarray]:
         """Drive ``tasks`` across the daemons; return the unfinished ones.
 
@@ -475,7 +474,6 @@ class ClusterService:
                     "attempt": attempt,
                     "kernel": kernel_name,
                     "eps": eps,
-                    "batch": batch,
                     "checkpoints": checkpoints,
                     "positions": positions,
                     "base_positions": tasks[task],
@@ -906,7 +904,6 @@ def run_cluster_tier(
     absorb,
     prepare,
     checkpoints,
-    batch,
     cluster_config,
     num_daemons: int,
 ):
@@ -931,7 +928,7 @@ def run_cluster_tier(
             plan, tasks, kernel_name, eps,
             policy=policy, state=state, report=report,
             absorb=absorb, prepare=prepare,
-            checkpoints=checkpoints, batch=batch,
+            checkpoints=checkpoints,
         )
     finally:
         report.daemons_spawned += service.daemons_spawned

@@ -230,7 +230,7 @@ def _run_task(payload, daemon_id, faults, trace_enabled, run_id):
         results, elapsed = _attempt_run(
             plan, positions_local, payload["kernel"], payload["eps"],
             task, attempt, faults, checkpoints,
-            on_kill=_sigkill_self, batch=payload["batch"],
+            on_kill=_sigkill_self,
         )
         results = [
             (

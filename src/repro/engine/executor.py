@@ -361,67 +361,23 @@ class ExecutionReport:
 def build_execution_plan(
     r_arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
     s_arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
-    r_groups: Mapping[int, np.ndarray],
-    s_groups: Mapping[int, np.ndarray],
-    cell_worker: Mapping[int, int],
-    origins: Mapping[int, tuple[float, float]] | None = None,
-) -> ExecutionPlan:
-    """Pack the shuffle output into an :class:`ExecutionPlan`.
-
-    ``r_arrays``/``s_arrays`` are each side's ``(ids, xs, ys)`` parallel
-    arrays; ``r_groups``/``s_groups`` map cell id to the point indices the
-    shuffle placed there.  Only cells present on both sides join.
-    """
-    cells = sorted(c for c in r_groups if c in s_groups)
-    cell_arr = np.asarray(cells, dtype=np.int64)
-    workers = np.asarray([cell_worker[c] for c in cells], dtype=np.int64)
-
-    def pack(arrays, groups):
-        ids, xs, ys = arrays
-        idx_parts = [groups[c] for c in cells]
-        offsets = np.zeros(len(cells) + 1, dtype=np.int64)
-        if idx_parts:
-            np.cumsum([len(p) for p in idx_parts], out=offsets[1:])
-            idx = np.concatenate(idx_parts)
-        else:
-            idx = _EMPTY
-        return (
-            np.ascontiguousarray(ids[idx]),
-            np.ascontiguousarray(xs[idx]),
-            np.ascontiguousarray(ys[idx]),
-            offsets,
-        )
-
-    rb = pack(r_arrays, r_groups)
-    sb = pack(s_arrays, s_groups)
-    origin_arr = None
-    if origins is not None:
-        origin_arr = np.asarray([origins[c] for c in cells], dtype=np.float64)
-        origin_arr = origin_arr.reshape(len(cells), 2)
-    return ExecutionPlan(cell_arr, workers, *rb, *sb, origins=origin_arr)
-
-
-def build_execution_plan_from_layout(
-    r_arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
-    s_arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
     r_layout: tuple[np.ndarray, np.ndarray, np.ndarray],
     s_layout: tuple[np.ndarray, np.ndarray, np.ndarray],
     cell_workers,
     origins: np.ndarray | None = None,
 ) -> ExecutionPlan:
-    """Columnar twin of :func:`build_execution_plan` -- no dicts, no
-    per-cell Python loop.
+    """Pack the shuffle output into an :class:`ExecutionPlan`.
 
-    Each side's ``*_layout`` is ``(cells, bounds, point_idx)`` straight
-    from the shuffle's stable cell sort: ``cells`` ascending unique cell
-    ids, ``point_idx`` the side's point indices grouped by cell, and
-    ``bounds`` (len(cells) + 1) delimiting each group.  ``cell_workers``
-    maps the joinable cell-id array to its simulated workers in one
-    vectorized call; ``origins`` (aligned to the joinable cells) passes
-    through unchanged.  Output is bit-identical to the dict-based
-    builder: the joinable set is the sorted intersection, per-cell point
-    order is the stable-sort order either way, and each column is one
-    fancy gather.
+    ``r_arrays``/``s_arrays`` are each side's ``(ids, xs, ys)`` parallel
+    arrays.  Each side's ``*_layout`` is ``(cells, bounds, point_idx)``
+    straight from the shuffle's stable cell sort: ``cells`` ascending
+    unique cell ids, ``point_idx`` the side's point indices grouped by
+    cell, and ``bounds`` (len(cells) + 1) delimiting each group.  Only
+    cells present on both sides join (the sorted intersection);
+    ``cell_workers`` maps that cell-id array to its simulated workers in
+    one vectorized call, and ``origins`` (aligned to the joinable cells)
+    passes through unchanged.  Pure array ops: no per-cell Python loop,
+    one fancy gather per column.
     """
     cells = np.intersect1d(r_layout[0], s_layout[0], assume_unique=True)
     cells = cells.astype(np.int64, copy=False)
@@ -521,7 +477,6 @@ def _run_cells(
     checkpoints=None,
     fault_at: int | None = None,
     fire=None,
-    batch: bool = False,
 ):
     """Run cells in order, checkpointing each result as it completes.
 
@@ -529,15 +484,16 @@ def _run_cells(
     ``fault_at`` cells have completed, so with checkpointing enabled a
     failing attempt still persists the cells it finished first.
 
-    With ``batch`` set and no checkpointing, a kernel that registered a
-    batched variant handles the whole group in one vectorized call
-    (bit-identical output; see :mod:`repro.engine.kernels`).  Per-cell
-    checkpoints force the per-cell loop: a fused pass has no per-cell
-    completion points to snapshot.
+    Without checkpointing, a kernel that registered a batched variant
+    handles the whole group in one vectorized call (bit-identical
+    output; see :mod:`repro.engine.kernels`).  Per-cell checkpoints need
+    the per-cell loop: a batched pass has no per-cell completion points
+    to snapshot.  Kernels without a batched variant, and batch kernels
+    that decline, run the loop too.
     """
     from repro.engine.kernels import get_batch_kernel, get_kernel
 
-    if batch and checkpoints is None:
+    if checkpoints is None:
         batch_fn = get_batch_kernel(kernel_name)
         if batch_fn is not None:
             results = _run_cells_batched(plan, positions, eps, fire, batch_fn)
@@ -587,7 +543,6 @@ def _attempt_run(
     faults: FaultPlan | None,
     checkpoints,
     on_kill,
-    batch: bool = False,
 ):
     """One task attempt: decide this attempt's injected faults, then run.
 
@@ -619,7 +574,7 @@ def _attempt_run(
     if fire is not None:
         fault_at = _fault_midpoint(len(positions)) if checkpoints is not None else 0
     results = _run_cells(
-        plan, positions, kernel_name, eps, checkpoints, fault_at, fire, batch
+        plan, positions, kernel_name, eps, checkpoints, fault_at, fire
     )
     return results, time.perf_counter() - start
 
@@ -635,7 +590,6 @@ def _run_group_guarded(
     checkpoints=None,
     tracer: Tracer | None = None,
     parent_span_id: str | None = None,
-    batch: bool = False,
 ):
     """One task attempt on the serial/threads backends (kill = raise).
 
@@ -662,7 +616,7 @@ def _run_group_guarded(
         )
     results, elapsed = _attempt_run(
         plan, positions, kernel_name, eps, worker_id, attempt, faults,
-        checkpoints, on_kill, batch,
+        checkpoints, on_kill,
     )
     if tracer is not None:
         tracer.end(span)
@@ -806,7 +760,6 @@ def _make_process_task_args(
     attempt: int,
     faults,
     checkpoints,
-    batch: bool,
     trace_enabled: bool,
     run_id,
     parent_span_id,
@@ -828,7 +781,7 @@ def _make_process_task_args(
         worker_id, pos_spec, kernel_name, eps,
         r_name, n_r, s_name, n_s,
         meta_name, n_cells, has_origins, total_positions,
-        attempt, faults, checkpoints, batch,
+        attempt, faults, checkpoints,
         trace_enabled, run_id, parent_span_id,
     )
 
@@ -859,7 +812,6 @@ def _process_group(args) -> tuple[int, list, float, list | None]:
         attempt,
         faults,
         checkpoints,
-        batch,
         trace_enabled,
         run_id,
         parent_span_id,
@@ -908,7 +860,7 @@ def _process_group(args) -> tuple[int, list, float, list | None]:
             )
             results, elapsed = _attempt_run(
                 plan, positions, kernel_name, eps, worker_id, attempt, faults,
-                checkpoints, on_kill=lambda: os._exit(13), batch=batch,
+                checkpoints, on_kill=lambda: os._exit(13),
             )
             # force copies: the kernel outputs never alias the shared blocks
             # today (fancy indexing copies), but the blocks die with the task
@@ -1068,7 +1020,7 @@ class _Flight:
 
 def _serial_tier(
     plan, tasks, kernel_name, eps, faults, policy, state, report, absorb,
-    prepare, checkpoints, batch,
+    prepare, checkpoints,
 ):
     """Run tasks in-process with per-task retries; return unrecoverable."""
     exhausted: dict[int, np.ndarray] = {}
@@ -1090,7 +1042,7 @@ def _serial_tier(
                 _, results, elapsed, _ = _run_group_guarded(
                     plan, run_positions, kernel_name, eps, worker_id, attempt,
                     faults, checkpoints, state.tracer,
-                    span.span_id if span is not None else None, batch,
+                    span.span_id if span is not None else None,
                 )
             except Exception as exc:
                 report.recovery_seconds += time.perf_counter() - start
@@ -1113,7 +1065,7 @@ def _serial_tier(
 
 def _pool_tier(
     backend, plan, tasks, kernel_name, eps, faults, policy, state, report,
-    absorb, os_workers, prepare, checkpoints, batch,
+    absorb, os_workers, prepare, checkpoints,
 ):
     """Run tasks on a thread or process pool; return unrecoverable tasks.
 
@@ -1174,7 +1126,7 @@ def _pool_tier(
                 fut = pool.submit(
                     _run_group_guarded, plan, positions, kernel_name, eps,
                     worker_id, attempt, faults, checkpoints,
-                    state.tracer, span_id, batch,
+                    state.tracer, span_id,
                 )
             else:
                 fut = pool.submit(
@@ -1187,7 +1139,7 @@ def _pool_tier(
                         shm_meta.name, plan.num_cells,
                         plan.origins is not None,
                         total_positions,
-                        attempt, faults, checkpoints, batch,
+                        attempt, faults, checkpoints,
                         state.tracer.enabled, state.tracer.run_id, span_id,
                     ),
                 )
@@ -1349,7 +1301,6 @@ def execute_plan(
     checkpoints=None,
     tracer: Tracer | None = None,
     registry: MetricsRegistry | None = None,
-    batch_kernels: bool = False,
     cluster=None,
 ) -> ExecutionReport:
     """Run every cell's local join on the chosen backend, fault tolerantly.
@@ -1373,12 +1324,11 @@ def execute_plan(
     executor counters; both default to disabled/throwaway instances, so
     instrumentation is always-on but free when nobody is listening.
 
-    ``batch_kernels`` lets a kernel with a registered batched variant
-    (see :func:`repro.engine.kernels.register_batch_kernel`) run each
-    task's whole cell group in one vectorized call.  Output is
-    bit-identical either way; the batched pass is skipped automatically
-    when ``checkpoints`` is set, since per-cell snapshots need the
-    per-cell loop.
+    A kernel with a registered batched variant (see
+    :func:`repro.engine.kernels.register_batch_kernel`) runs each task's
+    whole cell group in one vectorized call unless ``checkpoints`` is
+    set, since per-cell snapshots need the per-cell loop.  Output is
+    bit-identical either way.
 
     ``cluster`` tunes the ``cluster`` backend: a
     :class:`~repro.engine.cluster_backend.ClusterConfig`, a mapping of
@@ -1476,7 +1426,7 @@ def execute_plan(
         if tier == "serial":
             remaining = _serial_tier(
                 plan, remaining, kernel_name, eps, faults, policy, state,
-                report, absorb, prepare, checkpoints, batch_kernels,
+                report, absorb, prepare, checkpoints,
             )
         elif tier == "cluster":
             from repro.engine.cluster_backend import (
@@ -1496,7 +1446,7 @@ def execute_plan(
                 remaining = run_cluster_tier(
                     plan, remaining, kernel_name, eps, faults, policy,
                     state, report, absorb, prepare, checkpoints,
-                    batch_kernels, cluster_cfg, n_daemons,
+                    cluster_cfg, n_daemons,
                 )
             except ClusterUnavailable as exc:
                 # the cluster never came up; no task was attempted, so
@@ -1511,7 +1461,6 @@ def execute_plan(
             remaining = _pool_tier(
                 tier, plan, remaining, kernel_name, eps, faults, policy,
                 state, report, absorb, os_workers, prepare, checkpoints,
-                batch_kernels,
             )
         if not remaining:
             break

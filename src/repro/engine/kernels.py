@@ -70,7 +70,7 @@ def registered_kernels() -> dict[str, Callable]:
 # overflow); the executor then falls back to the per-cell loop.
 #
 # Batched execution is only used when fine-grained checkpointing is off:
-# per-cell checkpoints need per-cell completion points, which a fused
+# per-cell checkpoints need per-cell completion points, which a batched
 # pass by design does not have.
 
 _BATCH_REGISTRY: dict[str, Callable] = {}

@@ -36,21 +36,19 @@ import numpy as np
 
 from repro.data.pointset import PointSet
 from repro.data.sampling import bernoulli_sample
-from repro.engine.blockstore import SpillConfig
-from repro.engine.faults import FaultPlan
 from repro.engine.metrics import CostModel, JoinMetrics
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.shuffle import KEY_BYTES
-from repro.engine.telemetry import Telemetry, Tracer
+from repro.engine.telemetry import Tracer
 from repro.geometry.mbr import MBR
 from repro.geometry.point import Side
 from repro.grid.grid import Grid
 from repro.grid.statistics import GridStatistics
 from repro.joins.pipeline import (
     GRID_METHODS,
-    AssignShuffleJoinStage,
     CollectPairsStage,
     DistinctStage,
+    ExecutionSettings,
     JoinAccountingStage,
     JoinContext,
     LocalJoinStage,
@@ -80,9 +78,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class JoinConfig:
-    """Configuration of one parallel distance-join job."""
+@dataclass(frozen=True, kw_only=True)
+class JoinConfig(ExecutionSettings):
+    """Configuration of one parallel distance-join job.
+
+    The fields below say *what* is joined and how it is partitioned;
+    how the job executes (backend, faults, retries, spill, cluster,
+    telemetry, history) is inherited from
+    :class:`~repro.joins.pipeline.ExecutionSettings`.
+    """
 
     eps: float
     method: str = "lpib"
@@ -104,94 +108,23 @@ class JoinConfig:
     #: :data:`repro.agreements.marking.ORDERINGS`); only the ablation
     #: benchmark deviates from the paper's order.
     marking_ordering: str = "paper"
-    #: Simulated executor heap in bytes (``None`` disables the memory
-    #: model).  If any worker's deserialized shuffle input exceeds it, the
-    #: job dies with :class:`SimulatedOOMError` -- the fate of the
-    #: eps-grid baseline at x4 data in the paper (Fig. 13).
-    memory_limit_bytes: int | None = None
-    #: How the local-join phase actually runs on the host: ``serial``,
-    #: ``threads`` or ``processes`` (see :mod:`repro.engine.executor`).
-    #: All backends produce bit-identical result pairs; the measured
-    #: per-worker wall clocks land in the metrics either way.
-    execution_backend: str = "serial"
-    #: OS-level worker cap for the parallel backends (``None``: one per
-    #: host CPU, at most one per simulated worker).
-    executor_workers: int | None = None
-    #: Deterministic fault injection (a :class:`FaultPlan` or a spec
-    #: string in the ``--faults`` grammar; ``None`` disables injection).
-    faults: FaultPlan | str | None = None
-    #: Per-task retry budget for failed local-join tasks and shuffle
-    #: fetches (see :class:`~repro.engine.executor.RetryPolicy`).
-    max_retries: int = 2
-    #: Straggler threshold (seconds) for speculative re-execution;
-    #: ``None`` disables straggler detection.
-    task_timeout: float | None = None
-    #: Launch speculative copies of detected stragglers.
-    speculative: bool = True
-    #: Fall back processes -> threads -> serial when a backend cannot
-    #: finish a task inside its retry budget.
-    degrade: bool = True
-    #: First retry's backoff in seconds (doubles per retry, capped).
-    retry_backoff: float = 0.01
-    #: Shuffle-spill tier for the block store (see
-    #: :mod:`repro.engine.blockstore`): ``none`` keeps the legacy
-    #: behaviour (failed fetches re-read whole partitions), ``memory`` or
-    #: ``disk`` spill map outputs as addressable blocks so fetch-fault
-    #: recovery pulls only the missing blocks.
-    spill: str = "none"
-    #: Directory for spilled blocks and checkpoints (the ``disk`` tier,
-    #: or the ``memory`` tier's eviction target); a temporary directory
-    #: when ``None``.  Requires a spill tier.
-    spill_dir: str | None = None
-    #: Snapshot per-cell partial join results so a killed or timed-out
-    #: reduce attempt salvages finished cells and re-runs only the
-    #: remainder.  Requires a spill tier.
-    checkpoint_cells: bool = False
-    #: Memory-tier byte budget before LRU eviction (``None``: unbounded).
-    spill_memory_limit_bytes: int | None = None
-    #: ``cluster`` backend: worker daemons to spawn (``None``: one per
-    #: host CPU, at most one per task).
-    cluster_daemons: int | None = None
-    #: ``cluster`` backend: seconds between daemon liveness beats.
-    heartbeat_interval: float = 0.05
-    #: ``cluster`` backend: heartbeat silence (seconds) after which a
-    #: daemon is declared lost and its tasks re-run elsewhere.
-    heartbeat_timeout: float = 2.0
-    #: ``cluster`` backend: per-fetch socket timeout for remote shuffle
-    #: block reads.
-    fetch_timeout: float = 2.0
-    #: The run's :class:`~repro.engine.telemetry.Telemetry` bundle (span
-    #: tracer + metrics registry); ``None`` keeps tracing disabled.
-    telemetry: Telemetry | None = None
-    #: Cross-run construction-artifact cache plus the key naming this
-    #: run's build inputs (see ``ExecutionSettings.artifact_cache`` /
-    #: :func:`repro.serving.fingerprint.grid_partition_key`).  Set by the
-    #: serving layer; one-shot runs leave both ``None`` and rebuild.
+    #: Cross-run construction-artifact cache (the serving layer's
+    #: :class:`~repro.serving.cache.ArtifactCache`, or anything with
+    #: ``get(key)``/``put(key, value)``).  When set together with
+    #: ``artifact_key``, the build stage consults it before building the
+    #: grid/statistics/agreement-graph/partitioner bundle and publishes
+    #: what it builds -- a warm run replays the cached bundle with
+    #: bit-identical metrics and dataflow.  ``None`` keeps the one-shot
+    #: behaviour: build everything, every run.
     artifact_cache: Any = field(default=None, repr=False, compare=False)
+    #: The cache key naming this run's construction inputs (dataset
+    #: fingerprints + every config field the build depends on; see
+    #: :func:`repro.serving.fingerprint.grid_partition_key`).  Set with
+    #: ``artifact_cache`` or not at all.
     artifact_key: tuple | None = field(default=None, repr=False, compare=False)
-    #: Run-history sink (``repro.obs.RunHistory`` or anything with
-    #: ``append_report``); the pipeline appends this run's RunReport at
-    #: job end.  ``None`` (the default) keeps history off.
-    history: Any = field(default=None, repr=False, compare=False)
-    #: Run assign -> shuffle -> local-join fused in columnar mode: the
-    #: shuffle's sort feeds the plan builder directly (no per-cell group
-    #: dicts), task payloads ship shared-memory slice descriptors, and
-    #: kernels with batched variants join a whole task per call.  Result
-    #: pairs and metrics are bit-identical to the discrete path
-    #: (``fused=False``, the reference the equivalence tests pin).
-    fused: bool = True
 
     def resolved_partitions(self) -> int:
         return self.num_partitions or 8 * self.num_workers
-
-    def spill_config(self) -> SpillConfig:
-        """The validated block-store configuration for this job."""
-        return SpillConfig(
-            tier=self.spill,
-            spill_dir=self.spill_dir,
-            memory_limit_bytes=self.spill_memory_limit_bytes,
-            checkpoint_cells=self.checkpoint_cells,
-        )
 
 
 @dataclass
@@ -218,9 +151,9 @@ class _BuildPartitionStage(Stage):
     bundle's side effects to the run context.  *Both* the cold and the
     warm path go through ``_replay``, so a cache hit reproduces the
     metrics -- including ``extra``-dict key order -- and the dataflow of
-    a cold run bit for bit.  The cache is consulted only when the
-    settings carry both an ``artifact_cache`` and an ``artifact_key``
-    (the serving layer's injection; one-shot runs always build).
+    a cold run bit for bit.  The cache is consulted only when the config
+    carries both an ``artifact_cache`` and an ``artifact_key`` (the
+    serving layer's injection; one-shot runs always build).
     """
 
     name = "build_partition"
@@ -231,14 +164,26 @@ class _BuildPartitionStage(Stage):
         self.s = s
 
     def run(self, ctx: JoinContext) -> None:
-        cache = ctx.settings.artifact_cache
-        key = ctx.settings.artifact_key
-        bundle = None
-        if cache is not None and key is not None:
-            bundle = cache.get(key)
+        cache, key = ctx.cfg.artifact_cache, ctx.cfg.artifact_key
+        # cache and key only work as a pair: a key without a cache (or a
+        # cache without a key) would silently skip warm replay, which is
+        # indistinguishable from a cache bug at the call site -- fail fast
+        if key is not None and cache is None:
+            raise ValueError(
+                "artifact_key is set but artifact_cache is None: warm replay "
+                "needs the cache that owns the keyed bundle (pass both, or "
+                "neither for a one-shot build)"
+            )
+        if cache is not None and key is None:
+            raise ValueError(
+                "artifact_cache is set but artifact_key is None: without a key "
+                "naming the build inputs the cache can neither be consulted "
+                "nor filled (pass both, or neither for a one-shot build)"
+            )
+        bundle = cache.get(key) if cache is not None else None
         if bundle is None:
             bundle = self._build(ctx.cfg, ctx.tracer)
-            if cache is not None and key is not None:
+            if cache is not None:
                 with ctx.tracer.span("artifact_cache.put", cat="construction"):
                     cache.put(key, bundle)
         self._replay(ctx, bundle)
@@ -363,34 +308,18 @@ class _OriginsStage(Stage):
 
     def run(self, ctx: JoinContext) -> None:
         grid: Grid = ctx.data["grid"]
-        layout = ctx.data.get("shuffle_layout")
-        if layout is not None:
-            # Fused/columnar mode: one vectorized origin computation over
-            # the joinable cell array (the same sorted intersection the
-            # plan builder derives).  ``cx * cell_w`` matches the scalar
-            # path bit for bit: int -> float64 conversion is exact here
-            # and the multiply/add are the same IEEE ops.
-            cells = np.intersect1d(
-                layout[Side.R][0], layout[Side.S][0], assume_unique=True
-            )
-            cx = (cells % grid.nx).astype(np.float64)
-            cy = (cells // grid.nx).astype(np.float64)
-            origin = np.empty((len(cells), 2), dtype=np.float64)
-            origin[:, 0] = grid.mbr.xmin + cx * grid.cell_w
-            origin[:, 1] = grid.mbr.ymin + cy * grid.cell_h
-            ctx.data["origin_array"] = origin
-            return
-        groups = ctx.data["groups_by_side"]
-        r_groups, s_groups = groups[Side.R], groups[Side.S]
-        origins = {}
-        for cell in r_groups:
-            if cell in s_groups:
-                cx, cy = grid.cell_pos(cell)
-                origins[cell] = (
-                    grid.mbr.xmin + cx * grid.cell_w,
-                    grid.mbr.ymin + cy * grid.cell_h,
-                )
-        ctx.data["origins"] = origins
+        layout = ctx.data["shuffle_layout"]
+        # one vectorized origin computation over the joinable cell array
+        # (the same sorted intersection the plan builder derives)
+        cells = np.intersect1d(
+            layout[Side.R][0], layout[Side.S][0], assume_unique=True
+        )
+        cx = (cells % grid.nx).astype(np.float64)
+        cy = (cells // grid.nx).astype(np.float64)
+        origin = np.empty((len(cells), 2), dtype=np.float64)
+        origin[:, 0] = grid.mbr.xmin + cx * grid.cell_w
+        origin[:, 1] = grid.mbr.ymin + cy * grid.cell_h
+        ctx.data["origin_array"] = origin
 
 
 def distance_join(

@@ -36,25 +36,22 @@ replays deterministically over retried, salvaged or speculative attempts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.engine.blockstore import SpillConfig
-from repro.engine.faults import FaultPlan
 from repro.engine.metrics import CostModel, JoinMetrics
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.shuffle import KEY_BYTES
-from repro.engine.telemetry import Telemetry
 from repro.geometry.mbr import MBR
 from repro.geometry.objects import SpatialObject, objects_intersect
 from repro.geometry.point import Side
 from repro.grid.grid import Grid
 from repro.grid.statistics import GridStatistics
 from repro.joins.pipeline import (
+    ExecutionSettings,
     JoinAccountingStage,
     JoinContext,
-    AssignShuffleJoinStage,
     SideRecords,
     Stage,
     build_grid_assigner,
@@ -107,9 +104,15 @@ class ObjectSet:
         )
 
 
-@dataclass(frozen=True)
-class ObjectJoinConfig:
-    """Configuration of an object join (mirrors the point JoinConfig)."""
+@dataclass(frozen=True, kw_only=True)
+class ObjectJoinConfig(ExecutionSettings):
+    """Configuration of an object join (mirrors the point JoinConfig).
+
+    The execution surface -- backend choice, fault injection, retries,
+    spill and cell checkpointing -- is inherited from
+    :class:`~repro.joins.pipeline.ExecutionSettings` and applies to the
+    anchor join identically.
+    """
 
     method: str = "lpib"
     sample_rate: float = 0.1
@@ -118,49 +121,9 @@ class ObjectJoinConfig:
     cell_assignment: str = "lpt"
     seed: int = 0
     cost_model: CostModel = field(default_factory=CostModel)
-    #: Execution surface shared with the point driver (see
-    #: :class:`repro.joins.pipeline.ExecutionSettings`): backend choice,
-    #: fault injection, retries, spill and cell checkpointing all apply
-    #: to the anchor join identically.
-    execution_backend: str = "serial"
-    executor_workers: int | None = None
-    faults: FaultPlan | str | None = None
-    max_retries: int = 2
-    task_timeout: float | None = None
-    speculative: bool = True
-    degrade: bool = True
-    retry_backoff: float = 0.01
-    spill: str = "none"
-    spill_dir: str | None = None
-    checkpoint_cells: bool = False
-    spill_memory_limit_bytes: int | None = None
-    memory_limit_bytes: int | None = None
-    #: ``cluster`` backend tunables (see the point driver's JoinConfig).
-    cluster_daemons: int | None = None
-    heartbeat_interval: float = 0.05
-    heartbeat_timeout: float = 2.0
-    fetch_timeout: float = 2.0
-    #: The run's :class:`~repro.engine.telemetry.Telemetry` bundle (span
-    #: tracer + metrics registry); ``None`` keeps tracing disabled.
-    telemetry: Telemetry | None = None
-    #: Run-history sink (``repro.obs.RunHistory`` or anything with
-    #: ``append_report``); ``None`` keeps history off.
-    history: Any = field(default=None, repr=False, compare=False)
-    #: Fused columnar assign -> shuffle -> local-join (see the point
-    #: driver's ``JoinConfig.fused``); bit-identical to ``fused=False``.
-    fused: bool = True
 
     def resolved_partitions(self) -> int:
         return self.num_partitions or 8 * self.num_workers
-
-    def spill_config(self) -> SpillConfig:
-        """The validated block-store configuration for this job."""
-        return SpillConfig(
-            tier=self.spill,
-            spill_dir=self.spill_dir,
-            memory_limit_bytes=self.spill_memory_limit_bytes,
-            checkpoint_cells=self.checkpoint_cells,
-        )
 
 
 @dataclass

@@ -48,7 +48,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from dataclasses import fields as _dataclass_fields
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -72,7 +71,6 @@ from repro.engine.executor import (
     BACKENDS,
     RetryPolicy,
     build_execution_plan,
-    build_execution_plan_from_layout,
     execute_plan,
 )
 from repro.engine.faults import FaultPlan, ShuffleFetchError
@@ -112,70 +110,81 @@ class SimulatedOOMError(MemoryError):
 # ----------------------------------------------------------------------
 # execution settings: the driver-independent slice of a join config
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExecutionSettings:
     """How a staged join actually executes, independent of *what* it joins.
 
-    Extracted from any driver config by :meth:`from_config` (field-name
-    match), so every driver exposes the same execution surface: backend
-    choice, fault injection, retry/speculation policy, shuffle spill and
-    cell checkpointing, and the simulated memory limit.
+    The one declaration of the execution surface: backend choice, fault
+    injection, retry/speculation policy, shuffle spill and cell
+    checkpointing, the simulated memory limit, the ``cluster`` backend
+    tunables, telemetry and the run history.  Every driver config
+    (``JoinConfig``, ``ObjectJoinConfig``, ``GeneralizedJoinConfig``) is
+    a subclass, so the fields are flat keywords on each of them and
+    ``ctx.settings`` is the config itself.
     """
 
+    #: How the local-join phase actually runs on the host: one of
+    #: :data:`~repro.engine.executor.BACKENDS`.  All backends produce
+    #: bit-identical result pairs; the measured per-worker wall clocks
+    #: land in the metrics either way.
     execution_backend: str = "serial"
+    #: OS-level worker cap for the parallel backends (``None``: one per
+    #: host CPU, at most one per simulated worker).
     executor_workers: int | None = None
+    #: Deterministic fault injection (a :class:`FaultPlan` or a spec
+    #: string in the ``--faults`` grammar; ``None`` disables injection).
     faults: FaultPlan | str | None = None
+    #: Per-task retry budget for failed local-join tasks and shuffle
+    #: fetches (see :class:`~repro.engine.executor.RetryPolicy`).
     max_retries: int = 2
+    #: Straggler threshold (seconds) for speculative re-execution;
+    #: ``None`` disables straggler detection.
     task_timeout: float | None = None
+    #: Launch speculative copies of detected stragglers.
     speculative: bool = True
+    #: Fall back cluster -> processes -> threads -> serial when a backend
+    #: cannot finish a task inside its retry budget.
     degrade: bool = True
-    retry_backoff: float = 0.01
+    #: Shuffle-spill tier for the block store (see
+    #: :mod:`repro.engine.blockstore`): ``none`` re-reads whole
+    #: partitions on a failed fetch, ``memory`` or ``disk`` spill map
+    #: outputs as addressable blocks so fetch-fault recovery pulls only
+    #: the missing blocks.
     spill: str = "none"
+    #: Directory for spilled blocks and checkpoints (the ``disk`` tier,
+    #: or the ``memory`` tier's eviction target); a temporary directory
+    #: when ``None``.  Requires a spill tier.
     spill_dir: str | None = None
+    #: Snapshot per-cell partial join results so a killed or timed-out
+    #: reduce attempt salvages finished cells and re-runs only the
+    #: remainder.  Requires a spill tier.
     checkpoint_cells: bool = False
-    spill_memory_limit_bytes: int | None = None
+    #: Simulated executor heap in bytes (``None`` disables the memory
+    #: model).  If any worker's deserialized shuffle input exceeds it, the
+    #: job dies with :class:`SimulatedOOMError` -- the fate of the
+    #: eps-grid baseline at x4 data in the paper (Fig. 13).
     memory_limit_bytes: int | None = None
-    #: ``cluster`` backend tunables (see :mod:`repro.engine.cluster_backend`;
-    #: ignored by the other backends).
+    #: ``cluster`` backend: worker daemons to spawn (``None``: one per
+    #: host CPU, at most one per task).
     cluster_daemons: int | None = None
+    #: ``cluster`` backend: seconds between daemon liveness beats.
     heartbeat_interval: float = 0.05
+    #: ``cluster`` backend: heartbeat silence (seconds) after which a
+    #: daemon is declared lost and its tasks re-run elsewhere.
     heartbeat_timeout: float = 2.0
+    #: ``cluster`` backend: per-fetch socket timeout for remote shuffle
+    #: block reads.
     fetch_timeout: float = 2.0
     #: The run's :class:`~repro.engine.telemetry.Telemetry` bundle
     #: (tracer + metrics registry).  ``None`` means tracing disabled with
     #: a private throwaway registry -- the always-on default.
     telemetry: Telemetry | None = None
-    #: Cross-run construction-artifact cache (the serving layer's
-    #: :class:`~repro.serving.cache.ArtifactCache`, or anything with
-    #: ``get(key)``/``put(key, value)``).  When set together with
-    #: ``artifact_key``, the build stage consults it before building the
-    #: grid/statistics/agreement-graph/partitioner bundle and publishes
-    #: what it builds -- a warm run replays the cached bundle with
-    #: bit-identical metrics and dataflow.  ``None`` keeps the one-shot
-    #: behaviour: build everything, every run.
-    artifact_cache: Any = field(default=None, repr=False)
-    #: The cache key naming this run's construction inputs (dataset
-    #: fingerprints + every config field the build depends on; see
-    #: :func:`repro.serving.fingerprint.grid_partition_key`).  ``None``
-    #: disables cache consultation even when a cache is present --
-    #: correctness first: no key, no reuse.
-    artifact_key: tuple | None = field(default=None, repr=False)
     #: Run-history sink (``repro.obs.RunHistory``, or anything with
     #: ``append_report(report_dict)``).  When set, the pipeline appends
     #: this run's ``RunReport.to_json()`` at job end -- duck-typed so the
     #: joins layer never imports ``repro.obs``.  A history failure is
     #: logged and swallowed: observability must never fail a join.
-    history: Any = field(default=None, repr=False)
-
-    @classmethod
-    def from_config(cls, cfg: Any) -> "ExecutionSettings":
-        """Collect the execution fields a driver config declares."""
-        kwargs = {
-            f.name: getattr(cfg, f.name)
-            for f in _dataclass_fields(cls)
-            if hasattr(cfg, f.name)
-        }
-        return cls(**kwargs)
+    history: Any = field(default=None, repr=False, compare=False)
 
     def fault_plan(self) -> FaultPlan | None:
         """The parsed, non-empty fault plan (``None`` disables injection)."""
@@ -191,7 +200,6 @@ class ExecutionSettings:
     def retry_policy(self) -> RetryPolicy:
         return RetryPolicy(
             max_retries=self.max_retries,
-            backoff_base=self.retry_backoff,
             task_timeout=self.task_timeout,
             speculative=self.speculative,
             degrade=self.degrade,
@@ -202,7 +210,6 @@ class ExecutionSettings:
         return SpillConfig(
             tier=self.spill,
             spill_dir=self.spill_dir,
-            memory_limit_bytes=self.spill_memory_limit_bytes,
             checkpoint_cells=self.checkpoint_cells,
         )
 
@@ -235,7 +242,7 @@ class JoinContext:
     checkpoints: CheckpointManager | None = None
     telemetry: Telemetry = field(default_factory=Telemetry.disabled)
     #: Inter-stage dataflow: each stage documents the keys it reads and
-    #: writes (e.g. ``records``, ``groups_by_side``, ``plan``, ``report``).
+    #: writes (e.g. ``records``, ``shuffle_layout``, ``plan``, ``report``).
     data: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -256,7 +263,7 @@ class JoinContext:
 
 
 def make_context(
-    cfg: Any,
+    cfg: ExecutionSettings,
     *,
     num_workers: int,
     metrics: JoinMetrics,
@@ -264,37 +271,22 @@ def make_context(
 ) -> JoinContext:
     """Build a :class:`JoinContext`: settings, cluster, store lifecycle.
 
+    ``cfg`` is a driver config, which *is* the context's ``settings``.
     Validates the execution backend and the fault spec up front, and
     opens the block store / checkpoint manager when a spill tier is
     configured; :func:`run_staged_join` closes them on every exit path.
     """
-    settings = ExecutionSettings.from_config(cfg)
-    if settings.execution_backend not in BACKENDS:
+    if cfg.execution_backend not in BACKENDS:
         raise ValueError(
-            f"unknown execution backend {settings.execution_backend!r}; "
+            f"unknown execution backend {cfg.execution_backend!r}; "
             f"choose from {BACKENDS}"
         )
-    # artifact cache and key only work as a pair: a key without a cache
-    # (or a cache without a key) would silently skip warm replay, which
-    # is indistinguishable from a cache bug at the call site -- fail fast
-    if settings.artifact_key is not None and settings.artifact_cache is None:
-        raise ValueError(
-            "artifact_key is set but artifact_cache is None: warm replay "
-            "needs the cache that owns the keyed bundle (pass both, or "
-            "neither for a one-shot build)"
-        )
-    if settings.artifact_cache is not None and settings.artifact_key is None:
-        raise ValueError(
-            "artifact_cache is set but artifact_key is None: without a key "
-            "naming the build inputs the cache can neither be consulted "
-            "nor filled (pass both, or neither for a one-shot build)"
-        )
-    fault_plan = settings.fault_plan()
+    fault_plan = cfg.fault_plan()
     cm = cost_model or getattr(cfg, "cost_model", None) or CostModel()
-    telemetry = settings.telemetry or Telemetry.disabled()
+    telemetry = cfg.telemetry or Telemetry.disabled()
     ctx = JoinContext(
         cfg=cfg,
-        settings=settings,
+        settings=cfg,
         cluster=SimCluster(num_workers, cm),
         metrics=metrics,
         shuffle=ShuffleStats(),
@@ -305,13 +297,10 @@ def make_context(
         # the worker-to-worker byte matrix is a report-only artifact;
         # plain runs skip its accumulation entirely
         ctx.shuffle.enable_matrix(num_workers)
-    spill_cfg = settings.spill_config()
+    spill_cfg = cfg.spill_config()
     if spill_cfg.enabled:
         ctx.store = BlockStore(
-            spill_cfg.tier,
-            spill_cfg.spill_dir,
-            spill_cfg.memory_limit_bytes,
-            tracer=telemetry.tracer,
+            spill_cfg.tier, spill_cfg.spill_dir, tracer=telemetry.tracer
         )
         try:
             if spill_cfg.checkpoint_cells:
@@ -546,18 +535,6 @@ def lpt_partitioner(costs: Mapping[int, float], num_workers: int) -> ExplicitPar
     return ExplicitPartitioner(lpt_assignment(costs, num_workers), num_workers)
 
 
-def group_slices(cells: np.ndarray, point_idx: np.ndarray) -> dict[int, np.ndarray]:
-    """Sort assignments by cell; yield ``(cell_id, point_index_array)``."""
-    order = np.argsort(cells, kind="stable")
-    cells_sorted = cells[order]
-    idx_sorted = point_idx[order]
-    uniq, starts = np.unique(cells_sorted, return_index=True)
-    bounds = np.append(starts, len(cells_sorted))
-    return {
-        int(uniq[i]): idx_sorted[bounds[i] : bounds[i + 1]] for i in range(len(uniq))
-    }
-
-
 # ----------------------------------------------------------------------
 # shuffle: spill + accounting + fetch-fault recovery
 # ----------------------------------------------------------------------
@@ -685,36 +662,27 @@ class ShuffleStage(Stage):
     """Route every record to its cell's worker, accounting exactly.
 
     Reads ``records`` (a list of :class:`SideRecords`) and
-    ``partitioner``; writes ``groups_by_side``, ``cell_worker`` and the
-    per-destination read totals fetch recovery needs.  Charges the
-    modelled map and shuffle-read costs, spills map output as blocks when
-    a store is attached, and grows the modelled heap demand.
+    ``partitioner``; writes ``shuffle_layout`` and the per-destination
+    read totals fetch recovery needs.  Charges the modelled map and
+    shuffle-read costs, spills map output as blocks when a store is
+    attached, and grows the modelled heap demand.
 
-    ``materialize_groups=False`` is the fused columnar mode (see
-    :class:`AssignShuffleJoinStage`): instead of a per-cell dict of index
-    arrays, the stage keeps each side's stable cell sort as a
-    ``shuffle_layout`` triple ``(cells, bounds, point_idx)`` --
-    the exact internals of :func:`group_slices` minus the dict -- and
-    skips the per-cell ``cell_worker`` loop (the plan builder maps cells
-    to workers in one vectorized call).  All accounting is shared code
-    either way, so ShuffleStats, modelled costs and spill behaviour are
-    bit-identical.
+    ``shuffle_layout`` keeps each side's stable cell sort as a
+    ``(cells, bounds, point_idx)`` triple: ``cells`` the ascending
+    unique cell ids, ``point_idx`` the side's point indices grouped by
+    cell, ``bounds`` (``len(cells) + 1``) delimiting each group.  The
+    plan builder consumes it with array ops only.
     """
 
     name = "shuffle"
     phase = "map_shuffle"
-
-    def __init__(self, materialize_groups: bool = True):
-        self.materialize_groups = materialize_groups
 
     def run(self, ctx: JoinContext) -> None:
         W = ctx.num_workers
         cm = ctx.cost_model
         cluster = ctx.cluster
         partitioner = ctx.data["partitioner"]
-        per_side: dict[Side, dict[int, np.ndarray]] = {}
         layout: dict[Side, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        cell_worker: dict[int, int] = {}
         worker_heap = np.zeros(W)
         # per-destination-worker shuffle-read totals, kept for
         # fetch-failure recovery: a failed fetch re-reads the worker's
@@ -783,27 +751,16 @@ class ShuffleStage(Stage):
             read_bytes_w += side_bytes
             worker_heap += side_bytes * cm.heap_expansion
 
-            if self.materialize_groups:
-                groups = group_slices(cells, idxs)
-                per_side[rec.side] = groups
-                for cell in groups:
-                    if cell not in cell_worker:
-                        cell_worker[cell] = partitioner.of(cell) % W
-            else:
-                order = np.argsort(cells, kind="stable")
-                cells_sorted = cells[order]
-                uniq, starts = np.unique(cells_sorted, return_index=True)
-                layout[rec.side] = (
-                    uniq,
-                    np.append(starts, len(cells_sorted)),
-                    idxs[order],
-                )
+            order = np.argsort(cells, kind="stable")
+            cells_sorted = cells[order]
+            uniq, starts = np.unique(cells_sorted, return_index=True)
+            layout[rec.side] = (
+                uniq,
+                np.append(starts, len(cells_sorted)),
+                idxs[order],
+            )
 
-        if self.materialize_groups:
-            ctx.data["groups_by_side"] = per_side
-            ctx.data["cell_worker"] = cell_worker
-        else:
-            ctx.data["shuffle_layout"] = layout
+        ctx.data["shuffle_layout"] = layout
         ctx.data["worker_heap"] = worker_heap
         ctx.data["read_cost_w"] = read_cost_w
         ctx.data["read_records_w"] = read_records_w
@@ -943,52 +900,35 @@ class LocalJoinStage(Stage):
     """Run every joinable cell's kernel through the executor.
 
     Reads ``side_arrays`` (each side's ``(ids, xs, ys)`` parallel
-    arrays) plus either the discrete shuffle's ``groups_by_side`` /
-    ``cell_worker`` dicts (and optionally ``origins``) or the fused
-    shuffle's columnar ``shuffle_layout`` (and optionally
-    ``origin_array``); writes the packed ``plan`` and the executor's
-    ``report``.  The backend, fault plan, retry policy and checkpoint
-    manager all come from the context, so every driver composing this
-    stage is fault tolerant on every backend.
-
-    ``batch_kernels`` (set by the fused composite) lets kernels with
-    batched variants join a whole worker task in one vectorized call;
-    the default keeps the legacy per-cell loop.
+    arrays), the shuffle's columnar ``shuffle_layout`` and optionally
+    ``origin_array`` (one eps-grid anchor per joinable cell); writes the
+    packed ``plan`` and the executor's ``report``.  The backend, fault
+    plan, retry policy and checkpoint manager all come from the
+    context, so every driver composing this stage is fault tolerant on
+    every backend.
     """
 
     name = "local_join"
     phase = "join"
 
-    def __init__(self, kernel_name: str, eps: float, *, batch_kernels: bool = False):
+    def __init__(self, kernel_name: str, eps: float):
         self.kernel_name = kernel_name
         self.eps = eps
-        self.batch_kernels = batch_kernels
 
     def run(self, ctx: JoinContext) -> None:
         get_kernel(self.kernel_name)  # fail fast on an unknown kernel
         side_arrays = ctx.data["side_arrays"]
-        layout = ctx.data.get("shuffle_layout")
-        if layout is not None:
-            partitioner = ctx.data["partitioner"]
-            W = ctx.num_workers
-            plan = build_execution_plan_from_layout(
-                side_arrays[Side.R],
-                side_arrays[Side.S],
-                layout[Side.R],
-                layout[Side.S],
-                lambda cells: partitioner.of_array(cells) % W,
-                ctx.data.get("origin_array"),
-            )
-        else:
-            groups = ctx.data["groups_by_side"]
-            plan = build_execution_plan(
-                side_arrays[Side.R],
-                side_arrays[Side.S],
-                groups[Side.R],
-                groups[Side.S],
-                ctx.data["cell_worker"],
-                ctx.data.get("origins"),
-            )
+        layout = ctx.data["shuffle_layout"]
+        partitioner = ctx.data["partitioner"]
+        W = ctx.num_workers
+        plan = build_execution_plan(
+            side_arrays[Side.R],
+            side_arrays[Side.S],
+            layout[Side.R],
+            layout[Side.S],
+            lambda cells: partitioner.of_array(cells) % W,
+            ctx.data.get("origin_array"),
+        )
         report = execute_plan(
             plan,
             self.kernel_name,
@@ -1000,67 +940,10 @@ class LocalJoinStage(Stage):
             checkpoints=ctx.checkpoints,
             tracer=ctx.tracer,
             registry=ctx.registry,
-            batch_kernels=self.batch_kernels,
             cluster=ctx.settings.cluster_config(),
         )
         ctx.data["plan"] = plan
         ctx.data["report"] = report
-
-
-class AssignShuffleJoinStage:
-    """The fused assign -> shuffle -> local-join path, as a composite.
-
-    Not itself a :class:`Stage`: :meth:`stages` expands to the *same
-    named stages* the discrete pipeline runs, so telemetry stage spans,
-    ``stage_times`` keys and ShuffleStats accounting survive fusion
-    bit-for-bit -- but running in columnar mode end to end:
-
-    * the shuffle keeps its stable cell sort as a ``shuffle_layout``
-      instead of materializing a per-cell dict at the stage barrier;
-    * the plan builder consumes that layout with pure array ops
-      (:func:`~repro.engine.executor.build_execution_plan_from_layout`)
-      -- no per-cell Python loop, one gather per column;
-    * kernels with batched variants join each worker task's whole cell
-      group in one vectorized call (``batch_kernels=True``).
-
-    ``fused=False`` expands to exactly the legacy discrete pipeline --
-    the reference the equivalence tests compare against.  The fused
-    pass automatically falls back to the per-cell kernel loop when cell
-    checkpointing is on (see :func:`~repro.engine.executor.execute_plan`),
-    so fault salvage semantics are untouched.
-
-    ``origins_stage`` (the point driver's origin anchoring) slots
-    between shuffle recovery and the local join, exactly where the
-    discrete stage list put it.
-    """
-
-    def __init__(
-        self,
-        assign_stage: Stage,
-        kernel_name: str,
-        eps: float,
-        *,
-        origins_stage: Stage | None = None,
-        fused: bool = True,
-    ):
-        self.assign_stage = assign_stage
-        self.kernel_name = kernel_name
-        self.eps = eps
-        self.origins_stage = origins_stage
-        self.fused = fused
-
-    def stages(self) -> list[Stage]:
-        out: list[Stage] = [
-            self.assign_stage,
-            ShuffleStage(materialize_groups=not self.fused),
-            ShuffleRecoveryStage(),
-        ]
-        if self.origins_stage is not None:
-            out.append(self.origins_stage)
-        out.append(
-            LocalJoinStage(self.kernel_name, self.eps, batch_kernels=self.fused)
-        )
-        return out
 
 
 class JoinAccountingStage(Stage):

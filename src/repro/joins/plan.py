@@ -4,7 +4,7 @@ A **physical plan** is an inspectable, immutable description of the stage
 composition a driver would otherwise assemble inline: a tree of
 :class:`PlanNode` values whose root carries the run's decision dimensions
 (agreement method, grid resolution, local kernel, execution backend,
-worker count, fused-vs-discrete) and whose children each expand -- through
+worker count) and whose children each expand -- through
 the :data:`STAGE_BUILDERS` registry -- to the exact
 :class:`~repro.joins.pipeline.Stage` objects the driver runs.  A plan is
 a plain value: it can be printed (:meth:`PhysicalPlan.render`), compared
@@ -209,16 +209,23 @@ def _rectangulation_stage(node: PlanNode, inputs: PlanInputs) -> list:
 
 @register_stage_builder("assign_shuffle_join")
 def _assign_shuffle_join_stages(node: PlanNode, inputs: PlanInputs) -> list:
-    from repro.joins.pipeline import AssignShuffleJoinStage
+    """assign -> shuffle -> shuffle_recovery [-> origins] -> local_join.
+
+    The dataflow between these stages is columnar end to end: the
+    shuffle hands its stable cell sort to the plan builder as a
+    ``shuffle_layout`` (see :class:`~repro.joins.pipeline.ShuffleStage`).
+    """
+    from repro.joins.pipeline import (
+        LocalJoinStage,
+        ShuffleRecoveryStage,
+        ShuffleStage,
+    )
 
     assign = node.get("assign")
-    origins_stage = None
     if assign == "points":
-        from repro.joins.distance_join import _AssignStage, _OriginsStage
+        from repro.joins.distance_join import _AssignStage
 
         assign_stage: Any = _AssignStage(inputs.r, inputs.s)
-        if node.get("origins"):
-            origins_stage = _OriginsStage()
     elif assign == "anchors":
         from repro.joins.object_join import _AnchorAssignStage
 
@@ -229,13 +236,13 @@ def _assign_shuffle_join_stages(node: PlanNode, inputs: PlanInputs) -> list:
         assign_stage = _ReplicationStage(inputs.r, inputs.s)
     else:
         raise ValueError(f"unknown assign flavour {assign!r}")
-    return AssignShuffleJoinStage(
-        assign_stage,
-        node.get("kernel"),
-        node.get("eps"),
-        origins_stage=origins_stage,
-        fused=node.get("fused"),
-    ).stages()
+    stages = [assign_stage, ShuffleStage(), ShuffleRecoveryStage()]
+    if node.get("origins"):
+        from repro.joins.distance_join import _OriginsStage
+
+        stages.append(_OriginsStage())
+    stages.append(LocalJoinStage(node.get("kernel"), node.get("eps")))
+    return stages
 
 
 @register_stage_builder("exact_refine")
@@ -333,7 +340,6 @@ def distance_plan(cfg: Any) -> "PhysicalPlan":
             assign="points",
             kernel=cfg.local_kernel,
             eps=cfg.eps,
-            fused=cfg.fused,
             origins=True,
         ),
         PlanNode.make("collect_pairs", collect=cfg.collect_pairs),
@@ -351,7 +357,6 @@ def distance_plan(cfg: Any) -> "PhysicalPlan":
         kernel=cfg.local_kernel,
         backend=cfg.execution_backend,
         workers=cfg.num_workers,
-        fused=cfg.fused,
         eps=cfg.eps,
     )
     return PhysicalPlan("distance", root)
@@ -372,7 +377,6 @@ def object_plan(cfg: Any, eps: float, eps_eff: float) -> "PhysicalPlan":
             assign="anchors",
             kernel="plane_sweep",
             eps=eps_eff,
-            fused=cfg.fused,
             origins=False,
         ),
         PlanNode.make("exact_refine", eps=eps),
@@ -385,7 +389,6 @@ def object_plan(cfg: Any, eps: float, eps_eff: float) -> "PhysicalPlan":
         kernel="plane_sweep",
         backend=cfg.execution_backend,
         workers=cfg.num_workers,
-        fused=cfg.fused,
         eps=eps,
     )
     return PhysicalPlan("object", root)
@@ -400,7 +403,6 @@ def generalized_plan(cfg: Any) -> "PhysicalPlan":
             assign="replication",
             kernel="plane_sweep",
             eps=cfg.eps,
-            fused=cfg.fused,
             origins=False,
         ),
         PlanNode.make("ownership"),
@@ -414,7 +416,6 @@ def generalized_plan(cfg: Any) -> "PhysicalPlan":
         kernel="plane_sweep",
         backend=cfg.execution_backend,
         workers=cfg.num_workers,
-        fused=cfg.fused,
         eps=cfg.eps,
     )
     return PhysicalPlan("generalized", root)
@@ -437,7 +438,6 @@ def spark_style_plan(cfg: Any) -> "PhysicalPlan":
         kernel="rdd",
         backend="simulated",
         workers=0,
-        fused=False,
         eps=cfg.eps,
     )
     return PhysicalPlan("spark_style", root)

@@ -7,8 +7,8 @@ Two-level plan model:
   eps, tuple widths, sampled input statistics;
 * a **physical plan** (:class:`~repro.planner.physical.PhysicalPlan`)
   says *how* -- the inspectable tree of pipeline stages plus the chosen
-  agreement policy, grid resolution, local kernel, execution backend,
-  worker count and fused-vs-discrete execution.
+  agreement policy, grid resolution, local kernel, execution backend
+  and worker count.
 
 On top sits the **cost-based planner**
 (:func:`~repro.planner.planner.plan_join`): it enumerates candidate

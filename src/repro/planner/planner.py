@@ -9,11 +9,10 @@ with :class:`~repro.core.cost_model.AnalyticalCostModel` -- one Bernoulli
 sample, split into decision/counting halves, shared by all candidates --
 and the argmin by predicted modelled clock wins.
 
-Execution backend and fused-vs-discrete execution are carried as plan
-dimensions but not enumerated: both are bit-identical on the modelled
-clocks the planner optimizes (the engine's simulated time is
-backend-invariant and fusion is pinned bit-exact by the equivalence
-tests), so they stay whatever the caller configured or pinned.
+The execution backend is carried as a plan dimension but not
+enumerated: the engine's simulated time -- the modelled clock the
+planner optimizes -- is backend-invariant, so it stays whatever the
+caller configured or pinned.
 
 :class:`PlanCache` is the serving-layer hook: chosen plans keyed by
 dataset fingerprints + eps *bucket* (quarter-decade quantization), so a
@@ -66,7 +65,6 @@ PLAN_DIMENSIONS = (
     "kernel",
     "workers",
     "backend",
-    "fused",
 )
 
 
@@ -79,7 +77,6 @@ class Candidate:
     kernel: str
     workers: int
     backend: str
-    fused: bool
     prediction: CostPrediction
 
     @property
@@ -101,7 +98,6 @@ class Candidate:
             self.kernel,
             self.workers,
             self.backend,
-            self.fused,
         )
 
     def row(self) -> dict[str, Any]:
@@ -112,7 +108,6 @@ class Candidate:
             "kernel": self.kernel,
             "workers": self.workers,
             "backend": self.backend,
-            "fused": self.fused,
             "predicted_clock": self.predicted_clock,
             "predicted_construction": p.construction_time,
             "predicted_join": p.join_time,
@@ -284,7 +279,6 @@ def plan_join(
         else tuple(worker_candidates)
     )
     backend = pins.get("backend", base.execution_backend)
-    fused = bool(pins.get("fused", base.fused))
     _validate_space(methods, factors, kernels, workers, backend)
 
     if spec is None:
@@ -318,7 +312,6 @@ def plan_join(
                             kernel=kernel,
                             workers=w,
                             backend=backend,
-                            fused=fused,
                             prediction=pred,
                         )
                     )
@@ -333,7 +326,6 @@ def plan_join(
         local_kernel=chosen.kernel,
         num_workers=chosen.workers,
         execution_backend=chosen.backend,
-        fused=chosen.fused,
         sample_rate=sample_rate,
         seed=seed,
     )

@@ -72,14 +72,11 @@ def query_key(cfg, r_fingerprint: str, s_fingerprint: str) -> tuple:
     A superset of :func:`grid_partition_key`: adds the fields that do
     change the *result set or its metrics* without changing the built
     artifacts (kernel choice changes candidate counts; ``collect_pairs``
-    changes what is materialized; ``fused`` is bit-identical by contract
-    but keyed anyway so the discrete debugging path never aliases the
-    fused one).
+    changes what is materialized).
     """
     return (
         "query",
         grid_partition_key(cfg, r_fingerprint, s_fingerprint),
         cfg.local_kernel,
         bool(cfg.collect_pairs),
-        bool(cfg.fused),
     )

@@ -9,7 +9,7 @@ script into a resident system:
   samples/statistics, agreement graphs (inside the adaptive assigners),
   LPT placements and STR R-trees, keyed by dataset fingerprint and the
   configuration fields that feed each build -- injected into the staged
-  pipeline through ``ExecutionSettings.artifact_cache``;
+  pipeline through ``JoinConfig.artifact_cache``;
 * a cross-query **result cache** stores finished join results in a
   long-lived :class:`~repro.engine.blockstore.BlockStore` (the PR 3
   subsystem, given a server lifetime instead of a job lifetime);
@@ -126,7 +126,7 @@ ONE_SHOT_ONLY_FIELDS = (
 #: Plan dimensions a query may pin when asking for ``tuning: auto``;
 #: any of them present in the request stays fixed while the planner
 #: searches the rest.
-PLANNABLE_FIELDS = ("method", "kernel", "workers", "resolution_factor", "fused")
+PLANNABLE_FIELDS = ("method", "kernel", "workers", "resolution_factor")
 
 #: Fields a ``query`` request may carry (beyond ``op``).
 QUERY_FIELDS = frozenset(
@@ -144,7 +144,6 @@ QUERY_FIELDS = frozenset(
         "seed",
         "resolution_factor",
         "duplicate_free",
-        "fused",
         "reuse_results",
         "max_pairs",
         "trace",
@@ -259,7 +258,6 @@ class QuerySpec:
     seed: int = 0
     resolution_factor: float = 2.0
     duplicate_free: bool = True
-    fused: bool = True
     reuse_results: bool = True
     max_pairs: int | None = None
     trace: bool = False
@@ -329,7 +327,6 @@ class QuerySpec:
             seed=int(request.get("seed", 0)),
             resolution_factor=float(request.get("resolution_factor", 2.0)),
             duplicate_free=bool(request.get("duplicate_free", True)),
-            fused=bool(request.get("fused", True)),
             reuse_results=bool(request.get("reuse_results", True)),
             max_pairs=(
                 int(request["max_pairs"])
@@ -387,7 +384,6 @@ class QuerySpec:
             duplicate_free=self.duplicate_free,
             local_kernel=self.kernel,
             seed=self.seed,
-            fused=self.fused,
             execution_backend=config.backend,
             executor_workers=config.executor_workers,
             **extra,
@@ -949,20 +945,13 @@ class JoinServer:
         """
         from dataclasses import replace as _replace
 
-        pins = {}
-        for dim in spec.pinned:
-            if dim == "fused":
-                continue  # fused is carried via the spec, not searched
-            pins[dim] = getattr(
-                spec, "workers" if dim == "workers" else dim
-            )
+        pins = {dim: getattr(spec, dim) for dim in spec.pinned}
         key = PlanCache.key(
             r.fingerprint,
             s.fingerprint,
             spec.eps,
             pins,
             backend=self.config.backend,
-            fused=spec.fused,
             sample_rate=spec.sample_rate,
             seed=spec.seed,
         )
@@ -977,7 +966,6 @@ class JoinServer:
                 num_partitions=spec.num_partitions,
                 cell_assignment=spec.cell_assignment,
                 duplicate_free=spec.duplicate_free,
-                fused=spec.fused,
                 execution_backend=self.config.backend,
                 executor_workers=self.config.executor_workers,
             )

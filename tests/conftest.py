@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import signal
 
+import numpy as np
 import pytest
 
 from repro.agreements.graph import AgreementGraph
@@ -102,6 +103,19 @@ def all_type_combos(grid: Grid):
     """Every agreement-type assignment for a (small) grid."""
     n = sum(1 for _ in grid.adjacent_pairs())
     return itertools.product([Side.R, Side.S], repeat=n)
+
+
+def cell_layout(cells):
+    """One side's shuffle layout for points that each sit in one cell.
+
+    ``cells[i]`` is point ``i``'s cell id; returns the ``(cells, bounds,
+    point_idx)`` triple :func:`repro.engine.executor.build_execution_plan`
+    takes, exactly as ``ShuffleStage`` derives it from a stable cell sort.
+    """
+    cells = np.asarray(cells, dtype=np.int64)
+    order = np.argsort(cells, kind="stable")
+    uniq, starts = np.unique(cells[order], return_index=True)
+    return uniq, np.append(starts, len(cells)), order
 
 
 @pytest.fixture

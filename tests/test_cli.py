@@ -36,6 +36,13 @@ class TestJoin:
         with pytest.raises(SystemExit):
             main(["join", "--method", "bogus"])
 
+    def test_no_fused_flag_is_gone(self, capsys):
+        """There is one execution path, so no switch selects another."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["join", "--no-fused"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --no-fused" in capsys.readouterr().err
+
     def test_join_with_faults_reports_recovery(self, capsys):
         rc = main(["join", "--base-n", "1500", "--eps", "0.02",
                    "--method", "uni_r", "--backend", "threads",

@@ -108,12 +108,6 @@ class TestClusterBasics:
         assert "cluster_daemons_lost" not in m.extra
         assert m.blocks_refetched == 0  # no recovery on a clean run
 
-    def test_fused_and_discrete_paths_agree(self):
-        fused = cluster_join(cluster_daemons=2, fused=True)[2]
-        discrete = cluster_join(cluster_daemons=2, fused=False)[2]
-        assert_bit_identical(fused, "fused")
-        assert_bit_identical(discrete, "discrete")
-
     def test_cluster_config_coerce(self):
         cfg = ClusterConfig(daemons=3, heartbeat_timeout=1.0)
         assert ClusterConfig.coerce(cfg) is cfg

@@ -1,14 +1,16 @@
-"""The columnar zero-copy task path: fused == discrete, bit for bit.
+"""The columnar zero-copy task path, pinned against the real references.
 
-Four guarantees around the fused assign -> shuffle -> local-join path:
+Four guarantees around the assign -> shuffle -> local-join path:
 
-1. *Equivalence matrix* -- with fusion on (the default), every driver
-   returns the same pair-set, integer metrics and full-precision modelled
-   clocks as the discrete stage pipeline (``fused=False``), across
-   kernels and execution backends.
-2. *Fault semantics survive fusion* -- chaos runs (kill + fetch faults,
-   disk spill, cell checkpointing) through the fused path still salvage
-   and still match the fault-free discrete reference.
+1. *Kernel x backend matrix* -- the point driver returns the pair-set,
+   integer metrics and full-precision modelled clocks of
+   ``tests/golden/driver_goldens.json`` (captured from the PR 3 tree)
+   under every kernel and execution backend; what is the kernel's own
+   (candidate counts and the join clock priced from them) must equal
+   the serial run of the same kernel.
+2. *Fault semantics* -- chaos runs (kill + fetch faults, disk spill,
+   cell checkpointing) still salvage and still match a fault-free
+   serial run.
 3. *Payload lint* -- process-pool task arguments carry slice descriptors
    into shared memory, never per-record object lists or big arrays.
 4. *Zero-copy plumbing* -- the memory-tier block store hands back the
@@ -24,36 +26,22 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.data.generators import gaussian_clusters, real_like
-from repro.geometry.point import Side
+from repro.data.generators import gaussian_clusters
 from repro.joins.distance_join import JoinConfig, distance_join
-from repro.joins.generalized_join import (
-    GeneralizedJoinConfig,
-    generalized_distance_join,
-)
-from repro.joins.object_join import (
-    ObjectSet,
-    object_distance_join,
-)
-from repro.data.object_generators import random_boxes
+from tests.conftest import cell_layout
+from tests.test_driver_equivalence import GOLDENS, core_metrics, pairs_digest
 
-
-def core_metrics(m) -> dict:
-    return {
-        "replicated_r": int(m.replicated_r),
-        "replicated_s": int(m.replicated_s),
-        "shuffle_records": int(m.shuffle_records),
-        "shuffle_bytes": int(m.shuffle_bytes),
-        "remote_records": int(m.remote_records),
-        "remote_bytes": int(m.remote_bytes),
-        "candidate_pairs": int(m.candidate_pairs),
-        "results": int(m.results),
-        "grid_cells": int(m.grid_cells),
-    }
+#: the golden row whose inputs and config the ``points`` fixture and
+#: ``BASE`` reproduce (default ``cell_assignment`` is ``lpt``)
+GOLDEN = next(
+    row for row in GOLDENS["distance"]
+    if (row["method"], row["cell_assignment"]) == ("lpib", "lpt")
+)
+BASE = dict(eps=0.02, method="lpib", num_workers=4, seed=0)
 
 
 # ----------------------------------------------------------------------
-# 1. fused == discrete across the kernel x backend matrix
+# 1. kernel x backend against the driver goldens
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def points():
@@ -63,58 +51,48 @@ def points():
     )
 
 
+@pytest.fixture(scope="module")
+def serial_runs(points):
+    """One fault-free serial run per kernel: the kernel's own numbers."""
+    r, s = points
+    return {
+        kernel: distance_join(r, s, JoinConfig(**BASE, local_kernel=kernel))
+        for kernel in ("plane_sweep", "grid_hash")
+    }
+
+
 @pytest.mark.parametrize("kernel", ("plane_sweep", "grid_hash"))
 @pytest.mark.parametrize("backend", ("serial", "threads", "processes"))
-def test_distance_fused_equals_discrete(points, kernel, backend):
+def test_distance_kernel_backend_matches_golden(
+    points, serial_runs, kernel, backend
+):
     r, s = points
-    base = dict(
-        eps=0.02, method="lpib", num_workers=4, local_kernel=kernel,
-        execution_backend=backend, executor_workers=2, seed=0,
+    res = distance_join(
+        r, s,
+        JoinConfig(
+            **BASE, local_kernel=kernel, execution_backend=backend,
+            executor_workers=2,
+        ),
     )
-    discrete = distance_join(r, s, JoinConfig(**base, fused=False))
-    fused = distance_join(r, s, JoinConfig(**base, fused=True))
-    assert len(fused) > 0
-    assert fused.pairs_set() == discrete.pairs_set()
-    assert core_metrics(fused.metrics) == core_metrics(discrete.metrics)
-    # modelled clocks bit-identical: fusion must not move a single float
-    assert repr(fused.metrics.construction_time_model) == repr(
-        discrete.metrics.construction_time_model
-    )
-    assert repr(fused.metrics.join_time_model) == repr(
-        discrete.metrics.join_time_model
-    )
-
-
-def test_object_fused_equals_discrete():
-    r = ObjectSet(random_boxes(250, Side.R, seed=11), "R")
-    s = ObjectSet(random_boxes(250, Side.S, seed=22), "S")
-    discrete = object_distance_join(r, s, 0.01, num_workers=4, fused=False)
-    fused = object_distance_join(r, s, 0.01, num_workers=4, fused=True)
-    assert len(fused) > 0
-    assert fused.pairs_set() == discrete.pairs_set()
-    assert core_metrics(fused.metrics) == core_metrics(discrete.metrics)
-
-
-def test_generalized_fused_equals_discrete():
-    r = gaussian_clusters(400, seed=101, name="R")
-    s = real_like(400, seed=11, name="S")
-    base = dict(eps=0.02, partition="quadtree", method="lpib", num_workers=4)
-    discrete = generalized_distance_join(
-        r, s, GeneralizedJoinConfig(**base, fused=False)
-    )
-    fused = generalized_distance_join(
-        r, s, GeneralizedJoinConfig(**base, fused=True)
-    )
-    assert len(fused) > 0
-    assert fused.pairs_set() == discrete.pairs_set()
-    assert core_metrics(fused.metrics) == core_metrics(discrete.metrics)
-
-
-def test_fused_reports_launch_overhead_model(points):
-    """The launch-overhead satellite lands in ``extra``, not the clocks."""
-    r, s = points
-    res = distance_join(r, s, JoinConfig(eps=0.02, num_workers=4))
     m = res.metrics
+    assert pairs_digest(res.pairs_set()) == GOLDEN["pairs_sha256"]
+    got, want = core_metrics(m), dict(GOLDEN["metrics"])
+    if kernel != "plane_sweep":
+        # the goldens ran plane_sweep; another kernel inspects other candidates
+        del got["candidate_pairs"], want["candidate_pairs"]
+    assert got == want
+    # modelled clocks bit-identical: repr pins every bit
+    assert repr(m.construction_time_model) == GOLDEN["construction_time_model"]
+    if kernel == "plane_sweep":
+        assert repr(m.join_time_model) == GOLDEN["join_time_model"]
+    ref = serial_runs[kernel].metrics
+    assert m.candidate_pairs == ref.candidate_pairs
+    assert repr(m.join_time_model) == repr(ref.join_time_model)
+
+
+def test_reports_launch_overhead_model(serial_runs):
+    """The launch-overhead term lands in ``extra``, not the clocks."""
+    m = serial_runs["plane_sweep"].metrics
     assert m.extra["launch_overhead_model"] > 0
     assert m.extra["join_time_model_launch_adjusted"] == (
         m.join_time_model + m.extra["launch_overhead_model"]
@@ -122,32 +100,29 @@ def test_fused_reports_launch_overhead_model(points):
 
 
 # ----------------------------------------------------------------------
-# 2. chaos through the fused path
+# 2. chaos against the fault-free serial run
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", ("threads", "processes"))
-def test_fused_chaos_matches_fault_free_discrete(tmp_path, points, backend):
+def test_chaos_matches_fault_free_serial(tmp_path, points, serial_runs, backend):
     r, s = points
-    base = dict(
-        eps=0.02, method="lpib", num_workers=4, local_kernel="grid_hash",
-        seed=0,
-    )
-    reference = distance_join(r, s, JoinConfig(**base, fused=False))
+    reference = serial_runs["grid_hash"]
     assert len(reference) > 0
     chaos = distance_join(
         r, s,
         JoinConfig(
-            **base, fused=True, execution_backend=backend,
+            **BASE, local_kernel="grid_hash", execution_backend=backend,
             executor_workers=2, faults="fetch:p=1:times=1;kill:p=1:times=1",
             max_retries=3, spill="disk", spill_dir=str(tmp_path),
             checkpoint_cells=True,
         ),
     )
     assert chaos.pairs_set() == reference.pairs_set()
+    assert pairs_digest(chaos.pairs_set()) == GOLDEN["pairs_sha256"]
     assert chaos.metrics.fault_events > 0, "the injected faults never fired"
     assert chaos.metrics.blocks_refetched > 0
     assert chaos.metrics.cells_salvaged > 0, (
-        "cell checkpointing must keep salvaging under fusion (the batched "
-        "kernel path is required to stand down when checkpoints are on)"
+        "cell checkpointing must keep salvaging (the batched kernel pass "
+        "is required to stand down when checkpoints are on)"
     )
     assert list(tmp_path.iterdir()) == [], "spill dir not cleaned up"
 
@@ -163,12 +138,9 @@ def _plan_and_tasks(n_cells=50, per_cell=200):
     total = n_cells * per_cell
     ids = np.arange(total, dtype=np.int64)
     xs, ys = rng.uniform(0, 1, total), rng.uniform(0, 1, total)
-    groups = {
-        c: np.arange(c * per_cell, (c + 1) * per_cell) for c in range(n_cells)
-    }
-    cell_worker = {c: c % 4 for c in range(n_cells)}
+    layout = cell_layout(np.repeat(np.arange(n_cells), per_cell))
     plan = build_execution_plan(
-        (ids, xs, ys), (ids, xs, ys), groups, groups, cell_worker
+        (ids, xs, ys), (ids, xs, ys), layout, layout, lambda cells: cells % 4
     )
     return plan, plan.worker_groups()
 
@@ -196,7 +168,7 @@ def test_process_task_args_are_descriptor_sized():
                 worker_id, positions, tasks[worker_id], pos_desc,
                 "grid_hash", 0.02, "shm_r", n_pts, "shm_s", n_pts,
                 shm_meta.name, plan.num_cells, plan.origins is not None,
-                total_positions, 0, None, None, True, False, None, None,
+                total_positions, 0, None, None, False, None, None,
             )
             payload = pickle.dumps(args)
             assert len(payload) < 1024, (
@@ -232,7 +204,7 @@ def test_salvage_path_still_ships_explicit_positions():
             worker_id, filtered, tasks[worker_id], pos_desc,
             "grid_hash", 0.02, "shm_r", n_pts, "shm_s", n_pts,
             shm_meta.name, plan.num_cells, plan.origins is not None,
-            total, 1, None, None, False, False, None, None,
+            total, 1, None, None, False, None, None,
         )
         assert args[1][0] == "array"
         np.testing.assert_array_equal(args[1][1], filtered)

@@ -159,6 +159,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             distance_join(r, s, JoinConfig(eps=EPS, cell_assignment="bogus"))
 
+    def test_no_config_selects_a_second_execution_path(self):
+        from repro.joins.generalized_join import GeneralizedJoinConfig
+        from repro.joins.object_join import ObjectJoinConfig
+
+        for make in (
+            lambda **kw: JoinConfig(eps=EPS, **kw),
+            lambda **kw: GeneralizedJoinConfig(eps=EPS, **kw),
+            ObjectJoinConfig,
+        ):
+            with pytest.raises(TypeError, match="fused"):
+                make(fused=False)
+
     def test_explicit_mbr(self, inputs):
         r, s, truth = inputs
         res = distance_join(

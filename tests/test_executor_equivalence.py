@@ -15,6 +15,7 @@ from repro.data.pointset import PointSet
 from repro.engine.executor import BACKENDS, build_execution_plan, execute_plan
 from repro.joins.distance_join import JoinConfig, distance_join
 from repro.joins.local import LOCAL_KERNELS
+from tests.conftest import cell_layout
 
 EPS = 0.02
 KERNELS = sorted(LOCAL_KERNELS)
@@ -108,13 +109,11 @@ def test_plan_level_equivalence(backend):
     r = (np.arange(n, dtype=np.int64), rng.uniform(0, 1, n), rng.uniform(0, 1, n))
     s = (np.arange(n, dtype=np.int64), rng.uniform(0, 1, n), rng.uniform(0, 1, n))
 
-    def to_groups(xs, ys):
-        cell = (xs > 0.5).astype(np.int64) * 2 + (ys > 0.5).astype(np.int64)
-        return {c: np.flatnonzero(cell == c) for c in range(4)}
+    def layout(xs, ys):
+        return cell_layout((xs > 0.5).astype(np.int64) * 2 + (ys > 0.5))
 
     plan = build_execution_plan(
-        r, s, to_groups(r[1], r[2]), to_groups(s[1], s[2]),
-        {0: 0, 1: 1, 2: 0, 3: 1},
+        r, s, layout(r[1], r[2]), layout(s[1], s[2]), lambda cells: cells % 2
     )
     ref = execute_plan(plan, "grid_hash", EPS, backend="serial")
     par = execute_plan(plan, "grid_hash", EPS, backend=backend, max_workers=2)

@@ -236,3 +236,49 @@ def test_telemetry_sits_below_executor_and_pipeline():
     names = {m for m, _ in MODULES}
     assert "repro.engine.telemetry.spans" in names
     assert "repro.engine.telemetry.registry" in names
+
+
+def _dataclass_fields(tree):
+    """``{class name: [annotated field names]}`` of a module's dataclasses."""
+    out = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [
+            d.func if isinstance(d, ast.Call) else d for d in node.decorator_list
+        ]
+        if not any(
+            getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+            for d in decorators
+        ):
+            continue
+        out[node.name] = [
+            stmt.target.id
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        ]
+    return out
+
+
+def test_execution_fields_are_declared_once():
+    """``ExecutionSettings`` is the only declaration of the execution
+    surface: the driver configs inherit it, so no dataclass under
+    ``repro.joins`` may spell one of its field names again."""
+    declared = {}
+    for module, path in MODULES:
+        if in_layer(module, "repro.joins"):
+            with open(path) as f:
+                for cls, names in _dataclass_fields(ast.parse(f.read())).items():
+                    declared[f"{module}.{cls}"] = names
+    execution = set(declared.pop("repro.joins.pipeline.ExecutionSettings"))
+    # the run context is not a config: its ``telemetry`` is the resolved,
+    # never-None bundle the settings' optional one defaults into
+    assert declared.pop("repro.joins.pipeline.JoinContext")
+    assert {"execution_backend", "faults", "spill", "telemetry"} <= execution
+    assert len(declared) >= 5, "the AST walk lost the driver configs"
+    redeclared = {
+        cls: sorted(execution & set(names))
+        for cls, names in declared.items()
+        if execution & set(names)
+    }
+    assert not redeclared, redeclared

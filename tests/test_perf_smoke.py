@@ -136,8 +136,8 @@ def test_block_recovery_beats_full_recompute(tmp_path):
 def test_parallel_backends_not_slower_than_serial():
     """On a multi-core host, parallel join makespans must not lose to serial.
 
-    Runs the fused columnar path (the default) on a join big enough that
-    per-task compute dwarfs dispatch overhead, and compares the measured
+    Runs a join big enough that per-task compute dwarfs dispatch
+    overhead, and compares the measured
     local-join makespan (max over OS workers) across backends, best of
     three.  The 1.1x headroom absorbs scheduler noise; an actual loss
     means the zero-copy task path regressed into serialization-bound

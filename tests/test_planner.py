@@ -95,12 +95,11 @@ class TestPlanValues:
             assert token in text, token
 
     def test_choices_surface_every_dimension(self):
-        cfg = JoinConfig(eps=0.01, fused=False, execution_backend="threads")
+        cfg = JoinConfig(eps=0.01, execution_backend="threads")
         choices = distance_plan(cfg).choices()
         for dim in ("method", "resolution_factor", "kernel", "backend",
-                    "workers", "fused"):
+                    "workers"):
             assert dim in choices, dim
-        assert choices["fused"] is False
         assert choices["backend"] == "threads"
 
     def test_every_driver_plan_op_is_registered(self):
@@ -516,6 +515,33 @@ class TestCliSurfaces:
         out = capsys.readouterr().out
         assert rc == 0
         assert "method=diff" in out and "workers=6" in out
+
+    def test_join_tuning_auto_executes_the_seed_it_planned_on(self, capsys):
+        """``--seed N`` plans on seed N's sample *and* runs the plan's
+        own config: the printed replication is the seed-7 plan's, which
+        differs from seed 0's (2449 at these flags)."""
+        import re
+
+        from repro.cli import main
+        from repro.data.datasets import load_dataset
+
+        r, s = (load_dataset(name, base_n=4000) for name in ("S1", "S2"))
+        pins = {"method": "lpib", "kernel": "grid_hash", "workers": 4,
+                "resolution_factor": 2.0}
+        want = {}
+        for seed in (0, 7):
+            planned = plan_join(r, s, 0.012, pins=pins, seed=seed)
+            assert planned.config.seed == seed
+            m = distance_join(r, s, planned.config, planned.plan).metrics
+            want[seed] = m.replicated_r + m.replicated_s
+        assert want == {0: 2449, 7: 2832}
+        rc = main(["join", "--tuning", "auto", "--seed", "7",
+                   "--base-n", "4000", "--method", "lpib",
+                   "--kernel", "grid_hash", "--workers", "4",
+                   "--resolution-factor", "2"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert int(re.search(r"replicated=\s*(\d+)", out).group(1)) == want[7]
 
     def test_join_tuning_auto_report_has_planner_section(self, capsys):
         from repro.cli import main

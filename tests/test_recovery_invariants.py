@@ -2,10 +2,9 @@
 
 The chaos matrix in ``test_fault_tolerance.py`` checks specific fault
 kinds one at a time; this module sweeps *mixed* fault plans across
-seeds, backends (including the real cluster) and both local-join paths
-(fused columnar and discrete), asserting the bookkeeping identities
-that must hold for ANY run regardless of which injections happened to
-fire:
+seeds and backends (including the real cluster), asserting the
+bookkeeping identities that must hold for ANY run regardless of which
+injections happened to fire:
 
 - the answer is always bit-identical to the fault-free serial golden;
 - attempt counts, retries and speculation are mutually consistent;
@@ -61,7 +60,7 @@ def golden():
     return _GOLDEN["ref"]
 
 
-def run_join(mix, seed, backend, fused, tmp_path, checkpoints):
+def run_join(mix, seed, backend, tmp_path, checkpoints):
     faults = None
     if FAULT_MIXES[mix] is not None:
         faults = FaultPlan.parse(FAULT_MIXES[mix]).with_seed(seed)
@@ -73,7 +72,7 @@ def run_join(mix, seed, backend, fused, tmp_path, checkpoints):
     cfg = JoinConfig(
         eps=EPS, method="lpib", num_workers=NUM_TASKS,
         local_kernel="plane_sweep", execution_backend=backend,
-        executor_workers=2, fused=fused, faults=faults, max_retries=3,
+        executor_workers=2, faults=faults, max_retries=3,
         **spill,
     )
     r, s = inputs()
@@ -132,11 +131,10 @@ def check_invariants(res, *, mix, backend, checkpoints):
 
 
 @pytest.mark.chaos
-@pytest.mark.parametrize("fused", (True, False), ids=("fused", "discrete"))
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("mix", sorted(FAULT_MIXES))
-def test_invariants_hold_threads(tmp_path, mix, seed, fused):
-    r, s, res = run_join(mix, seed, "threads", fused, tmp_path, True)
+def test_invariants_hold_threads(tmp_path, mix, seed):
+    r, s, res = run_join(mix, seed, "threads", tmp_path, True)
     check_invariants(res, mix=mix, backend="threads", checkpoints=True)
     check = validate_join_result(res, r, s, EPS)
     assert check.ok, check.issues
@@ -147,18 +145,17 @@ def test_invariants_hold_threads(tmp_path, mix, seed, fused):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("mix", sorted(FAULT_MIXES))
 def test_invariants_hold_without_checkpoints(tmp_path, mix, seed):
-    _, _, res = run_join(mix, seed, "threads", True, tmp_path, False)
+    _, _, res = run_join(mix, seed, "threads", tmp_path, False)
     check_invariants(res, mix=mix, backend="threads", checkpoints=False)
 
 
 @pytest.mark.chaos
 @pytest.mark.cluster
-@pytest.mark.parametrize("fused", (True, False), ids=("fused", "discrete"))
 @pytest.mark.parametrize("mix", sorted(FAULT_MIXES))
-def test_invariants_hold_cluster(tmp_path, mix, fused):
+def test_invariants_hold_cluster(tmp_path, mix):
     """The same identities on the real multi-process cluster, where a
     fired kill is an actual SIGKILL and refetches cross sockets."""
-    r, s, res = run_join(mix, 0, "cluster", fused, tmp_path, True)
+    r, s, res = run_join(mix, 0, "cluster", tmp_path, True)
     check_invariants(res, mix=mix, backend="cluster", checkpoints=True)
     check = validate_join_result(res, r, s, EPS)
     assert check.ok, check.issues

@@ -475,6 +475,9 @@ class TestProtocolValidation:
             _register(c)
             with pytest.raises(ServerError, match="unknown query field"):
                 c.query("R", "S", eps=EPS, blorp=3)
+            # one execution path: no query field selects another
+            with pytest.raises(ServerError, match=r"unknown query field\(s\): fused"):
+                c.query("R", "S", eps=EPS, fused=False)
             with pytest.raises(ServerError, match="eps must be positive"):
                 c.query("R", "S", eps=-1.0)
             with pytest.raises(ServerError, match="method must be one of"):
