@@ -234,8 +234,13 @@ class AnalyticalCostModel:
         * ``nested_loop`` inspects everything: fraction 1.
         * ``plane_sweep`` inspects the edge-clipped x-window
           ``(2 eps - eps^2 / w) / w`` (the historical model).
-        * ``grid_hash`` probes each R point's 3x3 ``eps``-buckets: a
-          ``3 eps`` window in both axes.
+        * ``grid_hash`` probes three ``eps``-bands with sorted-x windows:
+          ``3 eps`` tall times a mean band width of ``(2 + pi) eps / 3``,
+          i.e. ``(2 + pi) eps^2`` around each point.  Between two natives
+          of the cell the window is clipped to the cell; a pair that
+          straddles the border is inspected here only when its outside
+          end was replicated in, so that share of the window is weighted
+          by each side's replicas per unit of the ``eps``-rim.
         * ``rtree`` visits whole leaves (capacity
           :data:`_RTREE_LEAF_CAPACITY`) whose MBR intersects the probe's
           eps-box; leaves tile the cell, so a probe touches
@@ -251,9 +256,20 @@ class AnalyticalCostModel:
             window = min(1.0, max(0.0, (2 * eps - eps * eps / cw) / cw))
             return products * window
         if kernel == "grid_hash":
-            wx = min(1.0, 3.0 * eps / cw)
-            wy = min(1.0, 3.0 * eps / ch)
-            return products * (wx * wy)
+            ax, ay = (2.0 + math.pi) * eps / 6.0, 1.5 * eps  # window half-extents
+            cell = cw * ch
+            # pairs in the window with both ends / exactly one end in the cell
+            inside = (
+                min(cw, 2 * ax - ax * ax / cw) * min(ch, 2 * ay - ay * ay / ch) * cell
+            )
+            straddle = 4 * ax * ay * cell - inside
+            rim = (cw + 2 * eps) * (ch + 2 * eps) - cell
+            nat_r, nat_s = (
+                self.count_stats.cell_counts(side) / self.count_phi
+                for side in (Side.R, Side.S)
+            )
+            crossing = (n_r - nat_r) * nat_s + nat_r * (n_s - nat_s)
+            return (nat_r * nat_s * inside + crossing * straddle * cell / rim) / cell**2
         if kernel == "rtree":
             cap = float(_RTREE_LEAF_CAPACITY)
             dense = np.maximum(n_s, 1.0)

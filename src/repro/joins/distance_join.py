@@ -296,11 +296,10 @@ class _AssignStage(Stage):
 
 
 class _OriginsStage(Stage):
-    """Anchor each joinable cell's eps-grid at its MBR origin.
+    """Anchor each joinable cell's ``grid_hash`` bands at its MBR origin.
 
-    Bucket boundaries -- and hence candidate counts -- become independent
-    of which input is R and of the points (natives or replicas) actually
-    present in the cell.
+    Band boundaries -- and hence candidate counts -- become independent
+    of the points (natives or replicas) actually present in the cell.
     """
 
     name = "origins"

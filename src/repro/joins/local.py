@@ -3,15 +3,18 @@
 After the shuffle, each grid cell holds the R and S points assigned to it;
 a local kernel finds all pairs within ``eps`` and reports how many
 *candidate* pairs it examined -- the quantity driving the modelled join
-cost.  Three kernels are provided:
+cost.  Four kernels are provided:
 
 * :func:`nested_loop_join` -- the quadratic reference;
 * :func:`plane_sweep_join` -- sort by x, compare only within an x-window
-  of ``eps`` (the classic PBSM local algorithm; default);
-* :func:`grid_hash_join` -- bucket S into an ``eps``-grid and probe each R
-  point's 3x3 neighbourhood (vectorized: buckets become sorted integer
-  keys and the 3x3 probe becomes three ``searchsorted`` window
-  expansions);
+  of ``eps`` (the classic PBSM local algorithm; ``JoinConfig``'s default
+  and the kernel the driver goldens pin);
+* :func:`grid_hash_join` -- bucket S into horizontal bands of height
+  ``eps`` sorted by x, and give each R point an x-window in its own band
+  and the two adjacent ones, narrowed by its vertical gap to the band:
+  the candidate set is close to the ``eps``-disc.  One implementation,
+  :func:`grid_hash_join_batch`, joins all cells of a worker task in one
+  pass; the per-cell kernel is its one-cell case;
 * :func:`rtree_join` -- bulk-load an STR R-tree on S and range-probe the
   R points (the kernel Sedona uses; included for the kernel comparison the
   paper's related work motivates [Sidlauskas & Jensen, VLDB 2014]).
@@ -20,10 +23,13 @@ cost.  Three kernels are provided:
 
 All kernels take parallel arrays and return ``(r_ids, s_ids, candidates)``
 with one entry per result pair.  The keyword-only ``origin`` argument
-anchors :func:`grid_hash_join`'s eps-grid (the other kernels ignore it):
-passing the enclosing grid cell's MBR origin makes bucket boundaries -- and
-hence candidate counts -- independent of which input plays R or S and of
-the data actually present in the cell.
+anchors :func:`grid_hash_join`'s bands and x-keys (the other kernels
+ignore it); without it the anchor is the minimum coordinate present.
+Passing the enclosing grid cell's MBR origin makes band boundaries -- and
+hence candidate counts -- independent of the data actually present in the
+cell.  The pair *set* never depends on the anchor.  The candidate count
+is not symmetric in R and S: the side passed as S is the one that is
+banded and sorted.
 """
 
 from __future__ import annotations
@@ -113,67 +119,24 @@ def grid_hash_join(
     *,
     origin: tuple[float, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Bucket S by an ``eps``-grid; probe each R point's 3x3 buckets.
+    """Band S by rows of height ``eps``; probe each R point's three rows
+    with sorted-x windows -- the one-cell case of
+    :func:`grid_hash_join_batch`.
 
-    Buckets are encoded as sorted scalar keys ``column * stride + row``;
-    within one column the three rows ``cy - 1 .. cy + 1`` occupy a
-    contiguous key range, so the 3x3 probe collapses to three binary
-    searches per R point and a window expansion -- no Python-level loop.
+    An ``eps`` the banding cannot key (zero, infinite, or so small
+    against the extent that the keys would overflow) is answered by
+    :func:`plane_sweep_join`, whose float window needs no keys.
     """
-    if len(r_ids) == 0 or len(s_ids) == 0:
-        return _EMPTY, _EMPTY, 0
-    if origin is None:
-        x0 = min(float(r_xs.min()), float(s_xs.min()))
-        y0 = min(float(r_ys.min()), float(s_ys.min()))
-    else:
-        x0, y0 = float(origin[0]), float(origin[1])
-    # floor (not truncation): replicas can lie slightly left/below origin
-    s_cx = np.floor((s_xs - x0) / eps).astype(np.int64)
-    s_cy = np.floor((s_ys - y0) / eps).astype(np.int64)
-    r_cx = np.floor((r_xs - x0) / eps).astype(np.int64)
-    r_cy = np.floor((r_ys - y0) / eps).astype(np.int64)
-    # normalize rows to [1, stride - 2] so a +-1 row probe never wraps
-    # into an adjacent column's key range
-    row_shift = 1 - min(int(s_cy.min()), int(r_cy.min()))
-    s_cy += row_shift
-    r_cy += row_shift
-    stride = max(int(s_cy.max()), int(r_cy.max())) + 2
-
-    s_key = s_cx * stride + s_cy
-    order = np.argsort(s_key, kind="stable")
-    s_key_sorted = s_key[order]
-    sx = s_xs[order]
-    sy = s_ys[order]
-    sid = s_ids[order]
-
-    base = r_cx * stride + r_cy
-    eps_sq = eps * eps
-    out_r: list[np.ndarray] = []
-    out_s: list[np.ndarray] = []
-    candidates = 0
-    for col_delta in (-1, 0, 1):
-        probe = base + col_delta * stride
-        lo = np.searchsorted(s_key_sorted, probe - 1, side="left")
-        hi = np.searchsorted(s_key_sorted, probe + 1, side="right")
-        anchors, windows = _expand_ranges(lo, hi)
-        candidates += len(anchors)
-        if len(anchors) == 0:
-            continue
-        # in-place squared distance keeps the per-strip temporaries to two
-        dx = r_xs[anchors]
-        dx -= sx[windows]
-        dx *= dx
-        dy = r_ys[anchors]
-        dy -= sy[windows]
-        dy *= dy
-        dx += dy
-        hit = np.flatnonzero(dx <= eps_sq)
-        if len(hit):
-            out_r.append(r_ids[anchors[hit]])
-            out_s.append(sid[windows[hit]])
-    if not out_r:
-        return _EMPTY, _EMPTY, candidates
-    return np.concatenate(out_r), np.concatenate(out_s), candidates
+    origins = None if origin is None else np.array([origin], dtype=np.float64)
+    out = grid_hash_join_batch(
+        r_ids, r_xs, r_ys, np.array([0, len(r_ids)], dtype=np.int64),
+        s_ids, s_xs, s_ys, np.array([0, len(s_ids)], dtype=np.int64),
+        eps, origins,
+    )
+    if out is None:
+        return plane_sweep_join(r_ids, r_xs, r_ys, s_ids, s_xs, s_ys, eps)
+    pair_r, pair_s, candidates = out
+    return pair_r[0], pair_s[0], int(candidates[0])
 
 
 def _segment_min(vals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -190,6 +153,22 @@ def _segment_min(vals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
+#: x-keys per ``eps``: a window is padded by one key on either side, so a
+#: finer quantum only trims the (already ~0.1%) pad, a coarser one wastes
+#: distance tests.
+_QUANTA_PER_EPS = 1 << 12
+#: Bands are this much taller than ``eps`` so that two points at most
+#: ``eps`` (plus rounding) apart can never be two bands apart.
+_BAND_HEIGHT = 1.0 + 2.0**-16
+#: Largest ``|coordinate - origin| / eps`` the kernel keys; beyond it the
+#: rounding of ``coordinate - origin`` could exceed the one-key pad.
+_MAX_EXTENT = 2.0**20
+#: Candidate pairs expanded per pass over the probes.  Small enough that
+#: every per-candidate temporary stays cache-resident and is recycled by
+#: the allocator instead of being mapped (and page-faulted) afresh.
+_BLOCK_CANDIDATES = 1 << 15
+
+
 def grid_hash_join_batch(
     r_ids: np.ndarray,
     r_xs: np.ndarray,
@@ -204,119 +183,175 @@ def grid_hash_join_batch(
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray] | None:
     """All cells of one worker task in a single vectorized pass.
 
-    Bit-exact batched variant of :func:`grid_hash_join`: entry ``i`` of
-    each returned list equals the per-cell kernel applied to segment
-    ``i`` -- same pairs, same pair order, same candidate count.
+    Relative to its cell's origin ``(x0, y0)`` a point has ``u = x - x0``
+    and ``v = y - y0``.  S is bucketed into horizontal *bands* of height
+    ``h = eps * (1 + 2^-16)`` and sorted once by the integer key ::
 
-    The trick is one composite key space::
+        (cell * bands + floor(v / h)) * quanta + floor(u / q),   q = eps / 2^12
 
-        key = cell * (col_stride * row_stride) + cx * row_stride + cy
+    i.e. by ``(cell, band, x)``.  An R point probes three bands: its own
+    with the x-window ``u +- eps`` and the two neighbours with ``u +-
+    sqrt(eps^2 - g^2)``, ``g`` being its vertical gap to that band.  A
+    window is the key range ``floor((u - w) / q) - 1 .. floor((u + w) /
+    q) + 1`` inside the band's key block, found by two binary searches.
+    Expected candidate area: ``(2 + pi) eps^2`` against the ``pi eps^2``
+    disc.  Every candidate then takes the exact float64 test ``dx*dx +
+    dy*dy <= eps*eps`` on the original coordinates.
 
-    with *global* column/row shifts keeping every normalized coordinate
-    in the interior ``[1, stride - 2]``, so a +-1 probe can neither wrap
-    between bucket columns nor leak into a neighbouring cell's key block.
-    Within a cell the composite order equals the per-cell key order
-    (shifts are monotone), and the stable sort keeps equal-bucket points
-    in input order -- exactly what the scalar kernel's stable argsort
-    produces per cell.  Pair-emission order is recovered by a stable
-    argsort on the hit cells: the scalar kernel emits ``[strip][point]``
-    per cell, the batched strips emit ``[strip][cell][point]``, and a
-    stable sort by cell flips that to ``[cell][strip][point]``.
+    *The windows are a superset of the accepted pairs.*  If the float
+    test accepts ``(r, s)`` then ``|x_r - x_s|`` and ``|y_r - y_s|`` are
+    at most ``eps (1 + 2^-50)``.  ``u`` and ``v`` are single float
+    subtractions, so ``u_r - u_s`` and ``v_r - v_s`` reproduce those
+    differences to within ``2^-52 * extent``, and extents above
+    ``2^20 eps`` decline -- every rounding term below is under
+    ``2^-30 eps``.  (i) ``|v_r - v_s| / h < 1``, so ``s`` sits in ``r``'s
+    band or an adjacent one.  (ii) In an adjacent band ``|y_r - y_s| >=
+    g - 2^-30 eps``, hence ``(x_r - x_s)^2 <= eps^2 - g^2 + 2^-28
+    eps^2`` and ``|u_r - u_s| <= w + 2^-14 eps``: less than the quantum,
+    which is what the one-key pad absorbs.  (iii) S keys lie strictly
+    inside their cell's and band's key block and probes are clipped to
+    the block, so no window reaches another band's or cell's points.
 
-    Returns ``None`` (decline; caller falls back to the per-cell loop)
-    if the composite keys would overflow int64.
+    Probes are laid out R-major (``point x band``), so hits come out
+    grouped by cell, in input order of R; they are expanded in blocks of
+    :data:`_BLOCK_CANDIDATES`.  Entry ``i`` of each returned list is
+    exactly what the kernel returns for segment ``i`` alone -- same
+    pairs, same order, same candidate count: keys are relative to the
+    cell's origin, the global shifts below are monotone, and the stable
+    sort keeps equal keys in input order.
+
+    Returns ``None`` (decline; the caller falls back to the per-cell
+    loop, the one-cell kernel to :func:`plane_sweep_join`) when ``eps``
+    is not positive and finite, the extent bound above is exceeded, or
+    the keys would overflow int64.
     """
     num_cells = len(r_offsets) - 1
     empty_out = [_EMPTY] * num_cells
     if num_cells == 0 or len(r_ids) == 0 or len(s_ids) == 0:
         return empty_out, list(empty_out), np.zeros(num_cells, dtype=np.int64)
+    quantum = eps / _QUANTA_PER_EPS
+    if not (quantum > 0.0 and np.isfinite(eps)):
+        return None
 
     if origins is not None:
         x0 = np.ascontiguousarray(origins[:, 0], dtype=np.float64)
         y0 = np.ascontiguousarray(origins[:, 1], dtype=np.float64)
     else:
-        # per-cell data minima, exactly like the scalar kernel; cells with
-        # an empty side never probe, so their placeholder origin is inert
+        # per-cell data minima; a cell with both sides empty has no
+        # points, so its placeholder origin is inert
         x0 = np.minimum(_segment_min(r_xs, r_offsets), _segment_min(s_xs, s_offsets))
         y0 = np.minimum(_segment_min(r_ys, r_offsets), _segment_min(s_ys, s_offsets))
         x0 = np.where(np.isfinite(x0), x0, 0.0)
         y0 = np.where(np.isfinite(y0), y0, 0.0)
 
-    r_counts = np.diff(r_offsets)
-    s_counts = np.diff(s_offsets)
-    r_cell = np.repeat(np.arange(num_cells, dtype=np.int64), r_counts)
-    s_cell = np.repeat(np.arange(num_cells, dtype=np.int64), s_counts)
-
-    s_cx = np.floor((s_xs - x0[s_cell]) / eps).astype(np.int64)
-    s_cy = np.floor((s_ys - y0[s_cell]) / eps).astype(np.int64)
-    r_cx = np.floor((r_xs - x0[r_cell]) / eps).astype(np.int64)
-    r_cy = np.floor((r_ys - y0[r_cell]) / eps).astype(np.int64)
-
-    row_shift = 1 - min(int(s_cy.min()), int(r_cy.min()))
-    s_cy += row_shift
-    r_cy += row_shift
-    row_stride = max(int(s_cy.max()), int(r_cy.max())) + 2
-    col_shift = 1 - min(int(s_cx.min()), int(r_cx.min()))
-    s_cx += col_shift
-    r_cx += col_shift
-    col_stride = max(int(s_cx.max()), int(r_cx.max())) + 2
-
-    cell_span = col_stride * row_stride  # python ints: no silent overflow
-    if num_cells * cell_span >= 2**62:
+    cell_ids = np.arange(num_cells, dtype=np.int64)
+    r_cell = np.repeat(cell_ids, r_offsets[1:] - r_offsets[:-1])
+    s_cell = np.repeat(cell_ids, s_offsets[1:] - s_offsets[:-1])
+    r_u = r_xs - x0[r_cell]
+    r_v = r_ys - y0[r_cell]
+    s_u = s_xs - x0[s_cell]
+    s_v = s_ys - y0[s_cell]
+    extent = max(float(np.abs(a).max()) for a in (r_u, r_v, s_u, s_v))
+    if not extent <= _MAX_EXTENT * eps:
         return None
 
-    s_key = s_cell * cell_span + s_cx * row_stride + s_cy
+    # S keys occupy [1, bands - 2] x [1, quanta - 2] of their cell's block;
+    # probes are clipped to [0, bands - 1] x [0, quanta - 1], so a probe
+    # beyond S's range finds an empty key range, never a neighbour's
+    height = eps * _BAND_HEIGHT
+    s_band = np.floor(s_v / height).astype(np.int64)
+    s_quant = np.floor(s_u / quantum).astype(np.int64)
+    band_shift = 1 - int(s_band.min())
+    bands = int(s_band.max()) + band_shift + 2
+    quant_shift = 1 - int(s_quant.min())
+    quanta = int(s_quant.max()) + quant_shift + 2
+    if num_cells * bands * quanta >= 2**62:  # python ints: no silent overflow
+        return None
+    s_key = (s_cell * bands + (s_band + band_shift)) * quanta + (s_quant + quant_shift)
     order = np.argsort(s_key, kind="stable")
-    s_key_sorted = s_key[order]
-    sx = s_xs[order]
-    sy = s_ys[order]
+    s_key = s_key[order]
     sid = s_ids[order]
+    # x and y travel as one complex: one repeat and one gather per block
+    # instead of two; subtraction and squares stay per-component
+    s_xy = np.column_stack((s_xs[order], s_ys[order])).view(np.complex128).ravel()
+    r_xy = np.column_stack((r_xs, r_ys)).view(np.complex128).ravel()
 
-    base = r_cell * cell_span + r_cx * row_stride + r_cy
+    # probes, R-major: row i holds point i's bands below / own / above
     eps_sq = eps * eps
-    candidates = np.zeros(num_cells, dtype=np.int64)
-    strip_r: list[np.ndarray] = []
-    strip_s: list[np.ndarray] = []
-    strip_cell: list[np.ndarray] = []
-    for col_delta in (-1, 0, 1):
-        probe = base + col_delta * row_stride
-        lo = np.searchsorted(s_key_sorted, probe - 1, side="left")
-        hi = np.searchsorted(s_key_sorted, probe + 1, side="right")
-        counts = hi - lo
-        candidates += np.bincount(
-            r_cell, weights=counts, minlength=num_cells
-        ).astype(np.int64)
-        anchors, windows = _expand_ranges(lo, hi)
-        if len(anchors) == 0:
-            continue
-        dx = r_xs[anchors]
-        dx -= sx[windows]
-        dx *= dx
-        dy = r_ys[anchors]
-        dy -= sy[windows]
-        dy *= dy
-        dx += dy
-        hit = np.flatnonzero(dx <= eps_sq)
-        if len(hit):
-            a = anchors[hit]
-            strip_r.append(r_ids[a])
-            strip_s.append(sid[windows[hit]])
-            strip_cell.append(r_cell[a])
+    r_band = np.floor(r_v / height)
+    below = r_v - r_band * height
+    above = height - below
+    half = np.empty((len(r_ids), 3))
+    half[:, 0] = np.sqrt(np.maximum(eps_sq - below * below, 0.0))
+    half[:, 1] = eps
+    half[:, 2] = np.sqrt(np.maximum(eps_sq - above * above, 0.0))
+    block = r_band.astype(np.int64)[:, None] + (band_shift + np.arange(-1, 2))
+    np.minimum(np.maximum(block, 0, out=block), bands - 1, out=block)
+    block += r_cell[:, None] * bands
+    block *= quanta
 
-    if not strip_cell:
-        return empty_out, list(empty_out), candidates
-    hit_cells = np.concatenate(strip_cell)
-    rr = np.concatenate(strip_r)
-    ss = np.concatenate(strip_s)
-    reorder = np.argsort(hit_cells, kind="stable")
-    rr = rr[reorder]
-    ss = ss[reorder]
-    bounds = np.concatenate(
-        ([0], np.cumsum(np.bincount(hit_cells, minlength=num_cells)))
+    def window_keys(edge, pad):
+        key = np.floor(edge / quantum).astype(np.int64)
+        key += quant_shift + pad
+        np.minimum(np.maximum(key, 0, out=key), quanta - 1, out=key)
+        key += block
+        return key.ravel()
+
+    u = r_u[:, None]
+    lo = np.searchsorted(s_key, window_keys(u - half, -1), side="left")
+    hi = np.searchsorted(s_key, window_keys(u + half, 1), side="right")
+
+    counts = hi - lo
+    before = np.zeros(len(counts) + 1, dtype=np.int64)  # candidates before probe i
+    np.cumsum(counts, out=before[1:])
+    first = lo - before[:-1]  # window start minus the probe's candidate offset
+    point_before = before[::3]
+    point_counts = point_before[1:] - point_before[:-1]
+    cell_before = point_before[r_offsets]
+    total = int(before[-1])
+    # blocks of whole points holding ~_BLOCK_CANDIDATES candidates each
+    cuts = np.unique(
+        np.searchsorted(point_before, np.arange(0, total, _BLOCK_CANDIDATES))
     )
-    pair_r = [rr[bounds[i] : bounds[i + 1]] for i in range(num_cells)]
-    pair_s = [ss[bounds[i] : bounds[i + 1]] for i in range(num_cells)]
-    return pair_r, pair_s, candidates
+    cuts = np.append(cuts, len(r_ids)).tolist()
+    ramp = np.arange(
+        int(np.max(point_before[cuts[1:]] - point_before[cuts[:-1]], initial=0)),
+        dtype=np.int64,
+    )
+    # one allocation per output column, sized for every candidate: pages
+    # past the last hit are never touched, and the tail is handed back
+    out_r = np.empty(total, dtype=r_ids.dtype)
+    out_s = np.empty(total, dtype=s_ids.dtype)
+    bounds = np.zeros(num_cells + 1, dtype=np.int64)  # hits before cell i
+    cell = 0
+    num_hits = 0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        start, stop = int(point_before[a]), int(point_before[b])
+        windows = np.repeat(first[3 * a : 3 * b] + start, counts[3 * a : 3 * b])
+        windows += ramp[: stop - start]
+        cnt = point_counts[a:b]
+        d = np.repeat(r_xy[a:b], cnt)
+        d -= s_xy[windows]
+        d = d.view(np.float64)
+        d *= d
+        hit = np.flatnonzero(d[0::2] + d[1::2] <= eps_sq)
+        upto = num_hits + len(hit)
+        out_r[num_hits:upto] = np.repeat(r_ids[a:b], cnt)[hit]
+        out_s[num_hits:upto] = sid[windows[hit]]
+        # cells whose first candidate lies in this block start at the hit
+        # count reached just before it
+        last = int(np.searchsorted(cell_before, stop, side="left"))
+        bounds[cell:last] = num_hits + np.searchsorted(
+            hit, cell_before[cell:last] - start
+        )
+        cell = last
+        num_hits = upto
+    bounds[cell:] = num_hits
+    out_r.resize(num_hits, refcheck=False)
+    out_s.resize(num_hits, refcheck=False)
+    pair_r = [out_r[bounds[i] : bounds[i + 1]] for i in range(num_cells)]
+    pair_s = [out_s[bounds[i] : bounds[i + 1]] for i in range(num_cells)]
+    return pair_r, pair_s, cell_before[1:] - cell_before[:-1]
 
 
 def rtree_join(
@@ -409,6 +444,6 @@ for _name, _kernel in LOCAL_KERNELS.items():
 del _name, _kernel
 
 # Batched (whole-task) variant: only grid_hash has one -- its integer
-# bucket keys compose across cells without touching float arithmetic.
+# band/x keys compose across cells without touching float arithmetic.
 # The float-keyed kernels keep their per-cell loop inside the worker.
 _register_batch_kernel("grid_hash", grid_hash_join_batch)

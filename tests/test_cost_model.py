@@ -120,6 +120,28 @@ class TestModelMechanics:
         actual = distance_join(r, s, cfg).metrics
         assert pred.replicated_total == pytest.approx(actual.replicated_total)
 
+    @pytest.mark.parametrize("factor", [2.0, 4.0])
+    @pytest.mark.parametrize("method", ["lpib", "uni_r"])
+    def test_grid_hash_candidates_follow_the_kernel(self, method, factor):
+        """The priced ``grid_hash`` window is the one the kernel probes:
+        predicted and counted candidate pairs agree within 15% on
+        uniform data, at either cell size."""
+        eps = 0.02
+        r = uniform(8000, seed=5, name="u1")
+        s = uniform(8000, seed=6, name="u2")
+        grid = Grid(r.mbr().union(s.mbr()), eps, resolution_factor=factor)
+        stats = GridStatistics(grid)
+        stats.add_points(r.xs, r.ys, Side.R)
+        stats.add_points(s.xs, s.ys, Side.S)
+        model = AnalyticalCostModel(grid, stats, 1.0, n_r=len(r), n_s=len(s))
+        predicted = model.predict(method, kernel="grid_hash").candidates
+        cfg = JoinConfig(
+            eps=eps, method=method, resolution_factor=factor,
+            local_kernel="grid_hash", collect_pairs=False, mbr=grid.mbr,
+        )
+        counted = distance_join(r, s, cfg).metrics.candidate_pairs
+        assert 0.85 * counted < predicted < 1.15 * counted
+
     def test_sample_join_estimator_used_when_available(self):
         grid = Grid(uniform(10, seed=1).mbr(), 0.05)
         stats = GridStatistics(grid)
