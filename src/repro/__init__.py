@@ -15,59 +15,24 @@ Quick start::
     print(len(result), "pairs;", result.metrics.summary())
 """
 
-from repro.core.cost_model import predict_join, recommend_method
-from repro.data.datasets import TUPLE_SIZE_FACTORS, load_dataset, paper_datasets
-from repro.data.generators import gaussian_clusters, real_like, uniform
-from repro.data.object_generators import (
-    random_boxes,
-    random_polygons,
-    random_polylines,
-)
-from repro.data.pointset import PointSet
-from repro.geometry.mbr import MBR
-from repro.geometry.objects import BoxObject, PolygonObject, PolylineObject
-from repro.geometry.point import Side, SpatialPoint
-from repro.grid.grid import Grid
-from repro.joins.api import ALL_METHODS, spatial_join
-from repro.joins.distance_join import JoinConfig, JoinResult, distance_join
-from repro.joins.object_join import (
-    ObjectSet,
-    object_distance_join,
-    object_intersection_join,
-)
-from repro.joins.queries import closest_pairs, knn_join, self_join
+from repro._lazy import _lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ALL_METHODS",
-    "BoxObject",
-    "Grid",
-    "JoinConfig",
-    "JoinResult",
-    "MBR",
-    "ObjectSet",
-    "PointSet",
-    "PolygonObject",
-    "PolylineObject",
-    "Side",
-    "SpatialPoint",
-    "TUPLE_SIZE_FACTORS",
-    "closest_pairs",
-    "distance_join",
-    "gaussian_clusters",
-    "knn_join",
-    "load_dataset",
-    "self_join",
-    "object_distance_join",
-    "object_intersection_join",
-    "paper_datasets",
-    "predict_join",
-    "random_boxes",
-    "random_polygons",
-    "random_polylines",
-    "real_like",
-    "recommend_method",
-    "spatial_join",
-    "uniform",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "core.cost_model": ("predict_join", "recommend_method"),
+    "data.datasets": ("TUPLE_SIZE_FACTORS", "load_dataset", "paper_datasets"),
+    "data.generators": ("gaussian_clusters", "real_like", "uniform"),
+    "data.object_generators": ("random_boxes", "random_polygons", "random_polylines"),
+    "data.pointset": ("PointSet",),
+    "geometry.mbr": ("MBR",),
+    "geometry.objects": ("BoxObject", "PolygonObject", "PolylineObject"),
+    "geometry.point": ("Side", "SpatialPoint"),
+    "grid.grid": ("Grid",),
+    "joins.api": ("ALL_METHODS", "spatial_join"),
+    "joins.distance_join": ("JoinConfig", "JoinResult", "distance_join"),
+    "joins.object_join": (
+        "ObjectSet", "object_distance_join", "object_intersection_join",
+    ),
+    "joins.queries": ("closest_pairs", "knn_join", "self_join"),
+})

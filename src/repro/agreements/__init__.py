@@ -8,33 +8,16 @@ each interior grid corner.  Edge *marking* and *locking* (Algorithm 1)
 turn an arbitrary instance into one with the duplicate-free property.
 """
 
-from repro.agreements.graph import AgreementGraph, DirectedEdge, PairTypes, QuartetSubgraph
-from repro.agreements.policies import (
-    AgreementPolicy,
-    DiffPolicy,
-    LPiBPolicy,
-    UniformPolicy,
-    instantiate_pair_types,
-)
-from repro.agreements.marking import (
-    generate_duplicate_free_graph,
-    mark_quartet,
-    mixed_triangles,
-    unresolved_mixed_triangles,
-)
+from repro._lazy import _lazy_exports
 
-__all__ = [
-    "AgreementGraph",
-    "AgreementPolicy",
-    "DiffPolicy",
-    "DirectedEdge",
-    "LPiBPolicy",
-    "PairTypes",
-    "QuartetSubgraph",
-    "UniformPolicy",
-    "generate_duplicate_free_graph",
-    "instantiate_pair_types",
-    "mark_quartet",
-    "mixed_triangles",
-    "unresolved_mixed_triangles",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "graph": ("AgreementGraph", "DirectedEdge", "PairTypes", "QuartetSubgraph"),
+    "marking": (
+        "generate_duplicate_free_graph", "mark_quartet", "mixed_triangles",
+        "unresolved_mixed_triangles",
+    ),
+    "policies": (
+        "AgreementPolicy", "DiffPolicy", "LPiBPolicy", "UniformPolicy",
+        "instantiate_pair_types",
+    ),
+})

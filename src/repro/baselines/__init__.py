@@ -6,16 +6,11 @@ adds the spatial index substrates and the Sedona-like three-phase join
 (QuadTree partitioning, per-partition R-tree indexing, index probing).
 """
 
-from repro.baselines.rtree import RTree
-from repro.baselines.rtree_join import SamjConfig, rtree_samj_join
-from repro.baselines.quadtree import QuadTreePartitioner
-from repro.baselines.sedona_like import SedonaConfig, sedona_join
+from repro._lazy import _lazy_exports
 
-__all__ = [
-    "QuadTreePartitioner",
-    "RTree",
-    "SamjConfig",
-    "SedonaConfig",
-    "rtree_samj_join",
-    "sedona_join",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "quadtree": ("QuadTreePartitioner",),
+    "rtree": ("RTree",),
+    "rtree_join": ("SamjConfig", "rtree_samj_join"),
+    "sedona_like": ("SedonaConfig", "sedona_join"),
+})

@@ -6,23 +6,12 @@ series of one artifact from the paper's Sect. 7 at laptop scale.  The
 also written as text reports under ``benchmarks/results/``.
 """
 
-from repro.bench.harness import BenchScale, DatasetCache, run_grid_method, run_method
-from repro.bench.report import (
-    format_series,
-    format_table,
-    series_to_csv,
-    write_csv,
-    write_report,
-)
+from repro._lazy import _lazy_exports
 
-__all__ = [
-    "BenchScale",
-    "DatasetCache",
-    "format_series",
-    "format_table",
-    "run_grid_method",
-    "run_method",
-    "series_to_csv",
-    "write_csv",
-    "write_report",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "harness": ("BenchScale", "DatasetCache", "run_grid_method", "run_method"),
+    "report": (
+        "format_series", "format_table", "series_to_csv", "write_csv",
+        "write_report",
+    ),
+})

@@ -27,7 +27,6 @@ import argparse
 import os
 import sys
 
-from repro.bench.harness import BenchScale
 from repro.data.datasets import DEFAULT_BASE_N, load_dataset
 from repro.data.io import read_points_text, write_points_text
 from repro.engine.blockstore import SPILL_TIERS
@@ -471,6 +470,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     # imported lazily: pulls in the whole bench stack
     from repro.bench.experiments import ExperimentContext
+    from repro.bench.harness import BenchScale
     from repro.bench.registry import available_experiments, run_experiment
 
     if args.list:
@@ -535,6 +535,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     import time
 
     from repro.bench.experiments import ExperimentContext
+    from repro.bench.harness import BenchScale
     from repro.bench.registry import available_experiments, run_experiment
 
     scale = BenchScale(base_n=args.base_n, quick=args.quick)
@@ -1011,8 +1012,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--only", nargs="*", help="experiment ids to include")
     rep.set_defaults(fn=_cmd_report)
 
-    from repro.serving.server import SERVING_BACKENDS
-
     serve = sub.add_parser(
         "serve",
         help="start the resident join server (see docs/SERVING.md)",
@@ -1026,7 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "a unix socket")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address for --port (default 127.0.0.1)")
-    serve.add_argument("--backend", choices=SERVING_BACKENDS,
+    serve.add_argument("--backend", choices=BACKENDS,
                        default="serial",
                        help="execution backend every query runs on "
                             "(cluster forks a daemon fleet per query; its "

@@ -8,19 +8,11 @@ statistics alone -- i.e. *before* running the join -- plus a method
 recommender built on top.
 """
 
-from repro.core.cost_model import (
-    AnalyticalCostModel,
-    CostPrediction,
-    predict_join,
-    recommend_method,
-)
-from repro.core.tuning import TuningResult, tune_join
+from repro._lazy import _lazy_exports
 
-__all__ = [
-    "AnalyticalCostModel",
-    "CostPrediction",
-    "TuningResult",
-    "predict_join",
-    "recommend_method",
-    "tune_join",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "cost_model": (
+        "AnalyticalCostModel", "CostPrediction", "predict_join", "recommend_method",
+    ),
+    "tuning": ("TuningResult", "tune_join"),
+})

@@ -48,8 +48,8 @@ from repro.grid.statistics import GridStatistics
 
 
 #: Local-join kernels the model can price (mirrors
-#: ``repro.joins.local.LOCAL_KERNELS``; kept as data so the model layer
-#: never imports the join layer).
+#: ``repro.joins.local.LOCAL_KERNELS``; kept as data so importing the
+#: model does not import the join layer).
 PRICEABLE_KERNELS = ("plane_sweep", "grid_hash", "rtree", "nested_loop")
 
 #: Leaf capacity of the STR R-tree kernel (``repro.baselines.rtree``).
@@ -359,17 +359,19 @@ def _build_models(r, s, eps, sample_rate, num_workers, seed):
     import numpy as np
 
     from repro.data.sampling import bernoulli_sample
-    from repro.verify.oracle import kdtree_pairs
+    from repro.joins.local import grid_hash_join
 
     mbr = r.mbr().union(s.mbr())
     r_sample = bernoulli_sample(r, sample_rate, seed)
     s_sample = bernoulli_sample(s, sample_rate, seed + 1)
 
-    # sample-join estimator of the result cardinality
+    # sample-join estimator of the result cardinality: the two samples
+    # joined as one cell by the production kernel (the exact predicate)
     sample_results = len(
-        kdtree_pairs(
-            list(r_sample.iter_triples()), list(s_sample.iter_triples()), eps
-        )
+        grid_hash_join(
+            r_sample.ids, r_sample.xs, r_sample.ys,
+            s_sample.ids, s_sample.xs, s_sample.ys, eps,
+        )[0]
     )
 
     # split each sample into decision and counting halves

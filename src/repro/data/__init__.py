@@ -1,26 +1,13 @@
 """Data sets: point collections, generators, sampling and text IO."""
 
-from repro.data.pointset import PointSet
-from repro.data.generators import gaussian_clusters, real_like, uniform
-from repro.data.datasets import (
-    TUPLE_SIZE_FACTORS,
-    DatasetSpec,
-    load_dataset,
-    paper_datasets,
-)
-from repro.data.sampling import bernoulli_sample
-from repro.data.io import read_points_text, write_points_text
+from repro._lazy import _lazy_exports
 
-__all__ = [
-    "DatasetSpec",
-    "PointSet",
-    "TUPLE_SIZE_FACTORS",
-    "bernoulli_sample",
-    "gaussian_clusters",
-    "load_dataset",
-    "paper_datasets",
-    "read_points_text",
-    "real_like",
-    "uniform",
-    "write_points_text",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "datasets": (
+        "TUPLE_SIZE_FACTORS", "DatasetSpec", "load_dataset", "paper_datasets",
+    ),
+    "generators": ("gaussian_clusters", "real_like", "uniform"),
+    "io": ("read_points_text", "write_points_text"),
+    "pointset": ("PointSet",),
+    "sampling": ("bernoulli_sample",),
+})

@@ -19,23 +19,28 @@ def write_points_text(points: PointSet, path: str) -> None:
             f.write(f"{int(pid)},{float(x)!r},{float(y)!r}\n")
 
 
+#: One ``id,x,y`` line as a record.
+_RECORD = np.dtype([("id", np.int64), ("x", np.float64), ("y", np.float64)])
+
+
+def _read_records(path: str) -> np.ndarray:
+    """The ``id,x,y`` lines of one file as records, parsed by numpy's C reader.
+
+    Blank lines are skipped; a malformed line raises ``ValueError``.
+    """
+    with open(path) as f:
+        lines = [line for line in f if not line.isspace()]
+    if not lines:  # loadtxt warns about input without data
+        return np.empty(0, dtype=_RECORD)
+    return np.loadtxt(lines, delimiter=",", dtype=_RECORD, comments=None, ndmin=1)
+
+
 def read_points_text(
     path: str, payload_bytes: int = 0, name: str = ""
 ) -> PointSet:
     """Read a point set written by :func:`write_points_text`."""
-    ids, xs, ys = [], [], []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            pid, x, y = line.split(",")
-            ids.append(int(pid))
-            xs.append(float(x))
-            ys.append(float(y))
-    return PointSet(
-        np.asarray(xs), np.asarray(ys), np.asarray(ids), payload_bytes, name
-    )
+    rows = _read_records(path)
+    return PointSet(rows["x"], rows["y"], rows["id"], payload_bytes, name)
 
 
 def parse_point_line(line: str) -> tuple[int, float, float]:
@@ -75,23 +80,9 @@ def read_points_text_parts(directory: str, payload_bytes: int = 0, name: str = "
     """Read a directory of part files back into a :class:`PointSet`."""
     import os
 
-    ids, xs, ys = [], [], []
-    for entry in sorted(os.listdir(directory)):
-        if not entry.startswith("part-"):
-            continue
-        with open(os.path.join(directory, entry)) as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                pid, x, y = line.split(",")
-                ids.append(int(pid))
-                xs.append(float(x))
-                ys.append(float(y))
-    return PointSet(
-        np.asarray(xs, dtype=float),
-        np.asarray(ys, dtype=float),
-        np.asarray(ids, dtype=np.int64),
-        payload_bytes,
-        name,
-    )
+    rows = np.concatenate([np.empty(0, dtype=_RECORD)] + [
+        _read_records(os.path.join(directory, entry))
+        for entry in sorted(os.listdir(directory))
+        if entry.startswith("part-")
+    ])
+    return PointSet(rows["x"], rows["y"], rows["id"], payload_bytes, name)

@@ -8,94 +8,30 @@ LPT), and a per-worker cost model that yields a makespan -- the modelled
 execution time used by the benchmark figures.
 """
 
-from repro.engine.blockstore import (
-    SPILL_TIERS,
-    BlockId,
-    BlockMeta,
-    BlockStore,
-    CellCheckpoint,
-    CheckpointManager,
-    SpillConfig,
-)
-from repro.engine.cluster import SimCluster, Worker
-from repro.engine.executor import (
-    BACKENDS,
-    ExecutionPlan,
-    ExecutionReport,
-    RetryPolicy,
-    build_execution_plan,
-    execute_plan,
-)
-from repro.engine.faults import (
-    FAULT_KINDS,
-    FaultClause,
-    FaultEvent,
-    FaultPlan,
-    InjectedKernelError,
-    InjectedWorkerKill,
-    RetryBudgetExhausted,
-    ShuffleFetchError,
-)
-from repro.engine.metrics import CostModel, JoinMetrics, PhaseTimer
-from repro.engine.partitioner import (
-    ExplicitPartitioner,
-    HashPartitioner,
-    Partitioner,
-)
-from repro.engine.lpt import lpt_assignment
-from repro.engine.shuffle import ShuffleStats
-from repro.engine.rdd import SimPairRDD, SimRDD
-from repro.engine.telemetry import (
-    LOG_LEVELS,
-    TRACE_FORMATS,
-    MetricsRegistry,
-    RunReport,
-    Span,
-    Telemetry,
-    Tracer,
-    write_trace,
-)
+from repro._lazy import _lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "BlockId",
-    "BlockMeta",
-    "BlockStore",
-    "CellCheckpoint",
-    "CheckpointManager",
-    "CostModel",
-    "ExecutionPlan",
-    "ExecutionReport",
-    "ExplicitPartitioner",
-    "FAULT_KINDS",
-    "FaultClause",
-    "FaultEvent",
-    "FaultPlan",
-    "HashPartitioner",
-    "InjectedKernelError",
-    "InjectedWorkerKill",
-    "JoinMetrics",
-    "LOG_LEVELS",
-    "MetricsRegistry",
-    "Partitioner",
-    "PhaseTimer",
-    "RetryBudgetExhausted",
-    "RetryPolicy",
-    "RunReport",
-    "SPILL_TIERS",
-    "ShuffleFetchError",
-    "ShuffleStats",
-    "Span",
-    "SpillConfig",
-    "SimCluster",
-    "SimPairRDD",
-    "SimRDD",
-    "TRACE_FORMATS",
-    "Telemetry",
-    "Tracer",
-    "Worker",
-    "write_trace",
-    "build_execution_plan",
-    "execute_plan",
-    "lpt_assignment",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "blockstore": (
+        "SPILL_TIERS", "BlockId", "BlockMeta", "BlockStore", "CellCheckpoint",
+        "CheckpointManager", "SpillConfig",
+    ),
+    "cluster": ("SimCluster", "Worker"),
+    "executor": (
+        "BACKENDS", "ExecutionPlan", "ExecutionReport", "RetryPolicy",
+        "build_execution_plan", "execute_plan",
+    ),
+    "faults": (
+        "FAULT_KINDS", "FaultClause", "FaultEvent", "FaultPlan",
+        "InjectedKernelError", "InjectedWorkerKill", "RetryBudgetExhausted",
+        "ShuffleFetchError",
+    ),
+    "lpt": ("lpt_assignment",),
+    "metrics": ("CostModel", "JoinMetrics", "PhaseTimer"),
+    "partitioner": ("ExplicitPartitioner", "HashPartitioner", "Partitioner"),
+    "rdd": ("SimPairRDD", "SimRDD"),
+    "shuffle": ("ShuffleStats",),
+    "telemetry": (
+        "LOG_LEVELS", "TRACE_FORMATS", "MetricsRegistry", "RunReport", "Span",
+        "Telemetry", "Tracer", "write_trace",
+    ),
+})

@@ -17,23 +17,12 @@ the reproduction the same storage substrate:
 See ``docs/STORAGE.md`` for the block layout and the recovery flow.
 """
 
-from repro.engine.blockstore.checkpoint import CellCheckpoint, CheckpointManager
-from repro.engine.blockstore.store import (
-    SPILL_TIERS,
-    BlockId,
-    BlockLost,
-    BlockMeta,
-    BlockStore,
-    SpillConfig,
-)
+from repro._lazy import _lazy_exports
 
-__all__ = [
-    "SPILL_TIERS",
-    "BlockId",
-    "BlockLost",
-    "BlockMeta",
-    "BlockStore",
-    "CellCheckpoint",
-    "CheckpointManager",
-    "SpillConfig",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "checkpoint": ("CellCheckpoint", "CheckpointManager"),
+    "store": (
+        "SPILL_TIERS", "BlockId", "BlockLost", "BlockMeta", "BlockStore",
+        "SpillConfig",
+    ),
+})

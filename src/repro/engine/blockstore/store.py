@@ -28,16 +28,11 @@ retry budget.  The store is a context manager.
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
 
-import zipfile
-
 import numpy as np
 
-from repro.engine.hygiene import write_owner_marker
 from repro.engine.telemetry import get_logger
 
 #: Spill tiers accepted by :class:`SpillConfig` (``none`` disables the store).
@@ -191,6 +186,12 @@ class BlockStore:
         via the standard :mod:`logging` tree.
         """
         if self._dir is None:
+            # the spill tier's own imports: a job without a store never
+            # pays for them (SpillConfig lives in this module too)
+            import tempfile
+
+            from repro.engine.hygiene import write_owner_marker
+
             if self._user_dir is not None:
                 try:
                     if not os.path.isdir(self._user_dir):
@@ -302,6 +303,8 @@ class BlockStore:
             self.fetched_bytes += meta.bytes
             return meta, self._mem[block_id]
         if meta.location == "disk":
+            import zipfile  # np.load imports it for an .npz anyway
+
             path = os.path.join(self._directory(), block_id.filename())
             try:
                 with np.load(path) as payload:
@@ -376,6 +379,8 @@ class BlockStore:
         self, block_id: BlockId, arrays: dict[str, np.ndarray], meta: BlockMeta
     ) -> None:
         """Atomically persist one block: temp file then ``os.replace``."""
+        import tempfile
+
         directory = self._directory()
         path = os.path.join(directory, block_id.filename())
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -431,6 +436,8 @@ class BlockStore:
                 pass
         self._files.clear()
         if self._dir is not None and self._owns_dir:
+            import shutil
+
             shutil.rmtree(self._dir, ignore_errors=True)
         elif self._dir is not None:
             # sweep leftover temp files from writes aborted mid-spill

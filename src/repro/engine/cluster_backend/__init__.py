@@ -8,26 +8,12 @@ membership, and bounded respawn.  Entered through the executor's
 See ``docs/CLUSTER.md``.
 """
 
-from repro.engine.cluster_backend.coordinator import (
-    ClusterConfig,
-    ClusterService,
-    ClusterUnavailable,
-    DaemonLost,
-    RemoteTaskError,
-    run_cluster_tier,
-)
-from repro.engine.cluster_backend.protocol import (
-    BlockUnavailable,
-    ConnectionClosed,
-)
+from repro._lazy import _lazy_exports
 
-__all__ = [
-    "BlockUnavailable",
-    "ClusterConfig",
-    "ClusterService",
-    "ClusterUnavailable",
-    "ConnectionClosed",
-    "DaemonLost",
-    "RemoteTaskError",
-    "run_cluster_tier",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "coordinator": (
+        "ClusterConfig", "ClusterService", "ClusterUnavailable", "DaemonLost",
+        "RemoteTaskError", "run_cluster_tier",
+    ),
+    "protocol": ("BlockUnavailable", "ConnectionClosed"),
+})

@@ -64,7 +64,6 @@ import itertools
 import os
 import time
 from collections import defaultdict
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -1074,6 +1073,10 @@ def _pool_tier(
     backoff expires, replacing a broken process pool, and launching
     speculative copies of stragglers.
     """
+    # the pools are imported with the first pooled tier: a serial run
+    # loads no concurrent.futures, and only ``processes`` the process pool
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+
     broken_types: tuple[type[BaseException], ...] = ()
     if backend == "processes":
         from concurrent.futures.process import BrokenProcessPool

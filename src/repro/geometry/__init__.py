@@ -1,32 +1,13 @@
 """Geometric primitives: points, rectangles, and distance predicates."""
 
-from repro.geometry.point import Side, SpatialPoint
-from repro.geometry.mbr import MBR
-from repro.geometry.distance import (
-    euclidean,
-    euclidean_sq,
-    mindist_point_rect,
-    within_eps,
-)
-from repro.geometry.objects import (
-    BoxObject,
-    PolygonObject,
-    PolylineObject,
-    SpatialObject,
-    objects_intersect,
-)
+from repro._lazy import _lazy_exports
 
-__all__ = [
-    "BoxObject",
-    "MBR",
-    "PolygonObject",
-    "PolylineObject",
-    "Side",
-    "SpatialObject",
-    "SpatialPoint",
-    "euclidean",
-    "euclidean_sq",
-    "mindist_point_rect",
-    "objects_intersect",
-    "within_eps",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "distance": ("euclidean", "euclidean_sq", "mindist_point_rect", "within_eps"),
+    "mbr": ("MBR",),
+    "objects": (
+        "BoxObject", "PolygonObject", "PolylineObject", "SpatialObject",
+        "objects_intersect",
+    ),
+    "point": ("Side", "SpatialPoint"),
+})

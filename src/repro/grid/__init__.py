@@ -1,13 +1,9 @@
 """Regular-grid space partitioning (Sect. 4.1 of the paper)."""
 
-from repro.grid.grid import Grid
-from repro.grid.areas import AreaKind, AreaInfo, classify_point
-from repro.grid.statistics import GridStatistics
+from repro._lazy import _lazy_exports
 
-__all__ = [
-    "AreaInfo",
-    "AreaKind",
-    "Grid",
-    "GridStatistics",
-    "classify_point",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "areas": ("AreaInfo", "AreaKind", "classify_point"),
+    "grid": ("Grid",),
+    "statistics": ("GridStatistics",),
+})

@@ -1,40 +1,23 @@
 """Parallel epsilon-distance join drivers and local join kernels."""
 
-from repro.joins.local import (
-    LOCAL_KERNELS,
-    grid_hash_join,
-    nested_loop_join,
-    plane_sweep_join,
-)
-from repro.joins.distance_join import JoinConfig, JoinResult, distance_join
-from repro.joins.object_join import (
-    ObjectJoinConfig,
-    ObjectJoinResult,
-    ObjectSet,
-    object_distance_join,
-    object_intersection_join,
-)
-from repro.joins.postprocess import post_process_attributes
-from repro.joins.queries import QueryResult, closest_pairs, knn_join, self_join
-from repro.joins.api import spatial_join
+from repro._lazy import _lazy_exports
 
-__all__ = [
-    "JoinConfig",
-    "JoinResult",
-    "LOCAL_KERNELS",
-    "ObjectJoinConfig",
-    "ObjectJoinResult",
-    "ObjectSet",
-    "distance_join",
-    "grid_hash_join",
-    "nested_loop_join",
-    "object_distance_join",
-    "object_intersection_join",
-    "QueryResult",
-    "closest_pairs",
-    "knn_join",
-    "plane_sweep_join",
-    "post_process_attributes",
-    "self_join",
-    "spatial_join",
-]
+# importing any join module registers the point kernels with the engine
+from repro.joins import local as _local  # noqa: F401
+# eager: the function shadows its own submodule, which a lazy name cannot
+from repro.joins.distance_join import distance_join
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "api": ("spatial_join",),
+    "distance_join": ("JoinConfig", "JoinResult"),
+    "local": (
+        "LOCAL_KERNELS", "grid_hash_join", "nested_loop_join", "plane_sweep_join",
+    ),
+    "object_join": (
+        "ObjectJoinConfig", "ObjectJoinResult", "ObjectSet",
+        "object_distance_join", "object_intersection_join",
+    ),
+    "postprocess": ("post_process_attributes",),
+    "queries": ("QueryResult", "closest_pairs", "knn_join", "self_join"),
+})
+__all__.append("distance_join")

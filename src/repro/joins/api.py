@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.sedona_like import SedonaConfig, sedona_join
 from repro.data.pointset import PointSet
 from repro.engine.metrics import JoinMetrics
 from repro.joins.distance_join import (
@@ -20,7 +19,6 @@ from repro.joins.distance_join import (
     JoinResult,
     distance_join,
 )
-from repro.verify.oracle import kdtree_pairs
 
 #: Every join method accepted by :func:`spatial_join`.
 ALL_METHODS = (*GRID_METHODS, "sedona", "naive")
@@ -63,6 +61,8 @@ def spatial_join(
     if method in GRID_METHODS:
         return distance_join(r, s, JoinConfig(eps=eps, method=method, **options))
     if method == "sedona":
+        from repro.baselines.sedona_like import SedonaConfig, sedona_join
+
         return sedona_join(r, s, SedonaConfig(eps=eps, **options))
     if method == "naive":
         return _naive_join(r, s, eps)
@@ -71,6 +71,8 @@ def spatial_join(
 
 def _naive_join(r: PointSet, s: PointSet, eps: float) -> JoinResult:
     """Centralized KD-tree join: the ground-truth reference method."""
+    from repro.verify.oracle import kdtree_pairs
+
     pairs = sorted(kdtree_pairs(list(r.iter_triples()), list(s.iter_triples()), eps))
     r_ids = np.asarray([p[0] for p in pairs], dtype=np.int64)
     s_ids = np.asarray([p[1] for p in pairs], dtype=np.int64)

@@ -59,13 +59,7 @@ from repro.agreements.policies import (
     LPiBPolicy,
     instantiate_pair_types,
 )
-from repro.engine.blockstore import (
-    BlockId,
-    BlockLost,
-    BlockStore,
-    CheckpointManager,
-    SpillConfig,
-)
+from repro.engine.blockstore import BlockId, BlockLost, BlockStore, SpillConfig
 from repro.engine.cluster import SALVAGE_PHASE, SimCluster
 from repro.engine.executor import (
     BACKENDS,
@@ -304,6 +298,8 @@ def make_context(
         )
         try:
             if spill_cfg.checkpoint_cells:
+                from repro.engine.blockstore import CheckpointManager
+
                 ckpt_dir = (
                     os.path.join(spill_cfg.spill_dir, "checkpoints")
                     if spill_cfg.spill_dir is not None

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.data.pointset import PointSet
 from repro.joins.distance_join import JoinConfig, distance_join
@@ -66,6 +65,8 @@ def _estimate_knn_radius(r: PointSet, s: PointSet, k: int, seed: int) -> float:
     ``phi``-sample sits near the ``k / phi``-th in the full set, so the
     sampled distance overestimates the true k-NN radius -- a safe start.
     """
+    from scipy.spatial import cKDTree
+
     rng = np.random.default_rng(seed)
     s_n = min(len(s), 2000)
     r_n = min(len(r), 200)

@@ -32,26 +32,14 @@ never changes a join's answer; the enabled overhead is perfsmoke-guarded
 under 2% and measured by ``benchmarks/bench_obs_overhead.py``.
 """
 
-from repro.obs.exporter import (
-    MetricSpec,
-    MetricsExporter,
-    PrometheusEndpoint,
-    UNIT_SUFFIXES,
-    validate_metric_name,
-)
-from repro.obs.history import RunHistory
-from repro.obs.slo import SLOConfig, SLOWatchdog
-from repro.obs.top import TopDashboard, render_stats
+from repro._lazy import _lazy_exports
 
-__all__ = [
-    "MetricSpec",
-    "MetricsExporter",
-    "PrometheusEndpoint",
-    "RunHistory",
-    "SLOConfig",
-    "SLOWatchdog",
-    "TopDashboard",
-    "UNIT_SUFFIXES",
-    "render_stats",
-    "validate_metric_name",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "exporter": (
+        "MetricSpec", "MetricsExporter", "PrometheusEndpoint", "UNIT_SUFFIXES",
+        "validate_metric_name",
+    ),
+    "history": ("RunHistory",),
+    "slo": ("SLOConfig", "SLOWatchdog"),
+    "top": ("TopDashboard", "render_stats"),
+})

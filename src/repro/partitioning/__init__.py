@@ -11,10 +11,8 @@ The generalized join that runs on these partitions lives in
 :mod:`repro.joins.generalized_join`.
 """
 
-from repro.partitioning.rect_partition import (
-    GridRectPartition,
-    QuadtreeRectPartition,
-    RectPartition,
-)
+from repro._lazy import _lazy_exports
 
-__all__ = ["GridRectPartition", "QuadtreeRectPartition", "RectPartition"]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "rect_partition": ("GridRectPartition", "QuadtreeRectPartition", "RectPartition"),
+})

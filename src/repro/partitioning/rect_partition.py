@@ -17,7 +17,6 @@ from __future__ import annotations
 import abc
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.geometry.mbr import MBR
 from repro.grid.grid import Grid
@@ -33,7 +32,7 @@ class RectPartition(abc.ABC):
         self.eps = eps
         self.leaves: list[MBR] = []
         self._adjacency: dict[int, list[int]] | None = None
-        self._corner_tree: cKDTree | None = None
+        self._corner_tree = None
         self._corners: np.ndarray | None = None
 
     # -- to be provided by subclasses ----------------------------------
@@ -114,23 +113,27 @@ class RectPartition(abc.ABC):
             )
         return self._corners
 
+    def _tree(self, corners: np.ndarray):
+        """The KD-tree over the hazard corners, built on first use."""
+        if self._corner_tree is None:
+            from scipy.spatial import cKDTree
+
+            self._corner_tree = cKDTree(corners)
+        return self._corner_tree
+
     def corner_distance(self, x: float, y: float) -> float:
         """Distance to the nearest hazard corner (inf if none exist)."""
         corners = self.hazard_corners()
         if len(corners) == 0:
             return float("inf")
-        if self._corner_tree is None:
-            self._corner_tree = cKDTree(corners)
-        return float(self._corner_tree.query([x, y])[0])
+        return float(self._tree(corners).query([x, y])[0])
 
     def corner_distances(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`corner_distance`."""
         corners = self.hazard_corners()
         if len(corners) == 0:
             return np.full(len(xs), np.inf)
-        if self._corner_tree is None:
-            self._corner_tree = cKDTree(corners)
-        return self._corner_tree.query(np.column_stack([xs, ys]))[0]
+        return self._tree(corners).query(np.column_stack([xs, ys]))[0]
 
     def targets_within_eps(self, x: float, y: float, native: int) -> list[int]:
         """Touching leaves within ``eps`` of a point of the native leaf."""

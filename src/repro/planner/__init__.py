@@ -28,58 +28,21 @@ live in :mod:`repro.joins.plan` -- the drivers build plans without
 importing upward -- and are re-exported here as the public surface.
 """
 
-from repro.planner.accuracy import (
-    ClockError,
-    clock_errors_from_metrics,
-    clock_errors_from_report,
-    replay_reports,
-    summarize_errors,
-)
-from repro.planner.logical import JoinSpec
-from repro.planner.physical import (
-    STAGE_BUILDERS,
-    PhysicalPlan,
-    PlanInputs,
-    PlanNode,
-    distance_plan,
-    generalized_plan,
-    object_plan,
-    spark_style_plan,
-)
-from repro.planner.planner import (
-    DEFAULT_FACTORS,
-    DEFAULT_KERNELS,
-    DEFAULT_METHODS,
-    DEFAULT_WORKER_CANDIDATES,
-    Candidate,
-    PlanCache,
-    PlannedJoin,
-    eps_bucket,
-    plan_join,
-)
+from repro._lazy import _lazy_exports
 
-__all__ = [
-    "JoinSpec",
-    "PhysicalPlan",
-    "PlanNode",
-    "PlanInputs",
-    "STAGE_BUILDERS",
-    "distance_plan",
-    "object_plan",
-    "generalized_plan",
-    "spark_style_plan",
-    "Candidate",
-    "PlannedJoin",
-    "PlanCache",
-    "plan_join",
-    "eps_bucket",
-    "DEFAULT_METHODS",
-    "DEFAULT_FACTORS",
-    "DEFAULT_KERNELS",
-    "DEFAULT_WORKER_CANDIDATES",
-    "ClockError",
-    "clock_errors_from_metrics",
-    "clock_errors_from_report",
-    "replay_reports",
-    "summarize_errors",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "accuracy": (
+        "ClockError", "clock_errors_from_metrics", "clock_errors_from_report",
+        "replay_reports", "summarize_errors",
+    ),
+    "logical": ("JoinSpec",),
+    "physical": (
+        "STAGE_BUILDERS", "PhysicalPlan", "PlanInputs", "PlanNode",
+        "distance_plan", "generalized_plan", "object_plan", "spark_style_plan",
+    ),
+    "planner": (
+        "DEFAULT_FACTORS", "DEFAULT_KERNELS", "DEFAULT_METHODS",
+        "DEFAULT_WORKER_CANDIDATES", "Candidate", "PlanCache", "PlannedJoin",
+        "eps_bucket", "plan_join",
+    ),
+})

@@ -1,13 +1,8 @@
 """Point-to-cell assignment with adaptive or universal replication."""
 
-from repro.replication.assign import AdaptiveAssigner, Assigner, medupar, supar
-from repro.replication.pbsm import UniversalAssigner, replication_targets_universal
+from repro._lazy import _lazy_exports
 
-__all__ = [
-    "AdaptiveAssigner",
-    "Assigner",
-    "UniversalAssigner",
-    "medupar",
-    "replication_targets_universal",
-    "supar",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "assign": ("AdaptiveAssigner", "Assigner", "medupar", "supar"),
+    "pbsm": ("UniversalAssigner", "replication_targets_universal"),
+})

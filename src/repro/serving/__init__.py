@@ -7,42 +7,14 @@ newline-JSON protocol, the asyncio server, and a synchronous client.
 See ``docs/SERVING.md`` for the tour.
 """
 
-from repro.serving.admission import AdmissionController, QueryRejected
-from repro.serving.cache import ArtifactCache, CacheStats, estimate_nbytes
-from repro.serving.client import JoinClient, ServerError, connect
-from repro.serving.fingerprint import (
-    dataset_fingerprint,
-    grid_partition_key,
-    query_key,
-)
-from repro.serving.protocol import MAX_LINE_BYTES, OPS, ProtocolError
-from repro.serving.registry import DatasetRegistry, RegisteredDataset
-from repro.serving.server import (
-    JoinServer,
-    ServerConfig,
-    ServerHandle,
-    start_in_thread,
-)
+from repro._lazy import _lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "ArtifactCache",
-    "CacheStats",
-    "DatasetRegistry",
-    "JoinClient",
-    "JoinServer",
-    "MAX_LINE_BYTES",
-    "OPS",
-    "ProtocolError",
-    "QueryRejected",
-    "RegisteredDataset",
-    "ServerConfig",
-    "ServerError",
-    "ServerHandle",
-    "connect",
-    "dataset_fingerprint",
-    "estimate_nbytes",
-    "grid_partition_key",
-    "query_key",
-    "start_in_thread",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "admission": ("AdmissionController", "QueryRejected"),
+    "cache": ("ArtifactCache", "CacheStats", "estimate_nbytes"),
+    "client": ("JoinClient", "ServerError", "connect"),
+    "fingerprint": ("dataset_fingerprint", "grid_partition_key", "query_key"),
+    "protocol": ("MAX_LINE_BYTES", "OPS", "ProtocolError"),
+    "registry": ("DatasetRegistry", "RegisteredDataset"),
+    "server": ("JoinServer", "ServerConfig", "ServerHandle", "start_in_thread"),
+})

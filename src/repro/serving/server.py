@@ -92,14 +92,6 @@ from repro.serving.registry import CODENAMES, DatasetRegistry
 
 __all__ = ["JoinServer", "ServerConfig", "ServerHandle", "start_in_thread"]
 
-#: Execution backends a resident server may run queries on.  ``cluster``
-#: spawns a per-query daemon fleet rather than drawing on a resident
-#: pool (long-lived daemons are a ROADMAP rung), but serving it matters
-#: for observability: daemon health flows into the stats op, the
-#: Prometheus exporter and ``repro top``.  Fault injection still belongs
-#: to one-shot runs (``faults`` stays a rejected one-shot field).
-SERVING_BACKENDS = ("serial", "threads", "processes", "cluster")
-
 #: Phases whose |relative clock error| the server aggregates into
 #: histograms (``serve.plan_abs_rel_error.<phase>``) for the stats op
 #: and the exporter's ``repro_planner_clock_error_ratio`` family.
@@ -171,7 +163,13 @@ class ServerConfig:
     #: Admission control: concurrent executing queries / waiting queries.
     max_inflight: int = 2
     max_queue: int = 16
-    #: Execution backend queries run on (:data:`SERVING_BACKENDS`).
+    #: Execution backend queries run on: any of the executor's
+    #: ``BACKENDS``.  ``cluster`` spawns a per-query daemon fleet rather
+    #: than drawing on a resident pool (long-lived daemons are a ROADMAP
+    #: rung), but serving it matters for observability: daemon health
+    #: flows into the stats op, the Prometheus exporter and ``repro top``.
+    #: Fault injection still belongs to one-shot runs (``faults`` stays a
+    #: rejected one-shot field).
     backend: str = "serial"
     #: OS-level worker cap for the parallel backends.
     executor_workers: int | None = None
@@ -206,9 +204,9 @@ class ServerConfig:
             raise ValueError("socket_path and port are mutually exclusive")
         if self.port is not None and not (1 <= self.port <= 65535):
             raise ValueError(f"port must be in [1, 65535], got {self.port}")
-        if self.backend not in SERVING_BACKENDS:
+        if self.backend not in executor_mod.BACKENDS:
             raise ValueError(
-                f"serving backend must be one of {SERVING_BACKENDS}, "
+                f"serving backend must be one of {executor_mod.BACKENDS}, "
                 f"got {self.backend!r}"
             )
         if self.metrics_port is not None and not (

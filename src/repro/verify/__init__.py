@@ -1,20 +1,11 @@
 """Ground-truth joins and assignment verification utilities."""
 
-from repro.verify.oracle import (
-    VerificationResult,
-    assignment_join_pairs,
-    brute_force_pairs,
-    kdtree_pairs,
-    verify_assignment,
-)
-from repro.verify.invariants import ResultValidation, validate_join_result
+from repro._lazy import _lazy_exports
 
-__all__ = [
-    "ResultValidation",
-    "VerificationResult",
-    "assignment_join_pairs",
-    "brute_force_pairs",
-    "kdtree_pairs",
-    "validate_join_result",
-    "verify_assignment",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "invariants": ("ResultValidation", "validate_join_result"),
+    "oracle": (
+        "VerificationResult", "assignment_join_pairs", "brute_force_pairs",
+        "kdtree_pairs", "verify_assignment",
+    ),
+})

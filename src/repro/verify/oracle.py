@@ -17,8 +17,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from scipy.spatial import cKDTree
-
 from repro.geometry.distance import euclidean_sq
 
 PointTriple = tuple[int, float, float]
@@ -43,6 +41,8 @@ def kdtree_pairs(
     """All ``(rid, sid)`` pairs within ``eps``, via KD-trees (fast oracle)."""
     if not r_pts or not s_pts:
         return set()
+    from scipy.spatial import cKDTree
+
     r_ids = [p[0] for p in r_pts]
     s_ids = [p[0] for p in s_pts]
     tree_r = cKDTree([(p[1], p[2]) for p in r_pts])

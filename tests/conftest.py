@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import os
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -124,3 +127,29 @@ def small_clusters():
     r = gaussian_clusters(1500, seed=11, name="R")
     s = gaussian_clusters(1500, seed=22, name="S")
     return r, s
+
+
+SRC_ROOT = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+)
+
+
+@pytest.fixture
+def fresh_python():
+    """``run(code, cwd=None) -> stdout``: ``code`` in a fresh interpreter.
+
+    The checkout's ``src/`` is on the child's path; a non-zero exit fails
+    the test with the child's stderr.  For what a process imports and how
+    long that takes, which the test process itself cannot show.
+    """
+
+    def run(code: str, cwd: str | None = None) -> str:
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": SRC_ROOT}, cwd=cwd,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        return done.stdout
+
+    return run

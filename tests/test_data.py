@@ -187,6 +187,62 @@ class TestIO:
         path.write_text("1,0.5,0.5\n\n2,0.25,0.75\n")
         assert len(read_points_text(str(path))) == 2
 
+    def test_round_trip_is_exact(self, tmp_path):
+        """Every float64 and int64 survives write -> read bit for bit."""
+        xs = np.array([5e-324, 2.2250738585072014e-308, -0.0, 0.1 + 0.2,
+                       0.12345678901234566, 1.7976931348623157e308, 1e-5, 3.0])
+        ys = xs[::-1].copy()
+        ids = np.array([0, -7, 2**31, 2**31 + 1, 2**40, 2**63 - 1, 5, 5])
+        path = str(tmp_path / "pts.txt")
+        write_points_text(PointSet(xs, ys, ids), path)
+        back = read_points_text(path, payload_bytes=8, name="exact")
+        assert back.ids.dtype == np.int64 and np.array_equal(back.ids, ids)
+        # compared as bit patterns: -0.0 == 0.0 would pass an array_equal
+        assert np.array_equal(back.xs.view(np.int64), xs.view(np.int64))
+        assert np.array_equal(back.ys.view(np.int64), ys.view(np.int64))
+        assert (back.payload_bytes, back.name) == (8, "exact")
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "  \n"])
+    def test_file_without_points(self, tmp_path, recwarn, text):
+        path = tmp_path / "pts.txt"
+        path.write_text(text)
+        back = read_points_text(str(path))
+        assert len(back) == 0 and back.ids.dtype == np.int64
+        assert not recwarn.list
+
+    def test_single_line_without_newline(self, tmp_path):
+        path = tmp_path / "pts.txt"
+        path.write_text("7,0.5,0.25")
+        back = read_points_text(str(path))
+        assert (back.ids.tolist(), back.xs.tolist(), back.ys.tolist()) == (
+            [7], [0.5], [0.25]
+        )
+
+    @pytest.mark.parametrize(
+        "line", ["1,0.5", "1,0.5,0.5,0.5", "x,0.5,0.5", "1.5,0.5,0.5",
+                 "1,zero,0.5", "# 1,0.5,0.5", "1,nan,0.5"],
+    )
+    def test_malformed_line_raises(self, tmp_path, line):
+        path = tmp_path / "pts.txt"
+        path.write_text(f"1,0.5,0.5\n{line}\n")
+        with pytest.raises(ValueError):
+            read_points_text(str(path))
+
+    def test_parts_equal_whole(self, tmp_path):
+        from repro.data.io import read_points_text_parts, write_points_text_parts
+
+        ps = uniform(20, seed=9)
+        write_points_text(ps, str(tmp_path / "whole.txt"))
+        # blocks of 3 rows: the last two of the 9 parts hold no rows at all
+        write_points_text_parts(ps, str(tmp_path / "d"), parts=9)
+        whole = read_points_text(str(tmp_path / "whole.txt"))
+        parts = read_points_text_parts(str(tmp_path / "d"))
+        for column in ("ids", "xs", "ys"):
+            assert np.array_equal(getattr(parts, column), getattr(whole, column))
+            assert np.array_equal(getattr(whole, column), getattr(ps, column))
+        (tmp_path / "empty").mkdir()
+        assert len(read_points_text_parts(str(tmp_path / "empty"))) == 0
+
     def test_part_files_round_trip(self, tmp_path):
         from repro.data.io import read_points_text_parts, write_points_text_parts
 

@@ -19,6 +19,11 @@ The refactor's layering contract, checked by walking every module's AST
   (The physical-plan *dataclasses* live in ``repro.joins.plan`` so the
   drivers can build plans without an upward import; ``repro.planner``
   re-exports them.)
+
+The AST walk sees what a module *may* import; the runtime checks at the
+end start fresh interpreters and read ``sys.modules`` to see what a
+process *does* import: package ``__init__`` modules export lazily
+(``repro._lazy``), so a process pays only for the layers it runs.
 """
 
 import ast
@@ -43,8 +48,10 @@ FORBIDDEN = {
     # three and below serving/cli, so nothing it prices imports it back
     "repro.planner": ("repro.cli", "repro.bench", "repro.serving",
                       "repro.obs"),
+    # the cost model counts its sample join with the production kernel,
+    # not with the test oracle
     "repro.core": ("repro.cli", "repro.bench", "repro.serving",
-                   "repro.planner", "repro.obs"),
+                   "repro.planner", "repro.obs", "repro.verify"),
     # telemetry is the engine's bottom layer: everything above publishes
     # into it, so it must not import any engine sibling (or anything
     # higher) -- only the stdlib and numpy-free leaves
@@ -207,7 +214,8 @@ def test_obs_sits_between_telemetry_and_serving():
     for expected in ("repro.obs", "repro.obs.history", "repro.obs.exporter",
                      "repro.obs.slo", "repro.obs.top"):
         assert expected in names
-    # obs imports nothing from repro except engine.telemetry
+    # obs imports nothing from repro except engine.telemetry (and the
+    # layer-free lazy-export helper every package __init__ uses)
     for module, path in MODULES:
         if not in_layer(module, "repro.obs"):
             continue
@@ -216,6 +224,7 @@ def test_obs_sits_between_telemetry_and_serving():
                 assert (
                     in_layer(imported, "repro.engine.telemetry")
                     or in_layer(imported, "repro.obs")
+                    or in_layer(imported, "repro._lazy")
                 ), f"{module} imports {imported}"
     # serving and the CLI compose it from above
     for consumer in ("repro.serving.server", "repro.cli"):
@@ -282,3 +291,62 @@ def test_execution_fields_are_declared_once():
         if execution & set(names)
     }
     assert not redeclared, redeclared
+
+
+# ----------------------------------------------------------------------
+# the runtime import graph: what a fresh process actually loads
+# ----------------------------------------------------------------------
+#: what ``benchmarks/perf`` times as the start-up of a one-shot join
+BENCH_IMPORTS = "import repro.joins.distance_join, repro.planner.planner"
+
+#: never needed to build the CLI parser or to run ``repro join``
+NOT_FOR_THE_CLI = ("scipy", "asyncio", "multiprocessing", "repro.serving",
+                   "repro.bench", "repro.obs")
+#: additionally never needed by a serial, fault-free, store-less join or
+#: by the planner
+NOT_FOR_A_JOIN = NOT_FOR_THE_CLI + ("repro.verify", "repro.baselines",
+                                    "concurrent.futures.process")
+
+
+def loaded_after(fresh_python, code, cwd=None):
+    """``sys.modules`` of a fresh interpreter after it ran ``code``."""
+    out = fresh_python(
+        code + "\nimport sys\nprint('MODULES', *sorted(sys.modules))", cwd
+    )
+    return out.rsplit("MODULES", 1)[1].split()
+
+
+def assert_not_loaded(loaded, banned):
+    hits = [m for m in loaded if any(in_layer(m, b) for b in banned)]
+    assert not hits, f"loaded at run time: {hits}"
+    assert "repro._lazy" in loaded and "numpy" in loaded  # the probe ran
+
+
+def test_building_the_parser_loads_no_server(fresh_python):
+    loaded = loaded_after(fresh_python, "import repro.cli; repro.cli.build_parser()")
+    assert_not_loaded(loaded, NOT_FOR_THE_CLI)
+
+
+def test_a_join_and_a_plan_load_only_their_layers(fresh_python):
+    loaded = loaded_after(fresh_python, BENCH_IMPORTS + """
+from repro.data.generators import uniform
+from repro.joins.distance_join import JoinConfig, distance_join
+from repro.planner.planner import plan_join
+r, s = uniform(400, seed=1), uniform(400, seed=2)
+assert len(distance_join(r, s, JoinConfig(eps=0.05))) > 0
+assert plan_join(r, s, 0.05, seed=1).config.eps == 0.05
+""")
+    assert_not_loaded(loaded, NOT_FOR_A_JOIN)
+
+
+def test_repro_join_loads_no_scipy_and_no_server(fresh_python, tmp_path):
+    loaded = loaded_after(fresh_python, """
+import repro.cli
+from repro.data.generators import uniform
+from repro.data.io import write_points_text
+write_points_text(uniform(300, seed=1), "r.txt")
+write_points_text(uniform(300, seed=2), "s.txt")
+assert repro.cli.main(["join", "--r", "r.txt", "--s", "s.txt",
+                       "--eps", "0.05", "--method", "lpib"]) == 0
+""", cwd=str(tmp_path))
+    assert_not_loaded(loaded, NOT_FOR_THE_CLI)
