@@ -105,7 +105,7 @@ def sedona_join(r: PointSet, s: PointSet, cfg: SedonaConfig) -> JoinResult:
         src = np.minimum((idxs * w) // max(n, 1), w - 1)
         dst = leaves % w
         record = KEY_BYTES + ps.record_bytes
-        shuffle.add_transfers(src, dst, record)
+        shuffle.add_transfers(src, dst, record, w)
         map_counts = np.bincount(
             np.minimum((np.arange(n, dtype=np.int64) * w) // max(n, 1), w - 1),
             minlength=w,

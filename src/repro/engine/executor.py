@@ -268,10 +268,10 @@ class ExecutionPlan:
 
     def worker_groups(self) -> dict[int, np.ndarray]:
         """Plan positions grouped by simulated worker (ascending order)."""
-        groups: dict[int, np.ndarray] = {}
-        for worker in np.unique(self.workers):
-            groups[int(worker)] = np.flatnonzero(self.workers == worker)
-        return groups
+        return {
+            int(worker): np.flatnonzero(self.workers == worker)
+            for worker in np.flatnonzero(np.bincount(self.workers))
+        }
 
 
 @dataclass
@@ -364,6 +364,7 @@ def build_execution_plan(
     s_layout: tuple[np.ndarray, np.ndarray, np.ndarray],
     cell_workers,
     origins: np.ndarray | None = None,
+    cells: np.ndarray | None = None,
 ) -> ExecutionPlan:
     """Pack the shuffle output into an :class:`ExecutionPlan`.
 
@@ -372,13 +373,14 @@ def build_execution_plan(
     straight from the shuffle's stable cell sort: ``cells`` ascending
     unique cell ids, ``point_idx`` the side's point indices grouped by
     cell, and ``bounds`` (len(cells) + 1) delimiting each group.  Only
-    cells present on both sides join (the sorted intersection);
-    ``cell_workers`` maps that cell-id array to its simulated workers in
-    one vectorized call, and ``origins`` (aligned to the joinable cells)
-    passes through unchanged.  Pure array ops: no per-cell Python loop,
+    cells present on both sides join (the sorted intersection, ``cells``
+    if the caller has already taken it); ``cell_workers`` maps that
+    cell-id array to its simulated workers in one vectorized call, and
+    ``origins`` (aligned to the joinable cells) passes through unchanged.  Pure array ops: no per-cell Python loop,
     one fancy gather per column.
     """
-    cells = np.intersect1d(r_layout[0], s_layout[0], assume_unique=True)
+    if cells is None:
+        cells = np.intersect1d(r_layout[0], s_layout[0], assume_unique=True)
     cells = cells.astype(np.int64, copy=False)
     workers = np.asarray(cell_workers(cells), dtype=np.int64)
 

@@ -48,7 +48,9 @@ class ExplicitPartitioner:
     """A partitioner backed by a precomputed key -> partition table.
 
     Keys absent from the table fall back to hash partitioning, so cells
-    that were empty in the sample still have a home.
+    that were empty in the sample still have a home.  The table is
+    compiled once into a dense array over ``[0, max key]`` with the
+    fall-back already filled in, so a lookup is one gather.
     """
 
     def __init__(self, assignment: dict[int, int], num_partitions: int):
@@ -57,25 +59,24 @@ class ExplicitPartitioner:
         bad = [p for p in assignment.values() if not 0 <= p < num_partitions]
         if bad:
             raise ValueError(f"assignment targets out of range: {bad[:3]}")
+        if min(assignment, default=0) < 0:
+            raise ValueError("assignment keys must be non-negative")
         self.assignment = dict(assignment)
         self.num_partitions = num_partitions
+        keys = np.fromiter(self.assignment, dtype=np.int64, count=len(assignment))
+        self._table = np.arange(int(keys.max(initial=-1)) + 1) % num_partitions
+        self._table[keys] = np.fromiter(
+            self.assignment.values(), dtype=np.int64, count=len(assignment)
+        )
 
     def of(self, key: int) -> int:
         return self.assignment.get(key, hash(key) % self.num_partitions)
 
     def of_array(self, keys: np.ndarray) -> np.ndarray:
         keys = np.asarray(keys)
+        inside = (keys >= 0) & (keys < len(self._table))
+        if inside.all():
+            return self._table[keys]
         out = keys % self.num_partitions
-        if self.assignment:
-            table_keys = np.fromiter(self.assignment, dtype=np.int64)
-            table_vals = np.fromiter(
-                self.assignment.values(), dtype=np.int64, count=len(self.assignment)
-            )
-            order = np.argsort(table_keys)
-            table_keys = table_keys[order]
-            table_vals = table_vals[order]
-            pos = np.searchsorted(table_keys, keys)
-            pos_clipped = np.minimum(pos, len(table_keys) - 1)
-            known = table_keys[pos_clipped] == keys
-            out[known] = table_vals[pos_clipped[known]]
+        out[inside] = self._table[keys[inside]]
         return out

@@ -51,26 +51,32 @@ class ShuffleStats:
         src_workers: np.ndarray,
         dst_workers: np.ndarray,
         record_bytes: int | np.ndarray,
-    ) -> None:
-        """Account a batch of records.
+        num_workers: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Account a batch of records; returns its ``(records, bytes)``
+        worker-to-worker matrices (row = source, column = destination).
 
         ``record_bytes`` is one size shared by the whole batch (points:
         every tuple serializes identically) or a per-record array of
         sizes (objects with extent; must parallel ``src_workers``).
+        Every volume is read off one ``bincount`` over the shuffle edges.
         """
-        n = len(src_workers)
-        remote_mask = src_workers != dst_workers
-        remote = int(np.count_nonzero(remote_mask))
-        self.records += n
-        self.remote_records += remote
+        W = num_workers
+        edge = src_workers * W + dst_workers
+        counts = np.bincount(edge, minlength=W * W).reshape(W, W)
         if np.ndim(record_bytes) == 0:
-            self.bytes += n * record_bytes
-            self.remote_bytes += remote * record_bytes
-        else:
-            self.bytes += int(np.sum(record_bytes))
-            self.remote_bytes += int(np.sum(record_bytes[remote_mask]))
-        if self.matrix is not None and n:
-            np.add.at(self.matrix, (src_workers, dst_workers), record_bytes)
+            volume = counts * record_bytes
+        else:  # float64 sums of integers: exact below 2**53
+            volume = np.bincount(edge, weights=record_bytes, minlength=W * W)
+            volume = volume.astype(np.int64).reshape(W, W)
+        records, total = int(counts.sum()), int(volume.sum())
+        self.records += records
+        self.bytes += total
+        self.remote_records += records - int(counts.trace())
+        self.remote_bytes += total - int(volume.trace())
+        if self.matrix is not None:
+            self.matrix += volume
+        return counts, volume
 
     def add_single(self, src_worker: int, dst_worker: int, record_bytes: int) -> None:
         """Account one record."""

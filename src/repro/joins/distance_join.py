@@ -307,12 +307,8 @@ class _OriginsStage(Stage):
 
     def run(self, ctx: JoinContext) -> None:
         grid: Grid = ctx.data["grid"]
-        layout = ctx.data["shuffle_layout"]
         # one vectorized origin computation over the joinable cell array
-        # (the same sorted intersection the plan builder derives)
-        cells = np.intersect1d(
-            layout[Side.R][0], layout[Side.S][0], assume_unique=True
-        )
+        cells = ctx.data["joinable_cells"]
         cx = (cells % grid.nx).astype(np.float64)
         cy = (cells // grid.nx).astype(np.float64)
         origin = np.empty((len(cells), 2), dtype=np.float64)

@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine.sorting import run_starts, stable_argsort
+
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
@@ -265,11 +267,11 @@ def grid_hash_join_batch(
     bands = int(s_band.max()) + band_shift + 2
     quant_shift = 1 - int(s_quant.min())
     quanta = int(s_quant.max()) + quant_shift + 2
-    if num_cells * bands * quanta >= 2**62:  # python ints: no silent overflow
+    num_keys = num_cells * bands * quanta
+    if num_keys >= 2**62:  # python ints: no silent overflow
         return None
     s_key = (s_cell * bands + (s_band + band_shift)) * quanta + (s_quant + quant_shift)
-    order = np.argsort(s_key, kind="stable")
-    s_key = s_key[order]
+    order, s_key = stable_argsort(s_key, num_keys)
     sid = s_ids[order]
     # x and y travel as one complex: one repeat and one gather per block
     # instead of two; subtraction and squares stay per-component
@@ -290,16 +292,21 @@ def grid_hash_join_batch(
     block += r_cell[:, None] * bands
     block *= quanta
 
-    def window_keys(edge, pad):
+    def window_ends(edge, pad, side):
         key = np.floor(edge / quantum).astype(np.int64)
         key += quant_shift + pad
         np.minimum(np.maximum(key, 0, out=key), quanta - 1, out=key)
         key += block
-        return key.ravel()
+        # sorted needles walk s_key front to back instead of missing the
+        # cache on every probe; the answers are scattered back R-major
+        order, key = stable_argsort(key.ravel(), num_keys)
+        ends = np.empty(len(order), dtype=np.int64)
+        ends[order] = np.searchsorted(s_key, key, side=side)
+        return ends
 
     u = r_u[:, None]
-    lo = np.searchsorted(s_key, window_keys(u - half, -1), side="left")
-    hi = np.searchsorted(s_key, window_keys(u + half, 1), side="right")
+    lo = window_ends(u - half, -1, "left")
+    hi = window_ends(u + half, 1, "right")
 
     counts = hi - lo
     before = np.zeros(len(counts) + 1, dtype=np.int64)  # candidates before probe i
@@ -310,10 +317,8 @@ def grid_hash_join_batch(
     cell_before = point_before[r_offsets]
     total = int(before[-1])
     # blocks of whole points holding ~_BLOCK_CANDIDATES candidates each
-    cuts = np.unique(
-        np.searchsorted(point_before, np.arange(0, total, _BLOCK_CANDIDATES))
-    )
-    cuts = np.append(cuts, len(r_ids)).tolist()
+    cuts = np.searchsorted(point_before, np.arange(0, total, _BLOCK_CANDIDATES))
+    cuts = np.append(cuts[run_starts(cuts)], len(r_ids)).tolist()
     ramp = np.arange(
         int(np.max(point_before[cuts[1:]] - point_before[cuts[:-1]], initial=0)),
         dtype=np.int64,

@@ -73,6 +73,7 @@ from repro.engine.lpt import lpt_assignment
 from repro.engine.metrics import CostModel, JoinMetrics, PhaseTimer
 from repro.engine.partitioner import ExplicitPartitioner
 from repro.engine.shuffle import ShuffleStats
+from repro.engine.sorting import run_starts, stable_argsort
 from repro.engine.telemetry import MetricsRegistry, Telemetry, Tracer, get_logger
 from repro.geometry.point import Side
 from repro.grid.grid import Grid
@@ -573,11 +574,11 @@ def spill_side_blocks(
     if len(cells) == 0:
         return
     key = src_workers.astype(np.int64) * num_workers + dst_workers.astype(np.int64)
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
+    order, sorted_key = stable_argsort(key, num_workers * num_workers)
     cells_sorted = cells[order]
     idxs_sorted = idxs[order]
-    uniq, starts = np.unique(sorted_key, return_index=True)
+    starts = run_starts(sorted_key)
+    uniq = sorted_key[starts]
     bounds = np.append(starts, len(sorted_key))
     sized = np.ndim(record_bytes) != 0
     for i, k in enumerate(uniq):
@@ -658,10 +659,12 @@ class ShuffleStage(Stage):
     """Route every record to its cell's worker, accounting exactly.
 
     Reads ``records`` (a list of :class:`SideRecords`) and
-    ``partitioner``; writes ``shuffle_layout`` and the per-destination
-    read totals fetch recovery needs.  Charges the modelled map and
-    shuffle-read costs, spills map output as blocks when a store is
-    attached, and grows the modelled heap demand.
+    ``partitioner``; writes ``shuffle_layout``, ``cell_workers`` (the
+    simulated worker of every cell id), ``joinable_cells`` (the cells
+    present on both sides) and the per-destination read totals fetch
+    recovery needs.  Charges the modelled map and shuffle-read costs,
+    spills map output as blocks when a store is attached, and grows the
+    modelled heap demand.
 
     ``shuffle_layout`` keeps each side's stable cell sort as a
     ``(cells, bounds, point_idx)`` triple: ``cells`` the ascending
@@ -677,7 +680,13 @@ class ShuffleStage(Stage):
         W = ctx.num_workers
         cm = ctx.cost_model
         cluster = ctx.cluster
-        partitioner = ctx.data["partitioner"]
+        records = ctx.data["records"]
+        # the join's cell -> worker map, looked up once: the shuffle routes
+        # every record with it, the plan builder places the joinable cells
+        num_cells = 1 + max(int(rec.cells.max(initial=-1)) for rec in records)
+        cell_workers = (
+            ctx.data["partitioner"].of_array(np.arange(num_cells, dtype=np.int64)) % W
+        )
         layout: dict[Side, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         worker_heap = np.zeros(W)
         # per-destination-worker shuffle-read totals, kept for
@@ -686,7 +695,7 @@ class ShuffleStage(Stage):
         read_cost_w = np.zeros(W)
         read_records_w = np.zeros(W, dtype=np.int64)
         read_bytes_w = np.zeros(W, dtype=np.int64)
-        for rec in ctx.data["records"]:
+        for rec in records:
             cells, idxs, n = rec.cells, rec.idxs, rec.count
             replicated = len(cells) - n
             if rec.side is Side.R:
@@ -696,12 +705,17 @@ class ShuffleStage(Stage):
 
             # Input splits are contiguous chunks spread round-robin on
             # workers.
-            src_workers = np.minimum((idxs * W) // max(n, 1), W - 1)
-            parts = partitioner.of_array(cells)
-            dst_workers = parts % W
+            split_workers = np.minimum(
+                (np.arange(n, dtype=np.int64) * W) // max(n, 1), W - 1
+            )
+            src_workers = split_workers[idxs]
+            dst_workers = cell_workers[cells]
             record = rec.record_bytes
-            sized = np.ndim(record) != 0
-            ctx.shuffle.add_transfers(src_workers, dst_workers, record)
+            # every integer volume of this side is a view of its W x W
+            # (source, destination) matrices
+            edge_records, edge_bytes = ctx.shuffle.add_transfers(
+                src_workers, dst_workers, record, W
+            )
             if ctx.store is not None:
                 # spill this side's map output as addressable blocks, one
                 # per (source worker, destination worker) shuffle edge
@@ -718,11 +732,7 @@ class ShuffleStage(Stage):
 
             # modelled costs: mapping on source workers, reading on
             # destination workers
-            map_counts = np.bincount(
-                np.minimum((np.arange(n, dtype=np.int64) * W) // max(n, 1), W - 1),
-                minlength=W,
-            )
-            for w, count in enumerate(map_counts):
+            for w, count in enumerate(np.bincount(split_workers, minlength=W)):
                 cluster.add_cost(w, "map", float(count) * cm.map_tuple_cost)
             remote = src_workers != dst_workers
             read_cost = np.where(
@@ -730,32 +740,31 @@ class ShuffleStage(Stage):
                 record * cm.remote_byte_cost + cm.reduce_record_cost,
                 record * cm.local_byte_cost + cm.reduce_record_cost,
             )
-            for w in range(W):
-                sel = dst_workers == w
-                if sel.any():
-                    cost = float(read_cost[sel].sum())
-                    cluster.add_cost(w, "shuffle_read", cost)
-                    read_cost_w[w] += cost
-            dst_counts = np.bincount(dst_workers, minlength=W)
-            read_records_w += dst_counts
-            if sized:
-                side_bytes = np.bincount(
-                    dst_workers, weights=record.astype(np.float64), minlength=W
-                ).astype(np.int64)
-            else:
-                side_bytes = dst_counts * record
+            dst_records = edge_records.sum(axis=0)
+            for w in np.flatnonzero(dst_records):
+                # a pairwise float sum in emission order: the goldens pin
+                # its every bit, so it is not derived from the matrices
+                cost = float(read_cost[np.flatnonzero(dst_workers == w)].sum())
+                cluster.add_cost(int(w), "shuffle_read", cost)
+                read_cost_w[w] += cost
+            side_bytes = edge_bytes.sum(axis=0)
+            read_records_w += dst_records
             read_bytes_w += side_bytes
             worker_heap += side_bytes * cm.heap_expansion
 
-            order = np.argsort(cells, kind="stable")
-            cells_sorted = cells[order]
-            uniq, starts = np.unique(cells_sorted, return_index=True)
+            order, cells_sorted = stable_argsort(cells, num_cells)
+            starts = run_starts(cells_sorted)
             layout[rec.side] = (
-                uniq,
+                cells_sorted[starts],
                 np.append(starts, len(cells_sorted)),
                 idxs[order],
             )
 
+        ctx.data["cell_workers"] = cell_workers
+        # only cells present on both sides join
+        ctx.data["joinable_cells"] = np.intersect1d(
+            layout[Side.R][0], layout[Side.S][0], assume_unique=True
+        )
         ctx.data["shuffle_layout"] = layout
         ctx.data["worker_heap"] = worker_heap
         ctx.data["read_cost_w"] = read_cost_w
@@ -896,8 +905,9 @@ class LocalJoinStage(Stage):
     """Run every joinable cell's kernel through the executor.
 
     Reads ``side_arrays`` (each side's ``(ids, xs, ys)`` parallel
-    arrays), the shuffle's columnar ``shuffle_layout`` and optionally
-    ``origin_array`` (one eps-grid anchor per joinable cell); writes the
+    arrays), the shuffle's columnar ``shuffle_layout``, ``cell_workers``
+    and ``joinable_cells``, and optionally ``origin_array`` (one
+    eps-grid anchor per joinable cell); writes the
     packed ``plan`` and the executor's ``report``.  The backend, fault
     plan, retry policy and checkpoint manager all come from the
     context, so every driver composing this stage is fault tolerant on
@@ -915,15 +925,14 @@ class LocalJoinStage(Stage):
         get_kernel(self.kernel_name)  # fail fast on an unknown kernel
         side_arrays = ctx.data["side_arrays"]
         layout = ctx.data["shuffle_layout"]
-        partitioner = ctx.data["partitioner"]
-        W = ctx.num_workers
         plan = build_execution_plan(
             side_arrays[Side.R],
             side_arrays[Side.S],
             layout[Side.R],
             layout[Side.S],
-            lambda cells: partitioner.of_array(cells) % W,
+            ctx.data["cell_workers"].take,
             ctx.data.get("origin_array"),
+            cells=ctx.data["joinable_cells"],
         )
         report = execute_plan(
             plan,
@@ -1105,7 +1114,7 @@ def parallel_distinct(
     key = pack_pair_keys(r_ids, s_ids)
     parts = (key % num_partitions).astype(np.int64)
     dst_workers = parts % cluster.num_workers
-    shuffle.add_transfers(src_workers, dst_workers, PAIR_BYTES)
+    shuffle.add_transfers(src_workers, dst_workers, PAIR_BYTES, cluster.num_workers)
     remote = src_workers != dst_workers
     cost = np.where(
         remote,

@@ -38,6 +38,27 @@ class TestExplicitPartitioner:
         keys = np.arange(60, dtype=np.int64)
         assert (p.of_array(keys) == [p.of(int(k)) for k in keys]).all()
 
+    @pytest.mark.parametrize("assignment", [{2: 3, 17: 1, 40: 0}, {}])
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.array([2, 17, 40, 3, 0]),  # all inside the dense table
+            np.array([41, 10**9, 2**40]),  # all beyond it: hash fall-back
+            np.array([], dtype=np.int64),
+        ],
+        ids=["inside", "beyond", "empty"],
+    )
+    def test_dense_table_matches_scalar_of(self, assignment, keys):
+        p = ExplicitPartitioner(assignment, 5)
+        assert p.assignment == assignment
+        out = p.of_array(keys.astype(np.int64))
+        assert out.tolist() == [p.of(int(k)) for k in keys]
+
+    def test_lookup_does_not_read_the_dict(self):
+        p = ExplicitPartitioner({2: 3, 17: 1}, 5)
+        p.assignment = None  # compiled at construction
+        assert p.of_array(np.array([2, 17, 3, 99])).tolist() == [3, 1, 3, 4]
+
     def test_out_of_range_target_rejected(self):
         with pytest.raises(ValueError):
             ExplicitPartitioner({1: 9}, 4)
@@ -46,6 +67,10 @@ class TestExplicitPartitioner:
         p = ExplicitPartitioner({}, 3)
         keys = np.array([0, 1, 5], dtype=np.int64)
         assert (p.of_array(keys) == keys % 3).all()
+
+    def test_negative_key_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ExplicitPartitioner({-1: 0}, 4)
 
 
 class TestLPT:
@@ -88,11 +113,33 @@ class TestShuffleStats:
         s = ShuffleStats()
         src = np.array([0, 0, 1, 2])
         dst = np.array([0, 1, 1, 0])
-        s.add_transfers(src, dst, record_bytes=10)
+        s.add_transfers(src, dst, record_bytes=10, num_workers=3)
         assert s.records == 4
         assert s.bytes == 40
         assert s.remote_records == 2
         assert s.remote_bytes == 20
+
+    @pytest.mark.parametrize("sized", [False, True], ids=["scalar", "per-record"])
+    @pytest.mark.parametrize("n", [0, 1, 500])
+    def test_add_transfers_equals_per_record_accounting(self, sized, n):
+        """Totals and matrix off one bincount == ``add_single`` per record."""
+        rng = np.random.default_rng(n)
+        W = 5
+        src, dst = rng.integers(0, W, n), rng.integers(0, W, n)
+        sizes = rng.integers(1, 10**6, n) if sized else 24
+        batch, single = ShuffleStats(), ShuffleStats()
+        batch.enable_matrix(W)
+        single.enable_matrix(W)
+        counts, volume = batch.add_transfers(src, dst, sizes, W)
+        for i in range(n):
+            single.add_single(int(src[i]), int(dst[i]), int(sizes[i]) if sized else 24)
+        totals = ("records", "bytes", "remote_records", "remote_bytes")
+        for name in totals:
+            assert getattr(batch, name) == getattr(single, name), name
+            assert type(getattr(batch, name)) is int, name
+        assert np.array_equal(batch.matrix, single.matrix)
+        assert np.array_equal(volume, single.matrix)
+        assert counts.sum() == n and counts.shape == (W, W)
 
     def test_add_single(self):
         s = ShuffleStats()

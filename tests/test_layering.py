@@ -66,6 +66,7 @@ FORBIDDEN = {
         "repro.engine.partitioner",
         "repro.engine.rdd",
         "repro.engine.shuffle",
+        "repro.engine.sorting",
         "repro.joins",
         "repro.cli",
         "repro.bench",
@@ -93,6 +94,7 @@ FORBIDDEN = {
         "repro.engine.partitioner",
         "repro.engine.rdd",
         "repro.engine.shuffle",
+        "repro.engine.sorting",
     ),
 }
 
@@ -303,9 +305,10 @@ BENCH_IMPORTS = "import repro.joins.distance_join, repro.planner.planner"
 NOT_FOR_THE_CLI = ("scipy", "asyncio", "multiprocessing", "repro.serving",
                    "repro.bench", "repro.obs")
 #: additionally never needed by a serial, fault-free, store-less join or
-#: by the planner
+#: by the planner (``numpy.ma`` is what the first ``np.unique`` of a
+#: process imports: 11-17 ms inside the first join)
 NOT_FOR_A_JOIN = NOT_FOR_THE_CLI + ("repro.verify", "repro.baselines",
-                                    "concurrent.futures.process")
+                                    "concurrent.futures.process", "numpy.ma")
 
 
 def loaded_after(fresh_python, code, cwd=None):
@@ -334,6 +337,7 @@ from repro.joins.distance_join import JoinConfig, distance_join
 from repro.planner.planner import plan_join
 r, s = uniform(400, seed=1), uniform(400, seed=2)
 assert len(distance_join(r, s, JoinConfig(eps=0.05))) > 0
+assert len(distance_join(r, s, JoinConfig(eps=0.05, local_kernel="grid_hash"))) > 0
 assert plan_join(r, s, 0.05, seed=1).config.eps == 0.05
 """)
     assert_not_loaded(loaded, NOT_FOR_A_JOIN)

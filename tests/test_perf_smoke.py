@@ -218,6 +218,32 @@ def test_adaptive_assign_batch_stays_columnar():
 
 
 @pytest.mark.perfsmoke
+def test_shuffle_is_bookkeeping_next_to_assign():
+    """The ``shuffle`` stage's wall is at most 0.6x the ``assign`` stage's.
+
+    20k x 20k uniform on a factor-2 grid, ``lpib``.  Assign computes every
+    replica; the shuffle only sorts the records by cell and counts them
+    per (source, destination) worker, so it reads ~0.35x of assign.  With
+    a scalar merge sort, a partition table rebuilt per call and a pass
+    per volume it read >= 1.0x.  A ratio of two stages of the same run,
+    best of five, because absolute walls move 2x with the host.
+    """
+    from repro.data.generators import uniform
+    from repro.joins.distance_join import JoinConfig, distance_join
+
+    r, s = uniform(N, seed=401), uniform(N, seed=402)
+    cfg = JoinConfig(eps=0.0142, method="lpib", local_kernel="grid_hash", num_workers=4)
+    runs = [distance_join(r, s, cfg).metrics.stage_times for _ in range(5)]
+    shuffle_t, assign_t = min(
+        ((t["shuffle"], t["assign"]) for t in runs), key=lambda t: t[0] / t[1]
+    )
+    assert shuffle_t <= 0.6 * assign_t, (
+        f"shuffle {shuffle_t * 1e3:.1f} ms vs assign {assign_t * 1e3:.1f} ms "
+        f"on {N} x {N} points"
+    )
+
+
+@pytest.mark.perfsmoke
 def test_lockstep_marking_beats_the_per_quartet_loop():
     """``generate_duplicate_free_graph`` >= 5x faster than scalar ``mark_quartet``
     looped over the same graph's views (x40 here).
