@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.cluster_backend.protocol import recv_msg, send_msg
-from repro.engine.executor import _gather_segments
+from repro.engine.executor import _task_columns
 from repro.engine.faults import FaultEvent
 from repro.engine.hygiene import sweep_stale_resources
 from repro.engine.telemetry import MetricsRegistry, Tracer, get_logger
@@ -657,7 +657,7 @@ class ClusterService:
                 if flight.speculative:
                     report.speculative_wins += 1
                     state.registry.counter("executor.speculative_wins").inc()
-                absorb(task, payload["results"], payload["elapsed"])
+                absorb(task, payload["block"], payload["elapsed"])
             elif mtype == "failed":
                 flight = inflight.pop(
                     (payload["task"], payload["attempt"]), None
@@ -806,8 +806,9 @@ class ClusterService:
         metas: dict[int, dict] = {}
         for task in sorted(tasks):
             base = tasks[task]
-            r_idx, r_off = _gather_segments(plan.r_offsets, base)
-            s_idx, s_off = _gather_segments(plan.s_offsets, base)
+            # a task is a contiguous run of the plan: its blocks are slices
+            (r_ids, r_xs, r_ys, r_off, s_ids, s_xs, s_ys, s_off,
+             origins) = _task_columns(plan, base)
             r_counts = np.diff(r_off)
             s_counts = np.diff(s_off)
             costs[task] = float(
@@ -815,26 +816,12 @@ class ClusterService:
                 + r_counts.sum() + s_counts.sum() + 1.0
             )
             blocks[task] = {
-                "R": {
-                    "ids": np.ascontiguousarray(plan.r_ids[r_idx]),
-                    "xs": np.ascontiguousarray(plan.r_xs[r_idx]),
-                    "ys": np.ascontiguousarray(plan.r_ys[r_idx]),
-                    "offsets": r_off,
-                },
-                "S": {
-                    "ids": np.ascontiguousarray(plan.s_ids[s_idx]),
-                    "xs": np.ascontiguousarray(plan.s_xs[s_idx]),
-                    "ys": np.ascontiguousarray(plan.s_ys[s_idx]),
-                    "offsets": s_off,
-                },
+                "R": {"ids": r_ids, "xs": r_xs, "ys": r_ys, "offsets": r_off},
+                "S": {"ids": s_ids, "xs": s_xs, "ys": s_ys, "offsets": s_off},
             }
             metas[task] = {
-                "cells": np.ascontiguousarray(plan.cells[base]),
-                "origins": (
-                    np.ascontiguousarray(plan.origins[base])
-                    if plan.origins is not None
-                    else None
-                ),
+                "cells": plan.cells[base],
+                "origins": origins,
             }
         return costs, blocks, metas
 

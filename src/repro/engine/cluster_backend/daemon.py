@@ -227,20 +227,12 @@ def _run_task(payload, daemon_id, faults, trace_enabled, run_id):
         checkpoints = payload["checkpoints"]
         if checkpoints is not None:
             checkpoints = _GlobalPositionCheckpoints(checkpoints, base)
-        results, elapsed = _attempt_run(
+        block, elapsed = _attempt_run(
             plan, positions_local, payload["kernel"], payload["eps"],
             task, attempt, faults, checkpoints,
             on_kill=_sigkill_self,
         )
-        results = [
-            (
-                int(base[p]),
-                np.array(rid, dtype=np.int64),
-                np.array(sid, dtype=np.int64),
-                int(cand),
-            )
-            for p, rid, sid, cand in results
-        ]
+        block.positions = base[block.positions]
     except Exception as exc:
         if span is not None:
             span.attrs["error_type"] = type(exc).__name__
@@ -263,7 +255,7 @@ def _run_task(payload, daemon_id, faults, trace_enabled, run_id):
             "daemon": daemon_id,
             "task": task,
             "attempt": attempt,
-            "results": results,
+            "block": block,
             "elapsed": elapsed,
             "refetched": refetched,
             "spans": tracer.export_payload() if trace_enabled else None,

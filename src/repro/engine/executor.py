@@ -22,10 +22,19 @@ be compared against a measured one.  Three backends share one code path:
 Cells are grouped by their simulated worker (the LPT or hash assignment
 from the driver), one task per simulated worker, so the measured
 wall-clock per worker lines up with the modelled per-worker clocks in
-:class:`~repro.engine.cluster.SimCluster`.  Every backend iterates cells
-in ascending plan order inside each group and stitches results back by
-plan position, so the concatenated output is bit-identical across
-backends.
+:class:`~repro.engine.cluster.SimCluster`.  Plan positions are ordered
+*task-major* -- ascending simulated worker, cells ascending inside a
+task (Spark's partition order) -- so a task is a contiguous slice of the
+plan, and results are stitched by plan position into one column pair:
+the output is bit-identical across backends.
+
+Result pairs are written once.  The ``serial`` tier probes every task,
+allocates the job's column pair at the summed candidate total and lets
+each task expand its hits at the running offset, so the report's columns
+*are* the memory the kernel wrote.  Pooled tiers and the per-cell path
+return one block per task (a salvaged checkpoint one per cell) and the
+blocks are copied into the columns once (see ``docs/EXECUTION.md``,
+"Result path").
 
 Execution is fault tolerant.  A :class:`RetryPolicy` governs what
 happens when a task fails -- whether the failure is injected by a
@@ -76,8 +85,10 @@ from repro.engine.faults import (
     RetryBudgetExhausted,
     TaskFailure,
 )
+from repro.engine.sorting import stable_argsort
 from repro.engine.telemetry import MetricsRegistry, Tracer, get_logger
 
+from collections.abc import Sequence
 from typing import Mapping
 
 #: Execution backends accepted by :func:`execute_plan`.
@@ -244,14 +255,17 @@ class RetryPolicy:
 class ExecutionPlan:
     """The local-join phase as flat arrays: one entry per joinable cell.
 
-    Each side's points are gathered into contiguous blocks in plan-cell
-    order; ``r_offsets[i]:r_offsets[i + 1]`` slices cell ``i``'s R points
-    (likewise for S).  ``origins`` optionally carries each cell's eps-grid
-    anchor for :func:`~repro.joins.local.grid_hash_join`.
+    Positions are task-major: ordered by ``(worker, cell)``, so a
+    simulated worker's task is a contiguous run of positions.  Each
+    side's points are gathered into contiguous blocks in position order;
+    ``r_offsets[i]:r_offsets[i + 1]`` slices position ``i``'s R points
+    (likewise for S) -- a task's inputs are slices too.  ``origins``
+    optionally carries each cell's eps-grid anchor for
+    :func:`~repro.joins.local.grid_hash_join`.
     """
 
-    cells: np.ndarray  # ascending cell ids, int64
-    workers: np.ndarray  # simulated worker per cell, int64
+    cells: np.ndarray  # cell ids, ascending inside each worker's run, int64
+    workers: np.ndarray  # simulated worker per cell, ascending, int64
     r_ids: np.ndarray
     r_xs: np.ndarray
     r_ys: np.ndarray
@@ -267,22 +281,46 @@ class ExecutionPlan:
         return len(self.cells)
 
     def worker_groups(self) -> dict[int, np.ndarray]:
-        """Plan positions grouped by simulated worker (ascending order)."""
+        """Each simulated worker's run of plan positions, ascending."""
+        ends = np.cumsum(np.bincount(self.workers))
         return {
-            int(worker): np.flatnonzero(self.workers == worker)
-            for worker in np.flatnonzero(np.bincount(self.workers))
+            int(worker): np.arange(ends[worker - 1] if worker else 0, ends[worker])
+            for worker in np.flatnonzero(np.diff(ends, prepend=0))
         }
+
+
+class _Segments(Sequence):
+    """A column cut at ``bounds``: entry ``p`` is the view
+    ``column[bounds[p]:bounds[p + 1]]``."""
+
+    def __init__(self, column: np.ndarray, bounds: np.ndarray):
+        self._column = column
+        self._bounds = bounds
+
+    def __len__(self) -> int:
+        return len(self._bounds) - 1
+
+    def __getitem__(self, p: int) -> np.ndarray:
+        if not 0 <= p < len(self):
+            raise IndexError(p)
+        return self._column[self._bounds[p] : self._bounds[p + 1]]
 
 
 @dataclass
 class ExecutionReport:
-    """Per-cell kernel outputs plus measured wall-clock per worker."""
+    """The kernel output as one column pair, plus measured wall-clock per
+    worker."""
 
     backend: str
     os_workers: int
-    #: Per plan cell: result arrays and candidate counts, in plan order.
-    pair_r: list[np.ndarray] = field(default_factory=list)
-    pair_s: list[np.ndarray] = field(default_factory=list)
+    #: Every result pair, in plan-position (task-major) order: position
+    #: ``p``'s pairs are ``r_col[bounds[p]:bounds[p + 1]]`` (likewise
+    #: ``s_col``).  The columns are the job's own -- nothing else aliases
+    #: them -- so ``collect`` hands them out as they are.
+    r_col: np.ndarray = field(default_factory=lambda: _EMPTY.copy())
+    s_col: np.ndarray = field(default_factory=lambda: _EMPTY.copy())
+    bounds: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
+    #: Candidate pairs examined per plan position.
     candidates: np.ndarray = field(default_factory=lambda: _EMPTY.copy())
     #: Measured seconds per simulated worker (its whole cell group).
     worker_wall: dict[int, float] = field(default_factory=dict)
@@ -346,6 +384,16 @@ class ExecutionReport:
     daemon_rejoins: int = 0
 
     @property
+    def pair_r(self) -> Sequence[np.ndarray]:
+        """Per plan position: its R ids, a view of :attr:`r_col`."""
+        return _Segments(self.r_col, self.bounds)
+
+    @property
+    def pair_s(self) -> Sequence[np.ndarray]:
+        """Per plan position: its S ids, a view of :attr:`s_col`."""
+        return _Segments(self.s_col, self.bounds)
+
+    @property
     def wall_makespan(self) -> float:
         """Slowest worker group -- the measured analogue of the modelled
         join makespan (exact when every group had its own OS worker)."""
@@ -376,32 +424,27 @@ def build_execution_plan(
     cells present on both sides join (the sorted intersection, ``cells``
     if the caller has already taken it); ``cell_workers`` maps that
     cell-id array to its simulated workers in one vectorized call, and
-    ``origins`` (aligned to the joinable cells) passes through unchanged.  Pure array ops: no per-cell Python loop,
-    one fancy gather per column.
+    ``origins`` is aligned to the joinable cells as passed in.  Positions
+    come out ordered by ``(worker, cell)``.  Pure array ops: no per-cell
+    Python loop, one fancy gather per column.
     """
     if cells is None:
         cells = np.intersect1d(r_layout[0], s_layout[0], assume_unique=True)
     cells = cells.astype(np.int64, copy=False)
     workers = np.asarray(cell_workers(cells), dtype=np.int64)
+    # task-major: the stable sort keeps cells ascending inside a worker
+    order, workers = stable_argsort(workers, int(workers.max(initial=-1)) + 1)
+    cells = cells[order]
+    if origins is not None:
+        origins = origins[order]
 
     def pack(arrays, layout):
         ids, xs, ys = arrays
         uniq, bounds, idx_sorted = layout
-        counts_all = np.diff(bounds)
-        member = np.zeros(len(uniq), dtype=bool)
-        if len(cells):
-            at = np.searchsorted(cells, uniq)
-            inside = at < len(cells)
-            member[inside] = cells[at[inside]] == uniq[inside]
-        offsets = np.zeros(len(cells) + 1, dtype=np.int64)
-        np.cumsum(counts_all[member], out=offsets[1:])
-        idx = idx_sorted[np.repeat(member, counts_all)]
-        return (
-            np.ascontiguousarray(ids[idx]),
-            np.ascontiguousarray(xs[idx]),
-            np.ascontiguousarray(ys[idx]),
-            offsets,
-        )
+        # joinable cells are a subset of the side's cells
+        idx, offsets = _gather_segments(bounds, np.searchsorted(uniq, cells))
+        idx = idx_sorted[idx]
+        return ids[idx], xs[idx], ys[idx], offsets
 
     rb = pack(r_arrays, r_layout)
     sb = pack(s_arrays, s_layout)
@@ -436,38 +479,49 @@ def _gather_segments(offsets: np.ndarray, positions: np.ndarray):
     return idx, local
 
 
-def _run_cells_batched(
-    plan: ExecutionPlan,
-    positions: np.ndarray,
-    eps: float,
-    fire,
-    batch_fn,
-):
-    """All of one task's cells in a single batched kernel call.
+@dataclass
+class TaskBlock:
+    """One attempt's output: the pairs of ``positions``, back to back.
 
-    Only reachable when checkpointing is off, so an injected fault (if
-    any) fires up front -- exactly where the per-cell loop fires it
-    (``fault_at == 0``).  Returns ``None`` when the batch kernel
-    declines; the caller falls back to the per-cell loop.
+    ``bounds`` (len(positions) + 1, from 0) cuts ``r``/``s`` per position.
+    ``at`` is set when the block was written straight into the job's
+    columns (the serial tier): ``r``/``s`` are then views of them, from
+    that offset.
     """
-    if fire is not None:
-        fire()
-    pos = np.asarray(positions, dtype=np.int64)
-    r_idx, r_off = _gather_segments(plan.r_offsets, pos)
-    s_idx, s_off = _gather_segments(plan.s_offsets, pos)
-    origins = plan.origins[pos] if plan.origins is not None else None
-    out = batch_fn(
-        plan.r_ids[r_idx], plan.r_xs[r_idx], plan.r_ys[r_idx], r_off,
-        plan.s_ids[s_idx], plan.s_xs[s_idx], plan.s_ys[s_idx], s_off,
-        eps, origins,
+
+    positions: np.ndarray
+    r: np.ndarray
+    s: np.ndarray
+    bounds: np.ndarray
+    candidates: np.ndarray
+    at: int | None = None
+
+
+def _task_columns(plan: ExecutionPlan, positions: np.ndarray):
+    """A whole task's inputs, as slices of the plan.
+
+    ``positions`` is a task's unfiltered run of plan positions.  Returns
+    ``(r_ids, r_xs, r_ys, r_offsets, s_ids, s_xs, s_ys, s_offsets,
+    origins)`` with the offsets local to the slices.
+    """
+    lo, hi = int(positions[0]), int(positions[-1]) + 1
+    if hi - lo != len(positions):
+        raise ValueError("a task's plan positions must be one contiguous run")
+    r_lo, r_hi = int(plan.r_offsets[lo]), int(plan.r_offsets[hi])
+    s_lo, s_hi = int(plan.s_offsets[lo]), int(plan.s_offsets[hi])
+    return (
+        plan.r_ids[r_lo:r_hi], plan.r_xs[r_lo:r_hi], plan.r_ys[r_lo:r_hi],
+        plan.r_offsets[lo : hi + 1] - r_lo,
+        plan.s_ids[s_lo:s_hi], plan.s_xs[s_lo:s_hi], plan.s_ys[s_lo:s_hi],
+        plan.s_offsets[lo : hi + 1] - s_lo,
+        plan.origins[lo:hi] if plan.origins is not None else None,
     )
-    if out is None:
-        return None
-    pair_r, pair_s, cand = out
-    return [
-        (int(p), pair_r[i], pair_s[i], int(cand[i]))
-        for i, p in enumerate(pos)
-    ]
+
+
+def _probe_task(plan: ExecutionPlan, positions: np.ndarray, eps: float, probe_fn):
+    """A batch kernel's probe over one whole task (``None``: it declines)."""
+    *columns, origins = _task_columns(plan, positions)
+    return probe_fn(*columns, eps, origins)
 
 
 def _run_cells(
@@ -478,32 +532,54 @@ def _run_cells(
     checkpoints=None,
     fault_at: int | None = None,
     fire=None,
-):
-    """Run cells in order, checkpointing each result as it completes.
+    staged=None,
+) -> TaskBlock:
+    """Run a task's cells in order; return its pairs as one block.
 
     ``fire`` is this attempt's injected fault (if any); it triggers once
     ``fault_at`` cells have completed, so with checkpointing enabled a
     failing attempt still persists the cells it finished first.
 
     Without checkpointing, a kernel that registered a batched variant
-    handles the whole group in one vectorized call (bit-identical
-    output; see :mod:`repro.engine.kernels`).  Per-cell checkpoints need
-    the per-cell loop: a batched pass has no per-cell completion points
-    to snapshot.  Kernels without a batched variant, and batch kernels
-    that decline, run the loop too.
+    handles the whole task in one probe and one expand (bit-identical
+    output; see :mod:`repro.engine.kernels`) -- the fault then fires up
+    front, exactly where the per-cell loop fires it (``fault_at == 0``).
+    ``staged`` is the serial tier's ``(probe, out_r, out_s, offset)``: it
+    has probed the task already, and the hits go into the job's columns
+    at ``offset``; otherwise the task probes here and expands into
+    columns of its own.  Per-cell checkpoints need the per-cell loop: a
+    batched pass has no per-cell completion points to snapshot.  Kernels
+    without a batched variant, and probes that decline, run the loop too.
     """
     from repro.engine.kernels import get_batch_kernel, get_kernel
 
-    if checkpoints is None:
-        batch_fn = get_batch_kernel(kernel_name)
-        if batch_fn is not None:
-            results = _run_cells_batched(plan, positions, eps, fire, batch_fn)
-            if results is not None:
-                return results
+    batch = get_batch_kernel(kernel_name) if checkpoints is None else None
+    if batch is not None:
+        if fire is not None:
+            fire()
+        probe_fn, expand_fn = batch
+        if staged is not None:
+            probe, out_r, out_s, at = staged
+            end, bounds = expand_fn(probe, out_r, out_s, at)
+            return TaskBlock(
+                positions, out_r[at:end], out_s[at:end], bounds - at,
+                probe.candidates, at,
+            )
+        probe = _probe_task(plan, positions, eps, probe_fn)
+        if probe is not None:
+            # sized for every candidate: pages past the last hit are never
+            # touched, and the tail is handed back
+            out_r = np.empty(probe.total, dtype=plan.r_ids.dtype)
+            out_s = np.empty(probe.total, dtype=plan.s_ids.dtype)
+            end, bounds = expand_fn(probe, out_r, out_s, 0)
+            out_r.resize(end, refcheck=False)
+            out_s.resize(end, refcheck=False)
+            return TaskBlock(positions, out_r, out_s, bounds, probe.candidates)
 
     kernel = get_kernel(kernel_name)
     ro, so = plan.r_offsets, plan.s_offsets
-    results = []
+    rids, sids = [], []
+    candidates = np.zeros(len(positions), dtype=np.int64)
     for i, pos in enumerate(positions):
         if fire is not None and i == fault_at:
             fire()
@@ -524,14 +600,24 @@ def _run_cells(
             eps,
             origin=origin,
         )
-        results.append((p, rid, sid, int(cand)))
+        rids.append(rid)
+        sids.append(sid)
+        candidates[i] = cand
         if checkpoints is not None:
             checkpoints.save(
                 p, rid, sid, int(cand), time.perf_counter() - cell_start
             )
     if fire is not None and fault_at is not None and fault_at >= len(positions):
         fire()
-    return results
+    bounds = np.zeros(len(positions) + 1, dtype=np.int64)
+    np.cumsum([len(rid) for rid in rids], out=bounds[1:])
+    return TaskBlock(
+        positions,
+        np.concatenate(rids, dtype=np.int64),
+        np.concatenate(sids, dtype=np.int64),
+        bounds,
+        candidates,
+    )
 
 
 def _attempt_run(
@@ -544,7 +630,8 @@ def _attempt_run(
     faults: FaultPlan | None,
     checkpoints,
     on_kill,
-):
+    staged=None,
+) -> tuple[TaskBlock, float]:
     """One task attempt: decide this attempt's injected faults, then run.
 
     Without checkpointing, faults fire before any cell runs (a lost
@@ -574,10 +661,10 @@ def _attempt_run(
     fault_at = None
     if fire is not None:
         fault_at = _fault_midpoint(len(positions)) if checkpoints is not None else 0
-    results = _run_cells(
-        plan, positions, kernel_name, eps, checkpoints, fault_at, fire
+    block = _run_cells(
+        plan, positions, kernel_name, eps, checkpoints, fault_at, fire, staged
     )
-    return results, time.perf_counter() - start
+    return block, time.perf_counter() - start
 
 
 def _run_group_guarded(
@@ -591,13 +678,14 @@ def _run_group_guarded(
     checkpoints=None,
     tracer: Tracer | None = None,
     parent_span_id: str | None = None,
+    staged=None,
 ):
     """One task attempt on the serial/threads backends (kill = raise).
 
     Records a ``task_run`` span (child of the scheduler's ``task`` span)
     for the attempt; a failed attempt records nothing here -- the
     scheduler's span carries the failure.  Returns
-    ``(worker_id, results, elapsed, span_payload)``; the payload slot is
+    ``(worker_id, block, elapsed, span_payload)``; the payload slot is
     ``None`` because spans land directly in the parent tracer (worker
     *processes* fill it instead -- see :func:`_process_group`).
     """
@@ -615,13 +703,13 @@ def _run_group_guarded(
             worker=worker_id,
             attrs={"attempt": attempt, "cells": int(len(positions))},
         )
-    results, elapsed = _attempt_run(
+    block, elapsed = _attempt_run(
         plan, positions, kernel_name, eps, worker_id, attempt, faults,
-        checkpoints, on_kill,
+        checkpoints, on_kill, staged,
     )
     if tracer is not None:
         tracer.end(span)
-    return worker_id, results, elapsed, None
+    return worker_id, block, elapsed, None
 
 
 # ----------------------------------------------------------------------
@@ -787,7 +875,7 @@ def _make_process_task_args(
     )
 
 
-def _process_group(args) -> tuple[int, list, float, list | None]:
+def _process_group(args) -> tuple[int, TaskBlock, float, list | None]:
     """Pool task: attach the shared blocks, run one worker group's cells.
 
     Spans recorded in the child cannot share the parent's buffers, so --
@@ -859,16 +947,14 @@ def _process_group(args) -> tuple[int, list, float, list | None]:
                 s_ids, s_xs, s_ys, s_offsets,
                 origins=origins,
             )
-            results, elapsed = _attempt_run(
+            block, elapsed = _attempt_run(
                 plan, positions, kernel_name, eps, worker_id, attempt, faults,
                 checkpoints, on_kill=lambda: os._exit(13),
             )
-            # force copies: the kernel outputs never alias the shared blocks
-            # today (fancy indexing copies), but the blocks die with the task
-            results = [
-                (p, np.array(rid, dtype=np.int64), np.array(sid, dtype=np.int64), c)
-                for p, rid, sid, c in results
-            ]
+            # the block's pairs are arrays of its own (one pair per task
+            # crosses the pickle boundary), but its positions may be a view
+            # of the shared position table, which dies with the task
+            block.positions = np.array(block.positions)
         finally:
             del r_ids, r_xs, r_ys, s_ids, s_xs, s_ys
             shm_r.close()
@@ -877,7 +963,7 @@ def _process_group(args) -> tuple[int, list, float, list | None]:
         del cells, workers, r_offsets, s_offsets, origins, pos_table
         shm_meta.close()
     tracer.end(span)
-    return worker_id, results, elapsed, tracer.export_payload() if trace_enabled else None
+    return worker_id, block, elapsed, tracer.export_payload() if trace_enabled else None
 
 
 def _pool_context():
@@ -1019,13 +1105,92 @@ class _Flight:
     span: object = None
 
 
+class _ResultColumns:
+    """The job's result column pair while it fills.
+
+    Task outputs arrive as :class:`TaskBlock` s, in any order and from
+    any tier; :meth:`finish` cuts the report's columns from them.  The
+    serial tier :meth:`reserve` s the columns up front and expands every
+    task into them at its running offset, so its blocks already sit where
+    they belong and ``finish`` only hands the unused tail back; blocks
+    from anywhere else are copied into place once.
+    """
+
+    def __init__(self, plan: ExecutionPlan):
+        n = plan.num_cells
+        self.pair_counts = np.zeros(n, dtype=np.int64)
+        self.candidates = np.zeros(n, dtype=np.int64)
+        self.blocks: list[TaskBlock] = []
+        self.r_col = np.empty(0, dtype=plan.r_ids.dtype)
+        self.s_col = np.empty(0, dtype=plan.s_ids.dtype)
+
+    def reserve(self, total: int) -> None:
+        """Allocate the columns with room for ``total`` pairs."""
+        self.r_col = np.empty(total, dtype=self.r_col.dtype)
+        self.s_col = np.empty(total, dtype=self.s_col.dtype)
+
+    def add(self, block: TaskBlock) -> None:
+        self.pair_counts[block.positions] = np.diff(block.bounds)
+        self.candidates[block.positions] = block.candidates
+        self.blocks.append(block)
+
+    def finish(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(r_col, s_col, bounds)`` in plan-position order."""
+        bounds = np.zeros(len(self.pair_counts) + 1, dtype=np.int64)
+        np.cumsum(self.pair_counts, out=bounds[1:])
+        total = int(bounds[-1])
+        if all(block.at == bounds[block.positions[0]] for block in self.blocks):
+            # every pair was written where it belongs: nothing is copied,
+            # pages past the last hit were never touched, and the unused
+            # tail goes back with the one resize
+            self.blocks.clear()  # views of the columns about to shrink
+            self.r_col.resize(total, refcheck=False)
+            self.s_col.resize(total, refcheck=False)
+            return self.r_col, self.s_col, bounds
+        r_col = np.empty(total, dtype=self.r_col.dtype)
+        s_col = np.empty(total, dtype=self.s_col.dtype)
+        for block in self.blocks:
+            pos = block.positions
+            # a run of consecutive positions is contiguous in the block and
+            # in the columns; only a salvage remainder has more than one run
+            cuts = (np.flatnonzero(np.diff(pos) != 1) + 1).tolist()
+            for lo, hi in zip([0, *cuts], [*cuts, len(pos)]):
+                src = slice(int(block.bounds[lo]), int(block.bounds[hi]))
+                dst = slice(int(bounds[pos[lo]]), int(bounds[pos[hi - 1] + 1]))
+                r_col[dst] = block.r[src]
+                s_col[dst] = block.s[src]
+        return r_col, s_col, bounds
+
+
 def _serial_tier(
     plan, tasks, kernel_name, eps, faults, policy, state, report, absorb,
-    prepare, checkpoints,
+    prepare, checkpoints, columns,
 ):
-    """Run tasks in-process with per-task retries; return unrecoverable."""
+    """Run tasks in-process with per-task retries; return unrecoverable.
+
+    Tasks run in ascending worker (= plan position) order.  With a batch
+    kernel every task is probed first: the summed candidate total sizes
+    the job's result columns, and each task's attempt then expands into
+    them at the running offset.  A failed attempt leaves the offset where
+    it was, so the retry overwrites whatever it had written.
+    """
+    from repro.engine.kernels import get_batch_kernel
+
+    probes: dict[int, tuple[object, float]] = {}
+    batch = get_batch_kernel(kernel_name) if checkpoints is None else None
+    if batch is not None:
+        for worker_id in sorted(tasks):
+            start = time.perf_counter()
+            probe = _probe_task(plan, tasks[worker_id], eps, batch[0])
+            if probe is not None:
+                probes[worker_id] = (probe, time.perf_counter() - start)
+        columns.reserve(sum(probe.total for probe, _ in probes.values()))
+    offset = 0  # end of the last block expanded into the job's columns
     exhausted: dict[int, np.ndarray] = {}
-    for worker_id, positions in tasks.items():
+    for worker_id in sorted(tasks):
+        positions = tasks[worker_id]
+        # popped: a probe's windows are freed as soon as its task is done
+        probe, probe_seconds = probes.pop(worker_id, (None, 0.0))
         failures = 0
         while True:
             run_positions = prepare(worker_id, positions)
@@ -1038,12 +1203,15 @@ def _serial_tier(
             span = state.task_span(
                 worker_id, attempt, "serial", len(run_positions)
             )
+            staged = None
+            if probe is not None:
+                staged = (probe, columns.r_col, columns.s_col, offset)
             start = time.perf_counter()
             try:
-                _, results, elapsed, _ = _run_group_guarded(
+                _, block, elapsed, _ = _run_group_guarded(
                     plan, run_positions, kernel_name, eps, worker_id, attempt,
                     faults, checkpoints, state.tracer,
-                    span.span_id if span is not None else None,
+                    span.span_id if span is not None else None, staged,
                 )
             except Exception as exc:
                 report.recovery_seconds += time.perf_counter() - start
@@ -1059,7 +1227,10 @@ def _serial_tier(
                     report.recovery_seconds += pause
             else:
                 state.tracer.end(span)
-                absorb(worker_id, results, elapsed)
+                # the task's wall is its probe plus its expand
+                absorb(worker_id, block, probe_seconds + elapsed)
+                if staged is not None:
+                    offset += len(block.r)
                 break
     return exhausted
 
@@ -1071,7 +1242,7 @@ def _pool_tier(
     """Run tasks on a thread or process pool; return unrecoverable tasks.
 
     The scheduler loop owns four responsibilities: draining completions
-    (stitching the winner's results), retrying failures after their
+    (absorbing the winner's block), retrying failures after their
     backoff expires, replacing a broken process pool, and launching
     speculative copies of stragglers.
     """
@@ -1211,7 +1382,7 @@ def _pool_tier(
                     continue  # a finished sibling already evicted this one
                 worker_id = flight.worker_id
                 try:
-                    _, results, elapsed, span_payload = fut.result()
+                    _, block, elapsed, span_payload = fut.result()
                 except broken_types as exc:
                     pool_died = exc
                     fail(flight, now, exc)
@@ -1235,7 +1406,7 @@ def _pool_tier(
                                 fl.span.attrs["cancelled"] = True
                                 state.tracer.end(fl.span)
                             del pending[sibling]
-                    absorb(worker_id, results, elapsed)
+                    absorb(worker_id, block, elapsed)
             if pool_died is not None:
                 # the pool is unusable: every in-flight attempt died with
                 # it; replenish the pool and let fail() schedule retries
@@ -1312,8 +1483,9 @@ def execute_plan(
 
     ``max_workers`` caps the OS-level workers (default: the host CPU
     count, at most one per simulated-worker group).  Results come back in
-    plan order regardless of completion order -- and regardless of which
-    attempt, speculative copy, or fallback backend produced them.
+    plan-position (task-major) order regardless of completion order --
+    and regardless of which attempt, speculative copy, or fallback
+    backend produced them.
 
     ``faults`` injects deterministic failures (see
     :mod:`repro.engine.faults`); ``retry`` configures recovery (default
@@ -1331,8 +1503,8 @@ def execute_plan(
 
     A kernel with a registered batched variant (see
     :func:`repro.engine.kernels.register_batch_kernel`) runs each task's
-    whole cell group in one vectorized call unless ``checkpoints`` is
-    set, since per-cell snapshots need the per-cell loop.  Output is
+    whole cell group in one probe and one expand unless ``checkpoints``
+    is set, since per-cell snapshots need the per-cell loop.  Output is
     bit-identical either way.
 
     ``cluster`` tunes the ``cluster`` backend: a
@@ -1352,9 +1524,8 @@ def execute_plan(
     groups = plan.worker_groups()
     n = plan.num_cells
     report = ExecutionReport(backend=backend, os_workers=1, backend_used=backend)
-    report.pair_r = [_EMPTY] * n
-    report.pair_s = [_EMPTY] * n
-    report.candidates = np.zeros(n, dtype=np.int64)
+    columns = _ResultColumns(plan)
+    report.candidates = columns.candidates
     report.resubmit_counts = np.zeros(n, dtype=np.int64)
     report.salvage_counts = np.zeros(n, dtype=np.int64)
     if n == 0:
@@ -1364,13 +1535,10 @@ def execute_plan(
     salvaged_done: set[int] = set()
     task_seconds = registry.histogram("executor.task_seconds")
 
-    def absorb(worker_id: int, results, elapsed: float) -> None:
+    def absorb(worker_id: int, block: TaskBlock, elapsed: float) -> None:
         report.worker_wall[worker_id] = elapsed
         task_seconds.observe(elapsed)
-        for p, rid, sid, cand in results:
-            report.pair_r[p] = rid
-            report.pair_s[p] = sid
-            report.candidates[p] = cand
+        columns.add(block)
 
     def prepare(worker_id: int, positions: np.ndarray) -> np.ndarray:
         """Salvage checkpointed cells; return the positions still to run.
@@ -1396,9 +1564,12 @@ def execute_plan(
                 if rec is None:
                     keep.append(p)
                     continue
-                report.pair_r[p] = rec.rid
-                report.pair_s[p] = rec.sid
-                report.candidates[p] = rec.candidates
+                columns.add(
+                    TaskBlock(
+                        np.array([p]), rec.rid, rec.sid,
+                        np.array([0, len(rec.rid)]), np.array([rec.candidates]),
+                    )
+                )
                 salvaged_done.add(p)
                 report.cells_salvaged += 1
                 report.salvaged_wall_seconds += rec.seconds
@@ -1431,7 +1602,7 @@ def execute_plan(
         if tier == "serial":
             remaining = _serial_tier(
                 plan, remaining, kernel_name, eps, faults, policy, state,
-                report, absorb, prepare, checkpoints,
+                report, absorb, prepare, checkpoints, columns,
             )
         elif tier == "cluster":
             from repro.engine.cluster_backend import (
@@ -1496,6 +1667,7 @@ def execute_plan(
         )
         tier = fallback
 
+    report.r_col, report.s_col, report.bounds = columns.finish()
     report.attempts = state.total_attempts
     report.retries = max(
         0, report.attempts - len(groups) - report.speculative_launched

@@ -52,36 +52,48 @@ def registered_kernels() -> dict[str, Callable]:
 
 
 # ----------------------------------------------------------------------
-# batched variants: one call per worker *task* instead of one per cell
+# batched variants: one probe + one expand per worker *task*, not per cell
 # ----------------------------------------------------------------------
-# A batch kernel joins every cell of a task in a single vectorized pass::
+# A batch kernel is a pair of callables.  ``probe`` reads every cell of a
+# task in a single vectorized pass and writes no result::
 #
-#     batch_kernel(r_ids, r_xs, r_ys, r_offsets,
-#                  s_ids, s_xs, s_ys, s_offsets, eps, origins)
-#         -> (pair_r: list[ndarray], pair_s: list[ndarray],
-#             candidates: ndarray) | None
+#     probe(r_ids, r_xs, r_ys, r_offsets,
+#           s_ids, s_xs, s_ys, s_offsets, eps, origins) -> state | None
 #
-# The column arrays are the task's cells concatenated back to back;
-# ``*_offsets`` (len C+1) delimit each cell's segment and ``origins`` is a
-# ``(C, 2)`` float64 array or ``None``.  The contract is *bit-exactness*:
-# entry ``i`` of each output must equal the per-cell kernel applied to
-# segment ``i`` -- same pairs, same order, same candidate count.  A batch
-# kernel may return ``None`` to decline (e.g. composite keys would
-# overflow); the executor then falls back to the per-cell loop.
+# The column arrays are the task's cells back to back -- a slice of the
+# execution plan; ``*_offsets`` (len C+1) delimit each cell's segment and
+# ``origins`` is a ``(C, 2)`` float64 array or ``None``.  ``state.total``
+# bounds the pairs the task can produce and ``state.candidates`` (len C)
+# is the per-cell candidate count.  ``expand`` then writes the pairs into
+# columns the *caller* owns::
+#
+#     expand(state, out_r, out_s, offset) -> (end, bounds)
+#
+# from ``offset`` onwards (``out`` has room for ``state.total`` entries
+# there; nothing past ``end`` is touched), cell ``i``'s pairs being
+# ``out[bounds[i]:bounds[i + 1]]``.  The serial tier passes the job-wide
+# result columns, so a pair is written once, where ``collect`` hands it
+# out; a pooled task passes columns of its own.  Expanding a state twice
+# writes the same pairs twice (a retried task overwrites).
+#
+# The contract is *bit-exactness*: cell ``i``'s slice must equal the
+# per-cell kernel applied to segment ``i`` -- same pairs, same order, same
+# candidate count.  ``probe`` may return ``None`` to decline (e.g.
+# composite keys would overflow); the executor then falls back to the
+# per-cell loop.
 #
 # Batched execution is only used when fine-grained checkpointing is off:
 # per-cell checkpoints need per-cell completion points, which a batched
 # pass by design does not have.
 
-_BATCH_REGISTRY: dict[str, Callable] = {}
+_BATCH_REGISTRY: dict[str, tuple[Callable, Callable]] = {}
 
 
-def register_batch_kernel(name: str, kernel: Callable) -> Callable:
-    """Register the batched variant of kernel ``name``."""
-    _BATCH_REGISTRY[name] = kernel
-    return kernel
+def register_batch_kernel(name: str, probe: Callable, expand: Callable) -> None:
+    """Register the batched (probe, expand) variant of kernel ``name``."""
+    _BATCH_REGISTRY[name] = (probe, expand)
 
 
-def get_batch_kernel(name: str) -> Callable | None:
-    """The batched variant of ``name``, or ``None`` if it has none."""
+def get_batch_kernel(name: str) -> tuple[Callable, Callable] | None:
+    """The ``(probe, expand)`` pair of ``name``, or ``None`` if it has none."""
     return _BATCH_REGISTRY.get(name)

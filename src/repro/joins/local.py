@@ -12,9 +12,10 @@ cost.  Four kernels are provided:
 * :func:`grid_hash_join` -- bucket S into horizontal bands of height
   ``eps`` sorted by x, and give each R point an x-window in its own band
   and the two adjacent ones, narrowed by its vertical gap to the band:
-  the candidate set is close to the ``eps``-disc.  One implementation,
-  :func:`grid_hash_join_batch`, joins all cells of a worker task in one
-  pass; the per-cell kernel is its one-cell case;
+  the candidate set is close to the ``eps``-disc.  One implementation in
+  two steps -- :func:`grid_hash_probe` windows all cells of a worker task
+  in one pass, :func:`grid_hash_expand` writes the hits into columns the
+  caller supplies; the per-cell kernel is the one-cell case;
 * :func:`rtree_join` -- bulk-load an STR R-tree on S and range-probe the
   R points (the kernel Sedona uses; included for the kernel comparison the
   paper's related work motivates [Sidlauskas & Jensen, VLDB 2014]).
@@ -34,11 +35,14 @@ banded and sorted.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.engine.sorting import run_starts, stable_argsort
 
 _EMPTY = np.empty(0, dtype=np.int64)
+_EMPTY_XY = np.empty(0, dtype=np.complex128)
 
 
 def _expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,22 +127,22 @@ def grid_hash_join(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Band S by rows of height ``eps``; probe each R point's three rows
     with sorted-x windows -- the one-cell case of
-    :func:`grid_hash_join_batch`.
+    :func:`grid_hash_probe` + :func:`grid_hash_expand`.
 
     An ``eps`` the banding cannot key (zero, infinite, or so small
     against the extent that the keys would overflow) is answered by
     :func:`plane_sweep_join`, whose float window needs no keys.
     """
     origins = None if origin is None else np.array([origin], dtype=np.float64)
-    out = grid_hash_join_batch(
+    probe = grid_hash_probe(
         r_ids, r_xs, r_ys, np.array([0, len(r_ids)], dtype=np.int64),
         s_ids, s_xs, s_ys, np.array([0, len(s_ids)], dtype=np.int64),
         eps, origins,
     )
-    if out is None:
+    if probe is None:
         return plane_sweep_join(r_ids, r_xs, r_ys, s_ids, s_xs, s_ys, eps)
-    pair_r, pair_s, candidates = out
-    return pair_r[0], pair_s[0], int(candidates[0])
+    out_r, out_s, _ = _expand_owned(probe)
+    return out_r, out_s, int(probe.candidates[0])
 
 
 def _segment_min(vals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -171,7 +175,30 @@ _MAX_EXTENT = 2.0**20
 _BLOCK_CANDIDATES = 1 << 15
 
 
-def grid_hash_join_batch(
+@dataclass(frozen=True, slots=True)
+class GridHashProbe:
+    """What :func:`grid_hash_probe` found: every R point's three windows
+    into the sorted S side, and the candidate counts they add up to.
+
+    Holds no output; :func:`grid_hash_expand` turns it into result pairs.
+    """
+
+    #: Candidate pairs over all cells -- the most hits an expand can write.
+    total: int
+    #: Candidate pairs per cell.
+    candidates: np.ndarray
+    r_ids: np.ndarray
+    r_xy: np.ndarray  # complex128: x + iy
+    sid: np.ndarray  # S ids and coordinates in (cell, band, x) order
+    s_xy: np.ndarray
+    first: np.ndarray  # per probe: window start minus its candidate offset
+    counts: np.ndarray  # per probe: window length
+    point_before: np.ndarray  # candidates before R point i (len |R| + 1)
+    cell_before: np.ndarray  # candidates before cell i (len cells + 1)
+    eps_sq: float
+
+
+def grid_hash_probe(
     r_ids: np.ndarray,
     r_xs: np.ndarray,
     r_ys: np.ndarray,
@@ -182,8 +209,8 @@ def grid_hash_join_batch(
     s_offsets: np.ndarray,
     eps: float,
     origins: np.ndarray | None,
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray] | None:
-    """All cells of one worker task in a single vectorized pass.
+) -> GridHashProbe | None:
+    """Key, sort and window all cells of one worker task; write no pairs.
 
     Relative to its cell's origin ``(x0, y0)`` a point has ``u = x - x0``
     and ``v = y - y0``.  S is bucketed into horizontal *bands* of height
@@ -197,8 +224,9 @@ def grid_hash_join_batch(
     window is the key range ``floor((u - w) / q) - 1 .. floor((u + w) /
     q) + 1`` inside the band's key block, found by two binary searches.
     Expected candidate area: ``(2 + pi) eps^2`` against the ``pi eps^2``
-    disc.  Every candidate then takes the exact float64 test ``dx*dx +
-    dy*dy <= eps*eps`` on the original coordinates.
+    disc.  Every candidate later takes the exact float64 test ``dx*dx +
+    dy*dy <= eps*eps`` on the original coordinates
+    (:func:`grid_hash_expand`).
 
     *The windows are a superset of the accepted pairs.*  If the float
     test accepts ``(r, s)`` then ``|x_r - x_s|`` and ``|y_r - y_s|`` are
@@ -214,13 +242,12 @@ def grid_hash_join_batch(
     inside their cell's and band's key block and probes are clipped to
     the block, so no window reaches another band's or cell's points.
 
-    Probes are laid out R-major (``point x band``), so hits come out
-    grouped by cell, in input order of R; they are expanded in blocks of
-    :data:`_BLOCK_CANDIDATES`.  Entry ``i`` of each returned list is
-    exactly what the kernel returns for segment ``i`` alone -- same
-    pairs, same order, same candidate count: keys are relative to the
-    cell's origin, the global shifts below are monotone, and the stable
-    sort keeps equal keys in input order.
+    Probes are laid out R-major (``point x band``), so candidates -- and
+    the hits among them -- are grouped by cell, in input order of R.
+    What a cell contributes is exactly what the kernel finds for that
+    segment alone -- same pairs, same order, same candidate count: keys
+    are relative to the cell's origin, the global shifts below are
+    monotone, and the stable sort keeps equal keys in input order.
 
     Returns ``None`` (decline; the caller falls back to the per-cell
     loop, the one-cell kernel to :func:`plane_sweep_join`) when ``eps``
@@ -228,9 +255,12 @@ def grid_hash_join_batch(
     the keys would overflow int64.
     """
     num_cells = len(r_offsets) - 1
-    empty_out = [_EMPTY] * num_cells
     if num_cells == 0 or len(r_ids) == 0 or len(s_ids) == 0:
-        return empty_out, list(empty_out), np.zeros(num_cells, dtype=np.int64)
+        zeros = np.zeros(num_cells + 1, dtype=np.int64)
+        return GridHashProbe(
+            0, zeros[1:], r_ids[:0], _EMPTY_XY, s_ids[:0], _EMPTY_XY,
+            _EMPTY, _EMPTY, zeros[:1], zeros, 0.0,
+        )
     quantum = eps / _QUANTA_PER_EPS
     if not (quantum > 0.0 and np.isfinite(eps)):
         return None
@@ -311,25 +341,46 @@ def grid_hash_join_batch(
     counts = hi - lo
     before = np.zeros(len(counts) + 1, dtype=np.int64)  # candidates before probe i
     np.cumsum(counts, out=before[1:])
-    first = lo - before[:-1]  # window start minus the probe's candidate offset
+    lo -= before[:-1]
     point_before = before[::3]
-    point_counts = point_before[1:] - point_before[:-1]
     cell_before = point_before[r_offsets]
-    total = int(before[-1])
+    return GridHashProbe(
+        int(before[-1]), cell_before[1:] - cell_before[:-1],
+        r_ids, r_xy, sid, s_xy, lo, counts, point_before, cell_before, eps_sq,
+    )
+
+
+def grid_hash_expand(
+    probe: GridHashProbe, out_r: np.ndarray, out_s: np.ndarray, offset: int = 0
+) -> tuple[int, np.ndarray]:
+    """Test a probe's candidates; write the hits from ``offset`` onwards.
+
+    ``out_r``/``out_s`` are the caller's columns, with room for
+    ``probe.total`` entries from ``offset``; only the entries up to the
+    returned end offset are written (and their pages touched).
+    Candidates are expanded in blocks of :data:`_BLOCK_CANDIDATES`, each
+    taking the exact float64 test, and hits land in cell order, R-major
+    inside a cell.  Returns ``(end, bounds)``: cell ``i``'s pairs are
+    ``out[bounds[i]:bounds[i + 1]]``, with ``bounds[0] == offset`` and
+    ``bounds[-1] == end``.  A second expand of the same probe writes the
+    same pairs again.
+    """
+    if probe.total == 0:
+        return offset, np.full(len(probe.cell_before), offset, dtype=np.int64)
+    first, counts = probe.first, probe.counts
+    point_before, cell_before = probe.point_before, probe.cell_before
+    r_ids, r_xy, sid, s_xy = probe.r_ids, probe.r_xy, probe.sid, probe.s_xy
+    point_counts = point_before[1:] - point_before[:-1]
     # blocks of whole points holding ~_BLOCK_CANDIDATES candidates each
-    cuts = np.searchsorted(point_before, np.arange(0, total, _BLOCK_CANDIDATES))
+    cuts = np.searchsorted(point_before, np.arange(0, probe.total, _BLOCK_CANDIDATES))
     cuts = np.append(cuts[run_starts(cuts)], len(r_ids)).tolist()
     ramp = np.arange(
         int(np.max(point_before[cuts[1:]] - point_before[cuts[:-1]], initial=0)),
         dtype=np.int64,
     )
-    # one allocation per output column, sized for every candidate: pages
-    # past the last hit are never touched, and the tail is handed back
-    out_r = np.empty(total, dtype=r_ids.dtype)
-    out_s = np.empty(total, dtype=s_ids.dtype)
-    bounds = np.zeros(num_cells + 1, dtype=np.int64)  # hits before cell i
+    bounds = np.empty(len(cell_before), dtype=np.int64)  # hits before cell i
     cell = 0
-    num_hits = 0
+    num_hits = offset
     for a, b in zip(cuts[:-1], cuts[1:]):
         start, stop = int(point_before[a]), int(point_before[b])
         windows = np.repeat(first[3 * a : 3 * b] + start, counts[3 * a : 3 * b])
@@ -339,7 +390,7 @@ def grid_hash_join_batch(
         d -= s_xy[windows]
         d = d.view(np.float64)
         d *= d
-        hit = np.flatnonzero(d[0::2] + d[1::2] <= eps_sq)
+        hit = np.flatnonzero(d[0::2] + d[1::2] <= probe.eps_sq)
         upto = num_hits + len(hit)
         out_r[num_hits:upto] = np.repeat(r_ids[a:b], cnt)[hit]
         out_s[num_hits:upto] = sid[windows[hit]]
@@ -352,11 +403,51 @@ def grid_hash_join_batch(
         cell = last
         num_hits = upto
     bounds[cell:] = num_hits
-    out_r.resize(num_hits, refcheck=False)
-    out_s.resize(num_hits, refcheck=False)
-    pair_r = [out_r[bounds[i] : bounds[i + 1]] for i in range(num_cells)]
-    pair_s = [out_s[bounds[i] : bounds[i + 1]] for i in range(num_cells)]
-    return pair_r, pair_s, cell_before[1:] - cell_before[:-1]
+    return num_hits, bounds
+
+
+def _expand_owned(probe: GridHashProbe) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expand into columns of the probe's own: ``(out_r, out_s, bounds)``.
+
+    One allocation per column, sized for every candidate: pages past the
+    last hit are never touched, and the tail is handed back.
+    """
+    out_r = np.empty(probe.total, dtype=probe.r_ids.dtype)
+    out_s = np.empty(probe.total, dtype=probe.sid.dtype)
+    end, bounds = grid_hash_expand(probe, out_r, out_s)
+    out_r.resize(end, refcheck=False)
+    out_s.resize(end, refcheck=False)
+    return out_r, out_s, bounds
+
+
+def grid_hash_join_batch(
+    r_ids: np.ndarray,
+    r_xs: np.ndarray,
+    r_ys: np.ndarray,
+    r_offsets: np.ndarray,
+    s_ids: np.ndarray,
+    s_xs: np.ndarray,
+    s_ys: np.ndarray,
+    s_offsets: np.ndarray,
+    eps: float,
+    origins: np.ndarray | None,
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray] | None:
+    """All cells of one worker task: :func:`grid_hash_probe`, columns of
+    its own, :func:`grid_hash_expand`.
+
+    Entry ``i`` of each returned list is exactly what
+    :func:`grid_hash_join` returns for segment ``i`` alone -- same pairs,
+    same order, same candidate count.  ``None`` when the probe declines.
+    """
+    probe = grid_hash_probe(
+        r_ids, r_xs, r_ys, r_offsets, s_ids, s_xs, s_ys, s_offsets, eps, origins
+    )
+    if probe is None:
+        return None
+    out_r, out_s, bounds = _expand_owned(probe)
+    pair_r = [out_r[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    pair_s = [out_s[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return pair_r, pair_s, probe.candidates
 
 
 def rtree_join(
@@ -451,4 +542,4 @@ del _name, _kernel
 # Batched (whole-task) variant: only grid_hash has one -- its integer
 # band/x keys compose across cells without touching float arithmetic.
 # The float-keyed kernels keep their per-cell loop inside the worker.
-_register_batch_kernel("grid_hash", grid_hash_join_batch)
+_register_batch_kernel("grid_hash", grid_hash_probe, grid_hash_expand)

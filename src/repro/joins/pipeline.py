@@ -1085,7 +1085,7 @@ DISTINCT_RECORD_COST = 1.0e-6
 def parallel_distinct(
     r_ids: np.ndarray,
     s_ids: np.ndarray,
-    src_workers: np.ndarray,
+    task_spans: tuple[np.ndarray, np.ndarray],
     cluster: SimCluster,
     shuffle: ShuffleStats,
     num_partitions: int,
@@ -1097,10 +1097,12 @@ def parallel_distinct(
     every result pair is shuffled by its key so duplicates co-locate, then
     each partition sorts/uniquifies its pairs.
 
-    The dedup itself runs batched: each source worker's pair block is
-    ``np.unique``-d locally, then a single k-way merge of the sorted key
-    blocks (:func:`~repro.joins.postprocess.merge_sorted_unique`) yields
-    the global distinct set -- replacing a full-materialize
+    ``task_spans`` is ``(workers, bounds)``: the pairs are task-major, and
+    ``bounds[i]:bounds[i + 1]`` are the ones worker ``workers[i]``
+    produced.  The dedup itself runs batched: each source worker's span
+    is ``np.unique``-d locally, then a single k-way merge of the sorted
+    key blocks (:func:`~repro.joins.postprocess.merge_sorted_unique`)
+    yields the global distinct set -- replacing a full-materialize
     ``np.unique`` over every pair at once, and bit-identical to it.
     """
     from repro.joins.postprocess import (
@@ -1111,25 +1113,31 @@ def parallel_distinct(
 
     if len(r_ids) == 0:
         return r_ids, s_ids, 0.0
+    workers, bounds = task_spans
+    W = cluster.num_workers
     key = pack_pair_keys(r_ids, s_ids)
-    parts = (key % num_partitions).astype(np.int64)
-    dst_workers = parts % cluster.num_workers
-    shuffle.add_transfers(src_workers, dst_workers, PAIR_BYTES, cluster.num_workers)
-    remote = src_workers != dst_workers
-    cost = np.where(
-        remote,
-        PAIR_BYTES * cm.remote_byte_cost + DISTINCT_RECORD_COST,
-        PAIR_BYTES * cm.local_byte_cost + DISTINCT_RECORD_COST,
+    dst_workers = (key % num_partitions).astype(np.int64) % W
+    edge_records, _ = shuffle.add_transfers(
+        np.repeat(workers, np.diff(bounds)), dst_workers, PAIR_BYTES, W
     )
-    for w in range(cluster.num_workers):
-        sel = dst_workers == w
-        if sel.any():
-            cluster.add_cost(w, "dedup", float(cost[sel].sum()))
+    # a destination reads its own pairs at the local rate, the rest at the
+    # remote rate: counts off the (source, destination) matrix, so the
+    # clock does not depend on the order the pairs arrive in
+    local = edge_records.diagonal()
+    reads = edge_records.sum(axis=0)
+    for w in np.flatnonzero(reads):
+        cluster.add_cost(
+            int(w),
+            "dedup",
+            float(reads[w] - local[w]) * (PAIR_BYTES * cm.remote_byte_cost)
+            + float(local[w]) * (PAIR_BYTES * cm.local_byte_cost)
+            + float(reads[w]) * DISTINCT_RECORD_COST,
+        )
     # Batched distinct: per-source-worker local unique, then one k-way
     # merge of the sorted key blocks on the driver.
-    blocks = []
-    for w in np.unique(src_workers):
-        blocks.append(np.unique(key[src_workers == w]))
+    blocks = [
+        np.unique(key[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
+    ]
     uniq_r, uniq_s = unpack_pair_keys(merge_sorted_unique(blocks))
     return uniq_r, uniq_s, cluster.phase_makespan("dedup")
 
@@ -1137,9 +1145,11 @@ def parallel_distinct(
 class DistinctStage(Stage):
     """Parallel distinct over the collected pairs (the Table 6 variant).
 
-    Reads ``r_ids``/``s_ids``/``src_workers``; replaces the id arrays
-    with their unique pairs and folds the dedup makespan and refreshed
-    shuffle volumes into the metrics.
+    Reads ``r_ids``/``s_ids`` and the executor's ``plan``/``report``
+    (the pairs are task-major, so each source worker's pairs are one
+    span of them); replaces the id arrays with their unique pairs and
+    folds the dedup makespan and refreshed shuffle volumes into the
+    metrics.
     """
 
     name = "distinct"
@@ -1150,10 +1160,14 @@ class DistinctStage(Stage):
 
     def run(self, ctx: JoinContext) -> None:
         d = ctx.data
+        # one span of pairs per task: the report's bounds at the starts of
+        # the plan's worker runs
+        workers = d["plan"].workers
+        starts = run_starts(workers)
         r_ids, s_ids, dedup_time = parallel_distinct(
             d["r_ids"],
             d["s_ids"],
-            d["src_workers"],
+            (workers[starts], d["report"].bounds[np.append(starts, len(workers))]),
             ctx.cluster,
             ctx.shuffle,
             self.num_partitions,
@@ -1178,12 +1192,13 @@ class DistinctStage(Stage):
 # generic collect stage shared by drivers that emit kernel pairs as-is
 # ----------------------------------------------------------------------
 class CollectPairsStage(Stage):
-    """Concatenate the kernel outputs and price each plan position.
+    """Hand out the executor's result columns and price each plan position.
 
     Writes ``cost_pos`` (``candidates * compare + pairs * emit`` per
-    position), ``r_ids``/``s_ids``/``src_workers`` and ``result_count``.
-    ``collect_pairs=False`` counts results without materializing ids
-    (used by large benchmark sweeps).
+    position), ``r_ids``/``s_ids`` -- the report's columns themselves,
+    task-major, not a copy -- and ``result_count``.
+    ``collect_pairs=False`` counts results without handing out ids (used
+    by large benchmark sweeps).
     """
 
     name = "collect"
@@ -1193,24 +1208,18 @@ class CollectPairsStage(Stage):
         self.collect_pairs = collect_pairs
 
     def run(self, ctx: JoinContext) -> None:
-        plan = ctx.data["plan"]
         report = ctx.data["report"]
         cm = ctx.cost_model
-        pair_counts = np.array([len(rid) for rid in report.pair_r], dtype=np.int64)
-        result_count = int(pair_counts.sum())
+        pair_counts = np.diff(report.bounds)
         ctx.data["cost_pos"] = (
             report.candidates.astype(np.float64) * cm.compare_cost
             + pair_counts.astype(np.float64) * cm.emit_cost
         )
-        if self.collect_pairs and result_count:
-            r_ids = np.concatenate(report.pair_r)
-            s_ids = np.concatenate(report.pair_s)
-            src = np.repeat(plan.workers, pair_counts)
+        if self.collect_pairs:
+            r_ids, s_ids = report.r_col, report.s_col
         else:
             r_ids = np.empty(0, dtype=np.int64)
             s_ids = np.empty(0, dtype=np.int64)
-            src = np.empty(0, dtype=np.int64)
         ctx.data["r_ids"] = r_ids
         ctx.data["s_ids"] = s_ids
-        ctx.data["src_workers"] = src
-        ctx.data["result_count"] = result_count
+        ctx.data["result_count"] = int(report.bounds[-1])

@@ -1276,18 +1276,21 @@ class JoinServer:
         encoded = np.frombuffer(
             json.dumps(metrics_payload).encode("utf-8"), dtype=np.uint8
         )
+        # the cache owns its bytes: the job's columns were allocated for
+        # every candidate and shrunk in place, which in a long-lived
+        # process pins the unused tail as a heap hole for as long as the
+        # column lives; an exact-size copy lets the job's allocation go
+        r_ids, s_ids = result.r_ids.copy(), result.s_ids.copy()
         with self._results_lock:
             block_id = self._result_blocks.get(qkey)
             if block_id is None:
                 block_id = BlockId("Q", self._next_result_block, 0)
                 self._next_result_block += 1
-            nbytes = int(
-                result.r_ids.nbytes + result.s_ids.nbytes + encoded.nbytes
-            )
+            nbytes = int(r_ids.nbytes + s_ids.nbytes + encoded.nbytes)
             self._results.put(
                 block_id,
-                {"r": result.r_ids, "s": result.s_ids, "meta": encoded},
-                records=len(result.r_ids),
+                {"r": r_ids, "s": s_ids, "meta": encoded},
+                records=len(r_ids),
                 logical_bytes=nbytes,
             )
             self._result_blocks[qkey] = block_id

@@ -244,6 +244,51 @@ def test_shuffle_is_bookkeeping_next_to_assign():
 
 
 @pytest.mark.perfsmoke
+def test_collect_hands_out_the_columns_the_kernel_wrote():
+    """``collect`` is a view: <= 0.1x the ``local_join`` stage's wall.
+
+    40k x 40k uniform, ``lpib``/``grid_hash``, serial: ~1M result pairs.
+    The serial tier expands every task into one job-wide column pair, so
+    the driver's ``r_ids`` *is* that memory and ``collect`` only prices
+    the plan positions (~0.001x).  Concatenating per-cell arrays and
+    building a per-pair source-worker column read 0.13-0.36x.  A ratio
+    of two stages of the same run, best of five, because absolute walls
+    move 2x with the host.
+    """
+    from repro.data.generators import uniform
+    from repro.engine.metrics import JoinMetrics
+    from repro.joins.distance_join import JoinConfig
+    from repro.joins.pipeline import make_context, run_staged_join
+    from repro.joins.plan import PlanInputs, distance_plan
+
+    r, s = uniform(2 * N, seed=501), uniform(2 * N, seed=502)
+    cfg = JoinConfig(eps=0.0142, method="lpib", local_kernel="grid_hash", num_workers=12)
+
+    def run():
+        metrics = JoinMetrics(
+            method=cfg.method, eps=cfg.eps, num_workers=cfg.num_workers,
+            input_r=len(r), input_s=len(s),
+        )
+        ctx = make_context(cfg, num_workers=cfg.num_workers, metrics=metrics)
+        return run_staged_join(distance_plan(cfg).stages(PlanInputs(r=r, s=s)), ctx)
+
+    runs = [run() for _ in range(5)]
+    for ctx in runs:
+        report = ctx.data["report"]
+        assert len(ctx.data["r_ids"]) >= 900_000
+        assert np.shares_memory(ctx.data["r_ids"], report.r_col)
+        assert np.shares_memory(ctx.data["s_ids"], report.s_col)
+    collect_t, join_t = min(
+        ((t["collect"], t["local_join"]) for t in (c.metrics.stage_times for c in runs)),
+        key=lambda t: t[0] / t[1],
+    )
+    assert collect_t <= 0.1 * join_t, (
+        f"collect {collect_t * 1e3:.2f} ms vs local_join {join_t * 1e3:.1f} ms "
+        f"on {2 * N} x {2 * N} points"
+    )
+
+
+@pytest.mark.perfsmoke
 def test_lockstep_marking_beats_the_per_quartet_loop():
     """``generate_duplicate_free_graph`` >= 5x faster than scalar ``mark_quartet``
     looped over the same graph's views (x40 here).

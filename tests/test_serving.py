@@ -19,6 +19,7 @@ Covers the tentpole guarantees end to end:
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import threading
 import time
@@ -437,6 +438,24 @@ class TestEviction:
                 assert b["results"] != 0
         finally:
             handle.stop()
+
+    def test_result_cache_owns_its_bytes(self, server, oneshot):
+        """A cached result is an exact-size copy: it keeps neither the
+        job's columns (allocated for every candidate, shrunk in place)
+        nor anything else alive, and the cache's byte count is what it
+        holds."""
+        srv = server.server
+        payload = {"results": len(oneshot)}
+        srv._result_cache_put(("owns",), oneshot, payload)
+        r_ids, s_ids, meta = srv._result_cache_get(("owns",))
+        assert meta == payload
+        for cached, column in ((r_ids, oneshot.r_ids), (s_ids, oneshot.s_ids)):
+            np.testing.assert_array_equal(cached, column)
+            assert not np.shares_memory(cached, column)
+            assert cached.base is None and cached.flags.owndata
+        held = r_ids.nbytes + s_ids.nbytes + len(json.dumps(payload).encode())
+        assert srv._results.bytes_in_memory == held
+        assert srv._result_cache_stats()["bytes"] == held
 
     def test_result_cache_eviction_falls_back_to_rerun(self):
         """Dropped result blocks are re-computed, not served as holes."""
