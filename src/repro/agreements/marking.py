@@ -224,16 +224,16 @@ _TRI_OUT = np.array(
 )
 
 
-def _triangle_state(graph: AgreementGraph) -> tuple[np.ndarray, int]:
+def _triangle_state(is_r: np.ndarray, marked: np.ndarray) -> tuple[np.ndarray, int]:
     """Rows with a mixed triangle that lacks a marked apex edge, and the
     total mixed-triangle count: :func:`unresolved_mixed_triangles` and
-    :func:`mixed_triangles` over every quartet at once."""
-    out = graph.is_r[:, _TRI_OUT]  # (quartets, triangle, vertex, edge)
+    :func:`mixed_triangles` over every given quartet at once."""
+    out = is_r[:, _TRI_OUT]  # (quartets, triangle, vertex, edge)
     # a vertex whose two edges share a type: every vertex of a pure
     # triangle, only the apex of a mixed one
     same = out[..., 0] == out[..., 1]
     mixed = ~same.all(axis=2)
-    resolved = (same & graph.marked[:, _TRI_OUT].any(axis=3)).any(axis=2)
+    resolved = (same & marked[:, _TRI_OUT].any(axis=3)).any(axis=2)
     return np.nonzero((mixed & ~resolved).any(axis=1))[0], int(np.count_nonzero(mixed))
 
 
@@ -244,20 +244,24 @@ def generate_duplicate_free_graph(
 
     :func:`mark_quartet` on all quartets in lockstep: step ``t`` examines
     every quartet's ``t``-th edge at once, starting from the graph's
-    current marks and locks.
+    current marks and locks.  The lockstep runs on the quartets whose
+    pairs use both types; in the others no triangle is mixed, so nothing
+    can be marked or locked.
     """
-    is_r, weight, marked, locked = graph.is_r, graph.weight, graph.marked, graph.locked
+    if ordering not in ORDERINGS:
+        raise ValueError(f"unknown ordering {ordering!r}; choose from {ORDERINGS}")
+    mixed = np.nonzero(graph.is_r.any(axis=1) & ~graph.is_r.all(axis=1))[0]
+    is_r, weight = graph.is_r[mixed], graph.weight[mixed]
+    marked, locked = graph.marked[mixed], graph.locked[mixed]
     # _ordered_edges, row by row (lexsort takes the primary key last)
     keys = {
         "paper": (_BY_ENDS, -weight, _IS_SIDE_EDGE),
         "weight_only": (_BY_ENDS, -weight),
         "arbitrary": (_BY_ENDS,),
     }
-    if ordering not in keys:
-        raise ValueError(f"unknown ordering {ordering!r}; choose from {ORDERINGS}")
     order = np.lexsort([np.broadcast_to(key, weight.shape) for key in keys[ordering]])
     report = MarkingReport(quartets=len(graph.cells))
-    rows = np.arange(len(graph.cells))
+    rows = np.arange(len(mixed))
     # e_ij may be marked through k when e_ik shares its type and e_jk does not
     typed = (is_r[:, _IK] == is_r[:, :, None]) & (is_r[:, _JK] != is_r[:, :, None])
     for e in order.T:
@@ -279,8 +283,9 @@ def generate_duplicate_free_graph(
         locked[hit, ik[hit, via]] = True
         locked[hit, jk[hit, via]] = True
         report.marked_edges += len(hit)
+    graph.marked[mixed], graph.locked[mixed] = marked, locked
 
-    unresolved, report.mixed_triangles = _triangle_state(graph)
-    for row in unresolved.tolist():  # never taken across the exhaustive suite
+    unresolved, report.mixed_triangles = _triangle_state(is_r, marked)
+    for row in mixed[unresolved].tolist():  # never taken across the exhaustive suite
         _repair_quartet(QuartetSubgraph(graph, row), report)
     return report

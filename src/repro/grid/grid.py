@@ -203,11 +203,11 @@ class Grid:
     def adjacent_pair_arrays(self) -> AdjacentPairs:
         """:meth:`adjacent_pairs` as arrays, for whole-grid array algebra."""
         nx = self.nx
-        cid = np.arange(self.num_cells, dtype=np.int64)
-        cx, cy = cid % nx, cid // nx
-        east, north, west = cx + 1 < nx, cy + 1 < self.ny, cx > 0
-        exists = np.stack([east, north, east & north, west & north], axis=1)
-        a, direction = np.nonzero(exists)  # row-major: per cell, E N NE NW
+        exists = np.ones((self.ny, nx, 4), dtype=bool)  # per cell: E N NE NW
+        exists[:, -1, [0, 2]] = False  # no east neighbour
+        exists[-1, :, 1:] = False  # none to the north
+        exists[:, 0, 3] = False  # none to the west
+        a, direction = np.divmod(np.flatnonzero(exists), 4)  # row-major
         b = a + np.array([1, nx, nx + 1, nx - 1], dtype=np.int64)[direction]
         return AdjacentPairs(a, b, _FACING_A[direction], _FACING_B[direction])
 

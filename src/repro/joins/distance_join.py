@@ -61,6 +61,7 @@ from repro.joins.pipeline import (
     build_grid_assigner,
     lpt_partitioner,
     make_context,
+    record_armed_points,
     run_staged_join,
 )
 from repro.joins.plan import PhysicalPlan, PlanInputs, distance_plan
@@ -285,6 +286,7 @@ class _AssignStage(Stage):
         records = []
         for side, ps in ((Side.R, self.r), (Side.S, self.s)):
             cells, idxs = assigner.assign_batch(ps.xs, ps.ys, side)
+            record_armed_points(ctx.metrics, assigner, side, cells, idxs)
             records.append(
                 SideRecords(side, cells, idxs, len(ps), KEY_BYTES + ps.record_bytes)
             )

@@ -57,6 +57,7 @@ from repro.joins.pipeline import (
     build_grid_assigner,
     lpt_partitioner,
     make_context,
+    record_armed_points,
     run_staged_join,
 )
 from repro.joins.plan import PhysicalPlan, PlanInputs, object_plan
@@ -215,6 +216,7 @@ class _AnchorAssignStage(Stage):
         records = []
         for side, objs in ((Side.R, self.r), (Side.S, self.s)):
             cells, idxs = assigner.assign_batch(objs.ax, objs.ay, side)
+            record_armed_points(ctx.metrics, assigner, side, cells, idxs)
             records.append(
                 SideRecords(side, cells, idxs, len(objs), objs.record_bytes[idxs])
             )

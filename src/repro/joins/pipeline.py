@@ -483,12 +483,17 @@ def build_grid_assigner(
             if metrics is not None:
                 metrics.extra["marked_edges"] = report.marked_edges
                 metrics.extra["mixed_triangles"] = report.mixed_triangles
+        with span("construction.tables", cat="construction"):
+            assigner = AdaptiveAssigner(grid, graph)
         if metrics is not None:
             counts = graph.agreement_counts()
             metrics.extra["agreements_r"] = counts[Side.R]
             metrics.extra["agreements_s"] = counts[Side.S]
-        with span("construction.tables", cat="construction"):
-            return AdaptiveAssigner(grid, graph), pair_types
+            for side in Side:
+                metrics.extra[f"armed_cells_{side.value.lower()}"] = int(
+                    np.count_nonzero(assigner.armed_cells[side])
+                )
+        return assigner, pair_types
     if method == "uni_r":
         return UniversalAssigner(grid, Side.R), None
     if method == "uni_s":
@@ -498,6 +503,22 @@ def build_grid_assigner(
         smaller = Side.R if len_r <= len_s else Side.S
         return UniversalAssigner(grid, smaller), None
     raise ValueError(f"unknown method {method!r}; choose from {GRID_METHODS}")
+
+
+def record_armed_points(
+    metrics: JoinMetrics, assigner, side: Side, cells: np.ndarray, idxs: np.ndarray
+) -> None:
+    """``assign_armed_points_<side>``: how many points of one input are native
+    to a cell whose tables hold a rule for that input -- the points adaptive
+    assign pays for.  Read off ``assign_batch``'s records: a point's native
+    record is the first of its run."""
+    if not isinstance(assigner, AdaptiveAssigner):
+        return
+    native = np.ones(len(idxs), dtype=bool)
+    native[1:] = idxs[1:] != idxs[:-1]
+    metrics.extra[f"assign_armed_points_{side.value.lower()}"] = int(
+        np.count_nonzero(assigner.armed_cells[side][cells[native]])
+    )
 
 
 def adaptive_lpt_costs(

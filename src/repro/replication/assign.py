@@ -136,8 +136,13 @@ def supar(
     return assigned
 
 
-#: Table entry for "no cell".
-_NO_CELL = -1
+# Every target of Algorithms 2-4 is one of the native cell's 8 neighbours,
+# so a set of targets is one byte: bit ``k`` is the ``k``-th neighbour in
+# ascending ``(dy, dx)`` -- ascending cell id, the emission order.  A set
+# cannot hold the native cell or a cell twice, and is read out in order.
+_DIRECTIONS = tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx)
+_BIT = {step: np.uint32(1 << k) for k, step in enumerate(_DIRECTIONS)}
+_POPCOUNT = np.array([bin(mask).count("1") for mask in range(256)], dtype=np.int64)
 
 # A quartet position is also the corner of the native cell at which the
 # quartet sits: the ``bl`` cell meets it at its NE corner, ``br`` at NW,
@@ -146,63 +151,70 @@ _NO_CELL = -1
 _NEIGHBOURS = tuple(
     (*(_POS[p] for p in SIDE_NEIGHBORS[pos]), _POS[DIAGONAL[pos]]) for pos in POSITIONS
 )
+#: Per position: the direction bits of those three cells, seen from the native cell.
+_TOWARDS = tuple(
+    (_BIT[0, sx], _BIT[sy, 0], _BIT[sy, sx])
+    for sy, sx in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+)
 
-#: Columns of a compiled quartet table row (one per native cell and corner).
-_MED_X, _MED_Y, _DIAG_NEAR, _DIAG_FAR, _SUP_X, _SUP_Y = range(6)
+#: Bit offsets of the four target sets in a compiled quartet table word.
+_NEAR, _FAR, _SUP_X, _SUP_Y = 0, 8, 16, 24
 
 
 def _compile_quartet_tables(graph: AgreementGraph) -> dict[Side, np.ndarray]:
-    """Algorithms 3 and 4 as one ``(num_cells * 4, 6)`` table per input.
+    """Algorithms 3 and 4 as one ``num_cells * 4`` table of words per input.
 
     After Algorithm 1 has run, every edge-type/mark condition of MeDuPAr
     and SupAr is static; only the point's distances remain to be checked
-    at assignment time.  Row ``native * 4 + corner`` holds, for a point of
+    at assignment time.  Word ``native * 4 + corner`` holds, for a point of
     that input in ``native`` consulting the quartet at that corner of its
-    cell: the two MeDuPAr side cells, the diagonal cell if the point is
-    within ``eps`` of the reference point and if it is not (redirect), and
-    the SupAr destination for the x- and the y-neighbour's withheld
-    points -- each :data:`_NO_CELL` when the conditions rule it out.
+    cell, four sets of direction bits: its MeDuPAr targets if it is within
+    ``eps`` of the reference point and if it is not (the diagonal cell only
+    as a redirect), and the SupAr destination for the x- and for the
+    y-neighbour's withheld points -- empty when the conditions rule it out.
     """
-    cells, marked = graph.cells, graph.marked
+    # edge-major copies: one contiguous row per edge column
+    cells, is_r, marked = graph.cells, graph.is_r.T.copy(), graph.marked.T.copy()
     tables = {}
     for side in Side:
-        same = graph.is_r == (side is Side.R)
+        same = is_r == (side is Side.R)
         sends = same & ~marked  # carries this input's duplicate-prone points
         withheld = same & marked
         other_withheld = ~same & marked
         other_sends = ~same & ~marked
-        table = np.full((graph.grid.num_cells * 4, 6), _NO_CELL, dtype=np.int64)
+        table = np.zeros(graph.grid.num_cells * 4, dtype=np.uint32)
         for i, (xn, yn, diag) in enumerate(_NEIGHBOURS):
-            rows = cells[:, i] * 4 + i
-            to_diag = sends[:, _EDGE[i, diag]]
-            redirect = withheld[:, _EDGE[i, xn]] | withheld[:, _EDGE[i, yn]]
-            table[rows, _DIAG_NEAR] = np.where(to_diag, cells[:, diag], _NO_CELL)
-            table[rows, _DIAG_FAR] = np.where(to_diag & redirect, cells[:, diag], _NO_CELL)
-            for j, k, med_col, sup_col in ((xn, yn, _MED_X, _SUP_X), (yn, xn, _MED_Y, _SUP_Y)):
-                table[rows, med_col] = np.where(sends[:, _EDGE[i, j]], cells[:, j], _NO_CELL)
+            bit_x, bit_y, bit_diag = _TOWARDS[i]
+            to_diag = sends[_EDGE[i, diag]]
+            redirect = withheld[_EDGE[i, xn]] | withheld[_EDGE[i, yn]]
+            to_sides = sends[_EDGE[i, xn]] * bit_x | sends[_EDGE[i, yn]] * bit_y
+            word = (to_sides | to_diag * bit_diag) << _NEAR
+            word |= (to_sides | (to_diag & redirect) * bit_diag) << _FAR
+            for j, k, bit_k, shift in ((xn, yn, bit_y, _SUP_X), (yn, xn, bit_x, _SUP_Y)):
                 # SupAr: j withholds the other input's points from the native
                 # cell; meet them in k, else in the diagonal cell
-                active = other_withheld[:, _EDGE[j, i]]
-                via_k = active & sends[:, _EDGE[i, k]] & other_sends[:, _EDGE[j, k]]
-                via_diag = active & to_diag & other_sends[:, _EDGE[j, diag]]
-                table[rows, sup_col] = np.where(
-                    via_k, cells[:, k], np.where(via_diag, cells[:, diag], _NO_CELL)
-                )
+                active = other_withheld[_EDGE[j, i]]
+                via_k = active & sends[_EDGE[i, k]] & other_sends[_EDGE[j, k]]
+                via_diag = active & to_diag & other_sends[_EDGE[j, diag]]
+                word |= np.where(via_k, bit_k, via_diag * bit_diag) << shift
+            table[cells[:, i] * 4 + i] = word
         tables[side] = table
     return tables
 
 
 def _compile_plain_tables(graph: AgreementGraph) -> dict[Side, np.ndarray]:
-    """Algorithm 2, lines 12-15: ``native * 4 + border`` -> the neighbour
-    across that border when the pair's agreement type is the table's input."""
+    """Algorithm 2, lines 12-15: ``native * 4 + border`` -> the direction bit
+    of the neighbour across that border when the pair's agreement type is
+    the table's input."""
     pairs = graph.grid.adjacent_pair_arrays()
+    across = np.array([_BIT[0, 1], _BIT[0, -1], _BIT[1, 0], _BIT[-1, 0]], dtype=np.uint8)  # E W N S
     tables = {}
     for side in Side:
         sel = (pairs.facing_a < 4) & (graph.agreed_r == (side is Side.R))
-        a, b = pairs.a[sel], pairs.b[sel]
-        table = np.full(graph.grid.num_cells * 4, _NO_CELL, dtype=np.int64)
-        table[a * 4 + pairs.facing_a[sel]] = b
-        table[b * 4 + pairs.facing_b[sel]] = a
+        facing_a, facing_b = pairs.facing_a[sel], pairs.facing_b[sel]
+        table = np.zeros(graph.grid.num_cells * 4, dtype=np.uint8)
+        table[pairs.a[sel] * 4 + facing_a] = across[facing_a]
+        table[pairs.b[sel] * 4 + facing_b] = across[facing_b]
         tables[side] = table
     return tables
 
@@ -243,6 +255,16 @@ class AdaptiveAssigner:
         self.graph = graph
         self._quartet_tables = _compile_quartet_tables(graph)
         self._plain_tables = _compile_plain_tables(graph)
+        #: Per input and cell: whether any table entry of the cell can emit
+        #: a replica.  Only points in such *armed* cells consult the tables.
+        self.armed_cells = {}
+        for side in Side:
+            quartet = self._quartet_tables[side].reshape(-1, 4).T
+            plain = self._plain_tables[side].reshape(-1, 4).T
+            self.armed_cells[side] = (
+                quartet[0] | quartet[1] | quartet[2] | quartet[3]
+                | plain[0] | plain[1] | plain[2] | plain[3]
+            ) != 0
 
     def assign(self, x: float, y: float, side: Side) -> tuple[int, ...]:
         """All cells the point is assigned to; the native cell comes first."""
@@ -291,9 +313,10 @@ class AdaptiveAssigner:
         order, then the border-area points in input order, each as its
         native cell followed by its other cells ascending, de-duplicated.
 
-        One vectorized pass: zone codes from array comparisons, candidate
-        cells gathered from the tables compiled at construction, one
-        row-wise sort.  The comparisons are the scalar ones, term for term.
+        One vectorized pass: zone flags from array comparisons, then -- for
+        the border points of armed cells only -- the target bits their
+        distances admit, OR-ed from the tables compiled at construction.
+        The comparisons are the scalar ones, term for term.
         """
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
@@ -316,62 +339,63 @@ class AdaptiveAssigner:
         south = (ys - y0 <= eps) & (cy > 0) & ~north
         inner = ~(east | west | north | south)
         border = np.nonzero(~inner)[0]
-
-        x, y, cx, cy, home = xs[border], ys[border], cx[border], cy[border], native[border]
-        near = [flags[border] for flags in (east, west, north, south)]
+        home = native[border]
+        # a border point of an unarmed cell keeps its place in the border
+        # group with no target bits; only the armed ones go on
+        armed = np.nonzero(self.armed_cells[side][home])[0]
+        pts = border[armed]
+        x, y, cx, cy, cell = xs[pts], ys[pts], cx[pts], cy[pts], home[armed]
+        near = [flags[pts] for flags in (east, west, north, south)]
         near_x, near_y = near[0] | near[1], near[2] | near[3]
         wests, souths = near[1].astype(np.int64), near[3].astype(np.int64)
         quartet_table = self._quartet_tables[side]
-        # one row per border point: its native cell, 3 candidates from its own
-        # zone, 2 SupAr candidates per corner of its cell
-        rows = np.full((len(border), 12), _NO_CELL, dtype=np.int64)
-        rows[:, 0] = home
-        cand = rows[:, 1:]
 
         # Own zone.  Near two borders (merged duplicate-prone area): MeDuPAr on
         # the quartet at that corner of the cell.  Near one (plain replication
         # area): the neighbour across it, if the pair's type is this input.
-        merged = near_x & near_y
-        own = quartet_table[home * 4 + wests + 2 * souths]
+        words = cell * 4
+        own = quartet_table[words + wests + 2 * souths]
         dx = x - (xmin + (cx + 1 - wests) * cell_w)
         dy = y - (ymin + (cy + 1 - souths) * cell_h)
         # squared, as the join kernels compare; the scalar medupar/supar root
         # this distance, which differs only within an ulp of the circle,
         # where either answer is correct
         near_ref = dx * dx + dy * dy <= eps * eps
-        diag = np.where(near_ref, own[:, _DIAG_NEAR], own[:, _DIAG_FAR])
-        across = self._plain_tables[side][home * 4 + np.where(near_x, wests, 2 + souths)]
-        cand[:, 0] = np.where(merged, own[:, _MED_X], across)
-        cand[:, 1] = np.where(merged, own[:, _MED_Y], _NO_CELL)
-        cand[:, 2] = np.where(merged, diag, _NO_CELL)
+        across = self._plain_tables[side][words + np.where(near_x, wests, 2 + souths)]
+        # (the casts keep a word's low byte, one target set)
+        bits = np.where(near_x & near_y, np.where(near_ref, own >> _NEAR, own >> _FAR), across)
+        bits = bits.astype(np.uint8)
 
         # SupAr: a point consults the quartet at each corner of its cell that
         # ends a border it is near
         two_eps_sq = 4.0 * eps * eps
         for corner in range(4):
             is_west, is_south = corner & 1, corner >> 1
-            sel = np.nonzero(near[is_west] | near[2 + is_south])[0]
-            rules = quartet_table[home[sel] * 4 + corner, _SUP_X:]
-            armed = (rules[:, 0] != _NO_CELL) | (rules[:, 1] != _NO_CELL)
-            sel, rules = sel[armed], rules[armed]
+            rules = quartet_table[words + corner] >> _SUP_X
+            sel = np.nonzero((near[is_west] | near[2 + is_south]) & (rules != 0))[0]
+            rules = rules[sel]
             px, py, pcx, pcy = x[sel], y[sel], cx[sel], cy[sel]
             dx = px - (xmin + (pcx + 1 - is_west) * cell_w)
             dy = py - (ymin + (pcy + 1 - is_south) * cell_h)
             in_reach = dx * dx + dy * dy <= two_eps_sq
             neighbours = ((pcx + 1 - 2 * is_west, pcy), (pcx, pcy + 1 - 2 * is_south))
-            for col, (ncx, ncy) in enumerate(neighbours):
+            for shift, (ncx, ncy) in zip((0, _SUP_Y - _SUP_X), neighbours):
                 close = in_reach & _root_le(_mindist_sq(grid, ncx, ncy, px, py), eps)
-                cand[sel, 3 + 2 * corner + col] = np.where(close, rules[:, col], _NO_CELL)
+                bits[sel] |= np.where(close, rules >> shift, 0).astype(np.uint8)
+        targets = np.zeros(len(border), dtype=np.uint8)
+        targets[armed] = bits
 
-        cand.sort(axis=1)
-        keep = rows != _NO_CELL
-        keep[:, 1:] &= cand != home[:, None]
-        keep[:, 2:] &= cand[:, 1:] != cand[:, :-1]
+        # one record per native cell and per target bit: the set bits of the
+        # (points, 8) bit matrix, read row by row, are the replicas in order
+        counts = _POPCOUNT[targets] + 1
+        cells = np.repeat(home, counts)
+        replica = np.flatnonzero(np.unpackbits(targets, bitorder="little").view(np.bool_))
+        point, direction = replica >> 3, replica & 7
+        steps = np.array([dy * nx + dx for dy, dx in _DIRECTIONS])
+        cells[np.arange(len(replica)) + point + 1] += steps[direction]
         return (
-            np.concatenate([native[inner], rows[keep]]),
-            np.concatenate(
-                [np.nonzero(inner)[0], np.repeat(border, np.count_nonzero(keep, axis=1))]
-            ),
+            np.concatenate([native[inner], cells]),
+            np.concatenate([np.nonzero(inner)[0], np.repeat(border, counts)]),
         )
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.geometry.point import Side
 from repro.grid.grid import Grid
+from repro.replication.assign import _mindist_sq, _root_le
 
 
 def replication_targets_universal(grid: Grid, x: float, y: float) -> tuple[int, ...]:
@@ -63,8 +64,9 @@ class UniversalAssigner:
         :meth:`repro.replication.assign.AdaptiveAssigner.assign_batch`.
 
         On grids with cell sides >= ``2 * eps`` replication targets lie in
-        the 8-neighbourhood and the computation is fully vectorized; finer
-        grids (the eps-grid baseline) fall back to a per-point window scan.
+        the 8-neighbourhood and are emitted direction by direction; finer
+        grids (the eps-grid baseline) scan every point's index window at
+        once and emit point by point, as :meth:`assign` does.
         """
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
@@ -78,16 +80,31 @@ class UniversalAssigner:
 
         eps = grid.eps
         if grid.cell_w < 2 * eps or grid.cell_h < 2 * eps:
-            cells: list[int] = []
-            idxs: list[int] = []
-            for i in range(len(xs)):
-                for cell in self.assign(float(xs[i]), float(ys[i]), side):
-                    cells.append(cell)
-                    idxs.append(i)
-            return (
-                np.asarray(cells, dtype=np.int64),
-                np.asarray(idxs, dtype=np.int64),
-            )
+            # replication_targets_universal's window, one offset at a time
+            def window(v, v0, step, n):
+                lo = np.maximum(0, np.floor((v - eps - v0) / step).astype(np.int64))
+                hi = np.minimum(n - 1, np.floor((v + eps - v0) / step).astype(np.int64))
+                return lo, hi, max(1, int(np.max(hi - lo, initial=0)) + 1)
+
+            lo_x, hi_x, wx = window(xs, grid.mbr.xmin, grid.cell_w, grid.nx)
+            lo_y, hi_y, wy = window(ys, grid.mbr.ymin, grid.cell_h, grid.ny)
+            # column 0 is the native cell, column 1 + oy * wx + ox the window
+            # cell at that offset: row by row, assign()'s emission order
+            keep = np.zeros((len(xs), 1 + wy * wx), dtype=bool)
+            keep[:, 0] = True
+            for oy in range(wy):
+                for ox in range(wx):
+                    cxx, cyy = lo_x + ox, lo_y + oy
+                    keep[:, 1 + oy * wx + ox] = (
+                        (cxx <= hi_x)
+                        & (cyy <= hi_y)
+                        & ((cxx != cx) | (cyy != cy))
+                        & _root_le(_mindist_sq(grid, cxx, cyy, xs, ys), eps)
+                    )
+            idxs, column = np.divmod(np.flatnonzero(keep), keep.shape[1])
+            oy, ox = np.divmod(column - 1, wx)
+            scanned = (lo_y[idxs] + oy) * grid.nx + lo_x[idxs] + ox
+            return np.where(column == 0, native[idxs], scanned), idxs
 
         x0 = grid.mbr.xmin + cx * grid.cell_w
         y0 = grid.mbr.ymin + cy * grid.cell_h

@@ -183,13 +183,14 @@ def test_parallel_backends_not_slower_than_serial():
 
 @pytest.mark.perfsmoke
 def test_adaptive_assign_batch_stays_columnar():
-    """``AdaptiveAssigner.assign_batch`` within 15x of ``UniversalAssigner``'s.
+    """``AdaptiveAssigner.assign_batch`` within 6x of ``UniversalAssigner``'s.
 
     20k uniform points on a factor-2 grid: nearly every point is in a
-    border area, the worst case for the adaptive pass.  Both are array
-    passes over the same points -- the adaptive one gathers from its
-    compiled tables and sorts one candidate row per point (~8x here);
-    a per-point Python loop costs ~33x.
+    border area of an armed cell, the worst case for the adaptive pass.
+    Both are array passes over the same points -- the adaptive one ORs
+    one byte of target bits per point from its compiled tables (~2.5x
+    here); a 12-column candidate row sorted per point cost ~8x, a
+    per-point Python loop ~33x.
     """
     from repro.data.generators import uniform
     from repro.data.sampling import bernoulli_sample
@@ -211,10 +212,61 @@ def test_adaptive_assign_batch_stays_columnar():
     adaptive_t, (cells, _idxs) = _best_of(lambda: adaptive.assign_batch(r.xs, r.ys, Side.R), 5)
     universal_t, _ = _best_of(lambda: universal.assign_batch(r.xs, r.ys, Side.R), 5)
     assert len(cells) > 1.5 * N, "the input must be dominated by border points"
-    assert adaptive_t <= 15 * universal_t, (
+    assert adaptive_t <= 6 * universal_t, (
         f"adaptive assign_batch {adaptive_t * 1e3:.1f} ms vs universal "
         f"{universal_t * 1e3:.1f} ms on {N} points"
     )
+
+
+@pytest.mark.perfsmoke
+def test_adaptive_assign_pays_only_in_armed_cells():
+    """On skewed inputs adaptive ``assign_batch`` <= 3x the universal one.
+
+    20k real_like x 20k gaussian points, ``lpib``, factor 2: LPiB sends
+    the minority input across each border, so under a fifth of either
+    input sits in a cell whose tables hold a rule for it, and only those
+    points reach the table gathers and distance tests (~1.3x here; ~5x
+    when every border point built a candidate row).  The armed share is
+    the guard that repeats exactly; the timing is a ratio of two calls in
+    one process, best of five.
+    """
+    from repro.data.generators import gaussian_clusters, real_like
+    from repro.data.sampling import bernoulli_sample
+    from repro.engine.metrics import JoinMetrics
+    from repro.geometry.point import Side
+    from repro.grid.grid import Grid
+    from repro.grid.statistics import GridStatistics
+    from repro.joins.pipeline import build_grid_assigner, record_armed_points
+    from repro.replication.pbsm import UniversalAssigner
+
+    inputs = {Side.R: real_like(N, seed=31), Side.S: gaussian_clusters(N, seed=32)}
+    grid = Grid(inputs[Side.R].mbr().union(inputs[Side.S].mbr()), 0.012, 2.0)
+    stats = GridStatistics(grid)
+    for side, points in inputs.items():
+        sample = bernoulli_sample(points, 0.03, 7)
+        stats.add_points(sample.xs, sample.ys, side)
+    metrics = JoinMetrics()
+    adaptive, _ = build_grid_assigner(grid, "lpib", stats, input_sizes=(N, N), metrics=metrics)
+
+    for side, points in inputs.items():
+        universal = UniversalAssigner(grid, side)
+        adaptive_t, (cells, idxs) = _best_of(
+            lambda: adaptive.assign_batch(points.xs, points.ys, side), 5
+        )
+        universal_t, _ = _best_of(lambda: universal.assign_batch(points.xs, points.ys, side), 5)
+        record_armed_points(metrics, adaptive, side, cells, idxs)
+        assert adaptive_t <= 3 * universal_t, (
+            f"adaptive assign_batch {adaptive_t * 1e3:.1f} ms vs universal "
+            f"{universal_t * 1e3:.1f} ms on {N} {side.value} points"
+        )
+    armed = {name: value for name, value in metrics.extra.items() if "armed" in name}
+    assert armed == {
+        "armed_cells_r": 1609,
+        "armed_cells_s": 483,
+        "assign_armed_points_r": 3093,
+        "assign_armed_points_s": 1294,
+    }
+    assert max(armed["assign_armed_points_r"], armed["assign_armed_points_s"]) < 0.2 * N
 
 
 @pytest.mark.perfsmoke
@@ -295,11 +347,13 @@ def test_lockstep_marking_beats_the_per_quartet_loop():
 
     41x41 cells = 1 600 quartets with sampled weights: the lockstep pass
     is 12 array steps whatever the quartet count; the loop it replaced
-    examines 19 200 edges one by one.
+    examines 19 200 edges one by one.  And the steps run only over the
+    quartets whose pairs use both types: a graph without any costs <= 0.3x
+    one where every quartet is such (~0.1x here).
     """
     import copy
 
-    from repro.agreements.graph import AgreementGraph
+    from repro.agreements.graph import AgreementGraph, PairTypes
     from repro.agreements.marking import (
         MarkingReport,
         generate_duplicate_free_graph,
@@ -340,6 +394,28 @@ def test_lockstep_marking_beats_the_per_quartet_loop():
     assert loop_t >= 5 * lockstep_t, (
         f"lockstep {lockstep_t * 1e3:.1f} ms vs per-quartet loop {loop_t * 1e3:.1f} ms "
         f"on {len(graph.quartets)} quartets"
+    )
+
+    # the lockstep runs on the quartets that can mark: with one type on every
+    # pair there are none, with E pairs of the other type every quartet is one
+    pairs = grid.adjacent_pair_arrays()
+
+    def lockstep_on(agreed_r):
+        graph = AgreementGraph(grid, PairTypes(grid, agreed_r), stats)
+        t0 = time.perf_counter()
+        report = generate_duplicate_free_graph(graph)
+        return time.perf_counter() - t0, report
+
+    def best_on(agreed_r):
+        return min((lockstep_on(agreed_r) for _ in range(5)), key=lambda run: run[0])
+
+    pure_t, pure = best_on(np.ones(len(pairs), dtype=bool))
+    mixed_t, mixed = best_on(pairs.facing_a == 0)
+    assert pure.marked_edges == pure.mixed_triangles == 0
+    assert mixed.mixed_triangles == 4 * mixed.quartets == 6400
+    assert pure_t <= 0.3 * mixed_t, (
+        f"marking an all-pure graph {pure_t * 1e3:.2f} ms vs an all-mixed one "
+        f"{mixed_t * 1e3:.2f} ms on {len(graph.quartets)} quartets"
     )
 
 

@@ -186,6 +186,108 @@ class TestBatch:
         assert count_replicas([(1,), (1, 2), (3, 4, 5)]) == 3
 
 
+def _readings_agree(grid, x, y):
+    """``assign_batch`` squares the distance to a reference point where the
+    scalar ``medupar``/``supar`` root it; within an ulp of the circle the two
+    can differ and either is correct (see ``degenerate_points``)."""
+    eps = grid.eps
+    for corner in grid.interior_corners():
+        rx, ry = grid.corner_coords(*corner)
+        d2 = (x - rx) * (x - rx) + (y - ry) * (y - ry)
+        if d2 > 9.0 * eps * eps:
+            continue
+        if (d2 <= eps * eps) != (d2**0.5 <= eps):
+            return False
+        if (d2 > 4.0 * eps * eps) != (d2**0.5 > 2.0 * eps):
+            return False
+    return True
+
+
+def _planted_points(grid, assigner, r, s):
+    """Points where the armed gather could go wrong: on and ``eps`` off the
+    borders between an armed and an unarmed cell, exactly ``eps`` and
+    ``2 eps`` from the quartet reference points at those borders' ends,
+    outside the MBR, plus a slice of the skewed data itself."""
+    import math
+
+    eps, nx = grid.eps, grid.nx
+
+    def ulps(v):
+        return (v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf))
+
+    pts = [(-0.3, 0.5), (1.4, 0.2), (0.5, -2.0), (0.6, 1.7), (-1.0, -1.0), (2.0, 2.0)]
+    for side in Side:
+        armed = assigner.armed_cells[side].reshape(grid.ny, nx)
+        across_x = np.argwhere(armed[:, 1:] != armed[:, :-1])  # (cy, cx): border east of cx
+        across_y = np.argwhere(armed[1:, :] != armed[:-1, :])  # (cy, cx): border north of cy
+        for borders, vertical in ((across_x, True), (across_y, False)):
+            for cy, cx in borders[:: max(1, len(borders) // 5)][:5].tolist():
+                x0, y0 = grid.corner_coords(cx, cy)
+                x1, y1 = grid.corner_coords(cx + 1, cy + 1)
+                if vertical:
+                    line, ends, (lo, hi) = x1, ((x1, y0), (x1, y1)), (y0, y1)
+                else:
+                    line, ends, (lo, hi) = y1, ((x0, y1), (x1, y1)), (x0, x1)
+                across = [*ulps(line), *ulps(line + eps), *ulps(line - eps), line + 0.5 * eps]
+                along = [lo, lo + eps, lo + 0.5 * eps, 0.5 * (lo + hi), hi - eps]
+                along.append(math.nextafter(hi, lo))
+                for u in across:
+                    pts += [(u, v) if vertical else (v, u) for v in along]
+                for rx, ry in ends:
+                    for radius in (eps, 2 * eps):
+                        pts += [(rx + radius, ry), (rx - radius, ry), (rx, ry + radius), (rx, ry - radius)]
+                        for ux, uy in ((0.6, 0.8), (-0.8, 0.6), (0.28, -0.96), (-0.6, -0.8)):
+                            pts.append((rx + radius * ux, ry + radius * uy))
+    kept = [p for p in pts if _readings_agree(grid, *p)]
+    assert len(kept) >= 0.8 * len(pts)
+    xs = np.concatenate([[p[0] for p in kept], r.xs[:120], s.xs[:120]])
+    ys = np.concatenate([[p[1] for p in kept], r.ys[:120], s.ys[:120]])
+    return xs, ys
+
+
+@pytest.mark.parametrize("factor", [2.0, 4.0, 1.2])
+def test_batch_equals_reference_where_armed_meets_unarmed(factor):
+    """The emission contract, values and order, on skewed agreements: most
+    cells hold no rule for one input, and their border points must stay in
+    the border group, in input order, with a native-only row."""
+    from repro.data.generators import gaussian_clusters, real_like
+    from repro.geometry.mbr import MBR
+    from repro.grid.grid import Grid
+    from repro.grid.statistics import GridStatistics
+    from repro.joins.pipeline import build_grid_assigner
+    from tests.test_exhaustive_quartet import assert_batch_equals_reference
+
+    r, s = real_like(3000, seed=31), gaussian_clusters(3000, seed=32)
+    eps = 0.05 / factor
+    unit = r.mbr().union(s.mbr())
+    grids = {
+        "plane": unit,
+        "single row": MBR(unit.xmin, 0.4, unit.xmax, 0.4 + 1.5 * factor * eps),
+        "single cell": MBR(0.4, 0.4, 0.4 + 1.5 * factor * eps, 0.4 + 1.5 * factor * eps),
+    }
+    for name, mbr in grids.items():
+        grid = Grid(mbr, eps, factor)
+        stats = GridStatistics(grid)
+        stats.add_points(r.xs, r.ys, Side.R)
+        stats.add_points(s.xs, s.ys, Side.S)
+        for method in ("lpib", "diff"):
+            for duplicate_free in (True, False):
+                assigner, _ = build_grid_assigner(
+                    grid, method, stats, input_sizes=(len(r), len(s)),
+                    duplicate_free=duplicate_free,
+                )
+                if name == "plane":
+                    for side in Side:
+                        armed = assigner.armed_cells[side]
+                        assert 0 < np.count_nonzero(armed) < grid.num_cells, (method, side)
+                else:
+                    assert grid.ny == 1 and (name == "single row") == (grid.nx > 1)
+                xs, ys = _planted_points(grid, assigner, r, s)
+                assert_batch_equals_reference(
+                    assigner, xs, ys, (name, factor, method, duplicate_free)
+                )
+
+
 def test_mismatched_grid_rejected(grid2x2, grid4x4):
     graph = make_graph(grid2x2, Side.R)
     with pytest.raises(ValueError):

@@ -85,6 +85,29 @@ class TestUniversalAssigner:
         for i in range(200):
             assert got[i] == set(ua.assign(float(xs[i]), float(ys[i]), Side.R))
 
+    @pytest.mark.parametrize("factor", [1.0, 1.2])
+    def test_fine_grid_batch_equals_per_point_as_arrays(self, factor):
+        """Below ``2 eps`` a cell side: values *and* order -- point-major,
+        native cell then the window in scan order -- on random points, on
+        cell borders, exactly ``eps`` off them, and outside the MBR."""
+        from tests.test_exhaustive_quartet import degenerate_points
+
+        g = Grid(MBR(0, 0, 7, 5), eps=1.0, resolution_factor=factor)
+        assert g.cell_w < 2.0 and g.cell_h < 2.0
+        rng = np.random.default_rng(6)
+        dx, dy = degenerate_points(g)
+        xs = np.concatenate([rng.uniform(-0.5, 7.5, 300), dx])
+        ys = np.concatenate([rng.uniform(-0.5, 5.5, 300), dy])
+        ua = UniversalAssigner(g, Side.R)
+        rows = [ua.assign(x, y, Side.R) for x, y in zip(xs.tolist(), ys.tolist())]
+        cells, idxs = ua.assign_batch(xs, ys, Side.R)
+        assert cells.dtype == idxs.dtype == np.int64
+        assert cells.tolist() == [c for row in rows for c in row]
+        assert idxs.tolist() == [i for i, row in enumerate(rows) for _ in row]
+        assert max(map(len, rows)) > 4  # beyond the 8-neighbourhood's three
+        empty = ua.assign_batch(np.empty(0), np.empty(0), Side.R)
+        assert all(len(a) == 0 and a.dtype == np.int64 for a in empty)
+
     def test_all_targets_within_eps(self, grid4x4):
         ua = UniversalAssigner(grid4x4, Side.R)
         rng = np.random.default_rng(8)
