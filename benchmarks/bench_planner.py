@@ -66,6 +66,7 @@ def score_workload(r, s, eps, factors, kernel, workers):
         r, s, eps,
         pins={"kernel": kernel, "workers": workers},
         factors=tuple(factors),
+        clock="modelled",  # scored against measured *modelled* clocks
     )
     chosen = planned.chosen
     auto_clock = _measured_clock(

@@ -68,9 +68,10 @@ def main() -> int:
     print(f"{'method':>6} {'wall_s':>7} " + " ".join(f"{name[:10]:>10}" for name in STAGES)
           + f" {'replicas':>9} {'remote_MB':>9} {'pairs':>9} {'cells':>7}")
     for method in args.methods:
-        cfg = JoinConfig(
-            eps=eps, method=method, local_kernel="grid_hash", num_workers=12, seed=args.seed,
-        )
+        # the join samples with seed 0, never the generators' seed: both draw
+        # ``default_rng(seed).random(n)`` first, so a shared seed "samples" the
+        # strip x < rate of a uniform set (ROADMAP's uniform rows were taken so)
+        cfg = JoinConfig(eps=eps, method=method, local_kernel="grid_hash", num_workers=12)
         distance_join(r, s, cfg)  # warm-up
         m = min(
             (distance_join(r, s, cfg).metrics for _ in range(args.repeats)),

@@ -372,21 +372,12 @@ def _publish_planner_meta(args: argparse.Namespace, result) -> None:
         return
     from repro.planner import clock_errors_from_metrics
 
-    chosen = planned.chosen
-    meta = {
-        "chosen": {
-            k: v for k, v in chosen.row().items()
-            if not k.startswith("predicted_")
-        },
-        "predicted": {
-            "construction": chosen.prediction.construction_time,
-            "join": chosen.prediction.join_time,
-        },
-        "candidates": len(planned.candidates),
-        "pins": dict(planned.pins),
-    }
+    meta = planned.run_meta()
+    meta.update(candidates=len(planned.candidates), pins=dict(planned.pins))
     if hasattr(result, "metrics"):
-        errors = clock_errors_from_metrics(chosen.prediction, result.metrics)
+        errors = clock_errors_from_metrics(
+            planned.chosen.prediction, result.metrics, planned.clock
+        )
         meta["errors"] = {e.phase: e.to_payload() for e in errors}
     telemetry.registry.set_meta("planner", meta)
 
@@ -420,7 +411,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
         print(f"planner: chose method={c.method} factor="
               f"{c.resolution_factor:g} kernel={c.kernel} "
               f"workers={c.workers} (predicted {c.predicted_clock:.3f}s "
-              f"over {len(planned.candidates)} candidates)")
+              f"{c.clock} clock, over {len(planned.candidates)} candidates)")
     if args.join == "spark-style":
         sh = result.shuffle
         print(f"results: {len(result.pairs):,} pairs "

@@ -36,10 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.agreements.policies import DiffPolicy, LPiBPolicy
+from repro.core.wall_model import WALL_PHASES, wall_line
 from repro.engine.metrics import CostModel
 from repro.engine.shuffle import KEY_BYTES
 from repro.geometry.point import Side
@@ -51,6 +53,10 @@ from repro.grid.statistics import GridStatistics
 #: ``repro.joins.local.LOCAL_KERNELS``; kept as data so importing the
 #: model does not import the join layer).
 PRICEABLE_KERNELS = ("plane_sweep", "grid_hash", "rtree", "nested_loop")
+
+#: The two clocks a prediction carries: the paper's cluster makespan and
+#: the wall of a ``serial`` run (:mod:`repro.core.wall_model`).
+CLOCKS = ("modelled", "wall")
 
 #: Leaf capacity of the STR R-tree kernel (``repro.baselines.rtree``).
 _RTREE_LEAF_CAPACITY = 32
@@ -84,10 +90,56 @@ class CostPrediction:
     #: Worker count the makespans were priced for (``0``: the model's
     #: constructor-level default).
     workers: int = 0
+    #: Input cardinalities and grid size the prediction is about -- with
+    #: the counts above, everything :func:`repro.core.wall_model.wall_terms`
+    #: reads (:meth:`quantities`).
+    n_r: int = 0
+    n_s: int = 0
+    cells: int = 0
+    #: Records (natives + replicas) in cells holding *both* inputs, and
+    #: the number of such cells: only those are joined, a cell with one
+    #: side present costs the local join nothing.
+    joinable_r: float = 0.0
+    joinable_s: float = 0.0
+    joinable_cells: int = 0
+    #: Predicted ``serial`` wall seconds per
+    #: :data:`~repro.core.wall_model.WALL_PHASES` phase -- the second clock
+    #: over the same quantities: what a caller of the ``serial`` backend
+    #: waits for, where the modelled times above are the paper's cluster.
+    wall_phases: tuple[float, ...] = (0.0,) * len(WALL_PHASES)
 
     @property
     def replicated_total(self) -> float:
         return self.replicated_r + self.replicated_s
+
+    @property
+    def wall_time(self) -> float:
+        """Predicted end-to-end wall on the ``serial`` backend."""
+        return sum(self.wall_phases)
+
+    def phases(self, clock: str) -> dict[str, float]:
+        """Predicted seconds per phase on one of :data:`CLOCKS`."""
+        if clock == "wall":
+            return dict(zip(WALL_PHASES, self.wall_phases))
+        return {"construction": self.construction_time, "join": self.join_time}
+
+    def quantities(self) -> dict:
+        """What the wall terms are computed from (recorded with a planned run)."""
+        return {
+            "method": self.method,
+            "kernel": self.kernel,
+            "workers": self.workers,
+            "n_r": self.n_r,
+            "n_s": self.n_s,
+            "cells": self.cells,
+            "replicated_r": self.replicated_r,
+            "replicated_s": self.replicated_s,
+            "joinable_r": self.joinable_r,
+            "joinable_s": self.joinable_s,
+            "joinable_cells": self.joinable_cells,
+            "candidates": self.candidates,
+            "results": self.results,
+        }
 
     @property
     def exec_time(self) -> float:
@@ -104,6 +156,28 @@ class CostPrediction:
             f"~{self.shuffle_bytes / 1e6:.2f} MB shuffle, "
             f"~{self.results:,.0f} results, ~{self.exec_time:.3f}s"
         )
+
+
+class _MethodTotals(NamedTuple):
+    """What a method's predictions share across kernels and worker counts."""
+
+    repl: dict
+    records: float
+    shuffle_bytes: float
+    bcast_payload: float
+    counts: dict  # per-cell populations after replication, by side
+    joinable_r: float
+    joinable_s: float
+    joinable_cells: int
+
+
+class _KernelTotals(NamedTuple):
+    """What a (method, kernel)'s predictions share across worker counts."""
+
+    candidates: float
+    cost_sum: float  # modelled compare cost, all cells
+    cost_max: float  # ... of the hottest cell
+    wall: tuple  # per WALL_PHASES phase: (seconds at no worker, per worker)
 
 
 class AnalyticalCostModel:
@@ -146,6 +220,13 @@ class AnalyticalCostModel:
         # the replica inflow depends only on the method; the planner
         # prices many (kernel, workers) points per method, so memoize it
         self._inflow_cache: dict[str, dict[Side, np.ndarray]] = {}
+        self._pairs = None  # the grid's adjacent cell pairs, method-independent
+        self._near = None  # per-cell presence of either input (see _presence)
+        # ... and so do replication and shuffle volume; the candidate sums
+        # depend on (method, kernel); the result estimate on neither
+        self._method_cache: dict[str, _MethodTotals] = {}
+        self._kernel_cache: dict[tuple[str, str], _KernelTotals] = {}
+        self._results: float | None = None
 
     # ------------------------------------------------------------------
     # replication
@@ -167,7 +248,9 @@ class AnalyticalCostModel:
         """
         inflow = self._inflow_cache.get(method)
         if inflow is None:
-            pairs = self.grid.adjacent_pair_arrays()
+            if self._pairs is None:
+                self._pairs = self.grid.adjacent_pair_arrays()
+            pairs = self._pairs
             policy = {"lpib": LPiBPolicy, "diff": DiffPolicy}.get(method)
             agreed_r = None if policy is None else policy().decide_pairs(self.stats, pairs)
             inflow = self.count_stats.replica_inflows(
@@ -281,6 +364,93 @@ class AnalyticalCostModel:
             f"unpriceable kernel {kernel!r}; choose from {PRICEABLE_KERNELS}"
         )
 
+    def _presence(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per cell: is R (is S) in it or in an edge-adjacent cell?
+
+        Only cells holding both inputs are joined, so the local join pays
+        for the records of those cells alone.  A thresholded sample count
+        misses most sparse cells (1.5% of 30 points is none, half the
+        time); both sample halves together, spread to the four edge
+        neighbours, see 0.8-1.1 of the truly joinable records of inputs
+        that cover each other and stay within ~3x on disjoint clusters.
+        """
+        if self._near is None:
+            shape = (self.grid.ny, self.grid.nx)
+            near = []
+            for side in (Side.R, Side.S):
+                here = (
+                    self.stats.cell_counts(side) + self.count_stats.cell_counts(side)
+                ).reshape(shape) > 0
+                spread = here.copy()
+                spread[1:] |= here[:-1]
+                spread[:-1] |= here[1:]
+                spread[:, 1:] |= here[:, :-1]
+                spread[:, :-1] |= here[:, 1:]
+                near.append(spread.ravel())
+            self._near = tuple(near)
+        return self._near
+
+    def _method_totals(self, method: str) -> _MethodTotals:
+        """Everything a method's prediction needs that no kernel or worker
+        count changes: replication, shuffle volume, broadcast payload, the
+        per-cell populations after replication and the joinable records."""
+        totals = self._method_cache.get(method)
+        if totals is None:
+            from repro.engine.broadcast import grid_broadcast_bytes
+
+            repl = self.predicted_replication(method)
+            records = self.n_r + self.n_s + repl[Side.R] + repl[Side.S]
+            shuffle_bytes = (
+                (self.n_r + repl[Side.R]) * (KEY_BYTES + self.record_bytes[Side.R])
+                + (self.n_s + repl[Side.S]) * (KEY_BYTES + self.record_bytes[Side.S])
+            )
+            # broadcast payload: bare grid for PBSM; grid + agreements for the
+            # adaptive methods (sizes depend only on the grid shape)
+            bcast_payload = grid_broadcast_bytes(self.grid)
+            if method in ("lpib", "diff"):
+                quartets = max(self.grid.nx - 1, 0) * max(self.grid.ny - 1, 0)
+                bcast_payload += (
+                    quartets * (32 + 12 * 24) + self.grid.num_adjacent_pairs * 12
+                )
+            counts = self._post_replication_counts(method)
+            near_r, near_s = self._presence()
+            totals = _MethodTotals(
+                repl, records, shuffle_bytes, bcast_payload, counts,
+                joinable_r=float(counts[Side.R][near_s].sum()),
+                joinable_s=float(counts[Side.S][near_r].sum()),
+                joinable_cells=int((near_r & near_s).sum()),
+            )
+            self._method_cache[method] = totals
+        return totals
+
+    def _kernel_totals(self, method: str, kernel: str) -> _KernelTotals:
+        """A (method, kernel)'s candidate sum, modelled cost sum and hottest
+        cell, and its wall phases as lines in the worker count."""
+        totals = self._kernel_cache.get((method, kernel))
+        if totals is None:
+            if self._results is None:
+                self._results = self.predicted_results()
+            m = self._method_totals(method)
+            per_cell_candidates = self._kernel_candidates(kernel, m.counts)
+            candidates = float(per_cell_candidates.sum())
+            per_cell_cost = per_cell_candidates * self.cm.compare_cost
+            line = wall_line({
+                "method": method, "kernel": kernel,
+                "n_r": self.n_r, "n_s": self.n_s, "cells": self.grid.num_cells,
+                "replicated_r": m.repl[Side.R], "replicated_s": m.repl[Side.S],
+                "joinable_r": m.joinable_r, "joinable_s": m.joinable_s,
+                "joinable_cells": m.joinable_cells,
+                "candidates": candidates, "results": self._results,
+            })
+            totals = _KernelTotals(
+                candidates,
+                float(per_cell_cost.sum()),
+                float(per_cell_cost.max(initial=0.0)),
+                tuple(line[phase] for phase in WALL_PHASES),
+            )
+            self._kernel_cache[(method, kernel)] = totals
+        return totals
+
     def predict(
         self,
         method: str,
@@ -295,46 +465,31 @@ class AnalyticalCostModel:
         worker count (both makespans and the remote shuffle fraction
         depend on it).  The defaults reproduce the historical
         plane-sweep predictions exactly.
+
+        Everything but the worker count is computed once a method and
+        once a (method, kernel): the planner prices every worker count
+        of a grid with scalar arithmetic.
         """
         cm = self.cm
         w = self.num_workers if num_workers is None else num_workers
         if w < 1:
             raise ValueError("num_workers must be >= 1")
-        repl = self.predicted_replication(method)
-        records = self.n_r + self.n_s + repl[Side.R] + repl[Side.S]
-        shuffle_bytes = (
-            (self.n_r + repl[Side.R]) * (KEY_BYTES + self.record_bytes[Side.R])
-            + (self.n_s + repl[Side.S]) * (KEY_BYTES + self.record_bytes[Side.S])
-        )
+        m = self._method_totals(method)
+        k = self._kernel_totals(method, kernel)
+        repl, records, shuffle_bytes = m.repl, m.records, m.shuffle_bytes
+        results = self._results
         remote_fraction = (w - 1) / w
         remote_bytes = shuffle_bytes * remote_fraction
-
-        counts = self._post_replication_counts(method)
-        per_cell_candidates = self._kernel_candidates(kernel, counts)
-        candidates = float(per_cell_candidates.sum())
-        results = self.predicted_results()
-
-        from repro.engine.broadcast import grid_broadcast_bytes
-
-        # broadcast payload: bare grid for PBSM; grid + agreements for the
-        # adaptive methods (sizes depend only on the grid shape)
-        bcast_payload = grid_broadcast_bytes(self.grid)
-        if method in ("lpib", "diff"):
-            quartets = max(self.grid.nx - 1, 0) * max(self.grid.ny - 1, 0)
-            bcast_payload += (
-                quartets * (32 + 12 * 24) + self.grid.num_adjacent_pairs * 12
-            )
 
         construction = (
             (self.n_r + self.n_s) * cm.map_tuple_cost / w
             + records * cm.reduce_record_cost / w
             + remote_bytes * cm.remote_byte_cost / w
             + (shuffle_bytes - remote_bytes) * cm.local_byte_cost / w
-            + bcast_payload * cm.local_byte_cost
+            + m.bcast_payload * cm.local_byte_cost
             + cm.job_overhead
         )
-        per_cell_cost = per_cell_candidates * cm.compare_cost
-        join = max(float(per_cell_cost.sum()) / w, float(per_cell_cost.max(initial=0.0)))
+        join = max(k.cost_sum / w, k.cost_max)
         join += results * cm.emit_cost / w
 
         return CostPrediction(
@@ -347,10 +502,17 @@ class AnalyticalCostModel:
             shuffle_bytes=shuffle_bytes,
             remote_bytes=remote_bytes,
             results=results,
-            candidates=candidates,
+            candidates=k.candidates,
             construction_time=construction,
             join_time=join,
             launch_time=w * cm.task_launch_cost,
+            n_r=self.n_r,
+            n_s=self.n_s,
+            cells=self.grid.num_cells,
+            joinable_r=m.joinable_r,
+            joinable_s=m.joinable_s,
+            joinable_cells=m.joinable_cells,
+            wall_phases=tuple(none + each * w for none, each in k.wall),
         )
 
 

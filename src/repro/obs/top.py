@@ -192,8 +192,7 @@ def render_stats(
     planner_errors = stats.get("planner_errors")
     if isinstance(planner_errors, dict):
         parts = []
-        for phase in ("construction", "join", "total"):
-            snap = planner_errors.get(phase)
+        for phase, snap in planner_errors.items():
             if isinstance(snap, dict) and snap.get("count"):
                 parts.append(
                     f"{phase} {100.0 * float(snap.get('mean', 0.0)):.1f}%"

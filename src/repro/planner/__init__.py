@@ -41,8 +41,8 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "distance_plan", "generalized_plan", "object_plan", "spark_style_plan",
     ),
     "planner": (
-        "DEFAULT_FACTORS", "DEFAULT_KERNELS", "DEFAULT_METHODS",
+        "CLOCKS", "DEFAULT_FACTORS", "DEFAULT_KERNELS", "DEFAULT_METHODS",
         "DEFAULT_WORKER_CANDIDATES", "Candidate", "PlanCache", "PlannedJoin",
-        "eps_bucket", "plan_join",
+        "backend_clock", "eps_bucket", "plan_join",
     ),
 })

@@ -5,12 +5,17 @@ datasets (names, content fingerprints, cardinalities, tuple widths), the
 distance threshold, and the sampling parameters the cost model will
 calibrate its clocks from.  It is a frozen, hashable value -- two equal
 specs describe the same planning problem and may share a cached plan.
+
+Content fingerprints are computed where they are read (``describe``, the
+serving payload, spec equality): a one-shot ``plan_join`` that only wants
+the chosen plan never hashes its inputs.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Any
 
 __all__ = ["JoinSpec", "content_fingerprint"]
@@ -31,7 +36,7 @@ def content_fingerprint(ps: Any) -> str:
     return h.hexdigest()[:16]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JoinSpec:
     """The logical description of one join planning problem."""
 
@@ -45,6 +50,8 @@ class JoinSpec:
     record_bytes_s: int
     r_name: str = ""
     s_name: str = ""
+    #: content fingerprints as the caller gave them (serving passes its
+    #: registry's); read them through :attr:`fingerprints`
     r_fingerprint: str = ""
     s_fingerprint: str = ""
     #: Bernoulli rate of the statistics sample the clocks calibrate from
@@ -53,6 +60,34 @@ class JoinSpec:
     #: result count of joining the two samples (the unbiased sample-join
     #: cardinality estimator); filled by the planner after sampling
     sample_results: int | None = None
+    #: the (R, S) point sets a fingerprint that was not given is hashed
+    #: from, the first time one is read
+    points: tuple = field(default=(), repr=False)
+
+    @cached_property
+    def fingerprints(self) -> tuple[str, str]:
+        """Content fingerprints of (R, S): as given, else hashed now."""
+        given = (self.r_fingerprint, self.s_fingerprint)
+        if not self.points:
+            return given
+        return tuple(
+            fp or content_fingerprint(ps) for fp, ps in zip(given, self.points)
+        )
+
+    def _identity(self) -> tuple:
+        """What two specs must share to be the same planning problem."""
+        lazy = ("r_fingerprint", "s_fingerprint", "points")
+        return tuple(
+            getattr(self, f.name) for f in fields(self) if f.name not in lazy
+        ) + self.fingerprints
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, JoinSpec):
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
 
     @classmethod
     def from_pointsets(
@@ -76,19 +111,21 @@ class JoinSpec:
             record_bytes_s=int(getattr(s, "record_bytes", 24)),
             r_name=getattr(r, "name", "") or "R",
             s_name=getattr(s, "name", "") or "S",
-            r_fingerprint=r_fingerprint or content_fingerprint(r),
-            s_fingerprint=s_fingerprint or content_fingerprint(s),
+            r_fingerprint=r_fingerprint,
+            s_fingerprint=s_fingerprint,
             sample_rate=sample_rate,
             seed=seed,
+            points=() if r_fingerprint and s_fingerprint else (r, s),
         )
 
     def describe(self) -> str:
+        r_fp, s_fp = self.fingerprints
         lines = [
             f"logical spec [{self.join_kind}] eps={self.eps:g}",
             f"  R: {self.r_name or '?'}  n={self.n_r:,}  "
-            f"{self.record_bytes_r} B/tuple  fp={self.r_fingerprint or '?'}",
+            f"{self.record_bytes_r} B/tuple  fp={r_fp or '?'}",
             f"  S: {self.s_name or '?'}  n={self.n_s:,}  "
-            f"{self.record_bytes_s} B/tuple  fp={self.s_fingerprint or '?'}",
+            f"{self.record_bytes_s} B/tuple  fp={s_fp or '?'}",
             f"  sample: rate={self.sample_rate:g} seed={self.seed}",
         ]
         if self.sample_results is not None:

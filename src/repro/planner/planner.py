@@ -7,12 +7,24 @@ whatever the caller **pins** (an explicitly passed CLI flag, a client
 query field, or a server-controlled choice).  Every candidate is priced
 with :class:`~repro.core.cost_model.AnalyticalCostModel` -- one Bernoulli
 sample, split into decision/counting halves, shared by all candidates --
-and the argmin by predicted modelled clock wins.
+and the argmin by the predicted clock of the backend that will run wins.
+
+**Two clocks** over the same predicted quantities (:data:`CLOCKS`).  The
+*modelled* clock is the paper's cluster makespan -- every term divided by
+the worker count, the shuffle a network -- and is what the paper figures
+and the modelled-regret tests ask for with ``clock="modelled"``.  The
+*wall* clock (:mod:`repro.core.wall_model`: fitted seconds per phase,
+nothing divided by a worker count that is a loop in one interpreter) is
+the objective when the plan runs on the ``serial`` backend -- there it is
+the clock the caller waits for, and ``serial`` is the backend its
+constants were measured on.  ``threads``, ``processes`` and ``cluster``
+really run their workers side by side and stay on the modelled clock
+(plus the per-task launch overhead) until they have a calibration of
+their own.  The clock follows the backend; it is not a setting.
 
 The execution backend is carried as a plan dimension but not
-enumerated: the engine's simulated time -- the modelled clock the
-planner optimizes -- is backend-invariant, so it stays whatever the
-caller configured or pinned.
+enumerated: it stays whatever the caller configured or pinned, and it
+names the objective.
 
 :class:`PlanCache` is the serving-layer hook: chosen plans keyed by
 dataset fingerprints + eps *bucket* (quarter-decade quantization), so a
@@ -29,6 +41,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.core.cost_model import (
+    CLOCKS,
     PRICEABLE_KERNELS,
     AnalyticalCostModel,
     CostPrediction,
@@ -41,6 +54,7 @@ from repro.planner.logical import JoinSpec
 from repro.planner.physical import PhysicalPlan, distance_plan
 
 __all__ = [
+    "CLOCKS",
     "DEFAULT_METHODS",
     "DEFAULT_FACTORS",
     "DEFAULT_KERNELS",
@@ -49,6 +63,7 @@ __all__ = [
     "Candidate",
     "PlannedJoin",
     "PlanCache",
+    "backend_clock",
     "eps_bucket",
     "plan_join",
 ]
@@ -68,6 +83,17 @@ PLAN_DIMENSIONS = (
 )
 
 
+def backend_clock(backend: str) -> str:
+    """The objective a plan for ``backend`` is priced on.
+
+    The wall constants were fitted on ``serial`` runs, where the
+    simulated workers are a loop and no term is divided by their count.
+    Every other backend runs them in parallel, which that fit says
+    nothing about, and keeps the modelled makespan.
+    """
+    return "wall" if backend == "serial" else "modelled"
+
+
 @dataclass(frozen=True)
 class Candidate:
     """One enumerated physical-plan choice with its predicted clocks."""
@@ -78,10 +104,12 @@ class Candidate:
     workers: int
     backend: str
     prediction: CostPrediction
+    #: which of :data:`CLOCKS` the planner minimized (:attr:`predicted_clock`)
+    clock: str = "modelled"
 
     @property
-    def predicted_clock(self) -> float:
-        """The modelled end-to-end clock the planner minimizes.
+    def modelled_clock(self) -> float:
+        """Predicted cluster makespan, construction + join (the paper's clock).
 
         Non-serial backends additionally pay the per-task launch
         overhead -- the term that separates backends on a real host
@@ -90,6 +118,16 @@ class Candidate:
         if self.backend == "serial":
             return self.prediction.exec_time
         return self.prediction.exec_time_launch_adjusted
+
+    @property
+    def wall_clock(self) -> float:
+        """Predicted wall of a ``serial`` run (the clock its caller waits for)."""
+        return self.prediction.wall_time
+
+    @property
+    def predicted_clock(self) -> float:
+        """The objective: whichever of the two clocks :attr:`clock` names."""
+        return self.wall_clock if self.clock == "wall" else self.modelled_clock
 
     def key(self) -> tuple:
         return (
@@ -108,7 +146,10 @@ class Candidate:
             "kernel": self.kernel,
             "workers": self.workers,
             "backend": self.backend,
+            "objective": self.clock,
             "predicted_clock": self.predicted_clock,
+            "predicted_wall_clock": self.wall_clock,
+            "predicted_modelled_clock": self.modelled_clock,
             "predicted_construction": p.construction_time,
             "predicted_join": p.join_time,
             "predicted_launch": p.launch_time,
@@ -133,21 +174,49 @@ class PlannedJoin:
     def predicted_clock(self) -> float:
         return self.chosen.predicted_clock
 
-    def candidate_table(self, limit: int | None = None) -> str:
-        """The explored configurations, best predicted clock first."""
+    @property
+    def clock(self) -> str:
+        """The objective every candidate was ranked on."""
+        return self.chosen.clock
+
+    def run_meta(self) -> dict:
+        """What a planned run records before it executes.
+
+        The RunReport's ``planner`` section: the chosen dimensions, the
+        predicted seconds per phase under the clock they were priced on,
+        and the quantities they were priced from -- enough for
+        :func:`repro.planner.accuracy.replay_reports` to rescore the run
+        and for ``scripts/fit_wall_model.py --history`` to refit from it.
+        """
+        chosen = self.chosen
+        return {
+            "chosen": {
+                k: v for k, v in chosen.row().items()
+                if not k.startswith("predicted_")
+            },
+            "predicted": {
+                "clock": chosen.clock,
+                **chosen.prediction.phases(chosen.clock),
+            },
+            "quantities": chosen.prediction.quantities(),
+        }
+
+    def _ranked(self, limit: int | None) -> list[Candidate]:
         rows = sorted(self.candidates, key=lambda c: (c.predicted_clock, c.key()))
-        if limit is not None:
-            rows = rows[:limit]
+        return rows if limit is None else rows[:limit]
+
+    def candidate_table(self, limit: int | None = None) -> str:
+        """The explored configurations, best objective first, both clocks."""
         lines = [
             f"{'':>2} {'method':>9} {'k*eps':>6} {'kernel':>12} {'W':>3} "
-            f"{'pred clock':>11} {'pred repl':>11} {'pred cand':>12}"
+            f"{'pred wall':>10} {'pred model':>10} {'pred repl':>11} {'pred cand':>12}"
         ]
-        for i, c in enumerate(rows):
+        for c in self._ranked(limit):
             mark = "*" if c.key() == self.chosen.key() else ""
             lines.append(
                 f"{mark:>2} {c.method:>9} {c.resolution_factor:>6.1f} "
                 f"{c.kernel:>12} {c.workers:>3} "
-                f"{c.predicted_clock:>10.3f}s "
+                f"{c.wall_clock:>9.3f}s {c.modelled_clock:>9.3f}s "
                 f"{c.prediction.replicated_total:>11,.0f} "
                 f"{c.prediction.candidates:>12,.0f}"
             )
@@ -164,8 +233,9 @@ class PlannedJoin:
         else:
             parts.append("pinned choices: none (all dimensions searched)")
         parts.append(
-            f"candidates ({len(self.candidates)} enumerated, "
-            f"best predicted clock first, * = chosen):"
+            f"candidates ({len(self.candidates)} enumerated, objective = "
+            f"{self.clock} clock on backend {self.chosen.backend}, "
+            f"best first, * = chosen):"
         )
         parts.append(self.candidate_table(limit))
         parts.append("chosen physical plan:")
@@ -174,21 +244,20 @@ class PlannedJoin:
 
     def to_payload(self, limit: int | None = 12) -> dict:
         """JSON-safe summary (the serving layer's stats/explain view)."""
-        rows = sorted(self.candidates, key=lambda c: (c.predicted_clock, c.key()))
-        if limit is not None:
-            rows = rows[:limit]
+        r_fingerprint, s_fingerprint = self.spec.fingerprints
         return {
+            "objective": self.clock,
             "spec": {
                 "join_kind": self.spec.join_kind,
                 "eps": self.spec.eps,
                 "n_r": self.spec.n_r,
                 "n_s": self.spec.n_s,
-                "r_fingerprint": self.spec.r_fingerprint,
-                "s_fingerprint": self.spec.s_fingerprint,
+                "r_fingerprint": r_fingerprint,
+                "s_fingerprint": s_fingerprint,
             },
             "pins": dict(self.pins),
             "chosen": self.chosen.row(),
-            "candidates": [c.row() for c in rows],
+            "candidates": [c.row() for c in self._ranked(limit)],
         }
 
 
@@ -242,6 +311,7 @@ def plan_join(
     kernels: tuple[str, ...] = DEFAULT_KERNELS,
     worker_candidates: tuple[int, ...] = DEFAULT_WORKER_CANDIDATES,
     spec: JoinSpec | None = None,
+    clock: str | None = None,
 ) -> PlannedJoin:
     """Choose the predicted-fastest distance-join plan for ``(r, s, eps)``.
 
@@ -256,6 +326,12 @@ def plan_join(
     ``methods x factors x kernels x worker_candidates`` and picks the
     argmin predicted clock, ties broken deterministically by the
     candidate key.
+
+    The objective follows the backend (:func:`backend_clock`): predicted
+    wall on ``serial``, the modelled cluster makespan on the backends
+    that run their workers in parallel.  ``clock="modelled"`` asks for
+    the paper's clock on any backend -- the paper figures and the
+    modelled-regret tests do.
     """
     pins = dict(pins or {})
     unknown = set(pins) - set(PLAN_DIMENSIONS)
@@ -280,6 +356,9 @@ def plan_join(
     )
     backend = pins.get("backend", base.execution_backend)
     _validate_space(methods, factors, kernels, workers, backend)
+    clock = backend_clock(backend) if clock is None else clock
+    if clock not in CLOCKS:
+        raise ValueError(f"unknown clock {clock!r}; choose from {CLOCKS}")
 
     if spec is None:
         spec = JoinSpec.from_pointsets(
@@ -313,6 +392,7 @@ def plan_join(
                             workers=w,
                             backend=backend,
                             prediction=pred,
+                            clock=clock,
                         )
                     )
 

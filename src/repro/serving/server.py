@@ -85,17 +85,14 @@ from repro.serving.protocol import (
 from repro.planner import (
     JoinSpec,
     PlanCache,
+    backend_clock,
     clock_errors_from_metrics,
     plan_join,
 )
+from repro.planner.accuracy import PHASE_STAGES
 from repro.serving.registry import CODENAMES, DatasetRegistry
 
 __all__ = ["JoinServer", "ServerConfig", "ServerHandle", "start_in_thread"]
-
-#: Phases whose |relative clock error| the server aggregates into
-#: histograms (``serve.plan_abs_rel_error.<phase>``) for the stats op
-#: and the exporter's ``repro_planner_clock_error_ratio`` family.
-PLANNER_ERROR_PHASES = ("construction", "join", "total")
 
 #: Bucket bounds for planner clock-error histograms: these hold error
 #: *ratios* (0.1 == 10% off), not seconds, so the log-spaced seconds
@@ -488,12 +485,19 @@ class JoinServer:
         }
 
     def _planner_error_histograms(self) -> dict:
+        """|relative clock error| of chosen plans, one histogram a phase.
+
+        The phases are those of the clock this server's backend is
+        planned on (``serve.plan_abs_rel_error.<phase>``; the stats op
+        and the exporter's ``repro_planner_clock_error_ratio`` family).
+        """
         reg = self.registry
+        phases = (*PHASE_STAGES[backend_clock(self.config.backend)], "total")
         return {
             phase: reg.histogram(
                 f"serve.plan_abs_rel_error.{phase}", ERROR_RATIO_BUCKETS
             )
-            for phase in PLANNER_ERROR_PHASES
+            for phase in phases
         }
 
     def _build_exporter(self) -> MetricsExporter:
@@ -603,8 +607,8 @@ class JoinServer:
         )
         ex.register(
             "repro_planner_clock_error_ratio", "histogram",
-            "Absolute relative clock error of chosen plans by phase "
-            "(construction/join/total); 0.1 means 10% off.",
+            "Absolute relative error of chosen plans on the clock they "
+            "were priced on, by phase; 0.1 means 10% off.",
             lambda: [
                 ({"phase": phase}, hist)
                 for phase, hist in self._planner_error_histograms().items()
@@ -1158,19 +1162,8 @@ class JoinServer:
             # run: the pipeline appends the RunReport to the history
             # store at run end, and replay_reports needs the prediction
             # inside that stored report to recompute clock errors
-            prediction = planned["planned"].chosen.prediction
-            planner_meta = {
-                "chosen": {
-                    k: v
-                    for k, v in planned["planned"].chosen.row().items()
-                    if not k.startswith("predicted_")
-                },
-                "predicted": {
-                    "construction": prediction.construction_time,
-                    "join": prediction.join_time,
-                },
-                "plan_cache_hit": planned["cache_hit"],
-            }
+            planner_meta = planned["planned"].run_meta()
+            planner_meta["plan_cache_hit"] = planned["cache_hit"]
             telemetry.registry.set_meta("planner", planner_meta)
         result = distance_join(r.points, s.points, run_cfg)
         self._accumulate_cluster_metrics(result.metrics)
@@ -1187,11 +1180,14 @@ class JoinServer:
         )
         if planned is not None:
             planner_payload = self._planner_payload(planned)
-            prediction = planned["planned"].chosen.prediction
-            errors = clock_errors_from_metrics(prediction, result.metrics)
+            chosen = planned["planned"].chosen
+            errors = clock_errors_from_metrics(
+                chosen.prediction, result.metrics, chosen.clock
+            )
             planner_payload["errors"] = {
                 e.phase: e.to_payload() for e in errors
             }
+            histograms = self._planner_error_histograms()
             for err in errors:
                 if err.measured <= 0:
                     continue
@@ -1199,11 +1195,7 @@ class JoinServer:
                     self.registry.histogram(
                         "serve.plan_total_abs_rel_error"
                     ).observe(abs(err.relative_error))
-                if err.phase in PLANNER_ERROR_PHASES:
-                    self.registry.histogram(
-                        f"serve.plan_abs_rel_error.{err.phase}",
-                        ERROR_RATIO_BUCKETS,
-                    ).observe(abs(err.relative_error))
+                histograms[err.phase].observe(abs(err.relative_error))
             payload["planner"] = planner_payload
             planner_meta["errors"] = planner_payload["errors"]
         if spec.trace:

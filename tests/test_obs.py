@@ -570,14 +570,15 @@ class TestServerObservability:
         assert len(reports) == 3
         run_ids = reader.run_ids()
         assert len(set(run_ids)) == 3  # distinct runs, distinct ids
-        for report in reports:
-            assert report["planner"]["predicted"].keys() >= {
-                "construction", "join"
+        for report in reports:  # a serial server plans on the wall clock
+            assert report["planner"]["predicted"].keys() == {
+                "clock", "build", "assign", "shuffle", "join"
             }
+            assert report["planner"]["predicted"]["clock"] == "wall"
         errors = replay_reports(reports)
         phases = {e.phase for e in errors}
-        assert {"construction", "join"} <= phases
-        per_phase = [e for e in errors if e.phase == "construction"]
+        assert phases == {"build", "assign", "shuffle", "join", "total"}
+        per_phase = [e for e in errors if e.phase == "assign"]
         assert len(per_phase) == 3
         for err in errors:
             assert np.isfinite(err.relative_error)
@@ -614,7 +615,7 @@ class TestServerObservability:
             assert stats["history"]["path"] == history_path
             assert stats["metrics_endpoint"].startswith("http://127.0.0.1:")
             assert set(stats["planner_errors"]) == {
-                "construction", "join", "total"
+                "build", "assign", "shuffle", "join", "total"
             }
             assert stats["cluster"]["daemons_spawned"] == 0
         finally:

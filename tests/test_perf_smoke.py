@@ -446,3 +446,49 @@ def test_startup_stays_within_numpy(fresh_python):
         f"numpy's {numpy_s:.3f}s: a layer the join does not run is back on "
         "its import path (tests/test_layering.py names which)"
     )
+
+
+@pytest.mark.perfsmoke
+def test_planner_pick_is_close_to_the_best_measured_plan():
+    """``plan_join``'s default pick within 1.15x of the best static plan.
+
+    10k x 10k wide Gaussian clusters on ``serial``: the chosen plan's
+    measured wall against the best of ``{lpib, uni_r, uni_s} x {2, 4}`` on
+    ``grid_hash`` at the fewest simulated workers.  A ratio of walls taken
+    round-robin in one process (one warm-up, best of 5 rounds), so the
+    host's speed cancels; no absolute bound.  The modelled cluster clock
+    picked 16 simulated workers here and lost ~1.3x.
+    """
+    from repro.data.generators import gaussian_clusters
+    from repro.joins.distance_join import JoinConfig, distance_join
+    from repro.planner import DEFAULT_WORKER_CANDIDATES, plan_join
+
+    wide = {"std_range": (0.03, 0.1)}
+    r = gaussian_clusters(10_000, seed=91, name="R", **wide)
+    s = gaussian_clusters(10_000, seed=92, name="S", **wide)
+    eps = 0.024
+    planned = plan_join(r, s, eps)
+    assert planned.clock == "wall"
+    configs = {
+        (method, factor): JoinConfig(
+            eps=eps, method=method, resolution_factor=factor,
+            local_kernel="grid_hash",
+            num_workers=min(DEFAULT_WORKER_CANDIDATES),
+        )
+        for method in ("lpib", "uni_r", "uni_s")
+        for factor in (2.0, 4.0)
+    }
+    configs["chosen"] = planned.config
+    walls = dict.fromkeys(configs, float("inf"))
+    for round_ in range(6):
+        for name, cfg in configs.items():
+            t0 = time.perf_counter()
+            distance_join(r, s, cfg)
+            if round_:  # round 0 warms every config up
+                walls[name] = min(walls[name], time.perf_counter() - t0)
+    chosen = walls.pop("chosen")
+    best = min(walls, key=walls.get)
+    assert chosen <= 1.15 * walls[best], (
+        f"planner chose {planned.chosen.key()} at {chosen * 1e3:.1f}ms; "
+        f"{best} runs in {walls[best] * 1e3:.1f}ms"
+    )

@@ -8,12 +8,18 @@ Five contract groups:
    lint), and a forced-choice plan executes **bit-identically** to the
    plain driver config (against ``tests/golden/driver_goldens.json``).
 2. *Planner search* -- enumeration over methods x factors x kernels x
-   workers, pin collapsing, deterministic argmin, targeted errors.
-3. *Accuracy harness* -- predicted-vs-measured modelled-clock errors,
-   bounded on the serial backend, replayable from recorded RunReports.
+   workers, pin collapsing, deterministic argmin, targeted errors; the
+   two clocks (2b): the objective follows the backend, ``clock="modelled"``
+   is the parent's planner bit for bit, the wall clock never rewards a
+   simulated worker on ``serial``, and the memoised ``predict`` equals a
+   fresh model's.
+3. *Accuracy harness* -- predicted-vs-measured clock errors on the clock
+   the plan was priced on, bounded on the serial backend's modelled
+   clock, replayable from recorded RunReports.
 4. *Auto vs static* -- on the fig10+fig15 mini-suite the planner's
    choice never loses to the worst static plan and stays within a small
-   factor of the best (oracle) static plan on measured modelled clocks.
+   factor of the best (oracle) static plan on measured modelled clocks
+   (``clock="modelled"``: a claim about the paper's clock).
 5. *Surfaces* -- ``repro explain``, ``repro join --tuning auto``, the
    serving hook with its fingerprint+eps-bucket plan cache, and the
    pipeline's artifact cache/key pairing errors.
@@ -26,9 +32,11 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
+from repro.core.wall_model import WALL_COEFFICIENTS, wall_seconds
 from repro.data.generators import gaussian_clusters, uniform
 from repro.joins.distance_join import JoinConfig, distance_join
 from repro.planner import (
+    CLOCKS,
     DEFAULT_FACTORS,
     DEFAULT_KERNELS,
     DEFAULT_METHODS,
@@ -39,6 +47,7 @@ from repro.planner import (
     PlanInputs,
     PlanNode,
     STAGE_BUILDERS,
+    backend_clock,
     clock_errors_from_metrics,
     clock_errors_from_report,
     distance_plan,
@@ -51,11 +60,22 @@ from repro.planner import (
     summarize_errors,
 )
 
-GOLDEN_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "golden", "driver_goldens.json"
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN_PATH = os.path.join(ROOT, "tests", "golden", "driver_goldens.json")
 with open(GOLDEN_PATH) as f:
     GOLDENS = json.load(f)
+
+
+def _load_fit_script():
+    """``scripts/fit_wall_model.py`` as a module."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "fit_wall_model", os.path.join(ROOT, "scripts", "fit_wall_model.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def pairs_digest(pairs) -> str:
@@ -263,7 +283,9 @@ class TestPlanJoin:
         assert "logical spec [distance]" in text
         assert "n=1,500" in text and "n=1,200" in text
         assert "workers=8" in text  # the pin is reported
-        assert "candidates (" in text and "pred clock" in text
+        assert "candidates (" in text
+        assert "pred wall" in text and "pred model" in text  # both clocks
+        assert "objective = wall clock on backend serial" in text
         assert "physical plan [distance]" in text
         assert "*" in text  # the chosen row is marked
         # full spec round-trips through the logical layer
@@ -280,6 +302,152 @@ class TestPlanJoin:
         by_workers = {c.workers: c.predicted_clock
                       for c in planned.candidates}
         assert len(set(by_workers.values())) > 1
+
+
+# ----------------------------------------------------------------------
+# 2b. two clocks over the same quantities
+# ----------------------------------------------------------------------
+class TestTwoClocks:
+    def test_the_objective_follows_the_backend(self, inputs):
+        r, s = inputs
+        assert plan_join(r, s, 0.01).clock == "wall"  # serial by default
+        # the wall constants were measured on serial: the backends that run
+        # their workers side by side keep the parent's objective and pick
+        for backend in ("threads", "processes", "cluster"):
+            assert backend_clock(backend) == "modelled"
+            parallel = plan_join(
+                r, s, 0.01, base=JoinConfig(eps=0.01, execution_backend=backend)
+            )
+            assert parallel.clock == "modelled"
+            assert parallel.chosen.key() == ("uni_s", 4.0, "grid_hash", 4, backend)
+            assert repr(parallel.predicted_clock) == "0.042935737004343846"
+        asked = plan_join(r, s, 0.01, clock="modelled")
+        assert asked.clock == "modelled"
+        assert {c.clock for c in asked.candidates} == {"modelled"}
+        assert asked.predicted_clock == asked.chosen.modelled_clock
+        assert set(CLOCKS) == {"modelled", "wall"}
+        with pytest.raises(ValueError, match="unknown clock"):
+            plan_join(r, s, 0.01, clock="sundial")
+
+    def test_modelled_clock_is_the_parents_planner(self, inputs):
+        """``clock="modelled"`` and backend ``cluster`` pick what the
+        planner picked before it had a second clock, at the same price."""
+        r, s = inputs
+        planned = plan_join(r, s, 0.01, clock="modelled")
+        assert planned.chosen.key() == ("uni_s", 4.0, "grid_hash", 16, "serial")
+        assert repr(planned.predicted_clock) == "0.02081511200434385"
+        r2 = gaussian_clusters(2500, seed=3, name="R")
+        s2 = uniform(2000, seed=4, name="S")
+        on_cluster = plan_join(
+            r2, s2, 0.012, sample_rate=0.2, seed=1,
+            base=JoinConfig(eps=0.012, sample_rate=0.2, seed=1,
+                            execution_backend="cluster"),
+        )
+        assert on_cluster.chosen.key() == ("lpib", 4.0, "grid_hash", 4, "cluster")
+        # both clocks are priced for every candidate, whichever ranks them
+        wall = plan_join(r, s, 0.01)
+        assert [c.prediction for c in wall.candidates] == [
+            c.prediction for c in planned.candidates
+        ]
+
+    def test_serial_wall_never_rewards_a_simulated_worker(self, inputs):
+        """On ``serial`` the workers are a loop: more of them is never
+        predicted faster, so the fewest offered is what gets chosen."""
+        r, s = inputs
+        planned = plan_join(r, s, 0.01)
+        by_grid = {}
+        for c in planned.candidates:
+            by_grid.setdefault(c.key()[:3], []).append((c.workers, c.wall_clock))
+        for grid, points in by_grid.items():
+            walls = [wall for _, wall in sorted(points)]
+            assert walls == sorted(walls), grid
+        assert planned.chosen.workers == min(DEFAULT_WORKER_CANDIDATES)
+        assert planned.predicted_clock == planned.chosen.wall_clock
+        assert planned.predicted_clock > 0.0
+
+    def test_wall_is_priced_as_a_line_in_the_worker_count(self, inputs):
+        """The planner prices a (method, kernel) at two worker counts and
+        interpolates; the terms evaluated at the count itself agree."""
+        r, s = inputs
+        for c in plan_join(r, s, 0.01).candidates[::7]:
+            direct = wall_seconds(c.prediction.quantities())
+            assert c.prediction.phases("wall") == pytest.approx(direct, rel=1e-12)
+            assert c.prediction.wall_time == pytest.approx(sum(direct.values()))
+
+    def test_memoised_predict_equals_a_fresh_models(self, inputs):
+        """Every candidate of the one shared, memoising model per grid ==
+        the same prediction from a model that has priced nothing else."""
+        from repro.core.cost_model import _build_models
+        r, s = inputs
+        planned = plan_join(r, s, 0.01)
+        assert len(planned.candidates) == 208
+        build = _build_models(r, s, 0.01, 0.03, num_workers=12, seed=0)
+        for c in planned.candidates:
+            fresh = build(c.resolution_factor).predict(
+                c.method, kernel=c.kernel, num_workers=c.workers
+            )
+            assert fresh == c.prediction, c.key()
+
+    def test_table_and_payload_show_both_clocks_sorted_by_objective(
+        self, inputs
+    ):
+        r, s = inputs
+        for clock in CLOCKS:
+            planned = plan_join(r, s, 0.01, clock=clock)
+            payload = planned.to_payload(limit=None)
+            assert payload["objective"] == clock
+            rows = payload["candidates"]
+            assert rows[0] == planned.chosen.row()
+            assert rows[0]["objective"] == clock
+            objective = [row["predicted_clock"] for row in rows]
+            assert objective == sorted(objective)
+            assert objective == [row[f"predicted_{clock}_clock"] for row in rows]
+            first = planned.candidate_table(limit=1).splitlines()[1]
+            assert first.split()[0] == "*"
+
+    def test_fingerprints_are_hashed_where_they_are_read(
+        self, inputs, monkeypatch
+    ):
+        from repro.planner import logical
+        r, s = inputs
+        calls = []
+        real = logical.content_fingerprint
+        monkeypatch.setattr(
+            logical, "content_fingerprint",
+            lambda ps: calls.append(ps) or real(ps),
+        )
+        planned = plan_join(r, s, 0.01)
+        assert calls == []  # a one-shot plan never hashes its inputs
+        assert f"fp={real(r)}" in planned.spec.describe()
+        assert planned.to_payload()["spec"]["s_fingerprint"] == real(s)
+        assert len(calls) == 2  # ... and a spec hashes them once
+        # equality is still by content: same sizes, other points
+        other = JoinSpec.from_pointsets(
+            uniform(1500, seed=9, name="R"), s, 0.01
+        )
+        assert other != JoinSpec.from_pointsets(r, s, 0.01)
+        given = JoinSpec.from_pointsets(
+            r, s, 0.01, r_fingerprint=real(r), s_fingerprint=real(s)
+        )
+        assert given == JoinSpec.from_pointsets(r, s, 0.01)
+        assert hash(given) == hash(JoinSpec.from_pointsets(r, s, 0.01))
+        assert given.points == ()  # nothing to keep alive
+
+
+class TestFitWallModel:
+    def test_check_reproduces_the_checked_in_coefficients(self):
+        """The constants are a pure function of the checked-in table (to
+        the sixth digit: ``lstsq`` is as exact as the BLAS under it)."""
+        fit = _load_fit_script()
+        refit = fit.fit(fit.read_table(fit.TABLE))
+        assert fit.same_coefficients(refit, WALL_COEFFICIENTS)
+        assert not fit.same_coefficients(
+            {**refit, "build": {**refit["build"], "fixed": 0.0}}, WALL_COEFFICIENTS
+        )
+        # every kernel pays per task what grid_hash, the one measured at
+        # more than one worker count, does
+        tasks = {WALL_COEFFICIENTS[f"join/{kernel}"]["task"] for kernel in DEFAULT_KERNELS}
+        assert len(tasks) == 1 and tasks.pop() > 0.0
 
 
 class TestEpsBucketAndCache:
@@ -324,7 +492,8 @@ class TestAccuracyHarness:
     def planned_run(self):
         r = gaussian_clusters(2500, seed=3, name="R")
         s = uniform(2000, seed=4, name="S")
-        planned = plan_join(r, s, 0.012, sample_rate=0.2, seed=1)
+        planned = plan_join(r, s, 0.012, sample_rate=0.2, seed=1,
+                            clock="modelled")
         result = distance_join(r, s, planned.config, plan=planned.plan)
         return planned, result
 
@@ -386,6 +555,44 @@ class TestAccuracyHarness:
         assert summary["count"] == len(errors)
         assert summary["phases"]["total"]["max_abs_relative_error"] < 0.5
 
+    def test_wall_plans_are_scored_against_measured_wall(self, tmp_path):
+        """Like with like: a plan priced on the wall clock records that
+        clock's name and replays against the stage rows' wall seconds --
+        and the same record is a row ``fit_wall_model.py --history`` fits."""
+        from repro.engine.telemetry import Telemetry
+        from repro.obs import RunHistory
+        r = gaussian_clusters(2500, seed=3, name="R")
+        s = uniform(2000, seed=4, name="S")
+        planned = plan_join(r, s, 0.012, sample_rate=0.2, seed=1)
+        assert planned.clock == "wall"
+        pred = planned.chosen.prediction
+        telemetry = Telemetry.create()
+        telemetry.registry.set_meta("planner", planned.run_meta())
+        path = str(tmp_path / "history.jsonl")
+        with RunHistory(path) as history:
+            cfg = replace(planned.config, telemetry=telemetry, history=history)
+            result = distance_join(r, s, cfg, plan=planned.plan)
+        (report,) = RunHistory(path).reports()
+        assert report["planner"]["predicted"] == {
+            "clock": "wall", **pred.phases("wall")
+        }
+        walls = {row["stage"]: row["wall_seconds"] for row in report["stages"]}
+        replayed = {e.phase: e for e in replay_reports([report])}
+        assert set(replayed) == {"build", "assign", "shuffle", "join", "total"}
+        assert replayed["join"].measured == walls["local_join"]
+        assert replayed["build"].predicted == pred.phases("wall")["build"]
+        assert replayed["total"].predicted == pytest.approx(pred.wall_time)
+        assert replay_reports([report]) == clock_errors_from_report(
+            pred, report, "wall"
+        )
+        live = {e.phase: e for e in
+                clock_errors_from_metrics(pred, result.metrics, "wall")}
+        assert live["assign"].measured == result.metrics.stage_times["assign"]
+        assert live["total"].predicted == replayed["total"].predicted
+        (row,) = _load_fit_script().history_rows(path)
+        assert row["assign"] == walls["assign"]
+        assert wall_seconds(row) == pytest.approx(pred.phases("wall"), rel=1e-12)
+
     def test_summarize_empty_and_zero_measured(self):
         assert summarize_errors([])["count"] == 0
         from repro.planner import ClockError
@@ -439,7 +646,7 @@ class TestAutoVsStatic:
         statics[("eps_grid", 1.0)] = measured("eps_grid", 1.0)
         planned = plan_join(
             r, s, eps, pins={"kernel": kernel, "workers": workers},
-            factors=factors, sample_rate=0.15, seed=2,
+            factors=factors, sample_rate=0.15, seed=2, clock="modelled",
         )
         auto = measured(planned.chosen.method,
                         planned.chosen.resolution_factor)
@@ -483,7 +690,8 @@ class TestCliSurfaces:
         out = capsys.readouterr().out
         assert rc == 0
         assert "logical spec [distance]" in out
-        assert "pred clock" in out
+        assert "pred wall" in out and "pred model" in out
+        assert "objective = wall clock" in out
         assert "chosen physical plan:" in out
 
     def test_explain_respects_pins(self, capsys):
