@@ -623,11 +623,39 @@ def _validate_query_args(args: argparse.Namespace) -> str | None:
     return None
 
 
+def _keep_freed_memory_in_heap() -> bool:
+    """Allocator policy of the one process this repo owns: ``repro serve``.
+
+    A join frees hundreds of 0.3-2 MB numpy temporaries; under glibc's
+    dynamic thresholds each is mapped, zeroed on first touch and unmapped
+    again (~2 k minor faults a cold 20k x 20k query).  With the mmap
+    threshold at its 32 MiB ceiling and trimming at twice that they stay
+    in the heap (~0 faults).  Process-wide, so never set at library
+    import (docs/EXECUTION.md, "Memory").  False off glibc: a no-op.
+    """
+    import ctypes
+
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version  # absent off glibc (musl, macOS)
+        mallopt = libc.mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # <malloc.h>
+    return bool(
+        mallopt(m_mmap_threshold, 32 << 20)
+        and mallopt(m_trim_threshold, 64 << 20)
+    )
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     error = _validate_serve_args(args)
     if error is not None:
         print(error, file=sys.stderr)
         return 2
+    _keep_freed_memory_in_heap()
     level = "quiet" if args.quiet else args.log_level
     if level is not None:
         configure_logging(level)

@@ -29,12 +29,13 @@ plan, and results are stitched by plan position into one column pair:
 the output is bit-identical across backends.
 
 Result pairs are written once.  The ``serial`` tier probes every task,
-allocates the job's column pair at the summed candidate total and lets
-each task expand its hits at the running offset, so the report's columns
-*are* the memory the kernel wrote.  Pooled tiers and the per-cell path
-return one block per task (a salvaged checkpoint one per cell) and the
-blocks are copied into the columns once (see ``docs/EXECUTION.md``,
-"Result path").
+leases the job's column pair (:mod:`repro.engine.slabs`) at the summed
+candidate total and lets each task expand its hits at the running
+offset, so the report's columns *are* the memory the kernel wrote.
+Pooled tiers and the per-cell path return one block per task (a salvaged
+checkpoint one per cell) and the blocks are copied into the columns once.
+With ``collect_pairs=False`` a task's pairs are dropped on absorb and the
+report carries counts only (see ``docs/EXECUTION.md``, "Result path").
 
 Execution is fault tolerant.  A :class:`RetryPolicy` governs what
 happens when a task fails -- whether the failure is injected by a
@@ -85,6 +86,7 @@ from repro.engine.faults import (
     RetryBudgetExhausted,
     TaskFailure,
 )
+from repro.engine.slabs import lease
 from repro.engine.sorting import stable_argsort
 from repro.engine.telemetry import MetricsRegistry, Tracer, get_logger
 
@@ -294,6 +296,8 @@ class _Segments(Sequence):
     ``column[bounds[p]:bounds[p + 1]]``."""
 
     def __init__(self, column: np.ndarray, bounds: np.ndarray):
+        if len(column) != bounds[-1]:
+            raise ValueError("collect_pairs=False: the report has counts, not pairs")
         self._column = column
         self._bounds = bounds
 
@@ -315,8 +319,9 @@ class ExecutionReport:
     os_workers: int
     #: Every result pair, in plan-position (task-major) order: position
     #: ``p``'s pairs are ``r_col[bounds[p]:bounds[p + 1]]`` (likewise
-    #: ``s_col``).  The columns are the job's own -- nothing else aliases
-    #: them -- so ``collect`` hands them out as they are.
+    #: ``s_col``).  The columns are the job's own -- views of pool slabs
+    #: nothing else aliases while referenced -- so ``collect`` hands them
+    #: out as they are.  Empty under ``collect_pairs=False`` (counts only).
     r_col: np.ndarray = field(default_factory=lambda: _EMPTY.copy())
     s_col: np.ndarray = field(default_factory=lambda: _EMPTY.copy())
     bounds: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
@@ -567,14 +572,13 @@ def _run_cells(
             )
         probe = _probe_task(plan, positions, eps, probe_fn)
         if probe is not None:
-            # sized for every candidate: pages past the last hit are never
-            # touched, and the tail is handed back
-            out_r = np.empty(probe.total, dtype=plan.r_ids.dtype)
-            out_s = np.empty(probe.total, dtype=plan.s_ids.dtype)
+            # sized for every candidate: pages past the last hit stay untouched
+            out_r = lease(probe.total, plan.r_ids.dtype)
+            out_s = lease(probe.total, plan.s_ids.dtype)
             end, bounds = expand_fn(probe, out_r, out_s, 0)
-            out_r.resize(end, refcheck=False)
-            out_s.resize(end, refcheck=False)
-            return TaskBlock(positions, out_r, out_s, bounds, probe.candidates)
+            return TaskBlock(
+                positions, out_r[:end], out_s[:end], bounds, probe.candidates
+            )
 
     kernel = get_kernel(kernel_name)
     ro, so = plan.r_offsets, plan.s_offsets
@@ -1112,12 +1116,14 @@ class _ResultColumns:
     any tier; :meth:`finish` cuts the report's columns from them.  The
     serial tier :meth:`reserve` s the columns up front and expands every
     task into them at its running offset, so its blocks already sit where
-    they belong and ``finish`` only hands the unused tail back; blocks
-    from anywhere else are copied into place once.
+    they belong and ``finish`` hands out the written prefix; blocks from
+    anywhere else are copied into place once.  With ``collect`` off a
+    block's pairs are dropped as it is added: only the counts are kept.
     """
 
-    def __init__(self, plan: ExecutionPlan):
+    def __init__(self, plan: ExecutionPlan, collect: bool = True):
         n = plan.num_cells
+        self.collect = collect
         self.pair_counts = np.zeros(n, dtype=np.int64)
         self.candidates = np.zeros(n, dtype=np.int64)
         self.blocks: list[TaskBlock] = []
@@ -1125,30 +1131,29 @@ class _ResultColumns:
         self.s_col = np.empty(0, dtype=plan.s_ids.dtype)
 
     def reserve(self, total: int) -> None:
-        """Allocate the columns with room for ``total`` pairs."""
-        self.r_col = np.empty(total, dtype=self.r_col.dtype)
-        self.s_col = np.empty(total, dtype=self.s_col.dtype)
+        """Lease the columns with room for ``total`` pairs."""
+        self.r_col = lease(total, self.r_col.dtype)
+        self.s_col = lease(total, self.s_col.dtype)
 
     def add(self, block: TaskBlock) -> None:
         self.pair_counts[block.positions] = np.diff(block.bounds)
         self.candidates[block.positions] = block.candidates
-        self.blocks.append(block)
+        if self.collect:
+            self.blocks.append(block)
 
     def finish(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(r_col, s_col, bounds)`` in plan-position order."""
         bounds = np.zeros(len(self.pair_counts) + 1, dtype=np.int64)
         np.cumsum(self.pair_counts, out=bounds[1:])
+        if not self.collect:
+            return self.r_col, self.s_col, bounds  # never reserved: empty
         total = int(bounds[-1])
         if all(block.at == bounds[block.positions[0]] for block in self.blocks):
-            # every pair was written where it belongs: nothing is copied,
-            # pages past the last hit were never touched, and the unused
-            # tail goes back with the one resize
-            self.blocks.clear()  # views of the columns about to shrink
-            self.r_col.resize(total, refcheck=False)
-            self.s_col.resize(total, refcheck=False)
-            return self.r_col, self.s_col, bounds
-        r_col = np.empty(total, dtype=self.r_col.dtype)
-        s_col = np.empty(total, dtype=self.s_col.dtype)
+            # every pair was written where it belongs: nothing is copied.
+            # A view, not a resize: the slab returns with the last reference
+            return self.r_col[:total], self.s_col[:total], bounds
+        r_col = lease(total, self.r_col.dtype)
+        s_col = lease(total, self.s_col.dtype)
         for block in self.blocks:
             pos = block.positions
             # a run of consecutive positions is contiguous in the block and
@@ -1172,13 +1177,15 @@ def _serial_tier(
     kernel every task is probed first: the summed candidate total sizes
     the job's result columns, and each task's attempt then expands into
     them at the running offset.  A failed attempt leaves the offset where
-    it was, so the retry overwrites whatever it had written.
+    it was, so the retry overwrites whatever it had written.  Uncollected
+    pairs are neither probed ahead nor reserved for: a task expands into a
+    leased pair of its own, as a pooled task does, and the next reuses it.
     """
     from repro.engine.kernels import get_batch_kernel
 
     probes: dict[int, tuple[object, float]] = {}
     batch = get_batch_kernel(kernel_name) if checkpoints is None else None
-    if batch is not None:
+    if batch is not None and columns.collect:
         for worker_id in sorted(tasks):
             start = time.perf_counter()
             probe = _probe_task(plan, tasks[worker_id], eps, batch[0])
@@ -1231,6 +1238,7 @@ def _serial_tier(
                 absorb(worker_id, block, probe_seconds + elapsed)
                 if staged is not None:
                     offset += len(block.r)
+                del block  # uncollected pairs: their slabs are free again
                 break
     return exhausted
 
@@ -1248,7 +1256,7 @@ def _pool_tier(
     """
     # the pools are imported with the first pooled tier: a serial run
     # loads no concurrent.futures, and only ``processes`` the process pool
-    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+    from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 
     broken_types: tuple[type[BaseException], ...] = ()
     if backend == "processes":
@@ -1305,20 +1313,24 @@ def _pool_tier(
                     state.tracer, span_id,
                 )
             else:
-                fut = pool.submit(
-                    _process_group,
-                    _make_process_task_args(
-                        worker_id, positions, tasks[worker_id], pos_desc,
-                        kernel_name, eps,
-                        shm_r.name, len(plan.r_ids),
-                        shm_s.name, len(plan.s_ids),
-                        shm_meta.name, plan.num_cells,
-                        plan.origins is not None,
-                        total_positions,
-                        attempt, faults, checkpoints,
-                        state.tracer.enabled, state.tracer.run_id, span_id,
-                    ),
+                args = _make_process_task_args(
+                    worker_id, positions, tasks[worker_id], pos_desc,
+                    kernel_name, eps,
+                    shm_r.name, len(plan.r_ids),
+                    shm_s.name, len(plan.s_ids),
+                    shm_meta.name, plan.num_cells,
+                    plan.origins is not None,
+                    total_positions,
+                    attempt, faults, checkpoints,
+                    state.tracer.enabled, state.tracer.run_id, span_id,
                 )
+                try:
+                    fut = pool.submit(_process_group, args)
+                except broken_types as exc:
+                    # an earlier attempt's worker died already: this one is
+                    # lost with the pool, and the drain below rebuilds it
+                    fut = Future()
+                    fut.set_exception(exc)
             pending[fut] = _Flight(
                 worker_id, attempt, time.perf_counter(), speculative,
                 span=span,
@@ -1478,6 +1490,7 @@ def execute_plan(
     tracer: Tracer | None = None,
     registry: MetricsRegistry | None = None,
     cluster=None,
+    collect_pairs: bool = True,
 ) -> ExecutionReport:
     """Run every cell's local join on the chosen backend, fault tolerantly.
 
@@ -1510,6 +1523,10 @@ def execute_plan(
     ``cluster`` tunes the ``cluster`` backend: a
     :class:`~repro.engine.cluster_backend.ClusterConfig`, a mapping of
     its fields, or ``None`` for defaults.  Ignored by other backends.
+
+    ``collect_pairs=False``: nobody will read the pairs, so the report has
+    ``bounds`` (the counts) and ``candidates`` with empty columns, and a
+    task's result memory is the next task's, whatever the result size.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
@@ -1524,7 +1541,7 @@ def execute_plan(
     groups = plan.worker_groups()
     n = plan.num_cells
     report = ExecutionReport(backend=backend, os_workers=1, backend_used=backend)
-    columns = _ResultColumns(plan)
+    columns = _ResultColumns(plan, collect_pairs)
     report.candidates = columns.candidates
     report.resubmit_counts = np.zeros(n, dtype=np.int64)
     report.salvage_counts = np.zeros(n, dtype=np.int64)

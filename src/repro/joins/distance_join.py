@@ -130,7 +130,10 @@ class JoinConfig(ExecutionSettings):
 
 @dataclass
 class JoinResult:
-    """Result pairs plus the job's metrics."""
+    """Result pairs plus the job's metrics; ``r_ids`` / ``s_ids`` may be
+    views into pooled memory (:mod:`repro.engine.slabs`) that stay valid,
+    slices of them too, for as long as they are referenced (a long-lived
+    holder should copy: a view pins a candidate-sized slab)."""
 
     r_ids: np.ndarray
     s_ids: np.ndarray

@@ -81,6 +81,11 @@ from repro.grid.statistics import GridStatistics
 from repro.replication.assign import AdaptiveAssigner
 from repro.replication.pbsm import UniversalAssigner
 
+try:  # POSIX only; without it the per-stage fault attribution reads 0
+    import resource
+except ImportError:  # pragma: no cover
+    resource = None
+
 #: Join methods implemented by the grid drivers (point and object).
 GRID_METHODS = ("lpib", "diff", "uni_r", "uni_s", "eps_grid")
 
@@ -363,13 +368,23 @@ def run_staged_join(stages: list[Stage], ctx: JoinContext) -> JoinContext:
             for stage in stages:
                 ctx.timer.start(stage.phase)
                 started = time.perf_counter()
-                with tracer.span(stage.name, cat="stage", phase=stage.phase):
+                with tracer.span(stage.name, cat="stage", phase=stage.phase) as span:
+                    before = _thread_rusage()
                     stage.run(ctx)
+                    spent = [now - was for was, now in zip(before, _thread_rusage())]
                 elapsed = time.perf_counter() - started
                 stage_times = ctx.metrics.stage_times
                 stage_times[stage.name] = (
                     stage_times.get(stage.name, 0.0) + elapsed
                 )
+                # wall time cannot say "zeroing pages": the kernel's share
+                # of a stage, beside its wall (docs/EXECUTION.md, "Memory")
+                extra = ctx.metrics.extra
+                for name, delta in zip(("minflt", "sys_s"), spent):
+                    if span is not None:
+                        span.attrs[name] = delta
+                    key = f"{name}.{stage.name}"
+                    extra[key] = extra.get(key, 0.0) + delta
         ctx.timer.stop()
     finally:
         # spilled blocks and checkpoints are job-transient: release them
@@ -384,6 +399,16 @@ def run_staged_join(stages: list[Stage], ctx: JoinContext) -> JoinContext:
     _publish_run(ctx)
     _append_history(ctx)
     return ctx
+
+
+def _thread_rusage() -> tuple[int, float]:
+    """``(minor page faults, system seconds)`` of the calling thread where
+    the platform keeps them per thread (concurrent served queries then do
+    not read each other's), else of the process."""
+    if resource is None:
+        return 0, 0.0
+    usage = resource.getrusage(getattr(resource, "RUSAGE_THREAD", resource.RUSAGE_SELF))
+    return usage.ru_minflt, usage.ru_stime
 
 
 def _append_history(ctx: JoinContext) -> None:
@@ -932,15 +957,18 @@ class LocalJoinStage(Stage):
     packed ``plan`` and the executor's ``report``.  The backend, fault
     plan, retry policy and checkpoint manager all come from the
     context, so every driver composing this stage is fault tolerant on
-    every backend.
+    every backend.  ``collect_pairs=False`` counts results without
+    keeping the pairs (large benchmark sweeps): the report's columns are
+    empty and its ``bounds`` carry the counts.
     """
 
     name = "local_join"
     phase = "join"
 
-    def __init__(self, kernel_name: str, eps: float):
+    def __init__(self, kernel_name: str, eps: float, collect_pairs: bool = True):
         self.kernel_name = kernel_name
         self.eps = eps
+        self.collect_pairs = collect_pairs
 
     def run(self, ctx: JoinContext) -> None:
         get_kernel(self.kernel_name)  # fail fast on an unknown kernel
@@ -967,6 +995,7 @@ class LocalJoinStage(Stage):
             tracer=ctx.tracer,
             registry=ctx.registry,
             cluster=ctx.settings.cluster_config(),
+            collect_pairs=self.collect_pairs,
         )
         ctx.data["plan"] = plan
         ctx.data["report"] = report
@@ -1217,16 +1246,12 @@ class CollectPairsStage(Stage):
 
     Writes ``cost_pos`` (``candidates * compare + pairs * emit`` per
     position), ``r_ids``/``s_ids`` -- the report's columns themselves,
-    task-major, not a copy -- and ``result_count``.
-    ``collect_pairs=False`` counts results without handing out ids (used
-    by large benchmark sweeps).
+    task-major, not a copy; empty when the local join did not collect --
+    and ``result_count``.
     """
 
     name = "collect"
     phase = "join"
-
-    def __init__(self, collect_pairs: bool = True):
-        self.collect_pairs = collect_pairs
 
     def run(self, ctx: JoinContext) -> None:
         report = ctx.data["report"]
@@ -1236,11 +1261,6 @@ class CollectPairsStage(Stage):
             report.candidates.astype(np.float64) * cm.compare_cost
             + pair_counts.astype(np.float64) * cm.emit_cost
         )
-        if self.collect_pairs:
-            r_ids, s_ids = report.r_col, report.s_col
-        else:
-            r_ids = np.empty(0, dtype=np.int64)
-            s_ids = np.empty(0, dtype=np.int64)
-        ctx.data["r_ids"] = r_ids
-        ctx.data["s_ids"] = s_ids
+        ctx.data["r_ids"] = report.r_col
+        ctx.data["s_ids"] = report.s_col
         ctx.data["result_count"] = int(report.bounds[-1])

@@ -241,7 +241,9 @@ def _assign_shuffle_join_stages(node: PlanNode, inputs: PlanInputs) -> list:
         from repro.joins.distance_join import _OriginsStage
 
         stages.append(_OriginsStage())
-    stages.append(LocalJoinStage(node.get("kernel"), node.get("eps")))
+    stages.append(
+        LocalJoinStage(node.get("kernel"), node.get("eps"), node.get("collect", True))
+    )
     return stages
 
 
@@ -263,7 +265,7 @@ def _ownership_stage(node: PlanNode, inputs: PlanInputs) -> list:
 def _collect_pairs_stage(node: PlanNode, inputs: PlanInputs) -> list:
     from repro.joins.pipeline import CollectPairsStage
 
-    return [CollectPairsStage(node.get("collect"))]
+    return [CollectPairsStage()]
 
 
 @register_stage_builder("accounting")
@@ -341,8 +343,9 @@ def distance_plan(cfg: Any) -> "PhysicalPlan":
             kernel=cfg.local_kernel,
             eps=cfg.eps,
             origins=True,
+            collect=cfg.collect_pairs,
         ),
-        PlanNode.make("collect_pairs", collect=cfg.collect_pairs),
+        PlanNode.make("collect_pairs"),
         PlanNode.make("accounting"),
     ]
     if not cfg.duplicate_free:

@@ -1268,10 +1268,10 @@ class JoinServer:
         encoded = np.frombuffer(
             json.dumps(metrics_payload).encode("utf-8"), dtype=np.uint8
         )
-        # the cache owns its bytes: the job's columns were allocated for
-        # every candidate and shrunk in place, which in a long-lived
-        # process pins the unused tail as a heap hole for as long as the
-        # column lives; an exact-size copy lets the job's allocation go
+        # the cache owns its bytes: the job's columns are views of pool
+        # slabs sized for every candidate, and a cached view would pin its
+        # slab while the entry lives; an exact-size copy is what the budget
+        # counts, and the slabs go back for the next query to lease
         r_ids, s_ids = result.r_ids.copy(), result.s_ids.copy()
         with self._results_lock:
             block_id = self._result_blocks.get(qkey)

@@ -492,3 +492,59 @@ def test_planner_pick_is_close_to_the_best_measured_plan():
         f"planner chose {planned.chosen.key()} at {chosen * 1e3:.1f}ms; "
         f"{best} runs in {walls[best] * 1e3:.1f}ms"
     )
+
+
+_THREE_DENSE_JOINS = """
+import resource
+import numpy as np
+from repro.data.pointset import PointSet
+from repro.joins.distance_join import JoinConfig, distance_join
+
+rng = np.random.default_rng(5)
+r, s = (
+    PointSet(rng.normal(0.5, 0.04, 7000).clip(0, 1), rng.normal(0.5, 0.04, 7000).clip(0, 1), name=name)
+    for name in "RS"
+)
+cfg = JoinConfig(eps=0.02, num_workers=4, local_kernel="grid_hash")
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    result = distance_join(r, s, cfg)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    print(faults, int(result.metrics.extra["minflt.local_join"]), result.metrics.candidate_pairs)
+    del result
+"""
+
+
+@pytest.mark.perfsmoke
+def test_a_repeated_join_touches_no_fresh_result_pages():
+    """The third identical join takes <= 10% of the first's minor faults.
+
+    One dense cluster, 7k x 7k: 4.6 M candidates, so each result column is
+    37 MB -- above the 32 MiB ceiling of glibc's mmap threshold.  Allocated
+    per join, both are mapped, zeroed page by page and unmapped every time
+    (third ~ first / 2, the rest being the first join's heap growth);
+    leased from the slab pool, the third join writes into pages the first
+    one touched.  Run in a child under the two malloc variables
+    docs/EXECUTION.md ("Memory") gives library hosts, so the kernel's
+    temporaries stay in the heap and the columns are what is counted.  A
+    count, not a clock: the host's speed cannot move it.
+    """
+    import subprocess
+    import sys
+
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(sys.path),
+        MALLOC_MMAP_THRESHOLD_=str(32 << 20),
+        MALLOC_TRIM_THRESHOLD_=str(64 << 20),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _THREE_DENSE_JOINS], env=env, capture_output=True,
+        text=True, timeout=120, check=True,
+    )
+    rows = [tuple(map(int, line.split())) for line in done.stdout.splitlines()]
+    (first, first_join, candidates), _, (third, third_join, _) = rows
+    assert candidates * 8 > 32 << 20
+    # 50: what a quiet join still faults on a host whose pages are huge
+    assert third <= max(first // 10, 50), rows
+    assert third_join <= first_join <= first, "the stage's share is part of the whole"

@@ -15,7 +15,20 @@ Four guarantees (``docs/EXECUTION.md``, "Result path"):
 4. *Views* -- ``report.pair_r[p]`` is what the per-cell kernel returns for
    position ``p``, and the serial tier's columns are handed out as they
    are (no copy between the kernel and ``JoinResult``).
+5. *Leases* -- the columns are views of recycled pool slabs
+   (:mod:`repro.engine.slabs`): a result is never overwritten while
+   anything references it, and its slabs serve the next job once nothing
+   does.
+6. *Count-only* -- ``collect_pairs=False`` reports the same counts,
+   candidates and bounds with empty columns, from one task-sized pair.
 """
+
+import gc
+import multiprocessing
+import sys
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,12 +36,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.engine.kernels as kernels
+import repro.engine.slabs as slabs
 from repro.data.generators import gaussian_clusters
+from repro.data.pointset import PointSet
 from repro.engine.executor import RetryPolicy, build_execution_plan, execute_plan
 from repro.engine.faults import FaultPlan
 from repro.engine.kernels import get_kernel
 from repro.engine.metrics import JoinMetrics
-from repro.joins.distance_join import JoinConfig
+from repro.joins.distance_join import JoinConfig, distance_join
 from repro.joins.local import (
     _BLOCK_CANDIDATES,
     grid_hash_expand,
@@ -166,9 +181,9 @@ def _inputs():
     )
 
 
-def _staged(kernel, backend, **overrides):
+def _staged(kernel, backend, inputs=None, **overrides):
     """One join through the stage list; returns its context."""
-    r, s = _inputs()
+    r, s = inputs or _inputs()
     cfg = JoinConfig(
         eps=EPS, method="lpib", num_workers=3, local_kernel=kernel,
         execution_backend=backend, executor_workers=2, **overrides,
@@ -327,9 +342,70 @@ def test_injected_fault_retry_is_bit_identical(backend):
     assert all(wall > 0.0 for wall in report.worker_wall.values())
 
 
+def test_a_pool_that_dies_while_tasks_are_submitted_is_rebuilt(monkeypatch):
+    """A killed worker can break the pool before the scheduler has
+    submitted every task: the refused submission is a lost attempt."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    plan = _plan()
+    clean = execute_plan(plan, "grid_hash", EPS, backend="serial")
+    submit, calls = ProcessPoolExecutor.submit, []
+
+    def dies_once(self, fn, /, *args, **kwargs):
+        calls.append(fn)
+        if len(calls) == 2:
+            raise BrokenProcessPool("a child process terminated abruptly")
+        return submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", dies_once)
+    report = execute_plan(
+        plan, "grid_hash", EPS, backend="processes", max_workers=2,
+        retry=RetryPolicy(max_retries=2, backoff_base=0.0),
+    )
+    assert report.pool_rebuilds == 1 and report.backend_used == "processes"
+    np.testing.assert_array_equal(report.r_col, clean.r_col)
+    np.testing.assert_array_equal(report.s_col, clean.s_col)
+
+
 # ----------------------------------------------------------------------
 # 4. per-position views, and no copy on the serial tier
 # ----------------------------------------------------------------------
+@pytest.fixture
+def pool():
+    """The slab pool, empty before and after: what it retains is process
+    state, and these tests read it."""
+    slabs._slabs.clear()
+    yield slabs
+    slabs._slabs.clear()
+
+
+def _dense(seed, n=2000):
+    """One tight cluster on both sides: ~0.4 M candidates at ``EPS``, so the
+    result columns are pool slabs (3-4 MB), not malloc's."""
+    rng = np.random.default_rng(seed)
+    return tuple(
+        PointSet(
+            rng.normal(0.5, 0.04, n).clip(0, 1), rng.normal(0.5, 0.04, n).clip(0, 1),
+            name=name,
+        )
+        for name in "RS"
+    )
+
+
+def _dense_join(seed, backend="serial", **overrides):
+    cfg = JoinConfig(
+        eps=EPS, num_workers=3, local_kernel="grid_hash",
+        execution_backend=backend, executor_workers=2, **overrides,
+    )
+    return distance_join(*_dense(seed), cfg)
+
+
+def _slab_of(column):
+    """The pool slab ``column`` is a view of, or ``None``."""
+    return next((slab for slab in slabs._slabs if column.base is slab), None)
+
+
 @pytest.mark.parametrize("backend", ("serial", "threads", "processes"))
 @pytest.mark.parametrize("kernel", ("grid_hash", "plane_sweep"))
 def test_pair_views_equal_the_per_cell_arrays(kernel, backend):
@@ -347,13 +423,17 @@ def test_pair_views_equal_the_per_cell_arrays(kernel, backend):
         report.pair_r[plan.num_cells]
 
 
-def test_serial_result_is_the_memory_the_kernel_wrote():
+def test_serial_result_is_the_memory_the_kernel_wrote(pool):
     """``collect`` is a view: the driver's ids are the report's columns,
-    which own their (exact-size) memory."""
-    ctx = _staged("grid_hash", "serial")
+    which are views of a pool slab from its start, at exact length."""
+    ctx = _staged("grid_hash", "serial", inputs=_dense(61))
     report = ctx.data["report"]
     assert ctx.data["r_ids"] is report.r_col and ctx.data["s_ids"] is report.s_col
-    assert report.r_col.base is None and report.r_col.flags.owndata
+    for column in (report.r_col, report.s_col):
+        slab = _slab_of(column)
+        assert slab is not None and slab.flags.owndata
+        assert column.ctypes.data == slab.ctypes.data
+    assert _slab_of(report.r_col) is not _slab_of(report.s_col)
     assert len(report.r_col) == ctx.data["result_count"] == report.bounds[-1]
     assert "src_workers" not in ctx.data
 
@@ -396,3 +476,246 @@ def test_dedup_clock_matches_the_per_pair_sum():
     assert clock == pytest.approx(want, rel=1e-12)
     assert shuffle.records == n and shuffle.bytes == n * PAIR_BYTES
     assert shuffle.remote_records == int((src != dst).sum())
+
+
+# ----------------------------------------------------------------------
+# 5. leased columns: never overwritten while referenced, reused once not
+# ----------------------------------------------------------------------
+_DENSE_EXPECTED = {}
+
+
+def _dense_expected(seed):
+    """Seed's pairs, copied out of the pool once."""
+    if seed not in _DENSE_EXPECTED:
+        res = _dense_join(seed)
+        _DENSE_EXPECTED[seed] = (res.r_ids.copy(), res.s_ids.copy())
+    return _DENSE_EXPECTED[seed]
+
+
+def _assert_is_join(result, seed):
+    want_r, want_s = _dense_expected(seed)
+    np.testing.assert_array_equal(result.r_ids, want_r)
+    np.testing.assert_array_equal(result.s_ids, want_s)
+
+
+def _hold(kind, backend):
+    """Run join A; keep one thing of it.  Returns ``(held, watched)``:
+    the only reference that survives, and the arrays whose bytes it pins."""
+    if kind == "segment":
+        report = _staged("grid_hash", backend, inputs=_dense(61)).data["report"]
+        assert _slab_of(report.r_col) is not None
+        segment = report.pair_r[int(np.argmax(np.diff(report.bounds)))]
+        return segment, [segment]
+    result = _dense_join(61, backend)
+    assert _slab_of(result.r_ids) is not None and _slab_of(result.s_ids) is not None
+    if kind == "result":
+        return result, [result.r_ids, result.s_ids]
+    if kind == "slice_of_slice":
+        part = result.r_ids[10:][5::3]
+        return part, [part]
+    view = memoryview(result.s_ids)
+    return view, [np.frombuffer(view, dtype=np.int64)]
+
+
+@pytest.mark.parametrize("backend", ("serial", "threads", "processes"))
+@pytest.mark.parametrize("kind", ("result", "slice_of_slice", "segment", "memoryview"))
+def test_a_held_result_survives_the_next_join(pool, kind, backend):
+    _dense_expected(71)  # the reference runs before anything is held
+    held, watched = _hold(kind, backend)
+    before = [w.copy() for w in watched]
+    del watched
+    gc.collect()
+    other = _dense_join(71, backend)
+    _assert_is_join(other, 71)
+    now = [held.r_ids, held.s_ids] if kind == "result" else [np.asarray(held)]
+    for kept, was in zip(now, before):
+        np.testing.assert_array_equal(kept, was)
+        assert not np.shares_memory(kept, other.r_ids)
+        assert not np.shares_memory(kept, other.s_ids)
+
+
+def _scenario_overrides(tmp_path, backend, scenario):
+    overrides = dict(SCENARIOS[scenario])
+    if scenario == "degraded":
+        overrides["faults"] = f"kernel:p=1:times={POOLED_TIERS[backend]}"
+    if "spill" in overrides:
+        overrides["spill_dir"] = str(tmp_path)
+    return overrides
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("backend", ("serial", "threads", "processes"))
+def test_a_held_result_survives_a_faulted_join(pool, tmp_path, backend, scenario):
+    if scenario == "degraded" and backend == "serial":
+        pytest.skip("serial has no tier to degrade to")
+    _dense_expected(71)
+    held = _dense_join(61)
+    before = (held.r_ids.copy(), held.s_ids.copy())
+    other = _dense_join(71, backend, **_scenario_overrides(tmp_path, backend, scenario))
+    _assert_is_join(other, 71)
+    if scenario != "clean":
+        assert other.metrics.fault_events > 0, "the injected fault never fired"
+    for kept, was in zip((held.r_ids, held.s_ids), before):
+        np.testing.assert_array_equal(kept, was)
+        assert not np.shares_memory(kept, other.r_ids)
+        assert not np.shares_memory(kept, other.s_ids)
+
+
+def test_a_dropped_result_hands_its_slabs_to_the_next_job(pool):
+    first = _dense_join(61)
+    addresses = {first.r_ids.ctypes.data, first.s_ids.ctypes.data}
+    assert len(pool._slabs) == 2
+    del first
+    second = _dense_join(71)  # other inputs, a near-equal candidate total
+    assert {second.r_ids.ctypes.data, second.s_ids.ctypes.data} == addresses
+    assert len(pool._slabs) == 2
+    _assert_is_join(second, 71)
+
+
+def test_the_pool_follows_the_working_size(pool):
+    """A miss drops the idle slabs that were too small for it; a request
+    that fits takes the smallest idle slab that does."""
+    mib = 1 << 20
+    small = [pool.lease(mib // 8), pool.lease(mib // 8)]  # 1 MiB each
+    assert [s.nbytes for s in pool._slabs] == [mib, mib]
+    del small
+    big = pool.lease(3 * mib // 8 + 1)  # rounds up to 4 MiB
+    assert [s.nbytes for s in pool._slabs] == [4 * mib]
+    again = pool.lease(mib // 8)  # the 4 MiB slab is leased: a second miss
+    assert [s.nbytes for s in pool._slabs] == [4 * mib, mib]
+    del big, again
+    fit = pool.lease(mib // 8)
+    assert fit.base is pool._slabs[1], "best fit, not first fit"
+    below = pool.lease(mib // 8 - 1)
+    assert below.base is None and below.flags.owndata, "under 1 MiB is malloc's"
+
+
+def test_a_request_above_the_retention_constant_is_a_plain_array(pool):
+    n = pool.RETAIN_BYTES // 8 + 1  # never touched: no page of it is resident
+    column = pool.lease(n)
+    assert column.base is None and column.flags.owndata and len(column) == n
+    assert pool._slabs == []
+    # and one that would take the pool past the constant is not retained
+    held = [pool.lease(pool.RETAIN_BYTES // 16) for _ in range(3)]
+    assert len(pool._slabs) == 2
+    assert held[2].base.flags.owndata and _slab_of(held[2]) is None
+
+
+def test_live_leases_never_alias_under_contention(pool):
+    """More threads than cores, a short switch interval: every thread
+    leases, stamps its column, yields, and must read its stamp back."""
+    mib, deadline = 1 << 20, time.monotonic() + 1.5
+    errors = []
+
+    def worker(token):
+        rng = np.random.default_rng(token)
+        while time.monotonic() < deadline and not errors:
+            column = pool.lease(int(rng.integers(1, 4)) * mib // 8)
+            column[:] = token
+            time.sleep(0)
+            if not (column == token).all():
+                errors.append(token)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert sum(s.nbytes for s in pool._slabs) <= pool.RETAIN_BYTES
+
+
+def test_concurrent_joins_keep_their_own_results(pool):
+    for seed in (61, 71):
+        _dense_expected(seed)
+    failures = []
+
+    def worker(seed):
+        try:
+            for _ in range(4):
+                _assert_is_join(_dense_join(seed), seed)
+        except BaseException as exc:  # surfaced below, on the main thread
+            failures.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in (61, 71, 61, 71)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
+def _pool_state_in_child():
+    column = slabs.lease(1 << 17)  # the lock is usable, the lease is the child's own
+    return len(slabs._slabs), column.base is slabs._slabs[0]
+
+
+def test_a_forked_worker_starts_with_an_empty_pool(pool):
+    """A ``processes`` worker forked while the parent holds leases -- and
+    while another thread holds the pool's lock -- sees neither."""
+    held = pool.lease(1 << 17)
+    held[:] = 7
+    assert len(pool._slabs) == 1
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as ex:
+        with pool._lock:
+            future = ex.submit(_pool_state_in_child)  # forks here
+        assert future.result(timeout=30) == (1, True)
+    assert (held == 7).all() and len(pool._slabs) == 1
+
+
+# ----------------------------------------------------------------------
+# 6. count-only: the same counts, no columns
+# ----------------------------------------------------------------------
+_CLEAN_REPORTS = {}
+
+
+def _clean_report(kernel):
+    if kernel not in _CLEAN_REPORTS:
+        _CLEAN_REPORTS[kernel] = _staged(kernel, "serial").data["report"]
+    return _CLEAN_REPORTS[kernel]
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("backend", ("serial", "threads", "processes"))
+@pytest.mark.parametrize("kernel", ("grid_hash", "plane_sweep"))
+def test_count_only_reports_the_same_counts_everywhere(tmp_path, kernel, backend, scenario):
+    if scenario == "degraded" and backend == "serial":
+        pytest.skip("serial has no tier to degrade to")
+    ctx = _staged(
+        kernel, backend, collect_pairs=False,
+        **_scenario_overrides(tmp_path, backend, scenario),
+    )
+    want, report = _clean_report(kernel), ctx.data["report"]
+    assert ctx.data["result_count"] == len(want.r_col) > 0
+    np.testing.assert_array_equal(report.bounds, want.bounds)
+    np.testing.assert_array_equal(report.candidates, want.candidates)
+    for column in (report.r_col, report.s_col, ctx.data["r_ids"], ctx.data["s_ids"]):
+        assert len(column) == 0 and column.dtype == np.int64
+    for segments in ("pair_r", "pair_s"):
+        with pytest.raises(ValueError, match="collect_pairs=False"):
+            getattr(report, segments)[0]
+    if scenario != "clean":
+        assert ctx.metrics.fault_events > 0, "the injected fault never fired"
+
+
+def test_count_only_expands_every_task_into_one_task_sized_pair(pool):
+    collecting = _dense_join(61)
+    job_bytes = sorted(s.nbytes for s in pool._slabs)
+    pool._slabs.clear()
+    counting = _dense_join(61, collect_pairs=False)
+    assert counting.metrics.results == len(collecting) > 0
+    assert counting.metrics.candidate_pairs == collecting.metrics.candidate_pairs
+    assert len(counting.r_ids) == len(counting.s_ids) == 0
+    # one pair, smaller than the job's, and nothing of the result holds it
+    assert len(pool._slabs) == 2
+    assert all(s.nbytes < job_bytes[0] for s in pool._slabs)
+    assert pool._refcounts(pool._slabs) == [pool._IDLE] * 2

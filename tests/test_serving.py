@@ -418,6 +418,77 @@ class TestConcurrency:
         ) >= 1
 
 
+    def test_overlapping_large_queries_keep_their_own_pairs(self):
+        """Two large queries in flight at once lease different slabs: each
+        response, and each cached result, is its own query's pairs."""
+        from repro.data.pointset import PointSet
+
+        def dense(seed, n=3000):
+            rng = np.random.default_rng(seed)
+            return [
+                PointSet(
+                    rng.normal(0.5, 0.04, n).clip(0, 1),
+                    rng.normal(0.5, 0.04, n).clip(0, 1), name=name,
+                )
+                for name in "RS"
+            ]
+
+        sets = {"a": dense(61), "b": dense(71)}
+        fields = dict(eps=0.02, kernel="grid_hash", workers=3)
+        expected = {
+            tag: distance_join(
+                r, s, JoinConfig(eps=0.02, local_kernel="grid_hash", num_workers=3)
+            )
+            for tag, (r, s) in sets.items()
+        }
+        expected = {
+            tag: (res.r_ids.copy(), res.s_ids.copy()) for tag, res in expected.items()
+        }
+        assert all(8 * len(r) > 1 << 20 for r, _ in expected.values())  # pool-sized
+        handle = start_in_thread(ServerConfig(backend="serial", max_inflight=2))
+        try:
+            for tag, (r, s) in sets.items():
+                handle.server.datasets.register(f"R{tag}", r)
+                handle.server.datasets.register(f"S{tag}", s)
+            barrier = threading.Barrier(2)
+            failures = []
+
+            def client(tag):
+                want_r, want_s = expected[tag]
+                head = np.column_stack((want_r, want_s))[:5000].tolist()
+                try:
+                    with connect(handle.address) as c:
+                        for _ in range(4):
+                            barrier.wait(timeout=30)
+                            got = c.query(
+                                f"R{tag}", f"S{tag}", max_pairs=5000,
+                                reuse_results=False, **fields,
+                            )
+                            assert got["results"] == len(want_r)
+                            assert got["pairs"] == head
+                except BaseException as exc:  # surfaced on the main thread
+                    failures.append(exc)
+                    barrier.abort()
+
+            threads = [threading.Thread(target=client, args=(tag,)) for tag in sets]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert failures == []
+            srv = handle.server
+            cached = [srv._result_cache_get(qkey) for qkey in list(srv._result_blocks)]
+            assert len(cached) == 2
+            for r_ids, s_ids, _ in cached:
+                assert any(
+                    np.array_equal(r_ids, want_r) and np.array_equal(s_ids, want_s)
+                    for want_r, want_s in expected.values()
+                )
+        finally:
+            handle.stop()
+
+
 @pytest.mark.serving
 class TestEviction:
     def test_artifact_cache_eviction_under_budget(self):
@@ -611,6 +682,89 @@ class TestServingHygiene:
         handle.stop()
         assert not os.path.exists(sock)
         assert not os.path.isdir(state_dir)
+
+
+# ----------------------------------------------------------------------
+# `repro serve` owns its allocator policy
+# ----------------------------------------------------------------------
+def _served_faults_per_query(tmp_path, tag: str, policy: bool) -> float:
+    """Steady-state minor faults a cold query costs a ``repro serve``
+    child, read off ``/proc/<pid>/stat``; ``policy=False`` starts the same
+    server with the start-up allocator call patched out."""
+    import subprocess
+    import sys
+
+    from repro.serving.client import JoinClient
+
+    code = "import sys, repro.cli as cli\n"
+    if not policy:
+        code += "cli._keep_freed_memory_in_heap = lambda: False\n"
+    code += "sys.exit(cli.main(sys.argv[1:]))"
+    sock = os.path.relpath(tmp_path / f"{tag}.sock")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("MALLOC_MMAP_THRESHOLD_", None)
+    env.pop("MALLOC_TRIM_THRESHOLD_", None)
+    proc = subprocess.Popen(
+        # 1 MB caches: they evict from the first query on, so what a cold
+        # query allocates is what it frees, not cache growth
+        [sys.executable, "-c", code, "serve", "--socket", sock,
+         "--backend", "serial", "--quiet", "--no-sweep",
+         "--cache-budget-mb", "1", "--result-cache-mb", "1"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+
+    def minflt() -> int:
+        with open(f"/proc/{proc.pid}/stat") as fh:
+            return int(fh.read().rsplit(")", 1)[1].split()[7])
+
+    try:
+        deadline = time.monotonic() + 60
+        while True:
+            try:
+                client = JoinClient(socket_path=sock, timeout=60.0)
+                break
+            except (FileNotFoundError, ConnectionRefusedError):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+        with client:
+            client.register("R", "R1", base_n=20_000)
+            client.register("S", "S1", base_n=20_000)
+
+            def cold(i):  # a new eps misses both caches
+                got = client.query(
+                    "R", "S", eps=0.004 + 1e-5 * i, kernel="grid_hash", max_pairs=0
+                )
+                assert not got["cached_result"] and got["results"] > 0
+
+            for i in range(12):  # the heap reaches its working size
+                cold(i)
+            counts = [minflt()]
+            for i in range(12, 22):
+                cold(i)
+                counts.append(minflt())
+            # the median: one query in ten pays for a heap consolidation
+            per_query = float(np.median(np.diff(counts)))
+            client.shutdown()
+        proc.wait(timeout=30)
+        return per_query
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=30)
+
+
+@pytest.mark.serving
+@pytest.mark.skipif(
+    __import__("platform").libc_ver()[0] != "glibc",
+    reason="the policy is glibc's mallopt; elsewhere it is a no-op",
+)
+def test_serve_keeps_freed_temporaries_in_the_heap(tmp_path):
+    """Ten cold queries fault <= 10% of what they do on the same server
+    without the start-up ``mallopt``: the join's 0.3-2 MB temporaries are
+    reused from the heap instead of being mapped and zeroed per query."""
+    without = _served_faults_per_query(tmp_path, "plain", policy=False)
+    with_policy = _served_faults_per_query(tmp_path, "tuned", policy=True)
+    assert with_policy <= 0.1 * without, (with_policy, without)
 
 
 # ----------------------------------------------------------------------

@@ -436,6 +436,21 @@ class TestRunReport:
             assert needle in text
         json.loads(report.render_json())  # machine-readable twin parses
 
+    def test_stage_rows_carry_page_faults_and_system_time(self):
+        """Wall time cannot say "zeroing pages": every stage row, its span
+        and ``metrics.extra`` carry the stage's minor faults and system
+        seconds, and an untraced run still gets the ``extra`` keys."""
+        res, telemetry = traced_join()
+        rows = telemetry.report().to_json()["stages"]
+        for row in rows:
+            assert isinstance(row["minflt"], int) and row["minflt"] >= 0
+            assert row["sys_s"] >= 0.0
+            assert res.metrics.extra[f"minflt.{row['stage']}"] == row["minflt"]
+            assert res.metrics.extra[f"sys_s.{row['stage']}"] == row["sys_s"]
+        r, s = small_inputs()
+        untraced = distance_join(r, s, JoinConfig(eps=EPS, num_workers=3))
+        assert {f"minflt.{name}" for name in DISTANCE_STAGES} <= set(untraced.metrics.extra)
+
     def test_recovery_timeline_names_the_exception(self):
         _res, telemetry = traced_join(
             faults="kill:p=1:times=1", max_retries=3,
