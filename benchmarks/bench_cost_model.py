@@ -8,7 +8,8 @@ the model must rank the methods the way the measurements do.
 
 from repro.bench.harness import DEFAULT_EPS, run_grid_method
 from repro.bench.report import format_table, write_report
-from repro.core.cost_model import predict_join, recommend_method
+from repro.core.cost_model import predict_join
+from repro.planner import plan_join
 
 METHODS = ("lpib", "diff", "uni_r", "uni_s", "eps_grid")
 
@@ -55,8 +56,11 @@ def test_cost_model_validation(benchmark, ctx):
         assert 0.7 < pred.replicated_total / max(actual.replicated_total, 1) < 1.3
         assert 0.5 < pred.exec_time / actual.exec_time_model < 2.0
 
-    best, _ = recommend_method(r, s, DEFAULT_EPS)
-    assert best in ("lpib", "diff")
+    planned = plan_join(
+        r, s, DEFAULT_EPS, clock="modelled",
+        pins={"resolution_factor": 2.0, "kernel": "plane_sweep", "workers": 12},
+    )
+    assert planned.chosen.method in ("lpib", "diff")
 
     benchmark.pedantic(
         lambda: predict_join(r, s, DEFAULT_EPS, "lpib"), rounds=3, iterations=1

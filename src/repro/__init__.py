@@ -20,7 +20,7 @@ from repro._lazy import _lazy_exports
 __version__ = "1.0.0"
 
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
-    "core.cost_model": ("predict_join", "recommend_method"),
+    "core.cost_model": ("predict_join",),
     "data.datasets": ("TUPLE_SIZE_FACTORS", "load_dataset", "paper_datasets"),
     "data.generators": ("gaussian_clusters", "real_like", "uniform"),
     "data.object_generators": ("random_boxes", "random_polygons", "random_polylines"),

@@ -482,16 +482,18 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    from repro.core.cost_model import recommend_method
+    from repro.planner import plan_join
 
     r = _load_input(args.r, args.base_n, args.payload)
     s = _load_input(args.s, args.base_n, args.payload)
-    best, predictions = recommend_method(
-        r, s, args.eps, sample_rate=args.sample_rate, num_workers=args.workers
+    # the planner with all but the method pinned, on the paper's clock
+    pins = {"resolution_factor": 2.0, "kernel": "plane_sweep", "workers": args.workers}
+    planned = plan_join(
+        r, s, args.eps, pins=pins, sample_rate=args.sample_rate, clock="modelled"
     )
-    for method in sorted(predictions, key=lambda m: predictions[m].exec_time):
-        print(predictions[method].describe())
-    print(f"\nrecommended method: {best}")
+    for c in sorted(planned.candidates, key=lambda c: c.prediction.exec_time):
+        print(c.prediction.describe())
+    print(f"\nrecommended method: {planned.chosen.method}")
     return 0
 
 

@@ -581,30 +581,3 @@ def predict_join(
     build = _build_models(r, s, eps, sample_rate, num_workers, seed)
     model = build(1.0 if method == "eps_grid" else 2.0)
     return model.predict(method)
-
-
-def recommend_method(
-    r,
-    s,
-    eps: float,
-    methods: tuple[str, ...] = ("lpib", "diff", "uni_r", "uni_s", "eps_grid"),
-    sample_rate: float = 0.03,
-    num_workers: int = 12,
-    seed: int = 0,
-) -> tuple[str, dict[str, CostPrediction]]:
-    """Pick the method with the lowest predicted execution time.
-
-    Returns ``(best_method, predictions)``.
-    """
-    build = _build_models(r, s, eps, sample_rate, num_workers, seed)
-    coarse = build(2.0)
-    fine = None
-    predictions: dict[str, CostPrediction] = {}
-    for method in methods:
-        model = coarse
-        if method == "eps_grid":
-            fine = fine or build(1.0)
-            model = fine
-        predictions[method] = model.predict(method)
-    best = min(predictions.items(), key=lambda kv: kv[1].exec_time)[0]
-    return best, predictions

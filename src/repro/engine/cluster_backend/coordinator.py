@@ -11,15 +11,17 @@ unfinished task when the whole cluster collapses -- are handed back to
 :func:`~repro.engine.executor.execute_plan`, whose existing fallback
 chain degrades cluster → processes → threads → serial.
 
-The scheduler mirrors the process-pool tier's contract exactly (same
-``prepare``/``absorb`` closures, same :class:`~repro.engine.executor._FTState`
-bookkeeping), so results stitch back in plan order and faulted cluster
-runs stay bit-identical to the serial golden.  See ``docs/CLUSTER.md``.
+The scheduler is a *transport* under the job's
+:class:`~repro.engine.attempts.AttemptLedger`, like the pool tier: block
+seeding, placement, failure detection and respawn are its own; which
+attempt to charge, when a retry is due, who is a straggler and who won
+are the ledger's calls, so results stitch back in plan order and faulted
+cluster runs stay bit-identical to the serial golden.  See
+``docs/CLUSTER.md``.
 """
 
 from __future__ import annotations
 
-import os
 import queue
 import socket
 import threading
@@ -30,13 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.cluster_backend.protocol import recv_msg, send_msg
-from repro.engine.executor import _task_columns
+from repro.engine.executor import _TICK, _task_columns
 from repro.engine.faults import FaultEvent
 from repro.engine.hygiene import sweep_stale_resources
+from repro.engine.lpt import lpt_assignment
 from repro.engine.telemetry import MetricsRegistry, Tracer, get_logger
 
-#: Scheduler tick: how long one event wait may block.
-_TICK = 0.02
+#: Deadline for daemon startup registration (seconds).
+_START_TIMEOUT = 10.0
 
 
 class ClusterUnavailable(RuntimeError):
@@ -67,14 +70,6 @@ class ClusterConfig:
     heartbeat_timeout: float = 2.0
     #: Per-fetch socket timeout for remote block reads.
     fetch_timeout: float = 2.0
-    #: Holder retries before falling back to the coordinator's copy.
-    fetch_retries: int = 2
-    #: Linear backoff base between fetch retries, seconds.
-    fetch_backoff: float = 0.02
-    #: Deadline for daemon startup registration.
-    start_timeout: float = 10.0
-    #: Replace dead daemons (bounded) instead of shrinking the cluster.
-    respawn: bool = True
     #: Run the startup hygiene sweep (see :mod:`repro.engine.hygiene`).
     sweep_on_start: bool = True
 
@@ -85,19 +80,6 @@ class ClusterConfig:
         if isinstance(value, ClusterConfig):
             return value
         return ClusterConfig(**dict(value))
-
-
-def _lpt_assign(costs: dict[int, float], daemons: list[int]) -> dict[int, int]:
-    """Longest-processing-time placement: heaviest task first, onto the
-    least-loaded daemon -- the same greedy the LPT cell partitioner uses,
-    applied to live cluster members."""
-    loads = {d: 0.0 for d in daemons}
-    placement: dict[int, int] = {}
-    for task in sorted(costs, key=lambda t: (-costs[t], t)):
-        target = min(loads, key=lambda d: (loads[d], d))
-        placement[task] = target
-        loads[target] += costs[task]
-    return placement
 
 
 class _DaemonHandle:
@@ -124,19 +106,6 @@ class _DaemonHandle:
             self.registered and not self.lost and not self.dead
             and not self.departed
         )
-
-
-@dataclass
-class _ClusterFlight:
-    """One in-flight task attempt on a specific daemon."""
-
-    task: int
-    attempt: int
-    daemon: int
-    started: float
-    speculative: bool = False
-    speculated: bool = False
-    span: object = None
 
 
 class ClusterService:
@@ -204,7 +173,7 @@ class ClusterService:
         for _ in range(max(1, num_daemons)):
             if self._spawn() is not None:
                 spawned += 1
-        deadline = time.monotonic() + self.config.start_timeout
+        deadline = time.monotonic() + _START_TIMEOUT
         while (
             sum(1 for h in self._daemons.values() if h.registered) < spawned
             and time.monotonic() < deadline
@@ -215,7 +184,7 @@ class ClusterService:
             self.close()
             raise ClusterUnavailable(
                 f"no cluster daemon registered within "
-                f"{self.config.start_timeout:.1f}s ({spawned} spawned)"
+                f"{_START_TIMEOUT:.1f}s ({spawned} spawned)"
             )
         if registered < spawned:  # pragma: no cover - timing dependent
             self.log.warning(
@@ -284,6 +253,15 @@ class ClusterService:
 
     def live_daemons(self) -> list[int]:
         return sorted(h.id for h in self._daemons.values() if h.live)
+
+    def _place(self, costs: dict[int, float]) -> dict[int, int]:
+        """LPT placement of tasks over the live daemons (the cell
+        partitioner's greedy: heaviest first, onto the least-loaded member)."""
+        live = self.live_daemons()
+        if not live:
+            return {}
+        slots = lpt_assignment(costs, len(live))
+        return {task: live[slot] for task, slot in slots.items()}
 
     def close(self) -> None:
         """Stop every daemon, reap the processes, release the sockets."""
@@ -403,11 +381,7 @@ class ClusterService:
         kernel_name: str,
         eps: float,
         *,
-        policy,
-        state,
-        report,
-        absorb,
-        prepare,
+        ledger,
         checkpoints,
     ) -> dict[int, np.ndarray]:
         """Drive ``tasks`` across the daemons; return the unfinished ones.
@@ -417,39 +391,17 @@ class ClusterService:
         everything still pending when the cluster collapsed.
         """
         cfg = self.config
-        task_ids = sorted(tasks)
-        completed: set[int] = set()
-        exhausted: dict[int, np.ndarray] = {}
-        queued: dict[int, float] = {}  # task -> retry-ready time
-        failures: dict[int, int] = defaultdict(int)
-        inflight: dict[tuple[int, int], _ClusterFlight] = {}
-
+        report = ledger.report
         costs, blocks, metas = self._build_task_blocks(plan, tasks)
-        homes = self._seed_blocks(task_ids, costs, blocks)
-
-        fetch_cfg = {
-            "timeout": cfg.fetch_timeout,
-            "retries": cfg.fetch_retries,
-            "backoff": cfg.fetch_backoff,
-        }
-
-        def flights_of(task: int) -> int:
-            return sum(1 for fl in inflight.values() if fl.task == task)
+        homes = self._seed_blocks(sorted(tasks), costs, blocks)
 
         def submit(
             task: int, handle: _DaemonHandle, speculative: bool = False
         ) -> bool:
-            positions = prepare(task, tasks[task])
-            if len(positions) == 0:
-                completed.add(task)
-                queued.pop(task, None)
-                report.worker_wall.setdefault(task, 0.0)
+            flight = ledger.begin(task, speculative)
+            if flight is None:
                 return False
-            attempt = state.next_attempt(task)
-            state.note(task, attempt, "cluster")
-            span = state.task_span(
-                task, attempt, "cluster", len(positions), speculative
-            )
+            flight.daemon = handle.id
             home = self._daemons.get(homes.get(task, -1))
             # predict the serve-kill the home daemon will inject while
             # serving this task's fetch (the fault plan is deterministic,
@@ -459,23 +411,23 @@ class ClusterService:
             # non-firing case is a dead holder (the fetch then falls
             # back to the coordinator, which never injects).
             if (
-                state.faults is not None
+                ledger.faults is not None
                 and home is not None
                 and home.live
-                and state.faults.decide("serve", task, 0) is not None
+                and ledger.faults.decide("serve", task, 0) is not None
             ):
                 report.fault_events.append(
-                    FaultEvent("serve", task, attempt, "cluster")
+                    FaultEvent("serve", task, flight.attempt, "cluster")
                 )
             message = (
                 "task",
                 {
                     "task": task,
-                    "attempt": attempt,
+                    "attempt": flight.attempt,
                     "kernel": kernel_name,
                     "eps": eps,
                     "checkpoints": checkpoints,
-                    "positions": positions,
+                    "positions": flight.positions,
                     "base_positions": tasks[task],
                     "cells": metas[task]["cells"],
                     "origins": metas[task]["origins"],
@@ -483,10 +435,8 @@ class ClusterService:
                     "block_key_s": ("S", homes.get(task, -1), task),
                     "block_home": home.block_addr if home is not None else None,
                     "coord_addr": self._addr,
-                    "fetch": fetch_cfg,
-                    "parent_span_id": (
-                        span.span_id if span is not None else None
-                    ),
+                    "fetch_timeout": cfg.fetch_timeout,
+                    "parent_span_id": flight.span_id,
                 },
             )
             try:
@@ -494,43 +444,11 @@ class ClusterService:
                     send_msg(handle.sock, message)
             except OSError as exc:
                 # the daemon died between placement and submission: the
-                # eof event will process the loss; just re-queue the task
-                state.tracer.end(span)
-                state.last_error = exc
-                queued.setdefault(task, time.monotonic())
+                # attempt is lost with it (the eof event handles the rest)
+                ledger.fail(flight, exc, ledger.clock())
                 return False
-            inflight[(task, attempt)] = _ClusterFlight(
-                task, attempt, handle.id, time.monotonic(), speculative,
-                span=span,
-            )
             handle.running.add(task)
-            if speculative:
-                state.tracer.event(
-                    "speculation_launched",
-                    cat="recovery",
-                    worker=task,
-                    attempt=attempt,
-                    backend="cluster",
-                )
             return True
-
-        def fail(flight: _ClusterFlight, now: float, exc: BaseException):
-            task = flight.task
-            report.recovery_seconds += max(0.0, now - flight.started)
-            state.last_error = exc
-            state.record_failure(
-                task, flight.attempt, "cluster", exc,
-                flight.span, flight.speculative,
-            )
-            if task in completed or task in exhausted or task in queued:
-                return
-            if flights_of(task):
-                return  # a sibling attempt may still win
-            failures[task] += 1
-            if failures[task] > policy.max_retries:
-                exhausted[task] = tasks[task]
-            else:
-                queued[task] = now + policy.backoff(failures[task] - 1)
 
         def on_daemon_down(handle: _DaemonHandle, reason: str) -> None:
             if handle.departed or handle.dead or (
@@ -545,7 +463,7 @@ class ClusterService:
                 return  # heartbeat loss already paid; this is just the EOF
             report.daemons_lost += 1
             self.registry.counter("cluster.daemons_lost").inc()
-            state.tracer.event(
+            ledger.tracer.event(
                 "daemon_lost",
                 cat="recovery",
                 daemon=handle.id,
@@ -553,49 +471,47 @@ class ClusterService:
                 backend="cluster",
             )
             self.log.warning("daemon %d lost (%s)", handle.id, reason)
-            now = time.monotonic()
-            for key in [
-                k for k, fl in inflight.items() if fl.daemon == handle.id
+            now = ledger.clock()
+            for flight in [
+                fl for fl in ledger.flights.values() if fl.daemon == handle.id
             ]:
-                flight = inflight.pop(key)
                 handle.running.discard(flight.task)
-                fail(
-                    flight, now,
+                ledger.fail(
+                    flight,
                     DaemonLost(
                         f"daemon {handle.id} {reason} while running task "
                         f"{flight.task} (attempt {flight.attempt})"
                     ),
+                    now,
                 )
             rebalance()
-            if cfg.respawn and not handle.departed:
-                budget = max(2, len(task_ids)) * (policy.max_retries + 1)
-                if self.daemons_spawned < budget:
-                    self._spawn()
+            # replace the dead member (bounded) instead of shrinking
+            budget = max(2, len(tasks)) * ledger.attempt_budget
+            if self.daemons_spawned < budget:
+                self._spawn()
+
+        def enqueue(pending) -> None:
+            """Queue tasks on the live members, LPT over their costs."""
+            placement = self._place({t: costs[t] for t in pending})
+            for t in sorted(pending, key=lambda t: (-costs[t], t)):
+                if t in placement:
+                    self._daemons[placement[t]].queue.append(t)
+                else:
+                    # nowhere to put it: onto the retry queue at zero
+                    # delay, for the collapse check (or a respawn) to find
+                    ledger.requeue(t)
 
         def rebalance() -> None:
             """Re-place every queued-but-not-running task over live members."""
-            live = [h for h in self._daemons.values() if h.live]
             pending: list[int] = []
             for handle in self._daemons.values():
                 while handle.queue:
                     pending.append(handle.queue.popleft())
             pending = [
-                t for t in pending if t not in completed and t not in exhausted
+                t for t in pending
+                if t not in ledger.completed and t not in ledger.exhausted
             ]
-            if not pending:
-                return
-            if not live:
-                # nowhere to put them; stash on the retry queue at zero
-                # delay so the collapse check (or a respawn) picks them up
-                now = time.monotonic()
-                for t in pending:
-                    queued.setdefault(t, now)
-                return
-            placement = _lpt_assign(
-                {t: costs[t] for t in pending}, [h.id for h in live]
-            )
-            for t in sorted(pending, key=lambda t: (-costs[t], t)):
-                self._daemons[placement[t]].queue.append(t)
+            enqueue(pending)
 
         def dispatch() -> None:
             for handle in sorted(
@@ -605,16 +521,15 @@ class ClusterService:
                     continue
                 while not handle.running and handle.queue:
                     task = handle.queue.popleft()
-                    if task in completed or task in exhausted:
+                    if task in ledger.completed or task in ledger.exhausted:
                         continue
-                    if flights_of(task):
+                    if ledger.flying(task):
                         continue  # already running elsewhere (rebalanced)
                     if submit(task, handle):
                         break
 
         def handle_message(handle: _DaemonHandle, msg) -> None:
             mtype, payload = msg
-            now = time.monotonic()
             if mtype == "hb":
                 if handle.lost and not handle.dead and not handle.departed:
                     # false positive: the daemon was declared dead on
@@ -622,7 +537,7 @@ class ClusterService:
                     handle.lost = False
                     report.daemon_rejoins += 1
                     self.registry.counter("cluster.daemon_rejoins").inc()
-                    state.tracer.event(
+                    ledger.tracer.event(
                         "daemon_rejoined",
                         cat="recovery",
                         daemon=handle.id,
@@ -632,71 +547,44 @@ class ClusterService:
                         "daemon %d rejoined after false-positive loss",
                         handle.id,
                     )
-                return
-            if mtype == "result":
-                flight = inflight.pop(
-                    (payload["task"], payload["attempt"]), None
-                )
-                handle.running.discard(payload["task"])
-                state.tracer.merge(payload["spans"])
+            elif mtype in ("result", "failed"):
                 task = payload["task"]
-                if flight is None or task in completed:
-                    # a stale duplicate (first result won, or the flight
-                    # was already charged to a lost daemon)
-                    if flight is not None:
-                        state.tracer.end(flight.span)
-                    return
-                state.tracer.end(flight.span)
-                completed.add(task)
-                queued.pop(task, None)
-                report.blocks_refetched += payload["refetched"]
-                if payload["refetched"]:
-                    self.registry.counter("cluster.blocks_refetched").inc(
-                        payload["refetched"]
-                    )
-                if flight.speculative:
-                    report.speculative_wins += 1
-                    state.registry.counter("executor.speculative_wins").inc()
-                absorb(task, payload["block"], payload["elapsed"])
-            elif mtype == "failed":
-                flight = inflight.pop(
-                    (payload["task"], payload["attempt"]), None
-                )
-                handle.running.discard(payload["task"])
-                state.tracer.merge(payload["spans"])
+                handle.running.discard(task)
+                ledger.tracer.merge(payload["spans"])
+                # no flight: a sibling won first, or the attempt was
+                # already charged to a lost daemon
+                flight = ledger.flights.get((task, payload["attempt"]))
                 if flight is None:
                     return
-                fail(
-                    flight, now,
-                    RemoteTaskError(
-                        payload["error_type"], payload["error_message"]
-                    ),
-                )
+                if mtype == "failed":
+                    ledger.fail(
+                        flight,
+                        RemoteTaskError(
+                            payload["error_type"], payload["error_message"]
+                        ),
+                        ledger.clock(),
+                    )
+                elif ledger.win(flight, payload["block"], payload["elapsed"]):
+                    report.blocks_refetched += payload["refetched"]
+                    if payload["refetched"]:
+                        self.registry.counter("cluster.blocks_refetched").inc(
+                            payload["refetched"]
+                        )
             elif mtype == "goodbye":
                 handle.departed = True
-                state.tracer.event(
+                ledger.tracer.event(
                     "daemon_left", cat="recovery", daemon=handle.id,
                     backend="cluster",
                 )
                 rebalance()
 
-        # initial placement: LPT over the registered members
-        live_ids = [h.id for h in self._daemons.values() if h.live]
-        placement = _lpt_assign(costs, live_ids) if live_ids else {}
-        for task in sorted(task_ids, key=lambda t: (-costs[t], t)):
-            if task in placement:
-                self._daemons[placement[task]].queue.append(task)
-            else:
-                queued[task] = time.monotonic()
+        enqueue(tasks)  # initial placement, over the registered members
 
-        while len(completed) + len(exhausted) < len(task_ids):
-            now = time.monotonic()
+        while ledger.unfinished:
             # failure detection: declare silent daemons lost
+            beat_deadline = time.monotonic() - cfg.heartbeat_timeout
             for handle in list(self._daemons.values()):
-                if (
-                    handle.live
-                    and now - handle.last_hb > cfg.heartbeat_timeout
-                ):
+                if handle.live and handle.last_hb < beat_deadline:
                     on_daemon_down(handle, "heartbeat_timeout")
             # drain events
             drained = False
@@ -711,7 +599,7 @@ class ClusterService:
                     if kind == "eof":
                         on_daemon_down(handle, "connection_lost")
                     elif kind == "joined":
-                        state.tracer.event(
+                        ledger.tracer.event(
                             "daemon_joined",
                             cat="recovery",
                             daemon=handle.id,
@@ -725,42 +613,24 @@ class ClusterService:
                 except queue.Empty:
                     kind = None
             # retry-ready tasks go back to the least-loaded live member
-            now = time.monotonic()
+            now = ledger.clock()
             live = [h for h in self._daemons.values() if h.live]
-            for task, ready in sorted(queued.items()):
-                if ready <= now and live and not flights_of(task):
-                    del queued[task]
+            if live:
+                for task in ledger.due(now):
                     target = min(
                         live,
                         key=lambda h: (len(h.queue) + len(h.running), h.id),
                     )
                     target.queue.append(task)
             dispatch()
-            # straggler speculation across real processes
-            if policy.task_timeout is not None and policy.speculative:
-                idle = [h for h in live if not h.running and not h.queue]
-                for flight in list(inflight.values()):
-                    if not idle:
-                        break
-                    if flight.speculative or flight.speculated:
-                        continue
-                    if (
-                        now - flight.started >= policy.task_timeout
-                        and flights_of(flight.task) == 1
-                    ):
-                        candidates = [
-                            h for h in idle if h.id != flight.daemon
-                        ]
-                        if not candidates:
-                            continue
-                        flight.speculated = True
-                        target = candidates[0]
-                        idle.remove(target)
-                        if submit(flight.task, target, speculative=True):
-                            report.speculative_launched += 1
-                            state.registry.counter(
-                                "executor.speculative_launched"
-                            ).inc()
+            # straggler speculation across real processes: a copy needs an
+            # idle daemon other than the flight's
+            idle = [h for h in live if not h.running and not h.queue]
+            for flight in ledger.stragglers(now):
+                target = next((h for h in idle if h.id != flight.daemon), None)
+                if target is not None:
+                    idle.remove(target)
+                    submit(flight.task, target, speculative=True)
             # collapse: no live member and no prospect of one -- neither
             # a spawned-but-unregistered daemon nor a lost one whose
             # process still breathes (a false positive that may rejoin)
@@ -773,22 +643,11 @@ class ClusterService:
                     for h in self._daemons.values()
                 )
                 if not reviving:
-                    for task in task_ids:
-                        if task not in completed and task not in exhausted:
-                            exhausted[task] = tasks[task]
-                    if state.last_error is None:
-                        state.last_error = DaemonLost(
-                            "cluster collapsed: no live daemons remain"
-                        )
-                    break
-        # end any still-open flight spans (e.g. speculative losers whose
-        # results never arrived) so merged child spans cannot be orphaned
-        for flight in inflight.values():
-            if flight.span is not None:
-                flight.span.attrs["abandoned"] = True
-            state.tracer.end(flight.span)
+                    ledger.give_up(
+                        DaemonLost("cluster collapsed: no live daemons remain")
+                    )
         report.fallback_fetches = self.fallback_served
-        return exhausted
+        return ledger.close()
 
     # ------------------------------------------------------------------
     # shuffle blocks
@@ -833,9 +692,7 @@ class ClusterService:
         reducer runs) and losing a daemon really loses its blocks.  The
         coordinator keeps the authoritative copy for fallback refetches.
         """
-        live = [h for h in self._daemons.values() if h.live]
-        placement = _lpt_assign(costs, [h.id for h in live]) if live else {}
-        homes: dict[int, int] = dict(placement)
+        homes = self._place(costs)
         per_daemon: dict[int, dict] = defaultdict(dict)
         with self._blocks_lock:
             for task in task_ids:
@@ -857,7 +714,7 @@ class ClusterService:
                 waiting.add(daemon_id)
             except OSError:
                 pass  # the eof event will handle the loss
-        deadline = time.monotonic() + max(2.0, self.config.start_timeout / 2)
+        deadline = time.monotonic() + max(2.0, _START_TIMEOUT / 2)
         requeue = []
         while waiting and time.monotonic() < deadline:
             try:
@@ -880,43 +737,29 @@ class ClusterService:
 # the executor-facing tier entry point
 # ----------------------------------------------------------------------
 def run_cluster_tier(
-    plan,
-    tasks,
-    kernel_name,
-    eps,
-    faults,
-    policy,
-    state,
-    report,
-    absorb,
-    prepare,
-    checkpoints,
-    cluster_config,
+    plan, tasks, kernel_name, eps, ledger, checkpoints, cluster_config,
     num_daemons: int,
 ):
     """Run one batch of tasks on a fresh daemon cluster.
 
-    Mirrors ``_pool_tier``'s contract: returns the tasks that could not
-    be finished here (for the degradation chain).  Raises
+    Same contract as the executor's other tiers: returns the tasks that
+    could not be finished here (for the degradation chain).  Raises
     :class:`ClusterUnavailable` only when the cluster never came up at
     all, in which case no task has been attempted.
     """
-    config = ClusterConfig.coerce(cluster_config)
     service = ClusterService(
-        config,
-        faults=faults,
-        tracer=state.tracer,
-        registry=state.registry,
-        log=state.log,
+        cluster_config,
+        faults=ledger.faults,
+        tracer=ledger.tracer,
+        registry=ledger.registry,
+        log=ledger.log,
     )
     try:
         service.start(num_daemons)
         return service.execute(
             plan, tasks, kernel_name, eps,
-            policy=policy, state=state, report=report,
-            absorb=absorb, prepare=prepare,
-            checkpoints=checkpoints,
+            ledger=ledger, checkpoints=checkpoints,
         )
     finally:
-        report.daemons_spawned += service.daemons_spawned
+        ledger.report.daemons_spawned += service.daemons_spawned
         service.close()

@@ -4,7 +4,7 @@ A daemon owns three threads:
 
 * the **control loop** (main thread) -- receives shuffle blocks and task
   assignments from the coordinator over one persistent socket, runs one
-  task at a time through the same :func:`~repro.engine.executor._attempt_run`
+  task at a time through the same :func:`~repro.engine.executor._run_attempt`
   the other backends use, and ships results (plus any recorded spans)
   back by value;
 * the **block server** -- a listening socket serving ``(side, src, dst)``
@@ -39,9 +39,15 @@ from repro.engine.cluster_backend.protocol import (
     request,
     send_msg,
 )
-from repro.engine.executor import ExecutionPlan, _attempt_run
+from repro.engine.executor import ExecutionPlan, _run_attempt
 from repro.engine.faults import FaultPlan
 from repro.engine.telemetry import Tracer
+
+
+#: Holder retries before a fetch falls back to the coordinator's copy,
+#: and the linear backoff base between them (seconds).
+_FETCH_RETRIES = 2
+_FETCH_BACKOFF = 0.02
 
 
 def _sigkill_self() -> None:
@@ -136,21 +142,18 @@ def _heartbeat_loop(sock, send_lock, daemon_id, interval, faults, stop):
 # ----------------------------------------------------------------------
 # task execution
 # ----------------------------------------------------------------------
-def _fetch_block(key, home, coord, fetch_cfg, tracer):
+def _fetch_block(key, home, coord, timeout, tracer):
     """Pull one shuffle block: holder first, coordinator as last resort.
 
-    Retries the holder ``retries`` times with linear backoff; a holder
+    Retries the holder ``_FETCH_RETRIES`` times with linear backoff; a holder
     that is dead (connection refused / timed out) or that no longer has
     the block falls back to the coordinator's authoritative copy.  The
     fallback is a *refetch* in the recovery-accounting sense: the block's
     primary location was lost.  Returns ``(arrays, refetched)``.
     """
-    timeout = fetch_cfg["timeout"]
-    retries = fetch_cfg["retries"]
-    backoff = fetch_cfg["backoff"]
     last: Exception | None = None
     if home is not None:
-        for i in range(retries + 1):
+        for i in range(_FETCH_RETRIES + 1):
             try:
                 mtype, payload = request(
                     home[0], home[1], ("fetch", {"key": key}), timeout
@@ -160,8 +163,8 @@ def _fetch_block(key, home, coord, fetch_cfg, tracer):
                 last = BlockUnavailable(f"holder has no block {key!r}")
             except (ConnectionError, OSError, socket.timeout) as exc:
                 last = exc
-            if i < retries:
-                time.sleep(backoff * (i + 1))
+            if i < _FETCH_RETRIES:
+                time.sleep(_FETCH_BACKOFF * (i + 1))
     if tracer.enabled:
         tracer.event(
             "block_refetch",
@@ -187,19 +190,7 @@ def _run_task(payload, daemon_id, faults, trace_enabled, run_id):
     task = payload["task"]
     attempt = payload["attempt"]
     tracer = Tracer(enabled=trace_enabled, run_id=run_id)
-    span = None
-    if trace_enabled:
-        span = tracer.begin(
-            "task_run",
-            cat="task",
-            parent_id=payload["parent_span_id"],
-            worker=task,
-            attrs={
-                "attempt": attempt,
-                "cells": int(len(payload["positions"])),
-                "daemon": daemon_id,
-            },
-        )
+    reply = {"daemon": daemon_id, "task": task, "attempt": attempt}
     try:
         refetched = 0
         sides = {}
@@ -208,11 +199,12 @@ def _run_task(payload, daemon_id, faults, trace_enabled, run_id):
                 payload[f"block_key_{side.lower()}"],
                 payload["block_home"],
                 payload["coord_addr"],
-                payload["fetch"],
+                payload["fetch_timeout"],
                 tracer,
             )
             sides[side] = arrays
             refetched += extra
+        # the task as a small plan of its own: positions 0..k-1
         base = payload["base_positions"]
         plan = ExecutionPlan(
             payload["cells"],
@@ -223,44 +215,27 @@ def _run_task(payload, daemon_id, faults, trace_enabled, run_id):
             sides["S"]["offsets"],
             origins=payload["origins"],
         )
-        positions_local = np.searchsorted(base, payload["positions"])
         checkpoints = payload["checkpoints"]
         if checkpoints is not None:
             checkpoints = _GlobalPositionCheckpoints(checkpoints, base)
-        block, elapsed = _attempt_run(
-            plan, positions_local, payload["kernel"], payload["eps"],
-            task, attempt, faults, checkpoints,
-            on_kill=_sigkill_self,
+        block, elapsed, _ = _run_attempt(
+            plan, np.searchsorted(base, payload["positions"]),
+            payload["kernel"], payload["eps"], task, attempt, faults,
+            checkpoints, tracer, payload["parent_span_id"],
+            on_kill=_sigkill_self, daemon=daemon_id,
         )
         block.positions = base[block.positions]
     except Exception as exc:
-        if span is not None:
-            span.attrs["error_type"] = type(exc).__name__
-            tracer.end(span)
-        return (
-            "failed",
-            {
-                "daemon": daemon_id,
-                "task": task,
-                "attempt": attempt,
-                "error_type": type(exc).__name__,
-                "error_message": str(exc),
-                "spans": tracer.export_payload() if trace_enabled else None,
-            },
+        reply.update(
+            error_type=type(exc).__name__, error_message=str(exc),
+            spans=tracer.export_payload(),
         )
-    tracer.end(span)
-    return (
-        "result",
-        {
-            "daemon": daemon_id,
-            "task": task,
-            "attempt": attempt,
-            "block": block,
-            "elapsed": elapsed,
-            "refetched": refetched,
-            "spans": tracer.export_payload() if trace_enabled else None,
-        },
+        return "failed", reply
+    reply.update(
+        block=block, elapsed=elapsed, refetched=refetched,
+        spans=tracer.export_payload(),
     )
+    return "result", reply
 
 
 # ----------------------------------------------------------------------

@@ -73,17 +73,16 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.engine.attempts import AttemptLedger
 from repro.engine.faults import (
     FaultEvent,
     FaultPlan,
     InjectedKernelError,
     InjectedWorkerKill,
-    RetryBudgetExhausted,
     TaskFailure,
 )
 from repro.engine.slabs import lease
@@ -104,7 +103,8 @@ _FALLBACK = {
     "serial": None,
 }
 
-#: Scheduler wake-up interval (seconds) while waiting on pool futures.
+#: Scheduler wake-up interval (seconds) while a transport waits on pool
+#: futures or daemon events.
 _TICK = 0.02
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -235,7 +235,6 @@ class RetryPolicy:
     #: Straggler threshold: a running task older than this gets a
     #: speculative copy (``None`` disables straggler detection).
     task_timeout: float | None = None
-    speculative: bool = True
     degrade: bool = True
 
     def __post_init__(self):
@@ -624,7 +623,7 @@ def _run_cells(
     )
 
 
-def _attempt_run(
+def _run_attempt(
     plan: ExecutionPlan,
     positions: np.ndarray,
     kernel_name: str,
@@ -633,22 +632,50 @@ def _attempt_run(
     attempt: int,
     faults: FaultPlan | None,
     checkpoints,
-    on_kill,
+    tracer: Tracer,
+    parent_span_id: str | None,
+    on_kill=None,
     staged=None,
-) -> tuple[TaskBlock, float]:
-    """One task attempt: decide this attempt's injected faults, then run.
+    ship: bool = False,
+    **span_attrs,
+) -> tuple[TaskBlock, float, list | None]:
+    """One task attempt, wherever it runs: decide this attempt's injected
+    faults, then run its cells under a ``task_run`` span.
 
     Without checkpointing, faults fire before any cell runs (a lost
     worker loses everything -- the legacy behaviour).  With checkpointing,
     the fault fires after half the attempt's cells completed; those cells
-    are already checkpointed, so the next attempt salvages them.
-
-    The straggler sleep counts into the returned elapsed seconds: a slow
+    are already checkpointed, so the next attempt salvages them.  The
+    straggler sleep counts into the returned elapsed seconds: a slow
     node's task *is* slow, and the measured makespan should show it.
+
+    The span is a child of the scheduler's ``task`` span; a failed attempt
+    records nothing here -- the scheduler's span carries the failure.
+    Returns ``(block, elapsed, span_payload)``.  On the serial/threads
+    tiers ``tracer`` is the job's, the payload slot is ``None`` and an
+    injected kill raises (the ``on_kill`` default).  A worker *process*
+    passes a tracer of its own with ``ship=True`` -- its spans cannot
+    share the parent's buffers, so, exactly like spilled blocks, they
+    travel back by value for the parent to ``merge()`` -- and an
+    ``on_kill`` that really takes the process down.
     """
+    def raise_kill():
+        raise InjectedWorkerKill(
+            f"worker {worker_id} killed (attempt {attempt})"
+        )
+
+    span = None
+    if tracer.enabled:
+        span = tracer.begin(
+            "task_run",
+            cat="task",
+            parent_id=parent_span_id,
+            worker=worker_id,
+            attrs={"attempt": attempt, "cells": int(len(positions)), **span_attrs},
+        )
     fire = None
     if faults is not None and faults.decide("kill", worker_id, attempt) is not None:
-        fire = on_kill
+        fire = on_kill or raise_kill
         if checkpoints is None:
             fire()
     start = time.perf_counter()
@@ -668,52 +695,9 @@ def _attempt_run(
     block = _run_cells(
         plan, positions, kernel_name, eps, checkpoints, fault_at, fire, staged
     )
-    return block, time.perf_counter() - start
-
-
-def _run_group_guarded(
-    plan: ExecutionPlan,
-    positions: np.ndarray,
-    kernel_name: str,
-    eps: float,
-    worker_id: int,
-    attempt: int,
-    faults: FaultPlan | None,
-    checkpoints=None,
-    tracer: Tracer | None = None,
-    parent_span_id: str | None = None,
-    staged=None,
-):
-    """One task attempt on the serial/threads backends (kill = raise).
-
-    Records a ``task_run`` span (child of the scheduler's ``task`` span)
-    for the attempt; a failed attempt records nothing here -- the
-    scheduler's span carries the failure.  Returns
-    ``(worker_id, block, elapsed, span_payload)``; the payload slot is
-    ``None`` because spans land directly in the parent tracer (worker
-    *processes* fill it instead -- see :func:`_process_group`).
-    """
-    def on_kill():
-        raise InjectedWorkerKill(
-            f"worker {worker_id} killed (attempt {attempt})"
-        )
-
-    span = None
-    if tracer is not None and tracer.enabled:
-        span = tracer.begin(
-            "task_run",
-            cat="task",
-            parent_id=parent_span_id,
-            worker=worker_id,
-            attrs={"attempt": attempt, "cells": int(len(positions))},
-        )
-    block, elapsed = _attempt_run(
-        plan, positions, kernel_name, eps, worker_id, attempt, faults,
-        checkpoints, on_kill, staged,
-    )
-    if tracer is not None:
-        tracer.end(span)
-    return worker_id, block, elapsed, None
+    elapsed = time.perf_counter() - start
+    tracer.end(span)
+    return block, elapsed, tracer.export_payload() if ship else None
 
 
 # ----------------------------------------------------------------------
@@ -879,15 +863,12 @@ def _make_process_task_args(
     )
 
 
-def _process_group(args) -> tuple[int, TaskBlock, float, list | None]:
+def _process_group(args) -> tuple[TaskBlock, float, list]:
     """Pool task: attach the shared blocks, run one worker group's cells.
 
-    Spans recorded in the child cannot share the parent's buffers, so --
-    exactly like spilled blocks -- they travel by value: the child records
-    into a local :class:`Tracer` and ships ``export_payload()`` back as
-    the fourth element of the result tuple for the parent to ``merge()``.
-    A killed child (``os._exit``) ships nothing; the scheduler-side
-    ``task`` span still records the loss.
+    Returns ``(block, elapsed, span_payload)``.  A killed child
+    (``os._exit``) ships nothing; the scheduler-side ``task`` span still
+    records the loss.
     """
     (
         worker_id,
@@ -929,15 +910,6 @@ def _process_group(args) -> tuple[int, TaskBlock, float, list | None]:
         else:
             positions = pos_spec[1]
         tracer = Tracer(enabled=trace_enabled, run_id=run_id)
-        span = None
-        if trace_enabled:
-            span = tracer.begin(
-                "task_run",
-                cat="task",
-                parent_id=parent_span_id,
-                worker=worker_id,
-                attrs={"attempt": attempt, "cells": int(len(positions))},
-            )
         shm_r, r_ids, r_xs, r_ys = _attach_side(r_name, n_r)
         try:
             shm_s, s_ids, s_xs, s_ys = _attach_side(s_name, n_s)
@@ -951,9 +923,10 @@ def _process_group(args) -> tuple[int, TaskBlock, float, list | None]:
                 s_ids, s_xs, s_ys, s_offsets,
                 origins=origins,
             )
-            block, elapsed = _attempt_run(
+            block, elapsed, span_payload = _run_attempt(
                 plan, positions, kernel_name, eps, worker_id, attempt, faults,
-                checkpoints, on_kill=lambda: os._exit(13),
+                checkpoints, tracer, parent_span_id,
+                on_kill=lambda: os._exit(13), ship=True,
             )
             # the block's pairs are arrays of its own (one pair per task
             # crosses the pickle boundary), but its positions may be a view
@@ -966,8 +939,7 @@ def _process_group(args) -> tuple[int, TaskBlock, float, list | None]:
     finally:
         del cells, workers, r_offsets, s_offsets, origins, pos_table
         shm_meta.close()
-    tracer.end(span)
-    return worker_id, block, elapsed, tracer.export_payload() if trace_enabled else None
+    return block, elapsed, span_payload
 
 
 def _pool_context():
@@ -981,134 +953,6 @@ def _pool_context():
 # ----------------------------------------------------------------------
 # fault-tolerant scheduling
 # ----------------------------------------------------------------------
-class _FTState:
-    """Attempt bookkeeping shared across backend tiers."""
-
-    def __init__(
-        self,
-        faults: FaultPlan | None,
-        report: ExecutionReport,
-        tracer: Tracer,
-        registry: MetricsRegistry,
-        log,
-    ):
-        self.faults = faults
-        self.report = report
-        self.tracer = tracer
-        self.registry = registry
-        self.log = log
-        self.per_task: dict[int, int] = defaultdict(int)
-        self._next: dict[int, int] = defaultdict(int)
-        self.total_attempts = 0
-        self.last_error: BaseException | None = None
-        #: Tasks that have been submitted at least once (across tiers):
-        #: any later submission is a *re*-submission for the recovery
-        #: accounting (lineage recompute vs checkpoint salvage).
-        self.submitted: set[int] = set()
-
-    def next_attempt(self, worker_id: int) -> int:
-        """The task's next global attempt number (monotonic across tiers)."""
-        attempt = self._next[worker_id]
-        self._next[worker_id] = attempt + 1
-        self.per_task[worker_id] += 1
-        self.total_attempts += 1
-        self.registry.counter("executor.attempts").inc()
-        return attempt
-
-    def task_span(self, worker_id, attempt, backend, cells, speculative=False):
-        """Open the scheduler-side span tracking one attempt."""
-        return self.tracer.begin(
-            "task",
-            cat="task",
-            worker=worker_id,
-            attrs={
-                "attempt": attempt,
-                "backend": backend,
-                "cells": int(cells),
-                "speculative": speculative,
-            },
-        )
-
-    def record_failure(
-        self,
-        worker_id: int,
-        attempt: int,
-        backend: str,
-        exc: BaseException,
-        span=None,
-        speculative: bool = False,
-    ) -> None:
-        """Log one attempt failure: report entry, counter, recovery event.
-
-        The triggering exception's type and message travel on the span,
-        the ``task_failure`` event, and :attr:`ExecutionReport.failures`
-        -- nothing is swallowed any more.
-        """
-        failure = TaskFailure.from_exception(
-            worker_id, attempt, backend, exc, speculative
-        )
-        self.report.failures.append(failure)
-        self.registry.counter(f"executor.failures.{failure.error_type}").inc()
-        attrs = failure.to_dict()
-        attrs.pop("worker")
-        if span is not None:
-            span.attrs["error_type"] = failure.error_type
-            span.attrs["error_message"] = failure.error_message
-            self.tracer.event(
-                "task_failure",
-                cat="recovery",
-                parent_id=span.span_id,
-                worker=worker_id,
-                **attrs,
-            )
-            self.tracer.end(span)
-        else:
-            self.tracer.event(
-                "task_failure", cat="recovery", worker=worker_id, **attrs
-            )
-        self.log.warning(
-            "task failed: worker=%d attempt=%d backend=%s %s: %s",
-            worker_id, attempt, backend,
-            failure.error_type, failure.error_message,
-        )
-
-    def note(self, worker_id: int, attempt: int, backend: str) -> None:
-        """Record which fault decisions this attempt will hit.
-
-        The fault plan is deterministic, so the parent can predict the
-        child's injections without a reporting channel -- even for a
-        ``kill``, which leaves no child to report anything.
-        """
-        if self.faults is None:
-            return
-        for kind in ("kill", "straggler", "kernel"):
-            clause = self.faults.decide(kind, worker_id, attempt)
-            if clause is not None:
-                self.report.fault_events.append(
-                    FaultEvent(
-                        kind,
-                        worker_id,
-                        attempt,
-                        backend,
-                        clause.delay if kind == "straggler" else 0.0,
-                    )
-                )
-
-
-@dataclass
-class _Flight:
-    """One in-flight task attempt on a pool backend."""
-
-    worker_id: int
-    attempt: int
-    started: float
-    speculative: bool = False
-    #: Set once a speculative copy of this attempt has been launched.
-    speculated: bool = False
-    #: Scheduler-side ``task`` span (``None`` when tracing is disabled).
-    span: object = None
-
-
 class _ResultColumns:
     """The job's result column pair while it fills.
 
@@ -1167,11 +1011,8 @@ class _ResultColumns:
         return r_col, s_col, bounds
 
 
-def _serial_tier(
-    plan, tasks, kernel_name, eps, faults, policy, state, report, absorb,
-    prepare, checkpoints, columns,
-):
-    """Run tasks in-process with per-task retries; return unrecoverable.
+def _serial_tier(plan, tasks, kernel_name, eps, ledger, checkpoints, columns):
+    """Run tasks in-process, one attempt at a time; return unrecoverable.
 
     Tasks run in ascending worker (= plan position) order.  With a batch
     kernel every task is probed first: the summed candidate total sizes
@@ -1180,6 +1021,7 @@ def _serial_tier(
     it was, so the retry overwrites whatever it had written.  Uncollected
     pairs are neither probed ahead nor reserved for: a task expands into a
     leased pair of its own, as a pooled task does, and the next reuses it.
+    A retry's backoff is a blocking sleep: nothing else could run meanwhile.
     """
     from repro.engine.kernels import get_batch_kernel
 
@@ -1193,66 +1035,43 @@ def _serial_tier(
                 probes[worker_id] = (probe, time.perf_counter() - start)
         columns.reserve(sum(probe.total for probe, _ in probes.values()))
     offset = 0  # end of the last block expanded into the job's columns
-    exhausted: dict[int, np.ndarray] = {}
     for worker_id in sorted(tasks):
-        positions = tasks[worker_id]
         # popped: a probe's windows are freed as soon as its task is done
         probe, probe_seconds = probes.pop(worker_id, (None, 0.0))
-        failures = 0
-        while True:
-            run_positions = prepare(worker_id, positions)
-            if len(run_positions) == 0:
-                # every remaining cell was salvaged from checkpoints
-                report.worker_wall.setdefault(worker_id, 0.0)
-                break
-            attempt = state.next_attempt(worker_id)
-            state.note(worker_id, attempt, "serial")
-            span = state.task_span(
-                worker_id, attempt, "serial", len(run_positions)
-            )
+        flight = ledger.begin(worker_id)
+        while flight is not None:
             staged = None
             if probe is not None:
                 staged = (probe, columns.r_col, columns.s_col, offset)
-            start = time.perf_counter()
             try:
-                _, block, elapsed, _ = _run_group_guarded(
-                    plan, run_positions, kernel_name, eps, worker_id, attempt,
-                    faults, checkpoints, state.tracer,
-                    span.span_id if span is not None else None, staged,
+                block, elapsed, _ = _run_attempt(
+                    plan, flight.positions, kernel_name, eps, worker_id,
+                    flight.attempt, ledger.faults, checkpoints, ledger.tracer,
+                    flight.span_id, staged=staged,
                 )
             except Exception as exc:
-                report.recovery_seconds += time.perf_counter() - start
-                state.last_error = exc
-                state.record_failure(worker_id, attempt, "serial", exc, span)
-                failures += 1
-                if failures > policy.max_retries:
-                    exhausted[worker_id] = positions
-                    break
-                pause = policy.backoff(failures - 1)
-                if pause:
-                    time.sleep(pause)
-                    report.recovery_seconds += pause
+                pause = ledger.fail(flight, exc, ledger.clock())
+                if pause is None:
+                    break  # the budget is spent on this tier
+                time.sleep(pause)
+                flight = ledger.begin(worker_id)
             else:
-                state.tracer.end(span)
                 # the task's wall is its probe plus its expand
-                absorb(worker_id, block, probe_seconds + elapsed)
+                ledger.win(flight, block, probe_seconds + elapsed)
                 if staged is not None:
                     offset += len(block.r)
                 del block  # uncollected pairs: their slabs are free again
                 break
-    return exhausted
+    return ledger.close()
 
 
-def _pool_tier(
-    backend, plan, tasks, kernel_name, eps, faults, policy, state, report,
-    absorb, os_workers, prepare, checkpoints,
-):
+def _pool_tier(backend, plan, tasks, kernel_name, eps, ledger, os_workers, checkpoints):
     """Run tasks on a thread or process pool; return unrecoverable tasks.
 
-    The scheduler loop owns four responsibilities: draining completions
-    (absorbing the winner's block), retrying failures after their
-    backoff expires, replacing a broken process pool, and launching
-    speculative copies of stragglers.
+    The transport owns publishing the plan (``processes``: three shared
+    memory blocks), submitting attempts, draining completions and
+    replacing a broken process pool; what to launch, whom to charge and
+    who won are the ledger's calls.
     """
     # the pools are imported with the first pooled tier: a serial run
     # loads no concurrent.futures, and only ``processes`` the process pool
@@ -1264,11 +1083,7 @@ def _pool_tier(
 
         broken_types = (BrokenProcessPool,)
 
-    completed: set[int] = set()
-    exhausted: dict[int, np.ndarray] = {}
-    queued: dict[int, float] = {}  # worker_id -> retry-ready time
-    failures: dict[int, int] = defaultdict(int)
-    pending: dict = {}  # Future -> _Flight
+    pending: dict = {}  # Future -> Flight
 
     def make_pool():
         if backend == "threads":
@@ -1291,38 +1106,27 @@ def _pool_tier(
             shm_meta, pos_desc = _plan_meta_to_shm(plan, tasks)
         pool, pool_shared = _acquire_pool(backend, os_workers, make_pool)
 
-        def submit(worker_id: int, speculative: bool = False) -> bool:
-            """Launch one attempt; False when salvage completed the task."""
-            positions = prepare(worker_id, tasks[worker_id])
-            if len(positions) == 0:
-                # every remaining cell was salvaged from checkpoints
-                completed.add(worker_id)
-                queued.pop(worker_id, None)
-                report.worker_wall.setdefault(worker_id, 0.0)
-                return False
-            attempt = state.next_attempt(worker_id)
-            state.note(worker_id, attempt, backend)
-            span = state.task_span(
-                worker_id, attempt, backend, len(positions), speculative
-            )
-            span_id = span.span_id if span is not None else None
+        def launch(worker_id: int, speculative: bool = False) -> None:
+            flight = ledger.begin(worker_id, speculative)
+            if flight is None:
+                return
             if backend == "threads":
                 fut = pool.submit(
-                    _run_group_guarded, plan, positions, kernel_name, eps,
-                    worker_id, attempt, faults, checkpoints,
-                    state.tracer, span_id,
+                    _run_attempt, plan, flight.positions, kernel_name, eps,
+                    worker_id, flight.attempt, ledger.faults, checkpoints,
+                    ledger.tracer, flight.span_id,
                 )
             else:
                 args = _make_process_task_args(
-                    worker_id, positions, tasks[worker_id], pos_desc,
+                    worker_id, flight.positions, tasks[worker_id], pos_desc,
                     kernel_name, eps,
                     shm_r.name, len(plan.r_ids),
                     shm_s.name, len(plan.s_ids),
                     shm_meta.name, plan.num_cells,
                     plan.origins is not None,
                     total_positions,
-                    attempt, faults, checkpoints,
-                    state.tracer.enabled, state.tracer.run_id, span_id,
+                    flight.attempt, ledger.faults, checkpoints,
+                    ledger.tracer.enabled, ledger.tracer.run_id, flight.span_id,
                 )
                 try:
                     fut = pool.submit(_process_group, args)
@@ -1331,140 +1135,76 @@ def _pool_tier(
                     # lost with the pool, and the drain below rebuilds it
                     fut = Future()
                     fut.set_exception(exc)
-            pending[fut] = _Flight(
-                worker_id, attempt, time.perf_counter(), speculative,
-                span=span,
-            )
-            if speculative:
-                state.tracer.event(
-                    "speculation_launched",
-                    cat="recovery",
-                    worker=worker_id,
-                    attempt=attempt,
-                    backend=backend,
-                )
-            return True
-
-        def inflight(worker_id: int) -> int:
-            return sum(1 for fl in pending.values() if fl.worker_id == worker_id)
-
-        def fail(flight: _Flight, now: float, exc: BaseException) -> None:
-            worker_id = flight.worker_id
-            report.recovery_seconds += max(0.0, now - flight.started)
-            state.last_error = exc
-            state.record_failure(
-                worker_id, flight.attempt, backend, exc,
-                flight.span, flight.speculative,
-            )
-            if worker_id in completed or worker_id in exhausted or worker_id in queued:
-                return
-            if inflight(worker_id):
-                return  # a sibling attempt may still win
-            failures[worker_id] += 1
-            if failures[worker_id] > policy.max_retries:
-                exhausted[worker_id] = tasks[worker_id]
-            else:
-                queued[worker_id] = now + policy.backoff(failures[worker_id] - 1)
+            pending[fut] = flight
 
         for worker_id in tasks:
-            submit(worker_id)
+            launch(worker_id)
 
-        while pending or queued:
-            now = time.perf_counter()
-            for worker_id, ready in sorted(queued.items()):
-                if ready <= now:
-                    del queued[worker_id]
-                    submit(worker_id)
+        while pending or ledger.queued:
+            now = ledger.clock()
+            for worker_id in ledger.due(now):
+                launch(worker_id)
             if not pending:
-                soonest = min(queued.values(), default=now)
+                soonest = min(ledger.queued.values(), default=now)
                 if soonest > now:
                     time.sleep(min(soonest - now, 0.05))
                 continue
             timeout = None
-            if policy.task_timeout is not None or queued:
+            if ledger.policy.task_timeout is not None or ledger.queued:
                 timeout = _TICK
             done, _ = wait(
                 set(pending), timeout=timeout, return_when=FIRST_COMPLETED
             )
-            now = time.perf_counter()
+            now = ledger.clock()
             pool_died: BaseException | None = None
             for fut in done:
                 flight = pending.pop(fut, None)
                 if flight is None:
                     continue  # a finished sibling already evicted this one
-                worker_id = flight.worker_id
                 try:
-                    _, block, elapsed, span_payload = fut.result()
-                except broken_types as exc:
-                    pool_died = exc
-                    fail(flight, now, exc)
+                    block, elapsed, span_payload = fut.result()
                 except Exception as exc:
-                    fail(flight, now, exc)
+                    if isinstance(exc, broken_types):
+                        pool_died = exc
+                    ledger.fail(flight, exc, now)
                 else:
-                    state.tracer.merge(span_payload)
-                    if worker_id in completed:
-                        state.tracer.end(flight.span)
-                        continue  # a sibling attempt already won
-                    state.tracer.end(flight.span)
-                    completed.add(worker_id)
-                    queued.pop(worker_id, None)
-                    if flight.speculative:
-                        report.speculative_wins += 1
-                        state.registry.counter("executor.speculative_wins").inc()
-                    for sibling, fl in list(pending.items()):
-                        if fl.worker_id == worker_id:
-                            sibling.cancel()
-                            if fl.span is not None:
-                                fl.span.attrs["cancelled"] = True
-                                state.tracer.end(fl.span)
-                            del pending[sibling]
-                    absorb(worker_id, block, elapsed)
+                    ledger.tracer.merge(span_payload)
+                    if ledger.win(flight, block, elapsed):
+                        for sibling, fl in list(pending.items()):
+                            if fl.task == flight.task:
+                                sibling.cancel()
+                                del pending[sibling]
             if pool_died is not None:
                 # the pool is unusable: every in-flight attempt died with
-                # it; replenish the pool and let fail() schedule retries
+                # it; replenish the pool and let the ledger queue retries
                 flights = list(pending.values())
                 pending.clear()
                 for flight in flights:
-                    fail(flight, now, pool_died)
+                    ledger.fail(flight, pool_died, now)
                 _discard_pool(backend, os_workers, pool, pool_shared)
                 pool, pool_shared = _acquire_pool(
                     backend, os_workers, make_pool
                 )
-                report.pool_rebuilds += 1
-                state.registry.counter("executor.pool_rebuilds").inc()
-                state.tracer.event(
+                ledger.report.pool_rebuilds += 1
+                ledger.registry.counter("executor.pool_rebuilds").inc()
+                ledger.tracer.event(
                     "pool_rebuild",
                     cat="recovery",
                     backend=backend,
                     error_type=type(pool_died).__name__,
                     error_message=str(pool_died),
                 )
-                state.log.warning(
+                ledger.log.warning(
                     "process pool died (%s); rebuilt with %d workers",
                     type(pool_died).__name__, os_workers,
                 )
                 continue
-            if (
-                policy.task_timeout is not None
-                and policy.speculative
-                # a backlog means old flights are probably just queued, not
-                # stragglers: flight age counts from submission, the only
-                # observable moment for a process-pool task
-                and len(pending) <= os_workers
-            ):
-                for flight in list(pending.values()):
-                    if flight.speculative or flight.speculated:
-                        continue
-                    if (
-                        now - flight.started >= policy.task_timeout
-                        and inflight(flight.worker_id) == 1
-                    ):
-                        flight.speculated = True
-                        if submit(flight.worker_id, speculative=True):
-                            report.speculative_launched += 1
-                            state.registry.counter(
-                                "executor.speculative_launched"
-                            ).inc()
+            # a backlog means old flights are probably just queued, not
+            # stragglers: flight age counts from submission, the only
+            # observable moment for a process-pool task
+            if len(pending) <= os_workers:
+                for flight in ledger.stragglers(now):
+                    launch(flight.task, speculative=True)
     finally:
         if pool is not None and not pool_shared:
             pool.shutdown(wait=True)
@@ -1475,7 +1215,7 @@ def _pool_tier(
                     shm.unlink()
                 except FileNotFoundError:  # pragma: no cover - defensive
                     pass
-    return exhausted
+    return ledger.close()
 
 
 def execute_plan(
@@ -1548,8 +1288,11 @@ def execute_plan(
     if n == 0:
         return report
 
-    state = _FTState(faults, report, tracer, registry, log)
     salvaged_done: set[int] = set()
+    #: Tasks submitted at least once (across tiers): any later submission
+    #: is a *re*-submission for the recovery accounting (lineage recompute
+    #: vs checkpoint salvage).
+    submitted: set[int] = set()
     task_seconds = registry.histogram("executor.task_seconds")
 
     def absorb(worker_id: int, block: TaskBlock, elapsed: float) -> None:
@@ -1565,8 +1308,8 @@ def execute_plan(
         salvaged positions as recovery savings (``salvage_counts``) for
         the modelled clocks.
         """
-        resub = worker_id in state.submitted
-        state.submitted.add(worker_id)
+        resub = worker_id in submitted
+        submitted.add(worker_id)
         if checkpoints is not None:
             keep = []
             salvaged_here = 0
@@ -1612,14 +1355,17 @@ def execute_plan(
             report.resubmit_counts[positions] += 1
         return positions
 
+    ledger = AttemptLedger(
+        policy, faults, report, tracer, registry, log, prepare, absorb
+    )
     remaining = dict(groups)
     tier = backend
     while remaining:
         report.backend_used = tier
+        ledger.open(tier, remaining)
         if tier == "serial":
             remaining = _serial_tier(
-                plan, remaining, kernel_name, eps, faults, policy, state,
-                report, absorb, prepare, checkpoints, columns,
+                plan, remaining, kernel_name, eps, ledger, checkpoints, columns
             )
         elif tier == "cluster":
             from repro.engine.cluster_backend import (
@@ -1637,35 +1383,30 @@ def execute_plan(
                 report.os_workers = n_daemons
             try:
                 remaining = run_cluster_tier(
-                    plan, remaining, kernel_name, eps, faults, policy,
-                    state, report, absorb, prepare, checkpoints,
+                    plan, remaining, kernel_name, eps, ledger, checkpoints,
                     cluster_cfg, n_daemons,
                 )
             except ClusterUnavailable as exc:
                 # the cluster never came up; no task was attempted, so
                 # `remaining` is untouched and the degradation machinery
                 # below moves the whole batch to the processes tier
-                state.last_error = exc
+                ledger.last_error = exc
         else:
             os_workers = max_workers or min(len(remaining), os.cpu_count() or 1)
             os_workers = max(1, min(os_workers, len(remaining)))
             if tier == backend:
                 report.os_workers = os_workers
             remaining = _pool_tier(
-                tier, plan, remaining, kernel_name, eps, faults, policy,
-                state, report, absorb, os_workers, prepare, checkpoints,
+                tier, plan, remaining, kernel_name, eps, ledger, os_workers,
+                checkpoints,
             )
         if not remaining:
             break
         fallback = _FALLBACK[tier]
         if fallback is None or not policy.degrade:
-            raise RetryBudgetExhausted(
-                f"{len(remaining)} task(s) failed after {policy.max_retries} "
-                f"retr{'y' if policy.max_retries == 1 else 'ies'} on the "
-                f"{tier!r} backend"
-            ) from state.last_error
+            raise ledger.budget_exhausted(len(remaining), tier) from ledger.last_error
         report.degraded.append(fallback)
-        last = state.last_error
+        last = ledger.last_error
         tracer.event(
             "backend_degraded",
             cat="recovery",
@@ -1685,11 +1426,11 @@ def execute_plan(
         tier = fallback
 
     report.r_col, report.s_col, report.bounds = columns.finish()
-    report.attempts = state.total_attempts
+    report.attempts = sum(ledger.per_task.values())
     report.retries = max(
         0, report.attempts - len(groups) - report.speculative_launched
     )
-    report.task_attempts = dict(state.per_task)
+    report.task_attempts = dict(ledger.per_task)
     registry.gauge("executor.retries").set(report.retries)
     registry.gauge("executor.recovery_seconds").set(report.recovery_seconds)
     registry.gauge("executor.salvaged_wall_seconds").set(

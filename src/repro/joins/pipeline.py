@@ -137,11 +137,9 @@ class ExecutionSettings:
     #: Per-task retry budget for failed local-join tasks and shuffle
     #: fetches (see :class:`~repro.engine.executor.RetryPolicy`).
     max_retries: int = 2
-    #: Straggler threshold (seconds) for speculative re-execution;
-    #: ``None`` disables straggler detection.
+    #: Straggler threshold (seconds): a task attempt older than this gets
+    #: a speculative copy; ``None`` disables straggler detection.
     task_timeout: float | None = None
-    #: Launch speculative copies of detected stragglers.
-    speculative: bool = True
     #: Fall back cluster -> processes -> threads -> serial when a backend
     #: cannot finish a task inside its retry budget.
     degrade: bool = True
@@ -201,7 +199,6 @@ class ExecutionSettings:
         return RetryPolicy(
             max_retries=self.max_retries,
             task_timeout=self.task_timeout,
-            speculative=self.speculative,
             degrade=self.degrade,
         )
 

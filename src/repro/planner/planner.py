@@ -35,8 +35,6 @@ change, not on every query.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -49,6 +47,7 @@ from repro.core.cost_model import (
 )
 from repro.engine.executor import BACKENDS
 from repro.engine.kernels import registered_kernels
+from repro.engine.lru import LRUCache
 from repro.joins.distance_join import JoinConfig
 from repro.planner.logical import JoinSpec
 from repro.planner.physical import PhysicalPlan, distance_plan
@@ -419,8 +418,8 @@ def plan_join(
     )
 
 
-class PlanCache:
-    """Thread-safe LRU of chosen plans, keyed by fingerprints + eps bucket.
+class PlanCache(LRUCache):
+    """The entry-budgeted LRU of chosen plans, keyed by fingerprints + eps bucket.
 
     The serving layer consults it per query: same datasets (by content
     fingerprint), same eps bucket, same client pins -> same plan, no
@@ -430,14 +429,7 @@ class PlanCache:
     """
 
     def __init__(self, capacity: int = 64):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple, PlannedJoin] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        super().__init__(limit_entries=capacity)
 
     @staticmethod
     def key(
@@ -451,34 +443,8 @@ class PlanCache:
         extra_sig = tuple(sorted(extra.items()))
         return (r_fingerprint, s_fingerprint, eps_bucket(eps), pin_sig, extra_sig)
 
-    def get(self, key: tuple) -> PlannedJoin | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-
-    def put(self, key: tuple, planned: PlannedJoin) -> None:
-        with self._lock:
-            self._entries[key] = planned
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
     def stats(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
+        stats = super().stats()
+        # budgeted in entries: a capacity, and no byte columns
+        del stats["bytes"], stats["limit_bytes"]
+        return {**stats, "capacity": self.limit_entries}

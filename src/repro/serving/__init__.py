@@ -11,7 +11,7 @@ from repro._lazy import _lazy_exports
 
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "admission": ("AdmissionController", "QueryRejected"),
-    "cache": ("ArtifactCache", "CacheStats", "estimate_nbytes"),
+    "cache": ("ArtifactCache", "estimate_nbytes"),
     "client": ("JoinClient", "ServerError", "connect"),
     "fingerprint": ("dataset_fingerprint", "grid_partition_key", "query_key"),
     "protocol": ("MAX_LINE_BYTES", "OPS", "ProtocolError"),

@@ -8,9 +8,10 @@ digest), replication assigner (which embeds the agreement graph for the
 adaptive methods) and the cell partitioner -- keyed by the dataset
 fingerprints and every configuration field that feeds the build.
 
-The cache is a byte-budgeted LRU: entry sizes are estimated by walking
-the stored objects for numpy arrays (:func:`estimate_nbytes`), and the
-least-recently-used entries are evicted once the budget is exceeded.
+The cache is the byte-budgeted :class:`~repro.engine.lru.LRUCache`:
+entry sizes are estimated by walking the stored objects for numpy arrays
+(:func:`estimate_nbytes`), and the least-recently-used entries are
+evicted once the budget is exceeded.
 Hit/miss/eviction counters feed the server's ``stats`` endpoint and the
 serving benchmarks.
 
@@ -22,13 +23,12 @@ shared by any number of concurrent queries.
 from __future__ import annotations
 
 import sys
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ArtifactCache", "CacheStats", "estimate_nbytes"]
+from repro.engine.lru import LRUCache
+
+__all__ = ["ArtifactCache", "estimate_nbytes"]
 
 #: Recursion guard for :func:`estimate_nbytes` -- artifact bundles are
 #: shallow (grid -> arrays, graph -> dicts of arrays), so a deep walk
@@ -69,104 +69,20 @@ def estimate_nbytes(obj, _seen: set[int] | None = None, _depth: int = 0) -> int:
     return total
 
 
-@dataclass
-class CacheStats:
-    """A point-in-time snapshot of an :class:`ArtifactCache`."""
-
-    entries: int
-    bytes: int
-    limit_bytes: int | None
-    hits: int
-    misses: int
-    evictions: int
-
-    def to_dict(self) -> dict:
-        return {
-            "entries": self.entries,
-            "bytes": self.bytes,
-            "limit_bytes": self.limit_bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-
-class ArtifactCache:
-    """A thread-safe byte-budgeted LRU over built join artifacts.
+class ArtifactCache(LRUCache):
+    """The byte-budgeted LRU over built join artifacts.
 
     Keys are opaque hashable tuples (see
     :func:`repro.serving.fingerprint.grid_partition_key`); values are
     whatever bundle the build stage produced.  ``memory_limit_bytes``
-    bounds the *estimated* resident size; ``None`` means unbounded.
+    bounds the *estimated* resident size; ``None`` means unbounded.  The
+    entry just inserted is never evicted: a single bundle larger than the
+    whole budget must still be usable once.
     """
 
     def __init__(self, memory_limit_bytes: int | None = None):
-        if memory_limit_bytes is not None and memory_limit_bytes < 0:
-            raise ValueError(
-                f"memory_limit_bytes must be >= 0, got {memory_limit_bytes}"
-            )
-        self.memory_limit_bytes = memory_limit_bytes
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
-        self.bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        super().__init__(limit_bytes=memory_limit_bytes, keep_newest=True)
 
-    # ------------------------------------------------------------------
-    def get(self, key):
-        """The cached value, or ``None`` (counts a hit or a miss)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry[0]
-
-    def contains(self, key) -> bool:
-        """Whether ``key`` is resident (no LRU touch, no counters)."""
-        with self._lock:
-            return key in self._entries
-
-    def put(self, key, value, nbytes: int | None = None) -> int:
-        """Insert (or refresh) an entry; returns its estimated size."""
-        size = int(nbytes) if nbytes is not None else estimate_nbytes(value)
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self.bytes -= old[1]
-            self._entries[key] = (value, size)
-            self.bytes += size
-            if self.memory_limit_bytes is not None:
-                # never evict the entry we just inserted: a single bundle
-                # larger than the whole budget must still be usable once
-                while (
-                    self.bytes > self.memory_limit_bytes
-                    and len(self._entries) > 1
-                ):
-                    _k, (_v, evicted) = self._entries.popitem(last=False)
-                    self.bytes -= evicted
-                    self.evictions += 1
-        return size
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.bytes = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(
-                entries=len(self._entries),
-                bytes=self.bytes,
-                limit_bytes=self.memory_limit_bytes,
-                hits=self.hits,
-                misses=self.misses,
-                evictions=self.evictions,
-            )
+    def put(self, key, value) -> None:
+        """Insert (or refresh) an entry, sized by :func:`estimate_nbytes`."""
+        super().put(key, value, estimate_nbytes(value))

@@ -10,9 +10,9 @@ script into a resident system:
   LPT placements and STR R-trees, keyed by dataset fingerprint and the
   configuration fields that feed each build -- injected into the staged
   pipeline through ``JoinConfig.artifact_cache``;
-* a cross-query **result cache** stores finished join results in a
-  long-lived :class:`~repro.engine.blockstore.BlockStore` (the PR 3
-  subsystem, given a server lifetime instead of a job lifetime);
+* a cross-query **result cache** keeps finished join results under their
+  query key -- the same :class:`~repro.engine.lru.LRUCache` the artifact
+  and plan caches are, with a byte budget of its own;
 * the :class:`~repro.serving.admission.AdmissionController` bounds
   in-flight work and coalesces identical concurrent queries;
 * every request runs under its own run id with the PR 5 telemetry
@@ -51,12 +51,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engine import executor as executor_mod
-from repro.engine.blockstore import BlockId, BlockStore
 from repro.engine.hygiene import (
     SERVE_PREFIX,
     sweep_stale_resources,
     write_owner_marker,
 )
+from repro.engine.lru import LRUCache
 from repro.engine.telemetry import MetricsRegistry, Telemetry, get_logger
 from repro.geometry.mbr import MBR
 from repro.obs import (
@@ -73,7 +73,7 @@ from repro.joins.distance_join import (
 )
 from repro.joins.local import LOCAL_KERNELS
 from repro.serving.admission import AdmissionController, QueryRejected
-from repro.serving.cache import ArtifactCache
+from repro.serving.cache import ArtifactCache, estimate_nbytes
 from repro.serving.fingerprint import grid_partition_key, query_key
 from repro.serving.protocol import (
     MAX_LINE_BYTES,
@@ -172,9 +172,6 @@ class ServerConfig:
     executor_workers: int | None = None
     #: Default simulated workers for queries that do not set ``workers``.
     default_workers: int = 12
-    #: Entries of the per-server plan cache (``tuning: auto`` verdicts,
-    #: keyed by dataset fingerprints + eps bucket + client pins).
-    plan_cache_entries: int = 64
     #: State directory (``None``: a fresh pid-tagged temp directory).
     state_dir: str | None = None
     #: Run the startup hygiene sweep before binding.
@@ -188,7 +185,6 @@ class ServerConfig:
     #: Prometheus scrape endpoint port (``None``: exporter HTTP off;
     #: ``0``: bind an ephemeral port).  Loopback only.
     metrics_port: int | None = None
-    metrics_host: str = "127.0.0.1"
     #: SLO watchdog thresholds (all ``None``: watchdog off).
     slo_p95_seconds: float | None = None
     slo_p99_seconds: float | None = None
@@ -233,8 +229,6 @@ class ServerConfig:
             raise ValueError("max_queue must be >= 0")
         if self.default_workers < 1:
             raise ValueError("default_workers must be >= 1")
-        if self.plan_cache_entries < 1:
-            raise ValueError("plan_cache_entries must be >= 1")
 
 
 @dataclass
@@ -417,17 +411,13 @@ class JoinServer:
             self.config.max_inflight, self.config.max_queue
         )
         self.registry = MetricsRegistry()  # server-lifetime aggregates
-        self.plans = PlanCache(self.config.plan_cache_entries)
+        #: ``tuning: auto`` verdicts, keyed by dataset fingerprints + eps
+        #: bucket + client pins
+        self.plans = PlanCache()
         self._log = get_logger("repro.serving.server")
-        # the result cache is a server-lifetime BlockStore: the same
-        # memory tier + LRU eviction the shuffle uses, holding finished
-        # (r_ids, s_ids, metrics) triples across queries
-        self._results = BlockStore(
-            "memory", memory_limit_bytes=self.config.result_cache_bytes
-        )
-        self._results_lock = threading.Lock()
-        self._result_blocks: dict[tuple, BlockId] = {}
-        self._next_result_block = 0
+        #: finished ``(r_ids, s_ids, metrics)`` triples across queries,
+        #: keyed by the query; a result over the whole budget is not kept
+        self._results = LRUCache(limit_bytes=self.config.result_cache_bytes)
         self._pool = None  # query thread pool, created on start
         self._server: asyncio.AbstractServer | None = None
         self._shutdown = None  # asyncio.Event, created on start
@@ -456,21 +446,11 @@ class JoinServer:
     # ------------------------------------------------------------------
     # observability surfaces
     # ------------------------------------------------------------------
-    def _result_cache_stats(self) -> dict:
-        return {
-            "entries": len(self._result_blocks),
-            "hits": self._results.hits,
-            "misses": self._results.misses,
-            "evictions": self._results.evictions,
-            "bytes": self._results.bytes_in_memory,
-            "limit_bytes": self.config.result_cache_bytes,
-        }
-
     def _cache_stats(self) -> dict:
         """All three cache tiers, keyed for labelled exporter families."""
         return {
-            "artifact": self.artifacts.stats().to_dict(),
-            "result": self._result_cache_stats(),
+            "artifact": self.artifacts.stats(),
+            "result": self._results.stats(),
             "plan": self.plans.stats(),
         }
 
@@ -729,7 +709,7 @@ class JoinServer:
         if self.config.metrics_port is not None:
             self._metrics_endpoint = PrometheusEndpoint(
                 self.exporter.render,
-                host=self.config.metrics_host,
+                host="127.0.0.1",
                 port=self.config.metrics_port,
             )
             await self._metrics_endpoint.start()
@@ -797,7 +777,7 @@ class JoinServer:
         if self._shared_pools_enabled:
             executor_mod.disable_shared_pools()
             self._shared_pools_enabled = False
-        self._results.close()
+        self._results.clear()
         self.artifacts.clear()
         if self._socket_path is not None and os.path.exists(self._socket_path):
             try:
@@ -1059,8 +1039,8 @@ class JoinServer:
             "degraded": bool(self.slo is not None and self.slo.degraded),
             "datasets": self.datasets.describe(),
             "latency": reg.histogram("serve.query_seconds").snapshot(),
-            "artifact_cache": self.artifacts.stats().to_dict(),
-            "result_cache": self._result_cache_stats(),
+            "artifact_cache": self.artifacts.stats(),
+            "result_cache": self._results.stats(),
             "admission": self.admission.stats(),
             "shared_pools": executor_mod.shared_pool_stats(),
             "plan_cache": self.plans.stats(),
@@ -1123,7 +1103,7 @@ class JoinServer:
     def _execute_query(self, spec, cfg, r, s, qkey, akey, planned=None) -> dict:
         started = time.perf_counter()
         if spec.reuse_results:
-            cached = self._result_cache_get(qkey)
+            cached = self._results.get(qkey)
             if cached is not None:
                 r_ids, s_ids, metrics_payload = cached
                 self.registry.counter("serve.result_cache_hits").inc()
@@ -1227,7 +1207,7 @@ class JoinServer:
         if self.slo is not None:
             self.slo.observe(latency)
         payload["latency_seconds"] = latency
-        payload["artifact_cache"] = self.artifacts.stats().to_dict()
+        payload["artifact_cache"] = self.artifacts.stats()
         return payload
 
     def _result_payload(self, spec, r_ids, s_ids, metrics_payload) -> dict:
@@ -1248,53 +1228,19 @@ class JoinServer:
         }
 
     # ------------------------------------------------------------------
-    # the cross-query result cache (block store tier)
+    # the cross-query result cache
     # ------------------------------------------------------------------
-    def _result_cache_get(self, qkey):
-        with self._results_lock:
-            block_id = self._result_blocks.get(qkey)
-            if block_id is None:
-                return None
-            meta, arrays = self._results.fetch(block_id)
-            if arrays is None:
-                # evicted under the memory budget: drop the mapping so
-                # the next run repopulates it
-                del self._result_blocks[qkey]
-                return None
-            metrics_payload = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-            return arrays["r"], arrays["s"], metrics_payload
-
     def _result_cache_put(self, qkey, result, metrics_payload) -> None:
-        encoded = np.frombuffer(
-            json.dumps(metrics_payload).encode("utf-8"), dtype=np.uint8
-        )
         # the cache owns its bytes: the job's columns are views of pool
         # slabs sized for every candidate, and a cached view would pin its
         # slab while the entry lives; an exact-size copy is what the budget
         # counts, and the slabs go back for the next query to lease
         r_ids, s_ids = result.r_ids.copy(), result.s_ids.copy()
-        with self._results_lock:
-            block_id = self._result_blocks.get(qkey)
-            if block_id is None:
-                block_id = BlockId("Q", self._next_result_block, 0)
-                self._next_result_block += 1
-            nbytes = int(r_ids.nbytes + s_ids.nbytes + encoded.nbytes)
-            self._results.put(
-                block_id,
-                {"r": r_ids, "s": s_ids, "meta": encoded},
-                records=len(r_ids),
-                logical_bytes=nbytes,
-            )
-            self._result_blocks[qkey] = block_id
-            # mappings whose blocks were LRU-dropped are pruned lazily so
-            # the dict cannot grow without bound under a tight budget
-            if len(self._result_blocks) > 2 * max(1, len(self._results)):
-                self._result_blocks = {
-                    k: b
-                    for k, b in self._result_blocks.items()
-                    if self._results.meta(b) is not None
-                    and self._results.meta(b).location != "dropped"
-                }
+        self._results.put(
+            qkey,
+            (r_ids, s_ids, metrics_payload),
+            r_ids.nbytes + s_ids.nbytes + estimate_nbytes(metrics_payload),
+        )
 
 
 # ----------------------------------------------------------------------

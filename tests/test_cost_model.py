@@ -5,13 +5,13 @@ import pytest
 from repro.core.cost_model import (
     AnalyticalCostModel,
     predict_join,
-    recommend_method,
 )
 from repro.data.generators import gaussian_clusters, uniform
 from repro.geometry.point import Side
 from repro.grid.grid import Grid
 from repro.grid.statistics import GridStatistics
 from repro.joins.distance_join import JoinConfig, distance_join
+from repro.planner import plan_join
 
 EPS = 0.012
 
@@ -76,18 +76,31 @@ class TestPredictions:
         )
 
 
+#: ``plan_join`` searching the method alone on the paper's clock (what
+#: ``repro predict`` asks for): every other dimension pinned.
+METHOD_ONLY = dict(
+    pins={"resolution_factor": 2.0, "kernel": "plane_sweep", "workers": 12},
+    clock="modelled",
+)
+
+
 class TestRecommendation:
     def test_recommends_adaptive_on_skewed_data(self, skewed):
         r, s = skewed
-        best, predictions = recommend_method(r, s, EPS)
-        assert best in ("lpib", "diff")
-        assert set(predictions) == {"lpib", "diff", "uni_r", "uni_s", "eps_grid"}
+        planned = plan_join(r, s, EPS, **METHOD_ONLY)
+        assert planned.chosen.method in ("lpib", "diff")
+        assert {c.method for c in planned.candidates} == {
+            "lpib", "diff", "uni_r", "uni_s", "eps_grid"
+        }
+        # the searcher reads the same model the one-method entry point does
+        for c in planned.candidates:
+            assert c.prediction.exec_time == predict_join(r, s, EPS, c.method).exec_time
 
     def test_restricting_candidates(self, skewed):
         r, s = skewed
-        best, predictions = recommend_method(r, s, EPS, methods=("uni_r", "uni_s"))
-        assert best in ("uni_r", "uni_s")
-        assert set(predictions) == {"uni_r", "uni_s"}
+        planned = plan_join(r, s, EPS, methods=("uni_r", "uni_s"), **METHOD_ONLY)
+        assert planned.chosen.method in ("uni_r", "uni_s")
+        assert {c.method for c in planned.candidates} == {"uni_r", "uni_s"}
 
     def test_describe(self, skewed):
         r, s = skewed

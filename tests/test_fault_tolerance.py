@@ -304,6 +304,35 @@ class TestExecutorRecovery:
         assert report.speculative_launched >= 1
         assert report.speculative_wins >= 1
 
+    @pytest.mark.parametrize("backend", BACKENDS + ("cluster",))
+    def test_every_tier_accounts_for_a_failed_attempt_alike(self, backend):
+        """The policy is the ledger's, so one fault plan reads the same on
+        every transport: same attempts, retries, fault events and failures
+        as the serial tier, and the backoff waited counts as recovery."""
+        plan = make_plan()
+        policy = RetryPolicy(max_retries=2, backoff_base=0.05, backoff_factor=1.0)
+
+        def account(backend):
+            report = execute_plan(
+                plan, "plane_sweep", EPS, backend=backend, max_workers=2,
+                faults=FaultPlan.parse("kernel:p=1:times=1"), retry=policy,
+            )
+            assert report.backend_used == backend
+            return report, (
+                report.attempts, report.retries, report.task_attempts,
+                sorted((e.kind, e.worker, e.attempt) for e in report.fault_events),
+                sorted((f.worker, f.attempt) for f in report.failures),
+            )
+
+        report, seen = account(backend)
+        assert seen == account("serial")[1]
+        assert seen[:3] == (4, 2, {0: 2, 1: 2})
+        # a daemon reports its kernel's exception by name
+        error = "RemoteTaskError" if backend == "cluster" else "InjectedKernelError"
+        assert {f.error_type for f in report.failures} == {error}
+        # each task failed once and waited out one backoff before its retry
+        assert report.recovery_seconds >= 2 * policy.backoff(0)
+
     def test_shm_segments_released_when_worker_raises(self):
         """Regression: a raising pool worker must not leak the shared
         memory blocks the plan was published through."""

@@ -295,6 +295,41 @@ def test_execution_fields_are_declared_once():
     assert not redeclared, redeclared
 
 
+def test_the_attempt_policy_is_read_in_one_module():
+    """Written once: the retry budget and the backoff are the attempt
+    ledger's alone.  No other module of ``repro.engine`` reads
+    ``max_retries`` or calls ``backoff`` on a policy (``self.`` inside
+    ``RetryPolicy`` is the declaration; ``task_timeout`` may still size a
+    transport's wait tick; the shuffle's fetch-retry loop lives in
+    ``repro.joins`` and reads a different budget)."""
+    readers = set()
+    for module, path in MODULES:
+        if not in_layer(module, "repro.engine"):
+            continue
+        with open(path) as f:
+            tree = ast.parse(f.read(), filename=path)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("max_retries", "backoff")
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+            ):
+                readers.add(module)
+    assert readers == {"repro.engine.attempts"}
+
+
+def test_there_is_one_lru():
+    """``OrderedDict`` is what a hand-written LRU is made of: only the one
+    cache primitive and the block store's memory tier (whose eviction is a
+    demotion to disk, not a drop) may import it."""
+    importers = {
+        module
+        for module, path in MODULES
+        if "collections.OrderedDict" in imported_modules(module, path)
+    }
+    assert importers == {"repro.engine.lru", "repro.engine.blockstore.store"}
+
+
 # ----------------------------------------------------------------------
 # the runtime import graph: what a fresh process actually loads
 # ----------------------------------------------------------------------

@@ -19,7 +19,6 @@ Covers the tentpole guarantees end to end:
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import threading
 import time
@@ -107,8 +106,8 @@ class TestArtifactCache:
         cache.put(("k",), {"x": np.arange(10)})
         assert cache.get(("k",)) is not None
         stats = cache.stats()
-        assert stats.hits == 1 and stats.misses == 1
-        assert stats.entries == 1 and stats.bytes > 0
+        assert stats["hits"] == 1 and stats["misses"] == 1
+        assert stats["entries"] == 1 and stats["bytes"] > 0
 
     def test_evicts_lru_under_budget(self):
         entry = np.zeros(128, dtype=np.uint8)  # 128 bytes each
@@ -120,7 +119,7 @@ class TestArtifactCache:
         assert cache.contains(("a",))
         assert not cache.contains(("b",))
         assert cache.contains(("c",))
-        assert cache.stats().evictions == 1
+        assert cache.stats()["evictions"] == 1
 
     def test_never_evicts_the_just_inserted_entry(self):
         cache = ArtifactCache(10)  # smaller than any entry
@@ -478,7 +477,7 @@ class TestConcurrency:
             assert not any(t.is_alive() for t in threads)
             assert failures == []
             srv = handle.server
-            cached = [srv._result_cache_get(qkey) for qkey in list(srv._result_blocks)]
+            cached = [value for value, _nbytes in srv._results._entries.values()]
             assert len(cached) == 2
             for r_ids, s_ids, _ in cached:
                 assert any(
@@ -518,15 +517,14 @@ class TestEviction:
         srv = server.server
         payload = {"results": len(oneshot)}
         srv._result_cache_put(("owns",), oneshot, payload)
-        r_ids, s_ids, meta = srv._result_cache_get(("owns",))
+        r_ids, s_ids, meta = srv._results.get(("owns",))
         assert meta == payload
         for cached, column in ((r_ids, oneshot.r_ids), (s_ids, oneshot.s_ids)):
             np.testing.assert_array_equal(cached, column)
             assert not np.shares_memory(cached, column)
             assert cached.base is None and cached.flags.owndata
-        held = r_ids.nbytes + s_ids.nbytes + len(json.dumps(payload).encode())
-        assert srv._results.bytes_in_memory == held
-        assert srv._result_cache_stats()["bytes"] == held
+        held = r_ids.nbytes + s_ids.nbytes + estimate_nbytes(payload)
+        assert srv._results.stats()["bytes"] == held
 
     def test_result_cache_eviction_falls_back_to_rerun(self):
         """Dropped result blocks are re-computed, not served as holes."""

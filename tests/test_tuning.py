@@ -1,13 +1,18 @@
-"""Tests for the cost-model-driven configuration tuner."""
+"""Tuning method x grid resolution with the planner on the paper's clock.
+
+What ``repro.core.tuning.tune_join`` used to be: ``plan_join`` with the
+kernel and the worker count pinned and ``clock="modelled"``.
+"""
 
 import pytest
 
-from repro.core.tuning import DEFAULT_FACTORS, tune_join
 from repro.data.generators import gaussian_clusters
-from repro.joins.distance_join import distance_join
+from repro.joins.distance_join import JoinConfig, distance_join
+from repro.planner import DEFAULT_FACTORS, plan_join
 from repro.verify.oracle import kdtree_pairs
 
 EPS = 0.015
+TUNE = dict(pins={"kernel": "plane_sweep", "workers": 12}, clock="modelled")
 
 
 @pytest.fixture(scope="module")
@@ -17,18 +22,25 @@ def skewed():
     return r, s
 
 
+def predictions(planned):
+    return {
+        (c.method, c.resolution_factor): c.prediction for c in planned.candidates
+    }
+
+
 class TestTuner:
     def test_explores_full_space(self, skewed):
         r, s = skewed
-        result = tune_join(r, s, EPS)
-        adaptive_keys = [k for k in result.predictions if k[0] == "lpib"]
+        explored = predictions(plan_join(r, s, EPS, **TUNE))
+        adaptive_keys = [k for k in explored if k[0] == "lpib"]
         assert len(adaptive_keys) == len(DEFAULT_FACTORS)
-        assert ("eps_grid", 1.0) in result.predictions
+        assert ("eps_grid", 1.0) in explored
 
     def test_picks_adaptive_method_on_skewed_data(self, skewed):
         r, s = skewed
-        result = tune_join(r, s, EPS)
-        method, factor = result.best_key
+        result = plan_join(r, s, EPS, **TUNE)
+        explored = predictions(result)
+        method, factor = min(explored, key=lambda k: explored[k].exec_time)
         assert method in ("lpib", "diff")
         assert factor in DEFAULT_FACTORS
         assert result.config.method == method
@@ -36,20 +48,22 @@ class TestTuner:
 
     def test_tuned_config_runs_correctly(self, skewed):
         r, s = skewed
-        result = tune_join(r, s, EPS)
+        result = plan_join(r, s, EPS, **TUNE)
         res = distance_join(r, s, result.config)
         truth = kdtree_pairs(list(r.iter_triples()), list(s.iter_triples()), EPS)
         assert res.pairs_set() == truth
 
     def test_restricted_methods(self, skewed):
         r, s = skewed
-        result = tune_join(r, s, EPS, methods=("uni_r", "uni_s"))
-        assert result.best_key[0] in ("uni_r", "uni_s")
+        result = plan_join(r, s, EPS, methods=("uni_r", "uni_s"), **TUNE)
+        assert result.chosen.method in ("uni_r", "uni_s")
 
     def test_table_lists_all_configs(self, skewed):
         r, s = skewed
-        result = tune_join(r, s, EPS, methods=("lpib", "uni_r"), factors=(2.0, 3.0))
-        table = result.table()
+        result = plan_join(
+            r, s, EPS, methods=("lpib", "uni_r"), factors=(2.0, 3.0), **TUNE
+        )
+        table = result.candidate_table()
         assert table.count("lpib") == 2
         assert table.count("uni_r") == 2
 
@@ -57,18 +71,17 @@ class TestTuner:
         """The tuned choice must be at least as fast (measured) as the
         predicted-worst configuration."""
         r, s = skewed
-        result = tune_join(r, s, EPS)
-        worst_key = max(result.predictions, key=lambda k: result.predictions[k].exec_time)
-        from repro.joins.distance_join import JoinConfig
-
-        worst_method, worst_factor = worst_key
+        result = plan_join(r, s, EPS, **TUNE)
+        explored = predictions(result)
+        worst_method, worst_factor = max(
+            explored, key=lambda k: explored[k].exec_time
+        )
         worst_cfg = JoinConfig(
             eps=EPS,
             method=worst_method,
             resolution_factor=worst_factor if worst_method != "eps_grid" else 2.0,
             collect_pairs=False,
         )
-        tuned_cfg = result.config
-        tuned = distance_join(r, s, tuned_cfg).metrics.exec_time_model
+        tuned = distance_join(r, s, result.config).metrics.exec_time_model
         worst = distance_join(r, s, worst_cfg).metrics.exec_time_model
         assert tuned <= worst * 1.05
