@@ -24,6 +24,7 @@ Installed as the ``repro`` console script; also runnable with
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -48,37 +49,32 @@ from repro.joins.local import LOCAL_KERNELS
 _DATASETS = ("R1", "R2", "S1", "S2")
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1, rejected with a clear message."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _bounded(kind: type, low: int, strict: bool = False):
+    """argparse type: a finite ``kind`` >= ``low`` (> when ``strict``),
+    rejected with one clear line (``nan`` and ``inf`` parse as floats)."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            expected = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+        if value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {value}"
+            )
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    """argparse type: a float > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
+_positive_int = _bounded(int, 1)
+_nonnegative_int = _bounded(int, 0)
+_positive_float = _bounded(float, 0, strict=True)
+#: a grid cell is at least eps wide
+_resolution_factor = _bounded(float, 1)
 
 
 def _fault_spec(text: str) -> FaultPlan:
@@ -590,11 +586,12 @@ def _one_shot_trap_error(args: argparse.Namespace, command: str) -> str | None:
     return None
 
 
-def _validate_serve_args(args: argparse.Namespace) -> str | None:
-    """Semantic validation of ``repro serve``; error line or ``None``."""
-    trap = _one_shot_trap_error(args, "serve")
-    if trap is not None:
-        return trap
+def _address_error(args: argparse.Namespace, *, client: bool) -> str | None:
+    """The ``--socket`` / ``--port`` / ``--host`` checks of ``serve``,
+    ``query`` and ``top``; a client must name exactly one address."""
+    if client and (args.socket is None) == (args.port is None):
+        return ("provide exactly one of --socket and --port (where the "
+                "server listens)")
     if args.socket is not None and args.port is not None:
         return ("--socket and --port are mutually exclusive: the server "
                 "listens on one unix socket or one localhost TCP port")
@@ -603,16 +600,16 @@ def _validate_serve_args(args: argparse.Namespace) -> str | None:
     return None
 
 
+def _validate_serve_args(args: argparse.Namespace) -> str | None:
+    """Semantic validation of ``repro serve``; error line or ``None``."""
+    return _one_shot_trap_error(args, "serve") or _address_error(args, client=False)
+
+
 def _validate_query_args(args: argparse.Namespace) -> str | None:
     """Semantic validation of ``repro query``; error line or ``None``."""
-    trap = _one_shot_trap_error(args, "query")
-    if trap is not None:
-        return trap
-    if (args.socket is None) == (args.port is None):
-        return ("provide exactly one of --socket and --port (where the "
-                "server listens)")
-    if args.host != "127.0.0.1" and args.port is None:
-        return "--host requires --port (unix sockets have no host)"
+    error = _one_shot_trap_error(args, "query") or _address_error(args, client=True)
+    if error is not None:
+        return error
     wants_join = any(
         v is not None for v in (args.r, args.s, args.eps)
     )
@@ -760,14 +757,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 # only explicitly pinned choices travel with the query;
                 # the server's planner fills in the rest
                 fields["tuning"] = "auto"
-                for dest in ("method", "kernel", "workers"):
-                    value = getattr(args, dest)
-                    if value is not None:
-                        fields[dest] = value
-            else:
-                fields["method"] = args.method or "lpib"
-                fields["kernel"] = args.kernel or "plane_sweep"
-                fields["workers"] = args.workers or 12
+            for dest in ("method", "kernel", "workers"):
+                value = getattr(args, dest)
+                if value is None and args.tuning != "auto":
+                    value = _JOIN_STATIC_DEFAULTS[dest]
+                if value is not None:
+                    fields[dest] = value
             if args.no_reuse_results:
                 fields["reuse_results"] = False
             response = client.query(args.r, args.s, args.eps, **fields)
@@ -817,13 +812,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_top(args: argparse.Namespace) -> int:
     """Live dashboard over a running server (see repro.obs.top)."""
-    if (args.socket is None) == (args.port is None):
-        print("provide exactly one of --socket and --port (where the "
-              "server listens)", file=sys.stderr)
-        return 2
-    if args.host != "127.0.0.1" and args.port is None:
-        print("--host requires --port (unix sockets have no host)",
-              file=sys.stderr)
+    error = _address_error(args, client=True)
+    if error is not None:
+        print(error, file=sys.stderr)
         return 2
     from repro.obs import TopDashboard
     from repro.serving import JoinClient, ServerError
@@ -869,7 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "literal RDD pipeline")
     join.add_argument("--r", default="S1", help="dataset codename or id,x,y file")
     join.add_argument("--s", default="S2", help="dataset codename or id,x,y file")
-    join.add_argument("--eps", type=float, default=0.012)
+    join.add_argument("--eps", type=_positive_float, default=0.012)
     join.add_argument("--method",
                       choices=sorted({*ALL_METHODS, *GENERALIZED_METHODS}),
                       default=None,
@@ -889,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="per-cell local join kernel (grid methods only; "
                            "default plane_sweep, or planner-chosen with "
                            "--tuning auto)")
-    join.add_argument("--resolution-factor", type=_positive_float,
+    join.add_argument("--resolution-factor", type=_resolution_factor,
                       default=None, metavar="K",
                       help="grid cell side in multiples of eps (grid "
                            "methods only; default 2.0, or planner-chosen "
@@ -1005,7 +996,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="pin the simulated worker count")
     explain.add_argument("--backend", choices=BACKENDS, default=None,
                          help="pin the execution backend")
-    explain.add_argument("--resolution-factor", type=_positive_float,
+    explain.add_argument("--resolution-factor", type=_resolution_factor,
                          default=None, metavar="K",
                          help="pin the grid resolution factor")
     explain.add_argument("--sample-rate", type=_positive_float, default=0.03,

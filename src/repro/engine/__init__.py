@@ -13,7 +13,6 @@ from repro._lazy import _lazy_exports
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "blockstore": (
         "SPILL_TIERS", "BlockId", "BlockMeta", "BlockStore", "CellCheckpoint",
-        "CheckpointManager", "SpillConfig",
     ),
     "cluster": ("SimCluster", "Worker"),
     "executor": (

@@ -1,42 +1,67 @@
-"""The shuffle block store: addressable spilled map outputs.
+"""The job's spill store: shuffle blocks and cell checkpoints.
 
-A *block* is the batch of shuffle records one map source emits toward one
-reduce destination -- the unit Spark's shuffle service serves and the unit
-a ``FetchFailed`` reducer re-requests.  Blocks are addressed by
-:class:`BlockId` ``(side, src, dst)`` and carry two parallel arrays (the
-1-d cell ids and the point indices of the records), so a lost fetch can
-be healed from the store without touching the source partition.
+Spark keeps shuffle blocks and checkpointed partitions in one
+BlockManager on one set of tiers; this store holds both things a join
+spills, as two keyspaces of one directory:
+
+* A *block* is the batch of shuffle records one map source emits toward
+  one reduce destination -- the unit Spark's shuffle service serves and
+  the unit a ``FetchFailed`` reducer re-requests.  Blocks are addressed
+  by :class:`BlockId` ``(side, src, dst)`` and carry two parallel arrays
+  (the 1-d cell ids and the point indices of the records), so a lost
+  fetch can be healed from the store without touching the source
+  partition.
+* A *cell checkpoint* is one cell's kernel output, keyed by plan position
+  and saved the moment the kernel returns it, so the next attempt of a
+  killed or timed-out reduce task *salvages* the finished cells and
+  re-runs only the remainder.  It records the kernel's exact output
+  arrays plus the measured seconds the cell cost, so a salvaged cell is
+  bit-identical to a recomputed one and the executor can report the
+  seconds the salvage preserved.
 
 Two tiers are supported:
 
 ``memory``
-    Blocks live in an LRU dict.  When ``memory_limit_bytes`` is exceeded
-    the least-recently-used block is *evicted*: written to the spill
-    directory when one is configured, otherwise dropped (a later fetch of
-    a dropped block misses and the caller falls back to recomputing that
-    block's records -- still far cheaper than a full re-read).
+    Blocks and cells live in dicts; blocks are held by reference.  Cells
+    survive retries on the ``serial`` and ``threads`` backends but
+    **not** a killed pool worker -- exactly like Spark partials kept on
+    an executor heap.
 ``disk``
-    Blocks are written straight to the spill directory as ``.npz`` files
-    (atomic: temp file + ``os.replace``), one file per block.
+    One ``.npz`` file per block or cell in the spill directory, written
+    atomically (temp file + ``os.replace``) and readable across process
+    boundaries -- the tier that makes salvage work under real worker
+    kills.
 
-The store owns every file it writes: :meth:`BlockStore.close` removes
-them (and the temporary spill directory, when the store created one), so
-no spill data survives a job -- including jobs aborted by an exhausted
-retry budget.  The store is a context manager.
+A store pickled toward a pool worker or a cluster daemon travels as a
+small *handle*: no blocks, and it never deletes anything.  A memory-tier
+handle is *detached* -- its cell saves are dropped (they could never
+reach the parent) and its loads miss; a disk-tier handle saves and loads
+cells through the shared directory.
+
+An unreadable block raises :class:`BlockLost` into the refetch path; an
+unreadable cell (a kill mid-write) is a miss, so the cell is recomputed.
+
+The store owns every file it writes: :meth:`BlockStore.close`, in the
+creating process only, removes them (and the spill directory, when the
+store created it), so no spill data survives a job -- including jobs
+aborted by an exhausted retry budget.  The store is a context manager.
 """
 
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
+import zipfile  # np.load reads an .npz through it; numpy imports it anyway
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.engine.telemetry import get_logger
 
-#: Spill tiers accepted by :class:`SpillConfig` (``none`` disables the store).
+#: Spill tiers of ``ExecutionSettings.spill`` (``none`` opens no store).
 SPILL_TIERS = ("none", "memory", "disk")
+
+#: What reading a missing, truncated or corrupt spill file raises.
+_UNREADABLE = (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile)
 
 
 class BlockLost(RuntimeError):
@@ -57,43 +82,6 @@ class BlockLost(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class SpillConfig:
-    """How (and whether) a join job spills shuffle output and checkpoints.
-
-    ``tier`` selects the storage tier (:data:`SPILL_TIERS`); ``none``
-    keeps the legacy behaviour with no store at all.  ``checkpoint_cells``
-    additionally snapshots per-cell partial join results so killed reduce
-    attempts salvage finished cells; it requires a real spill tier.
-    """
-
-    tier: str = "none"
-    spill_dir: str | None = None
-    memory_limit_bytes: int | None = None
-    checkpoint_cells: bool = False
-
-    def __post_init__(self):
-        if self.tier not in SPILL_TIERS:
-            raise ValueError(
-                f"unknown spill tier {self.tier!r}; choose from {SPILL_TIERS}"
-            )
-        if self.tier == "none":
-            if self.spill_dir is not None:
-                raise ValueError("spill_dir requires a spill tier (memory or disk)")
-            if self.checkpoint_cells:
-                raise ValueError(
-                    "checkpoint_cells requires a spill tier (memory or disk)"
-                )
-        if self.memory_limit_bytes is not None and self.memory_limit_bytes < 0:
-            raise ValueError(
-                f"memory_limit_bytes must be >= 0, got {self.memory_limit_bytes}"
-            )
-
-    @property
-    def enabled(self) -> bool:
-        return self.tier != "none"
-
-
 @dataclass(frozen=True, order=True)
 class BlockId:
     """Address of one spilled shuffle block: side x source x destination."""
@@ -108,39 +96,47 @@ class BlockId:
 
 @dataclass
 class BlockMeta:
-    """Bookkeeping for one block, kept even after eviction.
+    """Bookkeeping for one block, kept even after its file is lost.
 
     ``bytes`` is the *modelled* serialized size (records x record size),
-    the quantity the shuffle accounting and the cost model use; ``nbytes``
-    is the actual footprint of the stored arrays.
+    the quantity the shuffle accounting and the cost model use.
     """
 
     block_id: BlockId
     records: int
     bytes: int
-    nbytes: int
     location: str = "memory"  # memory | disk | dropped
 
 
-class BlockStore:
-    """Spilled shuffle blocks with byte accounting and LRU eviction."""
+@dataclass(frozen=True)
+class CellCheckpoint:
+    """One cell's snapshotted kernel output."""
 
-    def __init__(
-        self,
-        tier: str = "memory",
-        spill_dir: str | None = None,
-        memory_limit_bytes: int | None = None,
-        tracer=None,
-    ):
+    rid: np.ndarray
+    sid: np.ndarray
+    candidates: int
+    #: Measured kernel seconds the cell cost when first computed --
+    #: the seconds a salvage preserves.
+    seconds: float
+
+
+def _cell_filename(pos: int) -> str:
+    return f"cell_{pos:08d}.npz"
+
+
+class BlockStore:
+    """One job's shuffle blocks and cell checkpoints, on one tier."""
+
+    def __init__(self, tier: str = "memory", spill_dir: str | None = None,
+                 tracer=None):
         if tier not in SPILL_TIERS or tier == "none":
             raise ValueError(
                 f"BlockStore tier must be 'memory' or 'disk', got {tier!r}"
             )
         self.tier = tier
-        self.memory_limit_bytes = memory_limit_bytes
-        #: Optional :class:`~repro.engine.telemetry.Tracer`: spills,
-        #: fetches and evictions become ``blockstore`` events when it is
-        #: enabled (a ``None``/disabled tracer costs one check per call).
+        #: Optional :class:`~repro.engine.telemetry.Tracer`: spills and
+        #: fetches become ``blockstore`` events when it is enabled (a
+        #: ``None``/disabled tracer costs one check per call).
         self._tracer = tracer
         self._log = get_logger(
             "repro.engine.blockstore",
@@ -149,31 +145,29 @@ class BlockStore:
         self._user_dir = spill_dir
         self._dir: str | None = None
         self._owns_dir = False
-        self._mem: OrderedDict[BlockId, dict[str, np.ndarray]] = OrderedDict()
+        self._mem: dict[BlockId, dict[str, np.ndarray]] = {}
         self._meta: dict[BlockId, BlockMeta] = {}
-        self._files: set[str] = set()
+        self._cells: dict[int, CellCheckpoint] = {}
+        #: A memory-tier copy in another process: see :meth:`__getstate__`.
+        self._detached = False
         self._closed = False
-        #: Only the creating process may delete files: forked copies in
-        #: pool workers must never clean up under the parent.
+        #: Only the creating process may delete files: forked or pickled
+        #: copies in pool workers and daemons never clean up under it.
         self._pid = os.getpid()
         # accounting
         self.blocks_spilled = 0
         self.spilled_bytes = 0  # modelled bytes across all puts
-        self.bytes_in_memory = 0  # actual bytes resident in the memory tier
-        self.bytes_on_disk = 0  # actual bytes written to spill files
-        self.evictions = 0
-        self.blocks_dropped = 0
-        self.fetches = 0
+        self.blocks_dropped = 0  # disk blocks found unreadable
         self.hits = 0
         self.misses = 0
         self.fetched_bytes = 0  # modelled bytes served by fetch hits
         if tier == "disk":
-            # eager: directory ownership must be settled before anyone
-            # else (e.g. a checkpoint manager) creates paths beneath it
+            # eager: pool workers and daemons must share this directory,
+            # not invent one
             self._directory()
 
     # ------------------------------------------------------------------
-    # directory management
+    # directory and files
     # ------------------------------------------------------------------
     def _directory(self) -> str:
         """The spill directory, created on first use.
@@ -186,8 +180,8 @@ class BlockStore:
         via the standard :mod:`logging` tree.
         """
         if self._dir is None:
-            # the spill tier's own imports: a job without a store never
-            # pays for them (SpillConfig lives in this module too)
+            # the disk tier's own imports: a job without one never pays
+            # for them
             import tempfile
 
             from repro.engine.hygiene import write_owner_marker
@@ -218,13 +212,29 @@ class BlockStore:
                 write_owner_marker(self._dir)
         return self._dir
 
-    @property
-    def can_spill_to_disk(self) -> bool:
-        """Whether evictions land on disk (a directory is configured)."""
-        return self.tier == "disk" or self._user_dir is not None
+    def _write(self, name: str, arrays: dict[str, np.ndarray]) -> None:
+        """Atomically persist one file: temp file then ``os.replace``, so
+        a reader sees the old file, the new one, or none -- never half."""
+        import tempfile
+
+        directory = self._directory()
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                np.savez(handle, **arrays)
+            os.replace(tmp, os.path.join(directory, name))
+        except BaseException:
+            if os.path.exists(tmp):  # pragma: no cover - defensive
+                os.unlink(tmp)
+            raise
+
+    def _read(self, name: str) -> dict[str, np.ndarray]:
+        """Every array of one file; raises one of :data:`_UNREADABLE`."""
+        with np.load(os.path.join(self._directory(), name)) as payload:
+            return {key: payload[key] for key in payload.files}
 
     # ------------------------------------------------------------------
-    # put / fetch
+    # shuffle blocks
     # ------------------------------------------------------------------
     def put(
         self,
@@ -239,20 +249,16 @@ class BlockStore:
         contract, so callers may (and the shuffle does) pass slice views
         into one backing array instead of per-block copies.  Treat a put
         block as frozen: the same objects come back from :meth:`fetch`.
-        Only eviction to disk serializes (npz); a later disk fetch then
-        returns fresh arrays.
+        The disk tier serializes (npz); a fetch then returns fresh arrays.
         """
         if self._closed:
             raise RuntimeError("BlockStore is closed")
-        self._discard(block_id)
-        nbytes = int(sum(a.nbytes for a in arrays.values()))
-        meta = BlockMeta(block_id, records, logical_bytes, nbytes)
+        meta = BlockMeta(block_id, records, logical_bytes)
         if self.tier == "disk":
-            self._write(block_id, arrays, meta)
+            self._write(block_id.filename(), arrays)
+            meta.location = "disk"
         else:
             self._mem[block_id] = arrays
-            meta.location = "memory"
-            self.bytes_in_memory += nbytes
         self._meta[block_id] = meta
         self.blocks_spilled += 1
         self.spilled_bytes += logical_bytes
@@ -267,9 +273,6 @@ class BlockStore:
                 bytes=logical_bytes,
                 location=meta.location,
             )
-        if self.memory_limit_bytes is not None:
-            while self.bytes_in_memory > self.memory_limit_bytes and self._mem:
-                self._evict_lru()
         return meta
 
     def fetch(
@@ -278,15 +281,15 @@ class BlockStore:
         """Read one block back: ``(meta, arrays)``.
 
         ``(None, None)`` when no block was ever spilled at this address;
-        ``(meta, None)`` when the block existed but was dropped by
-        eviction (the caller must recompute its records).  A memory-tier
-        hit hands back the stored arrays themselves (zero-copy, no
-        pickle/npz round-trip) -- callers must not mutate them.
+        ``(meta, None)`` when the block's file was found unreadable by an
+        earlier fetch (the caller must recompute its records).  A
+        memory-tier hit hands back the stored arrays themselves
+        (zero-copy, no pickle/npz round-trip) -- callers must not mutate
+        them.
         """
         meta = self._meta.get(block_id)
         if meta is None:
             return None, None
-        self.fetches += 1
         if self._tracer is not None and self._tracer.enabled:
             self._tracer.event(
                 "block_fetch",
@@ -298,27 +301,19 @@ class BlockStore:
                 hit=meta.location != "dropped",
             )
         if meta.location == "memory":
-            self._mem.move_to_end(block_id)  # LRU touch
             self.hits += 1
             self.fetched_bytes += meta.bytes
             return meta, self._mem[block_id]
         if meta.location == "disk":
-            import zipfile  # np.load imports it for an .npz anyway
-
-            path = os.path.join(self._directory(), block_id.filename())
             try:
-                with np.load(path) as payload:
-                    arrays = {key: payload[key] for key in payload.files}
-            except (OSError, ValueError, EOFError, KeyError,
-                    zipfile.BadZipFile) as exc:
+                arrays = self._read(block_id.filename())
+            except _UNREADABLE as exc:
                 # the file is gone, truncated, or corrupt: demote the
                 # block to dropped (so a later fetch is a plain miss) and
                 # raise the typed loss for the refetch path to heal
                 meta.location = "dropped"
                 self.blocks_dropped += 1
                 self.misses += 1
-                self._files.discard(path)
-                self.bytes_on_disk -= meta.nbytes
                 self._log.warning(
                     "spilled block %s unreadable (%s); marked dropped",
                     block_id.filename(), type(exc).__name__,
@@ -353,96 +348,82 @@ class BlockStore:
         return block_id in self._meta
 
     # ------------------------------------------------------------------
-    # eviction
+    # cell checkpoints
     # ------------------------------------------------------------------
-    def _evict_lru(self) -> None:
-        block_id, arrays = self._mem.popitem(last=False)
-        meta = self._meta[block_id]
-        self.bytes_in_memory -= meta.nbytes
-        self.evictions += 1
-        if self.can_spill_to_disk:
-            self._write(block_id, arrays, meta)
-        else:
-            meta.location = "dropped"
-            self.blocks_dropped += 1
-        if self._tracer is not None and self._tracer.enabled:
-            self._tracer.event(
-                "block_evict",
-                cat="blockstore",
-                side=block_id.side,
-                src=block_id.src,
-                dst=block_id.dst,
-                to=meta.location,
-            )
-
-    def _write(
-        self, block_id: BlockId, arrays: dict[str, np.ndarray], meta: BlockMeta
+    def save_cell(
+        self, pos: int, rid: np.ndarray, sid: np.ndarray, candidates: int,
+        seconds: float,
     ) -> None:
-        """Atomically persist one block: temp file then ``os.replace``."""
-        import tempfile
-
-        directory = self._directory()
-        path = os.path.join(directory, block_id.filename())
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez(handle, **arrays)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):  # pragma: no cover - defensive
-                os.unlink(tmp)
-            raise
-        meta.location = "disk"
-        self._files.add(path)
-        self.bytes_on_disk += meta.nbytes
-
-    def _discard(self, block_id: BlockId) -> None:
-        """Forget a block (free its memory / remove its file)."""
-        meta = self._meta.pop(block_id, None)
-        if meta is None:
+        """Checkpoint one completed cell (idempotent; last writer wins)."""
+        if self._detached or self._closed:
             return
-        if meta.location == "memory":
-            self._mem.pop(block_id, None)
-            self.bytes_in_memory -= meta.nbytes
-        elif meta.location == "disk":
-            path = os.path.join(self._directory(), block_id.filename())
-            self._files.discard(path)
-            self.bytes_on_disk -= meta.nbytes
-            if os.path.exists(path):
-                os.unlink(path)
+        rid = np.ascontiguousarray(rid, dtype=np.int64)
+        sid = np.ascontiguousarray(sid, dtype=np.int64)
+        if self.tier == "memory":
+            self._cells[pos] = CellCheckpoint(rid, sid, int(candidates), seconds)
+        else:
+            self._write(_cell_filename(pos), {
+                "rid": rid, "sid": sid,
+                "candidates": np.int64(candidates), "seconds": np.float64(seconds),
+            })
+
+    def load_cell(self, pos: int) -> CellCheckpoint | None:
+        """The checkpoint for one plan position, or ``None``.
+
+        On disk the file is the record: a cell a worker or daemon copy
+        saved is visible here without any bookkeeping in this process.
+        """
+        if self._detached or self._closed:
+            return None
+        if self.tier == "memory":
+            return self._cells.get(pos)
+        try:
+            arrays = self._read(_cell_filename(pos))
+            return CellCheckpoint(
+                arrays["rid"], arrays["sid"],
+                int(arrays["candidates"]), float(arrays["seconds"]),
+            )
+        except _UNREADABLE:
+            return None  # never saved, or half-written by a kill: recompute
 
     # ------------------------------------------------------------------
-    # cleanup
+    # pickling and cleanup
     # ------------------------------------------------------------------
+    def __getstate__(self):
+        # a copy shipped to a pool worker or a daemon is a handle: no
+        # blocks, cells or tracer travel, it never deletes (no owner
+        # pid), and a memory-tier copy is detached -- its saves could
+        # never reach this process, so they are dropped and its loads miss
+        state = self.__dict__.copy()
+        state.update(
+            _mem={}, _meta={}, _cells={}, _tracer=None, _pid=None,
+            _detached=self.tier == "memory",
+        )
+        return state
+
     def close(self) -> None:
-        """Release every resource the store holds (idempotent).
+        """Release every block and cell (idempotent).
 
-        Removes every spill file written, plus the spill directory when
-        the store created it (a user-provided directory is left in place,
-        emptied of this store's files).
+        In the creating process, removes the spill directory when the
+        store created it; a user-provided directory is left in place,
+        emptied of blocks, cells and the temp files of writes aborted
+        mid-spill (including those of worker and daemon copies).
         """
         if self._closed:
             return
         self._closed = True
         self._mem.clear()
         self._meta.clear()
-        self.bytes_in_memory = 0
-        if os.getpid() != self._pid:
-            return  # a worker-process copy: the owner cleans up
-        for path in list(self._files):
-            try:
-                os.unlink(path)
-            except FileNotFoundError:  # pragma: no cover - defensive
-                pass
-        self._files.clear()
-        if self._dir is not None and self._owns_dir:
+        self._cells.clear()
+        if self._dir is None or os.getpid() != self._pid:
+            return  # nothing on disk, or a copy: the owner cleans up
+        if self._owns_dir:
             import shutil
 
             shutil.rmtree(self._dir, ignore_errors=True)
-        elif self._dir is not None:
-            # sweep leftover temp files from writes aborted mid-spill
+        elif os.path.isdir(self._dir):
             for name in os.listdir(self._dir):
-                if name.endswith(".tmp") or name.startswith("block_"):
+                if name.startswith(("block_", "cell_")) or name.endswith(".tmp"):
                     try:
                         os.unlink(os.path.join(self._dir, name))
                     except OSError:  # pragma: no cover - defensive

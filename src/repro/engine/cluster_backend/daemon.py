@@ -67,11 +67,11 @@ class _GlobalPositionCheckpoints:
         self._inner = inner
         self._base = base_positions
 
-    def save(self, pos, rid, sid, candidates, seconds):
-        self._inner.save(int(self._base[pos]), rid, sid, candidates, seconds)
+    def save_cell(self, pos, rid, sid, candidates, seconds):
+        self._inner.save_cell(int(self._base[pos]), rid, sid, candidates, seconds)
 
-    def load(self, pos):
-        return self._inner.load(int(self._base[pos]))
+    def load_cell(self, pos):
+        return self._inner.load_cell(int(self._base[pos]))
 
 
 # ----------------------------------------------------------------------

@@ -54,7 +54,8 @@ a kernel exception):
   with :class:`~repro.engine.faults.RetryBudgetExhausted`.
 
 Recovery is *fine-grained* when a
-:class:`~repro.engine.blockstore.CheckpointManager` is supplied: every
+:class:`~repro.engine.blockstore.BlockStore` is supplied as
+``checkpoints``: every
 cell's kernel output is checkpointed the moment it completes, injected
 kill/kernel faults fire mid-task (after half the attempt's cells) instead
 of up front, and each re-submission first **salvages** checkpointed cells
@@ -607,7 +608,7 @@ def _run_cells(
         sids.append(sid)
         candidates[i] = cand
         if checkpoints is not None:
-            checkpoints.save(
+            checkpoints.save_cell(
                 p, rid, sid, int(cand), time.perf_counter() - cell_start
             )
     if fire is not None and fault_at is not None and fault_at >= len(positions):
@@ -1242,8 +1243,8 @@ def execute_plan(
 
     ``faults`` injects deterministic failures (see
     :mod:`repro.engine.faults`); ``retry`` configures recovery (default
-    :class:`RetryPolicy`).  ``checkpoints`` (a
-    :class:`~repro.engine.blockstore.CheckpointManager`) enables
+    :class:`RetryPolicy`).  ``checkpoints`` (the job's
+    :class:`~repro.engine.blockstore.BlockStore`) enables
     fine-grained recovery: finished cells are snapshotted and a retried
     task salvages them instead of recomputing its whole group.  Raises
     :class:`~repro.engine.faults.RetryBudgetExhausted` when a task cannot
@@ -1320,7 +1321,7 @@ def execute_plan(
                     if resub:
                         report.salvage_counts[p] += 1
                     continue
-                rec = checkpoints.load(p)
+                rec = checkpoints.load_cell(p)
                 if rec is None:
                     keep.append(p)
                     continue

@@ -1,7 +1,7 @@
 """Startup hygiene: reclaim temp resources a crashed run left behind.
 
 A SIGKILLed coordinator (or any abruptly-dead process) never reaches the
-BlockStore/CheckpointManager cleanup paths, so its spill directories and
+BlockStore cleanup path, so its spill directories and
 POSIX shared-memory segments leak.  Every such resource is tagged with
 its owner pid at creation time -- spill/checkpoint temp directories carry
 an ``.repro-owner-pid`` marker file, shared-memory segments embed the pid
@@ -24,7 +24,9 @@ import tempfile
 #: Marker file naming the pid that owns a spill/checkpoint temp directory.
 OWNER_MARKER = ".repro-owner-pid"
 
-#: Temp-directory prefixes the block store and checkpoint manager use.
+#: Temp-directory prefixes of the block store (``repro-ckpt-`` is where
+#: cell checkpoints lived before they joined the store's directory; kept
+#: so an older run's leftovers are still swept).
 TEMP_PREFIXES = ("repro-spill-", "repro-ckpt-")
 
 #: Prefix of the join server's pid-guarded state directories and of its

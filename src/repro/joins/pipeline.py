@@ -14,7 +14,7 @@ modelled :class:`~repro.engine.cluster.SimCluster` clocks and the
 measured :class:`~repro.engine.metrics.PhaseTimer`), and one generic
 driver, :func:`run_staged_join`, runs the list -- owning the phase
 timer, per-stage wall clocks (``JoinMetrics.stage_times``) and the
-lifecycle of the block store and checkpoint manager.
+lifecycle of the block store.
 
 The stages shared by every driver live here:
 
@@ -45,7 +45,6 @@ drivers (pinned by ``tests/golden/driver_goldens.json``).
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
@@ -59,7 +58,7 @@ from repro.agreements.policies import (
     LPiBPolicy,
     instantiate_pair_types,
 )
-from repro.engine.blockstore import BlockId, BlockLost, BlockStore, SpillConfig
+from repro.engine.blockstore import SPILL_TIERS, BlockId, BlockLost, BlockStore
 from repro.engine.cluster import SALVAGE_PHASE, SimCluster
 from repro.engine.executor import (
     BACKENDS,
@@ -149,9 +148,8 @@ class ExecutionSettings:
     #: outputs as addressable blocks so fetch-fault recovery pulls only
     #: the missing blocks.
     spill: str = "none"
-    #: Directory for spilled blocks and checkpoints (the ``disk`` tier,
-    #: or the ``memory`` tier's eviction target); a temporary directory
-    #: when ``None``.  Requires a spill tier.
+    #: Directory for spilled blocks and checkpoints of the ``disk`` tier
+    #: (a temporary directory when ``None``).  Requires a spill tier.
     spill_dir: str | None = None
     #: Snapshot per-cell partial join results so a killed or timed-out
     #: reduce attempt salvages finished cells and re-runs only the
@@ -202,14 +200,6 @@ class ExecutionSettings:
             degrade=self.degrade,
         )
 
-    def spill_config(self) -> SpillConfig:
-        """The validated block-store configuration for this job."""
-        return SpillConfig(
-            tier=self.spill,
-            spill_dir=self.spill_dir,
-            checkpoint_cells=self.checkpoint_cells,
-        )
-
     def cluster_config(self) -> dict:
         """The ``cluster``-backend tunables as :func:`execute_plan` kwargs.
 
@@ -236,7 +226,6 @@ class JoinContext:
     timer: PhaseTimer = field(default_factory=PhaseTimer)
     fault_plan: FaultPlan | None = None
     store: BlockStore | None = None
-    checkpoints: CheckpointManager | None = None
     telemetry: Telemetry = field(default_factory=Telemetry.disabled)
     #: Inter-stage dataflow: each stage documents the keys it reads and
     #: writes (e.g. ``records``, ``shuffle_layout``, ``plan``, ``report``).
@@ -269,9 +258,9 @@ def make_context(
     """Build a :class:`JoinContext`: settings, cluster, store lifecycle.
 
     ``cfg`` is a driver config, which *is* the context's ``settings``.
-    Validates the execution backend and the fault spec up front, and
-    opens the block store / checkpoint manager when a spill tier is
-    configured; :func:`run_staged_join` closes them on every exit path.
+    Validates the execution backend, the fault spec and the spill
+    settings up front, and opens the block store when a spill tier is
+    configured; :func:`run_staged_join` closes it on every exit path.
     """
     if cfg.execution_backend not in BACKENDS:
         raise ValueError(
@@ -279,6 +268,15 @@ def make_context(
             f"choose from {BACKENDS}"
         )
     fault_plan = cfg.fault_plan()
+    if cfg.spill not in SPILL_TIERS:
+        raise ValueError(
+            f"unknown spill tier {cfg.spill!r}; choose from {SPILL_TIERS}"
+        )
+    if cfg.spill == "none":
+        if cfg.spill_dir is not None:
+            raise ValueError("spill_dir requires a spill tier (memory or disk)")
+        if cfg.checkpoint_cells:
+            raise ValueError("checkpoint_cells requires a spill tier (memory or disk)")
     cm = cost_model or getattr(cfg, "cost_model", None) or CostModel()
     telemetry = cfg.telemetry or Telemetry.disabled()
     ctx = JoinContext(
@@ -294,25 +292,8 @@ def make_context(
         # the worker-to-worker byte matrix is a report-only artifact;
         # plain runs skip its accumulation entirely
         ctx.shuffle.enable_matrix(num_workers)
-    spill_cfg = cfg.spill_config()
-    if spill_cfg.enabled:
-        ctx.store = BlockStore(
-            spill_cfg.tier, spill_cfg.spill_dir, tracer=telemetry.tracer
-        )
-        try:
-            if spill_cfg.checkpoint_cells:
-                from repro.engine.blockstore import CheckpointManager
-
-                ckpt_dir = (
-                    os.path.join(spill_cfg.spill_dir, "checkpoints")
-                    if spill_cfg.spill_dir is not None
-                    else None
-                )
-                ctx.checkpoints = CheckpointManager(spill_cfg.tier, ckpt_dir)
-        except BaseException:
-            ctx.store.close()
-            ctx.store = None
-            raise
+    if cfg.spill != "none":
+        ctx.store = BlockStore(cfg.spill, cfg.spill_dir, tracer=telemetry.tracer)
     return ctx
 
 
@@ -343,7 +324,7 @@ def run_staged_join(stages: list[Stage], ctx: JoinContext) -> JoinContext:
     """Run a stage list to completion: the generic staged-join driver.
 
     Owns the phase timer and the per-stage wall clocks, and guarantees
-    the block store and checkpoint manager are released on *every* exit
+    the block store is released on *every* exit
     path -- including aborts mid-pipeline (exhausted retry budget,
     simulated OOM, a fetch that keeps failing).
 
@@ -386,9 +367,6 @@ def run_staged_join(stages: list[Stage], ctx: JoinContext) -> JoinContext:
     finally:
         # spilled blocks and checkpoints are job-transient: release them
         # even when the job aborts mid-spill
-        if ctx.checkpoints is not None:
-            ctx.checkpoints.close()
-            ctx.checkpoints = None
         if ctx.store is not None:
             ctx.store.close()
             ctx.store = None
@@ -910,12 +888,6 @@ class ShuffleRecoveryStage(Stage):
                 ctx.store.blocks_spilled
             )
             metrics.extra["spilled_bytes"] = float(ctx.store.spilled_bytes)
-            if ctx.store.evictions:
-                metrics.extra["spill_evictions"] = float(ctx.store.evictions)
-            if ctx.store.blocks_dropped:
-                metrics.extra["spill_blocks_dropped"] = float(
-                    ctx.store.blocks_dropped
-                )
 
         worker_heap = ctx.data["worker_heap"]
         metrics.extra["peak_worker_heap_bytes"] = float(worker_heap.max())
@@ -952,7 +924,7 @@ class LocalJoinStage(Stage):
     and ``joinable_cells``, and optionally ``origin_array`` (one
     eps-grid anchor per joinable cell); writes the
     packed ``plan`` and the executor's ``report``.  The backend, fault
-    plan, retry policy and checkpoint manager all come from the
+    plan, retry policy and block store all come from the
     context, so every driver composing this stage is fault tolerant on
     every backend.  ``collect_pairs=False`` counts results without
     keeping the pairs (large benchmark sweeps): the report's columns are
@@ -988,7 +960,7 @@ class LocalJoinStage(Stage):
             max_workers=ctx.settings.executor_workers,
             faults=ctx.fault_plan,
             retry=ctx.settings.retry_policy(),
-            checkpoints=ctx.checkpoints,
+            checkpoints=ctx.store if ctx.settings.checkpoint_cells else None,
             tracer=ctx.tracer,
             registry=ctx.registry,
             cluster=ctx.settings.cluster_config(),

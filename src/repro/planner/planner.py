@@ -285,8 +285,8 @@ def _validate_space(methods, factors, kernels, workers, backend) -> None:
                 f"unknown method {m!r}; choose from {DEFAULT_METHODS}"
             )
     for f in factors:
-        if f <= 0:
-            raise ValueError("resolution factors must be positive")
+        if f < 1:
+            raise ValueError(f"resolution factors must be >= 1, got {f}")
     for w in workers:
         if w < 1:
             raise ValueError("worker candidates must be >= 1")

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -330,8 +331,8 @@ class QuerySpec:
                 sorted(d for d in PLANNABLE_FIELDS if d in request)
             ),
         )
-        if spec.eps <= 0:
-            raise ProtocolError(f"eps must be positive, got {spec.eps}")
+        if not (math.isfinite(spec.eps) and spec.eps > 0):
+            raise ProtocolError(f"eps must be positive and finite, got {spec.eps}")
         if spec.method not in GRID_METHODS:
             raise ProtocolError(
                 f"method must be one of {', '.join(GRID_METHODS)}; "
@@ -353,8 +354,13 @@ class QuerySpec:
             raise ProtocolError(
                 f"sample_rate must be in (0, 1], got {spec.sample_rate}"
             )
-        if spec.resolution_factor <= 0:
-            raise ProtocolError("resolution_factor must be positive")
+        if not (math.isfinite(spec.resolution_factor)
+                and spec.resolution_factor >= 1):
+            # the grid's cell side is resolution_factor * eps >= eps
+            raise ProtocolError(
+                f"resolution_factor must be finite and >= 1, "
+                f"got {spec.resolution_factor}"
+            )
         if spec.max_pairs is not None and spec.max_pairs < 0:
             raise ProtocolError("max_pairs must be >= 0")
         if spec.return_spans and not spec.trace:

@@ -1,6 +1,7 @@
 """Unit tests for the block store subsystem (repro.engine.blockstore):
-spill tiers, LRU eviction, atomic persistence, per-cell checkpoints, and
-the cleanup guarantees the fault-tolerance machinery relies on.
+spill tiers, atomic persistence, per-cell checkpoints as the store's
+second keyspace, and the cleanup guarantees the fault-tolerance machinery
+relies on.
 """
 
 import os
@@ -9,12 +10,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.engine.blockstore import (
-    BlockId,
-    BlockStore,
-    CheckpointManager,
-    SpillConfig,
-)
+from repro.engine.blockstore import BlockId, BlockStore
 
 
 def block_arrays(n, seed=0):
@@ -26,33 +22,41 @@ def block_arrays(n, seed=0):
 
 
 # ----------------------------------------------------------------------
-# SpillConfig validation
+# spill settings: validated where make_context opens the store
 # ----------------------------------------------------------------------
+def open_context(**settings):
+    from repro.engine.metrics import JoinMetrics
+    from repro.joins.distance_join import JoinConfig
+    from repro.joins.pipeline import make_context
+
+    return make_context(
+        JoinConfig(eps=0.02, **settings), num_workers=2, metrics=JoinMetrics()
+    )
+
+
 class TestSpillConfig:
     def test_defaults_disabled(self):
-        cfg = SpillConfig()
-        assert cfg.tier == "none"
-        assert not cfg.enabled
+        from repro.joins.distance_join import JoinConfig
+
+        assert JoinConfig(eps=0.02).spill == "none"
+        assert open_context().store is None
 
     @pytest.mark.parametrize("tier", ("memory", "disk"))
     def test_real_tiers_enabled(self, tier):
-        assert SpillConfig(tier=tier).enabled
+        with open_context(spill=tier, checkpoint_cells=True).store as store:
+            assert store.tier == tier
 
     def test_unknown_tier_rejected(self):
         with pytest.raises(ValueError, match="unknown spill tier"):
-            SpillConfig(tier="tape")
+            open_context(spill="tape")
 
     def test_spill_dir_requires_tier(self):
         with pytest.raises(ValueError, match="spill_dir requires"):
-            SpillConfig(spill_dir="/tmp/somewhere")
+            open_context(spill_dir="/tmp/somewhere")
 
     def test_checkpoints_require_tier(self):
         with pytest.raises(ValueError, match="checkpoint_cells requires"):
-            SpillConfig(checkpoint_cells=True)
-
-    def test_negative_memory_limit_rejected(self):
-        with pytest.raises(ValueError, match="memory_limit_bytes"):
-            SpillConfig(tier="memory", memory_limit_bytes=-1)
+            open_context(checkpoint_cells=True)
 
 
 # ----------------------------------------------------------------------
@@ -101,51 +105,6 @@ class TestBlockStore:
             assert store.sources_for(0) == [1]
             assert store.sources_for(9) == []
 
-    def test_lru_eviction_to_disk(self, tmp_path):
-        arrays = block_arrays(100)
-        nbytes = sum(a.nbytes for a in arrays.values())
-        store = BlockStore(
-            "memory", spill_dir=str(tmp_path), memory_limit_bytes=2 * nbytes
-        )
-        with store:
-            ids = [BlockId("R", i, 0) for i in range(3)]
-            for bid in ids:
-                store.put(bid, block_arrays(100, seed=bid.src), 100, 1000)
-            # the limit holds two blocks: the oldest was written out
-            assert store.evictions == 1
-            assert store.meta(ids[0]).location == "disk"
-            assert store.bytes_in_memory <= 2 * nbytes
-            # evicted blocks still serve fetches, bit-identical
-            meta, back = store.fetch(ids[0])
-            assert meta is not None and back is not None
-            assert np.array_equal(back["cells"], block_arrays(100, seed=0)["cells"])
-            assert store.blocks_dropped == 0
-
-    def test_lru_eviction_drops_without_directory(self):
-        arrays = block_arrays(100)
-        nbytes = sum(a.nbytes for a in arrays.values())
-        with BlockStore("memory", memory_limit_bytes=nbytes) as store:
-            a, b = BlockId("R", 0, 0), BlockId("R", 1, 0)
-            store.put(a, block_arrays(100), 100, 1000)
-            store.put(b, block_arrays(100), 100, 1000)
-            assert store.blocks_dropped == 1
-            meta, back = store.fetch(a)  # dropped: meta survives, data gone
-            assert meta.location == "dropped"
-            assert back is None
-            assert store.misses == 1
-
-    def test_fetch_lru_touch_protects_hot_block(self):
-        arrays = block_arrays(100)
-        nbytes = sum(a.nbytes for a in arrays.values())
-        with BlockStore("memory", memory_limit_bytes=2 * nbytes) as store:
-            a, b = BlockId("R", 0, 0), BlockId("R", 1, 0)
-            store.put(a, block_arrays(100), 100, 1000)
-            store.put(b, block_arrays(100), 100, 1000)
-            store.fetch(a)  # touch: a becomes most-recently-used
-            store.put(BlockId("R", 2, 0), block_arrays(100), 100, 1000)
-            assert store.meta(a).location == "memory"
-            assert store.meta(b).location == "dropped"
-
     def test_close_removes_files_and_owned_dir(self, tmp_path):
         user_dir = tmp_path / "spill"
         store = BlockStore("disk", spill_dir=str(user_dir))
@@ -183,70 +142,100 @@ class TestBlockStore:
 
 
 # ----------------------------------------------------------------------
-# CheckpointManager
+# cell checkpoints: the store's second keyspace
 # ----------------------------------------------------------------------
+def save_one(store, pos):
+    store.save_cell(pos, np.array([1]), np.array([2]), 3, 0.5)
+
+
 class TestCheckpointManager:
+    """The store as the executor's ``checkpoints`` handle."""
+
     @pytest.mark.parametrize("tier", ("memory", "disk"))
     def test_save_load_roundtrip(self, tier, tmp_path):
-        with CheckpointManager(tier, str(tmp_path / "ckpt")) as mgr:
+        with BlockStore(tier, str(tmp_path / "ckpt")) as store:
             rid = np.array([3, 1, 4], dtype=np.int64)
             sid = np.array([1, 5, 9], dtype=np.int64)
-            mgr.save(7, rid, sid, candidates=42, seconds=0.125)
-            rec = mgr.load(7)
+            store.save_cell(7, rid, sid, candidates=42, seconds=0.125)
+            rec = store.load_cell(7)
             assert np.array_equal(rec.rid, rid)
             assert np.array_equal(rec.sid, sid)
             assert rec.candidates == 42
             assert rec.seconds == pytest.approx(0.125)
-            assert mgr.load(8) is None
-            assert len(mgr) == 1
+            assert store.load_cell(8) is None
+            assert len(store) == 0  # cells are not shuffle blocks
 
     def test_rejects_unknown_tier(self):
         with pytest.raises(ValueError):
-            CheckpointManager("tape")
+            BlockStore("tape")
 
     def test_disk_checkpoints_survive_reopen(self, tmp_path):
-        """Disk checkpoints must be readable by another manager on the
-        same directory -- that is what makes salvage work across process
-        kills."""
-        directory = str(tmp_path / "ckpt")
-        first = CheckpointManager("disk", directory)
-        first.save(0, np.array([1]), np.array([2]), 3, 0.5)
-        second = CheckpointManager("disk", directory)
-        assert second.load(0) is not None
-        first.close()
+        """Cells a worker or daemon copy writes are visible to the parent
+        through the file alone -- that is what makes salvage work across
+        process kills."""
+        store = BlockStore("disk", str(tmp_path / "ckpt"))
+        clone = pickle.loads(pickle.dumps(store))
+        save_one(clone, 0)
+        assert store.load_cell(0) is not None
+        clone.close()
+        store.close()
 
     def test_memory_tier_detaches_on_pickle(self):
-        mgr = CheckpointManager("memory")
-        mgr.save(0, np.array([1]), np.array([2]), 3, 0.5)
-        clone = pickle.loads(pickle.dumps(mgr))
-        assert clone.load(0) is None  # heap partials don't cross processes
-        clone.save(1, np.array([1]), np.array([2]), 3, 0.5)
-        assert clone.load(1) is None  # detached saves are dropped
-        assert mgr.load(0) is not None  # the parent keeps its own
-        mgr.close()
+        store = BlockStore("memory")
+        save_one(store, 0)
+        for src in range(4):  # 1.6 MB of resident shuffle blocks
+            store.put(BlockId("R", src, 0), block_arrays(100_000, seed=src),
+                      100_000, 3_200_000)
+        blob = pickle.dumps(store)
+        assert len(blob) < 4096  # a handle, not the shuffle
+        clone = pickle.loads(blob)
+        assert clone.load_cell(0) is None  # heap partials don't cross processes
+        save_one(clone, 1)
+        assert clone.load_cell(1) is None  # detached saves are dropped
+        assert clone.fetch(BlockId("R", 0, 0)) == (None, None)
+        assert store.load_cell(0) is not None  # the parent keeps its own
+        store.close()
 
     def test_close_removes_created_dir(self, tmp_path):
         directory = tmp_path / "ckpt"
-        mgr = CheckpointManager("disk", str(directory))
-        mgr.save(0, np.array([1]), np.array([2]), 3, 0.5)
-        mgr.close()
+        store = BlockStore("disk", str(directory))
+        save_one(store, 0)
+        store.close()
         assert not directory.exists()
 
     def test_close_spares_preexisting_dir(self, tmp_path):
         keep = tmp_path / "keep.txt"
         keep.write_text("mine")
-        mgr = CheckpointManager("disk", str(tmp_path))
-        mgr.save(0, np.array([1]), np.array([2]), 3, 0.5)
-        mgr.close()
+        store = BlockStore("disk", str(tmp_path))
+        save_one(store, 0)
+        save_one(pickle.loads(pickle.dumps(store)), 1)  # a worker's cell
+        store.put(BlockId("R", 0, 0), block_arrays(10), 10, 100)
+        store.close()
         assert list(tmp_path.iterdir()) == [keep]
 
     def test_half_written_file_tolerated(self, tmp_path):
         directory = tmp_path / "ckpt"
-        mgr = CheckpointManager("disk", str(directory))
-        with open(os.path.join(str(directory), "cell_00000005.npz"), "wb") as f:
-            f.write(b"not an npz")  # a kill mid-write leaves garbage
-        assert mgr.load(5) is None
-        mgr.close()
+        store = BlockStore("disk", str(directory))
+        for pos, damage in enumerate(("garbage", "truncated")):
+            save_one(store, pos)
+            path = str(directory / f"cell_{pos:08d}.npz")
+            TestBlockLoss.damage_file(path, damage)
+            assert store.load_cell(pos) is None  # a kill mid-write: recompute
+        store.close()
+
+    def test_worker_copy_never_deletes(self, tmp_path):
+        """A copy shipped to a worker process -- pickled, or forked with
+        the parent's pid recorded -- never removes the parent's cells."""
+        directory = tmp_path / "ckpt"
+        store = BlockStore("disk", str(directory))
+        save_one(store, 0)
+        pickle.loads(pickle.dumps(store)).close()
+        forked = pickle.loads(pickle.dumps(store))
+        forked._pid = store._pid + 1
+        forked.close()
+        assert store.load_cell(0) is not None
+        store.close()
+        assert not directory.exists()
 
 
 # ----------------------------------------------------------------------

@@ -187,6 +187,29 @@ class TestJoinValidation:
         with pytest.raises(SystemExit):
             main(["join", "--spill", "tape"])
 
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("join", "--eps", "-1", "must be > 0, got -1.0"),
+        ("join", "--eps", "nan", "must be finite, got nan"),
+        ("explain", "--eps", "inf", "must be finite, got inf"),
+        ("query", "--eps", "nan", "must be finite, got nan"),
+        ("join", "--resolution-factor", "0.5", "must be >= 1, got 0.5"),
+        ("join", "--resolution-factor", "nan", "must be finite, got nan"),
+        ("explain", "--resolution-factor", "0.5", "must be >= 1, got 0.5"),
+    ], ids=["join-eps-negative", "join-eps-nan", "explain-eps-inf",
+            "query-eps-nan", "join-factor-half", "join-factor-nan",
+            "explain-factor-half"])
+    def test_bad_eps_and_resolution_factor_rejected_at_the_edge(
+        self, capsys, command, flag, value, message
+    ):
+        """Usage errors (exit 2, one error line), not a traceback from
+        the driver or the grid."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--base-n", "500", flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {message}" in err
+        assert "Traceback" not in err
+
     def test_checkpoint_cells_requires_spill(self, capsys):
         rc = main(["join", "--checkpoint-cells"])
         assert rc == 2

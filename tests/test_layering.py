@@ -320,14 +320,48 @@ def test_the_attempt_policy_is_read_in_one_module():
 
 def test_there_is_one_lru():
     """``OrderedDict`` is what a hand-written LRU is made of: only the one
-    cache primitive and the block store's memory tier (whose eviction is a
-    demotion to disk, not a drop) may import it."""
+    cache primitive may import it."""
     importers = {
         module
         for module, path in MODULES
         if "collections.OrderedDict" in imported_modules(module, path)
     }
-    assert importers == {"repro.engine.lru", "repro.engine.blockstore.store"}
+    assert importers == {"repro.engine.lru"}
+
+
+def _callers(attr, owner):
+    """``{(module, enclosing function)}`` of every ``owner.attr(...)`` call."""
+    out = set()
+    for module, path in MODULES:
+        with open(path) as f:
+            tree = ast.parse(f.read(), filename=path)
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == attr
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == owner
+                ):
+                    out.add((module, func.name))
+    return out
+
+
+def test_there_is_one_spill_writer():
+    """Shuffle blocks and cell checkpoints share one atomic writer: one
+    function serializes ``.npz`` spill files, and no other module of the
+    block store opens temp files of its own."""
+    assert _callers("savez", "np") == {
+        ("repro.engine.blockstore.store", "_write")
+    }
+    mkstemp = {
+        module for module, _ in _callers("mkstemp", "tempfile")
+        if in_layer(module, "repro.engine.blockstore")
+    }
+    assert mkstemp == {"repro.engine.blockstore.store"}
 
 
 # ----------------------------------------------------------------------

@@ -267,6 +267,12 @@ class TestPlanJoin:
         with pytest.raises(ValueError, match="unknown plan dimension"):
             plan_join(r, s, 0.01, pins={"kernal": "plane_sweep"})
 
+    def test_resolution_factor_below_one_raises(self, inputs):
+        """The grid needs cells at least eps wide; say so before sampling."""
+        r, s = inputs
+        with pytest.raises(ValueError, match="resolution factors must be >= 1"):
+            plan_join(r, s, 0.01, pins={"resolution_factor": 0.5})
+
     def test_unknown_kernel_and_method_raise(self, inputs):
         r, s = inputs
         with pytest.raises(ValueError, match="unknown kernel"):

@@ -566,8 +566,16 @@ class TestProtocolValidation:
             # one execution path: no query field selects another
             with pytest.raises(ServerError, match=r"unknown query field\(s\): fused"):
                 c.query("R", "S", eps=EPS, fused=False)
-            with pytest.raises(ServerError, match="eps must be positive"):
-                c.query("R", "S", eps=-1.0)
+            for eps in (-1.0, float("nan"), float("inf")):
+                with pytest.raises(
+                    ServerError, match="eps must be positive and finite"
+                ):
+                    c.query("R", "S", eps=eps)
+            for factor in (0.5, float("nan")):
+                with pytest.raises(
+                    ServerError, match="resolution_factor must be finite and >= 1"
+                ):
+                    c.query("R", "S", eps=EPS, resolution_factor=factor)
             with pytest.raises(ServerError, match="method must be one of"):
                 c.query("R", "S", eps=EPS, method="bogus")
             with pytest.raises(ServerError, match="not registered"):
