@@ -13,7 +13,8 @@ ROADMAP.md "The finding this re-anchor turns on" -- read off
 ``JoinResult.metrics``, and beside them what wall time cannot show: the
 join's system seconds and minor page faults (``getrusage`` around it; the
 ``local_join`` stage's own share where the program attributes it) and the
-process's peak RSS so far.  ``--count-only`` joins with
+process's peak RSS so far, and ``probe_records``: the records on the
+probing side of every joinable cell.  ``--count-only`` joins with
 ``collect_pairs=False``; peak RSS only ever grows, so compare it with a
 collecting run of another process, not of the next row.
 """
@@ -75,7 +76,7 @@ def main() -> int:
           f"cpu_count={os.cpu_count()} git_rev={git_rev()}")
     print(f"{'method':>6} {'wall_s':>7} " + " ".join(f"{name[:10]:>10}" for name in STAGES)
           + f" {'sys_s':>6} {'minflt':>8} {'lj_sys_s':>8} {'lj_minflt':>9} {'rss_MB':>6}"
-          + f" {'replicas':>9} {'remote_MB':>9} {'pairs':>9} {'cells':>7}")
+          + f" {'replicas':>9} {'probe_rec':>9} {'remote_MB':>9} {'pairs':>9} {'cells':>7}")
 
     def measured():
         """One join: its metrics, system seconds and minor faults."""
@@ -104,7 +105,8 @@ def main() -> int:
               + f" {sys_s:6.3f} {minflt:8d}"
               + (f" {lj_sys_s:8.3f} {int(lj_minflt):9d}" if lj_sys_s is not None else f" {'-':>8} {'-':>9}")
               + f" {rss_mb:6.0f}"
-              + f" {m.replicated_total:9d} {m.remote_bytes / 1e6:9.1f}"
+              + f" {m.replicated_total:9d} {int(m.extra['probe_records']):9d}"
+              + f" {m.remote_bytes / 1e6:9.1f}"
               + f" {m.results:9d} {m.grid_cells:7d}")
     return 0
 

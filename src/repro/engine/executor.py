@@ -23,9 +23,10 @@ Cells are grouped by their simulated worker (the LPT or hash assignment
 from the driver), one task per simulated worker, so the measured
 wall-clock per worker lines up with the modelled per-worker clocks in
 :class:`~repro.engine.cluster.SimCluster`.  Plan positions are ordered
-*task-major* -- ascending simulated worker, cells ascending inside a
-task (Spark's partition order) -- so a task is a contiguous slice of the
-plan, and results are stitched by plan position into one column pair:
+*task-major* -- ascending simulated worker, then the cell's role (the
+cells where R probes before those where S does,
+:func:`~repro.engine.kernels.s_probes`), then ascending cell -- so a task
+is a contiguous slice of the plan, and results are stitched by plan position into one column pair:
 the output is bit-identical across backends.
 
 Result pairs are written once.  The ``serial`` tier probes every task,
@@ -86,6 +87,7 @@ from repro.engine.faults import (
     InjectedWorkerKill,
     TaskFailure,
 )
+from repro.engine.kernels import s_probes
 from repro.engine.slabs import lease
 from repro.engine.sorting import stable_argsort
 from repro.engine.telemetry import MetricsRegistry, Tracer, get_logger
@@ -257,8 +259,10 @@ class RetryPolicy:
 class ExecutionPlan:
     """The local-join phase as flat arrays: one entry per joinable cell.
 
-    Positions are task-major: ordered by ``(worker, cell)``, so a
-    simulated worker's task is a contiguous run of positions.  Each
+    Positions are task-major: ordered by ``(worker, role, cell)``, so a
+    simulated worker's task is a contiguous run of positions -- the cells
+    where R probes, then those where S probes (:attr:`swapped`; only
+    ``grid_hash`` acts on the roles), each run ascending by cell.  Each
     side's points are gathered into contiguous blocks in position order;
     ``r_offsets[i]:r_offsets[i + 1]`` slices position ``i``'s R points
     (likewise for S) -- a task's inputs are slices too.  ``origins``
@@ -266,7 +270,7 @@ class ExecutionPlan:
     :func:`~repro.joins.local.grid_hash_join`.
     """
 
-    cells: np.ndarray  # cell ids, ascending inside each worker's run, int64
+    cells: np.ndarray  # cell ids, ascending inside each (worker, role) run, int64
     workers: np.ndarray  # simulated worker per cell, ascending, int64
     r_ids: np.ndarray
     r_xs: np.ndarray
@@ -281,6 +285,12 @@ class ExecutionPlan:
     @property
     def num_cells(self) -> int:
         return len(self.cells)
+
+    @property
+    def swapped(self) -> np.ndarray:
+        """Per position: does S probe?  Inside a task these positions
+        follow the ones where R probes."""
+        return s_probes(np.diff(self.r_offsets), np.diff(self.s_offsets))
 
     def worker_groups(self) -> dict[int, np.ndarray]:
         """Each simulated worker's run of plan positions, ascending."""
@@ -430,29 +440,39 @@ def build_execution_plan(
     if the caller has already taken it); ``cell_workers`` maps that
     cell-id array to its simulated workers in one vectorized call, and
     ``origins`` is aligned to the joinable cells as passed in.  Positions
-    come out ordered by ``(worker, cell)``.  Pure array ops: no per-cell
+    come out ordered by ``(worker, role, cell)``: inside a task the cells
+    where R probes, then those where S probes
+    (:func:`~repro.engine.kernels.s_probes` of the exact post-shuffle
+    counts), each run ascending by cell.  Pure array ops: no per-cell
     Python loop, one fancy gather per column.
     """
     if cells is None:
         cells = np.intersect1d(r_layout[0], s_layout[0], assume_unique=True)
     cells = cells.astype(np.int64, copy=False)
+    # joinable cells are a subset of either side's cells
+    r_groups = np.searchsorted(r_layout[0], cells)
+    s_groups = np.searchsorted(s_layout[0], cells)
+    swapped = s_probes(np.diff(r_layout[1])[r_groups], np.diff(s_layout[1])[s_groups])
     workers = np.asarray(cell_workers(cells), dtype=np.int64)
-    # task-major: the stable sort keeps cells ascending inside a worker
-    order, workers = stable_argsort(workers, int(workers.max(initial=-1)) + 1)
+    # task-major, R-probe cells first: the stable sort keeps cells
+    # ascending inside each (worker, role) run
+    order, key = stable_argsort(
+        2 * workers + swapped, 2 * int(workers.max(initial=-1)) + 2
+    )
+    workers = key >> 1
     cells = cells[order]
     if origins is not None:
         origins = origins[order]
 
-    def pack(arrays, layout):
+    def pack(arrays, layout, groups):
         ids, xs, ys = arrays
-        uniq, bounds, idx_sorted = layout
-        # joinable cells are a subset of the side's cells
-        idx, offsets = _gather_segments(bounds, np.searchsorted(uniq, cells))
+        _, bounds, idx_sorted = layout
+        idx, offsets = _gather_segments(bounds, groups[order])
         idx = idx_sorted[idx]
         return ids[idx], xs[idx], ys[idx], offsets
 
-    rb = pack(r_arrays, r_layout)
-    sb = pack(s_arrays, s_layout)
+    rb = pack(r_arrays, r_layout, r_groups)
+    sb = pack(s_arrays, s_layout, s_groups)
     return ExecutionPlan(cells, workers, *rb, *sb, origins=origins)
 
 

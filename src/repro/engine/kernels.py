@@ -51,6 +51,14 @@ def registered_kernels() -> dict[str, Callable]:
     return dict(_REGISTRY)
 
 
+def s_probes(r_counts, s_counts):
+    """Per cell: does S probe?  The role rule of ``grid_hash``, which
+    builds on the input with more records in a cell and probes with the
+    other, R on a tie.  The plan orders each task's cells by it
+    (:func:`~repro.engine.executor.build_execution_plan`)."""
+    return r_counts > s_counts
+
+
 # ----------------------------------------------------------------------
 # batched variants: one probe + one expand per worker *task*, not per cell
 # ----------------------------------------------------------------------

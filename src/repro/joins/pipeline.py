@@ -923,7 +923,8 @@ class LocalJoinStage(Stage):
     arrays), the shuffle's columnar ``shuffle_layout``, ``cell_workers``
     and ``joinable_cells``, and optionally ``origin_array`` (one
     eps-grid anchor per joinable cell); writes the
-    packed ``plan`` and the executor's ``report``.  The backend, fault
+    packed ``plan`` and the executor's ``report``, and the kernel's role
+    split to the metrics (``probe_records``, ``swapped_cells``).  The backend, fault
     plan, retry policy and block store all come from the
     context, so every driver composing this stage is fault tolerant on
     every backend.  ``collect_pairs=False`` counts results without
@@ -968,6 +969,17 @@ class LocalJoinStage(Stage):
         )
         ctx.data["plan"] = plan
         ctx.data["report"] = report
+        # what the kernel probed with: grid_hash each cell's smaller side,
+        # the other kernels R everywhere
+        swapped = plan.swapped & (self.kernel_name == "grid_hash")
+        probes = np.where(swapped, np.diff(plan.s_offsets), np.diff(plan.r_offsets))
+        reg = ctx.registry
+        ctx.metrics.extra["probe_records"] = float(
+            reg.gauge("join.probe_records").set(int(probes.sum()))
+        )
+        ctx.metrics.extra["swapped_cells"] = float(
+            reg.gauge("join.swapped_cells").set(int(swapped.sum()))
+        )
 
 
 class JoinAccountingStage(Stage):
@@ -993,17 +1005,21 @@ class JoinAccountingStage(Stage):
         cluster = ctx.cluster
         metrics = ctx.metrics
 
-        for pos in range(plan.num_cells):
+        # a worker's modelled cost accumulates in ascending cell order,
+        # whatever order its task runs the cells in: float sums depend on
+        # the order, and the golden clocks pin every bit
+        by_cell = np.argsort(plan.cells, kind="stable")
+        for pos in by_cell:
             cluster.add_cost(int(plan.workers[pos]), "join", float(cost_pos[pos]))
         for worker_id, seconds in report.worker_wall.items():
             cluster.record_wall(worker_id, "join", seconds)
-        for pos in np.flatnonzero(report.resubmit_counts):
+        for pos in by_cell[report.resubmit_counts[by_cell] > 0]:
             cluster.add_cost(
                 int(plan.workers[pos]),
                 "recovery",
                 float(report.resubmit_counts[pos]) * float(cost_pos[pos]),
             )
-        for pos in np.flatnonzero(report.salvage_counts):
+        for pos in by_cell[report.salvage_counts[by_cell] > 0]:
             cluster.add_cost(
                 int(plan.workers[pos]),
                 SALVAGE_PHASE,

@@ -270,6 +270,38 @@ def test_adaptive_assign_pays_only_in_armed_cells():
 
 
 @pytest.mark.perfsmoke
+def test_a_replica_costs_the_same_on_either_side():
+    """``uni_r``'s ``local_join`` stage within 1.2x of ``uni_s``'s.
+
+    20k x 20k uniform, ``grid_hash``, factor 2: the two plans replicate
+    about as many points, onto opposite sides.  ``grid_hash`` builds each
+    cell on its larger side, so the replicas are built, not probed, under
+    either plan; with R probing every cell ``uni_r`` read 1.5x ``uni_s``
+    (0.494 vs 0.327 s at 250k).  The probing records are the guard that
+    repeats exactly (20k either way: every cell probes with its natives);
+    the timing is a ratio of two stages in one process, best of five
+    interleaved runs (~1.0x here).
+    """
+    from repro.data.generators import uniform
+    from repro.joins.distance_join import JoinConfig, distance_join
+
+    r, s = uniform(N, seed=601), uniform(N, seed=602)
+    runs = {"uni_r": [], "uni_s": []}
+    for _ in range(5):
+        for method, metrics in runs.items():
+            cfg = JoinConfig(eps=0.0142, method=method, local_kernel="grid_hash", num_workers=4)
+            metrics.append(distance_join(r, s, cfg).metrics)
+    uni_r_t, uni_s_t = (min(m.stage_times["local_join"] for m in runs[k]) for k in runs)
+    uni_r, uni_s = (runs[k][0].extra for k in runs)
+    assert uni_r["swapped_cells"] > 0 == uni_s["swapped_cells"]
+    assert uni_r["probe_records"] == uni_s["probe_records"] == N
+    assert uni_r_t <= 1.2 * uni_s_t, (
+        f"uni_r local_join {uni_r_t * 1e3:.1f} ms vs uni_s {uni_s_t * 1e3:.1f} ms "
+        f"on {N} x {N} points"
+    )
+
+
+@pytest.mark.perfsmoke
 def test_shuffle_is_bookkeeping_next_to_assign():
     """The ``shuffle`` stage's wall is at most 0.6x the ``assign`` stage's.
 

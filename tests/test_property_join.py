@@ -2,7 +2,8 @@
 
 Hypothesis drives random point clouds, epsilons, grid shapes and agreement
 policies through the full assignment pipeline and checks the two paper
-properties (correctness, duplicate-freeness) against the KD-tree oracle.
+properties (correctness, duplicate-freeness) against the KD-tree oracle;
+cells with either side the larger drive the ``grid_hash`` kernel's roles.
 """
 
 import numpy as np
@@ -21,6 +22,14 @@ from repro.geometry.mbr import MBR
 from repro.geometry.point import Side
 from repro.grid.grid import Grid
 from repro.grid.statistics import GridStatistics
+from repro.joins.local import (
+    _BAND_HEIGHT,
+    grid_hash_expand,
+    grid_hash_join,
+    grid_hash_probe,
+    nested_loop_join,
+    plane_sweep_join,
+)
 from repro.replication.assign import AdaptiveAssigner
 from repro.replication.pbsm import UniversalAssigner
 from repro.verify.oracle import verify_assignment
@@ -220,3 +229,145 @@ def test_adaptive_replicates_no_more_than_both_uniforms_combined(seed, eps):
         UniversalAssigner(grid, Side.S)
     )
     assert total_replicas(adaptive) <= uni
+
+
+# ----------------------------------------------------------------------
+# grid_hash: each cell probes with its smaller side
+# ----------------------------------------------------------------------
+#: A power of two, so lattice points 1/16 apart along an axis are exactly
+#: eps apart.
+_EPS = 0.25
+#: The unit cell's edges, its eps-rim and the kernel's band boundaries.
+_BORDERS = np.concatenate((
+    [-_EPS, 0.0, np.nextafter(1.0, 0.0), 1.0, 1.0 + _EPS],
+    np.arange(-1, 6) * (_EPS * _BAND_HEIGHT),
+))
+
+
+def _coords(rng, n):
+    """``n`` coordinates of a unit cell's points and replicas: a third on a
+    1/16 lattice (duplicates, pairs exactly eps apart), a third on the
+    borders, a third anywhere in the cell and its rim."""
+    return np.choose(
+        rng.integers(0, 3, n),
+        [
+            rng.integers(-4, 21, n) / 16.0,
+            rng.choice(_BORDERS, n),
+            rng.uniform(-_EPS, 1.0 + _EPS, n),
+        ],
+    )
+
+
+@st.composite
+def _role_cells(draw, roles=("r", "s", "tie", "any")):
+    """One task's cells, ``[(r_xs, r_ys, s_xs, s_ys)]``; each cell's sizes
+    follow a role drawn from ``roles``: R probes (``|R| < |S|``), S probes
+    (``|R| > |S|``), a tie (R probes) or any sizes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = []
+    for role in draw(st.lists(st.sampled_from(roles), min_size=1, max_size=6)):
+        a, b = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+        lo, hi = min(a, b), max(a, b)
+        n_r, n_s = {"r": (lo, hi + 1), "s": (hi + 1, lo), "tie": (a, a), "any": (a, b)}[role]
+        cells.append(tuple(_coords(rng, n) for n in (n_r, n_r, n_s, n_s)))
+    return cells
+
+
+def _task_columns(cells):
+    """Both sides' ``(ids, xs, ys, offsets)``, the cells back to back; ids
+    that are not positions and differ between the sides."""
+
+    def side(xi, yi, first_id):
+        offsets = np.zeros(len(cells) + 1, dtype=np.int64)
+        np.cumsum([len(cell[xi]) for cell in cells], out=offsets[1:])
+        ids = first_id + 3 * np.arange(offsets[-1], dtype=np.int64)
+        xs = np.concatenate([cell[xi] for cell in cells])
+        ys = np.concatenate([cell[yi] for cell in cells])
+        return ids, xs, ys, offsets
+
+    return side(0, 1, 1000), side(2, 3, 7)
+
+
+def _cell(columns, i):
+    ids, xs, ys, offsets = columns
+    return tuple(a[offsets[i] : offsets[i + 1]] for a in (ids, xs, ys))
+
+
+def _pairs(r_ids, s_ids):
+    return set(zip(r_ids.tolist(), s_ids.tolist()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=_role_cells(), anchored=st.booleans())
+def test_grid_hash_pairs_do_not_depend_on_which_side_probes(cells, anchored):
+    """``grid_hash_join(R, S)`` == ``grid_hash_join(S, R)`` with the pairs
+    swapped, as sets, and both are the truth, duplicate-free.  Swapping the
+    arguments swaps the roles of every cell but a tie's."""
+    r_cols, s_cols = _task_columns(cells)
+    origin = (0.0, 0.0) if anchored else None
+    for i in range(len(cells)):
+        r, s = _cell(r_cols, i), _cell(s_cols, i)
+        rs_r, rs_s, _ = grid_hash_join(*r, *s, _EPS, origin=origin)
+        sr_s, sr_r, _ = grid_hash_join(*s, *r, _EPS, origin=origin)
+        got = _pairs(rs_r, rs_s)
+        assert len(got) == len(rs_r), "duplicate pair"
+        assert got == _pairs(sr_r, sr_s)
+        assert got == _pairs(*nested_loop_join(*r, *s, _EPS)[:2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cells=st.one_of(_role_cells(("r", "tie")), _role_cells(("s",)), _role_cells()),
+    plan_order=st.booleans(),
+    anchored=st.booleans(),
+)
+def test_batch_probe_expand_is_the_cells_one_by_one(cells, plan_order, anchored):
+    """Probe + expand over a multi-cell task == the one-cell kernel on each
+    cell, concatenated in position order, bit for bit: no cell swapped,
+    every cell swapped, and mixed tasks -- in plan order (R-probe cells
+    first) or cut any other way."""
+    if plan_order:
+        cells = sorted(cells, key=lambda cell: len(cell[0]) > len(cell[2]))
+    r_cols, s_cols = _task_columns(cells)
+    origins = np.zeros((len(cells), 2)) if anchored else None
+    probe = grid_hash_probe(*r_cols, *s_cols, _EPS, origins)
+    out_r = np.empty(probe.total, dtype=np.int64)
+    out_s = np.empty(probe.total, dtype=np.int64)
+    end, bounds = grid_hash_expand(probe, out_r, out_s)
+    one = [
+        grid_hash_join(
+            *_cell(r_cols, i), *_cell(s_cols, i), _EPS,
+            origin=None if origins is None else tuple(origins[i]),
+        )
+        for i in range(len(cells))
+    ]
+    np.testing.assert_array_equal(out_r[:end], np.concatenate([o[0] for o in one]))
+    np.testing.assert_array_equal(out_s[:end], np.concatenate([o[1] for o in one]))
+    np.testing.assert_array_equal(np.diff(bounds), [len(o[0]) for o in one])
+    assert probe.candidates.tolist() == [o[2] for o in one]
+    assert probe.swapped.tolist() == [len(cell[0]) > len(cell[2]) for cell in cells]
+
+
+@settings(max_examples=30, deadline=None)
+@given(cells=_role_cells(), far_side=st.sampled_from("RS"))
+def test_grid_hash_declines_past_its_key_range(cells, far_side):
+    """A point 2^21 eps from the rest: the probe declines whichever side
+    probes, and the one-cell kernel answers with ``plane_sweep_join``'s
+    pairs, in its order."""
+    r_xs, r_ys, s_xs, s_ys = cells[0]
+    far, near = np.array([2.0**21 * _EPS]), np.array([0.5])
+    # one point on each side at least, the far one on ``far_side``
+    r_xs = np.append(r_xs, far if far_side == "R" else near)
+    s_xs = np.append(s_xs, far if far_side == "S" else near)
+    r_ys, s_ys = np.append(r_ys, near), np.append(s_ys, near)
+    r = (np.arange(len(r_xs), dtype=np.int64), r_xs, r_ys)
+    s = (np.arange(len(s_xs), dtype=np.int64) + 1000, s_xs, s_ys)
+    r_off = np.array([0, len(r_xs)], dtype=np.int64)
+    s_off = np.array([0, len(s_xs)], dtype=np.int64)
+    assert grid_hash_probe(*r, r_off, *s, s_off, _EPS, None) is None
+    got = grid_hash_join(*r, *s, _EPS)
+    want = plane_sweep_join(*r, *s, _EPS)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got[2] == want[2]
+    assert _pairs(got[0], got[1]) == _pairs(*nested_loop_join(*r, *s, _EPS)[:2])

@@ -7,7 +7,8 @@ Four guarantees (``docs/EXECUTION.md``, "Result path"):
    ``grid_hash_join`` returns for that cell alone (pairs, order,
    candidate count), and declines where the one-cell kernel falls back.
 2. *Order contract* -- ``r_ids``/``s_ids`` are task-major (ascending
-   simulated worker, cells ascending inside a task) and identical across
+   simulated worker, then R-probe cells before S-probe cells, cells
+   ascending inside each run) and identical across
    backends x fault plans x salvage x degradation, for the batched
    kernel and a per-cell one.
 3. *Retry overwrites* -- an attempt that dies after writing part of its
@@ -223,11 +224,13 @@ def _expected(kernel):
     """Task-major reference ids, from the plan of a clean serial run."""
     if kernel not in _EXPECTED:
         plan = _staged(kernel, "serial").data["plan"]
-        # task-major: workers ascending, cells ascending inside a worker
-        assert (np.diff(plan.workers) >= 0).all()
-        same_worker = np.diff(plan.workers) == 0
-        assert (np.diff(plan.cells)[same_worker] > 0).all()
+        # task-major: workers ascending, then the cells where R probes
+        # before those where S does, cells ascending inside each run
+        run = 2 * plan.workers + plan.swapped
+        assert (np.diff(run) >= 0).all()
+        assert (np.diff(plan.cells)[np.diff(run) == 0] > 0).all()
         assert len(np.unique(plan.workers)) > 1, "one task proves no order"
+        assert plan.swapped.any() and not plan.swapped.all(), "one role proves no order"
         out_r, out_s, _ = _cell_by_cell(plan, kernel, EPS)
         _EXPECTED[kernel] = (np.concatenate(out_r), np.concatenate(out_s))
     return _EXPECTED[kernel]
