@@ -186,7 +186,7 @@ def main(argv=None):
         with connect(address, timeout=60.0) as client:
             stats = client.stats()
         server_counters = {
-            "queries": stats["serving"]["queries"],
+            "queries": stats["queries_total"],
             "cold_builds": stats["serving"]["cold_builds"],
             "warm_builds": stats["serving"]["warm_builds"],
             "result_cache_hits": stats["serving"]["result_cache_hits"],

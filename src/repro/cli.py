@@ -1030,9 +1030,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="NAME=SPEC",
                        help="pre-register a dataset at startup (codename "
                             "like R1 or an id,x,y file); repeatable")
-    serve.add_argument("--base-n", type=int, default=DEFAULT_BASE_N,
+    serve.add_argument("--base-n", type=_nonnegative_int, default=DEFAULT_BASE_N,
                        help="cardinality for pre-registered codenames")
-    serve.add_argument("--payload", type=int, default=0,
+    serve.add_argument("--payload", type=_nonnegative_int, default=0,
                        help="payload bytes per tuple for pre-registered "
                             "datasets")
     serve.add_argument("--no-sweep", action="store_true",
@@ -1087,8 +1087,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--register", type=_register_spec, action="append",
                        metavar="NAME=SPEC",
                        help="register a dataset before querying; repeatable")
-    query.add_argument("--base-n", type=int, default=DEFAULT_BASE_N)
-    query.add_argument("--payload", type=int, default=0)
+    query.add_argument("--base-n", type=_nonnegative_int, default=DEFAULT_BASE_N)
+    query.add_argument("--payload", type=_nonnegative_int, default=0)
     query.add_argument("--r", default=None,
                        help="registered dataset name of the R side")
     query.add_argument("--s", default=None,

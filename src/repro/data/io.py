@@ -43,12 +43,6 @@ def read_points_text(
     return PointSet(rows["x"], rows["y"], rows["id"], payload_bytes, name)
 
 
-def parse_point_line(line: str) -> tuple[int, float, float]:
-    """Parse one ``id,x,y`` line (the ``map(line -> tup)`` of Algorithm 5)."""
-    pid, x, y = line.strip().split(",")
-    return (int(pid), float(x), float(y))
-
-
 def write_points_text_parts(points: PointSet, directory: str, parts: int) -> list[str]:
     """Write a point set as HDFS-style part files (``part-00000`` ...).
 

@@ -69,14 +69,6 @@ class SimCluster:
         self.cost_model = cost_model or CostModel()
         self.workers = [Worker(i) for i in range(num_workers)]
 
-    def worker_of_partition(self, partition: int) -> int:
-        """Round-robin placement of reduce partitions on workers."""
-        return partition % self.num_workers
-
-    def worker_of_split(self, split: int) -> int:
-        """Round-robin placement of input splits on workers."""
-        return split % self.num_workers
-
     def add_cost(self, worker_id: int, phase: str, seconds: float) -> None:
         self.workers[worker_id].add(phase, seconds)
 

@@ -10,10 +10,10 @@ registry, a RunReport.  This package observes the *system over time*:
   ``repro.planner.accuracy.replay_reports`` so planner clock-error
   drift is computable across runs (the ROADMAP's learned-optimizer
   training data).
-* :class:`~repro.obs.exporter.MetricsExporter` -- Prometheus text
-  exposition over registered collectors, with a metrics-name lint
-  (``repro_`` prefix, snake_case, stable unit suffixes) enforced at
-  registration time, plus :class:`~repro.obs.exporter.PrometheusEndpoint`,
+* :func:`~repro.obs.exporter.render_metrics` -- Prometheus text exposition of
+  one state snapshot through a declarative family table, with a
+  metrics-name lint (``repro_`` prefix, snake_case, stable unit
+  suffixes) run over the table, plus :class:`~repro.obs.exporter.PrometheusEndpoint`,
   a localhost asyncio HTTP scrape endpoint the join server mounts
   beside its line protocol.
 * :class:`~repro.obs.slo.SLOWatchdog` -- rolling-window latency
@@ -36,7 +36,7 @@ from repro._lazy import _lazy_exports
 
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "exporter": (
-        "MetricSpec", "MetricsExporter", "PrometheusEndpoint", "UNIT_SUFFIXES",
+        "Family", "PrometheusEndpoint", "check_families", "render_metrics",
         "validate_metric_name",
     ),
     "history": ("RunHistory",),

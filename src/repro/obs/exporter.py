@@ -1,35 +1,38 @@
-"""Prometheus text-format metrics exporter and localhost scrape endpoint.
+"""Prometheus text-format rendering and the localhost scrape endpoint.
 
-The join server's :class:`repro.engine.telemetry.registry.MetricsRegistry`
-is a per-run, pull-nothing store; this module turns live server state
-into the Prometheus text exposition format (version 0.0.4) so standard
-scrapers and ``repro top`` can watch a resident server.
+The join server reads its state once into one plain dict
+(``JoinServer.snapshot()``, the payload of its ``stats`` op); this
+module renders such a dict in the Prometheus text exposition format
+(version 0.0.4) so standard scrapers can watch a resident server.
 
 Two halves:
 
-* :class:`MetricsExporter` -- a registry of *collectors*: each metric is
-  registered once with a name, kind (``counter``/``gauge``/``histogram``),
-  help text, and a zero-argument ``collect`` callable evaluated at render
-  time.  Naming rules (``repro_`` prefix, snake_case, unit suffixes) are
-  enforced at registration -- the same rules the pytest metrics-name lint
-  asserts -- so a misnamed metric fails fast in development rather than
-  silently shipping.
+* :func:`render_metrics` -- ``render_metrics(snapshot, families)`` walks
+  a declarative family table, one :class:`Family` row
+  ``(name, kind, help, path)`` per metric family.
+  :func:`check_families` runs the naming rules (``repro_`` prefix,
+  snake_case, unit suffixes) over a table once, so a misnamed family
+  fails at import rather than silently shipping.
 * :class:`PrometheusEndpoint` -- a minimal asyncio HTTP/1.0 server bound
-  to localhost that answers ``GET /metrics`` with the rendered text.  It
-  mounts beside the serving line protocol on its own port (``0`` picks an
-  ephemeral one) and is the first rung of the ROADMAP's HTTP front-end.
+  to localhost that answers ``GET /metrics`` with the rendered text, or
+  ``500`` naming the exception when rendering raises.  It mounts beside
+  the serving line protocol on its own port (``0`` picks an ephemeral
+  one) and is the first rung of the ROADMAP's HTTP front-end.
 
-Collector return shapes (all evaluated lazily at scrape time):
+A row's ``path`` is a dotted key path into the snapshot:
 
-* counter/gauge: a number, or a list of ``(labels_dict, number)`` pairs;
-* histogram: a snapshot object with ``bounds``/``counts``/``sum``/``count``
-  attributes or keys (``repro.engine.telemetry.registry.Histogram``
-  satisfies this duck-type directly), or a list of
-  ``(labels_dict, snapshot)`` pairs.
-
-A collector that raises is skipped for that scrape and counted in the
-self-metric ``repro_exporter_collect_errors_total`` -- a broken gauge
-must never take down the scrape endpoint.
+* counter/gauge: it leads to a number (a bool counts 0/1, a list its
+  items); histogram: to a ``Histogram.snapshot()`` dict (its ``buckets``
+  map bound -> count, plus ``count`` and ``sum``);
+* one segment may hold a ``{label}`` placeholder (``"{cache}_cache.hits"``,
+  ``"planner_errors.{phase}"``): the family gets one sample per matching
+  key of the dict at that level, the placeholder's text as label value;
+* a path that resolves to ``None`` -- a missing key, or a feature the
+  server reports as off -- contributes no sample, and a family with no
+  sample is omitted, unless its row names a ``default`` to report
+  instead;
+* an *info* family's path is a mapping ``{label: path}``: one sample of
+  constant value 1 whose labels are read from the snapshot.
 """
 
 from __future__ import annotations
@@ -37,25 +40,25 @@ from __future__ import annotations
 import asyncio
 import math
 import re
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple,
+)
+
+from repro.engine.telemetry import get_logger
 
 __all__ = [
     "CONTENT_TYPE",
-    "MetricSpec",
-    "MetricsExporter",
+    "Family",
     "PrometheusEndpoint",
-    "UNIT_SUFFIXES",
+    "check_families",
+    "render_metrics",
     "validate_metric_name",
 ]
 
+_LOG = get_logger("repro.obs.exporter")
+
 #: Prometheus text exposition content type
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-#: the only unit suffixes exported metrics may end with (plus bare
-#: dimensionless gauges); keep this list short and stable -- dashboards
-#: key on it
-UNIT_SUFFIXES = ("_seconds", "_bytes", "_total", "_ratio")
 
 KINDS = ("counter", "gauge", "histogram")
 
@@ -108,13 +111,37 @@ def validate_metric_name(name: str, kind: str) -> None:
             )
 
 
-@dataclass(frozen=True)
-class MetricSpec:
-    """Declared identity of one exported metric family."""
+class Family(NamedTuple):
+    """One exported metric family: a row of a family table."""
 
     name: str
     kind: str
     help: str
+    #: dotted key path into the snapshot, or ``{label: path}`` for an
+    #: info family (see the module docstring)
+    path: Any
+    #: the value reported when ``path`` names no sample (``None``: omit)
+    default: Any = None
+
+
+def check_families(families: Iterable[Family]) -> Tuple[Family, ...]:
+    """The table as a tuple, once every row passes the naming lint.
+
+    Raises ``ValueError`` on a misnamed family, an empty help text or a
+    name used twice.
+    """
+    table = tuple(families)
+    seen = set()
+    for family in table:
+        validate_metric_name(family.name, family.kind)
+        if not family.help.strip():
+            raise ValueError(
+                f"metric {family.name!r} must have non-empty help text"
+            )
+        if family.name in seen:
+            raise ValueError(f"metric {family.name!r} declared twice")
+        seen.add(family.name)
+    return table
 
 
 def _escape_help(text: str) -> str:
@@ -149,125 +176,88 @@ def _format_labels(labels: Dict[str, str]) -> str:
     return "{" + body + "}"
 
 
-def _histogram_fields(snapshot: Any) -> Tuple[Tuple[float, ...], List[int], float, int]:
-    """Duck-type a histogram snapshot into (bounds, counts, sum, count)."""
-    if isinstance(snapshot, dict):
-        bounds = tuple(snapshot["bounds"])
-        counts = list(snapshot["counts"])
-        total = float(snapshot.get("sum", 0.0))
-        count = int(snapshot.get("count", sum(counts)))
-    else:
-        bounds = tuple(snapshot.bounds)
-        counts = list(snapshot.counts)
-        total = float(getattr(snapshot, "sum", 0.0))
-        count = int(getattr(snapshot, "count", sum(counts)))
-    return bounds, counts, total, count
+_PLACEHOLDER = re.compile(r"\{(\w+)\}")
 
 
-class MetricsExporter:
-    """Registry of named collectors rendered as Prometheus text format."""
+def _resolve(node: Any, path: str) -> Any:
+    for key in path.split("."):
+        node = node.get(key) if isinstance(node, dict) else None
+    return node
 
-    def __init__(self) -> None:
-        self._specs: Dict[str, MetricSpec] = {}
-        self._collectors: Dict[str, Callable[[], Any]] = {}
-        self._scrapes = 0
-        self._collect_errors = 0
-        # self-observation: the exporter exports its own health
-        self.register(
-            "repro_exporter_scrapes_total",
-            "counter",
-            "Number of times the exporter rendered the metrics page.",
-            lambda: self._scrapes,
+
+def _series(
+    snapshot: Dict[str, Any], path: Any
+) -> List[Tuple[Dict[str, str], Any]]:
+    """``(labels, value)`` for every sample ``path`` names in ``snapshot``."""
+    if isinstance(path, dict):  # info family
+        labels = {label: str(_resolve(snapshot, p)) for label, p in path.items()}
+        return [(labels, 1)]
+    series: List[Tuple[Dict[str, str], Any]] = [({}, snapshot)]
+    for segment in path.split("."):
+        placeholder = _PLACEHOLDER.search(segment)
+        pattern = placeholder and re.compile(
+            _PLACEHOLDER.sub("(.+)", segment), re.DOTALL
         )
-        self.register(
-            "repro_exporter_collect_errors_total",
-            "counter",
-            "Collector callables that raised during a scrape (skipped).",
-            lambda: self._collect_errors,
-        )
-
-    def register(
-        self,
-        name: str,
-        kind: str,
-        help_text: str,
-        collect: Callable[[], Any],
-    ) -> MetricSpec:
-        """Declare one metric family; validates name/kind/help eagerly."""
-        validate_metric_name(name, kind)
-        if not help_text or not help_text.strip():
-            raise ValueError(f"metric {name!r} must have non-empty help text")
-        if name in self._specs:
-            raise ValueError(f"metric {name!r} registered twice")
-        spec = MetricSpec(name=name, kind=kind, help=help_text.strip())
-        self._specs[name] = spec
-        self._collectors[name] = collect
-        return spec
-
-    def specs(self) -> List[MetricSpec]:
-        """All registered metric families, in registration order."""
-        return list(self._specs.values())
-
-    # ------------------------------------------------------------------
-    # rendering
-    # ------------------------------------------------------------------
-
-    def _samples(self, spec: MetricSpec, value: Any) -> Iterable[str]:
-        if spec.kind in ("counter", "gauge"):
-            pairs: List[Tuple[Dict[str, str], float]]
-            if isinstance(value, (list, tuple)):
-                pairs = [(labels, float(v)) for labels, v in value]
-            else:
-                pairs = [({}, float(value))]
-            for labels, v in pairs:
-                yield f"{spec.name}{_format_labels(labels)} {_format_value(v)}"
-            return
-        # histogram: cumulative buckets + _sum/_count per label set
-        series: List[Tuple[Dict[str, str], Any]]
-        if isinstance(value, (list, tuple)):
-            series = [(labels, snap) for labels, snap in value]
-        else:
-            series = [({}, value)]
-        for labels, snapshot in series:
-            bounds, counts, total, count = _histogram_fields(snapshot)
-            cumulative = 0
-            for bound, bucket_count in zip(bounds, counts):
-                cumulative += int(bucket_count)
-                bucket_labels = dict(labels)
-                bucket_labels["le"] = _format_value(bound)
-                yield (
-                    f"{spec.name}_bucket{_format_labels(bucket_labels)}"
-                    f" {cumulative}"
-                )
-            bucket_labels = dict(labels)
-            bucket_labels["le"] = "+Inf"
-            yield f"{spec.name}_bucket{_format_labels(bucket_labels)} {count}"
-            yield f"{spec.name}_sum{_format_labels(labels)} {_format_value(total)}"
-            yield f"{spec.name}_count{_format_labels(labels)} {count}"
-
-    def render(self) -> str:
-        """Render every family as Prometheus text exposition format."""
-        self._scrapes += 1
-        lines: List[str] = []
-        for name, spec in self._specs.items():
-            try:
-                value = self._collectors[name]()
-            except Exception:
-                self._collect_errors += 1
+        step = []
+        for labels, node in series:
+            if not isinstance(node, dict):
                 continue
-            if value is None:
+            if pattern is None:
+                step.append((labels, node.get(segment)))
                 continue
-            lines.append(f"# HELP {spec.name} {_escape_help(spec.help)}")
-            lines.append(f"# TYPE {spec.name} {spec.kind}")
-            lines.extend(self._samples(spec, value))
-        return "\n".join(lines) + "\n"
+            for key, child in node.items():
+                match = pattern.fullmatch(key)
+                if match:
+                    step.append(({**labels, placeholder[1]: match[1]}, child))
+        series = step
+    return [
+        (labels, len(value) if isinstance(value, list) else value)
+        for labels, value in series
+        if value is not None
+    ]
+
+
+def _samples(family: Family, labels: Dict[str, str], value: Any) -> Iterable[str]:
+    if family.kind != "histogram":
+        yield f"{family.name}{_format_labels(labels)} {_format_value(value)}"
+        return
+    # cumulative buckets + _sum/_count
+    cumulative = 0
+    for bound, bucket_count in value["buckets"].items():
+        cumulative += int(bucket_count)
+        bucket_labels = {**labels, "le": _format_value(float(bound))}
+        yield f"{family.name}_bucket{_format_labels(bucket_labels)} {cumulative}"
+    count = int(value["count"])
+    yield f"{family.name}_bucket{_format_labels({**labels, 'le': '+Inf'})} {count}"
+    yield f"{family.name}_sum{_format_labels(labels)} {_format_value(value['sum'])}"
+    yield f"{family.name}_count{_format_labels(labels)} {count}"
+
+
+def render_metrics(
+    snapshot: Dict[str, Any], families: Iterable[Family]
+) -> str:
+    """Render ``snapshot`` through a family table as Prometheus text."""
+    lines: List[str] = []
+    for family in families:
+        series = _series(snapshot, family.path)
+        if not series and family.default is not None:
+            series = [({}, family.default)]
+        if not series:
+            continue
+        lines.append(f"# HELP {family.name} {_escape_help(family.help)}")
+        lines.append(f"# TYPE {family.name} {family.kind}")
+        for labels, value in series:
+            lines.extend(_samples(family, labels, value))
+    return "\n".join(lines) + "\n"
 
 
 class PrometheusEndpoint:
-    """Minimal localhost HTTP scrape endpoint for a :class:`MetricsExporter`.
+    """Minimal localhost HTTP scrape endpoint over a ``render()`` callable.
 
     Deliberately tiny: HTTP/1.0 semantics, ``Connection: close``, two
-    routes (``/metrics`` and a ``/healthz`` liveness probe).  Binds to
+    routes (``/metrics`` and a ``/healthz`` liveness probe).  A render
+    that raises answers ``500`` with the exception type and is logged
+    once; the next scrape renders afresh.  Binds to
     loopback only -- observability never widens the server's network
     surface.  ``port=0`` binds an ephemeral port, recorded in ``.port``
     after :meth:`start`.
@@ -318,11 +308,16 @@ class PrometheusEndpoint:
             if method not in ("GET", "HEAD"):
                 await self._respond(writer, 405, "method not allowed\n")
             elif path.split("?")[0] == "/metrics":
-                body = self._render()
-                await self._respond(
-                    writer, 200, body, content_type=CONTENT_TYPE,
-                    head_only=method == "HEAD",
-                )
+                try:
+                    body = self._render()
+                except Exception as exc:
+                    _LOG.exception("metrics render failed")
+                    await self._respond(writer, 500, f"{type(exc).__name__}\n")
+                else:
+                    await self._respond(
+                        writer, 200, body, content_type=CONTENT_TYPE,
+                        head_only=method == "HEAD",
+                    )
             elif path.split("?")[0] == "/healthz":
                 await self._respond(writer, 200, "ok\n")
             else:
@@ -345,9 +340,10 @@ class PrometheusEndpoint:
         content_type: str = "text/plain; charset=utf-8",
         head_only: bool = False,
     ) -> None:
-        reason = {200: "OK", 404: "Not Found", 405: "Method Not Allowed"}.get(
-            status, "Error"
-        )
+        reason = {
+            200: "OK", 404: "Not Found", 405: "Method Not Allowed",
+            500: "Internal Server Error",
+        }[status]
         payload = body.encode("utf-8")
         head = (
             f"HTTP/1.0 {status} {reason}\r\n"

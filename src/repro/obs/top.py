@@ -10,8 +10,8 @@ serving layer: it is handed an opaque ``poll()`` callable (the CLI wires
 in ``JoinClient.stats``), so ``repro.obs`` stays below ``repro.serving``
 in the import DAG.
 
-Every section degrades gracefully: a payload from an older server (or
-one with observability features off) simply renders fewer rows.
+It renders the one shape the server sends: sections the server
+reports as off render no row.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ __all__ = ["TopDashboard", "render_stats"]
 CLEAR = "\x1b[2J\x1b[H"
 
 
-def _fmt_seconds(value: Optional[float]) -> str:
-    if value is None:
-        return "-"
+def _fmt_seconds(value: float) -> str:
     value = float(value)
     if value >= 120:
         return f"{value / 60:.1f}m"
@@ -38,30 +36,21 @@ def _fmt_seconds(value: Optional[float]) -> str:
     return f"{value * 1e6:.0f}us"
 
 
-def _fmt_bytes(value: Optional[float]) -> str:
-    if value is None:
-        return "-"
+def _fmt_bytes(value: float) -> str:
     value = float(value)
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if value < 1024 or unit == "GiB":
+    for unit in ("B", "KiB", "MiB"):
+        if value < 1024:
             return f"{value:.0f}{unit}" if unit == "B" else f"{value:.1f}{unit}"
         value /= 1024
     return f"{value:.1f}GiB"
 
 
 def _fmt_count(value: Any) -> str:
-    try:
-        return str(int(value))
-    except (TypeError, ValueError):
-        return "-"
+    return str(int(value))
 
 
-def _hit_rate(stats: Optional[Dict[str, Any]]) -> str:
-    if not isinstance(stats, dict):
-        return "-"
-    hits = stats.get("hits", 0) or 0
-    misses = stats.get("misses", 0) or 0
-    total = hits + misses
+def _hit_rate(stats: Dict[str, Any]) -> str:
+    hits, total = stats["hits"], stats["hits"] + stats["misses"]
     if not total:
         return "0/0"
     return f"{100.0 * hits / total:.0f}% ({hits}/{total})"
@@ -70,22 +59,11 @@ def _hit_rate(stats: Optional[Dict[str, Any]]) -> str:
 def _delta(
     current: Dict[str, Any], prev: Optional[Dict[str, Any]], *path: str
 ) -> Optional[float]:
-    def dig(payload):
-        node: Any = payload
-        for key in path:
-            if not isinstance(node, dict):
-                return None
-            node = node.get(key)
-        return node
-
-    now = dig(current)
-    before = dig(prev) if prev else None
-    if now is None or before is None:
+    if prev is None:
         return None
-    try:
-        return float(now) - float(before)
-    except (TypeError, ValueError):
-        return None
+    for key in path:
+        current, prev = current[key], prev[key]
+    return float(current) - float(prev)
 
 
 def _with_delta(value: str, delta: Optional[float]) -> str:
@@ -102,23 +80,21 @@ def render_stats(
 ) -> str:
     """Render one ``stats`` payload as a fixed-width text dashboard.
 
-    ``prev`` (the previous poll of the same server) adds per-interval
-    deltas and a queries/sec rate; sections whose data is absent from
-    the payload are omitted.
+    ``stats`` is what the server's ``stats`` op returns
+    (``JoinServer.snapshot()``).  ``prev`` (the previous poll of the same
+    server) adds per-interval deltas and a queries/sec rate; sections
+    the server reports as off (SLO, history, metrics endpoint) and
+    sections with nothing to show yet are omitted.
     """
     lines: List[str] = []
-    serving = stats.get("serving") or {}
-    uptime = stats.get("uptime_seconds")
-    queries = stats.get("queries_total", serving.get("queries"))
-    failed = stats.get("queries_failed", serving.get("queries_failed"))
 
     # -- header --------------------------------------------------------
     head = (
-        f"repro server pid {stats.get('pid', '?')}"
-        f"  backend={stats.get('backend', '?')}"
-        f"  up {_fmt_seconds(uptime)}"
+        f"repro server pid {stats['pid']}"
+        f"  backend={stats['backend']}"
+        f"  up {_fmt_seconds(stats['uptime_seconds'])}"
     )
-    state = "DEGRADED" if stats.get("degraded") else "healthy"
+    state = "DEGRADED" if stats["degraded"] else "healthy"
     lines.append(f"{head:<{max(0, width - len(state))}}{state}")
     lines.append("-" * width)
 
@@ -128,135 +104,107 @@ def render_stats(
     du = _delta(stats, prev, "uptime_seconds")
     if dq is not None and du and du > 0:
         rate = f"  {dq / du:.2f} q/s"
-    row = f"queries    total {_with_delta(_fmt_count(queries), dq)}"
-    row += f"  failed {_with_delta(_fmt_count(failed), _delta(stats, prev, 'queries_failed'))}"
-    if serving.get("errors") is not None:
-        row += f"  errors {_fmt_count(serving.get('errors'))}"
+    row = f"queries    total {_with_delta(_fmt_count(stats['queries_total']), dq)}"
+    row += f"  failed {_with_delta(_fmt_count(stats['queries_failed']), _delta(stats, prev, 'queries_failed'))}"
+    row += f"  errors {_fmt_count(stats['serving']['errors'])}"
     row += rate
     lines.append(row)
 
     # -- latency -------------------------------------------------------
-    latency = stats.get("latency")
-    if isinstance(latency, dict) and latency.get("count"):
+    latency = stats["latency"]
+    if latency["count"]:
         lines.append(
             "latency    "
-            f"p50 {_fmt_seconds(latency.get('p50'))}"
-            f"  p95 {_fmt_seconds(latency.get('p95'))}"
-            f"  p99 {_fmt_seconds(latency.get('p99'))}"
-            f"  mean {_fmt_seconds(latency.get('mean'))}"
-            f"  max {_fmt_seconds(latency.get('max'))}"
-            f"  n={_fmt_count(latency.get('count'))}"
+            f"p50 {_fmt_seconds(latency['p50'])}"
+            f"  p95 {_fmt_seconds(latency['p95'])}"
+            f"  p99 {_fmt_seconds(latency['p99'])}"
+            f"  mean {_fmt_seconds(latency['mean'])}"
+            f"  max {_fmt_seconds(latency['max'])}"
+            f"  n={_fmt_count(latency['count'])}"
         )
 
     # -- caches --------------------------------------------------------
-    artifact = stats.get("artifact_cache")
-    result = stats.get("result_cache")
-    plan = stats.get("plan_cache")
-    if artifact or result or plan:
-        row = "caches     "
-        if isinstance(artifact, dict):
-            row += (
-                f"artifact {_hit_rate(artifact)}"
-                f" {_fmt_bytes(artifact.get('bytes'))}  "
-            )
-        if isinstance(result, dict):
-            row += f"result {_hit_rate(result)}  "
-        if isinstance(plan, dict):
-            row += f"plan {_hit_rate(plan)}"
-        lines.append(row.rstrip())
+    artifact = stats["artifact_cache"]
+    lines.append(
+        "caches     "
+        f"artifact {_hit_rate(artifact)} {_fmt_bytes(artifact['bytes'])}"
+        f"  result {_hit_rate(stats['result_cache'])}"
+        f"  plan {_hit_rate(stats['plan_cache'])}"
+    )
 
     # -- admission -----------------------------------------------------
-    admission = stats.get("admission")
-    if isinstance(admission, dict):
-        lines.append(
-            "admission  "
-            f"inflight {_fmt_count(admission.get('running'))}"
-            f"/{_fmt_count(admission.get('max_inflight'))}"
-            f"  queued {_fmt_count(admission.get('waiting'))}"
-            f"/{_fmt_count(admission.get('max_queue'))}"
-            f"  rejected {_with_delta(_fmt_count(admission.get('rejected')), _delta(stats, prev, 'admission', 'rejected'))}"
-            f"  coalesced {_fmt_count(admission.get('coalesced'))}"
-        )
+    admission = stats["admission"]
+    lines.append(
+        "admission  "
+        f"inflight {_fmt_count(admission['running'])}"
+        f"/{_fmt_count(admission['max_inflight'])}"
+        f"  queued {_fmt_count(admission['waiting'])}"
+        f"/{_fmt_count(admission['max_queue'])}"
+        f"  rejected {_with_delta(_fmt_count(admission['rejected']), _delta(stats, prev, 'admission', 'rejected'))}"
+        f"  coalesced {_fmt_count(admission['coalesced'])}"
+    )
 
     # -- shared pools --------------------------------------------------
-    pools = stats.get("shared_pools")
-    if isinstance(pools, dict) and pools.get("enabled"):
+    pools = stats["shared_pools"]
+    if pools["enabled"]:
         lines.append(
             "pools      "
-            f"hits {_fmt_count(pools.get('hits'))}"
-            f"/{_fmt_count(pools.get('acquires'))}"
-            f"  resident {_fmt_count(len(pools.get('resident', [])) if isinstance(pools.get('resident'), (list, tuple)) else pools.get('resident'))}"
+            f"hits {_fmt_count(pools['hits'])}"
+            f"/{_fmt_count(pools['acquires'])}"
+            f"  resident {len(pools['resident'])}"
         )
 
     # -- planner clock error -------------------------------------------
-    planner_errors = stats.get("planner_errors")
-    if isinstance(planner_errors, dict):
-        parts = []
-        for phase, snap in planner_errors.items():
-            if isinstance(snap, dict) and snap.get("count"):
-                parts.append(
-                    f"{phase} {100.0 * float(snap.get('mean', 0.0)):.1f}%"
-                    f"/p95 {100.0 * float(snap.get('p95', 0.0)):.1f}%"
-                )
-        if parts:
-            lines.append("plan err   " + "  ".join(parts))
+    parts = [
+        f"{phase} {100.0 * snap['mean']:.1f}%/p95 {100.0 * snap['p95']:.1f}%"
+        for phase, snap in stats["planner_errors"].items()
+        if snap["count"]
+    ]
+    if parts:
+        lines.append("plan err   " + "  ".join(parts))
 
     # -- cluster daemon health -----------------------------------------
-    cluster = stats.get("cluster")
-    if isinstance(cluster, dict) and any(cluster.values()):
-        spawned = cluster.get("daemons_spawned", 0)
-        lost = cluster.get("daemons_lost", 0)
+    cluster = stats["cluster"]
+    if any(cluster.values()):
         lines.append(
             "cluster    "
-            f"daemons {_fmt_count(spawned)} spawned"
-            f"  {_with_delta(_fmt_count(lost), _delta(stats, prev, 'cluster', 'daemons_lost'))} lost"
-            f"  {_fmt_count(cluster.get('daemon_rejoins'))} rejoined"
-            f"  blocks refetched {_fmt_count(cluster.get('blocks_refetched'))}"
+            f"daemons {_fmt_count(cluster['daemons_spawned'])} spawned"
+            f"  {_with_delta(_fmt_count(cluster['daemons_lost']), _delta(stats, prev, 'cluster', 'daemons_lost'))} lost"
+            f"  {_fmt_count(cluster['daemon_rejoins'])} rejoined"
+            f"  blocks refetched {_fmt_count(cluster['blocks_refetched'])}"
         )
 
     # -- SLO -----------------------------------------------------------
-    slo = stats.get("slo")
-    if isinstance(slo, dict) and slo.get("enabled"):
-        window = slo.get("window") or {}
-        verdict = "BREACH" if slo.get("degraded") else "ok"
-        row = (
+    slo = stats["slo"]
+    if slo["enabled"]:
+        window = slo["window"]
+        verdict = "BREACH" if slo["degraded"] else "ok"
+        lines.append(
             f"slo        {verdict}"
-            f"  window p95 {_fmt_seconds(window.get('p95_seconds'))}"
-            f"  err {100.0 * float(window.get('error_rate', 0.0)):.1f}%"
-            f"  alerts {_fmt_count(slo.get('alerts'))}"
+            f"  window p95 {_fmt_seconds(window['p95_seconds'])}"
+            f"  err {100.0 * float(window['error_rate']):.1f}%"
+            f"  alerts {_fmt_count(slo['alerts'])}"
         )
-        violations = slo.get("violations") or []
-        lines.append(row)
-        for violation in violations:
+        for violation in slo["violations"]:
             lines.append(f"           ! {violation}")
 
     # -- history -------------------------------------------------------
-    history = stats.get("history")
-    if isinstance(history, dict):
+    history = stats["history"]
+    if history is not None:
         lines.append(
             "history    "
-            f"runs {_with_delta(_fmt_count(history.get('appended')), _delta(stats, prev, 'history', 'appended'))}"
-            f"  {_fmt_bytes(history.get('active_bytes'))}"
-            f"  rotations {_fmt_count(history.get('rotations'))}"
-            f"  -> {history.get('path', '?')}"
+            f"runs {_with_delta(_fmt_count(history['appended']), _delta(stats, prev, 'history', 'appended'))}"
+            f"  {_fmt_bytes(history['active_bytes'])}"
+            f"  rotations {_fmt_count(history['rotations'])}"
+            f"  -> {history['path']}"
         )
 
     # -- datasets / endpoint -------------------------------------------
-    datasets = stats.get("datasets")
-    if isinstance(datasets, dict) and datasets:
-        names = ", ".join(sorted(str(k) for k in datasets))
+    if stats["datasets"]:
+        names = ", ".join(sorted(d["name"] for d in stats["datasets"]))
         lines.append(f"datasets   {names}")
-    elif isinstance(datasets, (list, tuple)) and datasets:
-        names = ", ".join(
-            sorted(
-                str(d.get("name", "?")) if isinstance(d, dict) else str(d)
-                for d in datasets
-            )
-        )
-        lines.append(f"datasets   {names}")
-    endpoint = stats.get("metrics_endpoint")
-    if endpoint:
-        lines.append(f"metrics    {endpoint}")
+    if stats["metrics_endpoint"] is not None:
+        lines.append(f"metrics    {stats['metrics_endpoint']}")
 
     return "\n".join(lines) + "\n"
 

@@ -61,11 +61,13 @@ from repro.engine.lru import LRUCache
 from repro.engine.telemetry import MetricsRegistry, Telemetry, get_logger
 from repro.geometry.mbr import MBR
 from repro.obs import (
-    MetricsExporter,
+    Family,
     PrometheusEndpoint,
     RunHistory,
     SLOConfig,
     SLOWatchdog,
+    check_families,
+    render_metrics,
 )
 from repro.joins.distance_join import (
     GRID_METHODS,
@@ -91,7 +93,7 @@ from repro.planner import (
     plan_join,
 )
 from repro.planner.accuracy import PHASE_STAGES
-from repro.serving.registry import CODENAMES, DatasetRegistry
+from repro.serving.registry import DatasetRegistry
 
 __all__ = ["JoinServer", "ServerConfig", "ServerHandle", "start_in_thread"]
 
@@ -99,6 +101,88 @@ __all__ = ["JoinServer", "ServerConfig", "ServerHandle", "start_in_thread"]
 #: *ratios* (0.1 == 10% off), not seconds, so the log-spaced seconds
 #: defaults would waste most buckets.
 ERROR_RATIO_BUCKETS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
+
+#: Daemon-health counters folded from cluster runs (``serve.cluster_<key>``).
+CLUSTER_COUNTERS = (
+    "daemons_spawned", "daemons_lost", "daemon_rejoins", "blocks_refetched",
+)
+
+#: The ``/metrics`` families: one row each, its path into
+#: :meth:`JoinServer.snapshot` (the path rules are ``repro.obs.exporter``'s);
+#: the SLO and history counters report 0 while their feature is off.
+METRIC_FAMILIES = check_families(Family(*row) for row in (
+    ("repro_server_uptime_seconds", "gauge",
+     "Seconds since the join server process started.", "uptime_seconds"),
+    ("repro_server_info", "gauge",
+     "Constant 1; labels carry server identity (pid, backend).",
+     {"pid": "pid", "backend": "backend"}),
+    ("repro_queries_total", "counter",
+     "Join queries accepted by the query op.", "queries_total"),
+    ("repro_queries_failed_total", "counter",
+     "Join queries that ended in an error response.", "queries_failed"),
+    ("repro_errors_total", "counter",
+     "Requests of any op that returned an error response.", "serving.errors"),
+    ("repro_query_latency_seconds", "histogram",
+     "End-to-end query latency, log-spaced buckets (cache hits included).",
+     "latency"),
+    ("repro_cache_hits_total", "counter",
+     "Cache hits by tier (artifact/result/plan).", "{cache}_cache.hits"),
+    ("repro_cache_misses_total", "counter",
+     "Cache misses by tier (artifact/result/plan).", "{cache}_cache.misses"),
+    ("repro_cache_evictions_total", "counter",
+     "Cache evictions by tier (artifact/result/plan).",
+     "{cache}_cache.evictions"),
+    ("repro_cache_bytes", "gauge",
+     "Resident bytes by cache tier (artifact/result).", "{cache}_cache.bytes"),
+    ("repro_admission_inflight", "gauge",
+     "Queries currently executing under admission control.",
+     "admission.running"),
+    ("repro_admission_queue_depth", "gauge",
+     "Queries waiting in the admission queue.", "admission.waiting"),
+    ("repro_admission_admitted_total", "counter",
+     "Queries admitted for execution.", "admission.admitted"),
+    ("repro_admission_coalesced_total", "counter",
+     "Duplicate concurrent queries coalesced onto one execution.",
+     "admission.coalesced"),
+    ("repro_admission_rejected_total", "counter",
+     "Queries rejected because the admission queue was full.",
+     "admission.rejected"),
+    ("repro_shared_pool_acquires_total", "counter",
+     "Worker-pool acquisitions on the shared-pool path.",
+     "shared_pools.acquires"),
+    ("repro_shared_pool_hits_total", "counter",
+     "Worker-pool acquisitions served by a resident pool.",
+     "shared_pools.hits"),
+    ("repro_shared_pool_resident", "gauge",
+     "Resident shared worker pools currently alive.", "shared_pools.resident"),
+    ("repro_planner_clock_error_ratio", "histogram",
+     "Absolute relative error of chosen plans on the clock they were "
+     "priced on, by phase; 0.1 means 10% off.", "planner_errors.{phase}"),
+    ("repro_cluster_daemons_spawned_total", "counter",
+     "Cluster daemons forked across served queries.",
+     "cluster.daemons_spawned"),
+    ("repro_cluster_daemons_lost_total", "counter",
+     "Cluster daemons declared lost by heartbeat timeout.",
+     "cluster.daemons_lost"),
+    ("repro_cluster_daemon_rejoins_total", "counter",
+     "Replacement daemons that rejoined after a loss.",
+     "cluster.daemon_rejoins"),
+    ("repro_cluster_blocks_refetched_total", "counter",
+     "Shuffle blocks re-fetched during cluster recovery.",
+     "cluster.blocks_refetched"),
+    ("repro_slo_degraded", "gauge",
+     "1 when the SLO watchdog's rolling window breaches a threshold, "
+     "else 0.", "degraded"),
+    ("repro_slo_alerts_total", "counter",
+     "Healthy-to-degraded SLO transitions since startup.", "slo.alerts", 0),
+    ("repro_history_appended_total", "counter",
+     "RunReports appended to the run-history store.", "history.appended", 0),
+    ("repro_history_bytes", "gauge",
+     "Size of the active run-history JSONL file.", "history.active_bytes",
+     0),
+    ("repro_history_rotations_total", "counter",
+     "Run-history file rotations since startup.", "history.rotations", 0),
+))
 
 #: Query-request fields that belong to the one-shot CLI surface only.
 #: They are rejected by name so a client porting ``repro join`` flags
@@ -385,6 +469,18 @@ class QuerySpec:
         )
 
 
+def _count_field(request: dict, name: str) -> int | None:
+    """A non-negative integer request field (``None`` when absent)."""
+    value = request.get(name)
+    if value is not None and (
+        isinstance(value, bool) or not isinstance(value, int) or value < 0
+    ):
+        raise ProtocolError(
+            f"{name} must be a non-negative integer, got {value!r}"
+        )
+    return value
+
+
 def _metrics_payload(m) -> dict:
     """The JSON-safe slice of a :class:`JoinMetrics` a client needs."""
     return {
@@ -447,209 +543,75 @@ class JoinServer:
         slo_config: SLOConfig = self.config._slo_config
         self.slo = SLOWatchdog(slo_config) if slo_config.enabled else None
         self._metrics_endpoint: PrometheusEndpoint | None = None
-        self.exporter = self._build_exporter()
 
     # ------------------------------------------------------------------
-    # observability surfaces
+    # observability: every reported number is read here, once
     # ------------------------------------------------------------------
-    def _cache_stats(self) -> dict:
-        """All three cache tiers, keyed for labelled exporter families."""
-        return {
-            "artifact": self.artifacts.stats(),
-            "result": self._results.stats(),
-            "plan": self.plans.stats(),
-        }
+    def snapshot(self) -> dict:
+        """Server state as one plain dict, read once.
 
-    def _cluster_stats(self) -> dict:
-        """Daemon-health counters accumulated across cluster queries."""
-        reg = self.registry
-        return {
-            "daemons_spawned": reg.value("serve.cluster_daemons_spawned"),
-            "daemons_lost": reg.value("serve.cluster_daemons_lost"),
-            "daemon_rejoins": reg.value("serve.cluster_daemon_rejoins"),
-            "blocks_refetched": reg.value("serve.cluster_blocks_refetched"),
-        }
-
-    def _planner_error_histograms(self) -> dict:
-        """|relative clock error| of chosen plans, one histogram a phase.
-
-        The phases are those of the clock this server's backend is
-        planned on (``serve.plan_abs_rel_error.<phase>``; the stats op
-        and the exporter's ``repro_planner_clock_error_ratio`` family).
+        The ``stats`` op returns it, ``/metrics`` renders it through
+        :data:`METRIC_FAMILIES`, and ``repro top`` / ``repro query
+        --stats`` render the ``stats`` op.  Sections the server runs
+        without are reported as off: ``slo.enabled`` false, ``history``
+        and ``metrics_endpoint`` ``None``.
         """
         reg = self.registry
         phases = (*PHASE_STAGES[backend_clock(self.config.backend)], "total")
+        slo = (
+            self.slo.status()
+            if self.slo is not None
+            else {"enabled": False, "degraded": False}
+        )
         return {
-            phase: reg.histogram(
-                f"serve.plan_abs_rel_error.{phase}", ERROR_RATIO_BUCKETS
-            )
-            for phase in phases
+            "pid": os.getpid(),
+            "uptime_seconds": time.time() - self._started_at,
+            "address": self.address,
+            "backend": self.config.backend,
+            "queries_total": reg.value("serve.queries"),
+            "queries_failed": reg.value("serve.queries_failed"),
+            "degraded": slo["degraded"],
+            "datasets": self.datasets.describe(),
+            "latency": reg.histogram("serve.query_seconds").snapshot(),
+            "artifact_cache": self.artifacts.stats(),
+            "result_cache": self._results.stats(),
+            "admission": self.admission.stats(),
+            "shared_pools": executor_mod.shared_pool_stats(),
+            "plan_cache": self.plans.stats(),
+            # |relative clock error| of chosen plans, one histogram per
+            # phase of the clock this server's backend is planned on
+            "planner_errors": {
+                phase: reg.histogram(
+                    f"serve.plan_abs_rel_error.{phase}", ERROR_RATIO_BUCKETS
+                ).snapshot()
+                for phase in phases
+            },
+            "cluster": {
+                key: reg.value(f"serve.cluster_{key}")
+                for key in CLUSTER_COUNTERS
+            },
+            "slo": slo,
+            "history": (
+                self.history.stats() if self.history is not None else None
+            ),
+            "metrics_endpoint": (
+                self._metrics_endpoint.address
+                if self._metrics_endpoint is not None
+                else None
+            ),
+            "serving": {
+                key: reg.value(f"serve.{key}")
+                for key in (
+                    "plans", "plan_cache_hits", "result_cache_hits",
+                    "warm_builds", "cold_builds", "range_queries",
+                    "registrations", "errors",
+                )
+            },
         }
 
-    def _build_exporter(self) -> MetricsExporter:
-        """Register every Prometheus family over live server state.
-
-        Collectors close over ``self`` and are evaluated lazily at
-        scrape time, so registration costs nothing on the query path;
-        the families (and their naming rules) are pinned by the
-        metrics-name lint in ``tests/test_obs.py``.
-        """
-        reg = self.registry
-        ex = MetricsExporter()
-        ex.register(
-            "repro_server_uptime_seconds", "gauge",
-            "Seconds since the join server process started.",
-            lambda: time.time() - self._started_at,
-        )
-        ex.register(
-            "repro_server_info", "gauge",
-            "Constant 1; labels carry server identity (pid, backend).",
-            lambda: [(
-                {"pid": str(os.getpid()), "backend": self.config.backend},
-                1.0,
-            )],
-        )
-        ex.register(
-            "repro_queries_total", "counter",
-            "Join queries accepted by the query op.",
-            lambda: reg.value("serve.queries"),
-        )
-        ex.register(
-            "repro_queries_failed_total", "counter",
-            "Join queries that ended in an error response.",
-            lambda: reg.value("serve.queries_failed"),
-        )
-        ex.register(
-            "repro_errors_total", "counter",
-            "Requests of any op that returned an error response.",
-            lambda: reg.value("serve.errors"),
-        )
-        ex.register(
-            "repro_query_latency_seconds", "histogram",
-            "End-to-end query latency, log-spaced buckets (cache hits "
-            "included).",
-            lambda: reg.histogram("serve.query_seconds"),
-        )
-        for stat, family, help_text in (
-            ("hits", "repro_cache_hits_total",
-             "Cache hits by tier (artifact/result/plan)."),
-            ("misses", "repro_cache_misses_total",
-             "Cache misses by tier (artifact/result/plan)."),
-            ("evictions", "repro_cache_evictions_total",
-             "Cache evictions by tier (artifact/result/plan)."),
-        ):
-            ex.register(
-                family, "counter", help_text,
-                lambda stat=stat: [
-                    ({"cache": name}, float(st.get(stat, 0) or 0))
-                    for name, st in self._cache_stats().items()
-                ],
-            )
-        ex.register(
-            "repro_cache_bytes", "gauge",
-            "Resident bytes by cache tier (artifact/result).",
-            lambda: [
-                ({"cache": name}, float(st["bytes"]))
-                for name, st in self._cache_stats().items()
-                if st.get("bytes") is not None
-            ],
-        )
-        ex.register(
-            "repro_admission_inflight", "gauge",
-            "Queries currently executing under admission control.",
-            lambda: self.admission.stats()["running"],
-        )
-        ex.register(
-            "repro_admission_queue_depth", "gauge",
-            "Queries waiting in the admission queue.",
-            lambda: self.admission.stats()["waiting"],
-        )
-        for stat, family, help_text in (
-            ("admitted", "repro_admission_admitted_total",
-             "Queries admitted for execution."),
-            ("coalesced", "repro_admission_coalesced_total",
-             "Duplicate concurrent queries coalesced onto one execution."),
-            ("rejected", "repro_admission_rejected_total",
-             "Queries rejected because the admission queue was full."),
-        ):
-            ex.register(
-                family, "counter", help_text,
-                lambda stat=stat: self.admission.stats()[stat],
-            )
-        ex.register(
-            "repro_shared_pool_acquires_total", "counter",
-            "Worker-pool acquisitions on the shared-pool path.",
-            lambda: executor_mod.shared_pool_stats().get("acquires", 0),
-        )
-        ex.register(
-            "repro_shared_pool_hits_total", "counter",
-            "Worker-pool acquisitions served by a resident pool.",
-            lambda: executor_mod.shared_pool_stats().get("hits", 0),
-        )
-        ex.register(
-            "repro_shared_pool_resident", "gauge",
-            "Resident shared worker pools currently alive.",
-            lambda: len(executor_mod.shared_pool_stats().get("resident", [])),
-        )
-        ex.register(
-            "repro_planner_clock_error_ratio", "histogram",
-            "Absolute relative error of chosen plans on the clock they "
-            "were priced on, by phase; 0.1 means 10% off.",
-            lambda: [
-                ({"phase": phase}, hist)
-                for phase, hist in self._planner_error_histograms().items()
-            ],
-        )
-        for key, family, help_text in (
-            ("daemons_spawned", "repro_cluster_daemons_spawned_total",
-             "Cluster daemons forked across served queries."),
-            ("daemons_lost", "repro_cluster_daemons_lost_total",
-             "Cluster daemons declared lost by heartbeat timeout."),
-            ("daemon_rejoins", "repro_cluster_daemon_rejoins_total",
-             "Replacement daemons that rejoined after a loss."),
-            ("blocks_refetched", "repro_cluster_blocks_refetched_total",
-             "Shuffle blocks re-fetched during cluster recovery."),
-        ):
-            ex.register(
-                family, "counter", help_text,
-                lambda key=key: self._cluster_stats()[key],
-            )
-        ex.register(
-            "repro_slo_degraded", "gauge",
-            "1 when the SLO watchdog's rolling window breaches a "
-            "threshold, else 0.",
-            lambda: 1.0 if self.slo is not None and self.slo.degraded else 0.0,
-        )
-        ex.register(
-            "repro_slo_alerts_total", "counter",
-            "Healthy-to-degraded SLO transitions since startup.",
-            lambda: self.slo.alerts if self.slo is not None else 0,
-        )
-        ex.register(
-            "repro_history_appended_total", "counter",
-            "RunReports appended to the run-history store.",
-            lambda: (
-                self.history.stats()["appended"]
-                if self.history is not None else 0
-            ),
-        )
-        ex.register(
-            "repro_history_bytes", "gauge",
-            "Size of the active run-history JSONL file.",
-            lambda: (
-                self.history.stats()["active_bytes"]
-                if self.history is not None else 0
-            ),
-        )
-        ex.register(
-            "repro_history_rotations_total", "counter",
-            "Run-history file rotations since startup.",
-            lambda: (
-                self.history.stats()["rotations"]
-                if self.history is not None else 0
-            ),
-        )
-        return ex
+    def metrics_text(self) -> str:
+        """One ``/metrics`` page: one snapshot through the family table."""
+        return render_metrics(self.snapshot(), METRIC_FAMILIES)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -714,7 +676,7 @@ class JoinServer:
             )
         if self.config.metrics_port is not None:
             self._metrics_endpoint = PrometheusEndpoint(
-                self.exporter.render,
+                self.metrics_text,
                 host="127.0.0.1",
                 port=self.config.metrics_port,
             )
@@ -867,18 +829,16 @@ class JoinServer:
         spec = request.get("spec") or name
         if not name:
             raise ProtocolError("register requires 'name' (or 'spec')")
+        base_n = _count_field(request, "base_n")
+        payload = _count_field(request, "payload") or 0
         loop = asyncio.get_running_loop()
         entry = await loop.run_in_executor(
             self._pool,
             lambda: self.datasets.register_spec(
                 str(name),
                 str(spec),
-                base_n=(
-                    int(request["base_n"])
-                    if request.get("base_n") is not None
-                    else None
-                ),
-                payload_bytes=int(request.get("payload", 0)),
+                base_n=base_n,
+                payload_bytes=payload,
                 replace=bool(request.get("replace", False)),
             ),
         )
@@ -1033,60 +993,7 @@ class JoinServer:
         return result
 
     async def _op_stats(self, request: dict) -> dict:
-        reg = self.registry
-        return {
-            "ok": True,
-            "pid": os.getpid(),
-            "uptime_seconds": time.time() - self._started_at,
-            "address": self.address,
-            "backend": self.config.backend,
-            "queries_total": reg.value("serve.queries"),
-            "queries_failed": reg.value("serve.queries_failed"),
-            "degraded": bool(self.slo is not None and self.slo.degraded),
-            "datasets": self.datasets.describe(),
-            "latency": reg.histogram("serve.query_seconds").snapshot(),
-            "artifact_cache": self.artifacts.stats(),
-            "result_cache": self._results.stats(),
-            "admission": self.admission.stats(),
-            "shared_pools": executor_mod.shared_pool_stats(),
-            "plan_cache": self.plans.stats(),
-            "planner_errors": {
-                phase: hist.snapshot()
-                for phase, hist in self._planner_error_histograms().items()
-            },
-            "cluster": self._cluster_stats(),
-            "slo": (
-                self.slo.status()
-                if self.slo is not None
-                else {"enabled": False, "degraded": False}
-            ),
-            "history": (
-                self.history.stats() if self.history is not None else None
-            ),
-            "metrics_endpoint": (
-                self._metrics_endpoint.address
-                if self._metrics_endpoint is not None
-                else None
-            ),
-            "serving": {
-                "queries": reg.value("serve.queries"),
-                "queries_failed": reg.value("serve.queries_failed"),
-                "plans": reg.value("serve.plans"),
-                "plan_cache_hits": reg.value("serve.plan_cache_hits"),
-                "plan_total_abs_rel_error_mean": (
-                    reg.histogram("serve.plan_total_abs_rel_error").mean
-                ),
-                "result_cache_hits": reg.value("serve.result_cache_hits"),
-                "warm_builds": reg.value("serve.warm_builds"),
-                "cold_builds": reg.value("serve.cold_builds"),
-                "range_queries": reg.value("serve.range_queries"),
-                "registrations": reg.value("serve.registrations"),
-                "errors": reg.value("serve.errors"),
-                "query_seconds_mean": (
-                    reg.histogram("serve.query_seconds").mean
-                ),
-            },
-        }
+        return {"ok": True, **self.snapshot()}
 
     async def _op_shutdown(self, request: dict) -> dict:
         self._shutdown.set()
@@ -1173,15 +1080,12 @@ class JoinServer:
             planner_payload["errors"] = {
                 e.phase: e.to_payload() for e in errors
             }
-            histograms = self._planner_error_histograms()
             for err in errors:
-                if err.measured <= 0:
-                    continue
-                if err.phase == "total":
+                if err.measured > 0:
                     self.registry.histogram(
-                        "serve.plan_total_abs_rel_error"
+                        f"serve.plan_abs_rel_error.{err.phase}",
+                        ERROR_RATIO_BUCKETS,
                     ).observe(abs(err.relative_error))
-                histograms[err.phase].observe(abs(err.relative_error))
             payload["planner"] = planner_payload
             planner_meta["errors"] = planner_payload["errors"]
         if spec.trace:
@@ -1197,15 +1101,10 @@ class JoinServer:
     def _accumulate_cluster_metrics(self, metrics) -> None:
         """Fold one run's daemon-health extras into server counters."""
         extra = getattr(metrics, "extra", None) or {}
-        for key in (
-            "cluster_daemons_spawned",
-            "cluster_daemons_lost",
-            "cluster_daemon_rejoins",
-            "cluster_blocks_refetched",
-        ):
-            value = extra.get(key)
+        for key in CLUSTER_COUNTERS:
+            value = extra.get(f"cluster_{key}")
             if value:
-                self.registry.counter(f"serve.{key}").inc(int(value))
+                self.registry.counter(f"serve.cluster_{key}").inc(int(value))
 
     def _finish(self, payload: dict, started: float) -> dict:
         latency = time.perf_counter() - started

@@ -9,7 +9,7 @@ from repro.data.datasets import (
     paper_datasets,
 )
 from repro.data.generators import UNIT_MBR, gaussian_clusters, real_like, uniform
-from repro.data.io import parse_point_line, read_points_text, write_points_text
+from repro.data.io import read_points_text, write_points_text
 from repro.data.pointset import PointSet
 from repro.data.sampling import bernoulli_sample
 from repro.geometry.point import Side
@@ -178,9 +178,6 @@ class TestIO:
         assert np.array_equal(back.ids, ps.ids)
         assert np.allclose(back.xs, ps.xs)
         assert np.allclose(back.ys, ps.ys)
-
-    def test_parse_point_line(self):
-        assert parse_point_line("5,0.25,1.5\n") == (5, 0.25, 1.5)
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "pts.txt"

@@ -159,10 +159,6 @@ class TestShuffleStats:
 
 
 class TestSimCluster:
-    def test_round_robin_placement(self):
-        c = SimCluster(4)
-        assert [c.worker_of_partition(p) for p in range(6)] == [0, 1, 2, 3, 0, 1]
-
     def test_makespan_is_max(self):
         c = SimCluster(3)
         c.add_cost(0, "join", 1.0)

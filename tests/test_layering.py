@@ -316,6 +316,47 @@ def test_the_attempt_policy_is_read_in_one_module():
     assert readers == {"repro.engine.attempts"}
 
 
+def _state_reads(node, scope=""):
+    """``(enclosing function, attr)`` of every state read under ``node``:
+    a ``.value(...)``, ``.histogram(...).snapshot()``, ``.stats()``,
+    ``.status()`` or ``shared_pool_stats()`` call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _state_reads(child, f"{scope}.{child.name}".lstrip("."))
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if (
+                name in ("value", "shared_pool_stats")
+                or (name in ("stats", "status") and not child.args)
+                or (
+                    name == "snapshot"
+                    and isinstance(func.value, ast.Call)
+                    and getattr(func.value.func, "attr", None) == "histogram"
+                )
+            ):
+                yield scope, name
+        yield from _state_reads(child, scope)
+
+
+def test_server_state_is_read_in_one_place():
+    """Every number the join server reports is read once, in
+    ``JoinServer.snapshot``, which ``stats``, ``/metrics``, ``repro top``
+    and ``repro query --stats`` all render.  Writes (``counter(...).inc``,
+    ``histogram(...).observe``) are exempt; so is the query response's
+    own ``artifact_cache`` echo in ``_finish``, part of the query path."""
+    path = os.path.join(SRC_ROOT, "repro", "serving", "server.py")
+    with open(path) as f:
+        reads = set(_state_reads(ast.parse(f.read(), filename=path)))
+    assert {name for scope, name in reads if scope == "JoinServer.snapshot"} == {
+        "value", "snapshot", "stats", "status", "shared_pool_stats"
+    }
+    assert {r for r in reads if r[0] != "JoinServer.snapshot"} == {
+        ("JoinServer._finish", "stats")
+    }
+
+
 def test_there_is_one_lru():
     """``OrderedDict`` is what a hand-written LRU is made of: only the one
     cache primitive may import it."""

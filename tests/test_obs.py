@@ -31,7 +31,9 @@ import os
 import signal
 import subprocess
 import sys
+import re
 import time
+import urllib.error
 import urllib.request
 
 import numpy as np
@@ -46,11 +48,13 @@ from repro.engine.telemetry import (
 )
 from repro.joins.distance_join import JoinConfig, distance_join
 from repro.obs import (
-    MetricsExporter,
+    Family,
     RunHistory,
     SLOConfig,
     SLOWatchdog,
     TopDashboard,
+    check_families,
+    render_metrics,
     render_stats,
     validate_metric_name,
 )
@@ -63,6 +67,7 @@ from repro.serving import (
     ServerError,
     start_in_thread,
 )
+from repro.serving.server import ERROR_RATIO_BUCKETS, METRIC_FAMILIES
 
 BASE_N = 1200
 EPS = 0.012
@@ -210,28 +215,25 @@ class TestMetricNameLint:
         with pytest.raises(ValueError):
             validate_metric_name(name, kind)
 
-    def test_exporter_enforces_lint_at_registration(self):
-        ex = MetricsExporter()
+    def test_family_table_check_enforces_the_lint(self):
         with pytest.raises(ValueError, match="_total"):
-            ex.register("repro_bad", "counter", "help", lambda: 0)
+            check_families([Family("repro_bad", "counter", "help", "x")])
         with pytest.raises(ValueError, match="help"):
-            ex.register("repro_ok_total", "counter", "  ", lambda: 0)
-        ex.register("repro_ok_total", "counter", "fine", lambda: 0)
+            check_families([Family("repro_ok_total", "counter", "  ", "x")])
+        ok = Family("repro_ok_total", "counter", "fine", "x")
+        assert check_families([ok]) == (ok,)
         with pytest.raises(ValueError, match="twice"):
-            ex.register("repro_ok_total", "counter", "fine", lambda: 0)
+            check_families([ok, ok])
 
     def test_every_server_metric_passes_the_lint(self):
-        """The satellite lint: every family the join server exports obeys
-        the naming contract -- help text, prefix, unit suffixes."""
-        server = JoinServer(ServerConfig())
-        specs = server.exporter.specs()
-        assert len(specs) >= 20  # the server exports a real surface
-        names = [spec.name for spec in specs]
+        """Every family the join server exports obeys the naming
+        contract -- help text, prefix, unit suffixes."""
+        assert len(METRIC_FAMILIES) >= 20  # the server exports a real surface
+        names = [family.name for family in METRIC_FAMILIES]
         assert len(names) == len(set(names)), "duplicate family names"
-        for spec in specs:
-            validate_metric_name(spec.name, spec.kind)  # raises on breach
-            assert spec.help.strip(), f"{spec.name} has no help text"
-            assert spec.kind in ("counter", "gauge", "histogram")
+        for family in METRIC_FAMILIES:
+            validate_metric_name(family.name, family.kind)  # raises on breach
+            assert family.help.strip(), f"{family.name} has no help text"
 
 
 # ----------------------------------------------------------------------
@@ -277,17 +279,21 @@ class TestExporterRender:
         hist = reg.histogram("lat", (0.1, 1.0, 10.0))
         for v in (0.05, 0.5, 0.5, 5.0, 50.0):
             hist.observe(v)
-        ex = MetricsExporter()
-        ex.register("repro_things_total", "counter", "Things.", lambda: 7)
-        ex.register("repro_depth", "gauge", "Depth.", lambda: 3.5)
-        ex.register(
-            "repro_latency_seconds", "histogram", "Latency.", lambda: hist
-        )
-        ex.register(
-            "repro_labeled_total", "counter", "Labeled.",
-            lambda: [({"cache": 'a"b\n'}, 1.0), ({"cache": "plain"}, 2.0)],
-        )
-        text = ex.render()
+        snapshot = {
+            "things": 7,
+            "depth": 3.5,
+            "latency": hist.snapshot(),
+            "tiers": {'a"b\n': 1, "plain": 2},
+        }
+        families = check_families([
+            Family("repro_things_total", "counter", "Things.", "things"),
+            Family("repro_depth", "gauge", "Depth.", "depth"),
+            Family("repro_latency_seconds", "histogram", "Latency.", "latency"),
+            Family("repro_labeled_total", "counter", "Labeled.", "tiers.{cache}"),
+        ])
+        text = render_metrics(snapshot, families)
+        # the wire shape (JSON: bucket bounds become strings) renders alike
+        assert render_metrics(json.loads(json.dumps(snapshot)), families) == text
         families = _parse_prometheus(text)
 
         assert families["repro_things_total"]["type"] == "counter"
@@ -310,29 +316,19 @@ class TestExporterRender:
         assert labeled['repro_labeled_total{cache="a\\"b\\n"}'] == 1.0
         assert labeled['repro_labeled_total{cache="plain"}'] == 2.0
 
-    def test_broken_collector_is_skipped_and_counted(self):
-        ex = MetricsExporter()
-
-        def boom():
-            raise RuntimeError("broken gauge")
-
-        ex.register("repro_broken", "gauge", "Always raises.", boom)
-        ex.register("repro_fine", "gauge", "Fine.", lambda: 1)
-        ex.register("repro_absent", "gauge", "Off feature.", lambda: None)
-        text = ex.render()
-        assert "repro_broken" not in text.replace("# HELP", "")
-        families = _parse_prometheus(ex.render())
+    def test_absent_family_is_omitted(self):
+        families = _parse_prometheus(render_metrics(
+            {"fine": 1, "feature": None},
+            check_families([
+                Family("repro_fine", "gauge", "Fine.", "fine"),
+                Family("repro_absent", "gauge", "Off feature.", "feature.depth"),
+                Family("repro_off_total", "counter", "Off, reported 0.",
+                       "feature.count", 0),
+            ]),
+        ))
         assert families["repro_fine"]["samples"]["repro_fine"] == 1
         assert "repro_absent" not in families
-        # the error counter is collected before the broken gauge raises,
-        # so scrape N reports the errors of scrapes 1..N-1: two renders
-        # have happened, the second saw the first's error
-        assert (
-            _parse_prometheus(ex.render())[
-                "repro_exporter_collect_errors_total"
-            ]["samples"]["repro_exporter_collect_errors_total"]
-            == 2
-        )
+        assert families["repro_off_total"]["samples"]["repro_off_total"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -426,84 +422,83 @@ class TestSLOWatchdog:
 # ----------------------------------------------------------------------
 # repro top (renderer + dashboard loop)
 # ----------------------------------------------------------------------
-def _stats_payload(queries=10, uptime=100.0):
-    return {
-        "ok": True,
-        "pid": 4242,
-        "backend": "serial",
-        "uptime_seconds": uptime,
-        "queries_total": queries,
-        "queries_failed": 1,
-        "degraded": False,
-        "latency": {
-            "count": queries, "p50": 0.01, "p95": 0.05, "p99": 0.09,
-            "mean": 0.02, "max": 0.09,
-        },
-        "artifact_cache": {"hits": 3, "misses": 2, "bytes": 1024},
-        "result_cache": {"hits": 1, "misses": 4},
-        "plan_cache": {"hits": 0, "misses": 0},
-        "admission": {
-            "running": 1, "max_inflight": 2, "waiting": 0, "max_queue": 8,
-            "rejected": 0, "coalesced": 2,
-        },
-        "planner_errors": {
-            "construction": {"count": 3, "mean": 0.15, "p95": 0.4},
-            "join": {"count": 3, "mean": 0.10, "p95": 0.2},
-        },
-        "cluster": {
-            "daemons_spawned": 4, "daemons_lost": 1,
-            "daemon_rejoins": 1, "blocks_refetched": 2,
-        },
-        "slo": {
-            "enabled": True, "degraded": True, "alerts": 1,
-            "violations": ["p95 0.0500s > 0.0100s"],
-            "window": {"p95_seconds": 0.05, "error_rate": 0.1},
-        },
-        "history": {
-            "appended": queries, "active_bytes": 2048, "rotations": 0,
-            "path": "/tmp/history.jsonl",
-        },
-        "datasets": [{"name": "R", "n": 100}, {"name": "S", "n": 100}],
-        "metrics_endpoint": "http://127.0.0.1:9100/metrics",
-        "serving": {"queries": queries, "queries_failed": 1, "errors": 1},
-    }
+@pytest.fixture(scope="module")
+def served_stats(tmp_path_factory):
+    """The ``stats`` payload of a socket-less server whose state was fed:
+    queries, latencies breaching a 10 ms p95 SLO, planner errors,
+    daemon health, one history report and two datasets."""
+    history = tmp_path_factory.mktemp("stats") / "history.jsonl"
+    server = JoinServer(ServerConfig(
+        history_path=str(history), metrics_port=None,
+        slo_p95_seconds=0.01, slo_min_samples=1,
+    ))
+    reg = server.registry
+    server.datasets.register_spec("R", "R1", base_n=100)
+    server.datasets.register_spec("S", "S1", base_n=100)
+    reg.counter("serve.queries").inc(10)
+    reg.counter("serve.queries_failed").inc()
+    reg.counter("serve.errors").inc()
+    for latency in (0.008, 0.01, 0.05):
+        reg.histogram("serve.query_seconds").observe(latency)
+        server.slo.observe(latency)
+    for phase in ("build", "join"):
+        reg.histogram(
+            f"serve.plan_abs_rel_error.{phase}", ERROR_RATIO_BUCKETS
+        ).observe(0.15)
+    for key, count in (("daemons_spawned", 4), ("daemons_lost", 1),
+                       ("daemon_rejoins", 1), ("blocks_refetched", 2)):
+        reg.counter(f"serve.cluster_{key}").inc(count)
+    server.history.append_report(_report())
+    server.history.flush()
+    payload = {"ok": True, **server.snapshot()}
+    server.history.close()
+    return json.loads(json.dumps(payload))  # what a client receives
+
+
+def _poll(stats, queries=10, uptime=100.0):
+    """``stats`` as polled at another moment: ``queries`` served by then."""
+    return {**stats, "queries_total": queries, "uptime_seconds": uptime}
 
 
 class TestRenderStats:
-    def test_all_sections_render(self):
-        text = render_stats(_stats_payload())
-        assert "pid 4242" in text and "backend=serial" in text
+    def test_all_sections_render(self, served_stats):
+        text = render_stats(served_stats)
+        assert f"pid {os.getpid()}" in text and "backend=serial" in text
         for section in ("queries", "latency", "caches", "admission",
                         "plan err", "cluster", "slo", "history",
-                        "datasets", "metrics"):
+                        "datasets"):
             assert section in text, f"missing section {section!r}"
         assert "R, S" in text
         assert "! p95" in text  # the SLO violation detail line
-        assert "10.0ms" in text  # p50 formatting
+        assert "n=3" in text and "ms" in text  # latency formatting
 
-    def test_deltas_and_rate_against_previous_poll(self):
-        prev = _stats_payload(queries=10, uptime=100.0)
-        cur = _stats_payload(queries=30, uptime=110.0)
+    def test_deltas_and_rate_against_previous_poll(self, served_stats):
+        prev = _poll(served_stats, queries=10, uptime=100.0)
+        cur = _poll(served_stats, queries=30, uptime=110.0)
         text = render_stats(cur, prev)
         assert "(+20)" in text      # query delta
         assert "2.00 q/s" in text   # 20 queries over 10 seconds
 
     def test_degrades_gracefully_on_minimal_payload(self):
-        text = render_stats({"pid": 1, "backend": "serial"})
-        assert "pid 1" in text
+        """A fresh server with history, SLO and endpoint off renders
+        no row for them (nor for latency, datasets or planner error)."""
+        text = render_stats({"ok": True, **JoinServer(ServerConfig()).snapshot()})
+        assert f"pid {os.getpid()}" in text
         assert "healthy" in text
-        assert "slo" not in text and "history" not in text
+        for section in ("slo", "history", "metrics", "latency", "datasets",
+                        "plan err", "cluster", "pools"):
+            assert section not in text, f"unexpected section {section!r}"
 
-    def test_degraded_flag_flips_the_header(self):
-        payload = _stats_payload()
-        payload["degraded"] = True
-        assert "DEGRADED" in render_stats(payload)
+    def test_degraded_flag_flips_the_header(self, served_stats):
+        assert "healthy" in render_stats({**served_stats, "degraded": False})
+        assert "DEGRADED" in render_stats({**served_stats, "degraded": True})
 
 
 class TestTopDashboard:
-    def test_renders_frames_with_deltas(self):
-        polls = iter([_stats_payload(10, 100.0), _stats_payload(20, 102.0),
-                      _stats_payload(30, 104.0)])
+    def test_renders_frames_with_deltas(self, served_stats):
+        polls = iter([_poll(served_stats, 10, 100.0),
+                      _poll(served_stats, 20, 102.0),
+                      _poll(served_stats, 30, 104.0)])
         slept = []
         out = io.StringIO()
         dash = TopDashboard(
@@ -513,14 +508,14 @@ class TestTopDashboard:
         assert dash.run() == 3
         assert slept == [0.5, 0.5]  # no sleep before the first frame
         text = out.getvalue()
-        assert text.count("pid 4242") == 3
+        assert text.count(f"pid {os.getpid()}") == 3
         assert "(+10)" in text
         assert "\x1b[2J" not in text
 
-    def test_clear_prefixes_each_frame(self):
+    def test_clear_prefixes_each_frame(self, served_stats):
         out = io.StringIO()
         TopDashboard(
-            _stats_payload, interval=1.0, iterations=2, out=out,
+            lambda: served_stats, interval=1.0, iterations=2, out=out,
             sleep=lambda _: None,
         ).run()
         assert out.getvalue().count("\x1b[2J") == 2
@@ -675,8 +670,95 @@ class TestServerObservability:
         finally:
             handle.stop()
 
+    def test_metrics_samples_equal_the_stats_they_render(self, tmp_path):
+        """Each counter and gauge sample of one scrape equals the value at
+        its table path in a ``stats`` call taken straight after."""
+        handle = start_in_thread(ServerConfig(
+            backend="serial", history_path=str(tmp_path / "h.jsonl"),
+            metrics_port=0, slo_p95_seconds=30.0, slo_min_samples=1,
+        ))
+        try:
+            with JoinClient(socket_path=handle.socket_path) as c:
+                _register(c)
+                c.query("R", "S", eps=EPS)
+                c.query("R", "S", eps=EPS)  # a result-cache hit
+                with pytest.raises(ServerError):
+                    c.query("R", "missing", eps=EPS)
+                endpoint = c.stats()["metrics_endpoint"]
+                with urllib.request.urlopen(endpoint, timeout=10) as resp:
+                    families = _parse_prometheus(resp.read().decode("utf-8"))
+                stats = c.stats()
+        finally:
+            handle.stop()
+        for family in METRIC_FAMILIES:
+            if family.kind == "histogram":
+                continue
+            samples = families[family.name]["samples"]
+            assert samples, f"{family.name} rendered no sample"
+            for key, value in samples.items():
+                labels = dict(re.findall(r'(\w+)="([^"]*)"', key))
+                if isinstance(family.path, dict):  # info family
+                    assert labels == {
+                        label: str(stats[path])
+                        for label, path in family.path.items()
+                    }
+                    continue
+                expected = stats
+                for part in family.path.format(**labels).split("."):
+                    expected = expected[part]
+                if isinstance(expected, list):
+                    expected = len(expected)
+                if family.name == "repro_server_uptime_seconds":
+                    assert value <= expected  # the stats call came later
+                else:
+                    assert value == float(expected), key
+
+    def test_one_scrape_reads_one_snapshot(self, monkeypatch):
+        handle = start_in_thread(ServerConfig(backend="serial", metrics_port=0))
+        try:
+            with JoinClient(socket_path=handle.socket_path) as c:
+                endpoint = c.stats()["metrics_endpoint"]
+            calls = []
+            snapshot = handle.server.snapshot
+            monkeypatch.setattr(
+                handle.server, "snapshot",
+                lambda: calls.append(1) or snapshot(),
+            )
+            with urllib.request.urlopen(endpoint, timeout=10) as resp:
+                assert resp.status == 200
+            assert len(calls) == 1
+        finally:
+            handle.stop()
+
+    def test_metrics_answers_500_when_the_snapshot_raises(
+        self, monkeypatch, caplog
+    ):
+        handle = start_in_thread(ServerConfig(backend="serial", metrics_port=0))
+        try:
+            with JoinClient(socket_path=handle.socket_path) as c:
+                endpoint = c.stats()["metrics_endpoint"]
+
+            def broken():
+                raise RuntimeError("state unreadable")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(handle.server, "snapshot", broken)
+                with caplog.at_level(logging.ERROR, logger="repro"):
+                    with pytest.raises(urllib.error.HTTPError) as failed:
+                        urllib.request.urlopen(endpoint, timeout=10)
+                assert failed.value.code == 500
+                assert failed.value.read().decode() == "RuntimeError\n"
+                assert [
+                    r.getMessage() for r in caplog.records
+                    if r.name == "repro.obs.exporter"
+                ] == ["metrics render failed"]
+            with urllib.request.urlopen(endpoint, timeout=10) as resp:
+                assert resp.status == 200  # the next scrape renders afresh
+        finally:
+            handle.stop()
+
     def test_top_dashboard_renders_a_live_server(self):
-        handle = start_in_thread(ServerConfig(backend="serial"))
+        handle = start_in_thread(ServerConfig(backend="serial", metrics_port=0))
         try:
             with JoinClient(socket_path=handle.socket_path) as c:
                 _register(c)
@@ -693,6 +775,7 @@ class TestServerObservability:
             assert "queries    total 1" in text
             assert "latency" in text and "caches" in text
             assert "datasets   R, S" in text
+            assert "metrics    http://127.0.0.1:" in text
         finally:
             handle.stop()
 

@@ -377,7 +377,7 @@ class TestConcurrency:
         with connect(server.address) as c:
             stats = c.stats()
         serving = stats["serving"]
-        assert serving["queries"] == len(jobs)
+        assert stats["queries_total"] == len(jobs)
         # both keys were built at most once; everything else was a
         # result-cache hit or a coalesced flight
         assert serving["cold_builds"] + serving["warm_builds"] <= 4
@@ -580,6 +580,19 @@ class TestProtocolValidation:
                 c.query("R", "S", eps=EPS, method="bogus")
             with pytest.raises(ServerError, match="not registered"):
                 c.query("R", "missing", eps=EPS)
+
+    @pytest.mark.parametrize("field,value", [
+        ("base_n", -5), ("base_n", True), ("base_n", 2.5), ("base_n", "100"),
+        ("payload", -1), ("payload", False), ("payload", 8.0),
+    ])
+    def test_register_counts_rejected_at_the_edge(self, server, field, value):
+        with connect(server.address) as c:
+            with pytest.raises(
+                ServerError, match=f"{field} must be a non-negative integer"
+            ):
+                c.register("R", "R1", **{"base_n": BASE_N, field: value})
+            # an empty side is a supported input
+            assert c.register("E", "R1", base_n=0)["n"] == 0
 
     def test_malformed_requests_get_protocol_errors(self, server):
         import socket as socketlib
