@@ -1,7 +1,7 @@
 """Backend speedup benchmark: measured wall clock vs. modelled makespan.
 
 Runs the same epsilon-distance join on every execution backend
-(``serial`` | ``threads`` | ``processes`` | ``cluster``) and records,
+(``serial`` | ``threads`` | ``processes``) and records,
 per (kernel, backend): the end-to-end wall seconds, the measured
 local-join makespan (max over OS workers of their summed per-cell wall
 time), and the modelled makespan from the cost model.  Results land in
@@ -16,10 +16,6 @@ Python's GIL serializes the ``threads`` backend for these numpy-heavy
 kernels, so its speedup hovers near 1x; ``processes`` is the backend the
 acceptance numbers refer to.  The emitted JSON records ``cpu_count`` --
 on a single-CPU host no backend can beat serial, and the numbers say so.
-The ``cluster`` row additionally pays daemon startup and a real socket
-shuffle (blocks shipped to their home daemon, fetched over the data
-plane; see docs/CLUSTER.md), which is the honest cost of process-level
-fault isolation.
 """
 
 import argparse
@@ -81,7 +77,7 @@ def main(argv=None):
     ap.add_argument("--eps", type=float, default=0.009)
     ap.add_argument("--kernel", default="grid_hash")
     ap.add_argument("--backends", nargs="*",
-                    default=["serial", "threads", "processes", "cluster"])
+                    default=["serial", "threads", "processes"])
     ap.add_argument("--out", default=str(RESULTS))
     args = ap.parse_args(argv)
 

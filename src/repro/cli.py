@@ -200,12 +200,6 @@ def _validate_join_args(args: argparse.Namespace) -> str | None:
             and args.method not in GRID_METHODS):
         return (f"--spill applies to grid methods only "
                 f"({', '.join(GRID_METHODS)})")
-    if args.backend != "cluster":
-        for flag, value in (("--cluster-daemons", args.cluster_daemons),
-                            ("--heartbeat-interval", args.heartbeat_interval),
-                            ("--heartbeat-timeout", args.heartbeat_timeout)):
-            if value is not None:
-                return f"{flag} requires --backend cluster"
     if args.trace_format is not None and args.trace is None:
         return "--trace-format requires --trace"
     if args.quiet and args.log_level not in (None, "quiet"):
@@ -226,12 +220,6 @@ def _execution_options(args: argparse.Namespace) -> dict:
     }
     if args.task_timeout is not None:
         options["task_timeout"] = args.task_timeout
-    if args.cluster_daemons is not None:
-        options["cluster_daemons"] = args.cluster_daemons
-    if args.heartbeat_interval is not None:
-        options["heartbeat_interval"] = args.heartbeat_interval
-    if args.heartbeat_timeout is not None:
-        options["heartbeat_timeout"] = args.heartbeat_timeout
     if args.faults is not None:
         options["faults"] = args.faults.with_seed(args.fault_seed)
     if args.spill != "none":
@@ -884,20 +872,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="snapshot per-cell partial results so killed "
                            "task attempts salvage finished cells "
                            "(requires --spill)")
-    join.add_argument("--cluster-daemons", type=_positive_int, default=None,
-                      metavar="N",
-                      help="worker daemons of the cluster backend "
-                           "(requires --backend cluster; default: one per "
-                           "CPU, at most one per task)")
-    join.add_argument("--heartbeat-interval", type=_positive_float,
-                      default=None, metavar="SECONDS",
-                      help="seconds between cluster daemon liveness beats "
-                           "(requires --backend cluster)")
-    join.add_argument("--heartbeat-timeout", type=_positive_float,
-                      default=None, metavar="SECONDS",
-                      help="heartbeat silence after which a cluster daemon "
-                           "is declared lost and its tasks are re-run "
-                           "(requires --backend cluster)")
     join.add_argument("--base-n", type=int, default=DEFAULT_BASE_N,
                       help="cardinality for generated datasets")
     join.add_argument("--payload", type=int, default=0, help="payload bytes per tuple")
@@ -1003,10 +977,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind address for --port (default 127.0.0.1)")
     serve.add_argument("--backend", choices=BACKENDS,
                        default="serial",
-                       help="execution backend every query runs on "
-                            "(cluster forks a daemon fleet per query; its "
-                            "daemon health feeds the stats op and the "
-                            "metrics exporter)")
+                       help="execution backend every query runs on")
     serve.add_argument("--executor-workers", type=_positive_int,
                        default=None, metavar="N",
                        help="OS-level worker cap of the parallel backends")
@@ -1137,8 +1108,8 @@ def build_parser() -> argparse.ArgumentParser:
     top = sub.add_parser(
         "top",
         help="live terminal dashboard over a running join server "
-             "(latency percentiles, cache hit rates, queue depth, "
-             "daemon liveness; polls the stats op)",
+             "(latency percentiles, cache hit rates, queue depth; "
+             "polls the stats op)",
     )
     top.add_argument("--socket", default=None, metavar="PATH",
                      help="the server's unix socket")

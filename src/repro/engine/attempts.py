@@ -2,8 +2,8 @@
 
 The paper's join is a Spark job: one scheduler owns retries, stragglers
 and lost executors, and the executors are only where tasks run.  Here
-the ``serial``, pool (``threads`` / ``processes``) and ``cluster`` tiers
-are *transports* -- they know how to start an attempt and how to hear
+the ``serial`` and pool (``threads`` / ``processes``) tiers are
+*transports* -- they know how to start an attempt and how to hear
 that it ended -- and every decision about an attempt is made by the
 :class:`AttemptLedger` they share:
 
@@ -29,7 +29,7 @@ the failure budget starts afresh on each.
 from __future__ import annotations
 
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +51,6 @@ class Flight:
     speculated: bool = False
     #: Scheduler-side ``task`` span (``None`` when tracing is disabled).
     span: object = None
-    #: The daemon the cluster transport sent it to; the ledger never reads it.
-    daemon: int | None = None
 
     @property
     def span_id(self) -> str | None:
@@ -154,7 +152,7 @@ class AttemptLedger:
         self.report.recovery_seconds += max(0.0, now - flight.started)
         self.last_error = exc
         self._record_failure(flight, exc)
-        if self.flying(task):
+        if any(fl.task == task for fl in self.flights.values()):
             return None  # a sibling attempt may still win
         self.failures[task] += 1
         if self.failures[task] > self.policy.max_retries:
@@ -192,42 +190,17 @@ class AttemptLedger:
         timeout = self.policy.task_timeout
         if timeout is None:
             return []
+        flying = Counter(fl.task for fl in self.flights.values())
         return [
             fl for fl in self.flights.values()
             if not (fl.speculative or fl.speculated)
             and now - fl.started >= timeout
-            and self.flying(fl.task) == 1
+            and flying[fl.task] == 1
         ]
 
     # ------------------------------------------------------------------
-    # what a transport asks besides
+    # ending a tier
     # ------------------------------------------------------------------
-    def flying(self, task: int) -> int:
-        """Attempts of ``task`` in flight."""
-        return sum(1 for fl in self.flights.values() if fl.task == task)
-
-    @property
-    def unfinished(self) -> bool:
-        """Whether a task of this tier is neither completed nor exhausted."""
-        return len(self.completed) + len(self.exhausted) < len(self.tasks)
-
-    @property
-    def attempt_budget(self) -> int:
-        """Failures one task may run up on one tier before it is exhausted."""
-        return self.policy.max_retries + 1
-
-    def requeue(self, task: int) -> None:
-        """Queue a task the transport could not place: no charge, no wait."""
-        self.queued.setdefault(task, self.clock())
-
-    def give_up(self, exc: BaseException) -> None:
-        """The transport is gone: every unfinished task is exhausted here."""
-        for task, positions in self.tasks.items():
-            if task not in self.completed:
-                self.exhausted.setdefault(task, positions)
-        if self.last_error is None:
-            self.last_error = exc
-
     def close(self) -> dict[int, np.ndarray]:
         """End the tier: drop what still flies, return the exhausted tasks."""
         for flight in list(self.flights.values()):

@@ -32,7 +32,7 @@ Two tiers are supported:
     boundaries -- the tier that makes salvage work under real worker
     kills.
 
-A store pickled toward a pool worker or a cluster daemon travels as a
+A store pickled toward a pool worker travels as a
 small *handle*: no blocks, and it never deletes anything.  A memory-tier
 handle is *detached* -- its cell saves are dropped (they could never
 reach the parent) and its loads miss; a disk-tier handle saves and loads
@@ -152,7 +152,7 @@ class BlockStore:
         self._detached = False
         self._closed = False
         #: Only the creating process may delete files: forked or pickled
-        #: copies in pool workers and daemons never clean up under it.
+        #: copies in pool workers never clean up under it.
         self._pid = os.getpid()
         # accounting
         self.blocks_spilled = 0
@@ -162,8 +162,7 @@ class BlockStore:
         self.misses = 0
         self.fetched_bytes = 0  # modelled bytes served by fetch hits
         if tier == "disk":
-            # eager: pool workers and daemons must share this directory,
-            # not invent one
+            # eager: pool workers must share this directory, not invent one
             self._directory()
 
     # ------------------------------------------------------------------
@@ -370,7 +369,7 @@ class BlockStore:
     def load_cell(self, pos: int) -> CellCheckpoint | None:
         """The checkpoint for one plan position, or ``None``.
 
-        On disk the file is the record: a cell a worker or daemon copy
+        On disk the file is the record: a cell a worker copy
         saved is visible here without any bookkeeping in this process.
         """
         if self._detached or self._closed:
@@ -390,7 +389,7 @@ class BlockStore:
     # pickling and cleanup
     # ------------------------------------------------------------------
     def __getstate__(self):
-        # a copy shipped to a pool worker or a daemon is a handle: no
+        # a copy shipped to a pool worker is a handle: no
         # blocks, cells or tracer travel, it never deletes (no owner
         # pid), and a memory-tier copy is detached -- its saves could
         # never reach this process, so they are dropped and its loads miss
@@ -407,7 +406,7 @@ class BlockStore:
         In the creating process, removes the spill directory when the
         store created it; a user-provided directory is left in place,
         emptied of blocks, cells and the temp files of writes aborted
-        mid-spill (including those of worker and daemon copies).
+        mid-spill (including those of worker copies).
         """
         if self._closed:
             return

@@ -11,13 +11,7 @@ be compared against a measured one.  Three backends share one code path:
 * ``processes`` -- a process pool; the per-cell (R, S) array bundles are
   published once through ``multiprocessing.shared_memory`` (one
   contiguous block per side plus a per-cell offset table) so workers
-  attach zero-copy instead of unpickling per-cell payloads;
-* ``cluster``   -- a real shared-nothing process cluster on localhost:
-  long-lived worker daemons over sockets, heartbeat failure detection,
-  and a shuffle data plane serving ``(side, src, dst)`` blocks to remote
-  fetches (see :mod:`repro.engine.cluster_backend` and
-  ``docs/CLUSTER.md``).  Degrades to ``processes`` when daemons cannot
-  start.
+  attach zero-copy instead of unpickling per-cell payloads.
 
 Cells are grouped by their simulated worker (the LPT or hash assignment
 from the driver), one task per simulated worker, so the measured
@@ -96,18 +90,17 @@ from collections.abc import Sequence
 from typing import Mapping
 
 #: Execution backends accepted by :func:`execute_plan`.
-BACKENDS = ("serial", "threads", "processes", "cluster")
+BACKENDS = ("serial", "threads", "processes")
 
 #: Where each backend falls back to when it cannot finish a task.
 _FALLBACK = {
-    "cluster": "processes",
     "processes": "threads",
     "threads": "serial",
     "serial": None,
 }
 
-#: Scheduler wake-up interval (seconds) while a transport waits on pool
-#: futures or daemon events.
+#: Scheduler wake-up interval (seconds) while a pool tier waits on its
+#: futures.
 _TICK = 0.02
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -382,21 +375,6 @@ class ExecutionReport:
     #: Per plan position: times a re-submission skipped the position
     #: because a checkpoint covered it (modelled recovery savings).
     salvage_counts: np.ndarray = field(default_factory=lambda: _EMPTY.copy())
-
-    # ------------------------------------------------------------------
-    # cluster backend (see repro.engine.cluster_backend)
-    # ------------------------------------------------------------------
-    #: Shuffle blocks whose primary copy was lost and that were re-read
-    #: from the coordinator's authoritative copy instead.
-    blocks_refetched: int = 0
-    #: Block fetches the coordinator served as the fallback holder.
-    fallback_fetches: int = 0
-    #: Daemon processes started over the job (initial members + respawns).
-    daemons_spawned: int = 0
-    #: Daemons declared lost (heartbeat silence or connection EOF).
-    daemons_lost: int = 0
-    #: Lost daemons that turned out alive and rejoined (false positives).
-    daemon_rejoins: int = 0
 
     @property
     def pair_r(self) -> Sequence[np.ndarray]:
@@ -1250,7 +1228,6 @@ def execute_plan(
     checkpoints=None,
     tracer: Tracer | None = None,
     registry: MetricsRegistry | None = None,
-    cluster=None,
     collect_pairs: bool = True,
 ) -> ExecutionReport:
     """Run every cell's local join on the chosen backend, fault tolerantly.
@@ -1280,10 +1257,6 @@ def execute_plan(
     whole cell group in one probe and one expand unless ``checkpoints``
     is set, since per-cell snapshots need the per-cell loop.  Output is
     bit-identical either way.
-
-    ``cluster`` tunes the ``cluster`` backend: a
-    :class:`~repro.engine.cluster_backend.ClusterConfig`, a mapping of
-    its fields, or ``None`` for defaults.  Ignored by other backends.
 
     ``collect_pairs=False``: nobody will read the pairs, so the report has
     ``bounds`` (the counts) and ``candidates`` with empty columns, and a
@@ -1388,30 +1361,6 @@ def execute_plan(
             remaining = _serial_tier(
                 plan, remaining, kernel_name, eps, ledger, checkpoints, columns
             )
-        elif tier == "cluster":
-            from repro.engine.cluster_backend import (
-                ClusterConfig,
-                ClusterUnavailable,
-                run_cluster_tier,
-            )
-
-            cluster_cfg = ClusterConfig.coerce(cluster)
-            n_daemons = cluster_cfg.daemons or max_workers or min(
-                len(remaining), os.cpu_count() or 1
-            )
-            n_daemons = max(1, n_daemons)
-            if tier == backend:
-                report.os_workers = n_daemons
-            try:
-                remaining = run_cluster_tier(
-                    plan, remaining, kernel_name, eps, ledger, checkpoints,
-                    cluster_cfg, n_daemons,
-                )
-            except ClusterUnavailable as exc:
-                # the cluster never came up; no task was attempted, so
-                # `remaining` is untouched and the degradation machinery
-                # below moves the whole batch to the processes tier
-                ledger.last_error = exc
         else:
             os_workers = max_workers or min(len(remaining), os.cpu_count() or 1)
             os_workers = max(1, min(os_workers, len(remaining)))

@@ -27,29 +27,16 @@ Four fault kinds are understood:
 ``kernel``
     The local-join kernel raises :class:`InjectedKernelError`.
 
-Two further kinds target the real ``cluster`` backend (they are inert
-everywhere else -- no other backend consults them):
-
-``heartbeat``
-    A daemon's liveness beats go quiet for ``delay`` seconds while it
-    keeps working -- a network partition or GC pause in miniature, used
-    to force false-positive failure detection.  ``worker`` selects the
-    daemon id, ``times`` the beat numbers eligible.
-``serve``
-    The daemon *holding* a task's shuffle blocks is SIGKILLed while
-    serving a fetch of them -- a mid-shuffle loss.  ``worker`` selects
-    the destination task id whose fetch triggers the kill.
-
 Fault-spec grammar (the CLI's ``--faults`` argument)::
 
     spec    := clause ("," clause)*
     clause  := kind (":" param "=" value)*
-    kind    := kill | straggler | fetch | kernel | heartbeat | serve
+    kind    := kill | straggler | fetch | kernel
     params  := p=<prob 0..1>      probability per eligible attempt (default 1)
                times=<n>          only attempts 0..n-1 are eligible
                                   (default 1; 0 means every attempt)
                worker=<id>        only this simulated worker's tasks
-               delay=<seconds>    straggler sleep / heartbeat silence
+               delay=<seconds>    straggler sleep
                                   (default 0.05)
 
 Examples::
@@ -57,7 +44,6 @@ Examples::
     kill:p=1:times=1                  first attempt of every task dies
     straggler:worker=0:delay=0.2      sim-worker 0's first attempt is slow
     fetch:p=0.3,kernel:p=0.1          30% fetch failures + 10% kernel errors
-    serve:worker=2                    the daemon serving task 2's blocks dies
 """
 
 from __future__ import annotations
@@ -66,7 +52,7 @@ import hashlib
 from dataclasses import dataclass, replace
 
 #: Fault kinds a plan may inject.
-FAULT_KINDS = ("kill", "straggler", "fetch", "kernel", "heartbeat", "serve")
+FAULT_KINDS = ("kill", "straggler", "fetch", "kernel")
 
 _KIND_ALIASES = {
     "kill": "kill",
@@ -77,10 +63,6 @@ _KIND_ALIASES = {
     "shuffle_fetch": "fetch",
     "kernel": "kernel",
     "kernel_error": "kernel",
-    "heartbeat": "heartbeat",
-    "hb_delay": "heartbeat",
-    "serve": "serve",
-    "block_serve": "serve",
 }
 
 
@@ -180,7 +162,7 @@ class FaultClause:
     p: float = 1.0
     times: int = 1  # attempts [0, times) are eligible; 0 = every attempt
     worker: int | None = None
-    delay: float = 0.05  # straggler sleep / heartbeat silence
+    delay: float = 0.05  # straggler sleep
 
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
@@ -203,7 +185,7 @@ class FaultClause:
             parts.append(f"times={self.times}")
         if self.worker is not None:
             parts.append(f"worker={self.worker}")
-        if self.kind in ("straggler", "heartbeat") and self.delay != 0.05:
+        if self.kind == "straggler" and self.delay != 0.05:
             parts.append(f"delay={self.delay:g}")
         return ":".join(parts)
 

@@ -1,6 +1,6 @@
 """Startup hygiene: reclaim temp resources a crashed run left behind.
 
-A SIGKILLed coordinator (or any abruptly-dead process) never reaches the
+A SIGKILLed join (or any abruptly-dead process) never reaches the
 BlockStore cleanup path, so its spill directories and
 POSIX shared-memory segments leak.  Every such resource is tagged with
 its owner pid at creation time -- spill/checkpoint temp directories carry
@@ -9,10 +9,10 @@ in their ``repro_<pid>_<seq>_<nonce>`` name -- so a later run can tell a
 *stale* resource (owner dead) from one belonging to a live sibling
 process, and sweep only the former.
 
-The cluster backend sweeps on coordinator startup (see
-``docs/CLUSTER.md``); :func:`sweep_stale_resources` is also safe to call
-from anywhere else, because it touches nothing whose owner is still
-alive and nothing it cannot attribute to an owner.
+``repro serve`` sweeps on start-up (``ServerConfig.sweep_on_start``);
+:func:`sweep_stale_resources` is also safe to call from anywhere else,
+because it touches nothing whose owner is still alive and nothing it
+cannot attribute to an owner.
 """
 
 from __future__ import annotations

@@ -84,8 +84,8 @@ class JoinConfig(ExecutionSettings):
     """Configuration of one parallel distance-join job.
 
     The fields below say *what* is joined and how it is partitioned;
-    how the job executes (backend, faults, retries, spill, cluster,
-    telemetry, history) is inherited from
+    how the job executes (backend, faults, retries, spill, telemetry,
+    history) is inherited from
     :class:`~repro.joins.pipeline.ExecutionSettings`.
     """
 

@@ -115,8 +115,8 @@ class ExecutionSettings:
 
     The one declaration of the execution surface: backend choice, fault
     injection, retry/speculation policy, shuffle spill and cell
-    checkpointing, the simulated memory limit, the ``cluster`` backend
-    tunables, telemetry and the run history.  Every driver config
+    checkpointing, the simulated memory limit, telemetry and the run
+    history.  Every driver config
     (``JoinConfig``, ``ObjectJoinConfig``, ``GeneralizedJoinConfig``) is
     a subclass, so the fields are flat keywords on each of them and
     ``ctx.settings`` is the config itself.
@@ -139,7 +139,7 @@ class ExecutionSettings:
     #: Straggler threshold (seconds): a task attempt older than this gets
     #: a speculative copy; ``None`` disables straggler detection.
     task_timeout: float | None = None
-    #: Fall back cluster -> processes -> threads -> serial when a backend
+    #: Fall back processes -> threads -> serial when a backend
     #: cannot finish a task inside its retry budget.
     degrade: bool = True
     #: Shuffle-spill tier for the block store (see
@@ -160,17 +160,6 @@ class ExecutionSettings:
     #: job dies with :class:`SimulatedOOMError` -- the fate of the
     #: eps-grid baseline at x4 data in the paper (Fig. 13).
     memory_limit_bytes: int | None = None
-    #: ``cluster`` backend: worker daemons to spawn (``None``: one per
-    #: host CPU, at most one per task).
-    cluster_daemons: int | None = None
-    #: ``cluster`` backend: seconds between daemon liveness beats.
-    heartbeat_interval: float = 0.05
-    #: ``cluster`` backend: heartbeat silence (seconds) after which a
-    #: daemon is declared lost and its tasks re-run elsewhere.
-    heartbeat_timeout: float = 2.0
-    #: ``cluster`` backend: per-fetch socket timeout for remote shuffle
-    #: block reads.
-    fetch_timeout: float = 2.0
     #: The run's :class:`~repro.engine.telemetry.Telemetry` bundle
     #: (tracer + metrics registry).  ``None`` means tracing disabled with
     #: a private throwaway registry -- the always-on default.
@@ -199,19 +188,6 @@ class ExecutionSettings:
             task_timeout=self.task_timeout,
             degrade=self.degrade,
         )
-
-    def cluster_config(self) -> dict:
-        """The ``cluster``-backend tunables as :func:`execute_plan` kwargs.
-
-        A plain mapping (not a ``ClusterConfig``) so the pipeline never
-        imports the cluster backend unless the backend is actually used.
-        """
-        return {
-            "daemons": self.cluster_daemons,
-            "heartbeat_interval": self.heartbeat_interval,
-            "heartbeat_timeout": self.heartbeat_timeout,
-            "fetch_timeout": self.fetch_timeout,
-        }
 
 
 @dataclass
@@ -964,7 +940,6 @@ class LocalJoinStage(Stage):
             checkpoints=ctx.store if ctx.settings.checkpoint_cells else None,
             tracer=ctx.tracer,
             registry=ctx.registry,
-            cluster=ctx.settings.cluster_config(),
             collect_pairs=self.collect_pairs,
         )
         ctx.data["plan"] = plan
@@ -1084,27 +1059,6 @@ class JoinAccountingStage(Stage):
             metrics.extra["degraded_steps"] = float(len(report.degraded))
         if report.pool_rebuilds:
             metrics.extra["pool_rebuilds"] = float(report.pool_rebuilds)
-        # cluster backend: fold executor-level shuffle refetches into the
-        # run's refetch gauge (additive with the simulated fetch-fault
-        # path) and surface the daemon lifecycle counters
-        if report.blocks_refetched:
-            metrics.blocks_refetched += report.blocks_refetched
-            reg.gauge("blockstore.blocks_refetched").set(
-                metrics.blocks_refetched
-            )
-            metrics.extra["cluster_blocks_refetched"] = float(
-                report.blocks_refetched
-            )
-        if report.daemons_spawned:
-            metrics.extra["cluster_daemons_spawned"] = float(
-                report.daemons_spawned
-            )
-        if report.daemons_lost:
-            metrics.extra["cluster_daemons_lost"] = float(report.daemons_lost)
-        if report.daemon_rejoins:
-            metrics.extra["cluster_daemon_rejoins"] = float(
-                report.daemon_rejoins
-            )
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ registry, a RunReport.  This package observes the *system over time*:
   server's ``stats`` op surfaces.
 * :mod:`repro.obs.top` -- ``repro top``: a live terminal dashboard
   polling a running server's stats (latency percentiles, cache hit
-  rates, queue depth, daemon liveness) with per-interval deltas.
+  rates, queue depth) with per-interval deltas.
 
 Layering: ``repro.obs`` sits directly above ``repro.engine.telemetry``
 and below everything that composes it (pipeline via duck-typing,

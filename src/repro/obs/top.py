@@ -163,17 +163,6 @@ def render_stats(
     if parts:
         lines.append("plan err   " + "  ".join(parts))
 
-    # -- cluster daemon health -----------------------------------------
-    cluster = stats["cluster"]
-    if any(cluster.values()):
-        lines.append(
-            "cluster    "
-            f"daemons {_fmt_count(cluster['daemons_spawned'])} spawned"
-            f"  {_with_delta(_fmt_count(cluster['daemons_lost']), _delta(stats, prev, 'cluster', 'daemons_lost'))} lost"
-            f"  {_fmt_count(cluster['daemon_rejoins'])} rejoined"
-            f"  blocks refetched {_fmt_count(cluster['blocks_refetched'])}"
-        )
-
     # -- SLO -----------------------------------------------------------
     slo = stats["slo"]
     if slo["enabled"]:

@@ -4,8 +4,8 @@ The planner prices candidates on one of two clocks
 (:data:`repro.core.cost_model.CLOCKS`) and this module scores the
 prediction against the *same* clock's measurement -- like with like:
 
-* **modelled** (plans for the ``threads``, ``processes`` and ``cluster``
-  backends, the paper figures):
+* **modelled** (plans for the ``threads`` and ``processes`` backends,
+  the paper figures):
   the engine reports the measured *modelled* clocks -- the simulated
   cluster's makespans over the real data, not a sample.  Prediction
   ``construction_time`` <-> the ``shuffle`` stage's modelled makespan

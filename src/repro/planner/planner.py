@@ -17,8 +17,8 @@ and the modelled-regret tests ask for with ``clock="modelled"``.  The
 nothing divided by a worker count that is a loop in one interpreter) is
 the objective when the plan runs on the ``serial`` backend -- there it is
 the clock the caller waits for, and ``serial`` is the backend its
-constants were measured on.  ``threads``, ``processes`` and ``cluster``
-really run their workers side by side and stay on the modelled clock
+constants were measured on.  ``threads`` and ``processes`` really run
+their workers side by side and stay on the modelled clock
 (plus the per-task launch overhead) until they have a calibration of
 their own.  The clock follows the backend; it is not a setting.
 

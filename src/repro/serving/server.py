@@ -102,11 +102,6 @@ __all__ = ["JoinServer", "ServerConfig", "ServerHandle", "start_in_thread"]
 #: defaults would waste most buckets.
 ERROR_RATIO_BUCKETS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
 
-#: Daemon-health counters folded from cluster runs (``serve.cluster_<key>``).
-CLUSTER_COUNTERS = (
-    "daemons_spawned", "daemons_lost", "daemon_rejoins", "blocks_refetched",
-)
-
 #: The ``/metrics`` families: one row each, its path into
 #: :meth:`JoinServer.snapshot` (the path rules are ``repro.obs.exporter``'s);
 #: the SLO and history counters report 0 while their feature is off.
@@ -158,18 +153,6 @@ METRIC_FAMILIES = check_families(Family(*row) for row in (
     ("repro_planner_clock_error_ratio", "histogram",
      "Absolute relative error of chosen plans on the clock they were "
      "priced on, by phase; 0.1 means 10% off.", "planner_errors.{phase}"),
-    ("repro_cluster_daemons_spawned_total", "counter",
-     "Cluster daemons forked across served queries.",
-     "cluster.daemons_spawned"),
-    ("repro_cluster_daemons_lost_total", "counter",
-     "Cluster daemons declared lost by heartbeat timeout.",
-     "cluster.daemons_lost"),
-    ("repro_cluster_daemon_rejoins_total", "counter",
-     "Replacement daemons that rejoined after a loss.",
-     "cluster.daemon_rejoins"),
-    ("repro_cluster_blocks_refetched_total", "counter",
-     "Shuffle blocks re-fetched during cluster recovery.",
-     "cluster.blocks_refetched"),
     ("repro_slo_degraded", "gauge",
      "1 when the SLO watchdog's rolling window breaches a threshold, "
      "else 0.", "degraded"),
@@ -246,12 +229,8 @@ class ServerConfig:
     max_inflight: int = 2
     max_queue: int = 16
     #: Execution backend queries run on: any of the executor's
-    #: ``BACKENDS``.  ``cluster`` spawns a per-query daemon fleet rather
-    #: than drawing on a resident pool (long-lived daemons are a ROADMAP
-    #: rung), but serving it matters for observability: daemon health
-    #: flows into the stats op, the Prometheus exporter and ``repro top``.
-    #: Fault injection still belongs to one-shot runs (``faults`` stays a
-    #: rejected one-shot field).
+    #: ``BACKENDS``.  Fault injection belongs to one-shot runs
+    #: (``faults`` stays a rejected one-shot field).
     backend: str = "serial"
     #: OS-level worker cap for the parallel backends.
     executor_workers: int | None = None
@@ -585,10 +564,6 @@ class JoinServer:
                     f"serve.plan_abs_rel_error.{phase}", ERROR_RATIO_BUCKETS
                 ).snapshot()
                 for phase in phases
-            },
-            "cluster": {
-                key: reg.value(f"serve.cluster_{key}")
-                for key in CLUSTER_COUNTERS
             },
             "slo": slo,
             "history": (
@@ -1059,7 +1034,6 @@ class JoinServer:
             planner_meta["plan_cache_hit"] = planned["cache_hit"]
             telemetry.registry.set_meta("planner", planner_meta)
         result = distance_join(r.points, s.points, run_cfg)
-        self._accumulate_cluster_metrics(result.metrics)
         metrics_payload = _metrics_payload(result.metrics)
         self._result_cache_put(qkey, result, metrics_payload)
 
@@ -1097,14 +1071,6 @@ class JoinServer:
         if spec.report:
             payload["report"] = telemetry.report().render()
         return self._finish(payload, started)
-
-    def _accumulate_cluster_metrics(self, metrics) -> None:
-        """Fold one run's daemon-health extras into server counters."""
-        extra = getattr(metrics, "extra", None) or {}
-        for key in CLUSTER_COUNTERS:
-            value = extra.get(f"cluster_{key}")
-            if value:
-                self.registry.counter(f"serve.cluster_{key}").inc(int(value))
 
     def _finish(self, payload: dict, started: float) -> dict:
         latency = time.perf_counter() - started

@@ -21,18 +21,14 @@ from repro.grid.grid import Grid
 # ----------------------------------------------------------------------
 # per-test alarm (pytest-timeout equivalent, stdlib-only)
 # ----------------------------------------------------------------------
-#: Default deadline for tests marked ``cluster``: a hung daemon or a
-#: deadlocked socket must fail the chaos suite in seconds, not wedge CI.
-CLUSTER_TEST_TIMEOUT = 120.0
-
 #: Default deadline for tests marked ``serving``: a wedged event loop or
-#: a client blocked on a dead socket must fail fast, like the cluster
-#: suite's chaos tests.
+#: a client blocked on a dead socket must fail the suite in seconds, not
+#: wedge CI.
 SERVING_TEST_TIMEOUT = 60.0
 
 
 class DeadlineExceeded(Exception):
-    """A test ran past its ``timeout`` marker (or the cluster default)."""
+    """A test ran past its ``timeout`` marker (or the serving default)."""
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -40,18 +36,15 @@ def pytest_runtest_call(item):
     """Arm a SIGALRM deadline around each test that declares one.
 
     ``@pytest.mark.timeout(seconds)`` sets an explicit deadline; tests
-    marked ``cluster`` get :data:`CLUSTER_TEST_TIMEOUT` and tests marked
-    ``serving`` get :data:`SERVING_TEST_TIMEOUT` by default.
+    marked ``serving`` get :data:`SERVING_TEST_TIMEOUT` by default.
     SIGALRM interval timers are *not* inherited across ``fork``, so
-    daemon processes spawned inside a test are unaffected.  Main-thread
+    processes spawned inside a test are unaffected.  Main-thread
     only (pytest runs tests on the main thread).
     """
     marker = item.get_closest_marker("timeout")
     seconds = None
     if marker is not None and marker.args:
         seconds = float(marker.args[0])
-    elif item.get_closest_marker("cluster") is not None:
-        seconds = CLUSTER_TEST_TIMEOUT
     elif item.get_closest_marker("serving") is not None:
         seconds = SERVING_TEST_TIMEOUT
     if not seconds or not hasattr(signal, "SIGALRM"):

@@ -6,10 +6,13 @@ relies on.
 
 import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from repro.engine import hygiene
 from repro.engine.blockstore import BlockId, BlockStore
 
 
@@ -333,3 +336,94 @@ class TestBlockLoss:
         assert np.array_equal(res.s_ids, clean.s_ids)
         assert res.metrics.blocks_refetched > 0
         assert not spill_dir.exists() or list(spill_dir.iterdir()) == []
+
+
+# ----------------------------------------------------------------------
+# startup hygiene: reclaiming what a crashed run left behind
+# ----------------------------------------------------------------------
+def dead_pid() -> int:
+    """A pid that provably names no live process."""
+    proc = subprocess.Popen([sys.executable, "-c", "pass"])
+    proc.wait()
+    assert not hygiene.pid_alive(proc.pid)
+    return proc.pid
+
+
+class TestStartupHygiene:
+    def test_sweep_removes_only_provably_dead_resources(self, tmp_path):
+        stale_pid = dead_pid()
+        tmp_root = tmp_path / "tmp"
+        shm_dir = tmp_path / "shm"
+        tmp_root.mkdir()
+        shm_dir.mkdir()
+
+        # stale spill dir (dead owner) -> removed
+        stale_dir = tmp_root / "repro-spill-stale"
+        stale_dir.mkdir()
+        (stale_dir / "block_R_0000_0001.npz").write_bytes(b"x")
+        hygiene.write_owner_marker(str(stale_dir), pid=stale_pid)
+        # live-owner dir -> kept
+        live_dir = tmp_root / "repro-ckpt-live"
+        live_dir.mkdir()
+        hygiene.write_owner_marker(str(live_dir))
+        # unmarked dir -> kept (cannot attribute an owner)
+        unmarked = tmp_root / "repro-spill-unmarked"
+        unmarked.mkdir()
+        # unrelated dir -> never considered
+        other = tmp_root / "someone-elses-data"
+        other.mkdir()
+
+        # orphaned shm segment (dead owner embedded in name) -> removed
+        stale_seg = shm_dir / f"repro_{stale_pid}_0_abc123"
+        stale_seg.write_bytes(b"y")
+        # live segment -> kept
+        live_seg = shm_dir / f"repro_{os.getpid()}_1_def456"
+        live_seg.write_bytes(b"z")
+        # foreign segment -> never considered
+        foreign_seg = shm_dir / "psm_whatever"
+        foreign_seg.write_bytes(b"w")
+
+        report = hygiene.sweep_stale_resources(
+            tmp_root=str(tmp_root), shm_dir=str(shm_dir)
+        )
+        assert report["dirs_removed"] == [str(stale_dir)]
+        assert report["segments_removed"] == [stale_seg.name]
+        assert not stale_dir.exists()
+        assert not stale_seg.exists()
+        assert live_dir.exists() and unmarked.exists() and other.exists()
+        assert live_seg.exists() and foreign_seg.exists()
+        assert str(live_dir) in report["skipped"]
+        assert str(unmarked) in report["skipped"]
+
+    def test_sweep_is_idempotent_and_safe_on_empty(self, tmp_path):
+        report = hygiene.sweep_stale_resources(
+            tmp_root=str(tmp_path), shm_dir=str(tmp_path / "missing")
+        )
+        assert report == {
+            "dirs_removed": [], "segments_removed": [],
+            "sockets_removed": [], "skipped": [],
+        }
+
+    def test_shm_owner_parsing(self):
+        assert hygiene.shm_segment_owner("repro_1234_0_ab") == 1234
+        assert hygiene.shm_segment_owner("repro_bogus") is None
+        assert hygiene.shm_segment_owner("psm_1234") is None
+        assert hygiene.pid_alive(os.getpid())
+        assert not hygiene.pid_alive(0)
+        assert not hygiene.pid_alive(dead_pid())
+
+    def test_spill_dirs_are_owner_tagged(self, tmp_path):
+        """The block store tags the directories it creates, so a future
+        sweep can attribute them."""
+        from repro.engine.blockstore import BlockId, BlockStore
+
+        target = tmp_path / "spill"
+        with BlockStore("disk", spill_dir=str(target)) as store:
+            store.put(
+                BlockId("R", 0, 0),
+                {"cells": np.arange(4, dtype=np.int64)},
+                records=4, logical_bytes=128,
+            )
+            marker = target / hygiene.OWNER_MARKER
+            assert marker.exists()
+            assert int(marker.read_text()) == os.getpid()

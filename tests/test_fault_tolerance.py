@@ -106,6 +106,8 @@ class TestFaultPlan:
         "kill:times=-2",           # negative times
         "",                        # empty spec
         ",,,",
+        "heartbeat:worker=0",      # kinds that only daemons fired
+        "serve:worker=0",
     ])
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -304,7 +306,7 @@ class TestExecutorRecovery:
         assert report.speculative_launched >= 1
         assert report.speculative_wins >= 1
 
-    @pytest.mark.parametrize("backend", BACKENDS + ("cluster",))
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_every_tier_accounts_for_a_failed_attempt_alike(self, backend):
         """The policy is the ledger's, so one fault plan reads the same on
         every transport: same attempts, retries, fault events and failures
@@ -327,9 +329,7 @@ class TestExecutorRecovery:
         report, seen = account(backend)
         assert seen == account("serial")[1]
         assert seen[:3] == (4, 2, {0: 2, 1: 2})
-        # a daemon reports its kernel's exception by name
-        error = "RemoteTaskError" if backend == "cluster" else "InjectedKernelError"
-        assert {f.error_type for f in report.failures} == {error}
+        assert {f.error_type for f in report.failures} == {"InjectedKernelError"}
         # each task failed once and waited out one backoff before its retry
         assert report.recovery_seconds >= 2 * policy.backoff(0)
 

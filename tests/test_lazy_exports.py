@@ -31,7 +31,7 @@ EXPORTING = [
 
 def test_every_package_exports():
     assert set(PACKAGES) - set(EXPORTING) == set()
-    assert len(EXPORTING) >= 19
+    assert len(EXPORTING) >= 18
 
 
 @pytest.mark.parametrize("name", EXPORTING)

@@ -40,12 +40,7 @@ import numpy as np
 import pytest
 
 from repro.data.datasets import load_dataset
-from repro.engine.telemetry import (
-    MetricsRegistry,
-    Span,
-    Telemetry,
-    validate_span_tree,
-)
+from repro.engine.telemetry import MetricsRegistry, Telemetry
 from repro.joins.distance_join import JoinConfig, distance_join
 from repro.obs import (
     Family,
@@ -445,9 +440,6 @@ def served_stats(tmp_path_factory):
         reg.histogram(
             f"serve.plan_abs_rel_error.{phase}", ERROR_RATIO_BUCKETS
         ).observe(0.15)
-    for key, count in (("daemons_spawned", 4), ("daemons_lost", 1),
-                       ("daemon_rejoins", 1), ("blocks_refetched", 2)):
-        reg.counter(f"serve.cluster_{key}").inc(count)
     server.history.append_report(_report())
     server.history.flush()
     payload = {"ok": True, **server.snapshot()}
@@ -465,8 +457,7 @@ class TestRenderStats:
         text = render_stats(served_stats)
         assert f"pid {os.getpid()}" in text and "backend=serial" in text
         for section in ("queries", "latency", "caches", "admission",
-                        "plan err", "cluster", "slo", "history",
-                        "datasets"):
+                        "plan err", "slo", "history", "datasets"):
             assert section in text, f"missing section {section!r}"
         assert "R, S" in text
         assert "! p95" in text  # the SLO violation detail line
@@ -612,7 +603,7 @@ class TestServerObservability:
             assert set(stats["planner_errors"]) == {
                 "build", "assign", "shuffle", "join", "total"
             }
-            assert stats["cluster"]["daemons_spawned"] == 0
+            assert "cluster" not in stats
         finally:
             handle.stop()
 
@@ -890,52 +881,6 @@ class TestCleanShutdown:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
-
-
-# ----------------------------------------------------------------------
-# cross-process span merge through the resident server
-# ----------------------------------------------------------------------
-@pytest.mark.cluster
-@pytest.mark.serving
-class TestClusterSpanMerge:
-    def test_cluster_served_trace_is_one_valid_tree(self):
-        """A traced query on the cluster backend returns one coherent
-        span tree: daemon-side task spans merge under the server-side
-        job/stage spans with no orphans."""
-        handle = start_in_thread(
-            ServerConfig(backend="cluster", executor_workers=2)
-        )
-        try:
-            with JoinClient(
-                socket_path=handle.socket_path, timeout=110.0
-            ) as c:
-                _register(c)
-                got = c.query(
-                    "R", "S", eps=EPS, trace=True, return_spans=True,
-                    reuse_results=False,
-                )
-        finally:
-            handle.stop()
-        assert got["ok"] and got["results"] > 0
-        spans = [Span.from_dict(row) for row in got["trace_spans"]]
-        assert len(spans) == got["spans"]
-        validate_span_tree(spans)  # unique ids, no orphans, one root
-        cats = {s.cat for s in spans}
-        assert "job" in cats and "stage" in cats
-        task_workers = {
-            s.worker for s in spans if s.cat == "task" and s.worker is not None
-        }
-        assert len(task_workers) >= 2, (
-            "cluster task spans should come from multiple daemons"
-        )
-        # and the cluster answer matches the serial one-shot bit for bit
-        r = load_dataset("R1", base_n=BASE_N)
-        s = load_dataset("S1", base_n=BASE_N)
-        oneshot = distance_join(r, s, JoinConfig(eps=EPS))
-        assert np.array_equal(
-            np.asarray(got["pairs"]),
-            np.column_stack((oneshot.r_ids, oneshot.s_ids)),
-        )
 
 
 # ----------------------------------------------------------------------

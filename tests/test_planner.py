@@ -345,7 +345,7 @@ class TestTwoClocks:
         assert plan_join(r, s, 0.01).clock == "wall"  # serial by default
         # the wall constants were measured on serial: the backends that run
         # their workers side by side keep the parent's objective and pick
-        for backend in ("threads", "processes", "cluster"):
+        for backend in ("threads", "processes"):
             assert backend_clock(backend) == "modelled"
             parallel = plan_join(
                 r, s, 0.01, base=JoinConfig(eps=0.01, execution_backend=backend)
@@ -362,7 +362,7 @@ class TestTwoClocks:
             plan_join(r, s, 0.01, clock="sundial")
 
     def test_modelled_clock_is_the_parents_planner(self, inputs):
-        """``clock="modelled"`` and backend ``cluster`` pick what the
+        """``clock="modelled"`` and backend ``processes`` pick what the
         planner picked before it had a second clock, at the same price."""
         r, s = inputs
         planned = plan_join(r, s, 0.01, clock="modelled")
@@ -370,12 +370,14 @@ class TestTwoClocks:
         assert repr(planned.predicted_clock) == "0.02081511200434385"
         r2 = gaussian_clusters(2500, seed=3, name="R")
         s2 = uniform(2000, seed=4, name="S")
-        on_cluster = plan_join(
+        on_processes = plan_join(
             r2, s2, 0.012, sample_rate=0.2, seed=1,
             base=JoinConfig(eps=0.012, sample_rate=0.2, seed=1,
-                            execution_backend="cluster"),
+                            execution_backend="processes"),
         )
-        assert on_cluster.chosen.key() == ("lpib", 4.0, "grid_hash", 4, "cluster")
+        assert on_processes.chosen.key() == (
+            "lpib", 4.0, "grid_hash", 4, "processes"
+        )
         # both clocks are priced for every candidate, whichever ranks them
         wall = plan_join(r, s, 0.01)
         assert [c.prediction for c in wall.candidates] == [

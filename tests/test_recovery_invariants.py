@@ -2,7 +2,7 @@
 
 The chaos matrix in ``test_fault_tolerance.py`` checks specific fault
 kinds one at a time; this module sweeps *mixed* fault plans across
-seeds and backends (including the real cluster), asserting the
+seeds and backends, asserting the
 bookkeeping identities that must hold for ANY run regardless of which
 injections happened to fire:
 
@@ -95,8 +95,6 @@ def check_invariants(res, *, mix, backend, checkpoints):
     assert m.task_retries >= 0 and m.speculative_launched >= 0, tag
     assert m.speculative_wins <= m.speculative_launched, tag
     # every extra attempt is explained by a retry or a speculative copy
-    # (the cluster scheduler may additionally re-queue a submission that
-    # never reached a daemon, which consumes no attempt)
     assert (
         m.task_attempts <= NUM_TASKS + m.task_retries
         + m.speculative_launched
@@ -121,13 +119,12 @@ def check_invariants(res, *, mix, backend, checkpoints):
         assert m.blocks_spilled > 0, tag  # checkpoints imply a store
 
     # --- refetch bounded by what was ever addressable -----------------
-    if backend != "cluster":
-        # the simulated shuffle can only refetch spilled blocks (each at
-        # most once per failed attempt)
-        if m.blocks_spilled == 0:
-            assert m.blocks_refetched == 0, tag
-        else:
-            assert m.blocks_refetched <= m.blocks_spilled * 4, tag
+    # the simulated shuffle can only refetch spilled blocks (each at most
+    # once per failed attempt)
+    if m.blocks_spilled == 0:
+        assert m.blocks_refetched == 0, tag
+    else:
+        assert m.blocks_refetched <= m.blocks_spilled * 4, tag
 
 
 @pytest.mark.chaos
@@ -148,17 +145,3 @@ def test_invariants_hold_without_checkpoints(tmp_path, mix, seed):
     _, _, res = run_join(mix, seed, "threads", tmp_path, False)
     check_invariants(res, mix=mix, backend="threads", checkpoints=False)
 
-
-@pytest.mark.chaos
-@pytest.mark.cluster
-@pytest.mark.parametrize("mix", sorted(FAULT_MIXES))
-def test_invariants_hold_cluster(tmp_path, mix):
-    """The same identities on the real multi-process cluster, where a
-    fired kill is an actual SIGKILL and refetches cross sockets."""
-    r, s, res = run_join(mix, 0, "cluster", tmp_path, True)
-    check_invariants(res, mix=mix, backend="cluster", checkpoints=True)
-    check = validate_join_result(res, r, s, EPS)
-    assert check.ok, check.issues
-    m = res.metrics
-    assert m.extra["cluster_daemons_spawned"] >= 1
-    assert list(tmp_path.iterdir()) == [], "spill dir not cleaned up"

@@ -556,7 +556,7 @@ class TestProtocolValidation:
             with pytest.raises(ServerError, match="one-shot"):
                 c.query("R", "S", eps=EPS, spill="disk")
             with pytest.raises(ServerError, match="one-shot"):
-                c.query("R", "S", eps=EPS, backend="cluster")
+                c.query("R", "S", eps=EPS, backend="processes")
 
     def test_unknown_fields_and_bad_values_rejected(self, server):
         with connect(server.address) as c:
@@ -613,9 +613,6 @@ class TestProtocolValidation:
             ServerConfig(socket_path="/tmp/x.sock", port=1234)
         with pytest.raises(ValueError, match="serving backend"):
             ServerConfig(backend="ray")
-        # the cluster backend is servable since the observability PR
-        # (daemon health feeds the stats op and the exporter)
-        assert ServerConfig(backend="cluster").backend == "cluster"
         with pytest.raises(ValueError, match="port"):
             ServerConfig(port=99999)
         with pytest.raises(ValueError, match="max_inflight"):
