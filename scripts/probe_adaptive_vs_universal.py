@@ -14,9 +14,12 @@ ROADMAP.md "The finding this re-anchor turns on" -- read off
 join's system seconds and minor page faults (``getrusage`` around it; the
 ``local_join`` stage's own share where the program attributes it) and the
 process's peak RSS so far, and ``probe_records``: the records on the
-probing side of every joinable cell.  ``--count-only`` joins with
-``collect_pairs=False``; peak RSS only ever grows, so compare it with a
-collecting run of another process, not of the next row.
+probing side of every joinable cell.  Beside the stage columns, the
+``build_partition`` stage's construction spans (``construction.sample_stats``,
+``.agreements``, ``.marking``, ``.tables``, ``.lpt``) of the same run, traced.
+``--count-only`` joins with ``collect_pairs=False``; peak RSS only ever
+grows, so compare it with a collecting run of another process, not of the
+next row.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.data import generators  # noqa: E402
-from repro.joins.distance_join import JoinConfig, distance_join  # noqa: E402
+from repro.engine.telemetry import Telemetry  # noqa: E402
+from repro.joins.distance_join import JoinConfig, config_variants, distance_join  # noqa: E402
 
 #: shape -> (R generator, S generator, eps at n = 1M; scaled to keep n * eps^2)
 SHAPES = {
@@ -42,6 +46,8 @@ SHAPES = {
 }
 METHODS = ("lpib", "diff", "uni_r", "uni_s")
 STAGES = ("build_partition", "assign", "shuffle", "local_join")
+#: the construction spans inside ``build_partition``, printed without their prefix
+CONSTRUCTION = ("sample_stats", "agreements", "marking", "tables", "lpt")
 
 
 def git_rev() -> str:
@@ -75,15 +81,23 @@ def main() -> int:
           f"{'count-only' if args.count_only else 'collecting'}; "
           f"cpu_count={os.cpu_count()} git_rev={git_rev()}")
     print(f"{'method':>6} {'wall_s':>7} " + " ".join(f"{name[:10]:>10}" for name in STAGES)
+          + " " + " ".join(f"{name[:8]:>8}" for name in CONSTRUCTION)
           + f" {'sys_s':>6} {'minflt':>8} {'lj_sys_s':>8} {'lj_minflt':>9} {'rss_MB':>6}"
           + f" {'replicas':>9} {'probe_rec':>9} {'remote_MB':>9} {'pairs':>9} {'cells':>7}")
 
     def measured():
-        """One join: its metrics, system seconds and minor faults."""
+        """One traced join: its metrics, system seconds, minor faults and
+        construction span walls."""
+        telemetry = Telemetry.create()
         before = resource.getrusage(resource.RUSAGE_SELF)
-        metrics = distance_join(r, s, cfg).metrics
+        metrics = distance_join(r, s, config_variants(cfg, telemetry=telemetry)).metrics
         after = resource.getrusage(resource.RUSAGE_SELF)
-        return metrics, after.ru_stime - before.ru_stime, after.ru_minflt - before.ru_minflt
+        spans = dict.fromkeys(CONSTRUCTION, 0.0)
+        for span in telemetry.tracer.spans():
+            name = span.name.removeprefix("construction.")
+            if span.cat == "construction" and name in spans:
+                spans[name] += span.duration
+        return metrics, after.ru_stime - before.ru_stime, after.ru_minflt - before.ru_minflt, spans
 
     for method in args.methods:
         # the join samples with seed 0, never the generators' seed: both draw
@@ -94,7 +108,7 @@ def main() -> int:
             collect_pairs=not args.count_only,
         )
         distance_join(r, s, cfg)  # warm-up
-        m, sys_s, minflt = min(
+        m, sys_s, minflt, spans = min(
             (measured() for _ in range(args.repeats)), key=lambda run: run[0].wall_total
         )
         lj_sys_s = m.extra.get("sys_s.local_join")
@@ -102,6 +116,7 @@ def main() -> int:
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         print(f"{method:>6} {m.wall_total:7.3f} "
               + " ".join(f"{m.stage_times.get(name, 0.0):10.3f}" for name in STAGES)
+              + " " + " ".join(f"{spans[name]:8.4f}" for name in CONSTRUCTION)
               + f" {sys_s:6.3f} {minflt:8d}"
               + (f" {lj_sys_s:8.3f} {int(lj_minflt):9d}" if lj_sys_s is not None else f" {'-':>8} {'-':>9}")
               + f" {rss_mb:6.0f}"

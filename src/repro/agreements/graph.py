@@ -265,7 +265,7 @@ class AgreementGraph:
         bl = (np.arange(grid.ny - 1)[:, None] * nx + np.arange(nx - 1)).ravel()
         self.cells = bl[:, None] + np.array([0, 1, nx, nx + 1])
         slot = np.empty(grid.num_cells * 8, dtype=np.int64)
-        slot[pairs.a * 8 + pairs.facing_a] = np.arange(len(pairs))
+        slot[pairs.slots[0]] = np.arange(len(pairs))
         pair = slot[self.cells[:, _PAIR_TAIL] * 8 + _PAIR_FACING]
         self.is_r = np.repeat(self.agreed_r[pair], 2, axis=1)
         self.weight = np.zeros(self.is_r.shape)

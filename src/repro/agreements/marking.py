@@ -207,13 +207,38 @@ def _repair_quartet(sub: QuartetSubgraph, report: MarkingReport) -> None:
 # Cell ids ascend with position (bl < br < tl < tr), so ``(tail, head)`` by
 # id -- the scalar tie-break -- is the columns' order by position indexes.
 _ENDS = [(POSITION_INDEX[t], POSITION_INDEX[h]) for t, h in EDGE_POSITIONS]
-_BY_ENDS = np.array([4 * i + j for i, j in _ENDS])
+_BY_ENDS = np.argsort([4 * i + j for i, j in _ENDS])
 _IS_SIDE_EDGE = np.array([DIAGONAL[t] != h for t, h in EDGE_POSITIONS])
+#: _ordered_edges' weight-free keys per ordering: the columns in key order,
+#: cut into the groups that the weight sort stays within
+_ORDER_GROUPS = {
+    "paper": (_BY_ENDS[np.argsort(_IS_SIDE_EDGE[_BY_ENDS], kind="stable")], (0, 4, 12)),
+    "weight_only": (_BY_ENDS, (0, 12)),
+    "arbitrary": (_BY_ENDS, ()),
+}
 # per column e_ij and third vertex k (ascending): the columns of e_ik, of e_jk
 _IK, _JK = (
     np.array([[EDGE_COLUMN[ends[n], k] for k in range(4) if k not in ends] for ends in _ENDS])
     for n in (0, 1)
 )
+# The lockstep keeps a quartet's marks and locks as one uint16 each: bit c
+# is edge column c.  Per column e_ij and third vertex k: the bits of its
+# support edges e_ik and e_jk, which the mark tests and then locks.
+_EDGE_BIT = (1 << np.arange(12)).astype(np.uint16)
+_SUPPORT = _EDGE_BIT[_IK] | _EDGE_BIT[_JK]
+# Set in every mark word: a test mask holding it fails whatever the edges.
+_NEVER = np.uint16(1 << 12)
+
+# Every static fact of a quartet is a function of its six pair types, so
+# it is tabled over the 64 type patterns (bit k: pair k of PAIR_POSITIONS
+# is R).  _TESTS[n]: per pattern and column e_ij, the bits the mark through
+# the n-th third vertex k tests -- e_ij's own and its support edges', and
+# _NEVER unless e_ik shares e_ij's type and e_jk does not.
+_PATTERN_IS_R = ((np.arange(64)[:, None] >> np.arange(6)) & 1).astype(bool).repeat(2, axis=1)
+_UNTYPED = (_PATTERN_IS_R[:, _IK] != _PATTERN_IS_R[:, :, None]) | (
+    _PATTERN_IS_R[:, _JK] == _PATTERN_IS_R[:, :, None]
+)
+_TESTS = [(_SUPPORT[:, n] | _EDGE_BIT | _UNTYPED[:, :, n] * _NEVER).ravel() for n in (0, 1)]
 # per triangle and vertex: the columns of the vertex's two edges into the
 # triangle -- the marking candidates, if the vertex is the apex
 _TRI_OUT = np.array(
@@ -222,19 +247,45 @@ _TRI_OUT = np.array(
         for tri in ([POSITION_INDEX[p] for p in names] for names in TRIANGLES)
     ]
 )
+# per pattern and triangle: the apex's two edges as bits, 0 in a pure
+# triangle (a vertex whose two edges share a type is every vertex of a
+# pure triangle and only the apex of a mixed one)
+_SAME = _PATTERN_IS_R[:, _TRI_OUT[..., 0]] == _PATTERN_IS_R[:, _TRI_OUT[..., 1]]
+_APEX_EDGES = np.where(
+    _SAME.all(axis=2),
+    0,
+    np.sum((_EDGE_BIT[_TRI_OUT[..., 0]] | _EDGE_BIT[_TRI_OUT[..., 1]]) * _SAME, axis=2),
+).astype(np.uint16)
+_MIXED_TRIANGLES = np.count_nonzero(_APEX_EDGES, axis=1)
+del _UNTYPED, _SAME
 
 
-def _triangle_state(is_r: np.ndarray, marked: np.ndarray) -> tuple[np.ndarray, int]:
-    """Rows with a mixed triangle that lacks a marked apex edge, and the
-    total mixed-triangle count: :func:`unresolved_mixed_triangles` and
-    :func:`mixed_triangles` over every given quartet at once."""
-    out = is_r[:, _TRI_OUT]  # (quartets, triangle, vertex, edge)
-    # a vertex whose two edges share a type: every vertex of a pure
-    # triangle, only the apex of a mixed one
-    same = out[..., 0] == out[..., 1]
-    mixed = ~same.all(axis=2)
-    resolved = (same & marked[:, _TRI_OUT].any(axis=3)).any(axis=2)
-    return np.nonzero((mixed & ~resolved).any(axis=1))[0], int(np.count_nonzero(mixed))
+def _pack(flags: np.ndarray) -> np.ndarray:
+    """``(quartets, 12)`` bools -> one uint16 per quartet, bit c = column c."""
+    return flags @ _EDGE_BIT
+
+
+def _unpack(bits: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_pack`."""
+    return (bits[:, None] & _EDGE_BIT) != 0
+
+
+def _examination_order(weight: np.ndarray, ordering: str) -> np.ndarray:
+    """:func:`_ordered_edges` for every row: ``(12, quartets)`` columns, step-major.
+
+    Within each group of the ordering's static keys, a stable sort by
+    descending weight keeps the static order among equal weights.
+    """
+    columns, groups = _ORDER_GROUPS[ordering]
+    if not groups:
+        return np.broadcast_to(columns[:, None], (12, len(weight)))
+    lighter = -weight[:, columns]
+    rank = np.concatenate(
+        [start + np.argsort(lighter[:, start:end], axis=1, kind="stable")
+         for start, end in zip(groups, groups[1:])],
+        axis=1,
+    )
+    return columns[rank.T]
 
 
 def generate_duplicate_free_graph(
@@ -246,46 +297,47 @@ def generate_duplicate_free_graph(
     every quartet's ``t``-th edge at once, starting from the graph's
     current marks and locks.  The lockstep runs on the quartets whose
     pairs use both types; in the others no triangle is mixed, so nothing
-    can be marked or locked.
+    can be marked or locked.  A step is a few operations on one uint16 of
+    mark bits and one of lock bits per quartet, against masks that the
+    quartet's type pattern and weights fix before the first step.
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}; choose from {ORDERINGS}")
-    mixed = np.nonzero(graph.is_r.any(axis=1) & ~graph.is_r.all(axis=1))[0]
-    is_r, weight = graph.is_r[mixed], graph.weight[mixed]
-    marked, locked = graph.marked[mixed], graph.locked[mixed]
-    # _ordered_edges, row by row (lexsort takes the primary key last)
-    keys = {
-        "paper": (_BY_ENDS, -weight, _IS_SIDE_EDGE),
-        "weight_only": (_BY_ENDS, -weight),
-        "arbitrary": (_BY_ENDS,),
-    }
-    order = np.lexsort([np.broadcast_to(key, weight.shape) for key in keys[ordering]])
     report = MarkingReport(quartets=len(graph.cells))
-    rows = np.arange(len(mixed))
-    # e_ij may be marked through k when e_ik shares its type and e_jk does not
-    typed = (is_r[:, _IK] == is_r[:, :, None]) & (is_r[:, _JK] != is_r[:, :, None])
-    for e in order.T:
-        ik, jk = _IK[e], _JK[e]
-        free = ~(marked[rows, e] | locked[rows, e])
-        ok = (
-            free[:, None]
-            & typed[rows, e]
-            & ~marked[rows[:, None], ik]
-            & ~marked[rows[:, None], jk]
-        )
-        # both triangles qualify: the larger locked weight sum wins, then
-        # the lower third vertex
-        support = weight[rows[:, None], ik] + weight[rows[:, None], jk]
-        second = ok[:, 1] & (~ok[:, 0] | (support[:, 1] > support[:, 0]))
-        hit = np.nonzero(ok[:, 0] | ok[:, 1])[0]
-        via = second[hit].astype(np.intp)
-        marked[hit, e[hit]] = True
-        locked[hit, ik[hit, via]] = True
-        locked[hit, jk[hit, via]] = True
-        report.marked_edges += len(hit)
-    graph.marked[mixed], graph.locked[mixed] = marked, locked
+    pattern = graph.is_r[:, 0::2] @ _EDGE_BIT[:6]
+    mixed = np.nonzero((pattern != 0) & (pattern != 63))[0]
+    if not len(mixed):
+        return report
+    pattern, weight = pattern[mixed].astype(np.intp), graph.weight[mixed]
+    order = _examination_order(weight, ordering)
+    at = pattern * 12 + order
+    edge_bit = _EDGE_BIT[order]
+    tests = [table[at] for table in _TESTS]
+    locks = [support[order] for support in _SUPPORT.T]
+    # both triangles qualify: the larger locked weight sum wins, then the
+    # lower third vertex
+    weight = weight.T.copy()  # edge-major
+    sums = [weight[_IK[:, n]] + weight[_JK[:, n]] for n in (0, 1)]
+    second_wins = (sums[1] > sums[0]).ravel()[order * len(mixed) + np.arange(len(mixed))]
 
-    unresolved, report.mixed_triangles = _triangle_state(is_r, marked)
+    marked = _pack(graph.marked)[mixed] | _NEVER
+    locked = _pack(graph.locked)[mixed]
+    for t in range(12):
+        # e_ij is free, e_ik and e_jk are unmarked and typed for the mark
+        blocked = locked & edge_bit[t]
+        ok0 = ((marked & tests[0][t]) | blocked) == 0
+        ok1 = ((marked & tests[1][t]) | blocked) == 0
+        second = ok1 & (second_wins[t] | ~ok0)
+        hit = ok0 | ok1
+        marked |= edge_bit[t] * hit
+        locked |= np.where(second, locks[1][t], locks[0][t] * hit)
+        report.marked_edges += int(np.count_nonzero(hit))
+    for flags, bits in ((graph.marked, marked), (graph.locked, locked)):
+        flags[mixed] = _unpack(bits)
+
+    report.mixed_triangles = int(_MIXED_TRIANGLES[pattern].sum())
+    apex_edges = _APEX_EDGES[pattern]
+    unresolved = ((apex_edges != 0) & (marked[:, None] & apex_edges == 0)).any(axis=1)
     for row in mixed[unresolved].tolist():  # never taken across the exhaustive suite
         _repair_quartet(QuartetSubgraph(graph, row), report)
     return report

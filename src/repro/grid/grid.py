@@ -14,6 +14,7 @@ experiment), clamped to at least one cell per axis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,6 +59,13 @@ class AdjacentPairs:
 
     def __len__(self) -> int:
         return len(self.a)
+
+    @functools.cached_property
+    def slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """``a * 8 + facing_a`` and ``b * 8 + facing_b``: where each cell of a
+        pair finds the other in a flattened ``(num_cells, 8)`` per-cell
+        table of :data:`FACINGS` columns."""
+        return self.a * 8 + self.facing_a, self.b * 8 + self.facing_b
 
 
 @dataclass(frozen=True)
@@ -118,6 +126,13 @@ class Grid:
         cx = int((x - self.mbr.xmin) / self.cell_w)
         cy = int((y - self.mbr.ymin) / self.cell_h)
         return (min(max(cx, 0), self.nx - 1), min(max(cy, 0), self.ny - 1))
+
+    def cell_indices(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`cell_index` for arrays of coordinates: ``(cx, cy)`` int64."""
+        cx = ((np.asarray(xs, dtype=np.float64) - self.mbr.xmin) / self.cell_w).astype(np.int64)
+        cy = ((np.asarray(ys, dtype=np.float64) - self.mbr.ymin) / self.cell_h).astype(np.int64)
+        # astype truncates towards zero, as int() does
+        return np.clip(cx, 0, self.nx - 1), np.clip(cy, 0, self.ny - 1)
 
     def cell_of(self, x: float, y: float) -> int:
         """Flat id of the cell enclosing a point."""
@@ -201,15 +216,31 @@ class Grid:
         return (nx - 1) * ny + nx * (ny - 1) + 2 * (nx - 1) * (ny - 1)
 
     def adjacent_pair_arrays(self) -> AdjacentPairs:
-        """:meth:`adjacent_pairs` as arrays, for whole-grid array algebra."""
-        nx = self.nx
-        exists = np.ones((self.ny, nx, 4), dtype=bool)  # per cell: E N NE NW
-        exists[:, -1, [0, 2]] = False  # no east neighbour
-        exists[-1, :, 1:] = False  # none to the north
-        exists[:, 0, 3] = False  # none to the west
-        a, direction = np.divmod(np.flatnonzero(exists), 4)  # row-major
-        b = a + np.array([1, nx, nx + 1, nx - 1], dtype=np.int64)[direction]
-        return AdjacentPairs(a, b, _FACING_A[direction], _FACING_B[direction])
+        """:meth:`adjacent_pairs` as arrays, for whole-grid array algebra.
+
+        Computed on first use and kept with the grid: every caller shares
+        the same read-only arrays.
+        """
+        pairs = self.__dict__.get("_adjacent_pairs")
+        if pairs is None:
+            nx = self.nx
+            exists = np.ones((self.ny, nx, 4), dtype=bool)  # per cell: E N NE NW
+            exists[:, -1, [0, 2]] = False  # no east neighbour
+            exists[-1, :, 1:] = False  # none to the north
+            exists[:, 0, 3] = False  # none to the west
+            a, direction = np.divmod(np.flatnonzero(exists), 4)  # row-major
+            b = a + np.array([1, nx, nx + 1, nx - 1], dtype=np.int64)[direction]
+            pairs = AdjacentPairs(a, b, _FACING_A[direction], _FACING_B[direction])
+            for column in (pairs.a, pairs.b, pairs.facing_a, pairs.facing_b):
+                column.setflags(write=False)
+            # a cache, not a field: equality, hashing and pickling ignore it
+            object.__setattr__(self, "_adjacent_pairs", pairs)
+        return pairs
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_adjacent_pairs", None)
+        return state
 
     def adjacent_pair_index(self, cell_a: int, cell_b: int) -> int:
         """Position of an adjacent pair in :meth:`adjacent_pairs` order.

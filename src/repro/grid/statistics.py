@@ -51,8 +51,7 @@ class GridStatistics:
         if xs.shape != ys.shape:
             raise ValueError("xs and ys must have the same shape")
         g = self.grid
-        cx = np.clip(((xs - g.mbr.xmin) / g.cell_w).astype(np.int64), 0, g.nx - 1)
-        cy = np.clip(((ys - g.mbr.ymin) / g.cell_h).astype(np.int64), 0, g.ny - 1)
+        cx, cy = g.cell_indices(xs, ys)
         cid = cy * g.nx + cx
 
         np.add.at(self._totals[side], cid, 1)
@@ -155,8 +154,9 @@ class GridStatistics:
         self, pairs: AdjacentPairs, side: Side
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`directed_candidates` of every pair: ``(a -> b, b -> a)``."""
-        facing = self._facing_counts[side]
-        return facing[pairs.a, pairs.facing_a], facing[pairs.b, pairs.facing_b]
+        facing = self._facing_counts[side].ravel()
+        slot_a, slot_b = pairs.slots
+        return facing[slot_a], facing[slot_b]
 
     def edge_weights_array(
         self, pairs: AdjacentPairs, agreed_r: np.ndarray

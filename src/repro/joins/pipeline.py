@@ -490,11 +490,11 @@ def record_armed_points(
     record is the first of its run."""
     if not isinstance(assigner, AdaptiveAssigner):
         return
-    native = np.ones(len(idxs), dtype=bool)
-    native[1:] = idxs[1:] != idxs[:-1]
-    metrics.extra[f"assign_armed_points_{side.value.lower()}"] = int(
-        np.count_nonzero(assigner.armed_cells[side][cells[native]])
-    )
+    native = np.empty(len(idxs), dtype=bool)
+    native[:1] = True
+    np.not_equal(idxs[1:], idxs[:-1], out=native[1:])
+    native &= assigner.armed_cells[side][cells]
+    metrics.extra[f"assign_armed_points_{side.value.lower()}"] = int(np.count_nonzero(native))
 
 
 def adaptive_lpt_costs(

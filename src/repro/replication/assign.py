@@ -21,7 +21,7 @@ every point to the set of cells that must see it:
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol
+from typing import Iterable, NamedTuple, Protocol
 
 import numpy as np
 
@@ -142,81 +142,93 @@ def supar(
 # cannot hold the native cell or a cell twice, and is read out in order.
 _DIRECTIONS = tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx)
 _BIT = {step: np.uint32(1 << k) for k, step in enumerate(_DIRECTIONS)}
-_POPCOUNT = np.array([bin(mask).count("1") for mask in range(256)], dtype=np.int64)
 
 # A quartet position is also the corner of the native cell at which the
 # quartet sits: the ``bl`` cell meets it at its NE corner, ``br`` at NW,
-# ``tl`` at SE, ``tr`` at SW -- the CORNERS order of ``repro.grid.grid``.
+# ``tl`` at SE, ``tr`` at SW -- the CORNERS order of ``repro.grid.grid``,
+# so bit 0 of a corner index is "west" and bit 1 "south".
 #: Per position: its x-neighbour, its y-neighbour, its diagonal.
-_NEIGHBOURS = tuple(
-    (*(_POS[p] for p in SIDE_NEIGHBORS[pos]), _POS[DIAGONAL[pos]]) for pos in POSITIONS
-)
+_X, _Y, _DIAG = np.array(
+    [(*(_POS[p] for p in SIDE_NEIGHBORS[pos]), _POS[DIAGONAL[pos]]) for pos in POSITIONS]
+).T
+_CORNER = np.arange(4)
+#: ``[tail, head]`` -> the edge column of ``tail -> head`` (position indexes).
+_EDGE_AT = np.zeros((4, 4), dtype=np.intp)
+_EDGE_AT[tuple(zip(*_EDGE))] = list(_EDGE.values())
 #: Per position: the direction bits of those three cells, seen from the native cell.
-_TOWARDS = tuple(
-    (_BIT[0, sx], _BIT[sy, 0], _BIT[sy, sx])
-    for sy, sx in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+_TO_X, _TO_Y, _TO_DIAG = np.array(
+    [(_BIT[0, sx], _BIT[sy, 0], _BIT[sy, sx]) for sy, sx in ((1, 1), (1, -1), (-1, 1), (-1, -1))],
+    dtype=np.uint32,
+).T
+#: Per border E, W, N, S: the direction bit of the cell across it.
+_ACROSS = np.array([_BIT[0, 1], _BIT[0, -1], _BIT[1, 0], _BIT[-1, 0]], dtype=np.uint8)
+
+#: A cell's rules for one input are five 4-byte words of target sets.  The
+#: first four hold, per corner of the cell (the quartet there): MeDuPAr's
+#: targets for a point within ``eps`` of the reference point, MeDuPAr's
+#: for one beyond it, and SupAr's for the x- and for the y-neighbour's
+#: withheld points.  The plain word holds, per border E, W, N, S, the cell
+#: across it if the pair's agreement type is the input.
+_NEAR, _FAR, _PLAIN, _SUP_X, _SUP_Y = range(5)
+#: Per position bl br tl tr: the block of the ``(ny, nx)`` grid of cells
+#: that hold that position in some quartet.
+_QUARTET_BLOCKS = tuple(
+    (slice(sy, None) if sy else slice(None, -1), slice(sx, None) if sx else slice(None, -1))
+    for sy in (0, 1) for sx in (0, 1)
 )
 
-#: Bit offsets of the four target sets in a compiled quartet table word.
-_NEAR, _FAR, _SUP_X, _SUP_Y = 0, 8, 16, 24
 
+def _compile_rules(graph: AgreementGraph) -> dict[Side, np.ndarray]:
+    """Algorithms 2-4 as a ``(5, num_cells)`` table of rule words per input.
 
-def _compile_quartet_tables(graph: AgreementGraph) -> dict[Side, np.ndarray]:
-    """Algorithms 3 and 4 as one ``num_cells * 4`` table of words per input.
-
-    After Algorithm 1 has run, every edge-type/mark condition of MeDuPAr
-    and SupAr is static; only the point's distances remain to be checked
-    at assignment time.  Word ``native * 4 + corner`` holds, for a point of
-    that input in ``native`` consulting the quartet at that corner of its
-    cell, four sets of direction bits: its MeDuPAr targets if it is within
-    ``eps`` of the reference point and if it is not (the diagonal cell only
-    as a redirect), and the SupAr destination for the x- and for the
-    y-neighbour's withheld points -- empty when the conditions rule it out.
+    After Algorithm 1 has run, every edge-type/mark condition of MeDuPAr,
+    SupAr and the plain areas is static; only the point's distances remain
+    to be checked at assignment time, and they select bytes of the words:
+    byte ``c`` of a word is corner ``c`` (NE NW SE SW) or border ``c`` (E W
+    N S).  A corner without a quartet (on the grid's boundary) has empty
+    bytes.
     """
-    # edge-major copies: one contiguous row per edge column
-    cells, is_r, marked = graph.cells, graph.is_r.T.copy(), graph.marked.T.copy()
-    tables = {}
+    grid = graph.grid
+    # the types of every cell's E pair and of its N pair, as grids
+    facing = grid.adjacent_pair_arrays().facing_a
+    east_r = graph.agreed_r[facing == 0].reshape(grid.ny, grid.nx - 1)
+    north_r = graph.agreed_r[facing == 2].reshape(grid.ny - 1, grid.nx)
+    # edge-major: one row of quartets per edge column
+    is_r, marked = graph.is_r.T.copy(), graph.marked.T.copy()
+    to_x_bit, to_y_bit, to_diag_bit = _TO_X[:, None], _TO_Y[:, None], _TO_DIAG[:, None]
+
+    rules = {}
     for side in Side:
         same = is_r == (side is Side.R)
         sends = same & ~marked  # carries this input's duplicate-prone points
         withheld = same & marked
+        other_sends = ~(same | marked)
         other_withheld = ~same & marked
-        other_sends = ~same & ~marked
-        table = np.zeros(graph.grid.num_cells * 4, dtype=np.uint32)
-        for i, (xn, yn, diag) in enumerate(_NEIGHBOURS):
-            bit_x, bit_y, bit_diag = _TOWARDS[i]
-            to_diag = sends[_EDGE[i, diag]]
-            redirect = withheld[_EDGE[i, xn]] | withheld[_EDGE[i, yn]]
-            to_sides = sends[_EDGE[i, xn]] * bit_x | sends[_EDGE[i, yn]] * bit_y
-            word = (to_sides | to_diag * bit_diag) << _NEAR
-            word |= (to_sides | (to_diag & redirect) * bit_diag) << _FAR
-            for j, k, bit_k, shift in ((xn, yn, bit_y, _SUP_X), (yn, xn, bit_x, _SUP_Y)):
-                # SupAr: j withholds the other input's points from the native
-                # cell; meet them in k, else in the diagonal cell
-                active = other_withheld[_EDGE[j, i]]
-                via_k = active & sends[_EDGE[i, k]] & other_sends[_EDGE[j, k]]
-                via_diag = active & to_diag & other_sends[_EDGE[j, diag]]
-                word |= np.where(via_k, bit_k, via_diag * bit_diag) << shift
-            table[cells[:, i] * 4 + i] = word
-        tables[side] = table
-    return tables
-
-
-def _compile_plain_tables(graph: AgreementGraph) -> dict[Side, np.ndarray]:
-    """Algorithm 2, lines 12-15: ``native * 4 + border`` -> the direction bit
-    of the neighbour across that border when the pair's agreement type is
-    the table's input."""
-    pairs = graph.grid.adjacent_pair_arrays()
-    across = np.array([_BIT[0, 1], _BIT[0, -1], _BIT[1, 0], _BIT[-1, 0]], dtype=np.uint8)  # E W N S
-    tables = {}
-    for side in Side:
-        sel = (pairs.facing_a < 4) & (graph.agreed_r == (side is Side.R))
-        facing_a, facing_b = pairs.facing_a[sel], pairs.facing_b[sel]
-        table = np.zeros(graph.grid.num_cells * 4, dtype=np.uint8)
-        table[pairs.a[sel] * 4 + facing_a] = across[facing_a]
-        table[pairs.b[sel] * 4 + facing_b] = across[facing_b]
-        tables[side] = table
-    return tables
+        # (corner, quartet) arrays: per position, the edge tail -> head
+        to_x, to_y, to_diag = (sends[_EDGE_AT[_CORNER, head]] for head in (_X, _Y, _DIAG))
+        redirect = withheld[_EDGE_AT[_CORNER, _X]] | withheld[_EDGE_AT[_CORNER, _Y]]
+        to_sides = to_x * to_x_bit | to_y * to_y_bit
+        words = np.zeros((5, 4, len(graph.cells)), dtype=np.uint8)  # (word, corner, quartet)
+        words[_NEAR] = to_sides | to_diag * to_diag_bit
+        words[_FAR] = to_sides | (to_diag & redirect) * to_diag_bit
+        for j, k, to_k, word in ((_X, _Y, to_y_bit, _SUP_X), (_Y, _X, to_x_bit, _SUP_Y)):
+            # SupAr: j withholds the other input's points from the native
+            # cell; meet them in k, else in the diagonal cell
+            active = other_withheld[_EDGE_AT[j, _CORNER]]
+            via_k = active & sends[_EDGE_AT[_CORNER, k]] & other_sends[_EDGE_AT[j, k]]
+            via_diag = active & to_diag & other_sends[_EDGE_AT[j, _DIAG]] & ~via_k
+            words[word] = via_k * to_k | via_diag * to_diag_bit
+        table = np.zeros((5, grid.ny, grid.nx, 4), dtype=np.uint8)
+        # quartets are row-major over the interior corners, so the cells at
+        # a given position are a block of the grid
+        for corner, (rows, columns) in enumerate(_QUARTET_BLOCKS):
+            table[:, rows, columns, corner] = words[:, corner].reshape(5, grid.ny - 1, grid.nx - 1)
+        plain = table[_PLAIN]
+        east, north = east_r == (side is Side.R), north_r == (side is Side.R)
+        plain[:, :-1, 0], plain[:, 1:, 1] = east * _ACROSS[0], east * _ACROSS[1]
+        plain[:-1, :, 2], plain[1:, :, 3] = north * _ACROSS[2], north * _ACROSS[3]
+        rules[side] = table.reshape(5, grid.num_cells, 4).view("<u4")[..., 0]
+    return rules
 
 
 def _mindist_sq(
@@ -235,14 +247,51 @@ def _root_le(sq: np.ndarray, eps: float) -> np.ndarray:
     """``sq ** 0.5 <= eps`` exactly as the scalar ``MBR.mindist_point`` decides it.
 
     Python's ``** 0.5`` is libm ``pow``, which is not correctly rounded: it
-    is one ulp off ``np.sqrt`` on about one input in a thousand.  Entries
-    that close to ``eps`` are re-decided with the scalar expression.
+    is one ulp off ``np.sqrt`` on about one input in a thousand.  Squares
+    are compared with ``eps ** 2``; only those within a few ulps of it are
+    rooted, and a root within two ulps of ``eps`` is re-decided with the
+    scalar expression.
     """
-    root = np.sqrt(sq)
-    le = root <= eps
-    for i in np.nonzero(np.abs(root - eps) <= 2.0 * np.spacing(eps))[0].tolist():
-        le[i] = float(sq[i]) ** 0.5 <= eps
+    le = sq <= eps * eps
+    ulp = np.spacing(eps)
+    near = np.flatnonzero((sq >= (eps - 4.0 * ulp) ** 2) & (sq <= (eps + 4.0 * ulp) ** 2))
+    flat = le.reshape(-1)
+    for i, v in zip(near.tolist(), sq.reshape(-1)[near].tolist()):
+        root = float(np.sqrt(v))
+        flat[i] = v ** 0.5 <= eps if abs(root - eps) <= 2.0 * ulp else root <= eps
     return le
+
+
+class _Edges(NamedTuple):
+    """Per cell index along one axis: coordinates computed from the index
+    as the scalar code computes them."""
+
+    #: The cell's low and high edge.
+    low: np.ndarray
+    high: np.ndarray
+    #: The next cell's low edge and the previous cell's high edge.
+    next_low: np.ndarray
+    prev_high: np.ndarray
+    #: ``high`` and ``low`` where a cell lies across that edge, else
+    #: infinitely far: a point is never near a border of the grid.
+    high_across: np.ndarray
+    low_across: np.ndarray
+    #: ``next_low`` then ``low``: index ``c`` for the reference coordinate
+    #: of the cell's corners at its high edge, ``n + c`` at its low edge.
+    corner: np.ndarray
+
+
+def _edges(lo: float, size: float, n: int) -> _Edges:
+    c = np.arange(n)
+    low = lo + c * size
+    high = low + size
+    next_low = lo + (c + 1) * size
+    high_across, low_across = high.copy(), low.copy()
+    high_across[-1], low_across[0] = np.inf, -np.inf
+    return _Edges(
+        low, high, next_low, (lo + (c - 1) * size) + size, high_across, low_across,
+        np.concatenate([next_low, low]),
+    )
 
 
 class AdaptiveAssigner:
@@ -253,18 +302,24 @@ class AdaptiveAssigner:
             raise ValueError("agreement graph was built for a different grid")
         self.grid = grid
         self.graph = graph
-        self._quartet_tables = _compile_quartet_tables(graph)
-        self._plain_tables = _compile_plain_tables(graph)
-        #: Per input and cell: whether any table entry of the cell can emit
-        #: a replica.  Only points in such *armed* cells consult the tables.
-        self.armed_cells = {}
-        for side in Side:
-            quartet = self._quartet_tables[side].reshape(-1, 4).T
-            plain = self._plain_tables[side].reshape(-1, 4).T
-            self.armed_cells[side] = (
-                quartet[0] | quartet[1] | quartet[2] | quartet[3]
-                | plain[0] | plain[1] | plain[2] | plain[3]
-            ) != 0
+        self._words = _compile_rules(graph)
+        #: Per input and cell: whether any rule of the cell can emit a
+        #: replica.  Only points in such *armed* cells consult the rules.
+        self.armed_cells = {side: words.any(axis=0) for side, words in self._words.items()}
+        # ... and the corners (bit c: corner c) whose quartet holds a SupAr rule
+        self._supar_corners = {
+            side: np.bitwise_or.reduce(
+                ((words[_SUP_X] | words[_SUP_Y]).view(np.uint8).reshape(-1, 4) != 0) << _CORNER,
+                axis=1,
+            ).astype(np.uint8)
+            for side, words in self._words.items()
+        }
+        self._x_edges = _edges(grid.mbr.xmin, grid.cell_w, grid.nx)
+        self._y_edges = _edges(grid.mbr.ymin, grid.cell_h, grid.ny)
+        # per bit of a point's record row: the offset of that record's cell
+        # from the native one (bit 0 the native cell, 1 + k direction k)
+        self._offsets = np.zeros(16, dtype=np.int64)
+        self._offsets[1:9] = [dy * grid.nx + dx for dy, dx in _DIRECTIONS]
 
     def assign(self, x: float, y: float, side: Side) -> tuple[int, ...]:
         """All cells the point is assigned to; the native cell comes first."""
@@ -314,89 +369,121 @@ class AdaptiveAssigner:
         native cell followed by its other cells ascending, de-duplicated.
 
         One vectorized pass: zone flags from array comparisons, then -- for
-        the border points of armed cells only -- the target bits their
-        distances admit, OR-ed from the tables compiled at construction.
-        The comparisons are the scalar ones, term for term.
+        the border points of armed cells -- the point's distances decide
+        which bytes of its cell's rule words it may use, and its targets
+        are the union of those bytes.  The comparisons are the scalar ones,
+        term for term.
         """
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         grid = self.grid
-        nx, eps = grid.nx, grid.eps
-        xmin, ymin, cell_w, cell_h = grid.mbr.xmin, grid.mbr.ymin, grid.cell_w, grid.cell_h
-        # int() and astype both truncate towards zero; points outside the
-        # MBR are clipped into the edge cells
-        cx = np.clip(((xs - xmin) / cell_w).astype(np.int64), 0, nx - 1)
-        cy = np.clip(((ys - ymin) / cell_h).astype(np.int64), 0, grid.ny - 1)
-        native = cy * nx + cx
-
-        x0 = xmin + cx * cell_w
-        y0 = ymin + cy * cell_h
+        eps = grid.eps
+        cx, cy = grid.cell_indices(xs, ys)
+        native = cy * grid.nx + cx
+        x_edges, y_edges = self._x_edges, self._y_edges
+        # near a border with a cell across it, as classify_point decides
+        east = x_edges.high_across[cx] - xs <= eps
+        west = xs - x_edges.low_across[cx] <= eps
+        north = y_edges.high_across[cy] - ys <= eps
+        south = ys - y_edges.low_across[cy] <= eps
+        inner = ~(east | west | north | south)
+        # The points that read the rules: the border points of armed cells,
+        # or every point where most points are native to an armed cell --
+        # an inner point admits no byte and an unarmed cell holds none.
+        armed = self.armed_cells[side][native]
+        if 2 * np.count_nonzero(armed) > len(xs):
+            pts = slice(None)
+        else:
+            pts = np.flatnonzero(armed & ~inner)
+        x, y, cx, cy, cells, east, west, north, south = (
+            a[pts] for a in (xs, ys, cx, cy, native, east, west, north, south)
+        )
         # east/north win over west/south when a cell is narrower than 2 eps
         # (classify_point's ``elif``)
-        east = (x0 + cell_w - xs <= eps) & (cx + 1 < nx)
-        west = (xs - x0 <= eps) & (cx > 0) & ~east
-        north = (y0 + cell_h - ys <= eps) & (cy + 1 < grid.ny)
-        south = (ys - y0 <= eps) & (cy > 0) & ~north
-        inner = ~(east | west | north | south)
-        border = np.nonzero(~inner)[0]
-        home = native[border]
-        # a border point of an unarmed cell keeps its place in the border
-        # group with no target bits; only the armed ones go on
-        armed = np.nonzero(self.armed_cells[side][home])[0]
-        pts = border[armed]
-        x, y, cx, cy, cell = xs[pts], ys[pts], cx[pts], cy[pts], home[armed]
-        near = [flags[pts] for flags in (east, west, north, south)]
-        near_x, near_y = near[0] | near[1], near[2] | near[3]
-        wests, souths = near[1].astype(np.int64), near[3].astype(np.int64)
-        quartet_table = self._quartet_tables[side]
+        west, south = west & ~east, south & ~north
+        near_x, near_y = east | west, north | south
+        words = np.take(self._words[side][:_SUP_X], cells, axis=1)
+        u8 = np.uint8
 
-        # Own zone.  Near two borders (merged duplicate-prone area): MeDuPAr on
-        # the quartet at that corner of the cell.  Near one (plain replication
-        # area): the neighbour across it, if the pair's type is this input.
-        words = cell * 4
-        own = quartet_table[words + wests + 2 * souths]
-        dx = x - (xmin + (cx + 1 - wests) * cell_w)
-        dy = y - (ymin + (cy + 1 - souths) * cell_h)
-        # squared, as the join kernels compare; the scalar medupar/supar root
-        # this distance, which differs only within an ulp of the circle,
-        # where either answer is correct
+        # Own zone.  Near two borders (merged duplicate-prone area): MeDuPAr
+        # on the quartet at that corner of the cell, whose targets beyond
+        # eps of its reference point are a subset of those within.  Near
+        # one (plain replication area): the neighbour across it, if the
+        # pair's type is this input.  The distance is squared, as the join
+        # kernels compare it; the scalar medupar roots it, which differs
+        # only within an ulp of the circle, where either answer is correct.
+        dx = x - x_edges.corner[cx + grid.nx * west]
+        dy = y - y_edges.corner[cy + grid.ny * south]
         near_ref = dx * dx + dy * dy <= eps * eps
-        across = self._plain_tables[side][words + np.where(near_x, wests, 2 + souths)]
-        # (the casts keep a word's low byte, one target set)
-        bits = np.where(near_x & near_y, np.where(near_ref, own >> _NEAR, own >> _FAR), across)
-        bits = bits.astype(np.uint8)
-
-        # SupAr: a point consults the quartet at each corner of its cell that
-        # ends a border it is near
-        two_eps_sq = 4.0 * eps * eps
-        for corner in range(4):
-            is_west, is_south = corner & 1, corner >> 1
-            rules = quartet_table[words + corner] >> _SUP_X
-            sel = np.nonzero((near[is_west] | near[2 + is_south]) & (rules != 0))[0]
-            rules = rules[sel]
-            px, py, pcx, pcy = x[sel], y[sel], cx[sel], cy[sel]
-            dx = px - (xmin + (pcx + 1 - is_west) * cell_w)
-            dy = py - (ymin + (pcy + 1 - is_south) * cell_h)
-            in_reach = dx * dx + dy * dy <= two_eps_sq
-            neighbours = ((pcx + 1 - 2 * is_west, pcy), (pcx, pcy + 1 - 2 * is_south))
-            for shift, (ncx, ncy) in zip((0, _SUP_Y - _SUP_X), neighbours):
-                close = in_reach & _root_le(_mindist_sq(grid, ncx, ncy, px, py), eps)
-                bits[sel] |= np.where(close, rules >> shift, 0).astype(np.uint8)
-        targets = np.zeros(len(border), dtype=np.uint8)
-        targets[armed] = bits
-
-        # one record per native cell and per target bit: the set bits of the
-        # (points, 8) bit matrix, read row by row, are the replicas in order
-        counts = _POPCOUNT[targets] + 1
-        cells = np.repeat(home, counts)
-        replica = np.flatnonzero(np.unpackbits(targets, bitorder="little").view(np.bool_))
-        point, direction = replica >> 3, replica & 7
-        steps = np.array([dy * nx + dx for dy, dx in _DIRECTIONS])
-        cells[np.arange(len(replica)) + point + 1] += steps[direction]
-        return (
-            np.concatenate([native[inner], cells]),
-            np.concatenate([np.nonzero(inner)[0], np.repeat(border, counts)]),
+        own = (near_x & near_y) * np.uint32(0xFF) << 8 * (west.view(u8) + 2 * south.view(u8))
+        plain = (near_x ^ near_y) * np.uint32(0xFF) << 8 * (
+            west.view(u8) + 2 * north.view(u8) + 3 * south.view(u8)
         )
+        bits = words[_FAR] & own | words[_NEAR] & own * near_ref | words[_PLAIN] & plain
+
+        # SupAr: a point consults the quartet at each corner of its cell
+        # that ends a border it is near, within 2 eps of the reference
+        # point, for each side neighbour within eps whose points of the
+        # other input are withheld -- worked out for the points that
+        # consult a corner holding such a rule.
+        consulted = 5 * east.view(u8) | 10 * west.view(u8) | 3 * north.view(u8) | 12 * south.view(u8)
+        sup = np.flatnonzero(self._supar_corners[side][cells] & consulted)
+        x, y, cx, cy, cells, east, west, north, south = (
+            a[sup] for a in (x, y, cx, cy, cells, east, west, north, south)
+        )
+        # x and y distances to the cell's borders (W E S N) and to the next
+        # cell's low edges (the E and N corners' reference coordinates)
+        to_w, to_e, to_next_x = x - x_edges.low[cx], x_edges.high[cx] - x, x - x_edges.next_low[cx]
+        to_s, to_n, to_next_y = y - y_edges.low[cy], y_edges.high[cy] - y, y - y_edges.next_low[cy]
+        to_ref = np.empty((4, len(sup)))  # squared, to the corners NE NW SE SW
+        for corner, (ref_x, ref_y) in enumerate(
+            ((to_next_x, to_next_y), (to_w, to_next_y), (to_next_x, to_s), (to_w, to_s))
+        ):
+            np.add(ref_x * ref_x, ref_y * ref_y, out=to_ref[corner])
+        consult = np.array([east | north, west | north, east | south, west | south])
+        consult &= to_ref <= 4.0 * eps * eps
+        # Squared MINDIST to the cells across E, W, N and S, as _mindist_sq
+        # takes it: the gap to the neighbour along one axis plus the gap to
+        # the point's own cell along the other (zero unless the point lies
+        # outside the grid).  The far-edge term of the first gap is left
+        # out: it is negative wherever that neighbour exists.
+        gaps = np.empty((4, len(sup)))
+        np.minimum(to_next_x, 0.0, out=gaps[0])
+        np.maximum(x - x_edges.prev_high[cx], 0.0, out=gaps[1])
+        np.minimum(to_next_y, 0.0, out=gaps[2])
+        np.maximum(y - y_edges.prev_high[cy], 0.0, out=gaps[3])
+        np.square(gaps, out=gaps)
+        gaps[:2] += np.square(np.minimum(np.minimum(to_s, 0.0), to_n))
+        gaps[2:] += np.square(np.minimum(np.minimum(to_w, 0.0), to_e))
+        close = _root_le(gaps, eps)
+        # per point and corner, one byte each: whether the SupAr targets for
+        # the x-neighbour's (y-neighbour's) withheld points apply
+        uses_x, uses_y = (
+            np.ascontiguousarray((consult & close[across]).T).view("<u4")[:, 0] * np.uint32(0xFF)
+            for across in ([0, 1, 0, 1], [2, 2, 3, 3])
+        )
+        supar_x, supar_y = np.take(self._words[side][_SUP_X:], cells, axis=1)
+        bits[sup] |= supar_x & uses_x | supar_y & uses_y
+        bits |= bits >> 16
+        bits |= bits >> 8
+        targets = np.zeros(len(xs), dtype="<u2")
+        targets[pts] = bits & 0xFF
+
+        # one record per native cell and per target bit: bit 0 of a point's
+        # 16-bit row stands for its native cell and bit 1 + k for direction
+        # k, so the set bits, read row by row, are its records in order
+        border = np.flatnonzero(~inner)
+        rows = (targets[border] << 1 | 1).view(np.uint8)
+        record = np.flatnonzero(np.unpackbits(rows, bitorder="little").view(np.bool_))
+        first = len(xs) - len(border)
+        cell_ids = np.empty(first + len(record), dtype=np.int64)
+        point_idx = np.empty_like(cell_ids)
+        cell_ids[:first], point_idx[:first] = native[inner], np.flatnonzero(inner)
+        cells, points = cell_ids[first:], point_idx[first:]
+        np.take(self._offsets, np.bitwise_and(record, 15, out=points), out=cells)
+        np.take(border, np.right_shift(record, 4, out=record), out=points)
+        cells += np.take(native, points)
+        return cell_ids, point_idx
 
 
 def count_replicas(assignments: Iterable[tuple[int, ...]]) -> int:

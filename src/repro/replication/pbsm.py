@@ -71,8 +71,7 @@ class UniversalAssigner:
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         grid = self.grid
-        cx = np.clip(((xs - grid.mbr.xmin) / grid.cell_w).astype(np.int64), 0, grid.nx - 1)
-        cy = np.clip(((ys - grid.mbr.ymin) / grid.cell_h).astype(np.int64), 0, grid.ny - 1)
+        cx, cy = grid.cell_indices(xs, ys)
         native = cy * grid.nx + cx
         all_idx = np.arange(len(xs), dtype=np.int64)
         if side != self.replicated:

@@ -371,3 +371,109 @@ def test_grid_hash_declines_past_its_key_range(cells, far_side):
     np.testing.assert_array_equal(got[1], want[1])
     assert got[2] == want[2]
     assert _pairs(got[0], got[1]) == _pairs(*nested_loop_join(*r, *s, _EPS)[:2])
+
+
+# ----------------------------------------------------------------------
+# The array passes against their scalar references
+# ----------------------------------------------------------------------
+def _small_graph(nx, ny, seed, source):
+    """A 2 eps grid of ``nx x ny`` cells (eps = 1) with sampled statistics
+    and random, LPiB or DIFF agreements, unmarked."""
+    eps = 1.0
+    grid = Grid(MBR(0.0, 0.0, 2 * eps * (nx + 0.5), 2 * eps * (ny + 0.5)), eps)
+    assert (grid.nx, grid.ny) == (nx, ny)
+    rng = np.random.default_rng(seed)
+    stats = GridStatistics(grid)
+    for side in Side:
+        k = int(rng.integers(5, 60))
+        stats.add_points(rng.uniform(0, grid.mbr.xmax, k), rng.uniform(0, grid.mbr.ymax, k), side)
+    if source == "random":
+        pair_types = {
+            frozenset(p[:2]): Side.R if rng.random() < 0.5 else Side.S
+            for p in grid.adjacent_pairs()
+        }
+    else:
+        policy = LPiBPolicy() if source == "lpib" else DiffPolicy()
+        pair_types = instantiate_pair_types(grid, stats, policy)
+    return grid, AgreementGraph(grid, pair_types, stats), rng
+
+
+def _points_at_the_seams(grid, rng, n):
+    """Points on and an ulp or a jitter off the cell borders, at the quartet
+    reference points, on the eps circles around them (MeDuPAr's natural
+    replication) and the 2 eps ones (SupAr's reach), plus uniform ones."""
+    import math
+
+    from tests.test_replication_assign import _readings_agree
+
+    eps = grid.eps
+    xs_b = grid.mbr.xmin + grid.cell_w * np.arange(grid.nx + 1)
+    ys_b = grid.mbr.ymin + grid.cell_h * np.arange(grid.ny + 1)
+
+    def near(v):
+        return rng.choice([v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf),
+                           v + eps, v - eps, v + rng.normal(0, 0.3 * eps)])
+
+    pts = []
+    for _ in range(n):
+        kind = rng.integers(5)
+        x, y = rng.uniform(0, grid.mbr.xmax), rng.uniform(0, grid.mbr.ymax)
+        if kind == 0:  # a vertical or a horizontal border
+            if rng.random() < 0.5:
+                x = near(float(rng.choice(xs_b)))
+            else:
+                y = near(float(rng.choice(ys_b)))
+        elif kind < 4:  # a reference point, its eps and its 2 eps circle
+            rx, ry = float(rng.choice(xs_b[1:-1])), float(rng.choice(ys_b[1:-1]))
+            jitter = rng.choice([0.0, 1e-9, -1e-9, 0.05, -0.05])
+            radius, angle = (kind - 1) * eps * (1 + jitter), rng.uniform(0, 2 * math.pi)
+            x, y = rx + radius * math.cos(angle), ry + radius * math.sin(angle)
+        # the batch squares the distance to a reference point where the
+        # scalar medupar/supar root it; within an ulp of a circle either
+        # answer is correct
+        if _readings_agree(grid, x, y):
+            pts.append((x, y))
+    return np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    nx=st.integers(3, 6),
+    ny=st.integers(3, 6),
+    seed=st.integers(0, 10_000),
+    source=st.sampled_from(["random", "lpib", "diff"]),
+)
+def test_assign_batch_is_the_scalar_assign_at_the_seams(nx, ny, seed, source):
+    """``assign_batch`` == ``assign()`` point by point, emission order
+    included, where the zone, MeDuPAr and SupAr tests are closest to flipping."""
+    from tests.test_exhaustive_quartet import assert_batch_equals_reference
+
+    grid, graph, rng = _small_graph(nx, ny, seed, source)
+    generate_duplicate_free_graph(graph)
+    xs, ys = _points_at_the_seams(grid, rng, 300)
+    assert_batch_equals_reference(AdaptiveAssigner(grid, graph), xs, ys, (nx, ny, seed, source))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=st.integers(3, 6),
+    ny=st.integers(3, 6),
+    seed=st.integers(0, 10_000),
+    source=st.sampled_from(["random", "lpib", "diff"]),
+    ordering=st.sampled_from(["paper", "weight_only", "arbitrary"]),
+)
+def test_lockstep_marking_is_mark_quartet_per_quartet(nx, ny, seed, source, ordering):
+    """``generate_duplicate_free_graph`` leaves the marks, the locks and the
+    report that ``mark_quartet`` leaves quartet by quartet."""
+    import copy
+
+    from repro.agreements.marking import MarkingReport, mark_quartet
+
+    grid, graph, _ = _small_graph(nx, ny, seed, source)
+    reference = copy.deepcopy(graph)
+    expected = MarkingReport()
+    for sub in reference.quartets.values():
+        expected.merge(mark_quartet(sub, ordering))
+    assert generate_duplicate_free_graph(graph, ordering) == expected
+    assert np.array_equal(graph.marked, reference.marked)
+    assert np.array_equal(graph.locked, reference.locked)

@@ -149,6 +149,25 @@ def test_adjacent_pair_arrays_mirror_adjacent_pairs(grid):
     ]
 
 
+def test_adjacent_pair_arrays_are_computed_once_per_grid():
+    """One read-only copy per grid, invisible to equality, hashing and pickling."""
+    import pickle
+
+    grid = Grid(MBR(0, 0, 17.5, 7.5), eps=1.0)
+    pristine = pickle.dumps(grid)
+    pairs = grid.adjacent_pair_arrays()
+    assert grid.adjacent_pair_arrays() is pairs
+    for column in (pairs.a, pairs.b, pairs.facing_a, pairs.facing_b):
+        with pytest.raises(ValueError):
+            column[0] = 0
+    twin = Grid(MBR(0, 0, 17.5, 7.5), eps=1.0)
+    assert grid == twin and hash(grid) == hash(twin)
+    assert pickle.dumps(grid) == pristine
+    copy = pickle.loads(pristine)
+    assert copy == grid and copy.adjacent_pair_arrays() is not pairs
+    assert np.array_equal(copy.adjacent_pair_arrays().a, pairs.a)
+
+
 @pytest.mark.parametrize("grid", ADJACENCY_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
 @pytest.mark.parametrize("seed", [0, 1])
 def test_array_queries_equal_scalar_queries(grid, seed):
