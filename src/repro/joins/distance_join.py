@@ -1,6 +1,7 @@
 """The parallel epsilon-distance join driver (Algorithm 5 of the paper).
 
-The driver is a composition of :mod:`repro.joins.pipeline` stages:
+The driver is a composition of :mod:`repro.joins.pipeline` stages,
+written out once in :func:`distance_stages`:
 
 1. **Grid construction** (``construction``): grid from the data MBR and
    ``eps`` (Sect. 4.1); Bernoulli-sample both inputs, accumulate per-cell
@@ -64,7 +65,7 @@ from repro.joins.pipeline import (
     record_armed_points,
     run_staged_join,
 )
-from repro.joins.plan import PhysicalPlan, PlanInputs, distance_plan
+from repro.joins.plan import PhysicalPlan
 from repro.replication.assign import AdaptiveAssigner
 
 __all__ = [
@@ -73,6 +74,7 @@ __all__ = [
     "JoinResult",
     "SimulatedOOMError",
     "distance_join",
+    "distance_stages",
     "join_with_method",
     "config_variants",
     "paper_default_config",
@@ -322,6 +324,23 @@ class _OriginsStage(Stage):
         ctx.data["origin_array"] = origin
 
 
+def distance_stages(cfg: JoinConfig, r: PointSet, s: PointSet) -> list[Stage]:
+    """Algorithm 5 as the stage list :func:`distance_join` runs."""
+    stages = [
+        _BuildPartitionStage(r, s),
+        _AssignStage(r, s),
+        ShuffleStage(),
+        ShuffleRecoveryStage(),
+        _OriginsStage(),
+        LocalJoinStage(cfg.local_kernel, cfg.eps, cfg.collect_pairs),
+        CollectPairsStage(),
+        JoinAccountingStage(),
+    ]
+    if not cfg.duplicate_free:
+        stages.append(DistinctStage(cfg.resolved_partitions()))
+    return stages
+
+
 def distance_join(
     r: PointSet,
     s: PointSet,
@@ -330,19 +349,18 @@ def distance_join(
 ) -> JoinResult:
     """Execute a parallel epsilon-distance join on the simulated cluster.
 
-    The driver *builds a physical plan* from ``cfg`` (or replays a
-    supplied ``plan``, which must describe the same choices as ``cfg``)
-    and hands the plan's stage list to :func:`run_staged_join`.
+    Runs :func:`distance_stages` of ``cfg`` through
+    :func:`run_staged_join`.  A ``plan`` must be the distance plan of a
+    config equal to ``cfg``; any other plan is rejected, not half-obeyed.
     """
-    if cfg.eps <= 0:
+    if not cfg.eps > 0:
         raise ValueError("eps must be positive")
     if not cfg.collect_pairs and not cfg.duplicate_free:
         raise ValueError("the deduplicating variant requires collect_pairs")
-    if plan is None:
-        plan = distance_plan(cfg)
-    elif plan.join_kind != "distance":
+    if plan is not None and (plan.join_kind != "distance" or plan.config != cfg):
         raise ValueError(
-            f"cannot replay a {plan.join_kind!r} plan on the distance driver"
+            f"the distance driver runs only the distance plan of its own "
+            f"config, not this {plan.join_kind!r} plan"
         )
     metrics = JoinMetrics(
         method=cfg.method,
@@ -353,7 +371,7 @@ def distance_join(
         input_s=len(s),
     )
     ctx = make_context(cfg, num_workers=cfg.num_workers, metrics=metrics)
-    run_staged_join(plan.stages(PlanInputs(r=r, s=s)), ctx)
+    run_staged_join(distance_stages(cfg, r, s), ctx)
     r_ids, s_ids = ctx.data["r_ids"], ctx.data["s_ids"]
     metrics.results = len(r_ids) if cfg.collect_pairs else ctx.data["result_count"]
     return JoinResult(r_ids, s_ids, metrics)

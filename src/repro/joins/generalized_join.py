@@ -62,13 +62,15 @@ from repro.joins.pipeline import (
     ExecutionSettings,
     JoinAccountingStage,
     JoinContext,
+    LocalJoinStage,
+    ShuffleRecoveryStage,
+    ShuffleStage,
     SideRecords,
     Stage,
     lpt_partitioner,
     make_context,
     run_staged_join,
 )
-from repro.joins.plan import PhysicalPlan, PlanInputs, generalized_plan
 from repro.partitioning.rect_partition import (
     GridRectPartition,
     QuadtreeRectPartition,
@@ -321,27 +323,33 @@ class _OwnershipStage(Stage):
         )
 
 
+def generalized_stages(
+    cfg: GeneralizedJoinConfig, r: PointSet, s: PointSet
+) -> list[Stage]:
+    """The stage list :func:`generalized_distance_join` runs."""
+    return [
+        _RectangulationStage(r, s),
+        _ReplicationStage(r, s),
+        ShuffleStage(),
+        ShuffleRecoveryStage(),
+        LocalJoinStage("plane_sweep", cfg.eps),
+        _OwnershipStage(r, s),
+        JoinAccountingStage(),
+    ]
+
+
 def generalized_distance_join(
-    r: PointSet,
-    s: PointSet,
-    cfg: GeneralizedJoinConfig,
-    plan: PhysicalPlan | None = None,
+    r: PointSet, s: PointSet, cfg: GeneralizedJoinConfig
 ) -> JoinResult:
     """Epsilon-distance join with adaptive replication on any partition.
 
-    The driver builds a physical plan from ``cfg`` (or replays the
-    supplied one) and hands its stage list to :func:`run_staged_join`.
+    The driver runs :func:`generalized_stages` through
+    :func:`run_staged_join`.
     """
-    if cfg.eps <= 0:
+    if not cfg.eps > 0:
         raise ValueError("eps must be positive")
     if cfg.method not in METHODS:
         raise ValueError(f"unknown method {cfg.method!r}; choose from {METHODS}")
-    if plan is None:
-        plan = generalized_plan(cfg)
-    elif plan.join_kind != "generalized":
-        raise ValueError(
-            f"cannot replay a {plan.join_kind!r} plan on the generalized driver"
-        )
     metrics = JoinMetrics(
         method=f"{cfg.partition}-{cfg.method}",
         eps=cfg.eps,
@@ -350,7 +358,7 @@ def generalized_distance_join(
         input_s=len(s),
     )
     ctx = make_context(cfg, num_workers=cfg.num_workers, metrics=metrics)
-    run_staged_join(plan.stages(PlanInputs(r=r, s=s)), ctx)
+    run_staged_join(generalized_stages(cfg, r, s), ctx)
     r_ids, s_ids = ctx.data["r_ids"], ctx.data["s_ids"]
     metrics.results = len(r_ids)
     return JoinResult(r_ids, s_ids, metrics)

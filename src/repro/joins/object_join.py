@@ -52,6 +52,9 @@ from repro.joins.pipeline import (
     ExecutionSettings,
     JoinAccountingStage,
     JoinContext,
+    LocalJoinStage,
+    ShuffleRecoveryStage,
+    ShuffleStage,
     SideRecords,
     Stage,
     build_grid_assigner,
@@ -60,7 +63,6 @@ from repro.joins.pipeline import (
     record_armed_points,
     run_staged_join,
 )
-from repro.joins.plan import PhysicalPlan, PlanInputs, object_plan
 
 
 class ObjectSet:
@@ -297,22 +299,39 @@ class _ExactRefineStage(Stage):
         ctx.data["s_ids"] = np.asarray(out_s, dtype=np.int64)
 
 
+def object_stages(
+    r: ObjectSet,
+    s: ObjectSet,
+    eps: float,
+    eps_eff: float,
+    predicate: Callable[[SpatialObject, SpatialObject], bool],
+) -> list[Stage]:
+    """The stage list :func:`object_join` runs: the anchor sweep IS the
+    point plane-sweep kernel at the data-dependent ``eps_eff``."""
+    return [
+        _AnchorReductionStage(r, s, eps_eff),
+        _AnchorAssignStage(r, s),
+        ShuffleStage(),
+        ShuffleRecoveryStage(),
+        LocalJoinStage("plane_sweep", eps_eff),
+        _ExactRefineStage(r, s, eps, predicate),
+        JoinAccountingStage(),
+    ]
+
+
 def object_join(
     r: ObjectSet,
     s: ObjectSet,
     eps: float,
     predicate: Callable[[SpatialObject, SpatialObject], bool],
     cfg: ObjectJoinConfig | None = None,
-    plan: PhysicalPlan | None = None,
 ) -> ObjectJoinResult:
     """The generic anchored object join; see the module docstring.
 
     ``eps`` is the object-distance threshold used for the MBR filter
     (``0`` for intersection joins); ``predicate`` decides each candidate
-    pair exactly.  The driver builds a physical plan (the anchor sweep
-    IS the point plane-sweep kernel at the data-dependent ``eps_eff``)
-    and hands its stage list to :func:`run_staged_join`; a supplied
-    ``plan`` is replayed instead.
+    pair exactly.  The driver runs :func:`object_stages` through
+    :func:`run_staged_join`.
     """
     if r.side == s.side:
         raise ValueError("object sets must come from different inputs (R and S)")
@@ -321,14 +340,8 @@ def object_join(
         return ObjectJoinResult(flipped.s_ids, flipped.r_ids, flipped.metrics)
     cfg = cfg or ObjectJoinConfig()
     eps_eff = eps + r.max_radius + s.max_radius
-    if eps_eff <= 0:
+    if not eps_eff > 0:
         raise ValueError("degenerate join: eps and object radii are all zero")
-    if plan is None:
-        plan = object_plan(cfg, eps, eps_eff)
-    elif plan.join_kind != "object":
-        raise ValueError(
-            f"cannot replay a {plan.join_kind!r} plan on the object driver"
-        )
     metrics = JoinMetrics(
         method=f"object-{cfg.method}",
         eps=eps,
@@ -338,7 +351,7 @@ def object_join(
         input_s=len(s),
     )
     ctx = make_context(cfg, num_workers=cfg.num_workers, metrics=metrics)
-    run_staged_join(plan.stages(PlanInputs(r=r, s=s, predicate=predicate)), ctx)
+    run_staged_join(object_stages(r, s, eps, eps_eff, predicate), ctx)
     r_ids, s_ids = ctx.data["r_ids"], ctx.data["s_ids"]
     metrics.results = len(r_ids)
     return ObjectJoinResult(r_ids, s_ids, metrics)
@@ -352,7 +365,7 @@ def object_distance_join(
     **options,
 ) -> ObjectJoinResult:
     """All object pairs within distance ``eps`` (exact)."""
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be non-negative")
     cfg = ObjectJoinConfig(method=method, **options)
     return object_join(

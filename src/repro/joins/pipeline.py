@@ -1,13 +1,14 @@
 """The staged physical join plan shared by every driver.
 
 Each join driver in this package -- the point distance join, the object
-joins, the generalized (rectangulation) join and the literal RDD
-pipeline -- executes the same physical plan::
+joins and the generalized (rectangulation) join -- executes the same
+physical plan::
 
     Sample -> BuildPartition/Agreements -> Assign -> Shuffle
            -> LocalJoin -> Refine/Dedup
 
-This module makes that plan explicit.  A driver is a *stage list*: each
+This module makes that plan explicit.  A driver is a *stage list*
+(``distance_stages``, ``object_stages``, ``generalized_stages``): each
 :class:`Stage` is a small object that reads and writes a shared
 :class:`JoinContext` (inputs, outputs, per-stage accounting on the
 modelled :class:`~repro.engine.cluster.SimCluster` clocks and the
@@ -34,8 +35,7 @@ The stages shared by every driver live here:
 Drivers contribute only what is genuinely theirs: the point driver its
 grid/agreement construction and origin anchoring, the object driver its
 anchor reduction and exact-predicate refinement, the generalized driver
-its rectangulation and ownership reporting, the RDD driver its literal
-``textFile/sample/flatMapToPair/join`` stages.
+its rectangulation and ownership reporting.
 
 Because stages replicate the legacy drivers' accounting order
 operation-for-operation, the refactor is *bit-exact*: result pair sets,
@@ -162,8 +162,10 @@ class ExecutionSettings:
     memory_limit_bytes: int | None = None
     #: The run's :class:`~repro.engine.telemetry.Telemetry` bundle
     #: (tracer + metrics registry).  ``None`` means tracing disabled with
-    #: a private throwaway registry -- the always-on default.
-    telemetry: Telemetry | None = None
+    #: a private throwaway registry -- the always-on default.  It observes
+    #: a run without changing it, so two configs that differ only here
+    #: are equal (a plan replays under any tracer).
+    telemetry: Telemetry | None = field(default=None, compare=False)
     #: Run-history sink (``repro.obs.RunHistory``, or anything with
     #: ``append_report(report_dict)``).  When set, the pipeline appends
     #: this run's ``RunReport.to_json()`` at job end -- duck-typed so the

@@ -5,10 +5,10 @@ Two-level plan model:
 * a **logical plan** (:class:`~repro.planner.logical.JoinSpec`) says
   *what* is being joined -- join kind, datasets and their fingerprints,
   eps, tuple widths, sampled input statistics;
-* a **physical plan** (:class:`~repro.planner.physical.PhysicalPlan`)
-  says *how* -- the inspectable tree of pipeline stages plus the chosen
-  agreement policy, grid resolution, local kernel, execution backend
-  and worker count.
+* a **physical plan** (:class:`~repro.joins.plan.PhysicalPlan`) says
+  *how* -- the driver config carrying the chosen agreement policy, grid
+  resolution, local kernel, execution backend and worker count, and the
+  driver's stage list it runs.
 
 On top sits the **cost-based planner**
 (:func:`~repro.planner.planner.plan_join`): it enumerates candidate
@@ -23,9 +23,8 @@ predicted-vs-measured clock error in the RunReport.
 
 Layering: this package sits above ``repro.core``/``repro.engine``/
 ``repro.joins`` and below ``repro.serving``/``repro.cli`` (enforced by
-``tests/test_layering.py``).  The physical-plan dataclasses themselves
-live in :mod:`repro.joins.plan` -- the drivers build plans without
-importing upward -- and are re-exported here as the public surface.
+``tests/test_layering.py``).  Physical plans live in
+:mod:`repro.joins.plan`, beside the drivers whose stage lists they name.
 """
 
 from repro._lazy import _lazy_exports
@@ -36,10 +35,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "replay_reports", "summarize_errors",
     ),
     "logical": ("JoinSpec",),
-    "physical": (
-        "STAGE_BUILDERS", "PhysicalPlan", "PlanInputs", "PlanNode",
-        "distance_plan", "generalized_plan", "object_plan",
-    ),
     "planner": (
         "CLOCKS", "DEFAULT_FACTORS", "DEFAULT_KERNELS", "DEFAULT_METHODS",
         "DEFAULT_WORKER_CANDIDATES", "Candidate", "PlanCache", "PlannedJoin",

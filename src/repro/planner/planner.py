@@ -48,8 +48,8 @@ from repro.core.cost_model import (
 from repro.engine.executor import BACKENDS
 from repro.engine.lru import LRUCache
 from repro.joins.distance_join import JoinConfig
+from repro.joins.plan import PhysicalPlan, distance_plan
 from repro.planner.logical import JoinSpec
-from repro.planner.physical import PhysicalPlan, distance_plan
 
 __all__ = [
     "CLOCKS",
@@ -163,10 +163,14 @@ class PlannedJoin:
 
     spec: JoinSpec
     config: JoinConfig
-    plan: PhysicalPlan
     chosen: Candidate
     candidates: tuple[Candidate, ...]
     pins: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def plan(self) -> PhysicalPlan:
+        """The chosen physical plan: derived from ``config``, never beside it."""
+        return distance_plan(self.config)
 
     @property
     def predicted_clock(self) -> float:
@@ -409,7 +413,6 @@ def plan_join(
     return PlannedJoin(
         spec=spec,
         config=config,
-        plan=distance_plan(config),
         chosen=chosen,
         candidates=tuple(candidates),
         pins=pins,

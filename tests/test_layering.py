@@ -16,9 +16,8 @@ The refactor's layering contract, checked by walking every module's AST
   ``repro.engine``/``repro.joins`` and below ``repro.serving`` and the
   CLI: the planner prices and chooses plans, serving and the CLI consume
   them, and nothing the planner prices may import the planner back.
-  (The physical-plan *dataclasses* live in ``repro.joins.plan`` so the
-  drivers can build plans without an upward import; ``repro.planner``
-  re-exports them.)
+  (Physical plans live in ``repro.joins.plan``, beside the drivers whose
+  stage lists they name.)
 
 The AST walk sees what a module *may* import; the runtime checks at the
 end start fresh interpreters and read ``sys.modules`` to see what a
@@ -178,8 +177,6 @@ def test_planner_sits_between_joins_and_serving():
     assert "repro.planner" in names
     assert "repro.planner.planner" in names
     assert "repro.planner.logical" in names
-    assert "repro.planner.physical" in names
-    assert "repro.joins.plan" in names
     # the planner builds on core + joins (downward imports exist) ...
     planner_imports = set()
     for module, path in MODULES:
@@ -196,14 +193,11 @@ def test_planner_sits_between_joins_and_serving():
 
 
 def test_drivers_build_plans_without_importing_the_planner():
-    """Drivers build physical plans via repro.joins.plan, never upward."""
+    """Drivers own their stage lists and never import the planner."""
     modules = dict(MODULES)
     for driver in ("repro.joins.distance_join", "repro.joins.object_join",
                    "repro.joins.generalized_join"):
         imports = imported_modules(driver, modules[driver])
-        assert any(in_layer(i, "repro.joins.plan") for i in imports), (
-            f"{driver} should build its stages from a physical plan"
-        )
         assert not any(in_layer(i, "repro.planner") for i in imports)
 
 

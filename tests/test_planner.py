@@ -2,11 +2,12 @@
 
 Five contract groups:
 
-1. *Plan values* -- ``PlanNode``/``PhysicalPlan`` are frozen, hashable,
-   printable, comparable values; every driver-reachable stage
-   composition is constructible from a registered plan op (the registry
-   lint), and a forced-choice plan executes **bit-identically** to the
-   plain driver config (against ``tests/golden/driver_goldens.json``).
+1. *Plan values* -- a ``PhysicalPlan`` is a frozen, hashable, printable,
+   comparable value: its config plus the driver's stage list; a plan
+   whose config is not the run's is rejected, ``explain`` prints the
+   stages the run's spans name, and a forced-choice plan executes
+   **bit-identically** to the plain driver config (against
+   ``tests/golden/driver_goldens.json``).
 2. *Planner search* -- enumeration over methods x factors x kernels x
    workers, pin collapsing, deterministic argmin, targeted errors; the
    two clocks (2b): the objective follows the backend, ``clock="modelled"``
@@ -35,6 +36,12 @@ import pytest
 from repro.core.wall_model import WALL_COEFFICIENTS, wall_seconds
 from repro.data.generators import gaussian_clusters, uniform
 from repro.joins.distance_join import JoinConfig, distance_join
+from repro.joins.plan import (
+    PlanInputs,
+    distance_plan,
+    generalized_plan,
+    object_plan,
+)
 from repro.planner import (
     CLOCKS,
     DEFAULT_FACTORS,
@@ -42,18 +49,11 @@ from repro.planner import (
     DEFAULT_METHODS,
     DEFAULT_WORKER_CANDIDATES,
     JoinSpec,
-    PhysicalPlan,
     PlanCache,
-    PlanInputs,
-    PlanNode,
-    STAGE_BUILDERS,
     backend_clock,
     clock_errors_from_metrics,
     clock_errors_from_report,
-    distance_plan,
     eps_bucket,
-    generalized_plan,
-    object_plan,
     plan_join,
     replay_reports,
     summarize_errors,
@@ -98,16 +98,15 @@ def inputs():
 
 
 # ----------------------------------------------------------------------
-# 1. plans as values + the stage-builder registry lint
+# 1. plans as values: a config and its driver's stage list
 # ----------------------------------------------------------------------
 class TestPlanValues:
     def test_plan_is_frozen_hashable_comparable(self):
         cfg = JoinConfig(eps=0.01)
         a, b = distance_plan(cfg), distance_plan(cfg)
         assert a == b and hash(a) == hash(b)
-        assert a.signature() == b.signature()
         c = distance_plan(replace(cfg, method="diff"))
-        assert a != c and a.signature() != c.signature()
+        assert a != c
         with pytest.raises(FrozenInstanceError):
             a.join_kind = "other"
 
@@ -117,7 +116,7 @@ class TestPlanValues:
         text = distance_plan(cfg).render()
         for token in ("diff", "grid_hash", "workers=7",
                       "resolution_factor=3.0", "build_partition",
-                      "assign_shuffle_join", "accounting"):
+                      "local_join (join)", "join_accounting (join)"):
             assert token in text, token
 
     def test_choices_surface_every_dimension(self):
@@ -128,34 +127,6 @@ class TestPlanValues:
             assert dim in choices, dim
         assert choices["backend"] == "threads"
 
-    def test_every_driver_plan_op_is_registered(self):
-        """Registry lint, part 1: plans only reference registered ops."""
-        cfg = JoinConfig(eps=0.01, duplicate_free=False)
-        from repro.joins.generalized_join import GeneralizedJoinConfig
-        plans = [
-            distance_plan(cfg),
-            distance_plan(JoinConfig(eps=0.01)),
-            object_plan(JoinConfig(eps=0.01), eps=0.01, eps_eff=0.02),
-            generalized_plan(GeneralizedJoinConfig(eps=0.01)),
-        ]
-        for plan in plans:
-            for node in plan.root.children:
-                assert node.op in STAGE_BUILDERS, (plan.join_kind, node.op)
-
-    def test_every_registered_op_is_driver_reachable(self):
-        """Registry lint, part 2: no dead ops in the builder registry."""
-        cfg = JoinConfig(eps=0.01, duplicate_free=False)
-        from repro.joins.generalized_join import GeneralizedJoinConfig
-        reachable = set()
-        for plan in (
-            distance_plan(cfg),
-            object_plan(cfg, eps=0.01, eps_eff=0.02),
-            generalized_plan(GeneralizedJoinConfig(eps=0.01)),
-        ):
-            reachable |= {node.op for node in plan.root.children}
-        dead = set(STAGE_BUILDERS) - reachable
-        assert not dead, f"registered ops no driver plan reaches: {dead}"
-
     def test_plan_builds_real_stage_objects(self, inputs):
         r, s = inputs
         plan = distance_plan(JoinConfig(eps=0.01, duplicate_free=False))
@@ -163,22 +134,60 @@ class TestPlanValues:
         names = [type(st).__name__ for st in stages]
         assert "ShuffleStage" in names and "LocalJoinStage" in names
         assert "DistinctStage" in names  # duplicate_free=False appends it
+        assert plan.stages(PlanInputs(r=r, s=s))[0] is not stages[0]
 
-    def test_unknown_op_raises(self, inputs):
-        r, s = inputs
-        plan = PhysicalPlan(
-            "distance",
-            PlanNode.make("staged_join",
-                          children=(PlanNode.make("warp_drive"),)),
-        )
-        with pytest.raises(ValueError, match="warp_drive"):
-            plan.stages(PlanInputs(r=r, s=s))
+    def test_every_join_kind_lists_its_stages(self):
+        from repro.joins.generalized_join import GeneralizedJoinConfig
+        names = {
+            plan.join_kind: [line.split()[0]
+                             for line in plan.render().splitlines()[1:]]
+            for plan in (
+                object_plan(JoinConfig(eps=0.01), eps=0.01, eps_eff=0.02),
+                generalized_plan(GeneralizedJoinConfig(eps=0.01)),
+            )
+        }
+        shared = ["assign", "shuffle", "shuffle_recovery", "local_join"]
+        assert names["object"] == ["anchor_reduction", *shared,
+                                   "exact_refine", "join_accounting"]
+        assert names["generalized"] == ["rectangulation", *shared,
+                                        "ownership", "join_accounting"]
 
     def test_wrong_plan_kind_rejected_by_driver(self, inputs):
         r, s = inputs
         plan = object_plan(JoinConfig(eps=0.01), eps=0.01, eps_eff=0.02)
         with pytest.raises(ValueError, match="distance"):
             distance_join(r, s, JoinConfig(eps=0.01), plan=plan)
+
+    def test_plan_of_another_config_rejected_by_driver(self):
+        """A plan is its config: replaying a ``uni_r``/``grid_hash`` plan
+        under an ``lpib`` config raises instead of running a hybrid (the
+        ``lpib`` build with the ``grid_hash`` kernel)."""
+        r = gaussian_clusters(3000, seed=1, name="R")
+        s = gaussian_clusters(3000, seed=2, name="S")
+        cfg = JoinConfig(eps=0.01, method="lpib", num_workers=4)
+        other = replace(cfg, method="uni_r", local_kernel="grid_hash")
+        with pytest.raises(ValueError, match="own config"):
+            distance_join(r, s, cfg, plan=distance_plan(other))
+        # a plan of an equal config replays; the tracer is not a choice
+        from repro.engine.telemetry import Telemetry
+        traced = replace(cfg, telemetry=Telemetry.create(enabled=True))
+        res = distance_join(r, s, traced, plan=distance_plan(cfg))
+        assert res.metrics.method == "lpib"
+
+    def test_explain_stage_lines_are_the_run_stage_spans(self, inputs):
+        """``explain`` names what runs: its stage lines are, in order, the
+        names of the run's ``stage`` spans."""
+        from repro.engine.telemetry import Telemetry
+        r, s = inputs
+        planned = plan_join(r, s, 0.01, seed=1)
+        telemetry = Telemetry.create(enabled=True)
+        distance_join(r, s, replace(planned.config, telemetry=telemetry))
+        spans = [sp.name for sp in telemetry.tracer.spans()
+                 if sp.cat == "stage"]
+        text = planned.explain()
+        lines = text.split("chosen physical plan:\n", 1)[1].splitlines()
+        assert lines[0].startswith("physical plan [distance]")
+        assert [line.split()[0] for line in lines[1:]] == spans
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,12 @@ import pytest
 from repro.agreements.marking import MarkingError, mark_quartet
 from repro.data.pointset import PointSet
 from repro.geometry.mbr import MBR
+from repro.geometry.objects import BoxObject
 from repro.geometry.point import Side
 from repro.grid.grid import Grid
 from repro.joins.distance_join import JoinConfig, distance_join
+from repro.joins.generalized_join import GeneralizedJoinConfig, generalized_distance_join
+from repro.joins.object_join import ObjectSet, object_distance_join
 from repro.verify.oracle import kdtree_pairs
 from tests.conftest import make_graph
 
@@ -75,6 +78,26 @@ class TestValidation:
     def test_nan_coordinates_rejected(self):
         with pytest.raises(ValueError):
             PointSet([0.0, float("nan")], [0.0, 0.0])
+
+    @pytest.mark.parametrize("driver", ["distance", "object", "generalized"])
+    def test_nan_eps_rejected(self, driver):
+        """A NaN eps fails every comparison, so each driver's entry check
+        asks ``not eps > 0`` (``>= 0`` for objects) and raises its typed
+        error rather than returning no pairs or failing deep inside."""
+        nan = float("nan")
+        r = PointSet([0.1, 0.5], [0.1, 0.5], name="r")
+        s = PointSet([0.2, 0.6], [0.2, 0.6], name="s")
+        with pytest.raises(ValueError, match="eps must be"):
+            if driver == "distance":
+                distance_join(r, s, JoinConfig(eps=nan))
+            elif driver == "object":
+                object_distance_join(
+                    ObjectSet([BoxObject(0, MBR(0.1, 0.1, 0.2, 0.2), Side.R)]),
+                    ObjectSet([BoxObject(0, MBR(0.3, 0.3, 0.4, 0.4), Side.S)]),
+                    nan,
+                )
+            else:
+                generalized_distance_join(r, s, GeneralizedJoinConfig(eps=nan))
 
     def test_inf_coordinates_rejected(self):
         with pytest.raises(ValueError):
