@@ -6,6 +6,7 @@
         --methods lpib diff uni_r uni_s
     python3 scripts/planner_regret.py --shape real_gauss_1m --repeats 2 \\
         --methods lpib diff uni_r uni_s
+    python3 scripts/planner_regret.py --shape gaussian_1m --plan-only --repeats 10
 
 Runs ``plan_join`` on the shape's inputs as a one-shot caller does (default
 backend ``serial``, so the default objective), then *measures* every
@@ -33,12 +34,17 @@ with seed 0 -- a generator and the Bernoulli sample must not share a seed,
 they would draw the same stream).  ``eps_grid`` at 1M a side is
 20-25 s a join: leave it out with ``--methods`` unless it is what was chosen
 (the chosen plan is always measured).
+
+``--plan-only`` measures the planner instead of its pick: ``plan_join`` alone,
+one warm-up call and then ``--repeats`` timed calls, printing the best and
+the median; no candidate is joined, so a 1M shape takes seconds, not minutes.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -127,6 +133,21 @@ def regret_verdict(chosen_walls: list[float], best_walls: list[float]) -> str:
     return "regret: unresolved (within noise)"
 
 
+def plan_only(r, s, eps, args, seed: int, sampling_seed: int) -> int:
+    """Time ``plan_join`` alone: one warm-up call, then ``--repeats`` calls."""
+    plan_join(r, s, eps, seed=sampling_seed)
+    walls = []
+    for _ in range(args.repeats):
+        started = time.perf_counter()
+        planned = plan_join(r, s, eps, seed=sampling_seed)
+        walls.append(time.perf_counter() - started)
+    print(f"{args.shape}: n={len(r)} x {len(s)}, eps={eps:g}, seed={seed}; plan_join alone, "
+          f"1 warm-up, {args.repeats} timed; cpu_count={os.cpu_count()} git_rev={git_rev()}")
+    print(f"plan_join: best {min(walls) * 1e3:.1f} ms, median {statistics.median(walls) * 1e3:.1f} ms "
+          f"over {len(planned.candidates)} candidates; chosen {planned.chosen.key()}")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--shape", choices=sorted(SHAPES), default="auto_plan")
@@ -134,9 +155,13 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=5, help="timed joins per candidate")
     parser.add_argument("--methods", nargs="+", choices=DEFAULT_METHODS,
                         default=list(DEFAULT_METHODS), help="methods to measure")
+    parser.add_argument("--plan-only", action="store_true",
+                        help="time plan_join alone over --repeats calls; join nothing")
     args = parser.parse_args()
 
     r, s, eps, seed, sampling_seed = make_inputs(args.shape, args.seed)
+    if args.plan_only:
+        return plan_only(r, s, eps, args, seed, sampling_seed)
     started = time.perf_counter()
     planned = plan_join(r, s, eps, seed=sampling_seed)
     plan_s = time.perf_counter() - started

@@ -71,7 +71,10 @@ class LPiBPolicy(AgreementPolicy):
         return Side.R if r_total <= s_total else Side.S
 
     def decide_pairs(self, stats: GridStatistics, pairs: AdjacentPairs) -> np.ndarray:
-        r, s = (sum(stats.directed_candidates_array(pairs, side)) for side in Side)
+        (r_ab, r_ba), (s_ab, s_ba) = (
+            stats.directed_candidates_array(pairs, side) for side in Side
+        )
+        r, s = r_ab + r_ba, s_ab + s_ba
         r_total, s_total = (
             stats.cell_counts(side)[pairs.a] + stats.cell_counts(side)[pairs.b]
             for side in Side

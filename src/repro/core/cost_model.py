@@ -34,6 +34,7 @@ removes the bias; :func:`predict_join` does this automatically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -46,12 +47,21 @@ from repro.engine.metrics import CostModel
 from repro.engine.shuffle import KEY_BYTES
 from repro.geometry.point import Side
 from repro.grid.grid import Grid
-from repro.grid.statistics import GridStatistics
+from repro.grid.statistics import CandidateRows, GridStatistics
 
 
 #: The two clocks a prediction carries: the paper's cluster makespan and
 #: the wall of a ``serial`` run (:mod:`repro.core.wall_model`).
 CLOCKS = ("modelled", "wall")
+
+#: Methods a model prices together, in one set of array operations: the
+#: four the planner compares on every candidate grid, and the eps-grid
+#: baseline, which it prices on a grid of its own.
+_PRICED_TOGETHER = (("lpib", "diff", "uni_r", "uni_s"), ("eps_grid",))
+
+
+def _priced_with(method: str) -> tuple[str, ...]:
+    return next((group for group in _PRICED_TOGETHER if method in group), (method,))
 
 
 @dataclass(frozen=True)
@@ -99,6 +109,16 @@ class CostPrediction:
     #: over the same quantities: what a caller of the ``serial`` backend
     #: waits for, where the modelled times above are the paper's cluster.
     wall_phases: tuple[float, ...] = (0.0,) * len(WALL_PHASES)
+
+    @classmethod
+    def _of(cls, fields: dict) -> "CostPrediction":
+        """The prediction holding ``fields`` (all of them), built without
+        the generated ``__init__``: :meth:`AnalyticalCostModel.predict`
+        makes one per planner candidate, and a frozen dataclass's
+        ``__init__`` (a guarded ``setattr`` per field) was most of it."""
+        prediction = object.__new__(cls)
+        prediction.__dict__.update(fields)
+        return prediction
 
     @property
     def replicated_total(self) -> float:
@@ -150,30 +170,41 @@ class CostPrediction:
         )
 
 
+class _GridPass(NamedTuple):
+    """What every method priced on one grid shares."""
+
+    natives: np.ndarray  # (2, cells): sampled points of R, S scaled to full data
+    near: np.ndarray  # (2, cells): presence of R, S (see _grid_pass)
+    joinable_cells: int
+    rows: CandidateRows  # the counting sample's nonzero directed candidates
+    targets: np.ndarray  # per row, its head's flat index into a (2, cells) table
+
+
 class _MethodTotals(NamedTuple):
     """What a method's predictions share across kernels and worker counts."""
 
-    repl: dict
-    records: float
-    shuffle_bytes: float
+    counts: np.ndarray  # (2, cells): populations of R, S after replication
     bcast_payload: float
-    counts: dict  # per-cell populations after replication, by side
-    joinable_r: float
-    joinable_s: float
-    joinable_cells: int
+    fields: dict  # the CostPrediction fields no kernel or worker count changes
 
 
 class _KernelTotals(NamedTuple):
     """What a (method, kernel)'s predictions share across worker counts."""
 
-    candidates: float
+    bcast_payload: float
     cost_sum: float  # modelled compare cost, all cells
     cost_max: float  # ... of the hottest cell
     wall: tuple  # per WALL_PHASES phase: (seconds at no worker, per worker)
+    fields: dict  # the CostPrediction fields no worker count changes
 
 
 class AnalyticalCostModel:
-    """Predicts the cost of every grid method from sample statistics."""
+    """Predicts the cost of every grid method from sample statistics.
+
+    The array work is done once a grid (:attr:`_grid_pass`), once a method
+    and once a (method, kernel); :meth:`predict` prices each worker count
+    of those with scalar arithmetic.
+    """
 
     def __init__(
         self,
@@ -209,16 +240,49 @@ class AnalyticalCostModel:
         #: sample-join cardinality estimator (optional).
         self.sample_results = sample_results
         self.sample_results_rate = sample_results_rate or sample_rate
-        # the replica inflow depends only on the method; the planner
-        # prices many (kernel, workers) points per method, so memoize it
-        self._inflow_cache: dict[str, dict[Side, np.ndarray]] = {}
-        self._pairs = None  # the grid's adjacent cell pairs, method-independent
-        self._near = None  # per-cell presence of either input (see _presence)
-        # ... and so do replication and shuffle volume; the candidate sums
-        # depend on (method, kernel); the result estimate on neither
         self._method_cache: dict[str, _MethodTotals] = {}
         self._kernel_cache: dict[tuple[str, str], _KernelTotals] = {}
-        self._results: float | None = None
+
+    # ------------------------------------------------------------------
+    # the per-grid pass
+    # ------------------------------------------------------------------
+    @functools.cached_property
+    def _grid_pass(self) -> _GridPass:
+        """Natives, presence and the nonzero directed candidate counts.
+
+        *Presence*: only cells holding both inputs are joined, so the local
+        join pays for the records of those cells alone.  A thresholded
+        sample count misses most sparse cells (1.5% of 30 points is none,
+        half the time); both sample halves together, spread to the four
+        edge neighbours, see 0.8-1.1 of the truly joinable records of
+        inputs that cover each other and stay within ~3x on disjoint
+        clusters.
+
+        *Candidates*: a pair carries replicas only from a cell holding
+        counted candidates towards the other, so every method's inflow is
+        read off those rows (:meth:`GridStatistics.candidate_rows`), not
+        off every adjacent pair of the grid.
+        """
+        counted = self.count_stats.cell_count_table()
+        here = (self.stats.cell_count_table() + counted).reshape(
+            2, self.grid.ny, self.grid.nx
+        ) > 0
+        near = here.copy()
+        near[:, 1:] |= here[:, :-1]
+        near[:, :-1] |= here[:, 1:]
+        near[:, :, 1:] |= here[:, :, :-1]
+        near[:, :, :-1] |= here[:, :, 1:]
+        near = near.reshape(2, -1)
+        rows = self.count_stats.candidate_rows()
+        targets = rows.head.copy()
+        targets[rows.num_r:] += self.grid.num_cells
+        return _GridPass(
+            natives=counted / self.count_phi,
+            near=near,
+            joinable_cells=int(np.count_nonzero(near[0] & near[1])),
+            rows=rows,
+            targets=targets,
+        )
 
     # ------------------------------------------------------------------
     # replication
@@ -232,46 +296,42 @@ class AnalyticalCostModel:
             return Side.R if self.n_r <= self.n_s else Side.S
         return None
 
-    def _replica_inflow(self, method: str) -> dict[Side, np.ndarray]:
-        """Per-cell replicas each input receives, in counting-sample units.
+    def _carried(self, method: str) -> tuple[np.ndarray, np.ndarray]:
+        """The candidate rows the method replicates: each row's index into a
+        ``(2, cells)`` table (its input, its head cell) and its count.
 
-        Agreement decisions come from ``stats``, counts from
-        ``count_stats`` (see *Selection bias* above).
+        Universally a whole input's rows are replicated, adaptively each
+        row whose pair agreed on its input.  Agreement decisions come from
+        ``stats``, counts from ``count_stats`` (see *Selection bias* above).
         """
-        inflow = self._inflow_cache.get(method)
-        if inflow is None:
-            if self._pairs is None:
-                self._pairs = self.grid.adjacent_pair_arrays()
-            pairs = self._pairs
-            policy = {"lpib": LPiBPolicy, "diff": DiffPolicy}.get(method)
-            agreed_r = None if policy is None else policy().decide_pairs(self.stats, pairs)
-            inflow = self.count_stats.replica_inflows(
-                pairs, agreed_r, self._replicated_side(method)
+        g = self._grid_pass
+        rows = g.rows
+        policy = {"lpib": LPiBPolicy, "diff": DiffPolicy}.get(method)
+        if policy is None:
+            replicated = self._replicated_side(method)
+            carried = (
+                slice(0, 0) if replicated is None
+                else slice(0, rows.num_r) if replicated is Side.R
+                else slice(rows.num_r, None)
             )
-            self._inflow_cache[method] = inflow
-        return inflow
+            return g.targets[carried], rows.count[carried]
+        agreed_r = policy().decide_pairs(self.stats, rows.pairs)
+        agreed_r[rows.num_r:] ^= True  # an S row is carried where S was agreed
+        return g.targets.compress(agreed_r), rows.count.compress(agreed_r)
 
     def predicted_replication(self, method: str) -> dict[Side, float]:
         """Expected replicated objects per input, scaled to full data."""
-        scale = 1.0 / self.count_phi
-        return {
-            side: float(inflow.sum()) * scale
-            for side, inflow in self._replica_inflow(method).items()
-        }
-
-    # ------------------------------------------------------------------
-    # per-cell populations after replication
-    # ------------------------------------------------------------------
-    def _post_replication_counts(self, method: str) -> dict[Side, np.ndarray]:
-        scale = 1.0 / self.count_phi
-        return {
-            side: (self.count_stats.cell_counts(side) + inflow) * scale
-            for side, inflow in self._replica_inflow(method).items()
-        }
+        fields = self._method_totals(method).fields
+        return {Side.R: fields["replicated_r"], Side.S: fields["replicated_s"]}
 
     # ------------------------------------------------------------------
     # headline predictions
     # ------------------------------------------------------------------
+    @functools.cached_property
+    def _results(self) -> float:
+        """:meth:`predicted_results`, which every prediction carries."""
+        return self.predicted_results()
+
     def predicted_results(self) -> float:
         """Expected join cardinality (method-independent).
 
@@ -285,20 +345,19 @@ class AnalyticalCostModel:
         eps = self.grid.eps
         cell_area = self.grid.cell_w * self.grid.cell_h
         match_prob = min(1.0, math.pi * eps * eps / cell_area)
-        counts = self._post_replication_counts("uni_r")
+        replicated_r = self._method_totals("uni_r").counts[0]
         # Use the UNI(R) population: every R point within eps of a border
         # is present wherever its partners are, so per-cell products of
         # (replicated R) x (native S) cover cross-border pairs once.
-        native_s = self.count_stats.cell_counts(Side.S) / self.count_phi
-        return float(np.sum(counts[Side.R] * native_s) * match_prob)
+        native_s = self._grid_pass.natives[1]
+        return float(np.sum(replicated_r * native_s) * match_prob)
 
     # ------------------------------------------------------------------
     # per-choice clocks: kernel-specific candidate windows
     # ------------------------------------------------------------------
-    def _kernel_candidates(
-        self, kernel: str, counts: dict[Side, np.ndarray]
-    ) -> np.ndarray:
-        """Per-cell expected candidate pairs under the chosen kernel.
+    def _kernel_candidates(self, kernel: str, counts: np.ndarray) -> np.ndarray:
+        """Per-cell expected candidate pairs under the chosen kernel, for
+        ``(..., 2, cells)`` post-replication populations of R and S.
 
         Each local kernel inspects a different fraction of the per-cell
         cross product, and the engine charges ``compare_cost`` per
@@ -318,7 +377,7 @@ class AnalyticalCostModel:
         """
         eps = self.grid.eps
         cw, ch = self.grid.cell_w, self.grid.cell_h
-        n_r, n_s = counts[Side.R], counts[Side.S]
+        n_r, n_s = counts[..., 0, :], counts[..., 1, :]
         if kernel == "plane_sweep":
             window = min(1.0, max(0.0, (2 * eps - eps * eps / cw) / cw))
             return n_r * n_s * window
@@ -331,56 +390,45 @@ class AnalyticalCostModel:
             )
             straddle = 4 * ax * ay * cell - inside
             rim = (cw + 2 * eps) * (ch + 2 * eps) - cell
-            nat_r, nat_s = (
-                self.count_stats.cell_counts(side) / self.count_phi
-                for side in (Side.R, Side.S)
-            )
+            nat_r, nat_s = self._grid_pass.natives
             crossing = (n_r - nat_r) * nat_s + nat_r * (n_s - nat_s)
             return (nat_r * nat_s * inside + crossing * straddle * cell / rim) / cell**2
         raise ValueError(
             f"unpriceable kernel {kernel!r}; choose from {PRICEABLE_KERNELS}"
         )
 
-    def _presence(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per cell: is R (is S) in it or in an edge-adjacent cell?
-
-        Only cells holding both inputs are joined, so the local join pays
-        for the records of those cells alone.  A thresholded sample count
-        misses most sparse cells (1.5% of 30 points is none, half the
-        time); both sample halves together, spread to the four edge
-        neighbours, see 0.8-1.1 of the truly joinable records of inputs
-        that cover each other and stay within ~3x on disjoint clusters.
-        """
-        if self._near is None:
-            shape = (self.grid.ny, self.grid.nx)
-            near = []
-            for side in (Side.R, Side.S):
-                here = (
-                    self.stats.cell_counts(side) + self.count_stats.cell_counts(side)
-                ).reshape(shape) > 0
-                spread = here.copy()
-                spread[1:] |= here[:-1]
-                spread[:-1] |= here[1:]
-                spread[:, 1:] |= here[:, :-1]
-                spread[:, :-1] |= here[:, 1:]
-                near.append(spread.ravel())
-            self._near = tuple(near)
-        return self._near
-
     def _method_totals(self, method: str) -> _MethodTotals:
         """Everything a method's prediction needs that no kernel or worker
         count changes: replication, shuffle volume, broadcast payload, the
         per-cell populations after replication and the joinable records."""
-        totals = self._method_cache.get(method)
-        if totals is None:
-            from repro.engine.broadcast import grid_broadcast_bytes
+        if method not in self._method_cache:
+            self._price_methods(_priced_with(method))
+        return self._method_cache[method]
 
-            repl = self.predicted_replication(method)
-            records = self.n_r + self.n_s + repl[Side.R] + repl[Side.S]
-            shuffle_bytes = (
-                (self.n_r + repl[Side.R]) * (KEY_BYTES + self.record_bytes[Side.R])
-                + (self.n_s + repl[Side.S]) * (KEY_BYTES + self.record_bytes[Side.S])
-            )
+    def _price_methods(self, methods: tuple[str, ...]) -> None:
+        """:meth:`_method_totals` of several methods in one set of array
+        operations over a ``(methods, 2, cells)`` table."""
+        from repro.engine.broadcast import grid_broadcast_bytes
+
+        g = self._grid_pass
+        n = self.grid.num_cells
+        scale = 1.0 / self.count_phi
+        carried = [self._carried(method) for method in methods]
+        inflow = np.bincount(
+            np.concatenate([targets + 2 * n * i for i, (targets, _) in enumerate(carried)]),
+            weights=np.concatenate([weights for _, weights in carried]),
+            minlength=2 * n * len(methods),
+        ).reshape(len(methods), 2, n)
+        counts = (self.count_stats.cell_count_table() + inflow) * scale
+        # whole numbers, so any summation order is exact
+        replicated = (inflow.sum(axis=2) * scale).tolist()
+        # compress selects as a mask index does, faster; each row is summed
+        # as the contiguous (cells,) array one method's alone would be
+        joinable_r = counts[:, 0].compress(g.near[1], axis=1).sum(axis=1).tolist()
+        joinable_s = counts[:, 1].compress(g.near[0], axis=1).sum(axis=1).tolist()
+        bytes_r, bytes_s = (KEY_BYTES + self.record_bytes[side] for side in Side)
+        for i, method in enumerate(methods):
+            repl_r, repl_s = replicated[i]
             # broadcast payload: bare grid for PBSM; grid + agreements for the
             # adaptive methods (sizes depend only on the grid shape)
             bcast_payload = grid_broadcast_bytes(self.grid)
@@ -389,44 +437,54 @@ class AnalyticalCostModel:
                 bcast_payload += (
                     quartets * (32 + 12 * 24) + self.grid.num_adjacent_pairs * 12
                 )
-            counts = self._post_replication_counts(method)
-            near_r, near_s = self._presence()
-            totals = _MethodTotals(
-                repl, records, shuffle_bytes, bcast_payload, counts,
-                joinable_r=float(counts[Side.R][near_s].sum()),
-                joinable_s=float(counts[Side.S][near_r].sum()),
-                joinable_cells=int((near_r & near_s).sum()),
-            )
-            self._method_cache[method] = totals
-        return totals
+            self._method_cache[method] = _MethodTotals(counts[i], bcast_payload, {
+                "method": method,
+                "replicated_r": repl_r,
+                "replicated_s": repl_s,
+                "shuffle_records": self.n_r + self.n_s + repl_r + repl_s,
+                "shuffle_bytes": (self.n_r + repl_r) * bytes_r + (self.n_s + repl_s) * bytes_s,
+                "n_r": self.n_r,
+                "n_s": self.n_s,
+                "cells": n,
+                "joinable_r": joinable_r[i],
+                "joinable_s": joinable_s[i],
+                "joinable_cells": g.joinable_cells,
+            })
 
     def _kernel_totals(self, method: str, kernel: str) -> _KernelTotals:
         """A (method, kernel)'s candidate sum, modelled cost sum and hottest
         cell, and its wall phases as lines in the worker count."""
-        totals = self._kernel_cache.get((method, kernel))
-        if totals is None:
-            if self._results is None:
-                self._results = self.predicted_results()
-            m = self._method_totals(method)
-            per_cell_candidates = self._kernel_candidates(kernel, m.counts)
-            candidates = float(per_cell_candidates.sum())
-            per_cell_cost = per_cell_candidates * self.cm.compare_cost
-            line = wall_line({
-                "method": method, "kernel": kernel,
-                "n_r": self.n_r, "n_s": self.n_s, "cells": self.grid.num_cells,
-                "replicated_r": m.repl[Side.R], "replicated_s": m.repl[Side.S],
-                "joinable_r": m.joinable_r, "joinable_s": m.joinable_s,
-                "joinable_cells": m.joinable_cells,
-                "candidates": candidates, "results": self._results,
-            })
-            totals = _KernelTotals(
-                candidates,
-                float(per_cell_cost.sum()),
-                float(per_cell_cost.max(initial=0.0)),
+        if (method, kernel) not in self._kernel_cache:
+            self._price_kernel(_priced_with(method), kernel)
+        return self._kernel_cache[method, kernel]
+
+    def _price_kernel(self, methods: tuple[str, ...], kernel: str) -> None:
+        """:meth:`_kernel_totals` of several methods under one kernel, in one
+        set of array operations over their stacked populations."""
+        totals = [self._method_totals(method) for method in methods]
+        per_cell_candidates = self._kernel_candidates(
+            kernel, np.stack([m.counts for m in totals])
+        )
+        per_cell_cost = per_cell_candidates * self.cm.compare_cost
+        # each row summed as the contiguous (cells,) array one method's is
+        candidates = per_cell_candidates.sum(axis=1).tolist()
+        cost_sum = per_cell_cost.sum(axis=1).tolist()
+        cost_max = per_cell_cost.max(axis=1, initial=0.0).tolist()
+        for i, (method, m) in enumerate(zip(methods, totals)):
+            fields = {
+                **m.fields,
+                "kernel": kernel,
+                "candidates": candidates[i],
+                "results": self._results,
+            }
+            line = wall_line(fields)  # the fields carry every wall quantity
+            self._kernel_cache[method, kernel] = _KernelTotals(
+                m.bcast_payload,
+                cost_sum[i],
+                cost_max[i],
                 tuple(line[phase] for phase in WALL_PHASES),
+                fields,
             )
-            self._kernel_cache[(method, kernel)] = totals
-        return totals
 
     def predict(
         self,
@@ -451,10 +509,8 @@ class AnalyticalCostModel:
         w = self.num_workers if num_workers is None else num_workers
         if w < 1:
             raise ValueError("num_workers must be >= 1")
-        m = self._method_totals(method)
         k = self._kernel_totals(method, kernel)
-        repl, records, shuffle_bytes = m.repl, m.records, m.shuffle_bytes
-        results = self._results
+        records, shuffle_bytes = k.fields["shuffle_records"], k.fields["shuffle_bytes"]
         remote_fraction = (w - 1) / w
         remote_bytes = shuffle_bytes * remote_fraction
 
@@ -463,40 +519,25 @@ class AnalyticalCostModel:
             + records * cm.reduce_record_cost / w
             + remote_bytes * cm.remote_byte_cost / w
             + (shuffle_bytes - remote_bytes) * cm.local_byte_cost / w
-            + m.bcast_payload * cm.local_byte_cost
+            + k.bcast_payload * cm.local_byte_cost
             + cm.job_overhead
         )
         join = max(k.cost_sum / w, k.cost_max)
-        join += results * cm.emit_cost / w
+        join += self._results * cm.emit_cost / w
 
-        return CostPrediction(
-            method=method,
-            kernel=kernel,
-            workers=w,
-            replicated_r=repl[Side.R],
-            replicated_s=repl[Side.S],
-            shuffle_records=records,
-            shuffle_bytes=shuffle_bytes,
-            remote_bytes=remote_bytes,
-            results=results,
-            candidates=k.candidates,
-            construction_time=construction,
-            join_time=join,
-            launch_time=w * cm.task_launch_cost,
-            n_r=self.n_r,
-            n_s=self.n_s,
-            cells=self.grid.num_cells,
-            joinable_r=m.joinable_r,
-            joinable_s=m.joinable_s,
-            joinable_cells=m.joinable_cells,
-            wall_phases=tuple(none + each * w for none, each in k.wall),
-        )
+        return CostPrediction._of({
+            **k.fields,
+            "workers": w,
+            "remote_bytes": remote_bytes,
+            "construction_time": construction,
+            "join_time": join,
+            "launch_time": w * cm.task_launch_cost,
+            "wall_phases": tuple([none + each * w for none, each in k.wall]),
+        })
 
 
 def _build_models(r, s, eps, sample_rate, num_workers, seed):
     """Sample once; build coarse (2 eps) and fine (eps) models lazily."""
-    import numpy as np
-
     from repro.data.sampling import bernoulli_sample
     from repro.joins.local import grid_hash_join
 
@@ -513,22 +554,16 @@ def _build_models(r, s, eps, sample_rate, num_workers, seed):
         )[0]
     )
 
-    # split each sample into decision and counting halves
-    def halves(sample):
-        mask = np.arange(len(sample)) % 2 == 0
-        return sample.subset(mask), sample.subset(~mask)
-
-    r_dec, r_cnt = halves(r_sample)
-    s_dec, s_cnt = halves(s_sample)
+    # alternate points decide and count (see *Selection bias* above): the
+    # decision half's R and S points, then the counting half's
+    blocks = [(sample, half) for half in (0, 1) for sample in (r_sample, s_sample)]
+    xs = np.concatenate([sample.xs[half::2] for sample, half in blocks])
+    ys = np.concatenate([sample.ys[half::2] for sample, half in blocks])
+    sizes = [(len(sample) + 1 - half) // 2 for sample, half in blocks]
 
     def build(factor: float) -> AnalyticalCostModel:
         grid = Grid(mbr, eps, resolution_factor=factor)
-        decision = GridStatistics(grid)
-        decision.add_points(r_dec.xs, r_dec.ys, Side.R)
-        decision.add_points(s_dec.xs, s_dec.ys, Side.S)
-        counting = GridStatistics(grid)
-        counting.add_points(r_cnt.xs, r_cnt.ys, Side.R)
-        counting.add_points(s_cnt.xs, s_cnt.ys, Side.S)
+        decision, counting = GridStatistics.sample_halves(grid, xs, ys, sizes)
         return AnalyticalCostModel(
             grid, decision, sample_rate / 2,
             n_r=len(r), n_s=len(s),

@@ -52,6 +52,7 @@ from typing import Any, Mapping
 __all__ = [
     "ADAPTIVE_METHODS",
     "CACHE_RECORDS",
+    "PER_WORKER_TERMS",
     "PRICEABLE_KERNELS",
     "WALL_COEFFICIENTS",
     "WALL_PHASES",
@@ -87,6 +88,11 @@ PRICEABLE_KERNELS = ("plane_sweep", "grid_hash")
 #: ~200k records and 1.5-1.8x that from 600k on; the fit is insensitive to
 #: the knee anywhere in 150k-400k.
 CACHE_RECORDS = 1 << 18
+
+
+#: The terms proportional to the simulated worker count; every other term
+#: is constant in it (:func:`wall_line`).
+PER_WORKER_TERMS = frozenset({"task", "record_task"})
 
 
 def wall_group(phase: str, kernel: str) -> str:
@@ -158,13 +164,25 @@ def wall_seconds(
 def wall_line(q: Mapping[str, Any]) -> dict[str, tuple[float, float]]:
     """Per phase: ``(seconds without a worker, seconds each worker adds)``.
 
-    Every term is constant in ``q["workers"]`` or proportional to it, so
-    two evaluations price every worker count of a (method, kernel): the
-    planner's inner loop is one multiply-add a phase.
+    Every term is constant in ``q["workers"]`` or proportional to it
+    (:data:`PER_WORKER_TERMS`), so one evaluation of the terms at one
+    worker prices every worker count of a (method, kernel): the planner's
+    inner loop is one multiply-add a phase.  The seconds without a worker
+    are :func:`wall_seconds` at no worker to the bit: that sum differs
+    only by the proportional terms, which are zero there (both sums add
+    left to right from zero, as ``sum`` does).
     """
-    none = wall_seconds({**q, "workers": 0})
-    one = wall_seconds({**q, "workers": 1})
-    return {phase: (none[phase], one[phase] - none[phase]) for phase in none}
+    kernel = q["kernel"]
+    line = {}
+    for phase, terms in wall_terms({**q, "workers": 1}).items():
+        one = none = 0
+        for name, c in WALL_COEFFICIENTS[wall_group(phase, kernel)].items():
+            product = c * terms[name]
+            one += product
+            if name not in PER_WORKER_TERMS:
+                none += product
+        line[phase] = (none, one - none)
+    return line
 
 
 # BEGIN FITTED (scripts/fit_wall_model.py --write)

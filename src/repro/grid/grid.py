@@ -43,10 +43,12 @@ _DIRECTIONS = {(1, 0): 0, (0, 1): 1, (1, 1): 2, (-1, 1): 3}  # (dx, dy) -> E N N
 
 @dataclass(frozen=True)
 class AdjacentPairs:
-    """Every adjacent cell pair of a grid as parallel arrays.
+    """Adjacent cell pairs of a grid as parallel arrays (``a < b`` by flat id).
 
-    Same pairs, in the same order, as :meth:`Grid.adjacent_pairs`
-    (``a < b`` by flat id).  ``facing_a`` / ``facing_b`` are the
+    :meth:`Grid.adjacent_pair_arrays` holds every pair, in the order of
+    :meth:`Grid.adjacent_pairs`; other rows select from them
+    (:attr:`repro.grid.statistics.CandidateRows.pairs`).
+    ``facing_a`` / ``facing_b`` are the
     :data:`FACINGS` columns of the border or corner through which ``a``
     faces ``b`` and ``b`` faces ``a``; columns below 4 mean the cells are
     side-adjacent.
@@ -89,9 +91,10 @@ class Grid:
     cell_h: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.eps <= 0:
+        # ``not x > 0`` rather than ``x <= 0``: NaN fails every comparison
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
-        if self.resolution_factor < 1.0:
+        if not self.resolution_factor >= 1.0:
             raise ValueError("resolution factor must be >= 1")
         target = self.resolution_factor * self.eps
         nx = max(1, math.ceil(self.mbr.width / target) - 1)
@@ -131,8 +134,10 @@ class Grid:
         """:meth:`cell_index` for arrays of coordinates: ``(cx, cy)`` int64."""
         cx = ((np.asarray(xs, dtype=np.float64) - self.mbr.xmin) / self.cell_w).astype(np.int64)
         cy = ((np.asarray(ys, dtype=np.float64) - self.mbr.ymin) / self.cell_h).astype(np.int64)
-        # astype truncates towards zero, as int() does
-        return np.clip(cx, 0, self.nx - 1), np.clip(cy, 0, self.ny - 1)
+        # astype truncates towards zero, as int() does; clamp in place
+        np.minimum(np.maximum(cx, 0, out=cx), self.nx - 1, out=cx)
+        np.minimum(np.maximum(cy, 0, out=cy), self.ny - 1, out=cy)
+        return cx, cy
 
     def cell_of(self, x: float, y: float) -> int:
         """Flat id of the cell enclosing a point."""

@@ -35,6 +35,7 @@ change, not on every query.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -270,9 +271,18 @@ def eps_bucket(eps: float) -> float:
     the serving layer shares one cached plan per bucket instead of
     re-planning every distinct eps.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     return round(math.log10(eps) * 4) / 4
+
+
+def _whole_workers(pinned: Any) -> int:
+    """A ``workers`` pin as an int: ``4`` or ``4.0``, never a truncated ``2.5``."""
+    if isinstance(pinned, numbers.Integral) or (
+        isinstance(pinned, float) and pinned.is_integer()
+    ):
+        return int(pinned)
+    raise ValueError(f"workers must be a whole number, got {pinned!r}")
 
 
 def _validate_space(methods, factors, kernels, workers, backend) -> None:
@@ -287,7 +297,7 @@ def _validate_space(methods, factors, kernels, workers, backend) -> None:
                 f"unknown method {m!r}; choose from {DEFAULT_METHODS}"
             )
     for f in factors:
-        if f < 1:
+        if not f >= 1:  # NaN too
             raise ValueError(f"resolution factors must be >= 1, got {f}")
     for w in workers:
         if w < 1:
@@ -334,6 +344,8 @@ def plan_join(
     the paper's clock on any backend -- the paper figures and the
     modelled-regret tests do.
     """
+    if not eps > 0:  # NaN too; an infinite eps is a cross product
+        raise ValueError("eps must be positive")
     pins = dict(pins or {})
     unknown = set(pins) - set(PLAN_DIMENSIONS)
     if unknown:
@@ -351,7 +363,7 @@ def plan_join(
     )
     kernels = (pins["kernel"],) if "kernel" in pins else tuple(kernels)
     workers = (
-        (int(pins["workers"]),)
+        (_whole_workers(pins["workers"]),)
         if "workers" in pins
         else tuple(worker_candidates)
     )
@@ -370,32 +382,22 @@ def plan_join(
         r, s, eps, sample_rate, num_workers=base.num_workers, seed=seed
     )
     models: dict[float, AnalyticalCostModel] = {}
-
-    def model_for(factor: float) -> AnalyticalCostModel:
-        if factor not in models:
-            models[factor] = build(factor)
-        return models[factor]
-
     candidates: list[Candidate] = []
     for method in methods:
         # the eps-grid baseline always runs on its own 1x-eps grid
-        method_factors = (1.0,) if method == "eps_grid" else factors
-        for factor in method_factors:
-            model = model_for(factor)
+        for factor in (1.0,) if method == "eps_grid" else factors:
+            if factor not in models:
+                models[factor] = build(factor)
+            model = models[factor]
             for kernel in kernels:
-                for w in workers:
-                    pred = model.predict(method, kernel=kernel, num_workers=w)
-                    candidates.append(
-                        Candidate(
-                            method=method,
-                            resolution_factor=factor,
-                            kernel=kernel,
-                            workers=w,
-                            backend=backend,
-                            prediction=pred,
-                            clock=clock,
-                        )
+                candidates.extend(
+                    Candidate(
+                        method, factor, kernel, w, backend,
+                        model.predict(method, kernel=kernel, num_workers=w),
+                        clock,
                     )
+                    for w in workers
+                )
 
     spec = replace(spec, sample_results=next(iter(models.values())).sample_results)
     chosen = min(candidates, key=lambda c: (c.predicted_clock, c.key()))

@@ -574,6 +574,43 @@ def test_planner_pick_is_close_to_the_best_measured_plan():
     )
 
 
+@pytest.mark.perfsmoke
+def test_planning_costs_a_fraction_of_the_plan_it_picks():
+    """``plan_join`` <= 0.23x the wall of the plan it picks.
+
+    40k x 40k wide Gaussian clusters, eps 0.012 (the ``auto_plan``
+    benchmark's shape; its chosen plan is ``uni_s``/4/``grid_hash``/4):
+    104 candidates priced from one 3% sample, each grid in one pass over
+    the sample and one set of per-grid arrays.  The ratio reads
+    0.17-0.18 here; 0.26-0.30 when every (method, grid) read all of the
+    grid's adjacent pairs and each of 16 sample halves was classified
+    apart.  Interleaved in one process, best of 5 rounds after a warm-up,
+    so the host's speed cancels.
+    """
+    from repro.data.generators import gaussian_clusters
+    from repro.joins.distance_join import distance_join
+    from repro.planner import plan_join
+
+    wide = {"std_range": (0.03, 0.1)}
+    r = gaussian_clusters(40_000, seed=21, name="R", **wide)
+    s = gaussian_clusters(40_000, seed=22, name="S", **wide)
+    eps = 0.012
+    planned = plan_join(r, s, eps)
+    plan_t = join_t = float("inf")
+    for round_ in range(6):
+        t0 = time.perf_counter()
+        plan_join(r, s, eps)
+        t1 = time.perf_counter()
+        distance_join(r, s, planned.config)
+        t2 = time.perf_counter()
+        if round_:  # round 0 warms both up
+            plan_t, join_t = min(plan_t, t1 - t0), min(join_t, t2 - t1)
+    assert plan_t <= 0.23 * join_t, (
+        f"plan_join {plan_t * 1e3:.1f} ms vs its plan {planned.chosen.key()} "
+        f"{join_t * 1e3:.1f} ms"
+    )
+
+
 _THREE_DENSE_JOINS = """
 import resource
 import numpy as np

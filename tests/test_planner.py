@@ -431,6 +431,20 @@ class TestTwoClocks:
             )
             assert fresh == c.prediction, c.key()
 
+    def test_every_prediction_is_pinned_to_the_bit(self, inputs):
+        """What "bit-identical" means for any rewrite of the pricing: the
+        sha256 of every candidate's ``CostPrediction`` repr, in enumeration
+        order, on either clock.  Changing a float summation's order or
+        length moves it; a rewrite that moves it changes picks, explain
+        tables and served payloads, and needs its own justification."""
+        r, s = inputs
+        for clock in (None, "modelled"):
+            planned = plan_join(r, s, 0.01, clock=clock)
+            text = "\n".join(repr(c.prediction) for c in planned.candidates)
+            assert hashlib.sha256(text.encode()).hexdigest() == (
+                "638fb32e90740952ff9836d97cd025b302d8612bcfecbc278d9f4abc30cdf848"
+            ), clock
+
     def test_table_and_payload_show_both_clocks_sorted_by_objective(
         self, inputs
     ):

@@ -13,8 +13,11 @@ from repro.grid.grid import Grid
 from repro.joins.distance_join import JoinConfig, distance_join
 from repro.joins.generalized_join import GeneralizedJoinConfig, generalized_distance_join
 from repro.joins.object_join import ObjectSet, object_distance_join
+from repro.planner import plan_join
 from repro.verify.oracle import kdtree_pairs
 from tests.conftest import make_graph
+
+NAN = float("nan")
 
 
 def points(coords, name="p"):
@@ -98,6 +101,52 @@ class TestValidation:
                 )
             else:
                 generalized_distance_join(r, s, GeneralizedJoinConfig(eps=nan))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(
+                lambda r, s: plan_join(r, s, NAN), "eps must be positive", id="nan-eps"
+            ),
+            pytest.param(
+                lambda r, s: plan_join(r, s, -1.0), "eps must be positive", id="negative-eps"
+            ),
+            pytest.param(
+                lambda r, s: plan_join(r, s, 0.1, pins={"resolution_factor": NAN}),
+                "resolution factors must be >= 1",
+                id="nan-factor-pin",
+            ),
+            pytest.param(
+                lambda r, s: distance_join(r, s, JoinConfig(eps=0.1, resolution_factor=NAN)),
+                "resolution factor must be >= 1",
+                id="nan-factor-config",
+            ),
+            pytest.param(
+                lambda r, s: plan_join(r, s, 0.1, pins={"workers": 2.5}),
+                "workers must be a whole number",
+                id="fractional-workers-pin",
+            ),
+        ],
+    )
+    def test_planner_edge_rejects_with_typed_errors(self, call, message):
+        """The planner checks its eps at entry as the drivers do, the grid's
+        checks are written so that NaN fails them, and a pin is never
+        silently truncated: each raises its own message, not a NaN
+        conversion deep inside or a plan for 2 workers asked as 2.5."""
+        rng = np.random.default_rng(7)
+        r = PointSet(rng.random(400), rng.random(400), name="r")
+        s = PointSet(rng.random(300), rng.random(300), name="s")
+        with pytest.raises(ValueError, match=message):
+            call(r, s)
+
+    def test_infinite_eps_still_plans_and_joins(self):
+        """An infinite eps is a cross product, not an error."""
+        r = PointSet([0.1, 0.5, 0.9], [0.1, 0.5, 0.9], name="r")
+        s = PointSet([0.2, 0.6], [0.2, 0.6], name="s")
+        with np.errstate(invalid="ignore"):
+            planned = plan_join(r, s, float("inf"), pins={"workers": 4.0})
+        assert planned.chosen.workers == 4
+        assert len(distance_join(r, s, JoinConfig(eps=float("inf"))).r_ids) == 6
 
     def test_inf_coordinates_rejected(self):
         with pytest.raises(ValueError):

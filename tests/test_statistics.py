@@ -197,3 +197,68 @@ def test_array_queries_equal_scalar_queries(grid, seed):
                 want[side][a] += stats.directed_candidates(b, a, side)
         got = stats.replica_inflows(pairs, mask, replicated)
         assert {side: arr.tolist() for side, arr in got.items()} == want
+
+
+@pytest.mark.parametrize("grid", ADJACENCY_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
+@pytest.mark.parametrize("seed", [0, 1])
+def test_candidate_rows_are_the_nonzero_directed_candidates(grid, seed):
+    """One row per nonzero ``directed_candidates(tail, head)``, R's first;
+    a grid-rim border faces no cell and holds no row."""
+    stats = random_stats(grid, seed)
+    rows = stats.candidate_rows()
+    pairs = rows.pairs
+    got = {}
+    for i, (tail, head) in enumerate(zip(rows.tail.tolist(), rows.head.tolist())):
+        side = Side.R if i < rows.num_r else Side.S
+        a, b = min(tail, head), max(tail, head)
+        assert (pairs.a[i], pairs.b[i]) == (a, b)
+        assert grid.adjacent_pair_index(a, b) >= 0  # adjacent, or it raises
+        got[side, tail, head] = int(rows.count[i])
+    want = {
+        (side, tail, head): stats.directed_candidates(tail, head, side)
+        for a, b, _ in grid.adjacent_pairs()
+        for tail, head in ((a, b), (b, a))
+        for side in Side
+        if stats.directed_candidates(tail, head, side)
+    }
+    assert got == want
+    # an LPiB decision over the rows is the decision over their pairs
+    from repro.agreements.policies import LPiBPolicy
+
+    full = LPiBPolicy().decide_pairs(stats, grid.adjacent_pair_arrays())
+    index = [grid.adjacent_pair_index(a, b) for a, b in zip(pairs.a.tolist(), pairs.b.tolist())]
+    assert LPiBPolicy().decide_pairs(stats, pairs).tolist() == full[index].tolist()
+
+
+@pytest.mark.parametrize("grid", ADJACENCY_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
+def test_sample_halves_fill_what_add_points_fills(grid):
+    """One pass over four blocks (first half R, S; second half R, S) fills
+    the counts two ``add_points`` calls a half would."""
+    rng = np.random.default_rng(3)
+    blocks = [
+        (rng.uniform(grid.mbr.xmin, grid.mbr.xmax, k), rng.uniform(grid.mbr.ymin, grid.mbr.ymax, k))
+        for k in (40, 25, 39, 0)
+    ]
+    halves = GridStatistics.sample_halves(
+        grid,
+        np.concatenate([xs for xs, _ in blocks]),
+        np.concatenate([ys for _, ys in blocks]),
+        [len(xs) for xs, _ in blocks],
+    )
+    for half, stats in enumerate(halves):
+        want = GridStatistics(grid)
+        for side, (xs, ys) in zip(Side, blocks[2 * half : 2 * half + 2]):
+            want.add_points(xs, ys, side)
+        for side in Side:
+            assert stats.sampled_count(side) == want.sampled_count(side)
+            assert stats.cell_counts(side).tolist() == want.cell_counts(side).tolist()
+            assert stats.cell_counts(side).dtype == np.int64
+            for cell in range(grid.num_cells):
+                for border in ("E", "W", "N", "S"):
+                    assert stats.strip_count(cell, border, side) == want.strip_count(
+                        cell, border, side
+                    )
+                for corner in ("NE", "NW", "SE", "SW"):
+                    assert stats.corner_count(cell, corner, side) == want.corner_count(
+                        cell, corner, side
+                    )
