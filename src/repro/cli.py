@@ -1,15 +1,13 @@
 """Command-line interface.
 
-Four subcommands cover the everyday workflows:
+The subcommands cover the everyday workflows:
 
 * ``repro join`` -- run an epsilon-distance join over generated or
   text-file data with any method; print metrics (optionally the pairs).
 * ``repro experiment`` -- regenerate one of the paper's tables/figures.
-* ``repro predict`` -- analytic cost predictions and a method
-  recommendation for a workload, without running the join.
 * ``repro explain`` -- the cost-based planner's view of a workload: the
   logical spec, every candidate physical plan with its predicted clocks,
-  and the chosen plan (see docs/PLANNER.md).
+  and the chosen plan, without running the join (see docs/PLANNER.md).
 * ``repro generate`` -- write one of the paper's datasets as a text file.
 * ``repro serve`` -- start the resident join server (datasets stay
   loaded, construction artifacts and results are cached across queries;
@@ -26,6 +24,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 
 from repro.core.wall_model import PRICEABLE_KERNELS
 from repro.data.datasets import DEFAULT_BASE_N, load_dataset
@@ -49,9 +48,10 @@ from repro.joins.local import LOCAL_KERNELS
 _DATASETS = ("R1", "R2", "S1", "S2")
 
 
-def _bounded(kind: type, low: int, strict: bool = False):
-    """argparse type: a finite ``kind`` >= ``low`` (> when ``strict``),
-    rejected with one clear line (``nan`` and ``inf`` parse as floats)."""
+def _bounded(kind: type, low: int, strict: bool = False, high: int | None = None):
+    """argparse type: a finite ``kind`` >= ``low`` (> when ``strict``) and
+    <= ``high`` when given, rejected with one clear line (``nan`` and
+    ``inf`` parse as floats)."""
     def parse(text: str):
         try:
             value = kind(text)
@@ -60,6 +60,10 @@ def _bounded(kind: type, low: int, strict: bool = False):
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         if not math.isfinite(value):
             raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+        if high is not None and not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                f"must be in [{low}, {high}], got {value}"
+            )
         if value < low or (strict and value == low):
             raise argparse.ArgumentTypeError(
                 f"must be {'>' if strict else '>='} {low}, got {value}"
@@ -75,6 +79,9 @@ _nonnegative_int = _bounded(int, 0)
 _positive_float = _bounded(float, 0, strict=True)
 #: a grid cell is at least eps wide
 _resolution_factor = _bounded(float, 1)
+_port = _bounded(int, 1, high=65535)
+#: 0 binds an ephemeral port
+_metrics_port = _bounded(int, 0, high=65535)
 
 
 def _fault_spec(text: str) -> FaultPlan:
@@ -83,32 +90,6 @@ def _fault_spec(text: str) -> FaultPlan:
         return FaultPlan.parse(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-
-
-def _port(text: str) -> int:
-    """argparse type: a TCP port in [1, 65535]."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if not (1 <= value <= 65535):
-        raise argparse.ArgumentTypeError(
-            f"port must be in [1, 65535], got {value}"
-        )
-    return value
-
-
-def _metrics_port(text: str) -> int:
-    """argparse type: a TCP port in [0, 65535] (0 = ephemeral)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if not (0 <= value <= 65535):
-        raise argparse.ArgumentTypeError(
-            f"port must be in [0, 65535], got {value}"
-        )
-    return value
 
 
 def _register_spec(text: str) -> tuple[str, str]:
@@ -143,27 +124,25 @@ _VARIANT_METHODS = {
 }
 
 
-#: Static defaults of the plannable ``repro join`` choice flags.  Their
-#: argparse defaults are ``None`` so ``--tuning auto`` can tell an
-#: explicit pin from an untouched flag; static mode resolves them here.
-_JOIN_STATIC_DEFAULTS = {
-    "method": "lpib",
-    "kernel": "plane_sweep",
-    "workers": 12,
-    "backend": "serial",
+#: The plannable ``repro join`` choice flags and the ``JoinConfig`` fields
+#: they set.  Their argparse defaults are ``None`` so ``--tuning auto`` can
+#: tell an explicit pin from an untouched flag; static mode resolves an
+#: untouched one to its field's default.
+_CHOICE_FIELDS = {
+    "method": "method",
+    "kernel": "local_kernel",
+    "workers": "num_workers",
+    "backend": "execution_backend",
 }
 
 
 def _capture_pins(args: argparse.Namespace) -> dict:
     """Plan dimensions the user pinned explicitly on the command line."""
-    pins = {}
-    for dest, dim in (("method", "method"), ("kernel", "kernel"),
-                      ("workers", "workers"), ("backend", "backend"),
-                      ("resolution_factor", "resolution_factor")):
-        value = getattr(args, dest, None)
-        if value is not None:
-            pins[dim] = value
-    return pins
+    dims = ("method", "kernel", "workers", "backend", "resolution_factor")
+    return {
+        dim: getattr(args, dim) for dim in dims
+        if getattr(args, dim, None) is not None
+    }
 
 
 def _validate_join_args(args: argparse.Namespace) -> str | None:
@@ -344,9 +323,10 @@ def _publish_planner_meta(args: argparse.Namespace, result) -> None:
 
 def _cmd_join(args: argparse.Namespace) -> int:
     args._pins = _capture_pins(args)
-    for dest, default in _JOIN_STATIC_DEFAULTS.items():
+    defaults = {f.name: f.default for f in fields(JoinConfig)}
+    for dest, name in _CHOICE_FIELDS.items():
         if getattr(args, dest) is None:
-            setattr(args, dest, default)
+            setattr(args, dest, defaults[name])
     error = _validate_join_args(args)
     if error is not None:
         print(error, file=sys.stderr)
@@ -427,22 +407,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(exc, file=sys.stderr)
         return 2
     print(text)
-    return 0
-
-
-def _cmd_predict(args: argparse.Namespace) -> int:
-    from repro.planner import plan_join
-
-    r = _load_input(args.r, args.base_n, args.payload)
-    s = _load_input(args.s, args.base_n, args.payload)
-    # the planner with all but the method pinned, on the paper's clock
-    pins = {"resolution_factor": 2.0, "kernel": "plane_sweep", "workers": args.workers}
-    planned = plan_join(
-        r, s, args.eps, pins=pins, sample_rate=args.sample_rate, clock="modelled"
-    )
-    for c in sorted(planned.candidates, key=lambda c: c.prediction.exec_time):
-        print(c.prediction.describe())
-    print(f"\nrecommended method: {planned.chosen.method}")
     return 0
 
 
@@ -701,24 +665,22 @@ def _cmd_query(args: argparse.Namespace) -> int:
             print(f"registered {entry['name']}: {entry['n']:,} points "
                   f"(fingerprint {entry['fingerprint']})")
         if args.r is not None:
-            fields = {
-                "seed": args.seed,
-                "max_pairs": args.show_pairs,
-                "report": args.report,
+            # only the flags the user set travel with the query: the
+            # server fills in its own defaults, and with ``tuning: auto``
+            # its planner chooses what is left unpinned
+            request = {
+                dest: getattr(args, dest)
+                for dest in ("method", "kernel", "workers", "seed")
+                if getattr(args, dest) is not None
             }
+            request["max_pairs"] = args.show_pairs
+            if args.report:
+                request["report"] = True
             if args.tuning == "auto":
-                # only explicitly pinned choices travel with the query;
-                # the server's planner fills in the rest
-                fields["tuning"] = "auto"
-            for dest in ("method", "kernel", "workers"):
-                value = getattr(args, dest)
-                if value is None and args.tuning != "auto":
-                    value = _JOIN_STATIC_DEFAULTS[dest]
-                if value is not None:
-                    fields[dest] = value
+                request["tuning"] = "auto"
             if args.no_reuse_results:
-                fields["reuse_results"] = False
-            response = client.query(args.r, args.s, args.eps, **fields)
+                request["reuse_results"] = False
+            response = client.query(args.r, args.s, args.eps, **request)
             m = response["metrics"]
             source = ("result cache" if response["cached_result"]
                       else "warm build" if response["warm_artifacts"]
@@ -905,16 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--quick", action="store_true", help="shrink the sweeps")
     exp.set_defaults(fn=_cmd_experiment)
 
-    pred = sub.add_parser("predict", help="cost predictions + method recommendation")
-    pred.add_argument("--r", default="S1")
-    pred.add_argument("--s", default="S2")
-    pred.add_argument("--eps", type=float, default=0.012)
-    pred.add_argument("--sample-rate", type=float, default=0.03)
-    pred.add_argument("--workers", type=_positive_int, default=12)
-    pred.add_argument("--base-n", type=int, default=DEFAULT_BASE_N)
-    pred.add_argument("--payload", type=int, default=0)
-    pred.set_defaults(fn=_cmd_predict)
-
     explain = sub.add_parser(
         "explain",
         help="cost-based plan for a workload: logical spec, candidate "
@@ -1075,15 +1027,17 @@ def build_parser() -> argparse.ArgumentParser:
                             "--tuning auto, an explicit value pins the "
                             "planner)")
     query.add_argument("--workers", type=_positive_int, default=None,
-                       help="simulated workers (default 12; with --tuning "
-                            "auto, an explicit value pins the planner)")
+                       help="simulated workers (default: the server's "
+                            "`repro serve --workers`; with --tuning auto, "
+                            "an explicit value pins the planner)")
     query.add_argument("--tuning", choices=("static", "auto"),
                        default="static",
                        help="'auto' lets the server's cost-based planner "
                             "choose method/kernel/workers/resolution for "
                             "the query (cached per dataset fingerprints + "
                             "eps bucket); flags set explicitly stay pinned")
-    query.add_argument("--seed", type=int, default=0)
+    query.add_argument("--seed", type=int, default=None,
+                       help="seed of the statistics sample (default 0)")
     query.add_argument("--show-pairs", type=_nonnegative_int, default=0,
                        metavar="N",
                        help="fetch and print the first N result pairs")

@@ -8,6 +8,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     ),
     "generators": ("gaussian_clusters", "real_like", "uniform"),
     "io": ("read_points_text", "write_points_text"),
-    "pointset": ("PointSet",),
+    "pointset": ("PointSet", "dataset_fingerprint"),
     "sampling": ("bernoulli_sample",),
 })

@@ -8,6 +8,7 @@ non-spatial attributes whose effect the paper studies in Figs. 16-18.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterator
 
 import numpy as np
@@ -126,3 +127,20 @@ class PointSet:
             SpatialPoint(int(pid), float(x), float(y), side, self.payload_bytes)
             for pid, x, y in zip(self.ids, self.xs, self.ys)
         ]
+
+
+def dataset_fingerprint(points) -> str:
+    """A content hash of a point set: ids, coordinates, cardinality and
+    payload size (the first 16 hex digits of their sha256).
+
+    Two loads of byte-identical data get one fingerprint however they
+    were read, so the server shares their cached artifacts and the
+    planner names them alike.
+    """
+    digest = hashlib.sha256()
+    digest.update(len(points.xs).to_bytes(8, "little"))
+    digest.update(int(points.payload_bytes).to_bytes(8, "little"))
+    digest.update(points.ids.tobytes())
+    digest.update(points.xs.tobytes())
+    digest.update(points.ys.tobytes())
+    return digest.hexdigest()[:16]

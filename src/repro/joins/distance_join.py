@@ -30,11 +30,13 @@ The returned :class:`JoinResult` carries the result pairs and a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
+from repro.agreements.marking import ORDERINGS
 from repro.data.pointset import PointSet
 from repro.data.sampling import bernoulli_sample
 from repro.engine.metrics import CostModel, JoinMetrics
@@ -56,7 +58,6 @@ from repro.joins.pipeline import (
     ShuffleRecoveryStage,
     ShuffleStage,
     SideRecords,
-    SimulatedOOMError,
     Stage,
     adaptive_lpt_costs,
     build_grid_assigner,
@@ -65,20 +66,26 @@ from repro.joins.pipeline import (
     record_armed_points,
     run_staged_join,
 )
+from repro.joins.local import LOCAL_KERNELS
 from repro.joins.plan import PhysicalPlan
 from repro.replication.assign import AdaptiveAssigner
 
 __all__ = [
+    "CELL_ASSIGNMENTS",
     "GRID_METHODS",
     "JoinConfig",
     "JoinResult",
-    "SimulatedOOMError",
     "distance_join",
     "distance_stages",
     "join_with_method",
     "config_variants",
     "paper_default_config",
 ]
+
+
+#: How cells are placed on workers: by LPT over their estimated join
+#: costs, or by hashing the cell id (Sect. 6.2 / Table 7).
+CELL_ASSIGNMENTS = ("lpt", "hash")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -88,7 +95,10 @@ class JoinConfig(ExecutionSettings):
     The fields below say *what* is joined and how it is partitioned;
     how the job executes (backend, faults, retries, spill, telemetry,
     history) is inherited from
-    :class:`~repro.joins.pipeline.ExecutionSettings`.
+    :class:`~repro.joins.pipeline.ExecutionSettings`.  This is the one
+    declaration of a distance join's parameters: the CLI reads its
+    defaults here, the server builds one per query, and construction
+    checks every field (a ``ValueError`` naming the field).
     """
 
     eps: float
@@ -96,7 +106,7 @@ class JoinConfig(ExecutionSettings):
     sample_rate: float = 0.03
     num_workers: int = 12
     num_partitions: int | None = None  # defaults to 8 partitions per worker
-    cell_assignment: str = "lpt"  # "lpt" or "hash" (Sect. 6.2 / Table 7)
+    cell_assignment: str = "lpt"  # one of CELL_ASSIGNMENTS
     resolution_factor: float = 2.0  # grid cell side in multiples of eps
     duplicate_free: bool = True  # False: unmarked graph + distinct (Table 6)
     local_kernel: str = "plane_sweep"
@@ -125,6 +135,55 @@ class JoinConfig(ExecutionSettings):
     #: :func:`repro.serving.fingerprint.grid_partition_key`).  Set with
     #: ``artifact_cache`` or not at all.
     artifact_key: tuple | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        # ``not x > 0`` rather than ``x <= 0``: NaN fails every comparison;
+        # an infinite eps is a cross product, not an error
+        if not self.eps > 0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
+        if self.method not in GRID_METHODS:
+            raise ValueError(
+                f"method must be one of {', '.join(GRID_METHODS)}; "
+                f"got {self.method!r}"
+            )
+        if self.local_kernel not in LOCAL_KERNELS:
+            raise ValueError(
+                f"local_kernel must be one of {', '.join(sorted(LOCAL_KERNELS))}; "
+                f"got {self.local_kernel!r}"
+            )
+        if self.cell_assignment not in CELL_ASSIGNMENTS:
+            raise ValueError(
+                f"cell_assignment must be one of {', '.join(CELL_ASSIGNMENTS)}; "
+                f"got {self.cell_assignment!r}"
+            )
+        if self.marking_ordering not in ORDERINGS:
+            raise ValueError(
+                f"marking_ordering must be one of {', '.join(ORDERINGS)}; "
+                f"got {self.marking_ordering!r}"
+            )
+        if not (self.num_workers >= 1 and float(self.num_workers).is_integer()):
+            raise ValueError(
+                f"num_workers must be a whole number >= 1, got {self.num_workers}"
+            )
+        if self.num_partitions is not None and not self.num_partitions >= 1:
+            raise ValueError(
+                f"num_partitions must be >= 1 (or None: 8 per worker), "
+                f"got {self.num_partitions}"
+            )
+        if not 0 < self.sample_rate <= 1:
+            raise ValueError(f"sample_rate must be in (0, 1], got {self.sample_rate}")
+        if not (math.isfinite(self.resolution_factor) and self.resolution_factor >= 1):
+            raise ValueError(
+                f"resolution_factor must be finite and >= 1 (the resolution "
+                f"factor must be >= 1: a cell is at least eps wide), "
+                f"got {self.resolution_factor}"
+            )
+        if not self.collect_pairs and not self.duplicate_free:
+            raise ValueError(
+                "collect_pairs=False requires duplicate_free: the "
+                "deduplicating variant needs the pair ids"
+            )
 
     def resolved_partitions(self) -> int:
         return self.num_partitions or 8 * self.num_workers
@@ -245,10 +304,8 @@ class _BuildPartitionStage(Stage):
             with tracer.span("construction.lpt", cat="construction"):
                 costs = adaptive_lpt_costs(grid, stats, pair_types, replicated)
                 partitioner = lpt_partitioner(costs, cfg.num_workers)
-        elif cfg.cell_assignment == "hash":
-            partitioner = HashPartitioner(cfg.resolved_partitions())
         else:
-            raise ValueError(f"unknown cell assignment {cfg.cell_assignment!r}")
+            partitioner = HashPartitioner(cfg.resolved_partitions())
 
         return {
             "grid": grid,
@@ -353,10 +410,6 @@ def distance_join(
     :func:`run_staged_join`.  A ``plan`` must be the distance plan of a
     config equal to ``cfg``; any other plan is rejected, not half-obeyed.
     """
-    if not cfg.eps > 0:
-        raise ValueError("eps must be positive")
-    if not cfg.collect_pairs and not cfg.duplicate_free:
-        raise ValueError("the deduplicating variant requires collect_pairs")
     if plan is not None and (plan.join_kind != "distance" or plan.config != cfg):
         raise ValueError(
             f"the distance driver runs only the distance plan of its own "

@@ -23,8 +23,8 @@ The stages shared by every driver live here:
   costs, heap model, optional block-store spill, for both fixed-size
   (point) and per-record-size (object) records;
 * :class:`ShuffleRecoveryStage` -- injected fetch-fault recovery (whole
-  partitions without the store, per-block with it), the simulated-OOM
-  guard, and the construction-makespan roll-up;
+  partitions without the store, per-block with it), the peak modelled
+  worker heap, and the construction-makespan roll-up;
 * :class:`LocalJoinStage` -- packs the shuffled groups into an
   :class:`~repro.engine.executor.ExecutionPlan` and runs it through the
   fault-tolerant executor on any backend;
@@ -89,23 +89,6 @@ except ImportError:  # pragma: no cover
 GRID_METHODS = ("lpib", "diff", "uni_r", "uni_s", "eps_grid")
 
 
-class SimulatedOOMError(MemoryError):
-    """A simulated executor exceeded its modelled heap.
-
-    Carries the offending worker and its modelled heap demand so
-    benchmarks can report the paper-style "did not finish" marker.
-    """
-
-    def __init__(self, worker: int, demand_bytes: float, limit_bytes: int):
-        self.worker = worker
-        self.demand_bytes = demand_bytes
-        self.limit_bytes = limit_bytes
-        super().__init__(
-            f"worker {worker} needs ~{demand_bytes / 1e6:.1f} MB heap "
-            f"(limit {limit_bytes / 1e6:.1f} MB)"
-        )
-
-
 # ----------------------------------------------------------------------
 # execution settings: the driver-independent slice of a join config
 # ----------------------------------------------------------------------
@@ -115,11 +98,12 @@ class ExecutionSettings:
 
     The one declaration of the execution surface: backend choice, fault
     injection, retry/speculation policy, shuffle spill and cell
-    checkpointing, the simulated memory limit, telemetry and the run
-    history.  Every driver config
+    checkpointing, telemetry and the run history.  Every driver config
     (``JoinConfig``, ``ObjectJoinConfig``, ``GeneralizedJoinConfig``) is
     a subclass, so the fields are flat keywords on each of them and
-    ``ctx.settings`` is the config itself.
+    ``ctx.settings`` is the config itself.  Construction checks every
+    field: an invalid value raises a ``ValueError`` naming it before
+    any stage runs.
     """
 
     #: How the local-join phase actually runs on the host: one of
@@ -155,11 +139,6 @@ class ExecutionSettings:
     #: reduce attempt salvages finished cells and re-runs only the
     #: remainder.  Requires a spill tier.
     checkpoint_cells: bool = False
-    #: Simulated executor heap in bytes (``None`` disables the memory
-    #: model).  If any worker's deserialized shuffle input exceeds it, the
-    #: job dies with :class:`SimulatedOOMError` -- the fate of the
-    #: eps-grid baseline at x4 data in the paper (Fig. 13).
-    memory_limit_bytes: int | None = None
     #: The run's :class:`~repro.engine.telemetry.Telemetry` bundle
     #: (tracer + metrics registry).  ``None`` means tracing disabled with
     #: a private throwaway registry -- the always-on default.  It observes
@@ -172,6 +151,35 @@ class ExecutionSettings:
     #: joins layer never imports ``repro.obs``.  A history failure is
     #: logged and swallowed: observability must never fail a join.
     history: Any = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.execution_backend not in BACKENDS:
+            raise ValueError(
+                f"execution_backend must be one of {BACKENDS}, "
+                f"got {self.execution_backend!r}"
+            )
+        if self.executor_workers is not None and not self.executor_workers >= 1:
+            raise ValueError(
+                f"executor_workers must be >= 1 (or None: one per CPU), "
+                f"got {self.executor_workers}"
+            )
+        try:
+            self.fault_plan()
+        except ValueError as exc:
+            raise ValueError(f"faults: {exc}") from None
+        self.retry_policy()  # checks max_retries and task_timeout
+        if self.spill not in SPILL_TIERS:
+            raise ValueError(
+                f"spill: unknown spill tier {self.spill!r}; "
+                f"choose from {SPILL_TIERS}"
+            )
+        if self.spill == "none":
+            if self.spill_dir is not None:
+                raise ValueError("spill_dir requires a spill tier (memory or disk)")
+            if self.checkpoint_cells:
+                raise ValueError(
+                    "checkpoint_cells requires a spill tier (memory or disk)"
+                )
 
     def fault_plan(self) -> FaultPlan | None:
         """The parsed, non-empty fault plan (``None`` disables injection)."""
@@ -235,26 +243,11 @@ def make_context(
 ) -> JoinContext:
     """Build a :class:`JoinContext`: settings, cluster, store lifecycle.
 
-    ``cfg`` is a driver config, which *is* the context's ``settings``.
-    Validates the execution backend, the fault spec and the spill
-    settings up front, and opens the block store when a spill tier is
-    configured; :func:`run_staged_join` closes it on every exit path.
+    ``cfg`` is a driver config, which *is* the context's ``settings``
+    (checked when it was constructed).  Opens the block store when a
+    spill tier is configured; :func:`run_staged_join` closes it on every
+    exit path.
     """
-    if cfg.execution_backend not in BACKENDS:
-        raise ValueError(
-            f"unknown execution backend {cfg.execution_backend!r}; "
-            f"choose from {BACKENDS}"
-        )
-    fault_plan = cfg.fault_plan()
-    if cfg.spill not in SPILL_TIERS:
-        raise ValueError(
-            f"unknown spill tier {cfg.spill!r}; choose from {SPILL_TIERS}"
-        )
-    if cfg.spill == "none":
-        if cfg.spill_dir is not None:
-            raise ValueError("spill_dir requires a spill tier (memory or disk)")
-        if cfg.checkpoint_cells:
-            raise ValueError("checkpoint_cells requires a spill tier (memory or disk)")
     cm = cost_model or getattr(cfg, "cost_model", None) or CostModel()
     telemetry = cfg.telemetry or Telemetry.disabled()
     ctx = JoinContext(
@@ -263,7 +256,7 @@ def make_context(
         cluster=SimCluster(num_workers, cm),
         metrics=metrics,
         shuffle=ShuffleStats(),
-        fault_plan=fault_plan,
+        fault_plan=cfg.fault_plan(),
         telemetry=telemetry,
     )
     if telemetry.enabled:
@@ -303,8 +296,8 @@ def run_staged_join(stages: list[Stage], ctx: JoinContext) -> JoinContext:
 
     Owns the phase timer and the per-stage wall clocks, and guarantees
     the block store is released on *every* exit
-    path -- including aborts mid-pipeline (exhausted retry budget,
-    simulated OOM, a fetch that keeps failing).
+    path -- including aborts mid-pipeline (exhausted retry budget, a
+    fetch that keeps failing).
 
     When the context carries enabled telemetry, the whole run becomes a
     ``job`` root span with one ``stage`` span per pipeline stage, and the
@@ -786,7 +779,7 @@ class ShuffleStage(Stage):
 
 
 class ShuffleRecoveryStage(Stage):
-    """Fetch-fault recovery, the OOM guard, and the construction roll-up.
+    """Fetch-fault recovery, the peak heap, and the construction roll-up.
 
     Injected shuffle-fetch failures: without the block store each failed
     fetch re-reads the worker's whole shuffle input (Spark's
@@ -869,12 +862,6 @@ class ShuffleRecoveryStage(Stage):
 
         worker_heap = ctx.data["worker_heap"]
         metrics.extra["peak_worker_heap_bytes"] = float(worker_heap.max())
-        if settings.memory_limit_bytes is not None:
-            hottest = int(worker_heap.argmax())
-            if worker_heap[hottest] > settings.memory_limit_bytes:
-                raise SimulatedOOMError(
-                    hottest, float(worker_heap[hottest]), settings.memory_limit_bytes
-                )
         metrics.construction_time_model = (
             cluster.phase_makespan("map")
             + cluster.phase_makespan("shuffle_read")

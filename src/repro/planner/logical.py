@@ -6,34 +6,21 @@ distance threshold, and the sampling parameters the cost model will
 calibrate its clocks from.  It is a frozen, hashable value -- two equal
 specs describe the same planning problem and may share a cached plan.
 
-Content fingerprints are computed where they are read (``describe``, the
-serving payload, spec equality): a one-shot ``plan_join`` that only wants
-the chosen plan never hashes its inputs.
+Content fingerprints are :func:`~repro.data.pointset.dataset_fingerprint`,
+the hash the server's dataset registry keys by, computed where they are
+read (``describe``, the serving payload, spec equality): a one-shot
+``plan_join`` that only wants the chosen plan never hashes its inputs.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Any
 
-__all__ = ["JoinSpec", "content_fingerprint"]
+from repro.data.pointset import dataset_fingerprint
 
-
-def content_fingerprint(ps: Any) -> str:
-    """A short content hash of a point set's coordinate arrays.
-
-    Lighter-weight than the serving layer's registry fingerprint (which
-    also hashes payload bytes); used when a spec is built outside the
-    server, so one-shot ``repro explain`` output still names its inputs
-    by content.  Serving callers pass their registry fingerprints
-    instead.
-    """
-    h = hashlib.sha1()
-    for arr in (ps.ids, ps.xs, ps.ys):
-        h.update(memoryview(arr).cast("B"))
-    return h.hexdigest()[:16]
+__all__ = ["JoinSpec"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +58,7 @@ class JoinSpec:
         if not self.points:
             return given
         return tuple(
-            fp or content_fingerprint(ps) for fp, ps in zip(given, self.points)
+            fp or dataset_fingerprint(ps) for fp, ps in zip(given, self.points)
         )
 
     def _identity(self) -> tuple:

@@ -1,36 +1,20 @@
 """Cache keys for the serving layer.
 
-Two kinds of key are derived here:
-
-* :func:`dataset_fingerprint` -- a content hash of a
-  :class:`~repro.data.pointset.PointSet` (ids, coordinates, payload
-  size).  Two registrations of byte-identical data share every cached
-  artifact, however they were loaded.
-* :func:`grid_partition_key` / :func:`query_key` -- the tuple of the
-  dataset fingerprints plus every configuration field that feeds the
-  pipeline's build/partition stage (respectively: the whole query).  A
-  field missing from the key would alias two different builds, so the
-  keys enumerate config fields *explicitly* -- adding a knob to
-  ``JoinConfig`` that changes the build must extend the key, and the
-  serving tests assert distinct configs produce distinct keys.
+:func:`grid_partition_key` / :func:`query_key` are the tuple of the
+dataset fingerprints (:func:`repro.data.pointset.dataset_fingerprint`,
+re-exported here) plus every configuration field that feeds the
+pipeline's build/partition stage (respectively: the whole query).  A
+field missing from the key would alias two different builds, so the
+keys enumerate config fields *explicitly* -- adding a knob to
+``JoinConfig`` that changes the build must extend the key, and the
+serving tests assert distinct configs produce distinct keys.
 """
 
 from __future__ import annotations
 
-import hashlib
+from repro.data.pointset import dataset_fingerprint
 
 __all__ = ["dataset_fingerprint", "grid_partition_key", "query_key"]
-
-
-def dataset_fingerprint(points) -> str:
-    """A content hash of a point set (first 16 hex digits of sha256)."""
-    digest = hashlib.sha256()
-    digest.update(len(points.xs).to_bytes(8, "little"))
-    digest.update(int(points.payload_bytes).to_bytes(8, "little"))
-    digest.update(points.ids.tobytes())
-    digest.update(points.xs.tobytes())
-    digest.update(points.ys.tobytes())
-    return digest.hexdigest()[:16]
 
 
 def _mbr_key(mbr) -> tuple | None:

@@ -5,7 +5,7 @@ server instead *registers* datasets once -- by paper codename (``R1``,
 ``R2``, ``S1``, ``S2``), by ``id,x,y`` text file, or programmatically as
 an in-memory :class:`~repro.data.pointset.PointSet` -- and every later
 query references them by name.  Each entry carries its content
-fingerprint (:func:`~repro.serving.fingerprint.dataset_fingerprint`),
+fingerprint (:func:`~repro.data.pointset.dataset_fingerprint`),
 the anchor of every artifact- and result-cache key.
 
 Re-registering a name with byte-identical content is an idempotent
@@ -20,8 +20,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.data.pointset import PointSet
-from repro.serving.fingerprint import dataset_fingerprint
+from repro.data.pointset import PointSet, dataset_fingerprint
 
 __all__ = ["DatasetRegistry", "RegisteredDataset"]
 

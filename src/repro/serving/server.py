@@ -47,7 +47,7 @@ import shutil
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -69,12 +69,7 @@ from repro.obs import (
     check_families,
     render_metrics,
 )
-from repro.joins.distance_join import (
-    GRID_METHODS,
-    JoinConfig,
-    distance_join,
-)
-from repro.joins.local import LOCAL_KERNELS
+from repro.joins.distance_join import JoinConfig, distance_join
 from repro.serving.admission import AdmissionController, QueryRejected
 from repro.serving.cache import ArtifactCache, estimate_nbytes
 from repro.serving.fingerprint import grid_partition_key, query_key
@@ -185,29 +180,24 @@ ONE_SHOT_ONLY_FIELDS = (
 #: searches the rest.
 PLANNABLE_FIELDS = ("method", "kernel", "workers", "resolution_factor")
 
-#: Fields a ``query`` request may carry (beyond ``op``).
-QUERY_FIELDS = frozenset(
-    {
-        "r",
-        "s",
-        "eps",
-        "method",
-        "kernel",
-        "workers",
-        "tuning",
-        "num_partitions",
-        "cell_assignment",
-        "sample_rate",
-        "seed",
-        "resolution_factor",
-        "duplicate_free",
-        "reuse_results",
-        "max_pairs",
-        "trace",
-        "report",
-        "return_spans",
-    }
+#: Query fields that set a ``JoinConfig`` field, by wire name.  The
+#: config declares each one's default and checks its value; the server
+#: only converts the JSON value to the declared type.
+JOIN_FIELDS = (
+    "eps", "method", "kernel", "workers", "num_partitions",
+    "cell_assignment", "sample_rate", "seed", "resolution_factor",
+    "duplicate_free",
 )
+#: The wire names that differ from their ``JoinConfig`` field's name.
+WIRE_ALIASES = {"kernel": "local_kernel", "workers": "num_workers"}
+_WIRE_NAMES = {name: wire for wire, name in WIRE_ALIASES.items()}
+
+#: Fields a ``query`` request may carry (beyond ``op``): the join fields
+#: and the ones the server itself reads.
+QUERY_FIELDS = frozenset(JOIN_FIELDS) | {
+    "r", "s", "tuning", "reuse_results", "max_pairs", "trace", "report",
+    "return_spans",
+}
 
 
 @dataclass(frozen=True)
@@ -295,22 +285,17 @@ class ServerConfig:
             raise ValueError("default_workers must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuerySpec:
-    """One validated distance-join query."""
+    """One validated distance-join query: what the server reads of the
+    request, plus the one :class:`JoinConfig` its join fields build."""
 
     r: str
     s: str
-    eps: float
-    method: str = "lpib"
-    kernel: str = "plane_sweep"
-    workers: int = 12
-    num_partitions: int | None = None
-    cell_assignment: str = "lpt"
-    sample_rate: float = 0.03
-    seed: int = 0
-    resolution_factor: float = 2.0
-    duplicate_free: bool = True
+    #: The request's join fields on top of the server's defaults
+    #: (``workers``: ``ServerConfig.default_workers``; backend and
+    #: executor workers: the server's), checked by ``JoinConfig`` itself.
+    config: JoinConfig
     reuse_results: bool = True
     max_pairs: int | None = None
     trace: bool = False
@@ -363,89 +348,55 @@ class QuerySpec:
         for name in ("r", "s", "eps"):
             if name not in request:
                 raise ProtocolError(f"query requires the {name!r} field")
+        eps = float(request["eps"])
+        if not (math.isfinite(eps) and eps > 0):
+            raise ProtocolError(f"eps must be positive and finite, got {eps}")
+        settings = {"num_workers": config.default_workers}
+        for wire in JOIN_FIELDS:
+            if wire in request:
+                name = WIRE_ALIASES.get(wire, wire)
+                settings[name] = _as_declared(name, request[wire])
+        try:
+            join = JoinConfig(
+                execution_backend=config.backend,
+                executor_workers=config.executor_workers,
+                **settings,
+            )
+        except ValueError as exc:
+            # the config names its field; the client knows the wire name
+            name, _, rest = str(exc).partition(" ")
+            raise ProtocolError(f"{_WIRE_NAMES.get(name, name)} {rest}") from None
+        max_pairs = request.get("max_pairs")
         spec = cls(
             r=str(request["r"]),
             s=str(request["s"]),
-            eps=float(request["eps"]),
-            method=str(request.get("method", "lpib")),
-            kernel=str(request.get("kernel", "plane_sweep")),
-            workers=int(request.get("workers", config.default_workers)),
-            num_partitions=(
-                int(request["num_partitions"])
-                if request.get("num_partitions") is not None
-                else None
-            ),
-            cell_assignment=str(request.get("cell_assignment", "lpt")),
-            sample_rate=float(request.get("sample_rate", 0.03)),
-            seed=int(request.get("seed", 0)),
-            resolution_factor=float(request.get("resolution_factor", 2.0)),
-            duplicate_free=bool(request.get("duplicate_free", True)),
+            config=join,
             reuse_results=bool(request.get("reuse_results", True)),
-            max_pairs=(
-                int(request["max_pairs"])
-                if request.get("max_pairs") is not None
-                else None
-            ),
+            max_pairs=int(max_pairs) if max_pairs is not None else None,
             trace=bool(request.get("trace", False)),
             report=bool(request.get("report", False)),
             return_spans=bool(request.get("return_spans", False)),
             tuning=tuning,
-            pinned=tuple(
-                sorted(d for d in PLANNABLE_FIELDS if d in request)
-            ),
+            pinned=tuple(sorted(d for d in PLANNABLE_FIELDS if d in request)),
         )
-        if not (math.isfinite(spec.eps) and spec.eps > 0):
-            raise ProtocolError(f"eps must be positive and finite, got {spec.eps}")
-        if spec.method not in GRID_METHODS:
-            raise ProtocolError(
-                f"method must be one of {', '.join(GRID_METHODS)}; "
-                f"got {spec.method!r}"
-            )
-        if spec.kernel not in LOCAL_KERNELS:
-            raise ProtocolError(
-                f"kernel must be one of {', '.join(sorted(LOCAL_KERNELS))}; "
-                f"got {spec.kernel!r}"
-            )
-        if spec.workers < 1:
-            raise ProtocolError(f"workers must be >= 1, got {spec.workers}")
-        if spec.cell_assignment not in ("lpt", "hash"):
-            raise ProtocolError(
-                f"cell_assignment must be 'lpt' or 'hash', "
-                f"got {spec.cell_assignment!r}"
-            )
-        if not (0.0 < spec.sample_rate <= 1.0):
-            raise ProtocolError(
-                f"sample_rate must be in (0, 1], got {spec.sample_rate}"
-            )
-        if not (math.isfinite(spec.resolution_factor)
-                and spec.resolution_factor >= 1):
-            # the grid's cell side is resolution_factor * eps >= eps
-            raise ProtocolError(
-                f"resolution_factor must be finite and >= 1, "
-                f"got {spec.resolution_factor}"
-            )
         if spec.max_pairs is not None and spec.max_pairs < 0:
             raise ProtocolError("max_pairs must be >= 0")
         if spec.return_spans and not spec.trace:
             raise ProtocolError("return_spans requires trace: true")
         return spec
 
-    def join_config(self, config: ServerConfig, **extra) -> JoinConfig:
-        return JoinConfig(
-            eps=self.eps,
-            method=self.method,
-            sample_rate=self.sample_rate,
-            num_workers=self.workers,
-            num_partitions=self.num_partitions,
-            cell_assignment=self.cell_assignment,
-            resolution_factor=self.resolution_factor,
-            duplicate_free=self.duplicate_free,
-            local_kernel=self.kernel,
-            seed=self.seed,
-            execution_backend=config.backend,
-            executor_workers=config.executor_workers,
-            **extra,
-        )
+
+#: The Python type each ``JoinConfig`` field declares, by field name.
+_DECLARED = {f.name: f.type for f in fields(JoinConfig)}
+_WIRE_TYPES = {"float": float, "int": int, "str": str, "bool": bool}
+
+
+def _as_declared(name: str, value):
+    """A JSON request value as the type ``JoinConfig.<name>`` declares."""
+    declared = _DECLARED[name]
+    if value is None and declared.endswith(" | None"):
+        return None
+    return _WIRE_TYPES[declared.removesuffix(" | None")](value)
 
 
 def _count_field(request: dict, name: str) -> int | None:
@@ -837,9 +788,8 @@ class JoinServer:
             spec, planned = await loop.run_in_executor(
                 self._pool, lambda: self._plan_query(spec, r, s)
             )
-        cfg = spec.join_config(self.config)
-        qkey = query_key(cfg, r.fingerprint, s.fingerprint)
-        akey = grid_partition_key(cfg, r.fingerprint, s.fingerprint)
+        qkey = query_key(spec.config, r.fingerprint, s.fingerprint)
+        akey = grid_partition_key(spec.config, r.fingerprint, s.fingerprint)
         coalesce_key = (
             qkey,
             spec.reuse_results,
@@ -852,7 +802,7 @@ class JoinServer:
             lambda: loop.run_in_executor(
                 self._pool,
                 lambda: self._execute_query(
-                    spec, cfg, r, s, qkey, akey, planned=planned
+                    spec, r, s, qkey, akey, planned=planned
                 ),
             ),
         )
@@ -863,52 +813,40 @@ class JoinServer:
 
         Chosen plans are cached by dataset fingerprints + eps bucket +
         the client's pins; a hit replays the cached choice without
-        re-sampling.  Returns the spec rewritten to the chosen choices
-        plus a payload-ready planner summary.
+        re-sampling.  Returns the spec with the chosen choices replaced
+        onto its config, plus a payload-ready planner summary.
         """
-        from dataclasses import replace as _replace
-
-        pins = {dim: getattr(spec, dim) for dim in spec.pinned}
+        cfg = spec.config
+        pins = {dim: getattr(cfg, WIRE_ALIASES.get(dim, dim)) for dim in spec.pinned}
         key = PlanCache.key(
             r.fingerprint,
             s.fingerprint,
-            spec.eps,
+            cfg.eps,
             pins,
             backend=self.config.backend,
-            sample_rate=spec.sample_rate,
-            seed=spec.seed,
+            sample_rate=cfg.sample_rate,
+            seed=cfg.seed,
         )
         cached = self.plans.get(key)
         cache_hit = cached is not None
         if cached is None:
-            base = JoinConfig(
-                eps=spec.eps,
-                sample_rate=spec.sample_rate,
-                seed=spec.seed,
-                num_workers=spec.workers,
-                num_partitions=spec.num_partitions,
-                cell_assignment=spec.cell_assignment,
-                duplicate_free=spec.duplicate_free,
-                execution_backend=self.config.backend,
-                executor_workers=self.config.executor_workers,
-            )
             jspec = JoinSpec.from_pointsets(
                 r.points,
                 s.points,
-                spec.eps,
-                sample_rate=spec.sample_rate,
-                seed=spec.seed,
+                cfg.eps,
+                sample_rate=cfg.sample_rate,
+                seed=cfg.seed,
                 r_fingerprint=r.fingerprint,
                 s_fingerprint=s.fingerprint,
             )
             cached = plan_join(
                 r.points,
                 s.points,
-                spec.eps,
+                cfg.eps,
                 pins=pins,
-                base=base,
-                sample_rate=spec.sample_rate,
-                seed=spec.seed,
+                base=cfg,
+                sample_rate=cfg.sample_rate,
+                seed=cfg.seed,
                 spec=jspec,
             )
             self.plans.put(key, cached)
@@ -916,14 +854,16 @@ class JoinServer:
         else:
             self.registry.counter("serve.plan_cache_hits").inc()
         chosen = cached.chosen
-        spec = _replace(
-            spec,
+        # a cached plan may come from a query with other unplanned fields
+        # (partitions, placement...): only the chosen dimensions carry over
+        cfg = replace(
+            cfg,
             method=chosen.method,
-            kernel=chosen.kernel,
-            workers=chosen.workers,
+            local_kernel=chosen.kernel,
+            num_workers=chosen.workers,
             resolution_factor=chosen.resolution_factor,
         )
-        return spec, {"planned": cached, "cache_hit": cache_hit}
+        return replace(spec, config=cfg), {"planned": cached, "cache_hit": cache_hit}
 
     async def _op_range(self, request: dict) -> dict:
         """Envelope query over one dataset via a cached STR R-tree."""
@@ -988,7 +928,7 @@ class JoinServer:
             "eps_bucket": PlanCache.key("", "", pj.spec.eps)[2],
         }
 
-    def _execute_query(self, spec, cfg, r, s, qkey, akey, planned=None) -> dict:
+    def _execute_query(self, spec, r, s, qkey, akey, planned=None) -> dict:
         started = time.perf_counter()
         if spec.reuse_results:
             cached = self._results.get(qkey)
@@ -1017,8 +957,8 @@ class JoinServer:
         telemetry = Telemetry.create(
             enabled=spec.trace or self.history is not None
         )
-        run_cfg = spec.join_config(
-            self.config,
+        run_cfg = replace(
+            spec.config,
             telemetry=telemetry,
             artifact_cache=self.artifacts,
             artifact_key=akey,

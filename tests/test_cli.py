@@ -142,9 +142,9 @@ class TestJoinValidation:
         with pytest.raises(SystemExit):
             main(["join", "--workers", "0"])
 
-    def test_negative_workers_rejected_on_predict(self):
+    def test_negative_workers_rejected_on_explain(self):
         with pytest.raises(SystemExit):
-            main(["predict", "--workers", "-3"])
+            main(["explain", "--workers", "-3"])
 
     def test_zero_task_timeout_rejected(self):
         with pytest.raises(SystemExit):
@@ -223,15 +223,6 @@ class TestExperiment:
     def test_missing_name(self, capsys):
         rc = main(["experiment"])
         assert rc == 2
-
-
-class TestPredict:
-    def test_predict_recommends(self, capsys):
-        rc = main(["predict", "--base-n", "2000", "--sample-rate", "0.2"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "recommended method:" in out
-        assert "replicas" in out
 
 
 class TestGenerate:

@@ -287,6 +287,24 @@ def test_execution_fields_are_declared_once():
     assert not redeclared, redeclared
 
 
+def test_query_spec_declares_no_join_field():
+    """A join is configured in one place: the server's ``QuerySpec``
+    carries one ``JoinConfig`` and declares none of its fields again,
+    under the field's own name or its wire alias."""
+    from dataclasses import fields
+
+    from repro.joins.distance_join import JoinConfig
+    from repro.serving.server import WIRE_ALIASES, QuerySpec
+
+    join = {f.name for f in fields(JoinConfig)}
+    assert set(WIRE_ALIASES.values()) <= join
+    served = {f.name for f in fields(QuerySpec)}
+    assert "config" in served
+    assert not served & (join | set(WIRE_ALIASES)), served & (
+        join | set(WIRE_ALIASES)
+    )
+
+
 def test_the_attempt_policy_is_read_in_one_module():
     """Written once: the retry budget and the backoff are the attempt
     ledger's alone.  No other module of ``repro.engine`` reads

@@ -468,9 +468,9 @@ class TestTwoClocks:
         from repro.planner import logical
         r, s = inputs
         calls = []
-        real = logical.content_fingerprint
+        real = logical.dataset_fingerprint
         monkeypatch.setattr(
-            logical, "content_fingerprint",
+            logical, "dataset_fingerprint",
             lambda ps: calls.append(ps) or real(ps),
         )
         planned = plan_join(r, s, 0.01)

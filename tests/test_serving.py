@@ -302,6 +302,24 @@ class TestServedResults:
             assert stats["serving"]["cold_builds"] == 1
             assert stats["serving"]["warm_builds"] == 1
 
+    def test_cli_query_runs_on_the_server_default_workers(self, capsys):
+        """``repro query`` without ``--workers`` sends no ``workers``: the
+        query runs on ``repro serve --workers``, so the same query with
+        those workers spelled out is a result-cache hit."""
+        from repro.cli import main
+
+        handle = start_in_thread(ServerConfig(default_workers=4))
+        try:
+            with connect(handle.address) as c:
+                _register(c)
+                rc = main(["query", "--socket", handle.socket_path,
+                           "--r", "R", "--s", "S", "--eps", str(EPS)])
+                assert rc == 0
+                assert "[cold build]" in capsys.readouterr().out
+                assert c.query("R", "S", EPS, workers=4)["cached_result"]
+        finally:
+            handle.stop()
+
     def test_distinct_configs_do_not_share_results(self, server, inputs):
         r, s = inputs
         other = distance_join(r, s, JoinConfig(eps=EPS, method="uni_r"))
