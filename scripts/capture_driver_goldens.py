@@ -9,7 +9,12 @@ them bit-identical.
 
 Run from the repo root::
 
-    PYTHONPATH=src python scripts/capture_driver_goldens.py
+    PYTHONPATH=src python scripts/capture_driver_goldens.py [--check]
+
+``--check`` captures in memory and never writes the file: it prints every
+field that differs from the committed goldens (with the relative change
+of each ``repr``'d modelled clock) and exits 1 on any difference, 0 when
+every row matches.
 
 The committed file was captured from the pre-refactor drivers (PR 3
 tree) so the equivalence matrix in ``tests/test_driver_equivalence.py``
@@ -18,6 +23,7 @@ proves the refactored drivers reproduce the legacy outputs exactly.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -138,12 +144,54 @@ def capture_generalized():
     return rows
 
 
-def main() -> int:
+def differences(path: str, old, new) -> list[str]:
+    """One line per leaf of ``old``/``new`` whose values differ."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [
+            line
+            for key in sorted(old.keys() | new.keys())
+            for line in differences(f"{path}.{key}", old.get(key), new.get(key))
+        ]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [
+            line
+            for i, (a, b) in enumerate(zip(old, new))
+            for line in differences(f"{path}[{i}]", a, b)
+        ]
+    if old == new:
+        return []
+    line = f"{path}: {old!r} -> {new!r}"
+    try:  # the modelled clocks are pinned as float reprs
+        a, b = float(old), float(new)
+    except (TypeError, ValueError):
+        return [line]
+    if isinstance(old, str) and a != 0:
+        line += f" (relative change {(b - a) / a:+.3e})"
+    return [line]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="compare a fresh capture with the committed file; write nothing",
+    )
+    args = parser.parse_args(argv)
     goldens = {
         "distance": capture_distance(),
         "object": capture_object(),
         "generalized": capture_generalized(),
     }
+    if args.check:
+        with open(OUT) as f:
+            committed = json.load(f)
+        diff = differences("goldens", committed, goldens)
+        for line in diff:
+            print(line)
+        total = sum(len(v) for v in goldens.values())
+        print(f"{len(diff)} field(s) differ over {total} golden rows ({OUT})")
+        return 1 if diff else 0
     os.makedirs(os.path.dirname(OUT), exist_ok=True)
     with open(OUT, "w") as f:
         json.dump(goldens, f, indent=2, sort_keys=True)

@@ -30,7 +30,7 @@ from repro.data.pointset import PointSet
 from repro.data.sampling import bernoulli_sample
 from repro.engine.cluster import SimCluster
 from repro.engine.metrics import CostModel, JoinMetrics, PhaseTimer
-from repro.engine.shuffle import KEY_BYTES, ShuffleStats
+from repro.engine.shuffle import KEY_BYTES, ShuffleStats, input_splits, read_seconds
 from repro.geometry.mbr import MBR
 from repro.joins.distance_join import JoinResult
 
@@ -101,27 +101,15 @@ def sedona_join(r: PointSet, s: PointSet, cfg: SedonaConfig) -> JoinResult:
     w = cfg.num_workers
 
     def account(ps: PointSet, leaves: np.ndarray, idxs: np.ndarray) -> None:
-        n = len(ps)
-        src = np.minimum((idxs * w) // max(n, 1), w - 1)
+        src, map_counts = input_splits(idxs, len(ps), w)
         dst = leaves % w
         record = KEY_BYTES + ps.record_bytes
-        shuffle.add_transfers(src, dst, record, w)
-        map_counts = np.bincount(
-            np.minimum((np.arange(n, dtype=np.int64) * w) // max(n, 1), w - 1),
-            minlength=w,
-        )
+        counts, volume = shuffle.add_transfers(src, dst, record, w)
         for wk, count in enumerate(map_counts):
             cluster.add_cost(wk, "map", float(count) * cm.map_tuple_cost)
-        remote = src != dst
-        cost = np.where(
-            remote,
-            record * cm.remote_byte_cost + cm.reduce_record_cost,
-            record * cm.local_byte_cost + cm.reduce_record_cost,
-        )
-        for wk in range(w):
-            sel = dst == wk
-            if sel.any():
-                cluster.add_cost(wk, "shuffle_read", float(cost[sel].sum()))
+        cost = read_seconds(counts, volume, cm, cm.reduce_record_cost)
+        for wk in np.flatnonzero(counts.sum(axis=0)):
+            cluster.add_cost(int(wk), "shuffle_read", float(cost[wk]))
 
     build_leaves = qt.leaf_of_batch(build.xs, build.ys)
     build_idx = np.arange(len(build), dtype=np.int64)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine.metrics import CostModel
+
 #: Modelled serialized size of the shuffle key (the 1-d cell id).
 KEY_BYTES = 8
 
@@ -111,3 +113,27 @@ class ShuffleStats:
                 self.matrix = other.matrix.copy()
             else:
                 self.matrix += other.matrix
+
+
+def input_splits(idxs: np.ndarray, n: int, W: int) -> tuple[np.ndarray, np.ndarray]:
+    """The map worker of each input tuple in ``idxs``, and every worker's
+    tuple count: splits are contiguous chunks, tuple ``i`` of ``n`` maps
+    on worker ``i * W // n``, so worker ``w`` maps
+    ``ceil((w + 1) n / W) - ceil(w n / W)`` tuples."""
+    return (idxs * W) // max(n, 1), np.diff(-(-np.arange(W + 1) * n // W))
+
+
+def read_seconds(
+    records: np.ndarray, volume: np.ndarray, cm: CostModel, record_cost: float
+) -> np.ndarray:
+    """Modelled read seconds per destination of one batch, from its
+    (source, destination) record and byte matrices (see
+    :meth:`ShuffleStats.add_transfers`): remote bytes, local bytes and
+    records at their unit costs, in closed form, so the order the records
+    were emitted in reaches no clock."""
+    local = volume.diagonal()
+    return (
+        (volume.sum(axis=0) - local) * cm.remote_byte_cost
+        + local * cm.local_byte_cost
+        + records.sum(axis=0) * record_cost
+    )

@@ -88,6 +88,33 @@ __all__ = [
 CELL_ASSIGNMENTS = ("lpt", "hash")
 
 
+# The field checks every join config shares; each raises a ``ValueError``
+# naming its field.
+def check_choice(name: str, value: Any, choices) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {', '.join(choices)}; got {value!r}")
+
+
+def check_eps(eps: float) -> None:
+    # ``not eps > 0`` rather than ``eps <= 0``: NaN fails every comparison;
+    # an infinite eps is a cross product, not an error
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+
+
+def check_sizing(
+    num_workers: int, sample_rate: float, num_partitions: int | None = None
+) -> None:
+    if not (num_workers >= 1 and float(num_workers).is_integer()):
+        raise ValueError(f"num_workers must be a whole number >= 1, got {num_workers}")
+    if num_partitions is not None and not num_partitions >= 1:
+        raise ValueError(
+            f"num_partitions must be >= 1 (or None: 8 per worker), got {num_partitions}"
+        )
+    if not 0 < sample_rate <= 1:
+        raise ValueError(f"sample_rate must be in (0, 1], got {sample_rate}")
+
+
 @dataclass(frozen=True, kw_only=True)
 class JoinConfig(ExecutionSettings):
     """Configuration of one parallel distance-join job.
@@ -138,41 +165,12 @@ class JoinConfig(ExecutionSettings):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        # ``not x > 0`` rather than ``x <= 0``: NaN fails every comparison;
-        # an infinite eps is a cross product, not an error
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.method not in GRID_METHODS:
-            raise ValueError(
-                f"method must be one of {', '.join(GRID_METHODS)}; "
-                f"got {self.method!r}"
-            )
-        if self.local_kernel not in LOCAL_KERNELS:
-            raise ValueError(
-                f"local_kernel must be one of {', '.join(sorted(LOCAL_KERNELS))}; "
-                f"got {self.local_kernel!r}"
-            )
-        if self.cell_assignment not in CELL_ASSIGNMENTS:
-            raise ValueError(
-                f"cell_assignment must be one of {', '.join(CELL_ASSIGNMENTS)}; "
-                f"got {self.cell_assignment!r}"
-            )
-        if self.marking_ordering not in ORDERINGS:
-            raise ValueError(
-                f"marking_ordering must be one of {', '.join(ORDERINGS)}; "
-                f"got {self.marking_ordering!r}"
-            )
-        if not (self.num_workers >= 1 and float(self.num_workers).is_integer()):
-            raise ValueError(
-                f"num_workers must be a whole number >= 1, got {self.num_workers}"
-            )
-        if self.num_partitions is not None and not self.num_partitions >= 1:
-            raise ValueError(
-                f"num_partitions must be >= 1 (or None: 8 per worker), "
-                f"got {self.num_partitions}"
-            )
-        if not 0 < self.sample_rate <= 1:
-            raise ValueError(f"sample_rate must be in (0, 1], got {self.sample_rate}")
+        check_eps(self.eps)
+        check_choice("method", self.method, GRID_METHODS)
+        check_choice("local_kernel", self.local_kernel, sorted(LOCAL_KERNELS))
+        check_choice("cell_assignment", self.cell_assignment, CELL_ASSIGNMENTS)
+        check_choice("marking_ordering", self.marking_ordering, ORDERINGS)
+        check_sizing(self.num_workers, self.sample_rate, self.num_partitions)
         if not (math.isfinite(self.resolution_factor) and self.resolution_factor >= 1):
             raise ValueError(
                 f"resolution_factor must be finite and >= 1 (the resolution "

@@ -57,7 +57,7 @@ from repro.engine.shuffle import KEY_BYTES
 from repro.geometry.mbr import MBR
 from repro.geometry.point import Side
 from repro.grid.grid import Grid
-from repro.joins.distance_join import JoinResult
+from repro.joins.distance_join import JoinResult, check_choice, check_eps, check_sizing
 from repro.joins.pipeline import (
     ExecutionSettings,
     JoinAccountingStage,
@@ -106,6 +106,17 @@ class GeneralizedJoinConfig(ExecutionSettings):
     mbr: MBR | None = None
     cost_model: CostModel = field(default_factory=CostModel)
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_eps(self.eps)
+        check_choice("partition", self.partition, PARTITIONS)
+        check_choice("method", self.method, METHODS)
+        if not self.quadtree_capacity >= 1:
+            raise ValueError(
+                f"quadtree_capacity must be >= 1, got {self.quadtree_capacity}"
+            )
+        check_sizing(self.num_workers, self.sample_rate)
+
 
 class _PartitionStats:
     """Per-leaf and per-border sample counts for agreement decisions."""
@@ -151,13 +162,9 @@ class _PartitionStats:
 def _build_partition(cfg, mbr, r_sample, s_sample) -> RectPartition:
     if cfg.partition == "grid":
         return GridRectPartition(Grid(mbr, cfg.eps))
-    if cfg.partition == "quadtree":
-        xs = np.concatenate([r_sample.xs, s_sample.xs])
-        ys = np.concatenate([r_sample.ys, s_sample.ys])
-        return QuadtreeRectPartition(
-            mbr, cfg.eps, xs, ys, capacity=cfg.quadtree_capacity
-        )
-    raise ValueError(f"unknown partition {cfg.partition!r}; choose from {PARTITIONS}")
+    xs = np.concatenate([r_sample.xs, s_sample.xs])
+    ys = np.concatenate([r_sample.ys, s_sample.ys])
+    return QuadtreeRectPartition(mbr, cfg.eps, xs, ys, capacity=cfg.quadtree_capacity)
 
 
 class _RectangulationStage(Stage):
@@ -346,10 +353,6 @@ def generalized_distance_join(
     The driver runs :func:`generalized_stages` through
     :func:`run_staged_join`.
     """
-    if not cfg.eps > 0:
-        raise ValueError("eps must be positive")
-    if cfg.method not in METHODS:
-        raise ValueError(f"unknown method {cfg.method!r}; choose from {METHODS}")
     metrics = JoinMetrics(
         method=f"{cfg.partition}-{cfg.method}",
         eps=cfg.eps,

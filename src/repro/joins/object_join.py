@@ -48,7 +48,9 @@ from repro.geometry.objects import SpatialObject, objects_intersect
 from repro.geometry.point import Side
 from repro.grid.grid import Grid
 from repro.grid.statistics import GridStatistics
+from repro.joins.distance_join import CELL_ASSIGNMENTS, check_choice, check_sizing
 from repro.joins.pipeline import (
+    GRID_METHODS,
     ExecutionSettings,
     JoinAccountingStage,
     JoinContext,
@@ -124,6 +126,12 @@ class ObjectJoinConfig(ExecutionSettings):
     cell_assignment: str = "lpt"
     seed: int = 0
     cost_model: CostModel = field(default_factory=CostModel)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_choice("method", self.method, GRID_METHODS)
+        check_choice("cell_assignment", self.cell_assignment, CELL_ASSIGNMENTS)
+        check_sizing(self.num_workers, self.sample_rate, self.num_partitions)
 
     def resolved_partitions(self) -> int:
         return self.num_partitions or 8 * self.num_workers

@@ -71,7 +71,7 @@ from repro.engine.kernels import get_kernel
 from repro.engine.lpt import lpt_assignment
 from repro.engine.metrics import CostModel, JoinMetrics, PhaseTimer
 from repro.engine.partitioner import ExplicitPartitioner
-from repro.engine.shuffle import ShuffleStats
+from repro.engine.shuffle import ShuffleStats, input_splits, read_seconds
 from repro.engine.sorting import run_starts, stable_argsort
 from repro.engine.telemetry import MetricsRegistry, Telemetry, Tracer, get_logger
 from repro.geometry.point import Side
@@ -695,12 +695,7 @@ class ShuffleStage(Stage):
             else:
                 ctx.metrics.replicated_s = replicated
 
-            # Input splits are contiguous chunks spread round-robin on
-            # workers.
-            split_workers = np.minimum(
-                (np.arange(n, dtype=np.int64) * W) // max(n, 1), W - 1
-            )
-            src_workers = split_workers[idxs]
+            src_workers, map_counts = input_splits(idxs, n, W)
             dst_workers = cell_workers[cells]
             record = rec.record_bytes
             # every integer volume of this side is a view of its W x W
@@ -724,21 +719,13 @@ class ShuffleStage(Stage):
 
             # modelled costs: mapping on source workers, reading on
             # destination workers
-            for w, count in enumerate(np.bincount(split_workers, minlength=W)):
+            for w, count in enumerate(map_counts):
                 cluster.add_cost(w, "map", float(count) * cm.map_tuple_cost)
-            remote = src_workers != dst_workers
-            read_cost = np.where(
-                remote,
-                record * cm.remote_byte_cost + cm.reduce_record_cost,
-                record * cm.local_byte_cost + cm.reduce_record_cost,
-            )
+            read_cost = read_seconds(edge_records, edge_bytes, cm, cm.reduce_record_cost)
             dst_records = edge_records.sum(axis=0)
             for w in np.flatnonzero(dst_records):
-                # a pairwise float sum in emission order: the goldens pin
-                # its every bit, so it is not derived from the matrices
-                cost = float(read_cost[np.flatnonzero(dst_workers == w)].sum())
-                cluster.add_cost(int(w), "shuffle_read", cost)
-                read_cost_w[w] += cost
+                cluster.add_cost(int(w), "shuffle_read", float(read_cost[w]))
+            read_cost_w += read_cost
             side_bytes = edge_bytes.sum(axis=0)
             read_records_w += dst_records
             read_bytes_w += side_bytes
@@ -833,7 +820,7 @@ class ShuffleRecoveryStage(Stage):
                             blocks=blocks,
                         )
                     else:
-                        cluster.add_cost(w, "fetch_retry", read_cost_w[w])
+                        cluster.add_cost(w, "fetch_retry", float(read_cost_w[w]))
                         ctx.shuffle.add_refetch(
                             int(read_records_w[w]), int(read_bytes_w[w])
                         )
@@ -969,26 +956,27 @@ class JoinAccountingStage(Stage):
         cluster = ctx.cluster
         metrics = ctx.metrics
 
-        # a worker's modelled cost accumulates in ascending cell order,
-        # whatever order its task runs the cells in: float sums depend on
-        # the order, and the golden clocks pin every bit
+        # a worker's modelled cost accumulates in ascending cell order from
+        # 0.0, whatever order its task runs the cells in: one bincount a
+        # phase adds in exactly that order, and charges only the workers
+        # holding a charged cell
         by_cell = np.argsort(plan.cells, kind="stable")
-        for pos in by_cell:
-            cluster.add_cost(int(plan.workers[pos]), "join", float(cost_pos[pos]))
+        workers, cost = plan.workers[by_cell], cost_pos[by_cell]
+
+        def charge(phase: str, seconds: np.ndarray, cells: np.ndarray | slice) -> None:
+            owners, W = workers[cells], ctx.num_workers
+            total = np.bincount(owners, weights=seconds[cells], minlength=W)
+            for w in np.flatnonzero(np.bincount(owners, minlength=W)):
+                cluster.add_cost(int(w), phase, float(total[w]))
+
+        charge("join", cost, slice(None))
         for worker_id, seconds in report.worker_wall.items():
             cluster.record_wall(worker_id, "join", seconds)
-        for pos in by_cell[report.resubmit_counts[by_cell] > 0]:
-            cluster.add_cost(
-                int(plan.workers[pos]),
-                "recovery",
-                float(report.resubmit_counts[pos]) * float(cost_pos[pos]),
-            )
-        for pos in by_cell[report.salvage_counts[by_cell] > 0]:
-            cluster.add_cost(
-                int(plan.workers[pos]),
-                SALVAGE_PHASE,
-                float(report.salvage_counts[pos]) * float(cost_pos[pos]),
-            )
+        for phase, counts in (
+            ("recovery", report.resubmit_counts[by_cell]),
+            (SALVAGE_PHASE, report.salvage_counts[by_cell]),
+        ):
+            charge(phase, counts * cost, counts > 0)
         for event in report.fault_events:
             if event.kind == "straggler":
                 cluster.add_cost(event.worker, "recovery", event.seconds)
@@ -1095,22 +1083,12 @@ def parallel_distinct(
     W = cluster.num_workers
     key = pack_pair_keys(r_ids, s_ids)
     dst_workers = (key % num_partitions).astype(np.int64) % W
-    edge_records, _ = shuffle.add_transfers(
+    edge_records, edge_bytes = shuffle.add_transfers(
         np.repeat(workers, np.diff(bounds)), dst_workers, PAIR_BYTES, W
     )
-    # a destination reads its own pairs at the local rate, the rest at the
-    # remote rate: counts off the (source, destination) matrix, so the
-    # clock does not depend on the order the pairs arrive in
-    local = edge_records.diagonal()
-    reads = edge_records.sum(axis=0)
-    for w in np.flatnonzero(reads):
-        cluster.add_cost(
-            int(w),
-            "dedup",
-            float(reads[w] - local[w]) * (PAIR_BYTES * cm.remote_byte_cost)
-            + float(local[w]) * (PAIR_BYTES * cm.local_byte_cost)
-            + float(reads[w]) * DISTINCT_RECORD_COST,
-        )
+    cost = read_seconds(edge_records, edge_bytes, cm, DISTINCT_RECORD_COST)
+    for w in np.flatnonzero(edge_records.sum(axis=0)):
+        cluster.add_cost(int(w), "dedup", float(cost[w]))
     # Batched distinct: per-source-worker local unique, then one k-way
     # merge of the sorted key blocks on the driver.
     blocks = [

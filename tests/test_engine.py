@@ -1,6 +1,8 @@
 """Unit tests for the simulated cluster, shuffle accounting, partitioners
 and the LPT scheduler."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from repro.engine.cluster import SimCluster
 from repro.engine.lpt import lpt_assignment, makespan
 from repro.engine.metrics import CostModel, JoinMetrics, PhaseTimer
 from repro.engine.partitioner import ExplicitPartitioner, HashPartitioner
-from repro.engine.shuffle import ShuffleStats
+from repro.engine.shuffle import ShuffleStats, input_splits, read_seconds
 
 
 class TestHashPartitioner:
@@ -140,6 +142,35 @@ class TestShuffleStats:
         assert np.array_equal(batch.matrix, single.matrix)
         assert np.array_equal(volume, single.matrix)
         assert counts.sum() == n and counts.shape == (W, W)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_read_seconds_is_the_per_record_sum(self, seed):
+        """The closed-form read price == an exact sum of every record's own
+        price (remote or local bytes, plus the per-record cost), for
+        per-record sizes as an object join ships them."""
+        rng = np.random.default_rng(seed)
+        W, n = 6, 2_000
+        src, dst = rng.integers(0, W, n), rng.integers(0, W, n)
+        sizes = rng.integers(24, 10**5, n)
+        cm = CostModel()
+        counts, volume = ShuffleStats().add_transfers(src, dst, sizes, W)
+        got = read_seconds(counts, volume, cm, cm.reduce_record_cost)
+        for w in range(W):
+            exact = math.fsum(
+                int(b) * (cm.remote_byte_cost if s != w else cm.local_byte_cost)
+                + cm.reduce_record_cost
+                for s, b in zip(src[dst == w], sizes[dst == w])
+            )
+            assert got[w] == pytest.approx(exact, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [0, 1, 11, 12, 13, 1001])
+    def test_input_splits_are_contiguous_chunks(self, n):
+        """Tuple ``i`` maps on worker ``i * W // n``; the counts in closed
+        form are that mapping's histogram."""
+        W = 12
+        workers, counts = input_splits(np.arange(n), n, W)
+        assert np.array_equal(workers, np.arange(n) * W // max(n, 1))
+        assert np.array_equal(counts, np.bincount(workers, minlength=W))
 
     def test_add_single(self):
         s = ShuffleStats()

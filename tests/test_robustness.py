@@ -12,7 +12,7 @@ from repro.geometry.point import Side
 from repro.grid.grid import Grid
 from repro.joins.distance_join import JoinConfig, distance_join
 from repro.joins.generalized_join import GeneralizedJoinConfig, generalized_distance_join
-from repro.joins.object_join import ObjectSet, object_distance_join
+from repro.joins.object_join import ObjectJoinConfig, ObjectSet, object_distance_join
 from repro.planner import plan_join
 from repro.verify.oracle import kdtree_pairs
 from tests.conftest import make_graph
@@ -139,34 +139,54 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             call(r, s)
 
-    @pytest.mark.parametrize("field, value", [
-        ("local_kernel", "bogus"),
-        ("cell_assignment", "bogus"),
-        ("method", "bogus"),
-        ("num_workers", 0),
-        ("num_workers", 2.5),
-        ("num_partitions", 0),
-        ("executor_workers", 0),
-        ("sample_rate", 0.0),
-        ("sample_rate", 1.5),
-        ("resolution_factor", 0.5),
-        ("resolution_factor", NAN),
-        ("max_retries", -1),
-        ("task_timeout", 0.0),
-        ("execution_backend", "gpu"),
-        ("spill", "tape"),
-        ("spill_dir", "/nonexistent"),  # without a spill tier
-        ("checkpoint_cells", True),  # without a spill tier
-        ("marking_ordering", "bogus"),
-        ("faults", "explode:p=1"),
+    @pytest.mark.parametrize("config, field, value", [
+        # JoinConfig's rows keep their plain ``field-value`` ids
+        *(pytest.param(JoinConfig, f, v, id=f"{f}-{v}") for f, v in [
+            ("local_kernel", "bogus"),
+            ("cell_assignment", "bogus"),
+            ("method", "bogus"),
+            ("num_workers", 0),
+            ("num_workers", 2.5),
+            ("num_partitions", 0),
+            ("executor_workers", 0),
+            ("sample_rate", 0.0),
+            ("sample_rate", 1.5),
+            ("resolution_factor", 0.5),
+            ("resolution_factor", NAN),
+            ("max_retries", -1),
+            ("task_timeout", 0.0),
+            ("execution_backend", "gpu"),
+            ("spill", "tape"),
+            ("spill_dir", "/nonexistent"),  # without a spill tier
+            ("checkpoint_cells", True),  # without a spill tier
+            ("marking_ordering", "bogus"),
+            ("faults", "explode:p=1"),
+        ]),
+        *(pytest.param(ObjectJoinConfig, f, v, id=f"object-{f}-{v}") for f, v in [
+            ("method", "bogus"),
+            ("cell_assignment", "bogus"),
+            ("num_workers", 0),
+            ("num_partitions", 0),
+            ("sample_rate", 0.0),
+        ]),
+        *(pytest.param(GeneralizedJoinConfig, f, v, id=f"generalized-{f}-{v}") for f, v in [
+            ("eps", NAN),
+            ("eps", 0.0),
+            ("method", "bogus"),
+            ("partition", "voronoi"),
+            ("quadtree_capacity", 0),
+            ("num_workers", 0),
+            ("sample_rate", 1.5),
+        ]),
     ])
-    def test_every_bad_config_field_fails_at_construction(self, field, value):
-        """``JoinConfig`` is where a join's fields are checked: a bad value
+    def test_every_bad_config_field_fails_at_construction(self, config, field, value):
+        """Each join config is where its fields are checked: a bad value
         is a ``ValueError`` naming its field from the constructor itself,
         before any stage runs -- not a ``KeyError`` from a stage, nor a
         default silently put in its place."""
+        required = {} if config is ObjectJoinConfig else {"eps": 0.1}
         with pytest.raises(ValueError, match=field):
-            JoinConfig(eps=0.1, **{field: value})
+            config(**{**required, field: value})
 
     def test_infinite_eps_still_plans_and_joins(self):
         """An infinite eps is a cross product, not an error."""
