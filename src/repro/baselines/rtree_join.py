@@ -21,7 +21,7 @@ Kriegel & Seeger, ICDE 1996].  This module adds that baseline:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from repro.baselines.rtree import RTree, _Node
 from repro.data.pointset import PointSet
 from repro.engine.cluster import SimCluster
 from repro.engine.lpt import lpt_assignment
-from repro.engine.metrics import CostModel, JoinMetrics, PhaseTimer
+from repro.engine.metrics import COST_MODEL, JoinMetrics, PhaseTimer
 from repro.engine.shuffle import KEY_BYTES, ShuffleStats
 from repro.joins.distance_join import JoinResult
 
@@ -42,7 +42,6 @@ class SamjConfig:
     num_workers: int = 12
     leaf_capacity: int = 32
     seed: int = 0
-    cost_model: CostModel = field(default_factory=CostModel)
 
 
 def _mbr_within(a: _Node, b: _Node, eps: float) -> bool:
@@ -91,8 +90,8 @@ def rtree_samj_join(r: PointSet, s: PointSet, cfg: SamjConfig) -> JoinResult:
     """Parallel synchronized-traversal R-tree distance join (SAMJ)."""
     if cfg.eps <= 0:
         raise ValueError("eps must be positive")
-    cm = cfg.cost_model
-    cluster = SimCluster(cfg.num_workers, cm)
+    cm = COST_MODEL
+    cluster = SimCluster(cfg.num_workers)
     shuffle = ShuffleStats()
     timer = PhaseTimer()
     metrics = JoinMetrics(
@@ -128,11 +127,8 @@ def rtree_samj_join(r: PointSet, s: PointSet, cfg: SamjConfig) -> JoinResult:
 
     entries_r = {i: _subtree_entries(a) for i, a in enumerate(tops_r)}
     entries_s = {j: _subtree_entries(b) for j, b in enumerate(tops_s)}
-    costs = {
-        t: float(len(entries_r[tasks[t][0]]) * len(entries_s[tasks[t][1]]))
-        for t in range(len(tasks))
-    }
-    task_worker = lpt_assignment(costs, cfg.num_workers)
+    costs = [len(entries_r[i]) * len(entries_s[j]) for i, j in tasks]
+    task_worker = lpt_assignment(costs, cfg.num_workers).tolist()
 
     # ------------------------------------------------------------------
     # shipping: every task receives both subtrees' points.  A subtree

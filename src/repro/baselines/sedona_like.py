@@ -20,7 +20,7 @@ an emergent property of this structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from repro.baselines.rtree import RTree
 from repro.data.pointset import PointSet
 from repro.data.sampling import bernoulli_sample
 from repro.engine.cluster import SimCluster
-from repro.engine.metrics import CostModel, JoinMetrics, PhaseTimer
+from repro.engine.metrics import COST_MODEL, JoinMetrics, PhaseTimer
 from repro.engine.shuffle import KEY_BYTES, ShuffleStats, input_splits, read_seconds
 from repro.geometry.mbr import MBR
 from repro.joins.distance_join import JoinResult
@@ -51,7 +51,6 @@ class SedonaConfig:
     max_depth: int = 12
     seed: int = 0
     mbr: MBR | None = None
-    cost_model: CostModel = field(default_factory=CostModel)
 
     def resolved_partitions(self) -> int:
         return self.target_partitions or self.num_workers
@@ -59,8 +58,8 @@ class SedonaConfig:
 
 def sedona_join(r: PointSet, s: PointSet, cfg: SedonaConfig) -> JoinResult:
     """Run the Sedona-like three-phase distance join."""
-    cm = cfg.cost_model
-    cluster = SimCluster(cfg.num_workers, cm)
+    cm = COST_MODEL
+    cluster = SimCluster(cfg.num_workers)
     timer = PhaseTimer()
     metrics = JoinMetrics(
         method="sedona",

@@ -834,10 +834,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="snapshot per-cell partial results so killed "
                            "task attempts salvage finished cells "
                            "(requires --spill)")
-    join.add_argument("--base-n", type=int, default=DEFAULT_BASE_N,
+    join.add_argument("--base-n", type=_positive_int, default=DEFAULT_BASE_N,
                       help="cardinality for generated datasets")
-    join.add_argument("--payload", type=int, default=0, help="payload bytes per tuple")
-    join.add_argument("--show-pairs", type=int, default=0, metavar="N",
+    join.add_argument("--payload", type=_nonnegative_int, default=0,
+                      help="payload bytes per tuple")
+    join.add_argument("--show-pairs", type=_nonnegative_int, default=0,
+                      metavar="N",
                       help="print the first N result pairs")
     join.add_argument("--trace", default=None, metavar="PATH",
                       help="record a span trace of the run and write it to "
@@ -863,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="regenerate a paper table/figure")
     exp.add_argument("name", nargs="?", help="experiment id (see --list)")
     exp.add_argument("--list", action="store_true", help="list experiment ids")
-    exp.add_argument("--base-n", type=int, default=DEFAULT_BASE_N)
+    exp.add_argument("--base-n", type=_positive_int, default=DEFAULT_BASE_N)
     exp.add_argument("--quick", action="store_true", help="shrink the sweeps")
     exp.set_defaults(fn=_cmd_experiment)
 
@@ -895,21 +897,21 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--limit", type=_nonnegative_int, default=12,
                          metavar="N",
                          help="candidate rows to print (0 = all)")
-    explain.add_argument("--base-n", type=int, default=DEFAULT_BASE_N)
-    explain.add_argument("--payload", type=int, default=0)
+    explain.add_argument("--base-n", type=_positive_int, default=DEFAULT_BASE_N)
+    explain.add_argument("--payload", type=_nonnegative_int, default=0)
     explain.set_defaults(fn=_cmd_explain)
 
     gen = sub.add_parser("generate", help="write a dataset as an id,x,y file")
     gen.add_argument("dataset", choices=_DATASETS)
     gen.add_argument("output")
-    gen.add_argument("--base-n", type=int, default=DEFAULT_BASE_N)
+    gen.add_argument("--base-n", type=_positive_int, default=DEFAULT_BASE_N)
     gen.set_defaults(fn=_cmd_generate)
 
     rep = sub.add_parser(
         "report", help="run all experiments and write a combined markdown report"
     )
     rep.add_argument("--output", default="reproduction_report.md")
-    rep.add_argument("--base-n", type=int, default=DEFAULT_BASE_N)
+    rep.add_argument("--base-n", type=_positive_int, default=DEFAULT_BASE_N)
     rep.add_argument("--quick", action="store_true")
     rep.add_argument("--only", nargs="*", help="experiment ids to include")
     rep.set_defaults(fn=_cmd_report)
@@ -939,7 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-budget-mb", type=_positive_float,
                        default=256.0, metavar="MB",
                        help="artifact-cache byte budget (grids, agreement "
-                            "graphs, samples, partitioner placements)")
+                            "graphs, samples, cell placements)")
     serve.add_argument("--result-cache-mb", type=_positive_float,
                        default=64.0, metavar="MB",
                        help="cross-query result-cache byte budget (the "
@@ -953,7 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="NAME=SPEC",
                        help="pre-register a dataset at startup (codename "
                             "like R1 or an id,x,y file); repeatable")
-    serve.add_argument("--base-n", type=_nonnegative_int, default=DEFAULT_BASE_N,
+    serve.add_argument("--base-n", type=_positive_int, default=DEFAULT_BASE_N,
                        help="cardinality for pre-registered codenames")
     serve.add_argument("--payload", type=_nonnegative_int, default=0,
                        help="payload bytes per tuple for pre-registered "
@@ -1010,7 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--register", type=_register_spec, action="append",
                        metavar="NAME=SPEC",
                        help="register a dataset before querying; repeatable")
-    query.add_argument("--base-n", type=_nonnegative_int, default=DEFAULT_BASE_N)
+    query.add_argument("--base-n", type=_positive_int, default=DEFAULT_BASE_N)
     query.add_argument("--payload", type=_nonnegative_int, default=0)
     query.add_argument("--r", default=None,
                        help="registered dataset name of the R side")

@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.agreements.policies import DiffPolicy, LPiBPolicy
 from repro.core.wall_model import PRICEABLE_KERNELS, WALL_PHASES, wall_line
-from repro.engine.metrics import CostModel
+from repro.engine.metrics import COST_MODEL
 from repro.engine.shuffle import KEY_BYTES
 from repro.geometry.point import Side
 from repro.grid.grid import Grid
@@ -216,7 +216,6 @@ class AnalyticalCostModel:
         record_bytes_r: int = 24,
         record_bytes_s: int = 24,
         num_workers: int = 12,
-        cost_model: CostModel | None = None,
         count_stats: GridStatistics | None = None,
         count_rate: float | None = None,
         sample_results: int | None = None,
@@ -235,7 +234,6 @@ class AnalyticalCostModel:
         self.n_s = n_s
         self.record_bytes = {Side.R: record_bytes_r, Side.S: record_bytes_s}
         self.num_workers = num_workers
-        self.cm = cost_model or CostModel()
         #: result count of joining the two samples, for the unbiased
         #: sample-join cardinality estimator (optional).
         self.sample_results = sample_results
@@ -465,7 +463,7 @@ class AnalyticalCostModel:
         per_cell_candidates = self._kernel_candidates(
             kernel, np.stack([m.counts for m in totals])
         )
-        per_cell_cost = per_cell_candidates * self.cm.compare_cost
+        per_cell_cost = per_cell_candidates * COST_MODEL.compare_cost
         # each row summed as the contiguous (cells,) array one method's is
         candidates = per_cell_candidates.sum(axis=1).tolist()
         cost_sum = per_cell_cost.sum(axis=1).tolist()
@@ -505,7 +503,7 @@ class AnalyticalCostModel:
         once a (method, kernel): the planner prices every worker count
         of a grid with scalar arithmetic.
         """
-        cm = self.cm
+        cm = COST_MODEL
         w = self.num_workers if num_workers is None else num_workers
         if w < 1:
             raise ValueError("num_workers must be >= 1")

@@ -26,7 +26,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     ),
     "lpt": ("lpt_assignment",),
     "metrics": ("CostModel", "JoinMetrics", "PhaseTimer"),
-    "partitioner": ("ExplicitPartitioner", "HashPartitioner", "Partitioner"),
     "shuffle": ("ShuffleStats",),
     "telemetry": (
         "LOG_LEVELS", "TRACE_FORMATS", "MetricsRegistry", "RunReport", "Span",

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.engine.metrics import CostModel
 
 #: Phases that only exist when fault recovery ran: re-executed join
 #: lineage and injected straggler delays land in ``recovery``; full
@@ -62,11 +61,10 @@ class Worker:
 class SimCluster:
     """A fixed-size pool of simulated workers."""
 
-    def __init__(self, num_workers: int, cost_model: CostModel | None = None):
+    def __init__(self, num_workers: int):
         if num_workers <= 0:
             raise ValueError("need at least one worker")
         self.num_workers = num_workers
-        self.cost_model = cost_model or CostModel()
         self.workers = [Worker(i) for i in range(num_workers)]
 
     def add_cost(self, worker_id: int, phase: str, seconds: float) -> None:

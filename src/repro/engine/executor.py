@@ -217,11 +217,11 @@ class RetryPolicy:
 
     ``max_retries`` is a *per-task, per-backend* budget: a task may be
     re-run up to ``max_retries`` times on the backend it started on
-    before that backend declares it unrecoverable; with ``degrade``
-    enabled the task then moves down the fallback chain (processes ->
-    threads -> serial), where the budget applies afresh.  Attempt
-    *numbers* keep incrementing across backends, so a deterministic
-    fault plan never re-fires a fault the task already survived.
+    before that backend declares it unrecoverable; the task then moves
+    down the fallback chain (processes -> threads -> serial), where the
+    budget applies afresh.  Attempt *numbers* keep incrementing across
+    backends, so a deterministic fault plan never re-fires a fault the
+    task already survived.
     """
 
     max_retries: int = 2
@@ -231,7 +231,6 @@ class RetryPolicy:
     #: Straggler threshold: a running task older than this gets a
     #: speculative copy (``None`` disables straggler detection).
     task_timeout: float | None = None
-    degrade: bool = True
 
     def __post_init__(self):
         if self.max_retries < 0:
@@ -1373,7 +1372,7 @@ def execute_plan(
         if not remaining:
             break
         fallback = _FALLBACK[tier]
-        if fallback is None or not policy.degrade:
+        if fallback is None:
             raise ledger.budget_exhausted(len(remaining), tier) from ledger.last_error
         report.degraded.append(fallback)
         last = ledger.last_error

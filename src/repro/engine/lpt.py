@@ -11,34 +11,27 @@ derived from the sample.
 from __future__ import annotations
 
 import heapq
-from typing import Mapping
+
+import numpy as np
 
 
-def lpt_assignment(
-    costs: Mapping[int, float], num_partitions: int
-) -> dict[int, int]:
-    """Greedy LPT mapping of keys to ``num_partitions`` partitions.
+def lpt_assignment(costs: np.ndarray, num_partitions: int) -> np.ndarray:
+    """Greedy LPT placement of every index of ``costs`` on ``num_partitions``.
 
-    Returns a dict ``key -> partition``.  Deterministic: ties in cost are
-    broken by key, ties in load by partition index (via the heap).
+    Returns an int64 array: the partition of each index.  Deterministic:
+    ties in cost are broken by index, ties in load by partition index
+    (via the heap).
     """
     if num_partitions <= 0:
         raise ValueError("need at least one partition")
+    costs = np.asarray(costs, dtype=np.float64)
+    order = np.argsort(-costs, kind="stable")
     heap = [(0.0, p) for p in range(num_partitions)]
-    heapq.heapify(heap)
-    assignment: dict[int, int] = {}
-    for key, cost in sorted(costs.items(), key=lambda kv: (-kv[1], kv[0])):
-        load, part = heapq.heappop(heap)
-        assignment[key] = part
-        heapq.heappush(heap, (load + cost, part))
-    return assignment
-
-
-def makespan(
-    costs: Mapping[int, float], assignment: Mapping[int, int], num_partitions: int
-) -> list[float]:
-    """Per-partition total cost under an assignment."""
-    loads = [0.0] * num_partitions
-    for key, cost in costs.items():
-        loads[assignment[key]] += cost
-    return loads
+    parts = []
+    for cost in costs[order].tolist():
+        load, part = heap[0]
+        parts.append(part)
+        heapq.heapreplace(heap, (load + cost, part))
+    out = np.empty(len(costs), dtype=np.int64)
+    out[order] = parts
+    return out

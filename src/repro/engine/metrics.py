@@ -52,6 +52,12 @@ class CostModel:
     heap_expansion: float = 3.0
 
 
+#: The unit costs every modelled clock charges: the simulator's stages,
+#: the baselines and the planner's analytical model all read this one
+#: instance.
+COST_MODEL = CostModel()
+
+
 @dataclass
 class PhaseTimer:
     """Wall-clock stopwatch for the phases of a join job."""

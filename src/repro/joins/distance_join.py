@@ -39,8 +39,7 @@ import numpy as np
 from repro.agreements.marking import ORDERINGS
 from repro.data.pointset import PointSet
 from repro.data.sampling import bernoulli_sample
-from repro.engine.metrics import CostModel, JoinMetrics
-from repro.engine.partitioner import HashPartitioner
+from repro.engine.metrics import COST_MODEL, JoinMetrics
 from repro.engine.shuffle import KEY_BYTES
 from repro.engine.telemetry import Tracer
 from repro.geometry.mbr import MBR
@@ -61,6 +60,7 @@ from repro.joins.pipeline import (
     Stage,
     adaptive_lpt_costs,
     build_grid_assigner,
+    hash_cell_workers,
     lpt_partitioner,
     make_context,
     record_armed_points,
@@ -139,7 +139,6 @@ class JoinConfig(ExecutionSettings):
     local_kernel: str = "plane_sweep"
     seed: int = 0
     mbr: MBR | None = None
-    cost_model: CostModel = field(default_factory=CostModel)
     #: When False, result pairs are counted but their ids are not
     #: materialized -- used by large benchmark sweeps.  Requires
     #: ``duplicate_free`` (the distinct step needs the ids).
@@ -152,7 +151,7 @@ class JoinConfig(ExecutionSettings):
     #: :class:`~repro.serving.cache.ArtifactCache`, or anything with
     #: ``get(key)``/``put(key, value)``).  When set together with
     #: ``artifact_key``, the build stage consults it before building the
-    #: grid/statistics/agreement-graph/partitioner bundle and publishes
+    #: grid/statistics/agreement-graph/placement bundle and publishes
     #: what it builds -- a warm run replays the cached bundle with
     #: bit-identical metrics and dataflow.  ``None`` keeps the one-shot
     #: behaviour: build everything, every run.
@@ -207,7 +206,7 @@ class JoinResult:
 
 
 class _BuildPartitionStage(Stage):
-    """Grid, sampling, agreements, broadcast, partitioner (Sect. 4-6).
+    """Grid, sampling, agreements, broadcast, cell placement (Sect. 4-6).
 
     Split into a pure :meth:`_build` (everything deterministic in the
     inputs and the config) and a :meth:`_replay` that applies the built
@@ -252,7 +251,7 @@ class _BuildPartitionStage(Stage):
         self._replay(ctx, bundle)
 
     def _build(self, cfg: JoinConfig, tracer: Tracer) -> dict:
-        """Construct the grid/stats/assigner/partitioner bundle, each step
+        """Construct the grid/stats/assigner/placement bundle, each step
         under a ``construction`` child span of the stage."""
         r, s = self.r, self.s
         mbr = cfg.mbr or r.mbr().union(s.mbr())
@@ -301,14 +300,16 @@ class _BuildPartitionStage(Stage):
             replicated = getattr(assigner, "replicated", None)
             with tracer.span("construction.lpt", cat="construction"):
                 costs = adaptive_lpt_costs(grid, stats, pair_types, replicated)
-                partitioner = lpt_partitioner(costs, cfg.num_workers)
+                cell_workers = lpt_partitioner(costs, cfg.num_workers)
         else:
-            partitioner = HashPartitioner(cfg.resolved_partitions())
+            cell_workers = hash_cell_workers(
+                grid.num_cells, cfg.resolved_partitions(), cfg.num_workers
+            )
 
         return {
             "grid": grid,
             "assigner": assigner,
-            "partitioner": partitioner,
+            "cell_workers": cell_workers,
             "extra": dict(scratch.extra),
             "bcast": bcast,
         }
@@ -321,14 +322,10 @@ class _BuildPartitionStage(Stage):
             ctx.metrics.extra[name] = value
         bcast = bundle["bcast"]
         ctx.metrics.extra["broadcast_bytes"] = float(bcast.total_bytes)
-        # the broadcast *time* depends on the run's cost model, which is
-        # not part of the artifact key -- recompute it per run
-        ctx.data["broadcast_time"] = bcast.time_model(
-            ctx.cost_model.local_byte_cost
-        )
+        ctx.data["broadcast_time"] = bcast.time_model(COST_MODEL.local_byte_cost)
         ctx.data["grid"] = grid
         ctx.data["assigner"] = bundle["assigner"]
-        ctx.data["partitioner"] = bundle["partitioner"]
+        ctx.data["cell_workers"] = bundle["cell_workers"]
 
 
 class _AssignStage(Stage):

@@ -46,13 +46,14 @@ shared stages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.data.pointset import PointSet
 from repro.data.sampling import bernoulli_sample
-from repro.engine.metrics import CostModel, JoinMetrics
+from repro.engine.lpt import lpt_assignment
+from repro.engine.metrics import COST_MODEL, JoinMetrics
 from repro.engine.shuffle import KEY_BYTES
 from repro.geometry.mbr import MBR
 from repro.geometry.point import Side
@@ -67,7 +68,6 @@ from repro.joins.pipeline import (
     ShuffleStage,
     SideRecords,
     Stage,
-    lpt_partitioner,
     make_context,
     run_staged_join,
 )
@@ -104,7 +104,6 @@ class GeneralizedJoinConfig(ExecutionSettings):
     num_workers: int = 12
     seed: int = 0
     mbr: MBR | None = None
-    cost_model: CostModel = field(default_factory=CostModel)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -195,14 +194,11 @@ class _RectangulationStage(Stage):
         }
 
         # leaf -> worker via LPT on estimated leaf cost; every leaf is
-        # placed, so the explicit partitioner is total over the leaf ids
-        costs = {
-            leaf: float(stats.totals[Side.R][leaf] * stats.totals[Side.S][leaf])
-            for leaf in range(part.num_leaves)
-        }
+        # placed, empty ones too
+        costs = stats.totals[Side.R] * stats.totals[Side.S]
         ctx.data["part"] = part
         ctx.data["agreements"] = agreements
-        ctx.data["partitioner"] = lpt_partitioner(costs, cfg.num_workers)
+        ctx.data["cell_workers"] = lpt_assignment(costs, cfg.num_workers)
 
 
 def _pair_type(agreements: dict, a: int, b: int) -> Side | None:
@@ -275,7 +271,7 @@ class _OwnershipStage(Stage):
 
     def run(self, ctx: JoinContext) -> None:
         cfg: GeneralizedJoinConfig = ctx.cfg
-        cm = ctx.cost_model
+        cm = COST_MODEL
         r, s = self.r, self.s
         part: RectPartition = ctx.data["part"]
         agreements = ctx.data["agreements"]

@@ -35,13 +35,12 @@ replays deterministically over retried, salvaged or speculative attempts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.engine.metrics import CostModel, JoinMetrics
-from repro.engine.partitioner import HashPartitioner
+from repro.engine.metrics import COST_MODEL, JoinMetrics
 from repro.engine.shuffle import KEY_BYTES
 from repro.geometry.mbr import MBR
 from repro.geometry.objects import SpatialObject, objects_intersect
@@ -60,6 +59,7 @@ from repro.joins.pipeline import (
     SideRecords,
     Stage,
     build_grid_assigner,
+    hash_cell_workers,
     lpt_partitioner,
     make_context,
     record_armed_points,
@@ -125,7 +125,6 @@ class ObjectJoinConfig(ExecutionSettings):
     num_partitions: int | None = None
     cell_assignment: str = "lpt"
     seed: int = 0
-    cost_model: CostModel = field(default_factory=CostModel)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -164,7 +163,7 @@ def _anchor_stats(grid, r, s, rate, seed):
 
 
 class _AnchorReductionStage(Stage):
-    """Anchor grid, sample statistics, replication scheme, partitioner."""
+    """Anchor grid, sample statistics, replication scheme, cell placement."""
 
     name = "anchor_reduction"
     phase = "construction"
@@ -194,16 +193,14 @@ class _AnchorReductionStage(Stage):
             metrics=ctx.metrics,
         )
         if cfg.cell_assignment == "lpt":
-            costs = {
-                cell: stats.estimated_cell_cost(cell)
-                for cell in range(grid.num_cells)
-                if stats.cell_count(cell, Side.R) and stats.cell_count(cell, Side.S)
-            }
-            partitioner = lpt_partitioner(costs, cfg.num_workers)
+            r_count, s_count = stats.cell_count_table().astype(np.float64)
+            cell_workers = lpt_partitioner(r_count * s_count, cfg.num_workers)
         else:
-            partitioner = HashPartitioner(cfg.resolved_partitions())
+            cell_workers = hash_cell_workers(
+                grid.num_cells, cfg.resolved_partitions(), cfg.num_workers
+            )
         ctx.data["assigner"] = assigner
-        ctx.data["partitioner"] = partitioner
+        ctx.data["cell_workers"] = cell_workers
 
 
 class _AnchorAssignStage(Stage):
@@ -265,7 +262,7 @@ class _ExactRefineStage(Stage):
         self.predicate = predicate
 
     def run(self, ctx: JoinContext) -> None:
-        cm = ctx.cost_model
+        cm = COST_MODEL
         r, s, eps = self.r, self.s, self.eps
         plan = ctx.data["plan"]
         report = ctx.data["report"]

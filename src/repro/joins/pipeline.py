@@ -69,8 +69,7 @@ from repro.engine.executor import (
 from repro.engine.faults import FaultPlan, ShuffleFetchError
 from repro.engine.kernels import get_kernel
 from repro.engine.lpt import lpt_assignment
-from repro.engine.metrics import CostModel, JoinMetrics, PhaseTimer
-from repro.engine.partitioner import ExplicitPartitioner
+from repro.engine.metrics import COST_MODEL, CostModel, JoinMetrics, PhaseTimer
 from repro.engine.shuffle import ShuffleStats, input_splits, read_seconds
 from repro.engine.sorting import run_starts, stable_argsort
 from repro.engine.telemetry import MetricsRegistry, Telemetry, Tracer, get_logger
@@ -123,9 +122,6 @@ class ExecutionSettings:
     #: Straggler threshold (seconds): a task attempt older than this gets
     #: a speculative copy; ``None`` disables straggler detection.
     task_timeout: float | None = None
-    #: Fall back processes -> threads -> serial when a backend
-    #: cannot finish a task inside its retry budget.
-    degrade: bool = True
     #: Shuffle-spill tier for the block store (see
     #: :mod:`repro.engine.blockstore`): ``none`` re-reads whole
     #: partitions on a failed fetch, ``memory`` or ``disk`` spill map
@@ -196,7 +192,6 @@ class ExecutionSettings:
         return RetryPolicy(
             max_retries=self.max_retries,
             task_timeout=self.task_timeout,
-            degrade=self.degrade,
         )
 
 
@@ -218,10 +213,6 @@ class JoinContext:
     data: dict[str, Any] = field(default_factory=dict)
 
     @property
-    def cost_model(self) -> CostModel:
-        return self.cluster.cost_model
-
-    @property
     def num_workers(self) -> int:
         return self.cluster.num_workers
 
@@ -239,7 +230,6 @@ def make_context(
     *,
     num_workers: int,
     metrics: JoinMetrics,
-    cost_model: CostModel | None = None,
 ) -> JoinContext:
     """Build a :class:`JoinContext`: settings, cluster, store lifecycle.
 
@@ -248,12 +238,11 @@ def make_context(
     spill tier is configured; :func:`run_staged_join` closes it on every
     exit path.
     """
-    cm = cost_model or getattr(cfg, "cost_model", None) or CostModel()
     telemetry = cfg.telemetry or Telemetry.disabled()
     ctx = JoinContext(
         cfg=cfg,
         settings=cfg,
-        cluster=SimCluster(num_workers, cm),
+        cluster=SimCluster(num_workers),
         metrics=metrics,
         shuffle=ShuffleStats(),
         fault_plan=cfg.fault_plan(),
@@ -497,8 +486,8 @@ def adaptive_lpt_costs(
     stats: GridStatistics,
     pair_types: Mapping | None,
     replicated: Side | None,
-) -> dict[int, float]:
-    """Estimated per-cell join cost for LPT (Sect. 6.2).
+) -> np.ndarray:
+    """Estimated join cost of every cell for LPT (Sect. 6.2).
 
     The paper's estimate is the product of the points of each input that
     will *eventually* be in the cell -- natives plus expected replicas.
@@ -510,18 +499,28 @@ def adaptive_lpt_costs(
     agreed_r = None if pair_types is None else agreed_r_mask(pairs, pair_types)
     inflow = stats.replica_inflows(pairs, agreed_r, replicated)
     r_est, s_est = (stats.cell_counts(side) + inflow[side] for side in Side)
-    joinable = np.nonzero((r_est != 0) & (s_est != 0))[0]
-    return dict(zip(joinable.tolist(), (r_est * s_est)[joinable].tolist()))
+    return r_est * s_est
 
 
-def lpt_partitioner(costs: Mapping[int, float], num_workers: int) -> ExplicitPartitioner:
-    """LPT cell -> worker placement as a partitioner (Sect. 6.2).
+def lpt_partitioner(costs: np.ndarray, num_workers: int) -> np.ndarray:
+    """LPT cell -> worker placement (Sect. 6.2): the worker of every cell.
 
-    The paper's LPT assigns cells to *workers*: packing into many
-    partitions and round-robining them onto workers would systematically
-    stack each round's largest cell on worker 0.
+    Cells with a positive estimate are placed by LPT; the rest (empty in
+    the sample) go to ``cell % num_workers``.  The paper's LPT assigns
+    cells to *workers*: packing into many partitions and round-robining
+    them onto workers would systematically stack each round's largest
+    cell on worker 0.
     """
-    return ExplicitPartitioner(lpt_assignment(costs, num_workers), num_workers)
+    workers = np.arange(len(costs), dtype=np.int64) % num_workers
+    placed = np.flatnonzero(costs > 0)
+    workers[placed] = lpt_assignment(costs[placed], num_workers)
+    return workers
+
+
+def hash_cell_workers(num_cells: int, num_partitions: int, num_workers: int) -> np.ndarray:
+    """Spark-style hash placement: cell ``c`` is partition ``c % P``, and
+    partition ``p`` runs on worker ``p % W``."""
+    return np.arange(num_cells, dtype=np.int64) % num_partitions % num_workers
 
 
 # ----------------------------------------------------------------------
@@ -651,8 +650,8 @@ class ShuffleStage(Stage):
     """Route every record to its cell's worker, accounting exactly.
 
     Reads ``records`` (a list of :class:`SideRecords`) and
-    ``partitioner``; writes ``shuffle_layout``, ``cell_workers`` (the
-    simulated worker of every cell id), ``joinable_cells`` (the cells
+    ``cell_workers`` (the build stage's int64 cell -> simulated worker
+    array); writes ``shuffle_layout``, ``joinable_cells`` (the cells
     present on both sides) and the per-destination read totals fetch
     recovery needs.  Charges the modelled map and shuffle-read costs,
     spills map output as blocks when a store is attached, and grows the
@@ -670,15 +669,10 @@ class ShuffleStage(Stage):
 
     def run(self, ctx: JoinContext) -> None:
         W = ctx.num_workers
-        cm = ctx.cost_model
+        cm = COST_MODEL
         cluster = ctx.cluster
         records = ctx.data["records"]
-        # the join's cell -> worker map, looked up once: the shuffle routes
-        # every record with it, the plan builder places the joinable cells
-        num_cells = 1 + max(int(rec.cells.max(initial=-1)) for rec in records)
-        cell_workers = (
-            ctx.data["partitioner"].of_array(np.arange(num_cells, dtype=np.int64)) % W
-        )
+        cell_workers = ctx.data["cell_workers"]
         layout: dict[Side, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         worker_heap = np.zeros(W)
         # per-destination-worker shuffle-read totals, kept for
@@ -731,7 +725,7 @@ class ShuffleStage(Stage):
             read_bytes_w += side_bytes
             worker_heap += side_bytes * cm.heap_expansion
 
-            order, cells_sorted = stable_argsort(cells, num_cells)
+            order, cells_sorted = stable_argsort(cells, len(cell_workers))
             starts = run_starts(cells_sorted)
             layout[rec.side] = (
                 cells_sorted[starts],
@@ -739,7 +733,6 @@ class ShuffleStage(Stage):
                 idxs[order],
             )
 
-        ctx.data["cell_workers"] = cell_workers
         # only cells present on both sides join
         ctx.data["joinable_cells"] = np.intersect1d(
             layout[Side.R][0], layout[Side.S][0], assume_unique=True
@@ -779,7 +772,7 @@ class ShuffleRecoveryStage(Stage):
     phase = "map_shuffle"
 
     def run(self, ctx: JoinContext) -> None:
-        cm = ctx.cost_model
+        cm = COST_MODEL
         cluster = ctx.cluster
         settings = ctx.settings
         metrics = ctx.metrics
@@ -994,7 +987,7 @@ class JoinAccountingStage(Stage):
         # compute model omits -- the measured-vs-modelled gap on the
         # thread backend.  Kept in ``extra`` so the frozen golden clock
         # is untouched; consumers wanting the adjusted clock read it here.
-        launch_model = float(report.attempts) * ctx.cost_model.task_launch_cost
+        launch_model = float(report.attempts) * COST_MODEL.task_launch_cost
         metrics.extra["launch_overhead_model"] = launch_model
         metrics.extra["join_time_model_launch_adjusted"] = (
             metrics.join_time_model + launch_model
@@ -1127,7 +1120,7 @@ class DistinctStage(Stage):
             ctx.cluster,
             ctx.shuffle,
             self.num_partitions,
-            ctx.cost_model,
+            COST_MODEL,
         )
         d["r_ids"], d["s_ids"] = r_ids, s_ids
         m = ctx.metrics
@@ -1161,7 +1154,7 @@ class CollectPairsStage(Stage):
 
     def run(self, ctx: JoinContext) -> None:
         report = ctx.data["report"]
-        cm = ctx.cost_model
+        cm = COST_MODEL
         pair_counts = np.diff(report.bounds)
         ctx.data["cost_pos"] = (
             report.candidates.astype(np.float64) * cm.compare_cost

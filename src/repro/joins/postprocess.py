@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.pointset import PointSet
-from repro.engine.metrics import CostModel
+from repro.engine.metrics import COST_MODEL
 from repro.engine.shuffle import KEY_BYTES
 
 #: Bytes of a bare (rid, sid) result pair.
@@ -132,7 +132,6 @@ def post_process_attributes(
     r: PointSet,
     s: PointSet,
     num_workers: int,
-    cost_model: CostModel | None = None,
 ) -> PostProcessReport:
     """Model the two id-joins that fetch attributes for the result pairs.
 
@@ -140,7 +139,7 @@ def post_process_attributes(
     join 2 matches the enriched pairs against S by ``sid``.  With hash
     partitioning a fraction ``(W - 1) / W`` of records is remote.
     """
-    cm = cost_model or CostModel()
+    cm = COST_MODEL
     remote_fraction = (num_workers - 1) / num_workers
 
     # join 1: pairs + full R set

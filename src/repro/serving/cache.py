@@ -5,7 +5,7 @@ agreement graph and the LPT placement for every invocation.  A resident
 server amortizes that away: the *artifact cache* keeps the output of the
 pipeline's build/partition stage -- grid, statistics (the samples'
 digest), replication assigner (which embeds the agreement graph for the
-adaptive methods) and the cell partitioner -- keyed by the dataset
+adaptive methods) and the cell -> worker array -- keyed by the dataset
 fingerprints and every configuration field that feeds the build.
 
 The cache is the byte-budgeted :class:`~repro.engine.lru.LRUCache`:
@@ -15,8 +15,8 @@ evicted once the budget is exceeded.
 Hit/miss/eviction counters feed the server's ``stats`` endpoint and the
 serving benchmarks.
 
-Everything cached here is *read-only* at query time (assigners and
-partitioners are pure functions over their arrays), so one entry may be
+Everything cached here is *read-only* at query time (assigners are pure
+functions over their arrays, placements are plain arrays), so one entry may be
 shared by any number of concurrent queries.
 """
 

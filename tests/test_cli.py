@@ -186,6 +186,36 @@ class TestJoinValidation:
         assert f"argument {flag}: {message}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("join", "--base-n", "-5", "must be >= 1, got -5"),
+        ("join", "--base-n", "0", "must be >= 1, got 0"),
+        ("join", "--payload", "-3", "must be >= 0, got -3"),
+        ("join", "--show-pairs", "-2", "must be >= 0, got -2"),
+        ("explain", "--payload", "-1", "must be >= 0, got -1"),
+        ("generate", "--base-n", "0", "must be >= 1, got 0"),
+        ("experiment", "--base-n", "-1", "must be >= 1, got -1"),
+        ("report", "--base-n", "0", "must be >= 1, got 0"),
+        ("serve", "--base-n", "0", "must be >= 1, got 0"),
+        ("query", "--base-n", "0", "must be >= 1, got 0"),
+    ], ids=["join-base-n-negative", "join-base-n-zero", "join-payload-negative",
+            "join-show-pairs-negative", "explain-payload-negative",
+            "generate-base-n-zero", "experiment-base-n-negative",
+            "report-base-n-zero", "serve-base-n-zero", "query-base-n-zero"])
+    def test_sizes_are_bounded_on_every_subcommand(
+        self, capsys, tmp_path, command, flag, value, message
+    ):
+        """``--base-n`` >= 1, ``--payload`` and ``--show-pairs`` >= 0
+        wherever they appear: a usage error (exit 2, one error line), not a
+        driver traceback or a silently negative slice.  Parsing alone
+        decides it, so no subcommand runs."""
+        positional = ["R1", str(tmp_path / "out.txt")] if command == "generate" else []
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, *positional, flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {message}" in err
+        assert "Traceback" not in err
+
     def test_checkpoint_cells_requires_spill(self, capsys):
         rc = main(["join", "--checkpoint-cells"])
         assert rc == 2

@@ -1,113 +1,210 @@
-"""Unit tests for the simulated cluster, shuffle accounting, partitioners
-and the LPT scheduler."""
+"""Unit tests for the simulated cluster, shuffle accounting and the LPT
+scheduler."""
 
+import heapq
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from repro.engine.cluster import SimCluster
-from repro.engine.lpt import lpt_assignment, makespan
+from repro.engine.lpt import lpt_assignment
 from repro.engine.metrics import CostModel, JoinMetrics, PhaseTimer
-from repro.engine.partitioner import ExplicitPartitioner, HashPartitioner
 from repro.engine.shuffle import ShuffleStats, input_splits, read_seconds
+from repro.joins.pipeline import lpt_partitioner
 
 
-class TestHashPartitioner:
-    def test_range(self):
-        p = HashPartitioner(7)
-        assert all(0 <= p.of(k) < 7 for k in range(100))
+def reference_lpt(costs: dict, num_partitions: int) -> dict:
+    """The dict-based LPT the array version replaced: keys by descending
+    cost (ties by key), each to the least-loaded partition (ties by
+    partition index)."""
+    heap = [(0.0, p) for p in range(num_partitions)]
+    heapq.heapify(heap)
+    assignment = {}
+    for key, cost in sorted(costs.items(), key=lambda kv: (-kv[1], kv[0])):
+        load, part = heapq.heappop(heap)
+        assignment[key] = part
+        heapq.heappush(heap, (load + cost, part))
+    return assignment
 
-    def test_vectorized_matches_scalar(self):
-        p = HashPartitioner(13)
-        keys = np.arange(200, dtype=np.int64)
-        assert (p.of_array(keys) == [p.of(int(k)) for k in keys]).all()
 
-    def test_invalid_partitions(self):
-        with pytest.raises(ValueError):
-            HashPartitioner(0)
-
-
-class TestExplicitPartitioner:
-    def test_mapping_and_fallback(self):
-        p = ExplicitPartitioner({5: 2, 9: 0}, 4)
-        assert p.of(5) == 2
-        assert p.of(9) == 0
-        assert p.of(6) == 6 % 4  # fallback
-
-    def test_vectorized_matches_scalar(self):
-        p = ExplicitPartitioner({2: 3, 17: 1, 40: 0}, 5)
-        keys = np.arange(60, dtype=np.int64)
-        assert (p.of_array(keys) == [p.of(int(k)) for k in keys]).all()
-
-    @pytest.mark.parametrize("assignment", [{2: 3, 17: 1, 40: 0}, {}])
-    @pytest.mark.parametrize(
-        "keys",
-        [
-            np.array([2, 17, 40, 3, 0]),  # all inside the dense table
-            np.array([41, 10**9, 2**40]),  # all beyond it: hash fall-back
-            np.array([], dtype=np.int64),
-        ],
-        ids=["inside", "beyond", "empty"],
+def reference_placement(costs: np.ndarray, num_workers: int) -> np.ndarray:
+    """``lpt_partitioner``'s placement through the reference: LPT over the
+    cells with a positive cost, ``cell % W`` for the rest."""
+    placed = {int(c): float(costs[c]) for c in np.flatnonzero(costs > 0)}
+    table = reference_lpt(placed, num_workers)
+    return np.array(
+        [table.get(c, c % num_workers) for c in range(len(costs))], dtype=np.int64
     )
-    def test_dense_table_matches_scalar_of(self, assignment, keys):
-        p = ExplicitPartitioner(assignment, 5)
-        assert p.assignment == assignment
-        out = p.of_array(keys.astype(np.int64))
-        assert out.tolist() == [p.of(int(k)) for k in keys]
 
-    def test_lookup_does_not_read_the_dict(self):
-        p = ExplicitPartitioner({2: 3, 17: 1}, 5)
-        p.assignment = None  # compiled at construction
-        assert p.of_array(np.array([2, 17, 3, 99])).tolist() == [3, 1, 3, 4]
 
-    def test_out_of_range_target_rejected(self):
-        with pytest.raises(ValueError):
-            ExplicitPartitioner({1: 9}, 4)
-
-    def test_empty_assignment(self):
-        p = ExplicitPartitioner({}, 3)
-        keys = np.array([0, 1, 5], dtype=np.int64)
-        assert (p.of_array(keys) == keys % 3).all()
-
-    def test_negative_key_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            ExplicitPartitioner({-1: 0}, 4)
+def loads(costs, workers, n_parts):
+    return np.bincount(workers, weights=costs, minlength=n_parts)
 
 
 class TestLPT:
     def test_balances_better_than_hash(self):
         rng = np.random.default_rng(0)
-        costs = {i: float(c) for i, c in enumerate(rng.zipf(1.6, 60))}
+        costs = rng.zipf(1.6, 60).astype(float)
         n_parts = 6
         lpt = lpt_assignment(costs, n_parts)
-        hash_assign = {k: k % n_parts for k in costs}
-        assert max(makespan(costs, lpt, n_parts)) <= max(
-            makespan(costs, hash_assign, n_parts)
-        )
+        hashed = np.arange(len(costs)) % n_parts
+        assert loads(costs, lpt, n_parts).max() <= loads(costs, hashed, n_parts).max()
 
     def test_classic_approximation_instance(self):
         # LPT yields 10 here while the optimum is 9 ({5,4} vs {3,3,3}) --
         # within the classic 4/3 - 1/(3m) bound.
-        costs = {0: 5.0, 1: 4.0, 2: 3.0, 3: 3.0, 4: 3.0}
-        loads = makespan(costs, lpt_assignment(costs, 2), 2)
-        assert max(loads) == 10.0
-        assert max(loads) <= 9.0 * (4 / 3 - 1 / 6)
+        costs = np.array([5.0, 4.0, 3.0, 3.0, 3.0])
+        makespan = loads(costs, lpt_assignment(costs, 2), 2).max()
+        assert makespan == 10.0
+        assert makespan <= 9.0 * (4 / 3 - 1 / 6)
 
     def test_deterministic(self):
-        costs = {i: float(i % 7) for i in range(40)}
-        assert lpt_assignment(costs, 4) == lpt_assignment(costs, 4)
+        costs = np.arange(40) % 7.0
+        assert np.array_equal(lpt_assignment(costs, 4), lpt_assignment(costs, 4))
 
     def test_all_partitions_used_when_enough_keys(self):
-        costs = {i: 1.0 for i in range(20)}
-        assert set(lpt_assignment(costs, 5).values()) == set(range(5))
+        assert set(lpt_assignment(np.ones(20), 5).tolist()) == set(range(5))
 
     def test_invalid_partitions(self):
         with pytest.raises(ValueError):
-            lpt_assignment({0: 1.0}, 0)
+            lpt_assignment(np.ones(1), 0)
 
     def test_empty_costs(self):
-        assert lpt_assignment({}, 3) == {}
+        out = lpt_assignment(np.empty(0), 3)
+        assert out.dtype == np.int64 and len(out) == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("workers", [1, 3, 12])
+    def test_matches_the_dict_reference(self, seed, workers):
+        """Same placement as the dict-based LPT, ties included: integer
+        costs drawn from a few values tie often."""
+        rng = np.random.default_rng(seed)
+        costs = rng.integers(0, 5, 200) * rng.choice([1.0, 2.5, 1e6], 200)
+        expected = reference_lpt(dict(enumerate(costs.tolist())), workers)
+        assert lpt_assignment(costs, workers).tolist() == [
+            expected[i] for i in range(len(costs))
+        ]
+
+    def test_partitioner_places_positive_costs_and_hashes_the_rest(self):
+        costs = np.zeros(60)
+        costs[[2, 17, 40]] = [3.0, 9.0, 3.0]
+        workers = lpt_partitioner(costs, 5)
+        assert workers.dtype == np.int64
+        # by cost, then cell: 17 -> 0, 2 -> 1, 40 -> 2
+        assert workers[[17, 2, 40]].tolist() == [0, 1, 2]
+        rest = np.setdiff1d(np.arange(60), [2, 17, 40])
+        assert np.array_equal(workers[rest], rest % 5)
+
+    def test_partitioner_without_positive_costs_is_the_modulo(self):
+        assert np.array_equal(lpt_partitioner(np.zeros(7), 3), np.arange(7) % 3)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_partitioner_matches_the_dict_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        costs = rng.integers(0, 4, 300) * rng.choice([0.5, 7.0], 300)
+        assert np.array_equal(lpt_partitioner(costs, 7), reference_placement(costs, 7))
+
+
+class TestDriverPlacement:
+    """Each driver's ``cell_workers`` is the dict reference's placement of
+    the costs the driver estimated, over every cell of its grid."""
+
+    @staticmethod
+    def run_capturing(monkeypatch, module, name, run):
+        """Run a driver, recording the costs it hands ``module.name`` and
+        the ``cell_workers`` its shuffle reads."""
+        from repro.joins import pipeline
+
+        seen = {}
+        placer = getattr(module, name)
+
+        def spy(costs, num_workers):
+            seen["costs"] = np.array(costs, dtype=np.float64)
+            return placer(costs, num_workers)
+
+        def shuffle(stage, ctx):
+            seen["cell_workers"] = ctx.data["cell_workers"]
+            seen["cells"] = ctx.metrics.grid_cells
+            return shuffle_run(stage, ctx)
+
+        shuffle_run = pipeline.ShuffleStage.run
+        monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(pipeline.ShuffleStage, "run", shuffle)
+        run()
+        assert seen["cell_workers"].dtype == np.int64
+        assert len(seen["cell_workers"]) == seen["cells"]
+        return seen
+
+    @pytest.mark.parametrize("method", ["lpib", "diff", "uni_r", "eps_grid"])
+    def test_distance_join(self, monkeypatch, method):
+        from repro.data.generators import uniform
+        driver = importlib.import_module("repro.joins.distance_join")
+
+        r, s = uniform(3_000, seed=3), uniform(3_000, seed=4)
+        cfg = driver.JoinConfig(eps=0.02, method=method, sample_rate=0.3, num_workers=7)
+        seen = self.run_capturing(
+            monkeypatch, driver, "lpt_partitioner", lambda: driver.distance_join(r, s, cfg)
+        )
+        assert np.count_nonzero(seen["costs"]) > 7
+        assert np.array_equal(seen["cell_workers"], reference_placement(seen["costs"], 7))
+
+    def test_distance_join_hash(self, monkeypatch):
+        from repro.data.generators import uniform
+        driver = importlib.import_module("repro.joins.distance_join")
+
+        r, s = uniform(2_000, seed=3), uniform(2_000, seed=4)
+        cfg = driver.JoinConfig(
+            eps=0.02, num_workers=5, cell_assignment="hash", num_partitions=23
+        )
+        seen = self.run_capturing(
+            monkeypatch, driver, "lpt_partitioner", lambda: driver.distance_join(r, s, cfg)
+        )
+        assert "costs" not in seen
+        cells = np.arange(seen["cells"])
+        assert np.array_equal(seen["cell_workers"], cells % 23 % 5)
+
+    @pytest.mark.parametrize("assignment", ["lpt", "hash"])
+    def test_object_join(self, monkeypatch, assignment):
+        from repro.data.object_generators import random_boxes
+        from repro.geometry.point import Side
+        driver = importlib.import_module("repro.joins.object_join")
+
+        r = driver.ObjectSet(random_boxes(400, Side.R, seed=11))
+        s = driver.ObjectSet(random_boxes(400, Side.S, seed=22))
+        seen = self.run_capturing(
+            monkeypatch, driver, "lpt_partitioner",
+            lambda: driver.object_distance_join(
+                r, s, 0.01, num_workers=5, sample_rate=1.0, cell_assignment=assignment,
+                num_partitions=17,
+            ),
+        )
+        if assignment == "hash":
+            cells = np.arange(seen["cells"])
+            assert np.array_equal(seen["cell_workers"], cells % 17 % 5)
+        else:
+            assert np.count_nonzero(seen["costs"]) > 5
+            assert np.array_equal(
+                seen["cell_workers"], reference_placement(seen["costs"], 5)
+            )
+
+    @pytest.mark.parametrize("partition", ["quadtree", "grid"])
+    def test_generalized_join(self, monkeypatch, partition):
+        from repro.data.generators import gaussian_clusters
+        driver = importlib.import_module("repro.joins.generalized_join")
+
+        r, s = gaussian_clusters(3_000, seed=5), gaussian_clusters(3_000, seed=6)
+        cfg = driver.GeneralizedJoinConfig(eps=0.02, partition=partition, num_workers=6)
+        seen = self.run_capturing(
+            monkeypatch, driver, "lpt_assignment",
+            lambda: driver.generalized_distance_join(r, s, cfg),
+        )
+        # every leaf is placed by LPT, zero-cost leaves too
+        costs = seen["costs"]
+        assert len(costs) == seen["cells"] and (costs == 0).any()
+        table = reference_lpt(dict(enumerate(costs.tolist())), 6)
+        assert seen["cell_workers"].tolist() == [table[i] for i in range(len(costs))]
 
 
 class TestShuffleStats:

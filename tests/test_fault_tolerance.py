@@ -273,22 +273,13 @@ class TestExecutorRecovery:
         assert report.degraded == ["threads", "serial"]
         assert report.backend_used == "serial"
 
-    def test_budget_exhausted_without_degradation(self):
-        plan = make_plan()
-        with pytest.raises(RetryBudgetExhausted, match="threads"):
-            execute_plan(
-                plan, "grid_hash", EPS, backend="threads", max_workers=2,
-                faults=FaultPlan.parse("kernel:p=1:times=0"),
-                retry=RetryPolicy(max_retries=1, backoff_base=0.0, degrade=False),
-            )
-
     def test_kernel_fault_surfaces_original_error(self):
         plan = make_plan()
         with pytest.raises(RetryBudgetExhausted) as exc:
             execute_plan(
                 plan, "plane_sweep", EPS, backend="serial",
                 faults=FaultPlan.parse("kernel:p=1:times=0"),
-                retry=RetryPolicy(max_retries=0, backoff_base=0.0, degrade=False),
+                retry=RetryPolicy(max_retries=0, backoff_base=0.0),
             )
         assert isinstance(exc.value.__cause__, InjectedKernelError)
 
@@ -344,7 +335,7 @@ class TestExecutorRecovery:
             execute_plan(
                 plan, "grid_hash", EPS, backend="processes", max_workers=2,
                 faults=FaultPlan.parse("kernel:p=1:times=0"),
-                retry=RetryPolicy(max_retries=1, backoff_base=0.0, degrade=False),
+                retry=RetryPolicy(max_retries=1, backoff_base=0.0),
             )
         leaked = {
             name for name in set(os.listdir("/dev/shm")) - before
@@ -554,7 +545,7 @@ def test_spill_dir_clean_after_abort(tmp_path, abort_faults, expected):
         eps=EPS, method="lpib", num_workers=3, executor_workers=2,
         execution_backend="threads", local_kernel="plane_sweep",
         spill="disk", spill_dir=str(tmp_path), checkpoint_cells=True,
-        faults=abort_faults, max_retries=1, degrade=False,
+        faults=abort_faults, max_retries=1,
     )
     with pytest.raises(expected):
         distance_join(r, s, cfg)

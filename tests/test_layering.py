@@ -62,7 +62,6 @@ FORBIDDEN = {
         "repro.engine.kernels",
         "repro.engine.lpt",
         "repro.engine.metrics",
-        "repro.engine.partitioner",
         "repro.engine.shuffle",
         "repro.engine.sorting",
         "repro.joins",
@@ -89,7 +88,6 @@ FORBIDDEN = {
         "repro.engine.kernels",
         "repro.engine.lpt",
         "repro.engine.metrics",
-        "repro.engine.partitioner",
         "repro.engine.shuffle",
         "repro.engine.sorting",
     ),

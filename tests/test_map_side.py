@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.metrics import JoinMetrics
-from repro.engine.partitioner import ExplicitPartitioner, HashPartitioner
+from repro.engine.metrics import COST_MODEL, JoinMetrics
 from repro.engine.sorting import run_starts, stable_argsort
 from repro.geometry.point import Side
 from repro.joins.distance_join import JoinConfig
@@ -61,13 +60,13 @@ def test_stable_argsort_packs_up_to_62_bits_and_no_further(monkeypatch):
         assert bool(fell_back) is falls_back
 
 
-def run_shuffle(sides, partitioner, workers):
+def run_shuffle(sides, cell_workers, workers):
     """``ShuffleStage`` alone over ``{side: (cells, idxs, count, record_bytes)}``."""
     cfg = JoinConfig(eps=0.1, num_workers=workers)
     ctx = make_context(cfg, num_workers=workers, metrics=JoinMetrics())
     ctx.shuffle.enable_matrix(workers)
     ctx.data["records"] = [SideRecords(side, *cols) for side, cols in sides.items()]
-    ctx.data["partitioner"] = partitioner
+    ctx.data["cell_workers"] = cell_workers
     ShuffleStage().run(ctx)
     return ctx
 
@@ -101,17 +100,25 @@ SHAPES = {
 }
 
 
+#: the cell -> worker arrays of 50 cells on 4 workers: Spark-style hash
+#: placement over 12 partitions, and LPT's shape (a few placed cells, the
+#: rest at ``cell % W``)
+HASH_PLACEMENT = np.arange(50) % 12 % 4
+EXPLICIT_PLACEMENT = np.arange(50) % 4
+EXPLICIT_PLACEMENT[[3, 7, 20, 41]] = [1, 2, 0, 3]
+
+
 @pytest.mark.parametrize("sized", [False, True], ids=["scalar", "per-record"])
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize(
-    "partitioner",
-    [HashPartitioner(12), ExplicitPartitioner({3: 1, 7: 2, 20: 0, 41: 3}, 4)],
+    "cell_workers",
+    [HASH_PLACEMENT, EXPLICIT_PLACEMENT],
     ids=["hash", "explicit"],
 )
-def test_shuffle_layout_and_volumes_match_the_reference(shape, sized, partitioner):
+def test_shuffle_layout_and_volumes_match_the_reference(shape, sized, cell_workers):
     W = 4
     sides = SHAPES[shape](np.random.default_rng(11), sized)
-    ctx = run_shuffle(sides, partitioner, W)
+    ctx = run_shuffle(sides, cell_workers, W)
 
     read_records = np.zeros(W, dtype=np.int64)
     read_bytes = np.zeros(W, dtype=np.int64)
@@ -126,7 +133,7 @@ def test_shuffle_layout_and_volumes_match_the_reference(shape, sized, partitione
         # the per-record accounting, one record at a time
         for i in range(len(cells)):
             src = min(int(idxs[i]) * W // max(n, 1), W - 1)
-            dst = partitioner.of(int(cells[i])) % W
+            dst = int(cell_workers[cells[i]])
             size = int(sizes[i]) if sized else sizes
             read_records[dst] += 1
             read_bytes[dst] += size
@@ -135,7 +142,7 @@ def test_shuffle_layout_and_volumes_match_the_reference(shape, sized, partitione
     assert np.array_equal(ctx.data["read_bytes_w"], read_bytes)
     assert np.array_equal(ctx.shuffle.matrix, matrix)
     assert np.array_equal(
-        ctx.data["worker_heap"], read_bytes * ctx.cost_model.heap_expansion
+        ctx.data["worker_heap"], read_bytes * COST_MODEL.heap_expansion
     )
     m = ctx.metrics
     assert (m.shuffle_records, m.shuffle_bytes) == (read_records.sum(), matrix.sum())
@@ -144,6 +151,3 @@ def test_shuffle_layout_and_volumes_match_the_reference(shape, sized, partitione
     )
     joinable = np.intersect1d(sides[Side.R][0], sides[Side.S][0])
     assert np.array_equal(ctx.data["joinable_cells"], joinable)
-    assert ctx.data["cell_workers"][joinable].tolist() == [
-        partitioner.of(int(c)) % W for c in joinable
-    ]

@@ -462,7 +462,7 @@ def test_dedup_clock_matches_the_per_pair_sum():
     bounds = np.array([0, 1200, 1200, 3100, n])  # worker 1 produced nothing
     workers = np.arange(W)
     cm = CostModel()
-    cluster, shuffle = SimCluster(W, cm), ShuffleStats()
+    cluster, shuffle = SimCluster(W), ShuffleStats()
     got_r, got_s, clock = parallel_distinct(
         r_ids, s_ids, (workers, bounds), cluster, shuffle, parts, cm
     )

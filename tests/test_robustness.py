@@ -279,18 +279,6 @@ class TestFaultRecovery:
         assert res.metrics.fallback_backend == "serial"
         assert res.metrics.extra["degraded_steps"] == 2  # threads, then serial
 
-    def test_degradation_disabled_raises(self, small_clusters):
-        from repro.engine.faults import RetryBudgetExhausted
-
-        r, s = small_clusters
-        cfg = JoinConfig(
-            eps=0.02, method="lpib", num_workers=3, executor_workers=2,
-            execution_backend="threads", faults="kernel:p=1:times=0",
-            max_retries=1, degrade=False,
-        )
-        with pytest.raises(RetryBudgetExhausted):
-            distance_join(r, s, cfg)
-
     def test_faulted_metrics_stay_consistent(self, small_clusters):
         """Recovery must not corrupt the accounting the validator checks
         (shuffle totals, result counts, remote-byte bounds)."""
