@@ -40,7 +40,12 @@ from repro.engine.telemetry import (
     write_trace,
 )
 from repro.joins.api import ALL_METHODS, spatial_join
-from repro.joins.distance_join import GRID_METHODS, JoinConfig, distance_join
+from repro.joins.distance_join import (
+    GRID_METHODS,
+    PLAN_FIELDS,
+    JoinConfig,
+    distance_join,
+)
 from repro.joins.generalized_join import METHODS as GENERALIZED_METHODS
 from repro.joins.generalized_join import PARTITIONS
 from repro.joins.local import LOCAL_KERNELS
@@ -51,7 +56,8 @@ _DATASETS = ("R1", "R2", "S1", "S2")
 def _bounded(kind: type, low: int, strict: bool = False, high: int | None = None):
     """argparse type: a finite ``kind`` >= ``low`` (> when ``strict``) and
     <= ``high`` when given, rejected with one clear line (``nan`` and
-    ``inf`` parse as floats)."""
+    ``inf`` parse as floats).  Only for flags that no config owns: a
+    config checks its own fields."""
     def parse(text: str):
         try:
             value = kind(text)
@@ -76,12 +82,17 @@ def _bounded(kind: type, low: int, strict: bool = False, high: int | None = None
 
 _positive_int = _bounded(int, 1)
 _nonnegative_int = _bounded(int, 0)
+#: also ``--eps``: the library takes an infinite eps as a cross product,
+#: the command line refuses it
 _positive_float = _bounded(float, 0, strict=True)
-#: a grid cell is at least eps wide
-_resolution_factor = _bounded(float, 1)
 _port = _bounded(int, 1, high=65535)
-#: 0 binds an ephemeral port
-_metrics_port = _bounded(int, 0, high=65535)
+
+
+def _megabytes(text: str):
+    """argparse type: a size in megabytes, as bytes.  A value that is not
+    finite passes through: the config that owns the size rejects it."""
+    mb = float(text)
+    return int(mb * 1e6) if math.isfinite(mb) else mb
 
 
 def _fault_spec(text: str) -> FaultPlan:
@@ -123,161 +134,144 @@ _VARIANT_METHODS = {
     "generalized": GENERALIZED_METHODS,
 }
 
-
-#: The plannable ``repro join`` choice flags and the ``JoinConfig`` fields
-#: they set.  Their argparse defaults are ``None`` so ``--tuning auto`` can
-#: tell an explicit pin from an untouched flag; static mode resolves an
-#: untouched one to its field's default.
-_CHOICE_FIELDS = {
-    "method": "method",
-    "kernel": "local_kernel",
-    "workers": "num_workers",
-    "backend": "execution_backend",
-}
+#: ``repro join`` flags that set the config field of their own name, beside
+#: the plan dimensions (``PLAN_FIELDS``).  Like every flag that sets a
+#: config field, each defaults to ``None``: only the flags given are passed
+#: on, so the config's own default applies and its own check runs.
+_FIELD_FLAGS = ("max_retries", "task_timeout", "spill", "spill_dir",
+                "checkpoint_cells", "partition")
 
 
 def _capture_pins(args: argparse.Namespace) -> dict:
     """Plan dimensions the user pinned explicitly on the command line."""
-    dims = ("method", "kernel", "workers", "backend", "resolution_factor")
     return {
-        dim: getattr(args, dim) for dim in dims
-        if getattr(args, dim, None) is not None
+        dim: getattr(args, dim) for dim in PLAN_FIELDS
+        if getattr(args, dim) is not None
     }
 
 
+def _runs_grid(args: argparse.Namespace) -> bool:
+    """Whether the point grid driver runs: an unset ``--method`` is
+    ``JoinConfig``'s, and ``--tuning auto`` plans grid methods only."""
+    return args.join == "distance" and (
+        args.tuning == "auto" or args.method in (None, *GRID_METHODS)
+    )
+
+
 def _validate_join_args(args: argparse.Namespace) -> str | None:
-    """Semantic cross-flag validation; returns an error line or ``None``."""
-    if args.tuning == "auto":
-        if args.join != "distance":
-            return ("--tuning auto plans the point distance join; "
-                    f"--join {args.join} has no planner (drop --tuning "
-                    f"or use --join distance)")
-        pinned_method = args._pins.get("method")
-        if pinned_method is not None and pinned_method not in GRID_METHODS:
-            return (f"--tuning auto plans the grid pipeline "
-                    f"({', '.join(GRID_METHODS)}); --method {pinned_method} "
-                    f"cannot be planned")
-        pinned_kernel = args._pins.get("kernel")
-        if pinned_kernel is not None and pinned_kernel not in PRICEABLE_KERNELS:
-            return (f"--tuning auto prices the kernels "
-                    f"{', '.join(PRICEABLE_KERNELS)}; --kernel {pinned_kernel} "
-                    f"cannot be planned")
+    """Cross-flag rules no config owns; returns an error line or ``None``."""
+    if args.tuning == "auto" and args.join != "distance":
+        return ("--tuning auto plans the point distance join; "
+                f"--join {args.join} has no planner (drop --tuning "
+                f"or use --join distance)")
     methods = _VARIANT_METHODS[args.join]
-    if args.method not in methods:
+    if args.method is not None and args.method not in methods:
         return (f"--join {args.join} supports methods {', '.join(methods)}; "
                 f"got {args.method!r}")
-    if args.join in ("object", "intersection", "generalized"):
-        if args.kernel != "plane_sweep":
-            return (f"--join {args.join} sweeps anchors with the plane_sweep "
-                    f"kernel only; --kernel {args.kernel} does not apply")
-    if args.spill == "none":
-        if args.spill_dir is not None:
-            return "--spill-dir requires --spill memory|disk"
-        if args.checkpoint_cells:
-            return "--checkpoint-cells requires --spill memory|disk"
-    if (args.join == "distance" and args.spill != "none"
-            and args.method not in GRID_METHODS):
+    if args.join != "distance" and args.kernel not in (None, "plane_sweep"):
+        return (f"--join {args.join} sweeps anchors with the plane_sweep "
+                f"kernel only; --kernel {args.kernel} does not apply")
+    staged = args.join != "distance" or _runs_grid(args)
+    if args.spill not in (None, "none") and not staged:
         return (f"--spill applies to grid methods only "
                 f"({', '.join(GRID_METHODS)})")
     if args.trace_format is not None and args.trace is None:
         return "--trace-format requires --trace"
     if args.quiet and args.log_level not in (None, "quiet"):
         return f"--quiet conflicts with --log-level {args.log_level}"
-    if ((args.trace is not None or args.report or args.history is not None)
-            and args.join == "distance" and args.method not in GRID_METHODS):
+    if not staged and (
+        args.trace is not None or args.report or args.history is not None
+    ):
         return (f"--trace/--report/--history cover the staged pipeline; "
                 f"with --join distance they apply to grid methods only "
                 f"({', '.join(GRID_METHODS)})")
     return None
 
 
-def _execution_options(args: argparse.Namespace) -> dict:
-    """The staged pipeline's execution surface, shared by every variant."""
-    options = {
-        "execution_backend": args.backend,
-        "max_retries": args.max_retries,
-    }
-    if args.task_timeout is not None:
-        options["task_timeout"] = args.task_timeout
+def _fields_of(config: type, given: dict) -> dict:
+    """The entries of ``given`` that ``config`` declares."""
+    names = {f.name for f in fields(config)}
+    return {name: value for name, value in given.items() if name in names}
+
+
+def _join_config(args: argparse.Namespace):
+    """The selected driver's config, built from the flags the user gave;
+    ``None`` for the ``naive`` oracle, which has none.
+
+    ``JoinConfig`` is built whichever driver runs, so it checks every
+    plan and execution flag given, also one the chosen driver does not
+    read.  A bad value raises a ``ValueError`` naming its field.
+    """
+    given = {PLAN_FIELDS[dim]: value for dim, value in args._pins.items()}
+    for name in _FIELD_FLAGS:
+        if getattr(args, name) is not None:
+            given[name] = getattr(args, name)
     if args.faults is not None:
-        options["faults"] = args.faults.with_seed(args.fault_seed)
-    if args.spill != "none":
-        options["spill"] = args.spill
-        options["spill_dir"] = args.spill_dir
-        options["checkpoint_cells"] = args.checkpoint_cells
-    telemetry = getattr(args, "_telemetry", None)
-    if telemetry is not None:
-        options["telemetry"] = telemetry
-    history = getattr(args, "_history", None)
-    if history is not None:
-        options["history"] = history
-    return options
-
-
-def _run_join_variant(args: argparse.Namespace):
-    """Run the selected join variant; returns ``(result, n_r, n_s)``."""
+        given["faults"] = args.faults.with_seed(args.fault_seed)
+    for name in ("telemetry", "history"):
+        if getattr(args, f"_{name}", None) is not None:
+            given[name] = getattr(args, f"_{name}")
+    grid = _runs_grid(args)
+    point = _fields_of(JoinConfig, given)
+    if not grid:
+        point.pop("method", None)  # another driver's method
+    config = JoinConfig(eps=args.eps, **point)
+    if grid:
+        return config
     if args.join in ("object", "intersection"):
-        # object joins run over generated spatial objects (--r/--s name
-        # point inputs, which have no extent)
+        from repro.joins.object_join import ObjectJoinConfig
+
+        return ObjectJoinConfig(**_fields_of(ObjectJoinConfig, given))
+    if args.join == "generalized":
+        from repro.joins.generalized_join import GeneralizedJoinConfig
+
+        return GeneralizedJoinConfig(
+            eps=args.eps, **_fields_of(GeneralizedJoinConfig, given)
+        )
+    if args.method == "sedona":
+        from repro.baselines.sedona_like import SedonaConfig
+
+        return SedonaConfig(eps=args.eps, **_fields_of(SedonaConfig, given))
+    return None
+
+
+def _join_inputs(args: argparse.Namespace) -> tuple:
+    """The two join inputs.  The object joins run over generated spatial
+    objects (--r/--s name point inputs, which have no extent)."""
+    if args.join in ("object", "intersection"):
         from repro.data.object_generators import random_boxes
         from repro.geometry.point import Side
+        from repro.joins.object_join import ObjectSet
+
+        return (ObjectSet(random_boxes(args.base_n, Side.R, seed=11), "R"),
+                ObjectSet(random_boxes(args.base_n, Side.S, seed=22), "S"))
+    return (_load_input(args.r, args.base_n, args.payload),
+            _load_input(args.s, args.base_n, args.payload))
+
+
+def _run_join_variant(args: argparse.Namespace, config, r, s):
+    """Run the selected join variant under its checked ``config``."""
+    if args.join in ("object", "intersection"):
         from repro.joins.object_join import (
-            ObjectSet,
             object_distance_join,
             object_intersection_join,
         )
 
-        r = ObjectSet(random_boxes(args.base_n, Side.R, seed=11), "R")
-        s = ObjectSet(random_boxes(args.base_n, Side.S, seed=22), "S")
-        options = {"num_workers": args.workers, **_execution_options(args)}
+        options = {f.name: getattr(config, f.name) for f in fields(config)}
         if args.join == "object":
-            result = object_distance_join(r, s, args.eps, method=args.method,
-                                          **options)
-        else:
-            result = object_intersection_join(r, s, method=args.method,
-                                              **options)
-        return result, len(r), len(s)
-    r = _load_input(args.r, args.base_n, args.payload)
-    s = _load_input(args.s, args.base_n, args.payload)
+            return object_distance_join(r, s, args.eps, **options)
+        return object_intersection_join(r, s, **options)
     if args.join == "generalized":
-        from repro.joins.generalized_join import (
-            GeneralizedJoinConfig,
-            generalized_distance_join,
-        )
+        from repro.joins.generalized_join import generalized_distance_join
 
-        cfg = GeneralizedJoinConfig(
-            eps=args.eps,
-            partition=args.partition,
-            method=args.method,
-            num_workers=args.workers,
-            **_execution_options(args),
-        )
-        return generalized_distance_join(r, s, cfg), len(r), len(s)
-    if args.join == "distance" and args.tuning == "auto":
-        from repro.planner import plan_join
+        return generalized_distance_join(r, s, config)
+    if isinstance(config, JoinConfig):
+        return distance_join(r, s, config)
+    if config is not None:
+        from repro.baselines.sedona_like import sedona_join
 
-        planned = plan_join(
-            r, s, args.eps, pins=args._pins, seed=args.seed,
-            base=JoinConfig(eps=args.eps, **_execution_options(args)),
-        )
-        args._planned = planned
-        chosen = planned.chosen
-        # downstream summary lines print args.*; make them truthful
-        args.method = chosen.method
-        args.kernel = chosen.kernel
-        args.workers = chosen.workers
-        return distance_join(r, s, planned.config, planned.plan), len(r), len(s)
-    options = {}
-    if args.method not in ("naive",):
-        options["num_workers"] = args.workers
-    if args.method in GRID_METHODS:
-        # the kernel choice exists only on the point grid driver; the
-        # execution surface is shared by every staged driver
-        options["local_kernel"] = args.kernel
-        options.update(_execution_options(args))
-    if args.resolution_factor is not None and args.method in GRID_METHODS:
-        options["resolution_factor"] = args.resolution_factor
-    return spatial_join(r, s, eps=args.eps, method=args.method, **options), len(r), len(s)
+        return sedona_join(r, s, config)
+    return spatial_join(r, s, eps=args.eps, method=args.method)
 
 
 def _emit_telemetry(args: argparse.Namespace) -> None:
@@ -323,10 +317,6 @@ def _publish_planner_meta(args: argparse.Namespace, result) -> None:
 
 def _cmd_join(args: argparse.Namespace) -> int:
     args._pins = _capture_pins(args)
-    defaults = {f.name: f.default for f in fields(JoinConfig)}
-    for dest, name in _CHOICE_FIELDS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, defaults[name])
     error = _validate_join_args(args)
     if error is not None:
         print(error, file=sys.stderr)
@@ -340,11 +330,30 @@ def _cmd_join(args: argparse.Namespace) -> int:
         from repro.obs import RunHistory
 
         args._history = RunHistory(args.history)
-    result, n_r, n_s = _run_join_variant(args)
+    try:
+        config = _join_config(args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    r, s = _join_inputs(args)
+    if args.tuning == "auto":
+        from repro.planner import plan_join
+
+        try:
+            args._planned = plan_join(
+                r, s, args.eps, pins=args._pins, seed=args.seed, base=config,
+            )
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+        config = args._planned.config
+    result = _run_join_variant(args, config, r, s)
     _publish_planner_meta(args, result)
     unit = "objects" if args.join in ("object", "intersection") else "points"
-    print(f"inputs: {n_r:,} x {n_s:,} {unit}, eps={args.eps}, "
-          f"join={args.join}, method={args.method}")
+    # sedona's config and naive's (none) name no method: theirs is the flag
+    method = getattr(config, "method", args.method)
+    print(f"inputs: {len(r):,} x {len(s):,} {unit}, eps={args.eps}, "
+          f"join={args.join}, method={method}")
     planned = getattr(args, "_planned", None)
     if planned is not None:
         c = planned.chosen
@@ -355,9 +364,8 @@ def _cmd_join(args: argparse.Namespace) -> int:
     m = result.metrics
     print(m.summary())
     print(f"selectivity: {m.selectivity:.3g}   candidates: {m.candidate_pairs:,}")
-    staged = args.join != "distance" or args.method in GRID_METHODS
-    if staged:
-        kernel = args.kernel if args.join == "distance" else "plane_sweep"
+    if args.join != "distance" or isinstance(config, JoinConfig):
+        kernel = getattr(config, "local_kernel", "plane_sweep")
         print(
             f"local join [{m.execution_backend}/{kernel}]: "
             f"measured makespan {m.join_wall_makespan * 1000:.1f}ms "
@@ -373,9 +381,9 @@ def _cmd_join(args: argparse.Namespace) -> int:
             )
             if m.fallback_backend:
                 print(f"  backend degraded to {m.fallback_backend!r}")
-        if args.spill != "none":
+        if config.spill != "none":
             print(
-                f"block store [{args.spill}]: spilled={m.blocks_spilled} "
+                f"block store [{config.spill}]: spilled={m.blocks_spilled} "
                 f"refetched={m.blocks_refetched} "
                 f"salvaged_cells={m.cells_salvaged} "
                 f"(saved {m.salvaged_time_model:.2f}s modelled)"
@@ -512,7 +520,7 @@ def _address_error(args: argparse.Namespace, *, client: bool) -> str | None:
     if args.socket is not None and args.port is not None:
         return ("--socket and --port are mutually exclusive: the server "
                 "listens on one unix socket or one localhost TCP port")
-    if args.host != "127.0.0.1" and args.port is None:
+    if args.host is not None and args.port is None:
         return "--host requires --port (unix sockets have no host)"
     return None
 
@@ -571,36 +579,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if error is not None:
         print(error, file=sys.stderr)
         return 2
-    _keep_freed_memory_in_heap()
-    level = "quiet" if args.quiet else args.log_level
-    if level is not None:
-        configure_logging(level)
     from repro.serving import JoinServer, ServerConfig
 
+    # every serve flag but --socket is named after its ServerConfig field
+    given = {f.name: getattr(args, f.name, None) for f in fields(ServerConfig)}
+    given["socket_path"] = args.socket
     try:
         config = ServerConfig(
-            socket_path=args.socket,
-            port=args.port,
-            host=args.host,
-            cache_budget_bytes=int(args.cache_budget_mb * 1e6),
-            result_cache_bytes=int(args.result_cache_mb * 1e6),
-            max_inflight=args.max_inflight,
-            max_queue=args.max_queue,
-            backend=args.backend,
-            executor_workers=args.executor_workers,
-            default_workers=args.workers,
-            sweep_on_start=not args.no_sweep,
-            history_path=args.history,
-            history_max_bytes=int(args.history_max_mb * 1e6),
-            metrics_port=args.metrics_port,
-            slo_p95_seconds=args.slo_p95,
-            slo_p99_seconds=args.slo_p99,
-            slo_error_rate=args.slo_error_rate,
-            slo_window_seconds=args.slo_window,
+            **{name: value for name, value in given.items() if value is not None}
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    _keep_freed_memory_in_heap()
+    level = "quiet" if args.quiet else args.log_level
+    if level is not None:
+        configure_logging(level)
     server = JoinServer(config)
     for name, spec in args.register or ():
         server.datasets.register_spec(
@@ -638,20 +632,30 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _connect(args: argparse.Namespace):
+    """A client of the server ``--socket`` / ``--port`` names, or ``None``
+    (the reason printed) when it cannot be reached."""
+    from repro.serving import JoinClient
+
+    address = {"socket_path": args.socket, "port": args.port}
+    if args.host is not None:
+        address["host"] = args.host
+    try:
+        return JoinClient(**address, timeout=args.timeout)
+    except (OSError, ValueError) as exc:
+        print(f"cannot reach the server: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_query(args: argparse.Namespace) -> int:
     error = _validate_query_args(args)
     if error is not None:
         print(error, file=sys.stderr)
         return 2
-    from repro.serving import JoinClient, ServerError
+    from repro.serving import ServerError
 
-    try:
-        client = JoinClient(
-            socket_path=args.socket, host=args.host, port=args.port,
-            timeout=args.timeout,
-        )
-    except (OSError, ValueError) as exc:
-        print(f"cannot reach the server: {exc}", file=sys.stderr)
+    client = _connect(args)
+    if client is None:
         return 1
     try:
         if args.ping:
@@ -732,15 +736,10 @@ def _cmd_top(args: argparse.Namespace) -> int:
         print(error, file=sys.stderr)
         return 2
     from repro.obs import TopDashboard
-    from repro.serving import JoinClient, ServerError
+    from repro.serving import ServerError
 
-    try:
-        client = JoinClient(
-            socket_path=args.socket, host=args.host, port=args.port,
-            timeout=args.timeout,
-        )
-    except (OSError, ValueError) as exc:
-        print(f"cannot reach the server: {exc}", file=sys.stderr)
+    client = _connect(args)
+    if client is None:
         return 1
     iterations = 1 if args.once else (args.iterations or None)
     dashboard = TopDashboard(
@@ -781,9 +780,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="replication method (validity depends on --join; "
                            "default lpib, or planner-chosen with "
                            "--tuning auto)")
-    join.add_argument("--partition", choices=PARTITIONS, default="quadtree",
+    join.add_argument("--partition", choices=PARTITIONS, default=None,
                       help="rectangulation of the generalized join")
-    join.add_argument("--workers", type=_positive_int, default=None,
+    join.add_argument("--workers", type=int, default=None,
                       help="simulated workers (default 12, or "
                            "planner-chosen with --tuning auto)")
     join.add_argument("--backend", choices=BACKENDS, default=None,
@@ -794,7 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="per-cell local join kernel (grid methods only; "
                            "default plane_sweep, or planner-chosen with "
                            "--tuning auto)")
-    join.add_argument("--resolution-factor", type=_resolution_factor,
+    join.add_argument("--resolution-factor", type=float,
                       default=None, metavar="K",
                       help="grid cell side in multiples of eps (grid "
                            "methods only; default 2.0, or planner-chosen "
@@ -806,7 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "workers, resolution factor) and executes the "
                            "predicted-fastest plan; explicitly set flags "
                            "stay pinned (see docs/PLANNER.md)")
-    join.add_argument("--seed", type=int, default=0,
+    join.add_argument("--seed", type=int, default=None,
                       help="seed of the planner's statistics sample "
                            "(--tuning auto)")
     join.add_argument("--faults", type=_fault_spec, default=None,
@@ -816,21 +815,21 @@ def build_parser() -> argparse.ArgumentParser:
                            "(see docs/FAULTS.md; grid methods only)")
     join.add_argument("--fault-seed", type=int, default=0,
                       help="seed of the fault plan's decision hash")
-    join.add_argument("--max-retries", type=_nonnegative_int, default=2,
+    join.add_argument("--max-retries", type=int, default=None,
                       help="per-task retry budget for failed tasks and "
                            "shuffle fetches")
-    join.add_argument("--task-timeout", type=_positive_float, default=None,
+    join.add_argument("--task-timeout", type=float, default=None,
                       metavar="SECONDS",
                       help="straggler threshold: tasks running longer get a "
                            "speculative copy")
-    join.add_argument("--spill", choices=SPILL_TIERS, default="none",
+    join.add_argument("--spill", choices=SPILL_TIERS, default=None,
                       help="spill shuffle output as addressable blocks so "
                            "fetch faults re-pull only the missing blocks "
                            "(see docs/STORAGE.md; grid methods only)")
     join.add_argument("--spill-dir", default=None, metavar="DIR",
                       help="directory for spilled blocks and checkpoints "
                            "(requires --spill; default: a temp directory)")
-    join.add_argument("--checkpoint-cells", action="store_true",
+    join.add_argument("--checkpoint-cells", action="store_true", default=None,
                       help="snapshot per-cell partial results so killed "
                            "task attempts salvage finished cells "
                            "(requires --spill)")
@@ -884,16 +883,16 @@ def build_parser() -> argparse.ArgumentParser:
                               "searching it")
     explain.add_argument("--kernel", choices=sorted(PRICEABLE_KERNELS),
                          default=None, help="pin the local-join kernel")
-    explain.add_argument("--workers", type=_positive_int, default=None,
+    explain.add_argument("--workers", type=int, default=None,
                          help="pin the simulated worker count")
     explain.add_argument("--backend", choices=BACKENDS, default=None,
                          help="pin the execution backend")
-    explain.add_argument("--resolution-factor", type=_resolution_factor,
+    explain.add_argument("--resolution-factor", type=float,
                          default=None, metavar="K",
                          help="pin the grid resolution factor")
-    explain.add_argument("--sample-rate", type=_positive_float, default=0.03,
+    explain.add_argument("--sample-rate", type=float, default=None,
                          help="Bernoulli rate of the statistics sample")
-    explain.add_argument("--seed", type=int, default=0)
+    explain.add_argument("--seed", type=int, default=None)
     explain.add_argument("--limit", type=_nonnegative_int, default=12,
                          metavar="N",
                          help="candidate rows to print (0 = all)")
@@ -924,31 +923,31 @@ def build_parser() -> argparse.ArgumentParser:
                        help="unix socket to listen on (default: a "
                             "pid-stamped socket in the server's state "
                             "directory, printed at startup)")
-    serve.add_argument("--port", type=_port, default=None,
+    serve.add_argument("--port", type=int, default=None,
                        help="listen on this localhost TCP port instead of "
                             "a unix socket")
-    serve.add_argument("--host", default="127.0.0.1",
+    serve.add_argument("--host", default=None,
                        help="bind address for --port (default 127.0.0.1)")
-    serve.add_argument("--backend", choices=BACKENDS,
-                       default="serial",
+    serve.add_argument("--backend", choices=BACKENDS, default=None,
                        help="execution backend every query runs on")
-    serve.add_argument("--executor-workers", type=_positive_int,
+    serve.add_argument("--executor-workers", type=int,
                        default=None, metavar="N",
                        help="OS-level worker cap of the parallel backends")
-    serve.add_argument("--workers", type=_positive_int, default=12,
+    serve.add_argument("--workers", dest="default_workers", type=int,
+                       default=None, metavar="WORKERS",
                        help="default simulated workers for queries that do "
                             "not set their own")
-    serve.add_argument("--cache-budget-mb", type=_positive_float,
-                       default=256.0, metavar="MB",
+    serve.add_argument("--cache-budget-mb", dest="cache_budget_bytes",
+                       type=_megabytes, default=None, metavar="MB",
                        help="artifact-cache byte budget (grids, agreement "
                             "graphs, samples, cell placements)")
-    serve.add_argument("--result-cache-mb", type=_positive_float,
-                       default=64.0, metavar="MB",
+    serve.add_argument("--result-cache-mb", dest="result_cache_bytes",
+                       type=_megabytes, default=None, metavar="MB",
                        help="cross-query result-cache byte budget (the "
                             "server-lifetime block store)")
-    serve.add_argument("--max-inflight", type=_positive_int, default=2,
+    serve.add_argument("--max-inflight", type=int, default=None,
                        help="queries executing concurrently")
-    serve.add_argument("--max-queue", type=_nonnegative_int, default=16,
+    serve.add_argument("--max-queue", type=int, default=None,
                        help="queries allowed to wait for a slot before the "
                             "server rejects with an overload error")
     serve.add_argument("--register", type=_register_spec, action="append",
@@ -960,38 +959,40 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--payload", type=_nonnegative_int, default=0,
                        help="payload bytes per tuple for pre-registered "
                             "datasets")
-    serve.add_argument("--no-sweep", action="store_true",
+    serve.add_argument("--no-sweep", dest="sweep_on_start",
+                       action="store_false", default=None,
                        help="skip the startup hygiene sweep of stale "
                             "server state dirs and sockets")
-    serve.add_argument("--history", default=None, metavar="PATH",
+    serve.add_argument("--history", dest="history_path", default=None,
+                       metavar="PATH",
                        help="append every executed query's RunReport to "
                             "this JSONL run-history store (replayable via "
                             "repro.planner.accuracy.replay_reports; see "
                             "docs/OBSERVABILITY.md)")
-    serve.add_argument("--history-max-mb", type=_positive_float,
-                       default=64.0, metavar="MB",
+    serve.add_argument("--history-max-mb", dest="history_max_bytes",
+                       type=_megabytes, default=None, metavar="MB",
                        help="rotate the history file past this size "
                             "(two rotated generations are retained)")
-    serve.add_argument("--metrics-port", type=_metrics_port, default=None,
+    serve.add_argument("--metrics-port", type=int, default=None,
                        metavar="PORT",
                        help="serve Prometheus text-format metrics on this "
                             "localhost HTTP port (0 = ephemeral; GET "
                             "/metrics)")
-    serve.add_argument("--slo-p95", type=_positive_float, default=None,
-                       metavar="SECONDS",
+    serve.add_argument("--slo-p95", dest="slo_p95_seconds", type=float,
+                       default=None, metavar="SECONDS",
                        help="SLO watchdog: rolling-window p95 latency "
                             "threshold; breaches log an alert and set the "
                             "stats op's degraded flag")
-    serve.add_argument("--slo-p99", type=_positive_float, default=None,
-                       metavar="SECONDS",
+    serve.add_argument("--slo-p99", dest="slo_p99_seconds", type=float,
+                       default=None, metavar="SECONDS",
                        help="SLO watchdog: rolling-window p99 latency "
                             "threshold")
-    serve.add_argument("--slo-error-rate", type=_positive_float,
+    serve.add_argument("--slo-error-rate", type=float,
                        default=None, metavar="RATE",
                        help="SLO watchdog: rolling-window failed-query "
                             "rate threshold in (0, 1]")
-    serve.add_argument("--slo-window", type=_positive_float, default=300.0,
-                       metavar="SECONDS",
+    serve.add_argument("--slo-window", dest="slo_window_seconds", type=float,
+                       default=None, metavar="SECONDS",
                        help="SLO watchdog rolling-window length")
     serve.add_argument("--log-level", choices=LOG_LEVELS, default=None)
     serve.add_argument("--quiet", action="store_true")
@@ -1006,7 +1007,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="the server's unix socket")
     query.add_argument("--port", type=_port, default=None,
                        help="the server's localhost TCP port")
-    query.add_argument("--host", default="127.0.0.1")
+    query.add_argument("--host", default=None)
     query.add_argument("--timeout", type=_positive_float, default=120.0,
                        help="client-side response timeout in seconds")
     query.add_argument("--register", type=_register_spec, action="append",
@@ -1071,7 +1072,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="the server's unix socket")
     top.add_argument("--port", type=_port, default=None,
                      help="the server's localhost TCP port")
-    top.add_argument("--host", default="127.0.0.1")
+    top.add_argument("--host", default=None)
     top.add_argument("--timeout", type=_positive_float, default=10.0,
                      help="client-side response timeout in seconds")
     top.add_argument("--interval", type=_positive_float, default=2.0,

@@ -73,6 +73,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro._checks import check_count, check_positive
 from repro.engine.attempts import AttemptLedger
 from repro.engine.faults import (
     FaultEvent,
@@ -233,10 +234,9 @@ class RetryPolicy:
     task_timeout: float | None = None
 
     def __post_init__(self):
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError(f"task_timeout must be > 0, got {self.task_timeout}")
+        check_count("max_retries", self.max_retries, 0)
+        if self.task_timeout is not None:
+            check_positive("task_timeout", self.task_timeout)
 
     def backoff(self, retry_index: int) -> float:
         """Seconds to wait before retry number ``retry_index`` (0-based)."""

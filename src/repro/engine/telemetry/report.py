@@ -31,7 +31,7 @@ import json
 from .registry import MetricsRegistry
 from .spans import Span
 
-__all__ = ["RunReport"]
+__all__ = ["RunReport", "fmt_bytes"]
 
 #: Span categories that make up the recovery timeline.
 _RECOVERY_CATS = ("recovery", "salvage")
@@ -45,12 +45,13 @@ def _fmt_seconds(value: float) -> str:
     return f"{value * 1e3:8.2f}ms"
 
 
-def _fmt_bytes(value: float) -> str:
+def fmt_bytes(value: float) -> str:
+    """A byte count in B, KiB, MiB or GiB."""
     value = float(value)
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if value < 1024.0 or unit == "GiB":
+    for unit in ("B", "KiB", "MiB"):
+        if value < 1024:
             return f"{value:.0f}{unit}" if unit == "B" else f"{value:.1f}{unit}"
-        value /= 1024.0
+        value /= 1024
     return f"{value:.1f}GiB"
 
 
@@ -273,7 +274,7 @@ class RunReport:
             head = "        " + "".join(f"{f'w{j}':>10}" for j in range(width))
             lines.append(head)
             for i, row in enumerate(matrix):
-                cells = "".join(f"{_fmt_bytes(v):>10}" for v in row)
+                cells = "".join(f"{fmt_bytes(v):>10}" for v in row)
                 lines.append(f"  w{i:<4}{cells}")
 
         planner = self.planner()

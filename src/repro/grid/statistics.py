@@ -217,17 +217,6 @@ class GridStatistics:
         replicated = self.directed_candidates(tail, head, agreement)
         return replicated * self.cell_count(head, agreement.other)
 
-    def estimated_cell_cost(self, cell_id: int, scale: float = 1.0) -> float:
-        """Estimated join cost of a cell: ``|R_i| * |S_i|`` on the sample.
-
-        ``scale`` converts sample counts to full-data estimates (use
-        ``1 / phi`` for a Bernoulli sampling rate ``phi``; the product then
-        scales by ``1 / phi**2``).
-        """
-        r = self._totals[0, cell_id] * scale
-        s = self._totals[1, cell_id] * scale
-        return float(r * s)
-
     # ------------------------------------------------------------------
     # the same queries over every adjacent pair at once
     # ------------------------------------------------------------------

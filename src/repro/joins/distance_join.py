@@ -36,6 +36,7 @@ from typing import Any
 
 import numpy as np
 
+from repro._checks import check_count
 from repro.agreements.marking import ORDERINGS
 from repro.data.pointset import PointSet
 from repro.data.sampling import bernoulli_sample
@@ -75,9 +76,9 @@ __all__ = [
     "GRID_METHODS",
     "JoinConfig",
     "JoinResult",
+    "PLAN_FIELDS",
     "distance_join",
     "distance_stages",
-    "join_with_method",
     "config_variants",
     "paper_default_config",
 ]
@@ -86,6 +87,16 @@ __all__ = [
 #: How cells are placed on workers: by LPT over their estimated join
 #: costs, or by hashing the cell id (Sect. 6.2 / Table 7).
 CELL_ASSIGNMENTS = ("lpt", "hash")
+
+#: The plan dimensions -- what a planner searches and a caller may pin --
+#: and the :class:`JoinConfig` field each one sets.
+PLAN_FIELDS = {
+    "method": "method",
+    "resolution_factor": "resolution_factor",
+    "kernel": "local_kernel",
+    "workers": "num_workers",
+    "backend": "execution_backend",
+}
 
 
 # The field checks every join config shares; each raises a ``ValueError``
@@ -105,8 +116,7 @@ def check_eps(eps: float) -> None:
 def check_sizing(
     num_workers: int, sample_rate: float, num_partitions: int | None = None
 ) -> None:
-    if not (num_workers >= 1 and float(num_workers).is_integer()):
-        raise ValueError(f"num_workers must be a whole number >= 1, got {num_workers}")
+    check_count("num_workers", num_workers, 1)
     if num_partitions is not None and not num_partitions >= 1:
         raise ValueError(
             f"num_partitions must be >= 1 (or None: 8 per worker), got {num_partitions}"
@@ -423,14 +433,6 @@ def distance_join(
     r_ids, s_ids = ctx.data["r_ids"], ctx.data["s_ids"]
     metrics.results = len(r_ids) if cfg.collect_pairs else ctx.data["result_count"]
     return JoinResult(r_ids, s_ids, metrics)
-
-
-def join_with_method(
-    r: PointSet, s: PointSet, eps: float, method: str, **overrides
-) -> JoinResult:
-    """Convenience wrapper: run one method with default configuration."""
-    cfg = JoinConfig(eps=eps, method=method, **overrides)
-    return distance_join(r, s, cfg)
 
 
 def config_variants(base: JoinConfig, **changes) -> JoinConfig:

@@ -51,6 +51,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
+from repro._checks import check_count
 from repro.agreements.graph import AgreementGraph, agreed_r_mask
 from repro.agreements.marking import generate_duplicate_free_graph
 from repro.agreements.policies import (
@@ -154,11 +155,8 @@ class ExecutionSettings:
                 f"execution_backend must be one of {BACKENDS}, "
                 f"got {self.execution_backend!r}"
             )
-        if self.executor_workers is not None and not self.executor_workers >= 1:
-            raise ValueError(
-                f"executor_workers must be >= 1 (or None: one per CPU), "
-                f"got {self.executor_workers}"
-            )
+        if self.executor_workers is not None:  # None: one per CPU
+            check_count("executor_workers", self.executor_workers, 1)
         try:
             self.fault_plan()
         except ValueError as exc:

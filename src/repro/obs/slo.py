@@ -20,6 +20,7 @@ observability perfsmoke guard budgets inside the 2% overhead envelope.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -49,18 +50,23 @@ class SLOConfig:
     min_samples: int = 5
 
     def __post_init__(self) -> None:
-        if self.window_seconds <= 0:
-            raise ValueError("slo window_seconds must be > 0")
+        # each named as ServerConfig names it (slo_<field>); the checks
+        # are written so that NaN fails them
         for label, value in (
+            ("window_seconds", self.window_seconds),
             ("p95_seconds", self.p95_seconds),
             ("p99_seconds", self.p99_seconds),
         ):
-            if value is not None and value <= 0:
-                raise ValueError(f"slo {label} must be > 0 when set")
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"slo_{label} must be finite and > 0, got {value}")
         if self.error_rate is not None and not 0 < self.error_rate <= 1:
-            raise ValueError("slo error_rate must be in (0, 1] when set")
-        if self.min_samples < 1:
-            raise ValueError("slo min_samples must be >= 1")
+            raise ValueError(
+                f"slo_error_rate must be in (0, 1] when set, got {self.error_rate}"
+            )
+        if not (float(self.min_samples).is_integer() and self.min_samples >= 1):
+            raise ValueError(
+                f"slo_min_samples must be a whole number >= 1, got {self.min_samples}"
+            )
 
     @property
     def enabled(self) -> bool:

@@ -19,6 +19,8 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, List, Optional, TextIO
 
+from repro.engine.telemetry.report import fmt_bytes
+
 __all__ = ["TopDashboard", "render_stats"]
 
 #: ANSI clear-screen + cursor-home, used between dashboard frames
@@ -34,15 +36,6 @@ def _fmt_seconds(value: float) -> str:
     if value >= 1e-3:
         return f"{value * 1e3:.1f}ms"
     return f"{value * 1e6:.0f}us"
-
-
-def _fmt_bytes(value: float) -> str:
-    value = float(value)
-    for unit in ("B", "KiB", "MiB"):
-        if value < 1024:
-            return f"{value:.0f}{unit}" if unit == "B" else f"{value:.1f}{unit}"
-        value /= 1024
-    return f"{value:.1f}GiB"
 
 
 def _fmt_count(value: Any) -> str:
@@ -127,7 +120,7 @@ def render_stats(
     artifact = stats["artifact_cache"]
     lines.append(
         "caches     "
-        f"artifact {_hit_rate(artifact)} {_fmt_bytes(artifact['bytes'])}"
+        f"artifact {_hit_rate(artifact)} {fmt_bytes(artifact['bytes'])}"
         f"  result {_hit_rate(stats['result_cache'])}"
         f"  plan {_hit_rate(stats['plan_cache'])}"
     )
@@ -183,7 +176,7 @@ def render_stats(
         lines.append(
             "history    "
             f"runs {_with_delta(_fmt_count(history['appended']), _delta(stats, prev, 'history', 'appended'))}"
-            f"  {_fmt_bytes(history['active_bytes'])}"
+            f"  {fmt_bytes(history['active_bytes'])}"
             f"  rotations {_fmt_count(history['rotations'])}"
             f"  -> {history['path']}"
         )

@@ -35,7 +35,6 @@ change, not on every query.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -46,9 +45,8 @@ from repro.core.cost_model import (
     CostPrediction,
     _build_models,
 )
-from repro.engine.executor import BACKENDS
 from repro.engine.lru import LRUCache
-from repro.joins.distance_join import JoinConfig
+from repro.joins.distance_join import GRID_METHODS, PLAN_FIELDS, JoinConfig
 from repro.joins.plan import PhysicalPlan, distance_plan
 from repro.planner.logical import JoinSpec
 
@@ -67,19 +65,13 @@ __all__ = [
     "plan_join",
 ]
 
-DEFAULT_METHODS = ("lpib", "diff", "uni_r", "uni_s", "eps_grid")
+DEFAULT_METHODS = GRID_METHODS
 DEFAULT_FACTORS = (2.0, 3.0, 4.0)
 DEFAULT_KERNELS = PRICEABLE_KERNELS
 DEFAULT_WORKER_CANDIDATES = (4, 8, 12, 16)
 
 #: The pinnable choice dimensions, in candidate-tiebreak order.
-PLAN_DIMENSIONS = (
-    "method",
-    "resolution_factor",
-    "kernel",
-    "workers",
-    "backend",
-)
+PLAN_DIMENSIONS = tuple(PLAN_FIELDS)
 
 
 def backend_clock(backend: str) -> str:
@@ -276,38 +268,6 @@ def eps_bucket(eps: float) -> float:
     return round(math.log10(eps) * 4) / 4
 
 
-def _whole_workers(pinned: Any) -> int:
-    """A ``workers`` pin as an int: ``4`` or ``4.0``, never a truncated ``2.5``."""
-    if isinstance(pinned, numbers.Integral) or (
-        isinstance(pinned, float) and pinned.is_integer()
-    ):
-        return int(pinned)
-    raise ValueError(f"workers must be a whole number, got {pinned!r}")
-
-
-def _validate_space(methods, factors, kernels, workers, backend) -> None:
-    for k in kernels:
-        if k not in PRICEABLE_KERNELS:
-            raise ValueError(
-                f"kernel {k!r} cannot be planned; priceable: {PRICEABLE_KERNELS}"
-            )
-    for m in methods:
-        if m not in DEFAULT_METHODS:
-            raise ValueError(
-                f"unknown method {m!r}; choose from {DEFAULT_METHODS}"
-            )
-    for f in factors:
-        if not f >= 1:  # NaN too
-            raise ValueError(f"resolution factors must be >= 1, got {f}")
-    for w in workers:
-        if w < 1:
-            raise ValueError("worker candidates must be >= 1")
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose from {BACKENDS}"
-        )
-
-
 def plan_join(
     r: Any,
     s: Any,
@@ -315,8 +275,8 @@ def plan_join(
     *,
     pins: dict[str, Any] | None = None,
     base: JoinConfig | None = None,
-    sample_rate: float = 0.03,
-    seed: int = 0,
+    sample_rate: float | None = None,
+    seed: int | None = None,
     methods: tuple[str, ...] = DEFAULT_METHODS,
     factors: tuple[float, ...] = DEFAULT_FACTORS,
     kernels: tuple[str, ...] = DEFAULT_KERNELS,
@@ -331,6 +291,11 @@ def plan_join(
     reported as pinned in the explain output.  ``base`` supplies every
     non-searched :class:`JoinConfig` field (spill, faults, telemetry,
     partitions...); the planner replaces only the dimensions it owns.
+    ``sample_rate`` and ``seed`` default to ``base``'s (to
+    :class:`JoinConfig`'s without one).  ``JoinConfig`` checks ``eps``,
+    every pin and every value the search may choose before the sample
+    is drawn; the planner adds one rule of its own: a kernel must be
+    priceable (:data:`~repro.core.cost_model.PRICEABLE_KERNELS`).
 
     One Bernoulli sample is drawn (decision/counting halves, bias
     corrected) and shared by every candidate; enumeration prices
@@ -344,8 +309,6 @@ def plan_join(
     the paper's clock on any backend -- the paper figures and the
     modelled-regret tests do.
     """
-    if not eps > 0:  # NaN too; an infinite eps is a cross product
-        raise ValueError("eps must be positive")
     pins = dict(pins or {})
     unknown = set(pins) - set(PLAN_DIMENSIONS)
     if unknown:
@@ -353,22 +316,41 @@ def plan_join(
             f"unknown plan dimension(s) {sorted(unknown)}; "
             f"pinnable: {PLAN_DIMENSIONS}"
         )
-    base = base or JoinConfig(eps=eps, sample_rate=sample_rate, seed=seed)
-
-    methods = (pins["method"],) if "method" in pins else tuple(methods)
+    kernels = (pins["kernel"],) if "kernel" in pins else tuple(kernels)
+    for k in kernels:
+        if k not in PRICEABLE_KERNELS:
+            raise ValueError(
+                f"kernel {k!r} cannot be planned; priceable: {PRICEABLE_KERNELS}"
+            )
+    overrides = {PLAN_FIELDS[dim]: value for dim, value in pins.items()}
+    if sample_rate is not None:
+        overrides["sample_rate"] = sample_rate
+    if seed is not None:
+        overrides["seed"] = seed
+    base = (
+        JoinConfig(eps=eps, **overrides)
+        if base is None
+        else replace(base, eps=eps, **overrides)
+    )
+    methods = (base.method,) if "method" in pins else tuple(methods)
     factors = (
-        (float(pins["resolution_factor"]),)
+        (float(base.resolution_factor),)
         if "resolution_factor" in pins
         else tuple(factors)
     )
-    kernels = (pins["kernel"],) if "kernel" in pins else tuple(kernels)
     workers = (
-        (_whole_workers(pins["workers"]),)
-        if "workers" in pins
-        else tuple(worker_candidates)
+        (int(base.num_workers),) if "workers" in pins else tuple(worker_candidates)
     )
-    backend = pins.get("backend", base.execution_backend)
-    _validate_space(methods, factors, kernels, workers, backend)
+    # JoinConfig checks every value the search may choose (the pins were
+    # checked as base took them), before the sample is drawn
+    for name, values in (
+        ("method", methods),
+        ("resolution_factor", factors),
+        ("num_workers", workers),
+    ):
+        for value in values:
+            replace(base, **{name: value})
+    sample_rate, seed, backend = base.sample_rate, base.seed, base.execution_backend
     clock = backend_clock(backend) if clock is None else clock
     if clock not in CLOCKS:
         raise ValueError(f"unknown clock {clock!r}; choose from {CLOCKS}")
@@ -403,14 +385,10 @@ def plan_join(
     chosen = min(candidates, key=lambda c: (c.predicted_clock, c.key()))
     config = replace(
         base,
-        eps=eps,
         method=chosen.method,
         resolution_factor=chosen.resolution_factor,
         local_kernel=chosen.kernel,
         num_workers=chosen.workers,
-        execution_backend=chosen.backend,
-        sample_rate=sample_rate,
-        seed=seed,
     )
     return PlannedJoin(
         spec=spec,

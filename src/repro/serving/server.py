@@ -51,6 +51,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from repro._checks import check_count
 from repro.engine import executor as executor_mod
 from repro.engine.hygiene import (
     SERVE_PREFIX,
@@ -249,23 +250,27 @@ class ServerConfig:
     def __post_init__(self):
         if self.socket_path is not None and self.port is not None:
             raise ValueError("socket_path and port are mutually exclusive")
-        if self.port is not None and not (1 <= self.port <= 65535):
-            raise ValueError(f"port must be in [1, 65535], got {self.port}")
+        if self.port is not None:
+            check_count("port", self.port, 1, 65535)
         if self.backend not in executor_mod.BACKENDS:
             raise ValueError(
                 f"serving backend must be one of {executor_mod.BACKENDS}, "
                 f"got {self.backend!r}"
             )
-        if self.metrics_port is not None and not (
-            0 <= self.metrics_port <= 65535
+        if self.metrics_port is not None:  # 0: an ephemeral port
+            check_count("metrics_port", self.metrics_port, 0, 65535)
+        if self.executor_workers is not None:  # None: one per CPU
+            check_count("executor_workers", self.executor_workers, 1)
+        for name in (
+            "cache_budget_bytes",
+            "result_cache_bytes",
+            "history_max_bytes",
+            "history_retain_files",
+            "max_inflight",
+            "default_workers",
         ):
-            raise ValueError(
-                f"metrics_port must be in [0, 65535], got {self.metrics_port}"
-            )
-        if self.history_max_bytes < 0:
-            raise ValueError("history_max_bytes must be >= 0")
-        if self.history_retain_files < 1:
-            raise ValueError("history_retain_files must be >= 1")
+            check_count(name, getattr(self, name), 1)
+        check_count("max_queue", self.max_queue, 0)
         # delegate threshold validation (and hold the parsed config)
         object.__setattr__(self, "_slo_config", SLOConfig(
             window_seconds=self.slo_window_seconds,
@@ -274,15 +279,6 @@ class ServerConfig:
             error_rate=self.slo_error_rate,
             min_samples=self.slo_min_samples,
         ))
-        for name in ("cache_budget_bytes", "result_cache_bytes"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
-        if self.max_queue < 0:
-            raise ValueError("max_queue must be >= 0")
-        if self.default_workers < 1:
-            raise ValueError("default_workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -845,8 +841,6 @@ class JoinServer:
                 cfg.eps,
                 pins=pins,
                 base=cfg,
-                sample_rate=cfg.sample_rate,
-                seed=cfg.seed,
                 spec=jspec,
             )
             self.plans.put(key, cached)

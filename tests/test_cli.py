@@ -6,6 +6,14 @@ from repro.cli import build_parser, main
 from repro.data.io import read_points_text
 
 
+def assert_config_rejects(capsys, argv, message):
+    """A config's check refused a flag: exit 2 and its one stderr line
+    (argparse would raise ``SystemExit`` and print its usage)."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()] and message in err, err
+
+
 class TestJoin:
     def test_join_generated(self, capsys):
         rc = main(["join", "--r", "S1", "--s", "S2", "--base-n", "1500",
@@ -137,22 +145,29 @@ class TestJoinVariants:
             main(["join", "--join", "generalized", "--partition", "rtree"])
 
 
+#: JoinConfig's rule for the resolution factor, as it prints it
+FACTOR_RULE = (
+    "resolution_factor must be finite and >= 1 (the resolution factor "
+    "must be >= 1: a cell is at least eps wide), "
+)
+
+
 class TestJoinValidation:
-    def test_zero_workers_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["join", "--workers", "0"])
+    def test_zero_workers_rejected(self, capsys):
+        assert_config_rejects(capsys, ["join", "--workers", "0"],
+                              "num_workers must be a whole number >= 1, got 0")
 
-    def test_negative_workers_rejected_on_explain(self):
-        with pytest.raises(SystemExit):
-            main(["explain", "--workers", "-3"])
+    def test_negative_workers_rejected_on_explain(self, capsys):
+        assert_config_rejects(capsys, ["explain", "--workers", "-3"],
+                              "num_workers must be a whole number >= 1, got -3")
 
-    def test_zero_task_timeout_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["join", "--task-timeout", "0"])
+    def test_zero_task_timeout_rejected(self, capsys):
+        assert_config_rejects(capsys, ["join", "--task-timeout", "0"],
+                              "task_timeout must be finite and > 0, got 0.0")
 
-    def test_negative_max_retries_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["join", "--max-retries", "-1"])
+    def test_negative_max_retries_rejected(self, capsys):
+        assert_config_rejects(capsys, ["join", "--max-retries", "-1"],
+                              "max_retries must be a whole number >= 0, got -1")
 
     def test_bad_fault_spec_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -168,9 +183,9 @@ class TestJoinValidation:
         ("join", "--eps", "nan", "must be finite, got nan"),
         ("explain", "--eps", "inf", "must be finite, got inf"),
         ("query", "--eps", "nan", "must be finite, got nan"),
-        ("join", "--resolution-factor", "0.5", "must be >= 1, got 0.5"),
-        ("join", "--resolution-factor", "nan", "must be finite, got nan"),
-        ("explain", "--resolution-factor", "0.5", "must be >= 1, got 0.5"),
+        ("join", "--resolution-factor", "0.5", FACTOR_RULE + "got 0.5"),
+        ("join", "--resolution-factor", "nan", FACTOR_RULE + "got nan"),
+        ("explain", "--resolution-factor", "0.5", FACTOR_RULE + "got 0.5"),
     ], ids=["join-eps-negative", "join-eps-nan", "explain-eps-inf",
             "query-eps-nan", "join-factor-half", "join-factor-nan",
             "explain-factor-half"])
@@ -178,9 +193,14 @@ class TestJoinValidation:
         self, capsys, command, flag, value, message
     ):
         """Usage errors (exit 2, one error line), not a traceback from
-        the driver or the grid."""
+        the driver or the grid.  ``--eps`` is the command line's own
+        rule (argparse's line); the resolution factor is JoinConfig's."""
+        argv = [command, "--base-n", "500", flag, value]
+        if flag == "--resolution-factor":
+            assert_config_rejects(capsys, argv, message)
+            return
         with pytest.raises(SystemExit) as exit_info:
-            main([command, "--base-n", "500", flag, value])
+            main(argv)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: {message}" in err
@@ -217,14 +237,16 @@ class TestJoinValidation:
         assert "Traceback" not in err
 
     def test_checkpoint_cells_requires_spill(self, capsys):
-        rc = main(["join", "--checkpoint-cells"])
-        assert rc == 2
-        assert "--checkpoint-cells requires" in capsys.readouterr().err
+        assert_config_rejects(
+            capsys, ["join", "--checkpoint-cells"],
+            "checkpoint_cells requires a spill tier (memory or disk)",
+        )
 
     def test_spill_dir_requires_spill(self, capsys):
-        rc = main(["join", "--spill-dir", "/tmp/anywhere"])
-        assert rc == 2
-        assert "--spill-dir requires" in capsys.readouterr().err
+        assert_config_rejects(
+            capsys, ["join", "--spill-dir", "/tmp/anywhere"],
+            "spill_dir requires a spill tier (memory or disk)",
+        )
 
     def test_spill_rejected_for_non_grid_method(self, capsys):
         rc = main(["join", "--method", "naive", "--spill", "memory"])
@@ -314,17 +336,20 @@ class TestServeValidation:
         assert rc == 2
         assert "one-shot" in capsys.readouterr().err
 
-    def test_bad_port_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["serve", "--port", "99999"])
+    def test_bad_port_rejected(self, capsys):
+        assert_config_rejects(capsys, ["serve", "--port", "99999"],
+                              "port must be a whole number in [1, 65535], "
+                              "got 99999")
         with pytest.raises(SystemExit):
             main(["query", "--port", "0", "--ping"])
 
-    def test_bad_cache_budget_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["serve", "--cache-budget-mb", "-1"])
-        with pytest.raises(SystemExit):
-            main(["serve", "--result-cache-mb", "0"])
+    def test_bad_cache_budget_rejected(self, capsys):
+        assert_config_rejects(capsys, ["serve", "--cache-budget-mb", "-1"],
+                              "cache_budget_bytes must be a whole number "
+                              ">= 1, got -1000000")
+        assert_config_rejects(capsys, ["serve", "--result-cache-mb", "0"],
+                              "result_cache_bytes must be a whole number "
+                              ">= 1, got 0")
 
     def test_bad_register_spec_rejected(self):
         with pytest.raises(SystemExit):

@@ -303,6 +303,57 @@ def test_query_spec_declares_no_join_field():
     )
 
 
+def test_cli_declares_no_config_default():
+    """A setting is declared once: every ``join`` / ``explain`` / ``serve``
+    flag that sets a field of ``ExecutionSettings``, a join config or
+    ``ServerConfig`` defaults to ``None``.  Only the flags a user gives
+    are passed on, so the config's own default applies and its own
+    check runs.  (``--eps`` sets a field without a default.)"""
+    import argparse
+    from dataclasses import MISSING, fields
+
+    from repro.cli import _ONE_SHOT_TRAPS, build_parser
+    from repro.joins.distance_join import PLAN_FIELDS, JoinConfig
+    from repro.joins.generalized_join import GeneralizedJoinConfig
+    from repro.joins.object_join import ObjectJoinConfig
+    from repro.serving.server import ServerConfig
+
+    def defaulted(*configs):
+        return {
+            f.name for config in configs for f in fields(config)
+            if f.default is not MISSING or f.default_factory is not MISSING
+        }
+
+    joins = defaulted(JoinConfig, ObjectJoinConfig, GeneralizedJoinConfig)
+    owners = {  # command -> (fields it may set, flag dest -> field name)
+        "join": (joins, PLAN_FIELDS),
+        "explain": (joins, PLAN_FIELDS),
+        "serve": (defaulted(ServerConfig), {"socket": "socket_path"}),
+    }
+    commands = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    copies, unowned = [], {}
+    for command, (owned, aliases) in owners.items():
+        for action in commands[command]._actions:
+            name = aliases.get(action.dest, action.dest)
+            if name not in owned:
+                unowned.setdefault(command, set()).add(action.dest)
+            elif action.default is not None:
+                copies.append(f"{command} {action.option_strings[0]}")
+    assert not copies, copies
+    # every plan dimension is a flag of join and explain ...
+    for command in ("join", "explain"):
+        assert not unowned[command] & set(PLAN_FIELDS)
+    # ... and every serve flag sets the ServerConfig field of its dest,
+    # but for the ones that configure no server
+    assert unowned["serve"] == {
+        "help", "register", "base_n", "payload", "log_level", "quiet",
+        *(dest for dest, _ in _ONE_SHOT_TRAPS),
+    }
+
+
 def test_the_attempt_policy_is_read_in_one_module():
     """Written once: the retry budget and the backoff are the attempt
     ledger's alone.  No other module of ``repro.engine`` reads

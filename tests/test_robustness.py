@@ -13,7 +13,9 @@ from repro.grid.grid import Grid
 from repro.joins.distance_join import JoinConfig, distance_join
 from repro.joins.generalized_join import GeneralizedJoinConfig, generalized_distance_join
 from repro.joins.object_join import ObjectJoinConfig, ObjectSet, object_distance_join
+from repro.joins.pipeline import ExecutionSettings
 from repro.planner import plan_join
+from repro.serving.server import ServerConfig
 from repro.verify.oracle import kdtree_pairs
 from tests.conftest import make_graph
 
@@ -113,7 +115,7 @@ class TestValidation:
             ),
             pytest.param(
                 lambda r, s: plan_join(r, s, 0.1, pins={"resolution_factor": NAN}),
-                "resolution factors must be >= 1",
+                "resolution_factor must be finite and >= 1",
                 id="nan-factor-pin",
             ),
             pytest.param(
@@ -178,13 +180,28 @@ class TestValidation:
             ("num_workers", 0),
             ("sample_rate", 1.5),
         ]),
+        # the command line's rules, now the configs' own: finite values,
+        # whole counts, its ranges
+        *(pytest.param(ExecutionSettings, f, v, id=f"execution-{f}-{v}") for f, v in [
+            ("task_timeout", NAN),
+            ("max_retries", 1.5),
+            ("executor_workers", 2.5),
+        ]),
+        *(pytest.param(ServerConfig, f, v, id=f"server-{f}-{v}") for f, v in [
+            ("slo_window_seconds", NAN),
+            ("slo_p95_seconds", NAN),
+            ("max_inflight", NAN),
+            ("max_queue", NAN),
+            ("default_workers", 2.5),
+            ("result_cache_bytes", 0),
+        ]),
     ])
     def test_every_bad_config_field_fails_at_construction(self, config, field, value):
-        """Each join config is where its fields are checked: a bad value
-        is a ``ValueError`` naming its field from the constructor itself,
-        before any stage runs -- not a ``KeyError`` from a stage, nor a
-        default silently put in its place."""
-        required = {} if config is ObjectJoinConfig else {"eps": 0.1}
+        """Each config is where its fields are checked: a bad value is a
+        ``ValueError`` naming its field from the constructor itself,
+        before any stage runs or any query is served -- not a ``KeyError``
+        from a stage, nor a default silently put in its place."""
+        required = {"eps": 0.1} if config in (JoinConfig, GeneralizedJoinConfig) else {}
         with pytest.raises(ValueError, match=field):
             config(**{**required, field: value})
 

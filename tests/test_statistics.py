@@ -82,14 +82,6 @@ class TestPairQueries:
         # 1 R point replicated from a, times 3 S points in b
         assert stats4x4.edge_weight(a, b, Side.R) == 3
 
-    def test_estimated_cell_cost(self, grid4x4, stats4x4):
-        cell = grid4x4.cell_id(0, 0)
-        stats4x4.add_points(np.array([1.0, 1.1]), np.array([1.0, 1.1]), Side.R)
-        stats4x4.add_points(np.array([1.2, 1.3, 1.4]), np.array([1.2, 1.3, 1.4]), Side.S)
-        assert stats4x4.estimated_cell_cost(cell) == 6
-        # 1/phi scaling applies per side, so the product scales by 1/phi^2
-        assert stats4x4.estimated_cell_cost(cell, scale=10.0) == pytest.approx(600)
-
     def test_non_adjacent_rejected(self, grid4x4, stats4x4):
         with pytest.raises(ValueError):
             stats4x4.pair_candidates(
