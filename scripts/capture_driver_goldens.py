@@ -68,7 +68,7 @@ def capture_distance():
         for assignment in ("lpt", "hash"):
             cfg = JoinConfig(
                 eps=0.02, method=method, num_workers=4,
-                cell_assignment=assignment, seed=0,
+                cell_assignment=assignment, seed=0, local_kernel="plane_sweep",
             )
             res = distance_join(r, s, cfg)
             row = {

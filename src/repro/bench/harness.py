@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from repro.data.datasets import load_dataset
 from repro.data.pointset import PointSet
 from repro.engine.metrics import JoinMetrics
-from repro.joins.distance_join import JoinConfig, distance_join
+from repro.joins.distance_join import distance_join, paper_default_config
 from repro.baselines.sedona_like import SedonaConfig, sedona_join
 
 #: The paper's epsilon sweep (Table 3); our unit-square data space keeps
@@ -91,9 +91,10 @@ def run_grid_method(
     scale: BenchScale,
     **overrides,
 ) -> JoinMetrics:
-    """Run one grid-based method with the bench defaults; return metrics."""
-    cfg = JoinConfig(
-        eps=eps,
+    """Run one grid-based method in the paper's setup at the bench scale;
+    return metrics."""
+    cfg = paper_default_config(
+        eps,
         method=method,
         num_workers=overrides.pop("num_workers", scale.num_workers),
         num_partitions=overrides.pop("num_partitions", scale.num_partitions),

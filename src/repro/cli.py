@@ -777,27 +777,30 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("--method",
                       choices=sorted({*ALL_METHODS, *GENERALIZED_METHODS}),
                       default=None,
-                      help="replication method (validity depends on --join; "
-                           "default lpib, or planner-chosen with "
-                           "--tuning auto)")
+                      help="replication method (validity depends on "
+                           f"--join; default {JoinConfig.method}, or "
+                           "planner-chosen with --tuning auto)")
     join.add_argument("--partition", choices=PARTITIONS, default=None,
                       help="rectangulation of the generalized join")
     join.add_argument("--workers", type=int, default=None,
-                      help="simulated workers (default 12, or "
+                      help="simulated workers (default "
+                           f"{JoinConfig.num_workers}, or "
                            "planner-chosen with --tuning auto)")
     join.add_argument("--backend", choices=BACKENDS, default=None,
                       help="execution backend for the local-join phase "
-                           "(grid methods only; default serial)")
+                           "(grid methods only; default "
+                           f"{JoinConfig.execution_backend})")
     join.add_argument("--kernel", choices=sorted(LOCAL_KERNELS),
                       default=None,
-                      help="per-cell local join kernel (grid methods only; "
-                           "default plane_sweep, or planner-chosen with "
-                           "--tuning auto)")
+                      help="per-cell local join kernel (grid methods "
+                           f"only; default {JoinConfig.local_kernel}, "
+                           "or planner-chosen with --tuning auto)")
     join.add_argument("--resolution-factor", type=float,
                       default=None, metavar="K",
                       help="grid cell side in multiples of eps (grid "
-                           "methods only; default 2.0, or planner-chosen "
-                           "with --tuning auto)")
+                           "methods only; default "
+                           f"{JoinConfig.resolution_factor}, or "
+                           "planner-chosen with --tuning auto)")
     join.add_argument("--tuning", choices=("static", "auto"),
                       default="static",
                       help="'auto' runs the cost-based planner over every "
@@ -927,7 +930,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="listen on this localhost TCP port instead of "
                             "a unix socket")
     serve.add_argument("--host", default=None,
-                       help="bind address for --port (default 127.0.0.1)")
+                       help="bind address for --port")
     serve.add_argument("--backend", choices=BACKENDS, default=None,
                        help="execution backend every query runs on")
     serve.add_argument("--executor-workers", type=int,
@@ -935,8 +938,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="OS-level worker cap of the parallel backends")
     serve.add_argument("--workers", dest="default_workers", type=int,
                        default=None, metavar="WORKERS",
-                       help="default simulated workers for queries that do "
-                            "not set their own")
+                       help="simulated workers of the queries that do not "
+                            "set their own")
     serve.add_argument("--cache-budget-mb", dest="cache_budget_bytes",
                        type=_megabytes, default=None, metavar="MB",
                        help="artifact-cache byte budget (grids, agreement "
@@ -1021,14 +1024,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="registered dataset name of the S side")
     query.add_argument("--eps", type=_positive_float, default=None)
     query.add_argument("--method", choices=GRID_METHODS, default=None,
-                       help="replication method (default lpib; with "
-                            "--tuning auto, an explicit value pins the "
-                            "planner)")
+                       help="replication method (default "
+                            f"{JoinConfig.method}; with --tuning "
+                            "auto, an explicit value pins the planner)")
     query.add_argument("--kernel", choices=sorted(LOCAL_KERNELS),
                        default=None,
-                       help="local-join kernel (default plane_sweep; with "
-                            "--tuning auto, an explicit value pins the "
-                            "planner)")
+                       help="local-join kernel (default "
+                            f"{JoinConfig.local_kernel}; with --tuning "
+                            "auto, an explicit value pins the planner)")
     query.add_argument("--workers", type=_positive_int, default=None,
                        help="simulated workers (default: the server's "
                             "`repro serve --workers`; with --tuning auto, "
@@ -1040,7 +1043,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "the query (cached per dataset fingerprints + "
                             "eps bucket); flags set explicitly stay pinned")
     query.add_argument("--seed", type=int, default=None,
-                       help="seed of the statistics sample (default 0)")
+                       help="seed of the statistics sample (default "
+                            f"{JoinConfig.seed})")
     query.add_argument("--show-pairs", type=_nonnegative_int, default=0,
                        metavar="N",
                        help="fetch and print the first N result pairs")

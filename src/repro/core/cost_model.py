@@ -48,6 +48,7 @@ from repro.engine.shuffle import KEY_BYTES
 from repro.geometry.point import Side
 from repro.grid.grid import Grid
 from repro.grid.statistics import CandidateRows, GridStatistics
+from repro.joins.distance_join import JoinConfig
 
 
 #: The two clocks a prediction carries: the paper's cluster makespan and
@@ -578,16 +579,23 @@ def predict_join(
     r,
     s,
     eps: float,
-    method: str = "lpib",
-    sample_rate: float = 0.03,
-    num_workers: int = 12,
-    seed: int = 0,
+    method: str | None = None,
+    sample_rate: float | None = None,
+    num_workers: int | None = None,
+    seed: int | None = None,
 ) -> CostPrediction:
     """Sample two point sets and predict one method's cost.
 
     Decisions and counts use independent sample halves (bias-corrected);
-    the eps-grid method is predicted on its own finer grid.
+    the eps-grid method is predicted on its own finer grid.  A parameter
+    left ``None`` takes the :class:`~repro.joins.distance_join.JoinConfig`
+    default; candidates are priced for the ``plane_sweep`` kernel, as
+    :meth:`AnalyticalCostModel.predict` does by default.
     """
-    build = _build_models(r, s, eps, sample_rate, num_workers, seed)
-    model = build(1.0 if method == "eps_grid" else 2.0)
-    return model.predict(method)
+    given = dict(
+        method=method, sample_rate=sample_rate, num_workers=num_workers, seed=seed
+    )
+    cfg = JoinConfig(eps=eps, **{k: v for k, v in given.items() if v is not None})
+    build = _build_models(r, s, eps, cfg.sample_rate, cfg.num_workers, cfg.seed)
+    model = build(1.0 if cfg.method == "eps_grid" else cfg.resolution_factor)
+    return model.predict(cfg.method)

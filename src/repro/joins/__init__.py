@@ -4,8 +4,6 @@ from repro._lazy import _lazy_exports
 
 # importing any join module registers the point kernels with the engine
 from repro.joins import local as _local  # noqa: F401
-# eager: the function shadows its own submodule, which a lazy name cannot
-from repro.joins.distance_join import distance_join
 
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "api": ("spatial_join",),
@@ -20,4 +18,3 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "postprocess": ("post_process_attributes",),
     "queries": ("QueryResult", "closest_pairs", "knn_join", "self_join"),
 })
-__all__.append("distance_join")

@@ -37,7 +37,7 @@ def spatial_join(
     r,
     s,
     eps: float,
-    method: str = "lpib",
+    method: str | None = None,
     **options,
 ) -> JoinResult:
     """Compute the epsilon-distance join of two point collections.
@@ -48,7 +48,9 @@ def spatial_join(
         eps: the distance threshold.
         method: one of ``lpib``, ``diff`` (adaptive replication),
             ``uni_r``, ``uni_s``, ``eps_grid`` (PBSM baselines),
-            ``sedona`` (QuadTree + R-tree), or ``naive`` (KD-tree oracle).
+            ``sedona`` (QuadTree + R-tree), or ``naive`` (KD-tree oracle);
+            ``None`` runs :class:`~repro.joins.distance_join.JoinConfig`'s
+            default method.
         **options: forwarded to :class:`~repro.joins.distance_join.JoinConfig`
             (grid methods) or :class:`~repro.baselines.sedona_like.SedonaConfig`.
 
@@ -58,8 +60,10 @@ def spatial_join(
     """
     r = _as_point_set(r, "r")
     s = _as_point_set(s, "s")
-    if method in GRID_METHODS:
-        return distance_join(r, s, JoinConfig(eps=eps, method=method, **options))
+    if method is None or method in GRID_METHODS:
+        if method is not None:
+            options["method"] = method
+        return distance_join(r, s, JoinConfig(eps=eps, **options))
     if method == "sedona":
         from repro.baselines.sedona_like import SedonaConfig, sedona_join
 

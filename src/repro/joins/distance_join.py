@@ -146,7 +146,7 @@ class JoinConfig(ExecutionSettings):
     cell_assignment: str = "lpt"  # one of CELL_ASSIGNMENTS
     resolution_factor: float = 2.0  # grid cell side in multiples of eps
     duplicate_free: bool = True  # False: unmarked graph + distinct (Table 6)
-    local_kernel: str = "plane_sweep"
+    local_kernel: str = "grid_hash"
     seed: int = 0
     mbr: MBR | None = None
     #: When False, result pairs are counted but their ids are not
@@ -441,13 +441,15 @@ def config_variants(base: JoinConfig, **changes) -> JoinConfig:
 
 
 def paper_default_config(eps: float = 0.012, **overrides) -> JoinConfig:
-    """The paper's default experimental setup (Table 3, bold values)."""
+    """The paper's default experimental setup (Table 3, bold values), with
+    PBSM's plane-sweep local join."""
     defaults = dict(
         eps=eps,
         method="lpib",
         sample_rate=0.03,
         num_workers=12,
         num_partitions=96,
+        local_kernel="plane_sweep",
     )
     defaults.update(overrides)
     return JoinConfig(**defaults)

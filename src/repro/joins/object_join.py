@@ -366,13 +366,16 @@ def object_distance_join(
     r: ObjectSet,
     s: ObjectSet,
     eps: float,
-    method: str = "lpib",
+    method: str | None = None,
     **options,
 ) -> ObjectJoinResult:
-    """All object pairs within distance ``eps`` (exact)."""
+    """All object pairs within distance ``eps`` (exact); ``method`` and
+    ``options`` left out take :class:`ObjectJoinConfig`'s defaults."""
     if not eps >= 0:
         raise ValueError("eps must be non-negative")
-    cfg = ObjectJoinConfig(method=method, **options)
+    if method is not None:
+        options["method"] = method
+    cfg = ObjectJoinConfig(**options)
     return object_join(
         r, s, eps, lambda a, b: a.distance_to(b) <= eps, cfg
     )
@@ -381,9 +384,12 @@ def object_distance_join(
 def object_intersection_join(
     r: ObjectSet,
     s: ObjectSet,
-    method: str = "lpib",
+    method: str | None = None,
     **options,
 ) -> ObjectJoinResult:
-    """All intersecting object pairs (PBSM's original workload)."""
-    cfg = ObjectJoinConfig(method=method, **options)
+    """All intersecting object pairs (PBSM's original workload); ``method``
+    and ``options`` left out take :class:`ObjectJoinConfig`'s defaults."""
+    if method is not None:
+        options["method"] = method
+    cfg = ObjectJoinConfig(**options)
     return object_join(r, s, 0.0, objects_intersect, cfg)

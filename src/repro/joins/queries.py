@@ -47,6 +47,12 @@ class QueryResult:
         return set(zip(self.r_ids.tolist(), self.s_ids.tolist()))
 
 
+def _given(options: dict, **values) -> dict:
+    """``options`` plus the ``values`` a caller set (not ``None``); the
+    rest take :class:`JoinConfig`'s defaults."""
+    return {**options, **{k: v for k, v in values.items() if v is not None}}
+
+
 def _pair_distances(r: PointSet, s: PointSet, r_ids, s_ids) -> np.ndarray:
     """Exact distances for result pairs, via id -> row lookups."""
     r_index = {int(pid): i for i, pid in enumerate(r.ids)}
@@ -85,9 +91,9 @@ def knn_join(
     r: PointSet,
     s: PointSet,
     k: int,
-    method: str = "lpib",
+    method: str | None = None,
     max_rounds: int = 12,
-    seed: int = 0,
+    seed: int | None = None,
     **options,
 ) -> QueryResult:
     """For every R point, its ``k`` nearest S points.
@@ -99,8 +105,9 @@ def knn_join(
         raise ValueError("k must be positive")
     if len(s) == 0:
         raise ValueError("S must not be empty")
+    options = _given(options, method=method, seed=seed)
     k_eff = min(k, len(s))
-    eps = _estimate_knn_radius(r, s, k_eff, seed)
+    eps = _estimate_knn_radius(r, s, k_eff, options.get("seed", JoinConfig.seed))
 
     best: dict[int, list[tuple[float, int]]] = {int(pid): [] for pid in r.ids}
     pending = r
@@ -111,7 +118,7 @@ def knn_join(
     extent = max(r.mbr().union(s.mbr()).width, r.mbr().union(s.mbr()).height)
     while rounds < max_rounds and len(pending):
         rounds += 1
-        cfg = JoinConfig(eps=eps, method=method, seed=seed, **options)
+        cfg = JoinConfig(eps=eps, **options)
         res = distance_join(pending, s, cfg)
         total_time += res.metrics.exec_time_model
         total_bytes += res.metrics.shuffle_bytes
@@ -160,9 +167,9 @@ def closest_pairs(
     r: PointSet,
     s: PointSet,
     k: int,
-    method: str = "lpib",
+    method: str | None = None,
     max_rounds: int = 12,
-    seed: int = 0,
+    seed: int | None = None,
     **options,
 ) -> QueryResult:
     """The ``k`` closest (r, s) pairs over the whole data space."""
@@ -170,6 +177,7 @@ def closest_pairs(
         raise ValueError("k must be positive")
     if len(r) == 0 or len(s) == 0:
         raise ValueError("both inputs must be non-empty")
+    options = _given(options, method=method, seed=seed)
     k_eff = min(k, len(r) * len(s))
     # expected pairs within eps ~ |R| |S| pi eps^2 / area  =>  solve for k
     box = r.mbr().union(s.mbr())
@@ -184,7 +192,7 @@ def closest_pairs(
     total_repl = 0
     while True:
         rounds += 1
-        cfg = JoinConfig(eps=eps, method=method, seed=seed, **options)
+        cfg = JoinConfig(eps=eps, **options)
         res = distance_join(r, s, cfg)
         total_time += res.metrics.exec_time_model
         total_bytes += res.metrics.shuffle_bytes
@@ -210,12 +218,13 @@ def closest_pairs(
 def self_join(
     points: PointSet,
     eps: float,
-    method: str = "lpib",
-    seed: int = 0,
+    method: str | None = None,
+    seed: int | None = None,
     **options,
 ) -> QueryResult:
     """Epsilon-distance self-join: unordered pairs (i, j), i < j."""
-    cfg = JoinConfig(eps=eps, method=method, seed=seed, **options)
+    options = _given(options, method=method, seed=seed)
+    cfg = JoinConfig(eps=eps, **options)
     res = distance_join(points, points.with_payload(points.payload_bytes), cfg)
     mask = res.r_ids < res.s_ids
     r_ids = res.r_ids[mask]

@@ -13,9 +13,14 @@ never a log line per query.  The current verdict is exposed as a
 ``degraded`` flag plus the full :meth:`status` dict, which the join
 server's ``stats`` op and the Prometheus exporter both surface.
 
-Everything is O(window) with a small deque and a lock; the per-query
-hot-path cost is one ``deque.append`` plus an expiry sweep, which the
-observability perfsmoke guard budgets inside the 2% overhead envelope.
+The window is a deque of samples in arrival order beside a list of its
+successful latencies kept sorted by ``bisect``, and a running failure
+count.  A query costs one ``deque.append``, one ``insort`` and a
+``bisect`` delete per expired sample -- each a ``memmove`` of at most the
+window's length, microseconds at thousands of samples -- and a verdict
+reads its percentiles off the sorted list by index.  Nothing re-sorts the
+window, so the observability perfsmoke guard budgets the per-query cost
+inside its 2% overhead envelope.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
@@ -79,10 +85,8 @@ class SLOConfig:
 
 def _percentile(ordered: List[float], q: float) -> float:
     """Exact nearest-rank percentile of a pre-sorted list."""
-    if not ordered:
-        return 0.0
-    rank = max(0, min(len(ordered) - 1, int(round(q * (len(ordered) - 1)))))
-    return ordered[rank]
+    # 0 <= q <= 1 keeps the rank in range
+    return ordered[round(q * (len(ordered) - 1))] if ordered else 0.0
 
 
 class SLOWatchdog:
@@ -98,6 +102,10 @@ class SLOWatchdog:
         self._clock = clock
         self._lock = threading.Lock()
         self._samples: Deque[Tuple[float, float, bool]] = deque()
+        #: the window's successful latencies, ascending
+        self._ordered: List[float] = []
+        #: the window's failed samples
+        self._window_failures = 0
         self._degraded = False
         self._alerts = 0
         self._recoveries = 0
@@ -112,27 +120,35 @@ class SLOWatchdog:
     def observe(self, latency_seconds: float, *, failed: bool = False) -> None:
         """Record one query; re-evaluates the window verdict."""
         now = self._clock()
+        latency, failed = float(latency_seconds), bool(failed)
         with self._lock:
-            self._samples.append((now, float(latency_seconds), bool(failed)))
+            self._samples.append((now, latency, failed))
             self._observed += 1
             if failed:
                 self._failed += 1
+                self._window_failures += 1
+            else:
+                insort(self._ordered, latency)
             self._expire_locked(now)
             self._evaluate_locked()
 
     def _expire_locked(self, now: float) -> None:
         horizon = now - self.config.window_seconds
-        samples = self._samples
+        samples, ordered = self._samples, self._ordered
         while samples and samples[0][0] < horizon:
-            samples.popleft()
+            _, latency, failed = samples.popleft()
+            if failed:
+                self._window_failures -= 1
+            else:
+                del ordered[bisect_left(ordered, latency)]
 
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
 
     def _window_locked(self) -> Dict[str, float]:
-        latencies = sorted(s[1] for s in self._samples if not s[2])
-        failures = sum(1 for s in self._samples if s[2])
+        latencies = self._ordered
+        failures = self._window_failures
         total = len(self._samples)
         return {
             "samples": total,

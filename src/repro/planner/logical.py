@@ -19,6 +19,7 @@ from functools import cached_property
 from typing import Any
 
 from repro.data.pointset import dataset_fingerprint
+from repro.joins.distance_join import JoinConfig
 
 __all__ = ["JoinSpec"]
 
@@ -41,9 +42,10 @@ class JoinSpec:
     #: registry's); read them through :attr:`fingerprints`
     r_fingerprint: str = ""
     s_fingerprint: str = ""
-    #: Bernoulli rate of the statistics sample the clocks calibrate from
-    sample_rate: float = 0.03
-    seed: int = 0
+    #: Bernoulli rate and seed of the statistics sample the clocks
+    #: calibrate from; by default the join's own
+    sample_rate: float = JoinConfig.sample_rate
+    seed: int = JoinConfig.seed
     #: result count of joining the two samples (the unbiased sample-join
     #: cardinality estimator); filled by the planner after sampling
     sample_results: int | None = None
@@ -84,8 +86,8 @@ class JoinSpec:
         eps: float,
         *,
         join_kind: str = "distance",
-        sample_rate: float = 0.03,
-        seed: int = 0,
+        sample_rate: float = JoinConfig.sample_rate,
+        seed: int = JoinConfig.seed,
         r_fingerprint: str = "",
         s_fingerprint: str = "",
     ) -> "JoinSpec":

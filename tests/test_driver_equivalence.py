@@ -86,6 +86,7 @@ def test_distance_matches_pre_refactor_golden(distance_inputs, row):
     cfg = JoinConfig(
         eps=0.02, method=row["method"], num_workers=4,
         cell_assignment=row["cell_assignment"], seed=0,
+        local_kernel="plane_sweep",
     )
     res = distance_join(r, s, cfg)
     assert pairs_digest(res.pairs_set()) == row["pairs_sha256"]

@@ -27,6 +27,7 @@ process *does* import: package ``__init__`` modules export lazily
 
 import ast
 import os
+import re
 
 import pytest
 
@@ -308,7 +309,9 @@ def test_cli_declares_no_config_default():
     flag that sets a field of ``ExecutionSettings``, a join config or
     ``ServerConfig`` defaults to ``None``.  Only the flags a user gives
     are passed on, so the config's own default applies and its own
-    check runs.  (``--eps`` sets a field without a default.)"""
+    check runs.  (``--eps`` sets a field without a default.)  A help text
+    that names a default reads it off the config.  No string in the CLI
+    quotes one."""
     import argparse
     from dataclasses import MISSING, fields
 
@@ -352,6 +355,38 @@ def test_cli_declares_no_config_default():
         "help", "register", "base_n", "payload", "log_level", "quiet",
         *(dest for dest, _ in _ONE_SHOT_TRAPS),
     }
+
+    # Help texts too: one that names a default reads it off the config,
+    # so it says the value the config holds ...
+    owners["query"] = (joins, {"kernel": "local_kernel", "workers": "num_workers"})
+    value_of = {
+        f.name: f.default
+        # the point join's value where the drivers share a field name
+        for config in (ObjectJoinConfig, GeneralizedJoinConfig, ServerConfig,
+                       JoinConfig)
+        for f in fields(config) if f.default is not MISSING
+    }
+    stale = []
+    for command, (owned, aliases) in owners.items():
+        for action in commands[command]._actions:
+            name = aliases.get(action.dest, action.dest)
+            quoted = re.findall(r"default ([\w.]+)", action.help or "")
+            if name in owned and quoted != [] and quoted != [str(value_of[name])]:
+                stale.append(f"{command} {action.option_strings[0]}: {quoted}")
+    assert not stale, stale
+    # ... and no string in the CLI's source quotes a config's default
+    values = {
+        str(v) for v in value_of.values()
+        if isinstance(v, (str, int, float)) and not isinstance(v, bool)
+    }
+    tree = ast.parse(open(os.path.join(SRC_ROOT, "repro", "cli.py")).read())
+    copies = [
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and any(re.search(rf"\bdefault:? {re.escape(v)}\b", node.value)
+                for v in values)
+    ]
+    assert not copies, copies
 
 
 def test_the_attempt_policy_is_read_in_one_module():
@@ -506,7 +541,7 @@ from repro.joins.distance_join import JoinConfig, distance_join
 from repro.planner.planner import plan_join
 r, s = uniform(400, seed=1), uniform(400, seed=2)
 assert len(distance_join(r, s, JoinConfig(eps=0.05))) > 0
-assert len(distance_join(r, s, JoinConfig(eps=0.05, local_kernel="grid_hash"))) > 0
+assert len(distance_join(r, s, JoinConfig(eps=0.05, local_kernel="plane_sweep"))) > 0
 assert plan_join(r, s, 0.05, seed=1).config.eps == 0.05
 """)
     assert_not_loaded(loaded, NOT_FOR_A_JOIN)

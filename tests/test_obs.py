@@ -54,6 +54,7 @@ from repro.obs import (
     validate_metric_name,
 )
 from repro.obs.exporter import CONTENT_TYPE
+from repro.obs.slo import _percentile
 from repro.planner.accuracy import replay_reports
 from repro.serving import (
     JoinClient,
@@ -404,6 +405,61 @@ class TestSLOWatchdog:
         assert status["window"]["error_rate"] > 0.2
         # failed samples never pollute the latency percentiles
         assert status["window"]["p95_seconds"] == pytest.approx(0.01)
+
+    def test_sorted_window_replays_the_resorting_verdicts(self, caplog):
+        """The window's latencies are kept sorted as they come and go.
+        Replayed through a seeded trace -- bursts of slow queries and of
+        failures, repeated latencies, samples expiring -- every status
+        and every alert and recovery equals what re-sorting the whole
+        window on each call gives."""
+
+        class Resorting(SLOWatchdog):
+            def _window_locked(self):
+                latencies = sorted(s[1] for s in self._samples if not s[2])
+                failures = sum(1 for s in self._samples if s[2])
+                total = len(self._samples)
+                return {
+                    "samples": total,
+                    "failures": failures,
+                    "error_rate": failures / total if total else 0.0,
+                    "p50_seconds": _percentile(latencies, 0.50),
+                    "p95_seconds": _percentile(latencies, 0.95),
+                    "p99_seconds": _percentile(latencies, 0.99),
+                    "max_seconds": latencies[-1] if latencies else 0.0,
+                }
+
+        rng = np.random.default_rng(7)
+        steps = 3_000
+        gaps = rng.exponential(0.01, steps)
+        gaps[rng.random(steps) < 0.005] = 3.0  # idle spells empty the window
+        slow = (np.arange(steps) // 250) % 3 == 1  # alternating slow phases
+        latencies = np.round(rng.lognormal(-4.5, 0.6, steps), 3) + slow * 0.2
+        failed = rng.random(steps) < np.where(slow, 0.3, 0.02)
+        config = SLOConfig(
+            window_seconds=1.0, p95_seconds=0.05, p99_seconds=0.1,
+            error_rate=0.2, min_samples=5,
+        )
+
+        def replay(cls):
+            clock = [0.0]
+            dog = cls(config, clock=lambda: clock[0])
+            statuses = []
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="repro"):
+                for gap, latency, fail in zip(gaps, latencies, failed):
+                    clock[0] += float(gap)
+                    dog.observe(float(latency), failed=bool(fail))
+                    statuses.append(dog.status())
+            logged = [
+                (r.levelno, r.getMessage()) for r in caplog.records
+                if r.name == "repro.obs.slo"
+            ]
+            return statuses, logged
+
+        statuses, logged = replay(SLOWatchdog)
+        assert (statuses, logged) == replay(Resorting)
+        assert statuses[-1]["alerts"] >= 3 and statuses[-1]["recoveries"] >= 3
+        assert {s["window"]["samples"] for s in statuses} >= {1, 50}
 
     def test_min_samples_suppresses_flapping(self):
         dog = SLOWatchdog(SLOConfig(p95_seconds=0.1, min_samples=5))

@@ -206,6 +206,7 @@ class TestForcedChoiceBitIdentity:
         cfg = JoinConfig(
             eps=0.02, method=row["method"], num_workers=4,
             cell_assignment=row["cell_assignment"], seed=0,
+            local_kernel="plane_sweep",
         )
         res = distance_join(r, s, cfg, plan=distance_plan(cfg))
         assert pairs_digest(res.pairs_set()) == row["pairs_sha256"]

@@ -18,10 +18,12 @@ from repro.agreements.policies import (
     UniformPolicy,
     instantiate_pair_types,
 )
+from repro.data.pointset import PointSet
 from repro.geometry.mbr import MBR
 from repro.geometry.point import Side
 from repro.grid.grid import Grid
 from repro.grid.statistics import GridStatistics
+from repro.joins.distance_join import JoinConfig, distance_join
 from repro.joins.local import (
     _BAND_HEIGHT,
     grid_hash_expand,
@@ -477,3 +479,56 @@ def test_lockstep_marking_is_mark_quartet_per_quartet(nx, ny, seed, source, orde
     assert generate_duplicate_free_graph(graph, ordering) == expected
     assert np.array_equal(graph.marked, reference.marked)
     assert np.array_equal(graph.locked, reference.locked)
+
+
+# ----------------------------------------------------------------------
+# The default configuration end to end
+# ----------------------------------------------------------------------
+def _assert_default_join_is_the_nested_loop(r_xs, r_ys, s_xs, s_ys, eps, **config):
+    """A default-config ``distance_join`` returns ``nested_loop_join``'s
+    pair set over the whole inputs, each pair once without a dedup pass."""
+    r = PointSet(r_xs, r_ys, name="R")
+    s = PointSet(s_xs, s_ys, name="S", ids=1000 + np.arange(len(s_xs)))
+    got = distance_join(r, s, JoinConfig(eps=eps, num_workers=3, **config))
+    pairs = list(zip(got.r_ids.tolist(), got.s_ids.tolist()))
+    assert len(pairs) == len(set(pairs))
+    want = nested_loop_join(r.ids, r.xs, r.ys, s.ids, s.xs, s.ys, eps)
+    assert set(pairs) == _pairs(*want[:2])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    nx=st.integers(3, 6),
+    ny=st.integers(3, 6),
+    seed=st.integers(0, 10_000),
+    method=st.sampled_from(["lpib", "diff", "uni_r", "eps_grid"]),
+)
+def test_default_join_is_the_nested_loop_at_the_seams(nx, ny, seed, method):
+    """Points on, an ulp off and eps off the join grid's borders and
+    quartet reference points (the grid the config's MBR and eps build),
+    those inside the MBR: it is the join's data space."""
+    grid, _, rng = _small_graph(nx, ny, seed, "random")
+    box = grid.mbr
+    columns = []
+    for _side in Side:
+        xs, ys = _points_at_the_seams(grid, rng, 150)
+        inside = (box.xmin <= xs) & (xs <= box.xmax) & (box.ymin <= ys) & (ys <= box.ymax)
+        columns += [xs[inside], ys[inside]]
+    _assert_default_join_is_the_nested_loop(*columns, grid.eps, method=method, mbr=box)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    cells=st.one_of(_role_cells(("tie",)), _role_cells()),
+    method=st.sampled_from(["lpib", "diff", "uni_s"]),
+)
+def test_default_join_is_the_nested_loop_on_lattices_and_ties(cells, method):
+    """The kernel strategies' cells side by side, one unit apart: lattice
+    duplicates, pairs exactly eps apart, points on the kernel's band
+    borders, and cells with as many R as S points."""
+    r_xs, r_ys, s_xs, s_ys = (
+        np.concatenate([cell[k] + (i if k % 2 == 0 else 0) for i, cell in enumerate(cells)])
+        for k in range(4)
+    )
+    if len(r_xs) and len(s_xs):  # an empty side has no MBR to grid
+        _assert_default_join_is_the_nested_loop(r_xs, r_ys, s_xs, s_ys, _EPS, method=method)

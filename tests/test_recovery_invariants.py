@@ -55,7 +55,10 @@ def golden():
     if "ref" not in _GOLDEN:
         r, s = inputs()
         _GOLDEN["ref"] = distance_join(
-            r, s, JoinConfig(eps=EPS, method="lpib", num_workers=NUM_TASKS)
+            r, s, JoinConfig(
+                eps=EPS, method="lpib", num_workers=NUM_TASKS,
+                local_kernel="plane_sweep",
+            )
         )
     return _GOLDEN["ref"]
 

@@ -161,12 +161,12 @@ class TestFingerprint:
         # the kernel affects the query, not the build
         k1 = query_key(JoinConfig(eps=EPS), fr, fs)
         k2 = query_key(
-            JoinConfig(eps=EPS, local_kernel="grid_hash"), fr, fs
+            JoinConfig(eps=EPS, local_kernel="plane_sweep"), fr, fs
         )
         assert k1 != k2
         assert (
             grid_partition_key(
-                JoinConfig(eps=EPS, local_kernel="grid_hash"), fr, fs
+                JoinConfig(eps=EPS, local_kernel="plane_sweep"), fr, fs
             )
             == base
         )

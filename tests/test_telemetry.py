@@ -344,7 +344,9 @@ def test_serial_and_processes_record_the_same_span_set():
 
 def test_telemetry_does_not_change_the_answer():
     r, s = small_inputs()
-    cfg = JoinConfig(eps=EPS, method="lpib", num_workers=3)
+    cfg = JoinConfig(
+        eps=EPS, method="lpib", num_workers=3, local_kernel="plane_sweep"
+    )
     plain = distance_join(r, s, cfg)
     traced, telemetry = traced_join()
     assert np.array_equal(plain.r_ids, traced.r_ids)
