@@ -21,13 +21,13 @@ __version__ = "1.0.0"
 
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "core.cost_model": ("predict_join",),
-    "data.datasets": ("TUPLE_SIZE_FACTORS", "load_dataset", "paper_datasets"),
+    "data.datasets": ("TUPLE_SIZE_FACTORS", "load_dataset"),
     "data.generators": ("gaussian_clusters", "real_like", "uniform"),
     "data.object_generators": ("random_boxes", "random_polygons", "random_polylines"),
     "data.pointset": ("PointSet",),
     "geometry.mbr": ("MBR",),
     "geometry.objects": ("BoxObject", "PolygonObject", "PolylineObject"),
-    "geometry.point": ("Side", "SpatialPoint"),
+    "geometry.point": ("Side",),
     "grid.grid": ("Grid",),
     "joins.api": ("ALL_METHODS", "spatial_join"),
     "joins.distance_join": ("JoinConfig", "JoinResult", "distance_join"),

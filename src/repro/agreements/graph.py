@@ -167,11 +167,6 @@ class QuartetSubgraph:
         """All currently marked edges."""
         return [e for e in self.edges() if e.marked]
 
-    def reset_marks(self) -> None:
-        """Clear all marks and locks (used by tests and ablations)."""
-        self._graph.marked[self._row] = False
-        self._graph.locked[self._row] = False
-
 
 class PairTypes(Mapping):
     """The agreement type of every adjacent cell pair: ``frozenset((a, b))
@@ -288,14 +283,6 @@ class AgreementGraph:
     def pair_type(self, cell_a: int, cell_b: int) -> Side:
         """The agreement type between two adjacent cells."""
         return self.pair_types[frozenset((cell_a, cell_b))]
-
-    def quartet(self, corner: tuple[int, int]) -> QuartetSubgraph:
-        """The subgraph of the quartet at an interior corner."""
-        return self.quartets[corner]
-
-    def num_marked_edges(self) -> int:
-        """Total marked edges across all quartets."""
-        return int(np.count_nonzero(self.marked))
 
     def agreement_counts(self) -> dict[Side, int]:
         """How many adjacent pairs agreed on each input."""

@@ -88,9 +88,6 @@ class QuadTreePartitioner:
     def num_leaves(self) -> int:
         return len(self._leaves)
 
-    def leaf_mbrs(self) -> list[MBR]:
-        return [leaf.mbr for leaf in self._leaves]
-
     def leaf_of(self, x: float, y: float) -> int:
         """The single leaf containing a point (half-open tiling; points on
         the global upper edges belong to the last quadrant)."""

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.baselines.quadtree import QuadTreePartitioner
 from repro.baselines.rtree import RTree
-from repro.data.pointset import PointSet
+from repro.data.pointset import PointSet, joint_mbr
 from repro.data.sampling import bernoulli_sample
 from repro.engine.cluster import SimCluster
 from repro.engine.metrics import COST_MODEL, JoinMetrics, PhaseTimer
@@ -50,7 +50,6 @@ class SedonaConfig:
     rtree_leaf_capacity: int = 32
     max_depth: int = 12
     seed: int = 0
-    mbr: MBR | None = None
 
     def resolved_partitions(self) -> int:
         return self.target_partitions or self.num_workers
@@ -74,7 +73,7 @@ def sedona_join(r: PointSet, s: PointSet, cfg: SedonaConfig) -> JoinResult:
     # phase 1: QuadTree partitioning on a sample of the smaller input
     # ------------------------------------------------------------------
     timer.start("construction")
-    mbr = cfg.mbr or r.mbr().union(s.mbr())
+    mbr = joint_mbr(r, s)
     probe_is_r = len(r) <= len(s)  # the smaller set is expanded/replicated
     probe, build = (r, s) if probe_is_r else (s, r)
     sample = bernoulli_sample(probe, cfg.sample_rate, cfg.seed)

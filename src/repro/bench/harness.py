@@ -122,14 +122,3 @@ def run_method(
         )
         return sedona_join(r, s, cfg).metrics
     return run_grid_method(r, s, eps, method, scale, **overrides)
-
-
-def run_all_methods(
-    r: PointSet,
-    s: PointSet,
-    eps: float,
-    scale: BenchScale,
-    methods: tuple[str, ...] = ALL_COMPARED,
-) -> dict[str, JoinMetrics]:
-    """Metrics of every compared method on one workload."""
-    return {m: run_method(r, s, eps, m, scale) for m in methods}

@@ -975,7 +975,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--history-max-mb", dest="history_max_bytes",
                        type=_megabytes, default=None, metavar="MB",
                        help="rotate the history file past this size "
-                            "(two rotated generations are retained)")
+                            "(0: never)")
     serve.add_argument("--metrics-port", type=int, default=None,
                        metavar="PORT",
                        help="serve Prometheus text-format metrics on this "

@@ -85,38 +85,37 @@ class CostPrediction:
     #: exclude launch costs too; add it when comparing against measured
     #: wall time on a real thread/process backend (it mirrors the
     #: ``launch_overhead_model`` extra the accounting stage reports).
-    launch_time: float = 0.0
+    launch_time: float
     #: Local-join kernel the candidate count was priced for (the
-    #: planner's kernel dimension; ``plane_sweep`` is the historical
-    #: default every pre-planner prediction used).
-    kernel: str = "plane_sweep"
-    #: Worker count the makespans were priced for (``0``: the model's
-    #: constructor-level default).
-    workers: int = 0
+    #: planner's kernel dimension).
+    kernel: str
+    #: Worker count the makespans were priced for.
+    workers: int
     #: Input cardinalities and grid size the prediction is about -- with
     #: the counts above, everything :func:`repro.core.wall_model.wall_terms`
     #: reads (:meth:`quantities`).
-    n_r: int = 0
-    n_s: int = 0
-    cells: int = 0
+    n_r: int
+    n_s: int
+    cells: int
     #: Records (natives + replicas) in cells holding *both* inputs, and
     #: the number of such cells: only those are joined, a cell with one
     #: side present costs the local join nothing.
-    joinable_r: float = 0.0
-    joinable_s: float = 0.0
-    joinable_cells: int = 0
+    joinable_r: float
+    joinable_s: float
+    joinable_cells: int
     #: Predicted ``serial`` wall seconds per
     #: :data:`~repro.core.wall_model.WALL_PHASES` phase -- the second clock
     #: over the same quantities: what a caller of the ``serial`` backend
     #: waits for, where the modelled times above are the paper's cluster.
-    wall_phases: tuple[float, ...] = (0.0,) * len(WALL_PHASES)
+    wall_phases: tuple[float, ...]
 
     @classmethod
     def _of(cls, fields: dict) -> "CostPrediction":
-        """The prediction holding ``fields`` (all of them), built without
-        the generated ``__init__``: :meth:`AnalyticalCostModel.predict`
-        makes one per planner candidate, and a frozen dataclass's
-        ``__init__`` (a guarded ``setattr`` per field) was most of it."""
+        """The prediction holding ``fields`` (every field: none has a
+        default), built without the generated ``__init__``:
+        :meth:`AnalyticalCostModel.predict` makes one per planner
+        candidate, and a frozen dataclass's ``__init__`` (a guarded
+        ``setattr`` per field) was most of it."""
         prediction = object.__new__(cls)
         prediction.__dict__.update(fields)
         return prediction
@@ -317,11 +316,6 @@ class AnalyticalCostModel:
         agreed_r = policy().decide_pairs(self.stats, rows.pairs)
         agreed_r[rows.num_r:] ^= True  # an S row is carried where S was agreed
         return g.targets.compress(agreed_r), rows.count.compress(agreed_r)
-
-    def predicted_replication(self, method: str) -> dict[Side, float]:
-        """Expected replicated objects per input, scaled to full data."""
-        fields = self._method_totals(method).fields
-        return {Side.R: fields["replicated_r"], Side.S: fields["replicated_s"]}
 
     # ------------------------------------------------------------------
     # headline predictions
@@ -537,10 +531,11 @@ class AnalyticalCostModel:
 
 def _build_models(r, s, eps, sample_rate, num_workers, seed):
     """Sample once; build coarse (2 eps) and fine (eps) models lazily."""
+    from repro.data.pointset import joint_mbr
     from repro.data.sampling import bernoulli_sample
     from repro.joins.local import grid_hash_join
 
-    mbr = r.mbr().union(s.mbr())
+    mbr = joint_mbr(r, s)
     r_sample = bernoulli_sample(r, sample_rate, seed)
     s_sample = bernoulli_sample(s, sample_rate, seed + 1)
 

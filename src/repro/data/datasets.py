@@ -73,11 +73,3 @@ def load_dataset(
         ps = ps.tile(size_factor)
     return ps
 
-
-def paper_datasets(
-    base_n: int = DEFAULT_BASE_N, payload_bytes: int = 0
-) -> dict[str, PointSet]:
-    """All four Table-2 datasets keyed by codename."""
-    return {
-        name: load_dataset(name, base_n, payload_bytes) for name in sorted(_SPECS)
-    }

@@ -42,41 +42,3 @@ def read_points_text(
     rows = _read_records(path)
     return PointSet(rows["x"], rows["y"], rows["id"], payload_bytes, name)
 
-
-def write_points_text_parts(points: PointSet, directory: str, parts: int) -> list[str]:
-    """Write a point set as HDFS-style part files (``part-00000`` ...).
-
-    Rows are split into contiguous blocks, mirroring how HDFS chunks a
-    file; returns the part paths in order.
-    """
-    import os
-
-    if parts < 1:
-        raise ValueError("need at least one part")
-    os.makedirs(directory, exist_ok=True)
-    n = len(points)
-    block = -(-n // parts) if n else 1
-    paths = []
-    for p in range(parts):
-        lo, hi = p * block, min((p + 1) * block, n)
-        path = os.path.join(directory, f"part-{p:05d}")
-        with open(path, "w") as f:
-            for i in range(lo, hi):
-                f.write(
-                    f"{int(points.ids[i])},{float(points.xs[i])!r},"
-                    f"{float(points.ys[i])!r}\n"
-                )
-        paths.append(path)
-    return paths
-
-
-def read_points_text_parts(directory: str, payload_bytes: int = 0, name: str = "") -> PointSet:
-    """Read a directory of part files back into a :class:`PointSet`."""
-    import os
-
-    rows = np.concatenate([np.empty(0, dtype=_RECORD)] + [
-        _read_records(os.path.join(directory, entry))
-        for entry in sorted(os.listdir(directory))
-        if entry.startswith("part-")
-    ])
-    return PointSet(rows["x"], rows["y"], rows["id"], payload_bytes, name)

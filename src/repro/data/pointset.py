@@ -9,12 +9,12 @@ non-spatial attributes whose effect the paper studies in Figs. 16-18.
 from __future__ import annotations
 
 import hashlib
+import zlib
 from typing import Iterator
 
 import numpy as np
 
 from repro.geometry.mbr import MBR
-from repro.geometry.point import Side, SpatialPoint
 
 
 class PointSet:
@@ -95,7 +95,8 @@ class PointSet:
             raise ValueError("times must be >= 1")
         if times == 1:
             return self
-        rng = np.random.default_rng(hash((self.name, times)) & 0x7FFFFFFF)
+        # a stable digest: ``hash`` of a str is salted per process
+        rng = np.random.default_rng(zlib.crc32(f"{self.name}:{times}".encode()))
         box = self.mbr()
         jitter = 1e-4 * max(box.width, box.height)
         xs, ys = [self.xs], [self.ys]
@@ -121,12 +122,13 @@ class PointSet:
         for i in range(len(self)):
             yield (int(self.ids[i]), float(self.xs[i]), float(self.ys[i]))
 
-    def to_spatial_points(self, side: Side) -> list[SpatialPoint]:
-        """Materialize as :class:`SpatialPoint` objects (RDD-layer interface)."""
-        return [
-            SpatialPoint(int(pid), float(x), float(y), side, self.payload_bytes)
-            for pid, x, y in zip(self.ids, self.xs, self.ys)
-        ]
+
+def joint_mbr(r: PointSet, s: PointSet) -> MBR:
+    """The bounding rectangle of both join inputs.  An empty side has no
+    extent and meets no point, so it adds nothing; two empty sides give
+    the origin."""
+    boxes = [side.mbr() for side in (r, s) if len(side)] or [MBR(0, 0, 0, 0)]
+    return boxes[0].union(boxes[-1])
 
 
 def dataset_fingerprint(points) -> str:

@@ -82,10 +82,6 @@ class SimCluster:
         """Per-worker modelled cost over the given phases."""
         return [w.total(phases) for w in self.workers]
 
-    def phase_wall_makespan(self, *phases: str) -> float:
-        """Slowest worker by *measured* wall clock over the given phases."""
-        return max(w.wall_total(phases) for w in self.workers)
-
     def phase_wall_loads(self, *phases: str) -> list[float]:
         """Per-worker measured wall seconds over the given phases."""
         return [w.wall_total(phases) for w in self.workers]
@@ -116,15 +112,3 @@ class SimCluster:
     def wall_snapshot(self) -> dict[int, dict[str, float]]:
         """Per-worker *measured* wall clocks as plain dicts."""
         return {w.worker_id: dict(w.wall_clocks) for w in self.workers}
-
-    def phase_names(self) -> list[str]:
-        """Every phase any worker has a modelled clock for, sorted."""
-        names: set[str] = set()
-        for w in self.workers:
-            names.update(w.clocks)
-        return sorted(names)
-
-    def reset(self) -> None:
-        for w in self.workers:
-            w.clocks.clear()
-            w.wall_clocks.clear()

@@ -46,11 +46,6 @@ def get_kernel(name: str) -> Callable:
         ) from None
 
 
-def registered_kernels() -> dict[str, Callable]:
-    """A snapshot of the registry (name -> kernel)."""
-    return dict(_REGISTRY)
-
-
 def s_probes(r_counts, s_counts):
     """Per cell: does S probe?  The role rule of ``grid_hash``, which
     builds on the input with more records in a cell and probes with the

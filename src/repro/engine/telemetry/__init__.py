@@ -24,7 +24,6 @@ from .spans import (
     Span,
     Tracer,
     new_run_id,
-    span_children,
     validate_span_tree,
     write_trace,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "configure",
     "get_logger",
     "new_run_id",
-    "span_children",
     "validate_span_tree",
     "write_trace",
 ]
@@ -74,10 +72,6 @@ class Telemetry:
     @property
     def enabled(self) -> bool:
         return self.tracer.enabled
-
-    def logger(self, name: str):
-        """A structured logger stamped with this run's id."""
-        return get_logger(name, self.run_id)
 
     def report(self) -> RunReport:
         return RunReport(self.tracer.spans(), self.registry, self.run_id)

@@ -26,8 +26,6 @@ Sections:
 
 from __future__ import annotations
 
-import json
-
 from .registry import MetricsRegistry
 from .spans import Span
 
@@ -191,9 +189,6 @@ class RunReport:
             "planner": self.planner(),
             "metrics": self.counters(),
         }
-
-    def render_json(self) -> str:
-        return json.dumps(self.to_json(), indent=2, default=str)
 
     def render(self) -> str:
         lines: list[str] = []

@@ -42,7 +42,6 @@ __all__ = [
     "Span",
     "Tracer",
     "new_run_id",
-    "span_children",
     "validate_span_tree",
     "write_trace",
 ]
@@ -298,16 +297,8 @@ class Tracer:
 
 
 # ----------------------------------------------------------------------
-# trace well-formedness (shared by the report and the test suite)
+# trace well-formedness (the test suite's check of every trace)
 # ----------------------------------------------------------------------
-def span_children(spans: list[Span]) -> dict[str | None, list[Span]]:
-    """Children grouped by parent id (``None`` holds the roots)."""
-    children: dict[str | None, list[Span]] = {}
-    ids = {s.span_id for s in spans}
-    for span in spans:
-        parent = span.parent_id if span.parent_id in ids else None
-        children.setdefault(parent, []).append(span)
-    return children
 
 
 def validate_span_tree(spans: list[Span]) -> None:

@@ -7,8 +7,6 @@ squared-distance variants let hot loops skip the square root.
 
 from __future__ import annotations
 
-from repro.geometry.mbr import MBR
-
 
 def euclidean(x1: float, y1: float, x2: float, y2: float) -> float:
     """Euclidean distance between two points."""
@@ -23,12 +21,3 @@ def euclidean_sq(x1: float, y1: float, x2: float, y2: float) -> float:
     dy = y1 - y2
     return dx * dx + dy * dy
 
-
-def within_eps(x1: float, y1: float, x2: float, y2: float, eps: float) -> bool:
-    """Whether two points are within distance ``eps`` (inclusive)."""
-    return euclidean_sq(x1, y1, x2, y2) <= eps * eps
-
-
-def mindist_point_rect(x: float, y: float, rect: MBR) -> float:
-    """MINDIST between a point and a rectangle (Sect. 3.2 of the paper)."""
-    return rect.mindist_point(x, y)

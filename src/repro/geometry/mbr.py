@@ -41,15 +41,6 @@ class MBR:
         """Whether ``(x, y)`` lies inside this (closed) rectangle."""
         return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
 
-    def contains_point_halfopen(self, x: float, y: float) -> bool:
-        """Containment with half-open ``[min, max)`` semantics.
-
-        Used by space partitioners so a point on a shared border belongs to
-        exactly one partition (the reference-point duplicate-avoidance
-        technique relies on this).
-        """
-        return self.xmin <= x < self.xmax and self.ymin <= y < self.ymax
-
     def intersects(self, other: "MBR") -> bool:
         """Whether the two closed rectangles share at least one point."""
         return not (
@@ -64,15 +55,6 @@ class MBR:
         dx = max(self.xmin - x, 0.0, x - self.xmax)
         dy = max(self.ymin - y, 0.0, y - self.ymax)
         return (dx * dx + dy * dy) ** 0.5
-
-    def expand(self, margin: float) -> "MBR":
-        """A copy grown by ``margin`` on every side."""
-        return MBR(
-            self.xmin - margin,
-            self.ymin - margin,
-            self.xmax + margin,
-            self.ymax + margin,
-        )
 
     def union(self, other: "MBR") -> "MBR":
         """The smallest rectangle covering both inputs."""

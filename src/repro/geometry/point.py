@@ -1,18 +1,13 @@
-"""Point records for the two join inputs.
+"""The two join inputs.
 
 The :math:`\\epsilon`-distance join operates on two collections of points,
-conventionally named *R* and *S*.  Every point carries an integer identifier
-(unique within its own collection), coordinates, and a modelled payload size
-in bytes.  The payload models the non-spatial attributes of real tuples
-(names, descriptions, ...) that the paper's *tuple size factor* experiments
-vary (Figs. 16-18); we track the byte count instead of materializing fake
-strings so large workloads stay memory-friendly.
+conventionally named *R* and *S*; :class:`Side` names one of them.  The
+points themselves live column-wise in :class:`~repro.data.pointset.PointSet`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class Side(enum.Enum):
@@ -28,39 +23,3 @@ class Side(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-
-@dataclass(frozen=True, slots=True)
-class SpatialPoint:
-    """A 2-d point belonging to one of the two join inputs.
-
-    Attributes:
-        pid: identifier, unique within the point's own collection.
-        x, y: coordinates.
-        side: which input (``Side.R`` or ``Side.S``) the point belongs to.
-        payload_bytes: modelled size of non-spatial attributes.
-    """
-
-    pid: int
-    x: float
-    y: float
-    side: Side
-    payload_bytes: int = 0
-
-    def distance_to(self, other: "SpatialPoint") -> float:
-        """Euclidean distance to another point."""
-        dx = self.x - other.x
-        dy = self.y - other.y
-        return (dx * dx + dy * dy) ** 0.5
-
-    @property
-    def coords(self) -> tuple[float, float]:
-        """The ``(x, y)`` coordinate pair."""
-        return (self.x, self.y)
-
-    def serialized_bytes(self) -> int:
-        """Modelled on-the-wire size of this tuple.
-
-        8 bytes for the identifier, 8 per coordinate, plus the payload.
-        """
-        return 24 + self.payload_bytes

@@ -267,20 +267,6 @@ class Grid:
         offset = (0, east, east + 1, 2 * east + 1)[_DIRECTIONS[step]]
         return before + 4 * ax - (ax > 0) + offset
 
-    def pair_kind(self, cell_a: int, cell_b: int) -> str:
-        """Adjacency kind of two cells: ``"side"``, ``"corner"``.
-
-        Raises ``ValueError`` for non-adjacent or identical cells.
-        """
-        ax, ay = self.cell_pos(cell_a)
-        bx, by = self.cell_pos(cell_b)
-        dx, dy = abs(ax - bx), abs(ay - by)
-        if dx + dy == 1:
-            return "side"
-        if dx == 1 and dy == 1:
-            return "corner"
-        raise ValueError(f"cells {cell_a} and {cell_b} are not adjacent")
-
     def describe(self) -> str:
         """A one-line human-readable summary of the grid."""
         return (

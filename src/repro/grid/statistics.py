@@ -123,7 +123,6 @@ class GridStatistics:
         # per input and cell, one column per FACINGS entry: the four strips,
         # then the four corners
         self._facing_counts = np.zeros((2, n, 8), dtype=np.int64)
-        self._sampled = [0, 0]
 
     # ------------------------------------------------------------------
     # collection
@@ -146,16 +145,16 @@ class GridStatistics:
         facing = np.bincount(_facing_slots(cell, near), minlength=32 * n)
         facing = facing.reshape(2, 2, n, 8)
         return tuple(
-            cls._of(grid, totals[half], facing[half], list(sizes[2 * half : 2 * half + 2]))
+            cls._of(grid, totals[half], facing[half])
             for half in (0, 1)
         )
 
     @classmethod
-    def _of(cls, grid: Grid, totals, facing_counts, sampled) -> "GridStatistics":
+    def _of(cls, grid: Grid, totals, facing_counts) -> "GridStatistics":
         """Statistics over tables filled elsewhere (no zeroed ones first)."""
         stats = cls.__new__(cls)
         stats.grid = grid
-        stats._totals, stats._facing_counts, stats._sampled = totals, facing_counts, sampled
+        stats._totals, stats._facing_counts = totals, facing_counts
         return stats
 
     def add_points(self, xs: np.ndarray, ys: np.ndarray, side: Side) -> None:
@@ -163,15 +162,11 @@ class GridStatistics:
         cid, near = _classify(self.grid, xs, ys)
         row = _ROW[side]
         np.add.at(self._totals[row], cid, 1)
-        self._sampled[row] += cid.size
         np.add.at(self._facing_counts[row].ravel(), _facing_slots(cid, near), 1)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def sampled_count(self, side: Side) -> int:
-        """How many points of one input were accumulated."""
-        return self._sampled[_ROW[side]]
 
     def cell_count(self, cell_id: int, side: Side) -> int:
         """Sampled points of one input inside a cell."""

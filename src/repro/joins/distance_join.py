@@ -38,12 +38,11 @@ import numpy as np
 
 from repro._checks import check_count
 from repro.agreements.marking import ORDERINGS
-from repro.data.pointset import PointSet
+from repro.data.pointset import PointSet, joint_mbr
 from repro.data.sampling import bernoulli_sample
 from repro.engine.metrics import COST_MODEL, JoinMetrics
 from repro.engine.shuffle import KEY_BYTES
 from repro.engine.telemetry import Tracer
-from repro.geometry.mbr import MBR
 from repro.geometry.point import Side
 from repro.grid.grid import Grid
 from repro.grid.statistics import GridStatistics
@@ -148,7 +147,6 @@ class JoinConfig(ExecutionSettings):
     duplicate_free: bool = True  # False: unmarked graph + distinct (Table 6)
     local_kernel: str = "grid_hash"
     seed: int = 0
-    mbr: MBR | None = None
     #: When False, result pairs are counted but their ids are not
     #: materialized -- used by large benchmark sweeps.  Requires
     #: ``duplicate_free`` (the distinct step needs the ids).
@@ -264,7 +262,7 @@ class _BuildPartitionStage(Stage):
         """Construct the grid/stats/assigner/placement bundle, each step
         under a ``construction`` child span of the stage."""
         r, s = self.r, self.s
-        mbr = cfg.mbr or r.mbr().union(s.mbr())
+        mbr = joint_mbr(r, s)
         factor = 1.0 if cfg.method == "eps_grid" else cfg.resolution_factor
         grid = Grid(mbr, cfg.eps, factor)
 
@@ -412,13 +410,12 @@ def distance_join(
     """Execute a parallel epsilon-distance join on the simulated cluster.
 
     Runs :func:`distance_stages` of ``cfg`` through
-    :func:`run_staged_join`.  A ``plan`` must be the distance plan of a
-    config equal to ``cfg``; any other plan is rejected, not half-obeyed.
+    :func:`run_staged_join`.  A ``plan`` must be the plan of a config
+    equal to ``cfg``; any other plan is rejected, not half-obeyed.
     """
-    if plan is not None and (plan.join_kind != "distance" or plan.config != cfg):
+    if plan is not None and plan.config != cfg:
         raise ValueError(
-            f"the distance driver runs only the distance plan of its own "
-            f"config, not this {plan.join_kind!r} plan"
+            "the distance driver runs only the plan of its own config"
         )
     metrics = JoinMetrics(
         method=cfg.method,

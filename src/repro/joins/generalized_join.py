@@ -50,12 +50,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.pointset import PointSet
+from repro.data.pointset import PointSet, joint_mbr
 from repro.data.sampling import bernoulli_sample
 from repro.engine.lpt import lpt_assignment
 from repro.engine.metrics import COST_MODEL, JoinMetrics
 from repro.engine.shuffle import KEY_BYTES
-from repro.geometry.mbr import MBR
 from repro.geometry.point import Side
 from repro.grid.grid import Grid
 from repro.joins.distance_join import JoinResult, check_choice, check_eps, check_sizing
@@ -103,7 +102,6 @@ class GeneralizedJoinConfig(ExecutionSettings):
     sample_rate: float = 0.05
     num_workers: int = 12
     seed: int = 0
-    mbr: MBR | None = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -179,7 +177,7 @@ class _RectangulationStage(Stage):
     def run(self, ctx: JoinContext) -> None:
         cfg: GeneralizedJoinConfig = ctx.cfg
         r, s = self.r, self.s
-        mbr = cfg.mbr or r.mbr().union(s.mbr())
+        mbr = joint_mbr(r, s)
         r_sample = bernoulli_sample(r, cfg.sample_rate, cfg.seed)
         s_sample = bernoulli_sample(s, cfg.sample_rate, cfg.seed + 1)
         part = _build_partition(cfg, mbr, r_sample, s_sample)

@@ -489,36 +489,6 @@ def _expand_owned(probe: GridHashProbe) -> tuple[np.ndarray, np.ndarray, np.ndar
     return out_r, out_s, bounds
 
 
-def grid_hash_join_batch(
-    r_ids: np.ndarray,
-    r_xs: np.ndarray,
-    r_ys: np.ndarray,
-    r_offsets: np.ndarray,
-    s_ids: np.ndarray,
-    s_xs: np.ndarray,
-    s_ys: np.ndarray,
-    s_offsets: np.ndarray,
-    eps: float,
-    origins: np.ndarray | None,
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray] | None:
-    """All cells of one worker task: :func:`grid_hash_probe`, columns of
-    its own, :func:`grid_hash_expand`.
-
-    Entry ``i`` of each returned list is exactly what
-    :func:`grid_hash_join` returns for segment ``i`` alone -- same pairs,
-    same order, same candidate count.  ``None`` when the probe declines.
-    """
-    probe = grid_hash_probe(
-        r_ids, r_xs, r_ys, r_offsets, s_ids, s_xs, s_ys, s_offsets, eps, origins
-    )
-    if probe is None:
-        return None
-    out_r, out_s, bounds = _expand_owned(probe)
-    pair_r = [out_r[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    pair_s = [out_s[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return pair_r, pair_s, probe.candidates
-
-
 #: Kernel registry used by join configurations.
 LOCAL_KERNELS = {
     "nested_loop": nested_loop_join,

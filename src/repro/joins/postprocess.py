@@ -90,33 +90,6 @@ def merge_sorted_unique(blocks: list[np.ndarray]) -> np.ndarray:
     return merged[keep]
 
 
-def distinct_pairs_batched(
-    r_ids: np.ndarray,
-    s_ids: np.ndarray,
-    block_bounds: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`distinct_pairs` via per-block unique + one k-way merge.
-
-    ``block_bounds`` (len B+1) delimits per-worker segments of the pair
-    arrays; each segment is uniquified independently (the worker-local
-    half of a parallel distinct) and the sorted blocks merged with
-    :func:`merge_sorted_unique`.  With ``block_bounds=None`` the whole
-    input is one block.  Output is bit-identical to
-    :func:`distinct_pairs`.
-    """
-    if len(r_ids) == 0:
-        return np.asarray(r_ids, dtype=np.int64), np.asarray(s_ids, dtype=np.int64)
-    key = pack_pair_keys(r_ids, s_ids)
-    if block_bounds is None:
-        blocks = [np.unique(key)]
-    else:
-        blocks = [
-            np.unique(key[int(block_bounds[i]) : int(block_bounds[i + 1])])
-            for i in range(len(block_bounds) - 1)
-        ]
-    return unpack_pair_keys(merge_sorted_unique(blocks))
-
-
 @dataclass
 class PostProcessReport:
     """Modelled cost of attaching attributes after the join."""

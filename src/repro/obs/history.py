@@ -38,6 +38,8 @@ import threading
 import time
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro._checks import check_count
+
 __all__ = ["RunHistory"]
 
 #: record discriminator so future line types can share the file
@@ -57,19 +59,22 @@ class RunHistory:
     retain_files:
         How many rotated generations (``path.1`` .. ``path.N``) to keep;
         older generations are deleted at rotation time.
+
+    The class attributes are the defaults (``ServerConfig`` reads them),
+    and :meth:`check_rotation` is the one rule for both limits.
     """
+
+    MAX_BYTES = 64 * 1024 * 1024
+    RETAIN_FILES = 2
 
     def __init__(
         self,
         path: str,
         *,
-        max_bytes: int = 64 * 1024 * 1024,
-        retain_files: int = 2,
+        max_bytes: int = MAX_BYTES,
+        retain_files: int = RETAIN_FILES,
     ) -> None:
-        if max_bytes < 0:
-            raise ValueError("history max_bytes must be >= 0")
-        if retain_files < 1:
-            raise ValueError("history retain_files must be >= 1")
+        self.check_rotation(max_bytes, retain_files)
         self.path = os.fspath(path)
         self.max_bytes = int(max_bytes)
         self.retain_files = int(retain_files)
@@ -81,6 +86,14 @@ class RunHistory:
         self._corrupt_lines = 0
         parent = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(parent, exist_ok=True)
+
+    @staticmethod
+    def check_rotation(max_bytes: int, retain_files: int) -> None:
+        """The rotation limits' rule, each limit named as ``ServerConfig``
+        names it: whole numbers, ``max_bytes >= 0`` (0: never rotate) and
+        ``retain_files >= 1``."""
+        check_count("history_max_bytes", max_bytes, 0)
+        check_count("history_retain_files", retain_files, 1)
 
     # ------------------------------------------------------------------
     # writing
@@ -222,9 +235,6 @@ class RunHistory:
         """
         for entry in self.entries():
             yield entry["report"]
-
-    def run_ids(self) -> List[str]:
-        return [entry.get("run_id", "") for entry in self.entries()]
 
     def get(self, run_id: str) -> Optional[Dict[str, Any]]:
         """Latest stored report for ``run_id``, or ``None``."""

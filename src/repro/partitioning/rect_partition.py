@@ -7,9 +7,7 @@ rectangular *leaves*.  The generalized adaptive join requires:
   of leaves *touching* its native leaf (for dyadic QuadTrees all leaf
   edges lie on a common integral lattice, which makes the gap between
   any two non-touching leaves at least one minimum side);
-* the adjacency structure (leaves sharing a border segment or a point);
-* the *hazard corners*: points where three or more leaves meet -- the
-  spots where mixing agreement types can duplicate results.
+* the adjacency structure (leaves sharing a border segment or a point).
 """
 
 from __future__ import annotations
@@ -32,8 +30,6 @@ class RectPartition(abc.ABC):
         self.eps = eps
         self.leaves: list[MBR] = []
         self._adjacency: dict[int, list[int]] | None = None
-        self._corner_tree = None
-        self._corners: np.ndarray | None = None
 
     # -- to be provided by subclasses ----------------------------------
     @abc.abstractmethod
@@ -78,62 +74,6 @@ class RectPartition(abc.ABC):
                 if self.leaves[i].intersects(self.leaves[j]):
                     self._adjacency[i].append(j)
                     self._adjacency[j].append(i)
-
-    # -- hazard corners --------------------------------------------------
-    def hazard_corners(self) -> np.ndarray:
-        """Points where at least three leaves meet, as an (n, 2) array.
-
-        Each unique leaf vertex is probed with four diagonal offsets: the
-        distinct leaves covering the four quadrants around the vertex are
-        exactly the leaves meeting there (offsets are far smaller than the
-        ``2 * eps`` minimum leaf side, so no leaf can be skipped).  This
-        also catches T-junctions, where the through-going leaf does not
-        have the meeting point as one of its own vertices.
-        """
-        if self._corners is None:
-            delta = 1e-9 * max(self.mbr.width, self.mbr.height, 1.0)
-            seen: dict[tuple[float, float], tuple[float, float]] = {}
-            for leaf in self.leaves:
-                for vx in (leaf.xmin, leaf.xmax):
-                    for vy in (leaf.ymin, leaf.ymax):
-                        seen.setdefault((round(vx, 9), round(vy, 9)), (vx, vy))
-            corners = []
-            for vx, vy in seen.values():
-                meeting = {
-                    self.leaf_of(vx + sx * delta, vy + sy * delta)
-                    for sx in (-1, 1)
-                    for sy in (-1, 1)
-                }
-                if len(meeting) >= 3:
-                    corners.append((vx, vy))
-            self._corners = (
-                np.asarray(corners, dtype=np.float64)
-                if corners
-                else np.empty((0, 2))
-            )
-        return self._corners
-
-    def _tree(self, corners: np.ndarray):
-        """The KD-tree over the hazard corners, built on first use."""
-        if self._corner_tree is None:
-            from scipy.spatial import cKDTree
-
-            self._corner_tree = cKDTree(corners)
-        return self._corner_tree
-
-    def corner_distance(self, x: float, y: float) -> float:
-        """Distance to the nearest hazard corner (inf if none exist)."""
-        corners = self.hazard_corners()
-        if len(corners) == 0:
-            return float("inf")
-        return float(self._tree(corners).query([x, y])[0])
-
-    def corner_distances(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`corner_distance`."""
-        corners = self.hazard_corners()
-        if len(corners) == 0:
-            return np.full(len(xs), np.inf)
-        return self._tree(corners).query(np.column_stack([xs, ys]))[0]
 
     def targets_within_eps(self, x: float, y: float, native: int) -> list[int]:
         """Touching leaves within ``eps`` of a point of the native leaf."""

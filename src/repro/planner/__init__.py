@@ -31,8 +31,7 @@ from repro._lazy import _lazy_exports
 
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "accuracy": (
-        "ClockError", "clock_errors_from_metrics", "clock_errors_from_report",
-        "replay_reports", "summarize_errors",
+        "ClockError", "clock_errors_from_metrics", "replay_reports",
     ),
     "logical": ("JoinSpec",),
     "planner": (

@@ -37,9 +37,7 @@ from repro.core.wall_model import WALL_STAGES
 __all__ = [
     "ClockError",
     "clock_errors_from_metrics",
-    "clock_errors_from_report",
     "replay_reports",
-    "summarize_errors",
 ]
 
 #: clock -> {prediction phase -> stage span carrying the measured clock}
@@ -58,10 +56,6 @@ class ClockError:
     phase: str
     predicted: float
     measured: float
-
-    @property
-    def absolute_error(self) -> float:
-        return self.predicted - self.measured
 
     @property
     def relative_error(self) -> float:
@@ -133,21 +127,6 @@ def _measured_from_stages(report: Mapping[str, Any], clock: str) -> dict[str, fl
     return measured
 
 
-def clock_errors_from_report(
-    prediction: Any, report: Mapping[str, Any], clock: str = "modelled"
-) -> list[ClockError]:
-    """Compare a :class:`CostPrediction` against a recorded report.
-
-    ``report`` is a ``RunReport.to_json()`` dict (or a ``RunReport``
-    itself).
-    """
-    if hasattr(report, "to_json"):
-        report = report.to_json()
-    return _errors(
-        clock, prediction.phases(clock), _measured_from_stages(report, clock)
-    )
-
-
 def replay_reports(reports: Iterable[Mapping[str, Any]]) -> list[ClockError]:
     """Replay recorded reports that carry an embedded planner section.
 
@@ -171,34 +150,3 @@ def replay_reports(reports: Iterable[Mapping[str, Any]]) -> list[ClockError]:
             _errors(clock, predicted, _measured_from_stages(report, clock))
         )
     return errors
-
-
-def summarize_errors(errors: Iterable[ClockError]) -> dict:
-    """Aggregate clock errors into the numbers the tests bound.
-
-    Returns overall and per-phase mean/max absolute relative error plus
-    the signed mean (systematic bias).  Infinite errors (zero
-    measurement, non-zero prediction) propagate into the maxima.
-    """
-    errors = list(errors)
-    if not errors:
-        return {"count": 0, "phases": {}, "max_abs_relative_error": 0.0}
-    by_phase: dict[str, list[ClockError]] = {}
-    for err in errors:
-        by_phase.setdefault(err.phase, []).append(err)
-    phases = {}
-    for phase, errs in sorted(by_phase.items()):
-        rels = [e.relative_error for e in errs]
-        phases[phase] = {
-            "count": len(errs),
-            "mean_abs_relative_error": sum(abs(r) for r in rels) / len(rels),
-            "max_abs_relative_error": max(abs(r) for r in rels),
-            "mean_signed_relative_error": sum(rels) / len(rels),
-        }
-    all_rels = [e.relative_error for e in errors]
-    return {
-        "count": len(errors),
-        "phases": phases,
-        "mean_abs_relative_error": sum(abs(r) for r in all_rels) / len(all_rels),
-        "max_abs_relative_error": max(abs(r) for r in all_rels),
-    }

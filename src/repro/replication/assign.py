@@ -21,7 +21,7 @@ every point to the set of cells that must see it:
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Protocol
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,20 +34,10 @@ from repro.agreements.graph import (
     AgreementGraph,
     QuartetSubgraph,
 )
-from repro.geometry.distance import euclidean
+from repro.geometry.distance import euclidean_sq
 from repro.geometry.point import Side
 from repro.grid.areas import AreaKind, classify_point
 from repro.grid.grid import Grid
-
-
-class Assigner(Protocol):
-    """Maps a point to the ids of all cells it is assigned to."""
-
-    grid: Grid
-
-    def assign(self, x: float, y: float, side: Side) -> tuple[int, ...]:
-        """Native cell first, then replication targets (deduplicated)."""
-        ...
 
 
 def medupar(
@@ -68,7 +58,7 @@ def medupar(
     cl = sub.diagonal(native)
     e_il = sub.edge(native, cl)
     if e_il.side == side and not e_il.marked:
-        if euclidean(x, y, *sub.ref) <= eps:
+        if euclidean_sq(x, y, *sub.ref) <= eps * eps:
             assigned.add(cl)
         else:
             # Redirect: a marked same-type side edge withholds this point
@@ -104,14 +94,13 @@ def supar(
     if native not in sub.pos_of:
         return assigned
     eps = grid.eps
-    if euclidean(x, y, *sub.ref) > 2.0 * eps:
+    if euclidean_sq(x, y, *sub.ref) > 4.0 * eps * eps:
         return assigned
 
     side_cells = sub.side_neighbors(native)
     cl = sub.diagonal(native)
     for cj in side_cells:
-        cj_mbr = grid.cell_mbr(*grid.cell_pos(cj))
-        if cj_mbr.mindist_point(x, y) > eps:
+        if _mindist_sq(grid, *grid.cell_pos(cj), x, y) > eps * eps:
             continue
         e_ji = sub.edge(cj, native)
         if e_ji.side == side or not e_ji.marked:
@@ -241,25 +230,6 @@ def _mindist_sq(
     dx = np.maximum(np.maximum(x0 - x, 0.0), x - (x0 + grid.cell_w))
     dy = np.maximum(np.maximum(y0 - y, 0.0), y - (y0 + grid.cell_h))
     return dx * dx + dy * dy
-
-
-def _root_le(sq: np.ndarray, eps: float) -> np.ndarray:
-    """``sq ** 0.5 <= eps`` exactly as the scalar ``MBR.mindist_point`` decides it.
-
-    Python's ``** 0.5`` is libm ``pow``, which is not correctly rounded: it
-    is one ulp off ``np.sqrt`` on about one input in a thousand.  Squares
-    are compared with ``eps ** 2``; only those within a few ulps of it are
-    rooted, and a root within two ulps of ``eps`` is re-decided with the
-    scalar expression.
-    """
-    le = sq <= eps * eps
-    ulp = np.spacing(eps)
-    near = np.flatnonzero((sq >= (eps - 4.0 * ulp) ** 2) & (sq <= (eps + 4.0 * ulp) ** 2))
-    flat = le.reshape(-1)
-    for i, v in zip(near.tolist(), sq.reshape(-1)[near].tolist()):
-        root = float(np.sqrt(v))
-        flat[i] = v ** 0.5 <= eps if abs(root - eps) <= 2.0 * ulp else root <= eps
-    return le
 
 
 class _Edges(NamedTuple):
@@ -409,9 +379,8 @@ class AdaptiveAssigner:
         # on the quartet at that corner of the cell, whose targets beyond
         # eps of its reference point are a subset of those within.  Near
         # one (plain replication area): the neighbour across it, if the
-        # pair's type is this input.  The distance is squared, as the join
-        # kernels compare it; the scalar medupar roots it, which differs
-        # only within an ulp of the circle, where either answer is correct.
+        # pair's type is this input.  The distance is squared and compared
+        # with eps * eps, as the join kernels and the scalar medupar do.
         dx = x - x_edges.corner[cx + grid.nx * west]
         dy = y - y_edges.corner[cy + grid.ny * south]
         near_ref = dx * dx + dy * dy <= eps * eps
@@ -455,7 +424,7 @@ class AdaptiveAssigner:
         np.square(gaps, out=gaps)
         gaps[:2] += np.square(np.minimum(np.minimum(to_s, 0.0), to_n))
         gaps[2:] += np.square(np.minimum(np.minimum(to_w, 0.0), to_e))
-        close = _root_le(gaps, eps)
+        close = gaps <= eps * eps
         # per point and corner, one byte each: whether the SupAr targets for
         # the x-neighbour's (y-neighbour's) withheld points apply
         uses_x, uses_y = (
@@ -484,8 +453,3 @@ class AdaptiveAssigner:
         np.take(border, np.right_shift(record, 4, out=record), out=points)
         cells += np.take(native, points)
         return cell_ids, point_idx
-
-
-def count_replicas(assignments: Iterable[tuple[int, ...]]) -> int:
-    """Total replicated objects over a stream of assignment tuples."""
-    return sum(len(a) - 1 for a in assignments)

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.geometry.point import Side
 from repro.grid.grid import Grid
-from repro.replication.assign import _mindist_sq, _root_le
+from repro.replication.assign import _mindist_sq
 
 
 def replication_targets_universal(grid: Grid, x: float, y: float) -> tuple[int, ...]:
@@ -38,7 +38,7 @@ def replication_targets_universal(grid: Grid, x: float, y: float) -> tuple[int, 
         for cxx in range(lo_x, hi_x + 1):
             if (cxx, cyy) == (ncx, ncy):
                 continue
-            if grid.cell_mbr(cxx, cyy).mindist_point(x, y) <= eps:
+            if _mindist_sq(grid, cxx, cyy, x, y) <= eps * eps:
                 targets.append(grid.cell_id(cxx, cyy))
     return tuple(targets)
 
@@ -98,7 +98,7 @@ class UniversalAssigner:
                         (cxx <= hi_x)
                         & (cyy <= hi_y)
                         & ((cxx != cx) | (cyy != cy))
-                        & _root_le(_mindist_sq(grid, cxx, cyy, xs, ys), eps)
+                        & (_mindist_sq(grid, cxx, cyy, xs, ys) <= eps * eps)
                     )
             idxs, column = np.divmod(np.flatnonzero(keep), keep.shape[1])
             oy, ox = np.divmod(column - 1, wx)

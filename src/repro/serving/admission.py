@@ -41,13 +41,12 @@ def _consume_exception(fut: asyncio.Future) -> None:
 
 
 class AdmissionController:
-    """Bounded-concurrency, single-flight query admission."""
+    """Bounded-concurrency, single-flight query admission.
 
-    def __init__(self, max_inflight: int = 2, max_queue: int = 16):
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
-        if max_queue < 0:
-            raise ValueError(f"max_queue must be >= 0, got {max_queue}")
+    The bounds are ``ServerConfig.max_inflight`` / ``max_queue``, which
+    that config declares and checks."""
+
+    def __init__(self, max_inflight: int, max_queue: int):
         self.max_inflight = max_inflight
         self.max_queue = max_queue
         self._sem = asyncio.Semaphore(max_inflight)

@@ -17,12 +17,6 @@ from repro.data.pointset import dataset_fingerprint
 __all__ = ["dataset_fingerprint", "grid_partition_key", "query_key"]
 
 
-def _mbr_key(mbr) -> tuple | None:
-    if mbr is None:
-        return None
-    return (mbr.xmin, mbr.ymin, mbr.xmax, mbr.ymax)
-
-
 def grid_partition_key(cfg, r_fingerprint: str, s_fingerprint: str) -> tuple:
     """The artifact-cache key of one build/partition stage output.
 
@@ -46,7 +40,6 @@ def grid_partition_key(cfg, r_fingerprint: str, s_fingerprint: str) -> tuple:
         int(cfg.resolved_partitions()),
         bool(cfg.duplicate_free),
         cfg.marking_ordering,
-        _mbr_key(cfg.mbr),
     )
 
 

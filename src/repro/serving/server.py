@@ -71,6 +71,7 @@ from repro.obs import (
     render_metrics,
 )
 from repro.joins.distance_join import JoinConfig, distance_join
+from repro.joins.pipeline import ExecutionSettings
 from repro.serving.admission import AdmissionController, QueryRejected
 from repro.serving.cache import ArtifactCache, estimate_nbytes
 from repro.serving.fingerprint import grid_partition_key, query_key
@@ -197,7 +198,6 @@ _WIRE_NAMES = {name: wire for wire, name in WIRE_ALIASES.items()}
 #: and the ones the server itself reads.
 QUERY_FIELDS = frozenset(JOIN_FIELDS) | {
     "r", "s", "tuning", "reuse_results", "max_pairs", "trace", "report",
-    "return_spans",
 }
 
 
@@ -222,11 +222,11 @@ class ServerConfig:
     #: Execution backend queries run on: any of the executor's
     #: ``BACKENDS``.  Fault injection belongs to one-shot runs
     #: (``faults`` stays a rejected one-shot field).
-    backend: str = "serial"
+    backend: str = ExecutionSettings.execution_backend
     #: OS-level worker cap for the parallel backends.
     executor_workers: int | None = None
     #: Default simulated workers for queries that do not set ``workers``.
-    default_workers: int = 12
+    default_workers: int = JoinConfig.num_workers
     #: State directory (``None``: a fresh pid-tagged temp directory).
     state_dir: str | None = None
     #: Run the startup hygiene sweep before binding.
@@ -235,17 +235,19 @@ class ServerConfig:
     #: query appends its RunReport; the file replays through
     #: ``repro.planner.accuracy.replay_reports``.
     history_path: str | None = None
-    history_max_bytes: int = 64_000_000
-    history_retain_files: int = 2
+    #: Rotation limits, declared and checked by ``RunHistory``.
+    history_max_bytes: int = RunHistory.MAX_BYTES
+    history_retain_files: int = RunHistory.RETAIN_FILES
     #: Prometheus scrape endpoint port (``None``: exporter HTTP off;
     #: ``0``: bind an ephemeral port).  Loopback only.
     metrics_port: int | None = None
-    #: SLO watchdog thresholds (all ``None``: watchdog off).
-    slo_p95_seconds: float | None = None
-    slo_p99_seconds: float | None = None
-    slo_error_rate: float | None = None
-    slo_window_seconds: float = 300.0
-    slo_min_samples: int = 5
+    #: SLO watchdog thresholds (all ``None``: watchdog off), declared and
+    #: checked by ``SLOConfig``.
+    slo_p95_seconds: float | None = SLOConfig.p95_seconds
+    slo_p99_seconds: float | None = SLOConfig.p99_seconds
+    slo_error_rate: float | None = SLOConfig.error_rate
+    slo_window_seconds: float = SLOConfig.window_seconds
+    slo_min_samples: int = SLOConfig.min_samples
 
     def __post_init__(self):
         if self.socket_path is not None and self.port is not None:
@@ -264,13 +266,12 @@ class ServerConfig:
         for name in (
             "cache_budget_bytes",
             "result_cache_bytes",
-            "history_max_bytes",
-            "history_retain_files",
             "max_inflight",
             "default_workers",
         ):
             check_count(name, getattr(self, name), 1)
         check_count("max_queue", self.max_queue, 0)
+        RunHistory.check_rotation(self.history_max_bytes, self.history_retain_files)
         # delegate threshold validation (and hold the parsed config)
         object.__setattr__(self, "_slo_config", SLOConfig(
             window_seconds=self.slo_window_seconds,
@@ -296,10 +297,6 @@ class QuerySpec:
     max_pairs: int | None = None
     trace: bool = False
     report: bool = False
-    #: Return the merged span trees (``Span.to_dict`` rows) in the
-    #: response -- the cross-process span-merge test surface; requires
-    #: ``trace``.
-    return_spans: bool = False
     #: ``"auto"``: the server's cost-based planner chooses every plan
     #: dimension the request left unpinned (see docs/PLANNER.md).
     tuning: str = "static"
@@ -371,14 +368,11 @@ class QuerySpec:
             max_pairs=int(max_pairs) if max_pairs is not None else None,
             trace=bool(request.get("trace", False)),
             report=bool(request.get("report", False)),
-            return_spans=bool(request.get("return_spans", False)),
             tuning=tuning,
             pinned=tuple(sorted(d for d in PLANNABLE_FIELDS if d in request)),
         )
         if spec.max_pairs is not None and spec.max_pairs < 0:
             raise ProtocolError("max_pairs must be >= 0")
-        if spec.return_spans and not spec.trace:
-            raise ProtocolError("return_spans requires trace: true")
         return spec
 
 
@@ -998,10 +992,6 @@ class JoinServer:
             planner_meta["errors"] = planner_payload["errors"]
         if spec.trace:
             payload["spans"] = len(telemetry.tracer)
-        if spec.return_spans:
-            payload["trace_spans"] = [
-                span.to_dict() for span in telemetry.tracer.spans()
-            ]
         if spec.report:
             payload["report"] = telemetry.report().render()
         return self._finish(payload, started)

@@ -101,6 +101,29 @@ def all_type_combos(grid: Grid):
     return itertools.product([Side.R, Side.S], repeat=n)
 
 
+def grid_hash_batch(r_ids, r_xs, r_ys, r_off, s_ids, s_xs, s_ys, s_off, eps, origins):
+    """Every cell of one task through the registered ``grid_hash`` batch
+    kernel (one probe, one expand, as the executor runs them), split back
+    into per-cell ``(pair_r, pair_s, candidates)``; ``None`` when the
+    probe declines."""
+    from repro.joins.local import grid_hash_expand, grid_hash_probe
+
+    probe = grid_hash_probe(
+        r_ids, r_xs, r_ys, r_off, s_ids, s_xs, s_ys, s_off, eps, origins
+    )
+    if probe is None:
+        return None
+    out_r = np.empty(probe.total, dtype=np.int64)
+    out_s = np.empty(probe.total, dtype=np.int64)
+    _end, bounds = grid_hash_expand(probe, out_r, out_s)
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    return (
+        [out_r[lo:hi] for lo, hi in spans],
+        [out_s[lo:hi] for lo, hi in spans],
+        probe.candidates,
+    )
+
+
 def cell_layout(cells):
     """One side's shuffle layout for points that each sit in one cell.
 

@@ -19,6 +19,7 @@ from repro.agreements.policies import (
     instantiate_pair_types,
 )
 from repro.data.generators import gaussian_clusters, uniform
+from repro.data.pointset import PointSet
 from repro.geometry.mbr import MBR
 from repro.geometry.point import Side
 from repro.grid.grid import Grid
@@ -113,7 +114,7 @@ class TestViewsWriteThrough:
 
     def test_edge_writes_reach_the_arrays_and_other_views(self, grid2x2):
         graph = make_graph(grid2x2, self.TYPES)
-        sub, other = graph.quartet((1, 1)), graph.quartets[(1, 1)]
+        sub, other = graph.quartets[(1, 1)], graph.quartets[(1, 1)]
         assert sub is not other
         e = sub.edge(2, 0)
         e.marked = True
@@ -125,8 +126,7 @@ class TestViewsWriteThrough:
         seen = other.edge(2, 0)
         assert seen is not e and seen.marked and seen.locked and seen.weight == 2.5
         assert [(m.tail, m.head) for m in other.marked_edges()] == [(2, 0)]
-        assert graph.num_marked_edges() == 1
-        other.reset_marks()
+        seen.marked = seen.locked = False
         assert not e.marked and not e.locked
         assert not graph.marked.any() and not graph.locked.any()
 
@@ -137,20 +137,20 @@ class TestViewsWriteThrough:
         graph = make_graph(grid2x2, self.TYPES)
         before = AdaptiveAssigner(grid2x2, graph)
         assert before.assign(x, y, Side.R) == (2, 0, 1, 3)
-        graph.quartet((1, 1)).edge(2, 0).marked = True
+        graph.quartets[(1, 1)].edge(2, 0).marked = True
         after = AdaptiveAssigner(grid2x2, graph)
         assert after.assign(x, y, Side.R) == (2, 1, 3)
         cells, idxs = after.assign_batch(np.array([x]), np.array([y]), Side.R)
         assert cells.tolist() == [2, 1, 3] and idxs.tolist() == [0, 0, 0]
-        graph.quartet((1, 1)).reset_marks()
+        graph.quartets[(1, 1)].edge(2, 0).marked = False
         cells, _ = AdaptiveAssigner(grid2x2, graph).assign_batch(np.array([x]), np.array([y]), Side.R)
         assert cells.tolist() == [2, 0, 1, 3]
 
     def test_lockstep_marks_are_visible_through_views(self, grid2x2):
         graph = make_graph(grid2x2, self.TYPES)
-        sub = graph.quartet((1, 1))  # taken before marking
+        sub = graph.quartets[(1, 1)]  # taken before marking
         report = generate_duplicate_free_graph(graph)
-        assert report.marked_edges == len(sub.marked_edges()) == graph.num_marked_edges() > 0
+        assert report.marked_edges == len(sub.marked_edges()) == graph.marked.sum() > 0
 
 
 class _ScalarOnlyLPiB(AgreementPolicy):
@@ -178,11 +178,13 @@ def test_policy_overriding_only_decide_builds_the_same_graph():
 
 
 def _cached_bundle(eps: float) -> dict:
+    # the unit square's opposite corners make the data's MBR the square
     r, s = uniform(3000, seed=1), uniform(3000, seed=2)
+    r = PointSet(np.r_[r.xs, 0.0, 1.0], np.r_[r.ys, 0.0, 1.0])
     cache = ArtifactCache(1 << 30)
     # hash placement: the LPT table is a dict over joinable cells by design
     cfg = JoinConfig(
-        eps=eps, method="lpib", mbr=MBR(0, 0, 1, 1), cell_assignment="hash",
+        eps=eps, method="lpib", cell_assignment="hash",
         artifact_cache=cache, artifact_key=("bundle", eps),
     )
     distance_join(r, s, cfg)

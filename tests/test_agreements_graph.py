@@ -13,11 +13,11 @@ class TestQuartetSubgraph:
         assert set(graph.quartets) == {(1, 1)}
 
     def test_twelve_directed_edges(self, grid2x2):
-        sub = make_graph(grid2x2, Side.R).quartet((1, 1))
+        sub = make_graph(grid2x2, Side.R).quartets[(1, 1)]
         assert len(list(sub.edges())) == 12
 
     def test_edges_paired_and_typed(self, grid2x2):
-        sub = make_graph(grid2x2, Side.S).quartet((1, 1))
+        sub = make_graph(grid2x2, Side.S).quartets[(1, 1)]
         cells = list(sub.cells.values())
         for a in cells:
             for b in cells:
@@ -28,7 +28,7 @@ class TestQuartetSubgraph:
                 assert (e_ab.tail, e_ab.head) == (a, b)
 
     def test_side_neighbors_and_diagonal(self, grid2x2):
-        sub = make_graph(grid2x2, Side.R).quartet((1, 1))
+        sub = make_graph(grid2x2, Side.R).quartets[(1, 1)]
         bl, br = sub.cells["bl"], sub.cells["br"]
         tl, tr = sub.cells["tl"], sub.cells["tr"]
         assert set(sub.side_neighbors(bl)) == {br, tl}
@@ -36,36 +36,28 @@ class TestQuartetSubgraph:
         assert sub.diagonal(tr) == bl
 
     def test_pair_is_diagonal(self, grid2x2):
-        sub = make_graph(grid2x2, Side.R).quartet((1, 1))
+        sub = make_graph(grid2x2, Side.R).quartets[(1, 1)]
         assert sub.pair_is_diagonal(sub.cells["bl"], sub.cells["tr"])
         assert not sub.pair_is_diagonal(sub.cells["bl"], sub.cells["br"])
 
     def test_four_triangles(self, grid2x2):
-        sub = make_graph(grid2x2, Side.R).quartet((1, 1))
+        sub = make_graph(grid2x2, Side.R).quartets[(1, 1)]
         tris = list(sub.triangles())
         assert len(tris) == 4
         assert all(len(set(t)) == 3 for t in tris)
 
     def test_triangles_of_pair(self, grid2x2):
-        sub = make_graph(grid2x2, Side.R).quartet((1, 1))
+        sub = make_graph(grid2x2, Side.R).quartets[(1, 1)]
         bl, br = sub.cells["bl"], sub.cells["br"]
         assert len(list(sub.triangles_of_pair(bl, br))) == 2
 
     def test_third_vertices(self, grid2x2):
-        sub = make_graph(grid2x2, Side.R).quartet((1, 1))
+        sub = make_graph(grid2x2, Side.R).quartets[(1, 1)]
         thirds = sub.third_vertices(sub.cells["bl"], sub.cells["br"])
         assert set(thirds) == {sub.cells["tl"], sub.cells["tr"]}
 
-    def test_reset_marks(self, grid2x2):
-        sub = make_graph(grid2x2, Side.R).quartet((1, 1))
-        edge = next(iter(sub.edges()))
-        edge.marked = True
-        edge.locked = True
-        sub.reset_marks()
-        assert not any(e.marked or e.locked for e in sub.edges())
-
     def test_ref_is_corner_coords(self, grid2x2):
-        sub = make_graph(grid2x2, Side.R).quartet((1, 1))
+        sub = make_graph(grid2x2, Side.R).quartets[(1, 1)]
         assert sub.ref == (2.5, 2.5)
 
 
@@ -81,7 +73,7 @@ class TestAgreementGraph:
             q for q, sub in graph.quartets.items() if a in sub.pos_of and b in sub.pos_of
         ]
         assert len(holders) == 2
-        copies = [graph.quartet(q).edge(a, b) for q in holders]
+        copies = [graph.quartets[q].edge(a, b) for q in holders]
         assert copies[0] is not copies[1]
         assert copies[0].side == copies[1].side
 
@@ -98,8 +90,8 @@ class TestAgreementGraph:
         assert counts[Side.S] == 4
 
     def test_num_marked_edges_initially_zero(self, grid4x4):
-        assert make_graph(grid4x4, Side.R).num_marked_edges() == 0
+        assert not make_graph(grid4x4, Side.R).marked.any()
 
     def test_weights_default_zero_without_stats(self, grid2x2):
-        sub = make_graph(grid2x2, Side.R).quartet((1, 1))
+        sub = make_graph(grid2x2, Side.R).quartets[(1, 1)]
         assert all(e.weight == 0.0 for e in sub.edges())

@@ -75,7 +75,7 @@ class TestQuadTree:
         xs, ys = cloud(500, 5)
         qt = QuadTreePartitioner(MBR(0, 0, 10, 10), xs, ys, capacity=50)
         assert qt.num_leaves >= 4
-        total_area = sum(m.area for m in qt.leaf_mbrs())
+        total_area = sum(leaf.mbr.area for leaf in qt._leaves)
         assert total_area == pytest.approx(100.0)
 
     def test_leaf_of_unique_and_consistent(self):
@@ -84,15 +84,15 @@ class TestQuadTree:
         probe_x, probe_y = cloud(200, 7)
         for x, y in zip(probe_x, probe_y):
             leaf = qt.leaf_of(float(x), float(y))
-            assert qt.leaf_mbrs()[leaf].contains_point(float(x), float(y))
+            assert qt._leaves[leaf].mbr.contains_point(float(x), float(y))
 
     def test_leaves_overlapping(self):
         xs, ys = cloud(400, 8)
         qt = QuadTreePartitioner(MBR(0, 0, 10, 10), xs, ys, capacity=40)
         rect = MBR(2, 2, 4, 4)
         overlapping = set(qt.leaves_overlapping(rect))
-        for i, m in enumerate(qt.leaf_mbrs()):
-            assert (i in overlapping) == m.intersects(rect)
+        for i, leaf in enumerate(qt._leaves):
+            assert (i in overlapping) == leaf.mbr.intersects(rect)
 
     def test_no_split_below_capacity(self):
         xs, ys = cloud(10, 9)

@@ -269,7 +269,8 @@ def test_spilled_shuffle_blocks_share_one_backing_array():
 # 5. batched primitives
 # ----------------------------------------------------------------------
 def test_batched_grid_hash_matches_scalar_kernel():
-    from repro.joins.local import grid_hash_join, grid_hash_join_batch
+    from repro.joins.local import grid_hash_join
+    from tests.conftest import grid_hash_batch
 
     rng = np.random.default_rng(3)
     segments = []
@@ -297,7 +298,7 @@ def test_batched_grid_hash_matches_scalar_kernel():
     s_xs, _ = concat(1, 1)
     s_ys, _ = concat(1, 2)
 
-    out = grid_hash_join_batch(
+    out = grid_hash_batch(
         r_ids, r_xs, r_ys, r_off, s_ids, s_xs, s_ys, s_off, eps, None
     )
     assert out is not None
@@ -310,25 +311,29 @@ def test_batched_grid_hash_matches_scalar_kernel():
 
 
 def test_batched_distinct_matches_full_unique():
+    """Per-block unique plus one k-way merge, as ``parallel_distinct``
+    runs it, equals the whole-input ``distinct_pairs``."""
     from repro.joins.postprocess import (
         distinct_pairs,
-        distinct_pairs_batched,
         merge_sorted_unique,
         pack_pair_keys,
+        unpack_pair_keys,
     )
 
     rng = np.random.default_rng(5)
     r_ids = rng.integers(0, 50, 4000).astype(np.int64)
     s_ids = rng.integers(0, 50, 4000).astype(np.int64)
     ref_r, ref_s = distinct_pairs(r_ids, s_ids)
+    key = pack_pair_keys(r_ids, s_ids)
     for blocks in (1, 3, 7, 16):
         bounds = np.linspace(0, len(r_ids), blocks + 1).astype(np.int64)
-        got_r, got_s = distinct_pairs_batched(r_ids, s_ids, bounds)
+        got_r, got_s = unpack_pair_keys(merge_sorted_unique(
+            [np.unique(key[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        ))
         np.testing.assert_array_equal(got_r, ref_r)
         np.testing.assert_array_equal(got_s, ref_s)
 
     # the merge alone: equals np.unique over the concatenation
-    key = pack_pair_keys(r_ids, s_ids)
     parts = [np.unique(key[i::4]) for i in range(4)]
     np.testing.assert_array_equal(
         merge_sorted_unique(parts), np.unique(key)

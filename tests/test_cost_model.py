@@ -128,7 +128,6 @@ class TestModelMechanics:
         pred = model.predict("uni_r")
         cfg = JoinConfig(
             eps=0.05, method="uni_r", sample_rate=1.0, collect_pairs=False,
-            mbr=grid.mbr,
         )
         actual = distance_join(r, s, cfg).metrics
         assert pred.replicated_total == pytest.approx(actual.replicated_total)
@@ -150,7 +149,7 @@ class TestModelMechanics:
         predicted = model.predict(method, kernel="grid_hash").candidates
         cfg = JoinConfig(
             eps=eps, method=method, resolution_factor=factor,
-            local_kernel="grid_hash", collect_pairs=False, mbr=grid.mbr,
+            local_kernel="grid_hash", collect_pairs=False,
         )
         counted = distance_join(r, s, cfg).metrics.candidate_pairs
         assert 0.85 * counted < predicted < 1.15 * counted

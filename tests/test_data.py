@@ -1,18 +1,17 @@
 """Unit tests for point sets, generators, datasets, sampling and IO."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from repro.data.datasets import (
-    TUPLE_SIZE_FACTORS,
-    load_dataset,
-    paper_datasets,
-)
+from repro.data.datasets import TUPLE_SIZE_FACTORS, load_dataset
 from repro.data.generators import UNIT_MBR, gaussian_clusters, real_like, uniform
 from repro.data.io import read_points_text, write_points_text
 from repro.data.pointset import PointSet
 from repro.data.sampling import bernoulli_sample
-from repro.geometry.point import Side
 
 
 class TestPointSet:
@@ -58,6 +57,27 @@ class TestPointSet:
         assert tiled.mbr().xmin >= box.xmin - 1e9
         assert np.unique(tiled.ids).size == 2000
 
+    def test_tile_is_the_same_in_every_process(self):
+        """The jitter's seed does not depend on the per-process str hash
+        salt: two interpreters with different ``PYTHONHASHSEED`` tile
+        alike."""
+        code = (
+            "from repro.data.datasets import load_dataset\n"
+            "ps = load_dataset('S1', base_n=300, size_factor=3)\n"
+            "print(ps.xs.tobytes().hex(), ps.ys.tobytes().hex())\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        out = [
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                check=True, timeout=120,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert out[0] and out[0] == out[1]
+
     def test_tile_identity(self):
         ps = uniform(100, seed=2)
         assert ps.tile(1) is ps
@@ -67,11 +87,6 @@ class TestPointSet:
     def test_iter_triples(self):
         ps = PointSet([0.5], [0.25])
         assert list(ps.iter_triples()) == [(0, 0.5, 0.25)]
-
-    def test_to_spatial_points(self):
-        ps = PointSet([0.5], [0.25], payload_bytes=7)
-        (p,) = ps.to_spatial_points(Side.S)
-        assert (p.pid, p.x, p.y, p.side, p.payload_bytes) == (0, 0.5, 0.25, Side.S, 7)
 
 
 class TestGenerators:
@@ -119,14 +134,14 @@ class TestGenerators:
 
 class TestDatasets:
     def test_relative_cardinalities(self):
-        sets = paper_datasets(base_n=1000)
+        sets = {c: load_dataset(c, base_n=1000) for c in ("R1", "R2", "S1", "S2")}
         assert len(sets["S1"]) == 1000
         assert len(sets["S2"]) == 1000
         assert len(sets["R1"]) == 941
         assert len(sets["R2"]) == 427
 
     def test_distinct_distributions(self):
-        sets = paper_datasets(base_n=500)
+        sets = {c: load_dataset(c, base_n=500) for c in ("S1", "S2")}
         assert not np.array_equal(sets["S1"].xs, sets["S2"].xs)
 
     def test_size_factor(self):
@@ -224,35 +239,3 @@ class TestIO:
         path.write_text(f"1,0.5,0.5\n{line}\n")
         with pytest.raises(ValueError):
             read_points_text(str(path))
-
-    def test_parts_equal_whole(self, tmp_path):
-        from repro.data.io import read_points_text_parts, write_points_text_parts
-
-        ps = uniform(20, seed=9)
-        write_points_text(ps, str(tmp_path / "whole.txt"))
-        # blocks of 3 rows: the last two of the 9 parts hold no rows at all
-        write_points_text_parts(ps, str(tmp_path / "d"), parts=9)
-        whole = read_points_text(str(tmp_path / "whole.txt"))
-        parts = read_points_text_parts(str(tmp_path / "d"))
-        for column in ("ids", "xs", "ys"):
-            assert np.array_equal(getattr(parts, column), getattr(whole, column))
-            assert np.array_equal(getattr(whole, column), getattr(ps, column))
-        (tmp_path / "empty").mkdir()
-        assert len(read_points_text_parts(str(tmp_path / "empty"))) == 0
-
-    def test_part_files_round_trip(self, tmp_path):
-        from repro.data.io import read_points_text_parts, write_points_text_parts
-
-        ps = gaussian_clusters(95, seed=8, name="parts")
-        paths = write_points_text_parts(ps, str(tmp_path / "d"), parts=4)
-        assert len(paths) == 4
-        assert all(p.endswith(f"part-{i:05d}") for i, p in enumerate(paths))
-        back = read_points_text_parts(str(tmp_path / "d"), name="parts")
-        assert np.array_equal(back.ids, ps.ids)
-        assert np.allclose(back.xs, ps.xs)
-
-    def test_part_files_validation(self, tmp_path):
-        from repro.data.io import write_points_text_parts
-
-        with pytest.raises(ValueError):
-            write_points_text_parts(gaussian_clusters(10, seed=1), str(tmp_path), 0)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.data.generators import gaussian_clusters, uniform
-from repro.geometry.mbr import MBR
 from repro.joins.distance_join import (
     GRID_METHODS,
     JoinConfig,
     distance_join,
     paper_default_config,
 )
+from repro.joins.api import ALL_METHODS, spatial_join
 from repro.verify.oracle import kdtree_pairs
 
 EPS = 0.02
@@ -171,13 +171,6 @@ class TestConfig:
             with pytest.raises(TypeError, match="fused"):
                 make(fused=False)
 
-    def test_explicit_mbr(self, inputs):
-        r, s, truth = inputs
-        res = distance_join(
-            r, s, JoinConfig(eps=EPS, method="lpib", mbr=MBR(0, 0, 1, 1))
-        )
-        assert res.pairs_set() == truth
-
 
 class TestDegenerate:
     def test_uniform_data(self):
@@ -195,6 +188,15 @@ class TestDegenerate:
         s = PointSet(np.array([0.5, 0.9]), np.array([0.5, 0.9]), name="two")
         res = distance_join(r, s, JoinConfig(eps=0.1, method="lpib"))
         assert res.pairs_set() == {(0, 0)}
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_an_empty_side_yields_no_pairs(self, method):
+        from repro.data.pointset import PointSet
+
+        empty, s = PointSet([], [], name="none"), uniform(200, seed=3)
+        for a, b in ((empty, s), (s, empty), (empty, empty)):
+            res = spatial_join(a, b, eps=0.1, method=method)
+            assert len(res) == 0 and res.metrics.results == 0, (a.name, b.name)
 
     def test_no_matches(self):
         from repro.data.pointset import PointSet

@@ -296,12 +296,6 @@ class TestSimCluster:
         assert c.phase_makespan("join", "map") == 7.0
         assert c.phase_loads("join") == [1.0, 5.0, 0.0]
 
-    def test_reset(self):
-        c = SimCluster(2)
-        c.add_cost(0, "join", 1.0)
-        c.reset()
-        assert c.phase_makespan("join") == 0.0
-
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             SimCluster(0)

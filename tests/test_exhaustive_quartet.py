@@ -20,7 +20,7 @@ from repro.geometry.mbr import MBR
 from repro.geometry.point import Side
 from repro.grid.areas import AreaKind, classify_point
 from repro.grid.grid import Grid
-from repro.replication.assign import AdaptiveAssigner, _root_le
+from repro.replication.assign import AdaptiveAssigner
 from repro.verify.oracle import kdtree_pairs, verify_assignment
 
 EPS = 1.0
@@ -197,15 +197,9 @@ def degenerate_points(grid):
     centre; positions well outside the MBR.  The cloud is their cross
     product (line x line = quartet corners, ``eps`` x line = exactly ``eps``
     from a reference point), plus circles of radius ``eps`` and ``2 eps``
-    around every reference point, plus a block of duplicates.
-
-    One kind of point is left out.  ``medupar``/``supar`` root the distance
-    to the reference point (``euclidean(...) <= eps``) where ``assign_batch``
-    -- like the join kernels -- compares squares (``dx*dx + dy*dy <= eps*eps``);
-    within an ulp of the circle the two readings can differ, and either is
-    correct (no partner can lie that exactly behind the reference point
-    without the kernels' own squared test agreeing).  Points on which they
-    differ are dropped; enough circle points survive to pin both readings.
+    around every reference point, plus a block of duplicates.  The scalar
+    ``medupar``/``supar`` and ``assign_batch`` -- like the join kernels --
+    compare squares with ``eps * eps``, so the circles need no exception.
     """
     eps = grid.eps
 
@@ -221,16 +215,6 @@ def degenerate_points(grid):
             vals.update((*ulps(line), *ulps(line + eps), *ulps(line - eps), line + 0.5 * eps))
         return sorted(vals)
 
-    def readings_agree(x, y):
-        for corner in grid.interior_corners():
-            rx, ry = grid.corner_coords(*corner)
-            d2 = (x - rx) * (x - rx) + (y - ry) * (y - ry)
-            if (d2 <= eps * eps) != (d2**0.5 <= eps):
-                return False
-            if (d2 > 4.0 * eps * eps) != (d2**0.5 > 2.0 * eps):
-                return False
-        return True
-
     pts = list(itertools.product(axis(grid.mbr.xmin, grid.cell_w, grid.nx),
                                  axis(grid.mbr.ymin, grid.cell_h, grid.ny)))
     circles = []
@@ -244,9 +228,8 @@ def degenerate_points(grid):
             for k in range(6):
                 t = 2 * math.pi * (k + 0.37) / 6
                 circles.append((rx + radius * math.cos(t), ry + radius * math.sin(t)))
-    kept = [p for p in pts + circles if readings_agree(*p)]
-    assert len(pts) + len(circles) - len(kept) <= len(circles) // 2
-    pts = kept + kept[:: max(1, len(kept) // 40)]  # duplicates
+    pts += circles
+    pts += pts[:: max(1, len(pts) // 40)]  # duplicates
     arr = np.array(pts, dtype=np.float64)
     return arr[:, 0], arr[:, 1]
 
@@ -325,17 +308,3 @@ def test_batch_on_empty_input_and_quartetless_grids():
             generate_duplicate_free_graph(graph)
             xs, ys = degenerate_points(strip)
             assert_batch_equals_reference(AdaptiveAssigner(strip, graph), xs, ys, types)
-
-
-def test_root_le_follows_python_pow_where_it_differs_from_sqrt():
-    """``MBR.mindist_point`` roots with ``** 0.5`` (libm ``pow``), which is
-    one ulp off ``np.sqrt`` on ~0.1% of inputs; with ``eps`` between the two
-    roots the vectorized comparison must still side with the scalar one."""
-    sq = np.random.default_rng(5).uniform(0.0, 4.0, 200_000)
-    scalar = np.array([v ** 0.5 for v in sq.tolist()])
-    differs = np.nonzero(scalar != np.sqrt(sq))[0]
-    assert len(differs) > 0, "libm pow agrees with sqrt here; nothing to guard"
-    for i in differs[:50].tolist():
-        for eps in (float(scalar[i]), float(np.sqrt(sq[i]))):
-            got = _root_le(sq[i - 2 : i + 3].copy(), eps)
-            assert got.tolist() == [v ** 0.5 <= eps for v in sq[i - 2 : i + 3].tolist()]

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from repro.geometry.distance import (
     euclidean,
     euclidean_sq,
-    mindist_point_rect,
-    within_eps,
 )
 from repro.geometry.mbr import MBR
-from repro.geometry.point import Side, SpatialPoint
+from repro.geometry.point import Side
 
 coords = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -32,41 +30,12 @@ class TestSide:
         assert str(Side.S) == "S"
 
 
-class TestSpatialPoint:
-    def test_distance_to(self):
-        a = SpatialPoint(1, 0.0, 0.0, Side.R)
-        b = SpatialPoint(2, 3.0, 4.0, Side.S)
-        assert a.distance_to(b) == pytest.approx(5.0)
-
-    def test_distance_symmetry(self):
-        a = SpatialPoint(1, 1.5, -2.0, Side.R)
-        b = SpatialPoint(2, -0.5, 7.0, Side.S)
-        assert a.distance_to(b) == pytest.approx(b.distance_to(a))
-
-    def test_coords(self):
-        p = SpatialPoint(7, 2.5, -1.5, Side.S)
-        assert p.coords == (2.5, -1.5)
-
-    def test_serialized_bytes_includes_payload(self):
-        assert SpatialPoint(1, 0, 0, Side.R).serialized_bytes() == 24
-        assert SpatialPoint(1, 0, 0, Side.R, payload_bytes=100).serialized_bytes() == 124
-
-    def test_frozen(self):
-        p = SpatialPoint(1, 0.0, 0.0, Side.R)
-        with pytest.raises(AttributeError):
-            p.x = 5.0
-
-
 class TestDistanceFunctions:
     def test_euclidean_known(self):
         assert euclidean(0, 0, 3, 4) == pytest.approx(5.0)
 
     def test_euclidean_sq_matches(self):
         assert euclidean_sq(1, 2, 4, 6) == pytest.approx(euclidean(1, 2, 4, 6) ** 2)
-
-    def test_within_eps_inclusive(self):
-        assert within_eps(0, 0, 3, 4, 5.0)
-        assert not within_eps(0, 0, 3, 4, 4.999)
 
     @given(coords, coords, coords, coords)
     def test_euclidean_non_negative_and_symmetric(self, x1, y1, x2, y2):
@@ -103,12 +72,6 @@ class TestMBR:
         assert m.contains_point(1, 1)
         assert not m.contains_point(1.0001, 0.5)
 
-    def test_contains_point_halfopen(self):
-        m = MBR(0, 0, 1, 1)
-        assert m.contains_point_halfopen(0, 0)
-        assert not m.contains_point_halfopen(1, 0.5)
-        assert not m.contains_point_halfopen(0.5, 1)
-
     def test_intersects_overlap_and_touch(self):
         a = MBR(0, 0, 2, 2)
         assert a.intersects(MBR(1, 1, 3, 3))
@@ -128,14 +91,6 @@ class TestMBR:
         assert m.mindist_point(3, 3) == pytest.approx(math.sqrt(2))
         assert m.mindist_point(-3, -4) == pytest.approx(5.0)
 
-    def test_mindist_agrees_with_module_function(self):
-        m = MBR(0, 0, 2, 2)
-        assert mindist_point_rect(5, 5, m) == m.mindist_point(5, 5)
-
-    def test_expand(self):
-        m = MBR(0, 0, 2, 2).expand(0.5)
-        assert (m.xmin, m.ymin, m.xmax, m.ymax) == (-0.5, -0.5, 2.5, 2.5)
-
     def test_union(self):
         u = MBR(0, 0, 1, 1).union(MBR(2, -1, 3, 0.5))
         assert (u.xmin, u.ymin, u.xmax, u.ymax) == (0, -1, 3, 1)
@@ -152,4 +107,5 @@ class TestMBR:
     def test_mindist_triangle_consistency(self, x, y, margin):
         # a point's mindist to an expanded rect can only shrink
         m = MBR(-10, -10, 10, 10)
-        assert m.expand(margin).mindist_point(x, y) <= m.mindist_point(x, y) + 1e-9
+        grown = MBR(-10 - margin, -10 - margin, 10 + margin, 10 + margin)
+        assert grown.mindist_point(x, y) <= m.mindist_point(x, y) + 1e-9

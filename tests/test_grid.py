@@ -138,17 +138,9 @@ class TestAdjacency:
         pairs = [frozenset(p[:2]) for p in grid4x4.adjacent_pairs()]
         assert len(pairs) == len(set(pairs))
 
-    def test_pair_kind(self, grid4x4):
-        a = grid4x4.cell_id(0, 0)
-        assert grid4x4.pair_kind(a, grid4x4.cell_id(1, 0)) == "side"
-        assert grid4x4.pair_kind(a, grid4x4.cell_id(1, 1)) == "corner"
-
-    def test_pair_kind_rejects_non_adjacent(self, grid4x4):
-        with pytest.raises(ValueError):
-            grid4x4.pair_kind(grid4x4.cell_id(0, 0), grid4x4.cell_id(2, 0))
-        with pytest.raises(ValueError):
-            grid4x4.pair_kind(5, 5)
-
     def test_adjacent_pairs_kind_consistent(self, grid4x4):
         for a, b, kind in grid4x4.adjacent_pairs():
-            assert grid4x4.pair_kind(a, b) == kind
+            (ax, ay), (bx, by) = grid4x4.cell_pos(a), grid4x4.cell_pos(b)
+            dx, dy = abs(ax - bx), abs(ay - by)
+            assert (dx, dy) in ((1, 0), (0, 1), (1, 1))
+            assert kind == ("side" if dx + dy == 1 else "corner")

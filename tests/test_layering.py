@@ -26,14 +26,15 @@ process *does* import: package ``__init__`` modules export lazily
 """
 
 import ast
+import functools
 import os
 import re
+from collections import Counter
 
 import pytest
 
-SRC_ROOT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
-)
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC_ROOT = os.path.join(REPO_ROOT, "src")
 
 #: layer prefix -> module prefixes it must never depend on
 FORBIDDEN = {
@@ -208,7 +209,8 @@ def test_obs_sits_between_telemetry_and_serving():
                      "repro.obs.slo", "repro.obs.top"):
         assert expected in names
     # obs imports nothing from repro except engine.telemetry (and the
-    # layer-free lazy-export helper every package __init__ uses)
+    # layer-free helpers: the lazy exports every package __init__ uses,
+    # the field checks every config shares)
     for module, path in MODULES:
         if not in_layer(module, "repro.obs"):
             continue
@@ -218,6 +220,7 @@ def test_obs_sits_between_telemetry_and_serving():
                     in_layer(imported, "repro.engine.telemetry")
                     or in_layer(imported, "repro.obs")
                     or in_layer(imported, "repro._lazy")
+                    or in_layer(imported, "repro._checks")
                 ), f"{module} imports {imported}"
     # serving and the CLI compose it from above
     for consumer in ("repro.serving.server", "repro.cli"):
@@ -497,6 +500,181 @@ def test_there_is_one_spill_writer():
         if in_layer(module, "repro.engine.blockstore")
     }
     assert mkstemp == {"repro.engine.blockstore.store"}
+
+
+# ----------------------------------------------------------------------
+# every public definition has a caller
+# ----------------------------------------------------------------------
+#: Where a use of a definition counts: the program, its scripts,
+#: benchmarks and examples.  A test alone does not keep code alive.
+CALLER_TREES = ("src", "scripts", "benchmarks", "examples")
+
+#: The public definitions of ``src/repro`` that nothing in
+#: ``CALLER_TREES`` calls, each kept for the test that compares the
+#: program against it (a reference) or the user doc that documents it.
+UNCALLED = {
+    "repro.agreements.marking.mark_quartet":
+        "reference: test_marking_lockstep.py and test_property_join.py::"
+        "test_lockstep_marking_is_mark_quartet_per_quartet compare the "
+        "lockstep marking with Algorithm 1 run one quartet at a time",
+    "repro.agreements.policies.UniformPolicy":
+        "reference: test_property_join.py builds the universal graphs "
+        "through the policy interface the adaptive ones use",
+    "repro.data.wkt.read_objects_wkt": "docs/USAGE.md documents repro.data.wkt",
+    "repro.data.wkt.read_points_wkt": "docs/USAGE.md documents repro.data.wkt",
+    "repro.data.wkt.write_objects_wkt": "docs/USAGE.md documents repro.data.wkt",
+    "repro.data.wkt.write_points_wkt": "docs/USAGE.md documents repro.data.wkt",
+    "repro.engine.shuffle.ShuffleStats.add_single":
+        "reference: test_engine.py::TestShuffleStats::"
+        "test_add_transfers_equals_per_record_accounting",
+    "repro.grid.statistics.GridStatistics.edge_weight":
+        "reference: test_agreement_store.py checks the graph's weight "
+        "arrays against it, edge by edge",
+    "repro.joins.postprocess.distinct_pairs":
+        "reference: test_columnar_fusion.py::"
+        "test_batched_distinct_matches_full_unique",
+    "repro.partitioning.rect_partition.RectPartition.validate":
+        "reference: test_partitioning.py checks every rectangulation with it",
+    "repro.planner.accuracy.replay_reports":
+        "docs/SERVING.md and docs/OBSERVABILITY.md: how a run history is "
+        "replayed against the planner",
+    "repro.engine.telemetry.spans.validate_span_tree":
+        "reference: test_telemetry.py checks every recorded trace with it",
+    "repro.verify.invariants.validate_join_result":
+        "reference: test_recovery_invariants.py, test_fault_tolerance.py "
+        "and test_robustness.py check join results with it",
+    "repro.verify.oracle.brute_force_pairs":
+        "reference: test_oracle.py pins the other oracles to it",
+}
+
+
+def _docstrings(tree):
+    """The ``id`` of every docstring constant of a module."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                out.add(id(first.value))
+    return out
+
+
+def _uses(node, skip, strings=True):
+    """Every name ``node`` uses: names, attributes, imports under another
+    name and identifier-like string constants (``getattr`` / registry
+    keys), not the nodes in ``skip``."""
+    for sub in ast.walk(node):
+        if id(sub) in skip:
+            continue
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias) and sub.asname:
+            yield sub.name.rpartition(".")[2]  # used under another name
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            parts = sub.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                yield from parts
+
+
+def _public_definitions(module, tree):
+    """``(qualified name, name, node, enclosing class)`` of every public
+    top-level function and class of a module, and of every public method
+    (the class by its qualified name; ``None`` at top level)."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        qual = f"{module}.{node.name}"
+        yield qual, node.name, node, None
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not sub.name.startswith("_"):
+                    yield f"{qual}.{sub.name}", sub.name, sub, qual
+
+
+@functools.cache
+def _caller_index():
+    """``(uses, definitions)``: how often each name is used in
+    ``CALLER_TREES``, and per public definition of ``src/repro`` its
+    ``(qualified name, name, uses inside it, enclosing class)``.
+    Docstrings, comments, ``__all__`` and the package ``__init__`` export
+    tables are not uses."""
+    used, defs = Counter(), []
+    for tree_root in CALLER_TREES:
+        for dirpath, _dirnames, filenames in os.walk(os.path.join(REPO_ROOT, tree_root)):
+            for fname in sorted(filenames):
+                if not fname.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, fname)
+                with open(path) as f:
+                    tree = ast.parse(f.read(), filename=path)
+                skip = _docstrings(tree)
+                for node in tree.body:
+                    if isinstance(node, ast.Assign) and any(
+                        getattr(t, "id", None) == "__all__" for t in node.targets
+                    ):
+                        skip.update(id(sub) for sub in ast.walk(node))
+                # an __init__'s strings are its lazy export table
+                used.update(_uses(tree, skip, strings=fname != "__init__.py"))
+                rel = os.path.relpath(path, SRC_ROOT)
+                if tree_root == "src" and rel.startswith("repro" + os.sep):
+                    module = rel[: -len(".py")].replace(os.sep, ".")
+                    module = module.removesuffix(".__init__")
+                    defs += [
+                        (qual, name, Counter(_uses(node, skip)), cls)
+                        for qual, name, node, cls in _public_definitions(module, tree)
+                    ]
+    return used, defs
+
+
+def uncalled_definitions(allowed):
+    """Qualified names of the public definitions in ``src/repro`` whose
+    name no code in ``CALLER_TREES`` uses outside the definition itself
+    and outside other uncalled definitions (a fixpoint: a helper only an
+    uncalled definition calls is uncalled too).  The ``allowed``
+    definitions are never uncalled, and their uses count."""
+    used, defs = _caller_index()
+    uncalled: set[str] = set()
+    while True:
+        # what uncalled code uses (a method of an uncalled class is
+        # already inside the class)
+        dead = Counter()
+        for qual, _name, inner, cls in defs:
+            if qual in uncalled and cls not in uncalled:
+                dead.update(inner)
+        found = {
+            qual
+            for qual, name, inner, _cls in defs
+            if qual not in uncalled and qual not in allowed
+            and used[name] - dead[name] - inner[name] <= 0
+        }
+        if not found:
+            return uncalled
+        uncalled |= found
+
+
+def test_every_public_definition_has_a_caller():
+    """A function, class or method of the program that only its own tests
+    reach is a leftover: it goes, with its tests, or a test that compares
+    the program against it (or a user doc that documents it) puts it in
+    ``UNCALLED`` with that reason."""
+    found = uncalled_definitions(UNCALLED)
+    assert not found, "no caller outside tests:\n" + "\n".join(sorted(found))
+    # an allowlisted name that is gone, or that gained a caller, leaves it
+    defined = {qual for qual, *_ in _caller_index()[1]}
+    assert set(UNCALLED) <= defined, sorted(set(UNCALLED) - defined)
+    for qual in UNCALLED:
+        assert qual in uncalled_definitions(set(UNCALLED) - {qual}), (
+            f"{qual} has a caller now"
+        )
 
 
 # ----------------------------------------------------------------------

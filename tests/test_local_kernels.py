@@ -9,10 +9,10 @@ from repro.joins import local
 from repro.joins.local import (
     LOCAL_KERNELS,
     grid_hash_join,
-    grid_hash_join_batch,
     nested_loop_join,
     plane_sweep_join,
 )
+from tests.conftest import grid_hash_batch
 
 
 def cloud(n, seed):
@@ -167,7 +167,7 @@ def _check_cells(cells, eps, origins, shift=0.0):
 
     r_ids, r_xs, r_ys, r_off = side(0, 1)
     s_ids, s_xs, s_ys, s_off = side(2, 3)
-    out = grid_hash_join_batch(
+    out = grid_hash_batch(
         r_ids, r_xs, r_ys, r_off, s_ids, s_xs, s_ys, s_off, eps, origins
     )
     assert out is not None
@@ -279,7 +279,7 @@ def test_grid_hash_declines_what_it_cannot_key():
     s = cloud(20, 16)
     off = np.array([0, 20], dtype=np.int64)
     for eps in (0.0, np.inf, 1e-9):
-        assert grid_hash_join_batch(*r, off, *s, off, eps, None) is None
+        assert grid_hash_batch(*r, off, *s, off, eps, None) is None
         rid, sid, _ = grid_hash_join(*r, *s, eps)
         ref_r, ref_s, _ = nested_loop_join(*r, *s, eps)
         assert as_set(rid, sid) == as_set(ref_r, ref_s)

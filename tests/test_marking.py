@@ -37,7 +37,7 @@ def set_types(grid2x2, mapping):
 class TestApexDetection:
     def test_pure_triangle_has_no_apex(self, grid2x2):
         graph = make_graph(grid2x2, Side.R)
-        sub = graph.quartet((1, 1))
+        sub = graph.quartets[(1, 1)]
         for tri in sub.triangles():
             assert triangle_apex(sub, tri) is None
 
@@ -54,7 +54,7 @@ class TestApexDetection:
                 (0, 1, 1, 1): Side.R,
             },
         )
-        sub = graph.quartet((1, 1))
+        sub = graph.quartets[(1, 1)]
         bl, br, tl = (
             grid2x2.cell_id(0, 0),
             grid2x2.cell_id(1, 0),
@@ -74,7 +74,7 @@ class TestApexDetection:
                 (0, 1, 1, 1): Side.R,
             },
         )
-        sub = graph.quartet((1, 1))
+        sub = graph.quartets[(1, 1)]
         # bl-br is the only S pair; it appears in two triangles
         assert len(list(mixed_triangles(sub))) == 2
 
@@ -82,7 +82,7 @@ class TestApexDetection:
 class TestMarkQuartet:
     def test_pure_graph_marks_nothing(self, grid2x2):
         graph = make_graph(grid2x2, Side.R)
-        sub = graph.quartet((1, 1))
+        sub = graph.quartets[(1, 1)]
         report = mark_quartet(sub)
         assert report.marked_edges == 0
         assert report.mixed_triangles == 0
@@ -91,14 +91,14 @@ class TestMarkQuartet:
     def test_every_mixed_triangle_resolved(self, grid2x2):
         for combo in all_type_combos(grid2x2):
             graph = graph_with(grid2x2, combo)
-            sub = graph.quartet((1, 1))
+            sub = graph.quartets[(1, 1)]
             mark_quartet(sub)
             assert unresolved_mixed_triangles(sub) == []
 
     def test_marked_edge_is_apex_edge(self, grid2x2):
         for combo in all_type_combos(grid2x2):
             graph = graph_with(grid2x2, combo)
-            sub = graph.quartet((1, 1))
+            sub = graph.quartets[(1, 1)]
             mark_quartet(sub)
             for e in sub.edges():
                 if not e.marked:
@@ -116,7 +116,7 @@ class TestMarkQuartet:
         the triangle whose locked edges carry the excluded pairs."""
         for combo in all_type_combos(grid2x2):
             graph = graph_with(grid2x2, combo)
-            sub = graph.quartet((1, 1))
+            sub = graph.quartets[(1, 1)]
             mark_quartet(sub)
             for e in sub.edges():
                 if not e.marked:
@@ -143,7 +143,7 @@ class TestMarkQuartet:
                 (0, 1, 1, 1): Side.R,
             },
         )
-        report = mark_quartet(graph.quartet((1, 1)))
+        report = mark_quartet(graph.quartets[(1, 1)])
         assert report.quartets == 1
         assert report.mixed_triangles == 2
         assert report.marked_edges >= 1
@@ -162,7 +162,7 @@ class TestMarkQuartet:
                 (0, 1, 1, 1): Side.S,
             },
         )
-        sub = graph.quartet((1, 1))
+        sub = graph.quartets[(1, 1)]
         # give side edges huge weights; diagonals stay at zero
         for e in sub.edges():
             if not sub.pair_is_diagonal(e.tail, e.head):
@@ -191,7 +191,7 @@ class TestTriangleTieBreak:
                 (1, 0, 0, 1): Side.S,  # br-tl diagonal
             },
         )
-        sub = graph.quartet((1, 1))
+        sub = graph.quartets[(1, 1)]
         # make e(bl->tr) the first edge examined (heaviest diagonal) and
         # give the tl-triangle supports the larger weight sum
         sub.edge(bl, tr).weight = 100.0
@@ -220,7 +220,7 @@ class TestGraphLevel:
         assert report.quartets == 9
         for sub in graph.quartets.values():
             assert unresolved_mixed_triangles(sub) == []
-        assert graph.num_marked_edges() == sum(
+        assert graph.marked.sum() == sum(
             len(s.marked_edges()) for s in graph.quartets.values()
         )
         del itertools

@@ -133,14 +133,14 @@ class TestSabotagedStates:
 
     def test_marked_base_edges_raise(self, grid2x2):
         graph = make_graph(grid2x2, self.TYPES)
-        sub = graph.quartet((1, 1))
+        sub = graph.quartets[(1, 1)]
         sub.edge(0, 1).marked = True
         sub.edge(1, 0).marked = True
         scalar = copy.deepcopy(graph)
         with pytest.raises(MarkingError) as lockstep_error:
             generate_duplicate_free_graph(graph)
         with pytest.raises(MarkingError) as scalar_error:
-            mark_quartet(scalar.quartet((1, 1)))
+            mark_quartet(scalar.quartets[(1, 1)])
         assert str(lockstep_error.value) == str(scalar_error.value)
 
     def test_everything_locked_is_repaired(self, grid2x2):
@@ -148,7 +148,7 @@ class TestSabotagedStates:
         graph.locked[:] = True
         report = assert_lockstep_equals_reference(graph, "paper")
         assert report.repaired_triangles >= 1
-        assert unresolved_mixed_triangles(graph.quartet((1, 1))) == []
+        assert unresolved_mixed_triangles(graph.quartets[(1, 1)]) == []
 
 
 def test_second_call_changes_nothing():

@@ -108,7 +108,7 @@ class TestRunHistory:
         assert [r["header"]["run_id"] for r in reports] == [
             "run-0", "run-1", "run-2"
         ]
-        assert history.run_ids() == ["run-0", "run-1", "run-2"]
+        assert [e["run_id"] for e in history.entries()] == ["run-0", "run-1", "run-2"]
         assert history.get("run-1")["header"]["run_id"] == "run-1"
         assert history.get("nope") is None
         stats = history.stats()
@@ -131,7 +131,7 @@ class TestRunHistory:
         for f in files:
             assert os.path.getsize(f) <= 2_000 + 512
         # entries stay oldest-first and parse across generations
-        ids = history.run_ids()
+        ids = [e["run_id"] for e in history.entries()]
         assert ids == sorted(ids, key=lambda s: int(s.split("-")[1]))
         assert ids[-1] == "run-49"
         history.close()
@@ -149,7 +149,7 @@ class TestRunHistory:
         # simulate a crash mid-append: a final line with no newline
         with open(path, "a") as fh:
             fh.write('{"type": "run_report", "run_id": "torn", "repo')
-        ids = reader.run_ids()
+        ids = [e["run_id"] for e in reader.entries()]
         assert ids == ["good-1", "good-2"]
         assert reader.stats()["corrupt_lines"] == 3
         reader.close()
@@ -610,7 +610,7 @@ class TestServerObservability:
         reader = RunHistory(history_path)
         reports = list(reader.reports())
         assert len(reports) == 3
-        run_ids = reader.run_ids()
+        run_ids = [e["run_id"] for e in reader.entries()]
         assert len(set(run_ids)) == 3  # distinct runs, distinct ids
         for report in reports:  # a serial server plans on the wall clock
             assert report["planner"]["predicted"].keys() == {

@@ -44,17 +44,6 @@ class TestGridPartition:
         corner = g.cell_id(0, 0)
         assert len(grid_part.neighbors(corner)) == 3
 
-    def test_hazard_corners_are_interior_grid_corners(self, grid_part):
-        g = grid_part.grid
-        corners = grid_part.hazard_corners()
-        assert len(corners) == (g.nx - 1) * (g.ny - 1)
-
-    def test_corner_distance(self, grid_part):
-        g = grid_part.grid
-        qx, qy = g.corner_coords(1, 1)
-        assert grid_part.corner_distance(qx, qy) == pytest.approx(0.0)
-        assert grid_part.corner_distance(qx + 0.01, qy) == pytest.approx(0.01)
-
 
 class TestQuadtreePartition:
     def test_validates(self, quad_part):
@@ -98,21 +87,12 @@ class TestQuadtreePartition:
                          leaves[j].ymin - leaves[i].ymax, 0.0)
                 assert max(dx, dy) >= 2 * EPS - 1e-9, (i, j)
 
-    def test_hazard_corners_touch_three_leaves(self, quad_part):
-        for qx, qy in quad_part.hazard_corners():
-            count = sum(
-                1 for leaf in quad_part.leaves if leaf.contains_point(qx, qy)
-            )
-            assert count >= 3
-
     def test_uniform_sample_single_leaf_when_under_capacity(self):
         sample = uniform(50, seed=3)
         part = QuadtreeRectPartition(
             MBR(0, 0, 1, 1), EPS, sample.xs, sample.ys, capacity=100
         )
         assert part.num_leaves == 1
-        assert part.hazard_corners().shape == (0, 2)
-        assert part.corner_distance(0.5, 0.5) == float("inf")
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):

@@ -406,8 +406,6 @@ def _points_at_the_seams(grid, rng, n):
     replication) and the 2 eps ones (SupAr's reach), plus uniform ones."""
     import math
 
-    from tests.test_replication_assign import _readings_agree
-
     eps = grid.eps
     xs_b = grid.mbr.xmin + grid.cell_w * np.arange(grid.nx + 1)
     ys_b = grid.mbr.ymin + grid.cell_h * np.arange(grid.ny + 1)
@@ -430,11 +428,7 @@ def _points_at_the_seams(grid, rng, n):
             jitter = rng.choice([0.0, 1e-9, -1e-9, 0.05, -0.05])
             radius, angle = (kind - 1) * eps * (1 + jitter), rng.uniform(0, 2 * math.pi)
             x, y = rx + radius * math.cos(angle), ry + radius * math.sin(angle)
-        # the batch squares the distance to a reference point where the
-        # scalar medupar/supar root it; within an ulp of a circle either
-        # answer is correct
-        if _readings_agree(grid, x, y):
-            pts.append((x, y))
+        pts.append((x, y))
     return np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
 
 
@@ -505,8 +499,8 @@ def _assert_default_join_is_the_nested_loop(r_xs, r_ys, s_xs, s_ys, eps, **confi
 )
 def test_default_join_is_the_nested_loop_at_the_seams(nx, ny, seed, method):
     """Points on, an ulp off and eps off the join grid's borders and
-    quartet reference points (the grid the config's MBR and eps build),
-    those inside the MBR: it is the join's data space."""
+    quartet reference points, those inside its MBR; the MBR's opposite
+    corners, added to R, make it the data's, so the join builds that grid."""
     grid, _, rng = _small_graph(nx, ny, seed, "random")
     box = grid.mbr
     columns = []
@@ -514,7 +508,9 @@ def test_default_join_is_the_nested_loop_at_the_seams(nx, ny, seed, method):
         xs, ys = _points_at_the_seams(grid, rng, 150)
         inside = (box.xmin <= xs) & (xs <= box.xmax) & (box.ymin <= ys) & (ys <= box.ymax)
         columns += [xs[inside], ys[inside]]
-    _assert_default_join_is_the_nested_loop(*columns, grid.eps, method=method, mbr=box)
+    columns[0] = np.r_[columns[0], box.xmin, box.xmax]
+    columns[1] = np.r_[columns[1], box.ymin, box.ymax]
+    _assert_default_join_is_the_nested_loop(*columns, grid.eps, method=method)
 
 
 @settings(max_examples=25, deadline=None)
@@ -530,5 +526,4 @@ def test_default_join_is_the_nested_loop_on_lattices_and_ties(cells, method):
         np.concatenate([cell[k] + (i if k % 2 == 0 else 0) for i, cell in enumerate(cells)])
         for k in range(4)
     )
-    if len(r_xs) and len(s_xs):  # an empty side has no MBR to grid
-        _assert_default_join_is_the_nested_loop(r_xs, r_ys, s_xs, s_ys, _EPS, method=method)
+    _assert_default_join_is_the_nested_loop(r_xs, r_ys, s_xs, s_ys, _EPS, method=method)

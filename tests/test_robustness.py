@@ -56,10 +56,11 @@ class TestDegenerateInputs:
         xs = [grid.mbr.xmin + i * grid.cell_w for i in range(grid.nx + 1)]
         ys = [grid.mbr.ymin + j * grid.cell_h for j in range(grid.ny + 1)]
         coords = [(min(x, 1.0), min(y, 1.0)) for x in xs[:8] for y in ys[:8]]
-        r = points(coords, "r")
+        # the box's opposite corners make the join build ``grid`` itself
+        r = points(coords + [(0.0, 0.0), (1.0, 1.0)], "r")
         s = points([(x + 1e-4, y) for x, y in coords], "s")
         truth = kdtree_pairs(list(r.iter_triples()), list(s.iter_triples()), 0.05)
-        cfg = JoinConfig(eps=0.05, method="diff", mbr=MBR(0, 0, 1, 1))
+        cfg = JoinConfig(eps=0.05, method="diff")
         res = distance_join(r, s, cfg)
         assert res.pairs_set() == truth
         assert len(res) == len(truth)
@@ -237,7 +238,7 @@ class TestFailureInjection:
                 Side.R,  # 2-3
             ],
         )
-        sub = graph.quartet((1, 1))
+        sub = graph.quartets[(1, 1)]
         # triangle (0, 1, 2): apex 2 (edges 2->0 and 2->1 of type R, base
         # 0-1 of type S).  Sabotage: pre-mark both base directions.
         sub.edge(0, 1).marked = True
@@ -252,7 +253,7 @@ class TestFailureInjection:
             grid2x2,
             [Side.S, Side.R, Side.R, Side.R, Side.R, Side.R],
         )
-        sub = graph.quartet((1, 1))
+        sub = graph.quartets[(1, 1)]
         for e in sub.edges():
             e.locked = True  # sabotage: everything locked, nothing marked
         report = mark_quartet(sub)

@@ -247,7 +247,7 @@ class TestAdmission:
 
     def test_failure_propagates_to_coalesced_waiters(self):
         async def scenario():
-            ctrl = AdmissionController(max_inflight=1)
+            ctrl = AdmissionController(max_inflight=1, max_queue=16)
 
             async def boom():
                 await asyncio.sleep(0.02)
