@@ -8,10 +8,9 @@ be compared against a measured one.  Three backends share one code path:
 * ``serial``    -- the reference: one OS thread, cells run in plan order;
 * ``threads``   -- a thread pool; the vectorized kernels spend most of
   their time in numpy, which releases the GIL;
-* ``processes`` -- a process pool; the per-cell (R, S) array bundles are
-  published once through ``multiprocessing.shared_memory`` (one
-  contiguous block per side plus a per-cell offset table) so workers
-  attach zero-copy instead of unpickling per-cell payloads.
+* ``processes`` -- a process pool; the plan's arrays are published once
+  through one ``multiprocessing.shared_memory`` segment, so workers
+  attach zero-copy and a task travels as its range of plan positions.
 
 Cells are grouped by their simulated worker (the LPT or hash assignment
 from the driver), one task per simulated worker, so the measured
@@ -69,7 +68,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -88,7 +87,6 @@ from repro.engine.sorting import stable_argsort
 from repro.engine.telemetry import MetricsRegistry, Tracer, get_logger
 
 from collections.abc import Sequence
-from typing import Mapping
 
 #: Execution backends accepted by :func:`execute_plan`.
 BACKENDS = ("serial", "threads", "processes")
@@ -180,25 +178,12 @@ def _acquire_pool(backend: str, os_workers, factory):
         pool = _shared_pools.get(key)
         if pool is not None:
             _shared_pool_counters["hits"] += 1
-            return pool, True
-    # build outside the lock (process-pool startup is slow), then
-    # publish; a concurrent builder may win the race -- keep the winner
-    pool = factory()
-    with _shared_pools_lock:
-        if not _shared_pools_enabled:
-            return pool, False
-        existing = _shared_pools.get(key)
-        if existing is not None:
-            loser = pool
-            pool = existing
-            _shared_pool_counters["hits"] += 1
         else:
-            loser = None
-            _shared_pools[key] = pool
+            # cheap under the lock: a pool starts no worker before its
+            # first submit
+            pool = _shared_pools[key] = factory()
             _shared_pool_counters["created"] += 1
-    if loser is not None:
-        loser.shutdown(wait=False)
-    return pool, True
+        return pool, True
 
 
 def _discard_pool(backend: str, os_workers, pool, shared: bool) -> None:
@@ -699,7 +684,7 @@ def _run_attempt(
 
 
 # ----------------------------------------------------------------------
-# the processes backend: shared-memory blocks, one per side
+# the processes backend: the plan in one shared-memory segment
 # ----------------------------------------------------------------------
 _SHM_SEQ = itertools.count()
 
@@ -722,116 +707,57 @@ def _new_shm(size: int):
             continue
 
 
-def _side_to_shm(ids: np.ndarray, xs: np.ndarray, ys: np.ndarray):
-    """Copy one side's arrays into a single shared block ``[ids|xs|ys]``."""
-    n = len(ids)
-    shm = _new_shm(max(1, 3 * 8 * n))
-    if n:
-        np.ndarray(n, dtype=np.int64, buffer=shm.buf, offset=0)[:] = ids
-        np.ndarray(n, dtype=np.float64, buffer=shm.buf, offset=8 * n)[:] = xs
-        np.ndarray(n, dtype=np.float64, buffer=shm.buf, offset=16 * n)[:] = ys
-    return shm
+def _plan_views(buf, sizes: tuple[int, int, int, bool]) -> dict[str, np.ndarray]:
+    """Every :class:`ExecutionPlan` array as a view of ``buf``, by field.
 
-
-def _attach_side(name: str, n: int):
-    """Attach one side's shared block; return (shm, ids, xs, ys) views."""
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=name)
-    ids = np.ndarray(n, dtype=np.int64, buffer=shm.buf, offset=0)
-    xs = np.ndarray(n, dtype=np.float64, buffer=shm.buf, offset=8 * n)
-    ys = np.ndarray(n, dtype=np.float64, buffer=shm.buf, offset=16 * n)
-    return shm, ids, xs, ys
-
-
-def _plan_meta_layout(n: int, has_origins: bool, total_positions: int):
-    """Byte offsets of the plan-metadata block's sections."""
-    cells_off = 0
-    workers_off = 8 * n
-    r_off_off = 16 * n
-    s_off_off = r_off_off + 8 * (n + 1)
-    origins_off = s_off_off + 8 * (n + 1)
-    positions_off = origins_off + (16 * n if has_origins else 0)
-    size = positions_off + 8 * total_positions
-    return cells_off, workers_off, r_off_off, s_off_off, origins_off, positions_off, size
-
-
-def _plan_meta_to_shm(plan: ExecutionPlan, tasks: Mapping[int, np.ndarray]):
-    """Publish plan metadata + the task position table as one shared block.
-
-    Layout: ``[cells | workers | r_offsets | s_offsets | origins? |
-    positions]`` where ``positions`` concatenates every task's plan
-    positions.  Task args then carry only a ``(start, length)`` slice
-    descriptor into that table -- nothing per-cell crosses the pickle
-    boundary.  Returns ``(shm, pos_desc)`` with ``pos_desc`` mapping
-    worker id to its descriptor.
+    ``sizes`` is ``(cells, r points, s points, has origins)``.  The arrays
+    follow each other in field order and every entry is 8 bytes wide, so
+    each starts where the one before it ends.
     """
-    n = plan.num_cells
-    has_origins = plan.origins is not None
-    pos_desc: dict[int, tuple[int, int]] = {}
-    total = 0
-    for worker_id, positions in tasks.items():
-        pos_desc[worker_id] = (total, len(positions))
-        total += len(positions)
-    (cells_off, workers_off, r_off_off, s_off_off, origins_off,
-     positions_off, size) = _plan_meta_layout(n, has_origins, total)
-    shm = _new_shm(max(1, size))
-
-    def sect(count, dtype, offset):
-        return np.ndarray(count, dtype=dtype, buffer=shm.buf, offset=offset)
-
-    if n:
-        sect(n, np.int64, cells_off)[:] = plan.cells
-        sect(n, np.int64, workers_off)[:] = plan.workers
-    sect(n + 1, np.int64, r_off_off)[:] = plan.r_offsets
-    sect(n + 1, np.int64, s_off_off)[:] = plan.s_offsets
-    if has_origins and n:
-        sect(2 * n, np.float64, origins_off)[:] = plan.origins.reshape(-1)
-    if total:
-        blob = sect(total, np.int64, positions_off)
-        for worker_id, positions in tasks.items():
-            start, length = pos_desc[worker_id]
-            blob[start : start + length] = positions
-    return shm, pos_desc
+    n, n_r, n_s, has_origins = sizes
+    i8, f8 = np.int64, np.float64
+    shapes = [
+        ("cells", (n,), i8), ("workers", (n,), i8),
+        ("r_ids", (n_r,), i8), ("r_xs", (n_r,), f8), ("r_ys", (n_r,), f8),
+        ("r_offsets", (n + 1,), i8),
+        ("s_ids", (n_s,), i8), ("s_xs", (n_s,), f8), ("s_ys", (n_s,), f8),
+        ("s_offsets", (n + 1,), i8),
+    ]
+    if has_origins:
+        shapes.append(("origins", (n, 2), f8))
+    views, offset = {}, 0
+    for name, shape, dtype in shapes:
+        views[name] = np.ndarray(shape, dtype, buffer=buf, offset=offset)
+        offset += views[name].nbytes
+    return views
 
 
-def _attach_plan_meta(name: str, n: int, has_origins: bool, total_positions: int):
-    """Attach the plan-metadata block; return (shm, *zero-copy views*)."""
+def _publish_plan(plan: ExecutionPlan):
+    """Copy every plan array into one shared segment; return ``(shm, sizes)``."""
+    arrays = {f.name: getattr(plan, f.name) for f in fields(plan)}
+    sizes = (plan.num_cells, len(plan.r_ids), len(plan.s_ids), plan.origins is not None)
+    shm = _new_shm(8 * sum(a.size for a in arrays.values() if a is not None))
+    for name, view in _plan_views(shm.buf, sizes).items():
+        view[...] = arrays[name]
+    return shm, sizes
+
+
+def _attach_plan(name: str, sizes: tuple[int, int, int, bool]):
+    """Attach the shared segment; return ``(shm, plan)``, the plan's arrays
+    zero-copy views of it."""
     from multiprocessing import shared_memory
 
-    (cells_off, workers_off, r_off_off, s_off_off, origins_off,
-     positions_off, _size) = _plan_meta_layout(n, has_origins, total_positions)
     shm = shared_memory.SharedMemory(name=name)
-
-    def sect(count, dtype, offset):
-        return np.ndarray(count, dtype=dtype, buffer=shm.buf, offset=offset)
-
-    cells = sect(n, np.int64, cells_off)
-    workers = sect(n, np.int64, workers_off)
-    r_offsets = sect(n + 1, np.int64, r_off_off)
-    s_offsets = sect(n + 1, np.int64, s_off_off)
-    origins = None
-    if has_origins:
-        origins = sect(2 * n, np.float64, origins_off).reshape(n, 2)
-    positions = sect(total_positions, np.int64, positions_off)
-    return shm, cells, workers, r_offsets, s_offsets, origins, positions
+    return shm, ExecutionPlan(**_plan_views(shm.buf, sizes))
 
 
 def _make_process_task_args(
     worker_id: int,
     positions: np.ndarray,
-    task_positions: np.ndarray,
-    pos_desc: Mapping[int, tuple[int, int]],
     kernel_name: str,
     eps: float,
-    r_name: str,
-    n_r: int,
-    s_name: str,
-    n_s: int,
-    meta_name: str,
-    n_cells: int,
-    has_origins: bool,
-    total_positions: int,
+    shm_name: str,
+    sizes: tuple[int, int, int, bool],
     attempt: int,
     faults,
     checkpoints,
@@ -841,52 +767,29 @@ def _make_process_task_args(
 ) -> tuple:
     """Build one process-pool task's argument tuple.
 
-    When ``positions`` is the task's original group (the common case) it
-    travels as a ``("slice", start, length)`` descriptor against the
-    shared position table; only a checkpoint salvage -- which filters the
-    group to an array the parent alone knows -- ships explicit positions.
-    Kept as a named helper so tests can lint the payload size.
+    A contiguous run of positions -- every first run, and a salvage
+    remainder that lost only its ends -- travels as its ``(lo, hi)``
+    range; only a remainder with holes ships its array.  Kept as a named
+    helper so tests can lint the payload size.
     """
-    if positions is task_positions and worker_id in pos_desc:
-        start, length = pos_desc[worker_id]
-        pos_spec = ("slice", start, length)
-    else:
-        pos_spec = ("array", positions)
+    lo, hi = int(positions[0]), int(positions[-1]) + 1
+    span = (lo, hi) if hi - lo == len(positions) else positions
     return (
-        worker_id, pos_spec, kernel_name, eps,
-        r_name, n_r, s_name, n_s,
-        meta_name, n_cells, has_origins, total_positions,
-        attempt, faults, checkpoints,
-        trace_enabled, run_id, parent_span_id,
+        worker_id, span, kernel_name, eps, shm_name, sizes,
+        attempt, faults, checkpoints, trace_enabled, run_id, parent_span_id,
     )
 
 
 def _process_group(args) -> tuple[TaskBlock, float, list]:
-    """Pool task: attach the shared blocks, run one worker group's cells.
+    """Pool task: attach the shared plan, run one worker group's cells.
 
     Returns ``(block, elapsed, span_payload)``.  A killed child
     (``os._exit``) ships nothing; the scheduler-side ``task`` span still
     records the loss.
     """
     (
-        worker_id,
-        pos_spec,
-        kernel_name,
-        eps,
-        r_name,
-        n_r,
-        s_name,
-        n_s,
-        meta_name,
-        n_cells,
-        has_origins,
-        total_positions,
-        attempt,
-        faults,
-        checkpoints,
-        trace_enabled,
-        run_id,
-        parent_span_id,
+        worker_id, span, kernel_name, eps, shm_name, sizes,
+        attempt, faults, checkpoints, trace_enabled, run_id, parent_span_id,
     ) = args
     if (
         checkpoints is None
@@ -898,46 +801,18 @@ def _process_group(args) -> tuple[TaskBlock, float, list]:
         # the kill instead fires mid-task inside _attempt_run, after the
         # finished cells were persisted
         os._exit(13)
-    shm_meta, cells, workers, r_offsets, s_offsets, origins, pos_table = (
-        _attach_plan_meta(meta_name, n_cells, has_origins, total_positions)
-    )
+    positions = np.arange(*span) if isinstance(span, tuple) else span
+    shm, plan = _attach_plan(shm_name, sizes)
     try:
-        if pos_spec[0] == "slice":
-            _tag, start, length = pos_spec
-            positions = pos_table[start : start + length]
-        else:
-            positions = pos_spec[1]
-        tracer = Tracer(enabled=trace_enabled, run_id=run_id)
-        shm_r, r_ids, r_xs, r_ys = _attach_side(r_name, n_r)
-        try:
-            shm_s, s_ids, s_xs, s_ys = _attach_side(s_name, n_s)
-        except BaseException:
-            shm_r.close()
-            raise
-        try:
-            plan = ExecutionPlan(
-                cells, workers,
-                r_ids, r_xs, r_ys, r_offsets,
-                s_ids, s_xs, s_ys, s_offsets,
-                origins=origins,
-            )
-            block, elapsed, span_payload = _run_attempt(
-                plan, positions, kernel_name, eps, worker_id, attempt, faults,
-                checkpoints, tracer, parent_span_id,
-                on_kill=lambda: os._exit(13), ship=True,
-            )
-            # the block's pairs are arrays of its own (one pair per task
-            # crosses the pickle boundary), but its positions may be a view
-            # of the shared position table, which dies with the task
-            block.positions = np.array(block.positions)
-        finally:
-            del r_ids, r_xs, r_ys, s_ids, s_xs, s_ys
-            shm_r.close()
-            shm_s.close()
+        # the block's pairs are arrays of its own: one pair per task
+        # crosses the pickle boundary
+        return _run_attempt(
+            plan, positions, kernel_name, eps, worker_id, attempt, faults,
+            checkpoints, Tracer(enabled=trace_enabled, run_id=run_id),
+            parent_span_id, on_kill=lambda: os._exit(13), ship=True,
+        )
     finally:
-        del cells, workers, r_offsets, s_offsets, origins, pos_table
-        shm_meta.close()
-    return block, elapsed, span_payload
+        shm.close()
 
 
 def _pool_context():
@@ -1066,8 +941,8 @@ def _serial_tier(plan, tasks, kernel_name, eps, ledger, checkpoints, columns):
 def _pool_tier(backend, plan, tasks, kernel_name, eps, ledger, os_workers, checkpoints):
     """Run tasks on a thread or process pool; return unrecoverable tasks.
 
-    The transport owns publishing the plan (``processes``: three shared
-    memory blocks), submitting attempts, draining completions and
+    The transport owns publishing the plan (``processes``: one shared
+    memory segment), submitting attempts, draining completions and
     replacing a broken process pool; what to launch, whom to charge and
     who won are the ledger's calls.
     """
@@ -1092,16 +967,12 @@ def _pool_tier(backend, plan, tasks, kernel_name, eps, ledger, os_workers, check
             max_workers=os_workers, mp_context=_pool_context()
         )
 
-    shm_r = shm_s = shm_meta = None
-    pos_desc: dict[int, tuple[int, int]] = {}
-    total_positions = sum(len(p) for p in tasks.values())
+    shm = None
     pool = None
     pool_shared = False
     try:
         if backend == "processes":
-            shm_r = _side_to_shm(plan.r_ids, plan.r_xs, plan.r_ys)
-            shm_s = _side_to_shm(plan.s_ids, plan.s_xs, plan.s_ys)
-            shm_meta, pos_desc = _plan_meta_to_shm(plan, tasks)
+            shm, sizes = _publish_plan(plan)
         pool, pool_shared = _acquire_pool(backend, os_workers, make_pool)
 
         def launch(worker_id: int, speculative: bool = False) -> None:
@@ -1116,14 +987,8 @@ def _pool_tier(backend, plan, tasks, kernel_name, eps, ledger, os_workers, check
                 )
             else:
                 args = _make_process_task_args(
-                    worker_id, flight.positions, tasks[worker_id], pos_desc,
-                    kernel_name, eps,
-                    shm_r.name, len(plan.r_ids),
-                    shm_s.name, len(plan.s_ids),
-                    shm_meta.name, plan.num_cells,
-                    plan.origins is not None,
-                    total_positions,
-                    flight.attempt, ledger.faults, checkpoints,
+                    worker_id, flight.positions, kernel_name, eps,
+                    shm.name, sizes, flight.attempt, ledger.faults, checkpoints,
                     ledger.tracer.enabled, ledger.tracer.run_id, flight.span_id,
                 )
                 try:
@@ -1206,13 +1071,12 @@ def _pool_tier(backend, plan, tasks, kernel_name, eps, ledger, os_workers, check
     finally:
         if pool is not None and not pool_shared:
             pool.shutdown(wait=True)
-        for shm in (shm_r, shm_s, shm_meta):
-            if shm is not None:
-                shm.close()
-                try:
-                    shm.unlink()
-                except FileNotFoundError:  # pragma: no cover - defensive
-                    pass
+        if shm is not None:
+            shm.close()
+            try:
+                shm.unlink()
+            except FileNotFoundError:  # pragma: no cover - defensive
+                pass
     return ledger.close()
 
 
@@ -1400,11 +1264,6 @@ def execute_plan(
         0, report.attempts - len(groups) - report.speculative_launched
     )
     report.task_attempts = dict(ledger.per_task)
-    registry.gauge("executor.retries").set(report.retries)
-    registry.gauge("executor.recovery_seconds").set(report.recovery_seconds)
-    registry.gauge("executor.salvaged_wall_seconds").set(
-        report.salvaged_wall_seconds
-    )
     if report.failures:
         registry.set_meta(
             "executor.failures", [f.to_dict() for f in report.failures]

@@ -991,37 +991,20 @@ class JoinAccountingStage(Stage):
             metrics.join_time_model + launch_model
         )
 
-        # fault-tolerance accounting: JoinMetrics fields as derived views
-        # over the run's registry (gauges store the exact value)
-        reg = ctx.registry
-        metrics.task_attempts = reg.gauge("join.task_attempts").set(
-            report.attempts
-        )
-        metrics.task_retries = reg.gauge("join.task_retries").set(report.retries)
-        metrics.speculative_launched = reg.gauge(
-            "join.speculative_launched"
-        ).set(report.speculative_launched)
-        metrics.speculative_wins = reg.gauge("join.speculative_wins").set(
-            report.speculative_wins
-        )
-        metrics.recovery_seconds = reg.gauge("join.recovery_seconds").set(
-            report.recovery_seconds
-        )
+        # fault-tolerance accounting (the epilogue publishes each field as
+        # its ``join.<field>`` gauge)
+        metrics.task_attempts = report.attempts
+        metrics.task_retries = report.retries
+        metrics.speculative_launched = report.speculative_launched
+        metrics.speculative_wins = report.speculative_wins
+        metrics.recovery_seconds = report.recovery_seconds
         metrics.recovery_time_model = cluster.recovery_time()
-        metrics.cells_salvaged = reg.gauge("join.cells_salvaged").set(
-            report.cells_salvaged
-        )
-        metrics.salvaged_seconds = reg.gauge("join.salvaged_seconds").set(
-            report.salvaged_wall_seconds
-        )
+        metrics.cells_salvaged = report.cells_salvaged
+        metrics.salvaged_seconds = report.salvaged_wall_seconds
         metrics.salvaged_time_model = cluster.salvaged_time()
         metrics.fault_events = len(report.fault_events) + ctx.data.get(
             "fetch_retries", 0
         )
-        if report.failures:
-            reg.set_meta(
-                "executor.failures", [f.to_dict() for f in report.failures]
-            )
         if report.degraded:
             metrics.fallback_backend = report.backend_used
             metrics.extra["degraded_steps"] = float(len(report.degraded))

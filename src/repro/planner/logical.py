@@ -28,7 +28,6 @@ __all__ = ["JoinSpec"]
 class JoinSpec:
     """The logical description of one join planning problem."""
 
-    join_kind: str
     eps: float
     n_r: int
     n_s: int
@@ -85,14 +84,12 @@ class JoinSpec:
         s: Any,
         eps: float,
         *,
-        join_kind: str = "distance",
         sample_rate: float = JoinConfig.sample_rate,
         seed: int = JoinConfig.seed,
         r_fingerprint: str = "",
         s_fingerprint: str = "",
     ) -> "JoinSpec":
         return cls(
-            join_kind=join_kind,
             eps=eps,
             n_r=len(r),
             n_s=len(s),
@@ -110,7 +107,7 @@ class JoinSpec:
     def describe(self) -> str:
         r_fp, s_fp = self.fingerprints
         lines = [
-            f"logical spec [{self.join_kind}] eps={self.eps:g}",
+            f"logical spec eps={self.eps:g}",
             f"  R: {self.r_name or '?'}  n={self.n_r:,}  "
             f"{self.record_bytes_r} B/tuple  fp={r_fp or '?'}",
             f"  S: {self.s_name or '?'}  n={self.n_s:,}  "

@@ -243,7 +243,6 @@ class PlannedJoin:
         return {
             "objective": self.clock,
             "spec": {
-                "join_kind": self.spec.join_kind,
                 "eps": self.spec.eps,
                 "n_r": self.spec.n_r,
                 "n_s": self.spec.n_s,

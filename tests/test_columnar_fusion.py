@@ -11,8 +11,9 @@ Four guarantees around the assign -> shuffle -> local-join path:
 2. *Fault semantics* -- chaos runs (kill + fetch faults, disk spill,
    cell checkpointing) still salvage and still match a fault-free
    serial run.
-3. *Payload lint* -- process-pool task arguments carry slice descriptors
-   into shared memory, never per-record object lists or big arrays.
+3. *Payload lint* -- the plan crosses to the process pool through one
+   shared-memory segment, and a task's arguments carry its range of plan
+   positions, never per-record object lists or big arrays.
 4. *Zero-copy plumbing* -- the memory-tier block store hands back the
    arrays it was given (no serialization round-trip), and the shuffle
    spills slice views sharing one backing array per side.
@@ -145,72 +146,85 @@ def _plan_and_tasks(n_cells=50, per_cell=200):
     return plan, plan.worker_groups()
 
 
+def _task_args(plan, worker_id, positions, attempt=0):
+    """One process-pool task's argument tuple, as ``_pool_tier`` builds it."""
+    from repro.engine.executor import _make_process_task_args
+
+    sizes = (plan.num_cells, len(plan.r_ids), len(plan.s_ids), False)
+    return _make_process_task_args(
+        worker_id, positions, "grid_hash", 0.02, "repro_0_0_000000", sizes,
+        attempt, None, None, False, None, None,
+    )
+
+
 def test_process_task_args_are_descriptor_sized():
     """Pickled task args stay O(1) no matter how many records shuffle.
 
-    Builds a 10k-point plan, publishes it the way ``_pool_tier`` does,
-    and lints every worker's argument tuple: a few hundred bytes, no
-    numpy arrays, no lists of per-record objects -- only the ``("slice",
-    start, length)`` descriptor into the shared position table.
+    Builds a 10k-point plan and lints every worker's argument tuple: a
+    few hundred bytes, no numpy arrays, no lists of per-record objects --
+    a whole task travels as its ``(lo, hi)`` range of plan positions.
     """
-    from repro.engine.executor import (
-        _make_process_task_args,
-        _plan_meta_to_shm,
-    )
-
     plan, tasks = _plan_and_tasks()
-    shm_meta, pos_desc = _plan_meta_to_shm(plan, tasks)
-    try:
-        total_positions = sum(len(p) for p in tasks.values())
-        n_pts = len(plan.r_ids)
-        for worker_id, positions in tasks.items():
-            args = _make_process_task_args(
-                worker_id, positions, tasks[worker_id], pos_desc,
-                "grid_hash", 0.02, "shm_r", n_pts, "shm_s", n_pts,
-                shm_meta.name, plan.num_cells, plan.origins is not None,
-                total_positions, 0, None, None, False, None, None,
-            )
-            payload = pickle.dumps(args)
-            assert len(payload) < 1024, (
-                f"worker {worker_id} task args pickled to {len(payload)}B; "
-                "per-record data is leaking into the task payload"
-            )
-            kind = args[1][0]
-            assert kind == "slice", "expected a slice descriptor"
-            flat = list(args) + list(args[1][1:])
-            for item in flat:
-                assert not isinstance(item, np.ndarray)
-                assert not (isinstance(item, (list, tuple)) and len(item) > 8)
-    finally:
-        shm_meta.close()
-        shm_meta.unlink()
+    for worker_id, positions in tasks.items():
+        args = _task_args(plan, worker_id, positions)
+        payload = pickle.dumps(args)
+        assert len(payload) < 1024, (
+            f"worker {worker_id} task args pickled to {len(payload)}B; "
+            "per-record data is leaking into the task payload"
+        )
+        assert args[1] == (int(positions[0]), int(positions[-1]) + 1), (
+            "expected the task's range"
+        )
+        for item in [*args, *args[1], *args[5]]:
+            assert not isinstance(item, np.ndarray)
+            assert not (isinstance(item, (list, tuple)) and len(item) > 8)
 
 
 def test_salvage_path_still_ships_explicit_positions():
-    """A checkpoint-salvaged (filtered) group falls back to an array."""
-    from repro.engine.executor import (
-        _make_process_task_args,
-        _plan_meta_to_shm,
-    )
-
+    """A checkpoint-salvaged remainder with holes travels as its array;
+    one that lost only its ends (``tasks[w][1:]``) is still a range."""
     plan, tasks = _plan_and_tasks()
-    shm_meta, pos_desc = _plan_meta_to_shm(plan, tasks)
-    try:
-        total = sum(len(p) for p in tasks.values())
-        n_pts = len(plan.r_ids)
-        worker_id = next(iter(tasks))
-        filtered = tasks[worker_id][1:]  # a salvage-style remainder
-        args = _make_process_task_args(
-            worker_id, filtered, tasks[worker_id], pos_desc,
-            "grid_hash", 0.02, "shm_r", n_pts, "shm_s", n_pts,
-            shm_meta.name, plan.num_cells, plan.origins is not None,
-            total, 1, None, None, False, None, None,
-        )
-        assert args[1][0] == "array"
-        np.testing.assert_array_equal(args[1][1], filtered)
-    finally:
-        shm_meta.close()
-        shm_meta.unlink()
+    worker_id = next(iter(tasks))
+    task = tasks[worker_id]
+    holed = np.delete(task, 1)  # a salvage-style remainder
+    args = _task_args(plan, worker_id, holed, attempt=1)
+    assert isinstance(args[1], np.ndarray)
+    np.testing.assert_array_equal(args[1], holed)
+    tail = task[1:]
+    args = _task_args(plan, worker_id, tail, attempt=1)
+    assert args[1] == (int(tail[0]), int(tail[-1]) + 1)
+
+
+def test_a_processes_join_publishes_one_segment(points, monkeypatch):
+    """The plan crosses to the workers through exactly one shared-memory
+    segment, and the join unlinks it."""
+    import os
+
+    from repro.engine import executor
+
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("no /dev/shm on this platform")
+    created = []
+
+    def counting_new_shm(size):
+        shm = new_shm(size)
+        created.append(shm.name)
+        return shm
+
+    new_shm = executor._new_shm
+    monkeypatch.setattr(executor, "_new_shm", counting_new_shm)
+    r, s = points
+    res = distance_join(
+        r, s,
+        JoinConfig(
+            **BASE, local_kernel="grid_hash", execution_backend="processes",
+            executor_workers=2,
+        ),
+    )
+    assert pairs_digest(res.pairs_set()) == GOLDEN["pairs_sha256"]
+    assert len(created) == 1
+    mine = f"repro_{os.getpid()}_"
+    assert not [n for n in os.listdir("/dev/shm") if n.startswith(mine)]
 
 
 # ----------------------------------------------------------------------

@@ -130,3 +130,45 @@ def test_unknown_backend_rejected():
     r, s = WORKLOADS["uniform"]()
     with pytest.raises(ValueError, match="backend"):
         run(r, s, "plane_sweep", "gpu")
+
+
+def test_concurrent_acquires_build_one_shared_pool():
+    """Two runs that want the same resident pool at once get one pool,
+    built once: the second waits for the first's build and hits it."""
+    import threading
+    import time
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.engine import executor
+
+    built = []
+
+    def factory():
+        time.sleep(0.05)  # hold the window open for the other thread
+        built.append(ThreadPoolExecutor(max_workers=2))
+        return built[-1]
+
+    counters = ("acquires", "created", "hits")
+    executor.enable_shared_pools()
+    try:
+        before = executor.shared_pool_stats()
+        gate = threading.Barrier(2)
+        got = []
+
+        def acquire():
+            gate.wait()
+            got.append(executor._acquire_pool("threads", 2, factory))
+
+        threads = [threading.Thread(target=acquire) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        after = executor.shared_pool_stats()
+    finally:
+        executor.disable_shared_pools()
+    assert got == [(built[0], True)] * 2
+    assert len(built) == 1
+    assert {k: after[k] - before[k] for k in counters} == {
+        "acquires": 2, "created": 1, "hits": 1,
+    }

@@ -467,25 +467,31 @@ def test_there_is_one_lru():
     assert importers == {"repro.engine.lru"}
 
 
-def _callers(attr, owner):
-    """``{(module, enclosing function)}`` of every ``owner.attr(...)`` call."""
+def _calls(match):
+    """``{(module, enclosing function)}`` of every call ``match(call)``
+    accepts."""
     out = set()
     for module, path in MODULES:
         with open(path) as f:
             tree = ast.parse(f.read(), filename=path)
         for func in ast.walk(tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for node in ast.walk(func):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == attr
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == owner
-                ):
-                    out.add((module, func.name))
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.update(
+                    (module, func.name)
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call) and match(node)
+                )
     return out
+
+
+def _callers(attr, owner):
+    """``{(module, enclosing function)}`` of every ``owner.attr(...)`` call."""
+    return _calls(
+        lambda call: isinstance(call.func, ast.Attribute)
+        and call.func.attr == attr
+        and isinstance(call.func.value, ast.Name)
+        and call.func.value.id == owner
+    )
 
 
 def test_there_is_one_spill_writer():
@@ -500,6 +506,29 @@ def test_there_is_one_spill_writer():
         if in_layer(module, "repro.engine.blockstore")
     }
     assert mkstemp == {"repro.engine.blockstore.store"}
+
+
+def test_there_is_one_shared_memory_writer():
+    """The ``processes`` backend publishes a plan through one segment: one
+    function creates shared memory (under the names the hygiene sweep
+    attributes to their owner), and one publisher calls it."""
+
+    def creates_shared_memory(call):
+        name = getattr(call.func, "attr", getattr(call.func, "id", None))
+        return name == "SharedMemory" and any(
+            kw.arg == "create"
+            and isinstance(kw.value, ast.Constant)
+            and kw.value.value is True
+            for kw in call.keywords
+        )
+
+    def calls_new_shm(call):
+        return isinstance(call.func, ast.Name) and call.func.id == "_new_shm"
+
+    assert _calls(creates_shared_memory) == {
+        ("repro.engine.executor", "_new_shm")
+    }
+    assert len(_calls(calls_new_shm)) == 1
 
 
 # ----------------------------------------------------------------------

@@ -321,7 +321,7 @@ class TestPlanJoin:
         r, s = inputs
         planned = plan_join(r, s, 0.01, pins={"workers": 8})
         text = planned.explain(limit=5)
-        assert "logical spec [distance]" in text
+        assert "logical spec eps=" in text
         assert "n=1,500" in text and "n=1,200" in text
         assert "workers=8" in text  # the pin is reported
         assert "candidates (" in text
@@ -740,7 +740,7 @@ class TestCliSurfaces:
                    "--base-n", "1500", "--limit", "4"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "logical spec [distance]" in out
+        assert "logical spec eps=" in out
         assert "pred wall" in out and "pred model" in out
         assert "objective = wall clock" in out
         assert "chosen physical plan:" in out
