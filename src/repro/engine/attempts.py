@@ -68,14 +68,13 @@ class AttemptLedger:
     """
 
     def __init__(
-        self, policy, faults, report, tracer, registry, log, prepare, absorb,
+        self, policy, faults, report, tracer, log, prepare, absorb,
         clock=time.monotonic,
     ):
         self.policy = policy
         self.faults = faults
         self.report = report
         self.tracer = tracer
-        self.registry = registry
         self.log = log
         self.prepare = prepare
         self.absorb = absorb
@@ -110,7 +109,6 @@ class AttemptLedger:
         # fault plan never re-fires a fault the task already survived
         attempt = self.per_task[task]
         self.per_task[task] += 1
-        self.registry.counter("executor.attempts").inc()
         self._note(task, attempt)
         span = self.tracer.begin(
             "task",
@@ -128,7 +126,6 @@ class AttemptLedger:
                 if sibling.task == task:
                     sibling.speculated = True
             self.report.speculative_launched += 1
-            self.registry.counter("executor.speculative_launched").inc()
             self.tracer.event(
                 "speculation_launched",
                 cat="recovery",
@@ -171,7 +168,6 @@ class AttemptLedger:
         self.tracer.end(flight.span)
         if flight.speculative:
             self.report.speculative_wins += 1
-            self.registry.counter("executor.speculative_wins").inc()
         self._finish(flight.task)
         self.absorb(flight.task, block, elapsed)
         return True
@@ -249,7 +245,7 @@ class AttemptLedger:
                 )
 
     def _record_failure(self, flight: Flight, exc: BaseException) -> None:
-        """Log one attempt failure: report entry, counter, recovery event.
+        """Log one attempt failure: report entry, recovery event, warning.
 
         The triggering exception's type and message travel on the span,
         the ``task_failure`` event, and :attr:`ExecutionReport.failures`
@@ -259,7 +255,6 @@ class AttemptLedger:
             flight.task, flight.attempt, self.backend, exc, flight.speculative
         )
         self.report.failures.append(failure)
-        self.registry.counter(f"executor.failures.{failure.error_type}").inc()
         attrs = failure.to_dict()
         attrs.pop("worker")
         if flight.span is not None:

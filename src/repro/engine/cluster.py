@@ -28,34 +28,20 @@ SALVAGE_PHASE = "salvaged"
 
 @dataclass
 class Worker:
-    """One simulated executor.
+    """One simulated executor and its modelled clocks, one per phase.
 
-    Besides the modelled clocks, a worker carries *measured* wall clocks:
-    when a phase actually runs on a real execution backend (see
-    :mod:`repro.engine.executor`), the host seconds spent on this worker's
-    share of the phase are recorded here for measured-vs-modelled
-    comparisons.
+    A worker's measured local-join seconds are the executor report's
+    ``worker_wall`` entry, published as ``JoinMetrics.worker_join_wall``.
     """
 
     worker_id: int
     clocks: dict[str, float] = field(default_factory=lambda: defaultdict(float))
-    wall_clocks: dict[str, float] = field(default_factory=lambda: defaultdict(float))
 
     def add(self, phase: str, seconds: float) -> None:
         self.clocks[phase] += seconds
 
-    def add_wall(self, phase: str, seconds: float) -> None:
-        self.wall_clocks[phase] += seconds
-
-    def total(self, phases: tuple[str, ...] | None = None) -> float:
-        if phases is None:
-            return sum(self.clocks.values())
+    def total(self, phases: tuple[str, ...]) -> float:
         return sum(self.clocks.get(p, 0.0) for p in phases)
-
-    def wall_total(self, phases: tuple[str, ...] | None = None) -> float:
-        if phases is None:
-            return sum(self.wall_clocks.values())
-        return sum(self.wall_clocks.get(p, 0.0) for p in phases)
 
 
 class SimCluster:
@@ -70,10 +56,6 @@ class SimCluster:
     def add_cost(self, worker_id: int, phase: str, seconds: float) -> None:
         self.workers[worker_id].add(phase, seconds)
 
-    def record_wall(self, worker_id: int, phase: str, seconds: float) -> None:
-        """Record measured host seconds for one worker's share of a phase."""
-        self.workers[worker_id].add_wall(phase, seconds)
-
     def phase_makespan(self, *phases: str) -> float:
         """Slowest worker over the given phases."""
         return max(w.total(phases) for w in self.workers)
@@ -81,10 +63,6 @@ class SimCluster:
     def phase_loads(self, *phases: str) -> list[float]:
         """Per-worker modelled cost over the given phases."""
         return [w.total(phases) for w in self.workers]
-
-    def phase_wall_loads(self, *phases: str) -> list[float]:
-        """Per-worker measured wall seconds over the given phases."""
-        return [w.wall_total(phases) for w in self.workers]
 
     def recovery_time(self) -> float:
         """Modelled makespan of all fault-recovery work (0 without faults).
@@ -108,7 +86,3 @@ class SimCluster:
     def clock_snapshot(self) -> dict[int, dict[str, float]]:
         """Per-worker modelled clocks as plain dicts (for run reports)."""
         return {w.worker_id: dict(w.clocks) for w in self.workers}
-
-    def wall_snapshot(self) -> dict[int, dict[str, float]]:
-        """Per-worker *measured* wall clocks as plain dicts."""
-        return {w.worker_id: dict(w.wall_clocks) for w in self.workers}

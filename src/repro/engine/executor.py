@@ -84,7 +84,7 @@ from repro.engine.faults import (
 from repro.engine.kernels import s_probes
 from repro.engine.slabs import lease
 from repro.engine.sorting import stable_argsort
-from repro.engine.telemetry import MetricsRegistry, Tracer, get_logger
+from repro.engine.telemetry import Tracer, get_logger
 
 from collections.abc import Sequence
 
@@ -798,7 +798,7 @@ def _process_group(args) -> tuple[TaskBlock, float, list]:
     ):
         # a real executor loss: take the process down (breaking the pool),
         # don't raise a catchable exception; with checkpointing enabled
-        # the kill instead fires mid-task inside _attempt_run, after the
+        # the kill instead fires mid-task inside _run_attempt, after the
         # finished cells were persisted
         os._exit(13)
     positions = np.arange(*span) if isinstance(span, tuple) else span
@@ -1049,7 +1049,6 @@ def _pool_tier(backend, plan, tasks, kernel_name, eps, ledger, os_workers, check
                     backend, os_workers, make_pool
                 )
                 ledger.report.pool_rebuilds += 1
-                ledger.registry.counter("executor.pool_rebuilds").inc()
                 ledger.tracer.event(
                     "pool_rebuild",
                     cat="recovery",
@@ -1090,7 +1089,6 @@ def execute_plan(
     retry: RetryPolicy | None = None,
     checkpoints=None,
     tracer: Tracer | None = None,
-    registry: MetricsRegistry | None = None,
     collect_pairs: bool = True,
 ) -> ExecutionReport:
     """Run every cell's local join on the chosen backend, fault tolerantly.
@@ -1110,10 +1108,11 @@ def execute_plan(
     :class:`~repro.engine.faults.RetryBudgetExhausted` when a task cannot
     be completed on any backend in the fallback chain.
 
-    ``tracer``/``registry`` (see :mod:`repro.engine.telemetry`) record a
-    ``task`` span per attempt plus recovery/salvage events, and publish
-    executor counters; both default to disabled/throwaway instances, so
-    instrumentation is always-on but free when nobody is listening.
+    ``tracer`` (see :mod:`repro.engine.telemetry`) records a ``task``
+    span per attempt plus recovery/salvage events; it defaults to a
+    disabled instance, so instrumentation is always-on but free when
+    nobody is listening.  The executor publishes no metrics: every count
+    it keeps is a field of the returned report.
 
     A kernel with a registered batched variant (see
     :func:`repro.engine.kernels.register_batch_kernel`) runs each task's
@@ -1132,8 +1131,6 @@ def execute_plan(
         faults = None
     if tracer is None:
         tracer = Tracer(enabled=False)
-    if registry is None:
-        registry = MetricsRegistry()
     log = get_logger("repro.engine.executor", tracer.run_id)
     groups = plan.worker_groups()
     n = plan.num_cells
@@ -1150,11 +1147,9 @@ def execute_plan(
     #: is a *re*-submission for the recovery accounting (lineage recompute
     #: vs checkpoint salvage).
     submitted: set[int] = set()
-    task_seconds = registry.histogram("executor.task_seconds")
 
     def absorb(worker_id: int, block: TaskBlock, elapsed: float) -> None:
         report.worker_wall[worker_id] = elapsed
-        task_seconds.observe(elapsed)
         columns.add(block)
 
     def prepare(worker_id: int, positions: np.ndarray) -> np.ndarray:
@@ -1195,7 +1190,6 @@ def execute_plan(
                 if resub:
                     report.salvage_counts[p] += 1
             if salvaged_here:
-                registry.counter("executor.cells_salvaged").inc(salvaged_here)
                 tracer.event(
                     "checkpoint_salvage",
                     cat="salvage",
@@ -1213,7 +1207,7 @@ def execute_plan(
         return positions
 
     ledger = AttemptLedger(
-        policy, faults, report, tracer, registry, log, prepare, absorb
+        policy, faults, report, tracer, log, prepare, absorb
     )
     remaining = dict(groups)
     tier = backend
@@ -1249,7 +1243,6 @@ def execute_plan(
             error_type=type(last).__name__ if last is not None else None,
             error_message=str(last) if last is not None else None,
         )
-        registry.counter("executor.degradations").inc()
         log.warning(
             "backend %r could not finish %d task(s) (%s); degrading to %r",
             tier, len(remaining),
@@ -1264,10 +1257,4 @@ def execute_plan(
         0, report.attempts - len(groups) - report.speculative_launched
     )
     report.task_attempts = dict(ledger.per_task)
-    if report.failures:
-        registry.set_meta(
-            "executor.failures", [f.to_dict() for f in report.failures]
-        )
-    if report.degraded:
-        registry.set_meta("executor.degraded", list(report.degraded))
     return report

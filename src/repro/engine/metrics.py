@@ -110,7 +110,8 @@ class JoinMetrics:
     construction_time_model: float = 0.0
     join_time_model: float = 0.0
 
-    # wall-clock of the in-process computation (seconds)
+    # wall-clock of the in-process computation (seconds) per job phase;
+    # the staged driver's are its ``stage_times`` summed by phase
     wall_times: dict[str, float] = field(default_factory=dict)
 
     # wall-clock per pipeline *stage* (finer than wall_times' phases):

@@ -10,7 +10,7 @@ One join run owns one :class:`Telemetry` bundle: a span
 :class:`~repro.engine.telemetry.registry.MetricsRegistry` sharing a run
 id.  ``Telemetry.disabled()`` is the default everywhere -- the tracer
 no-ops (one attribute check per call site) while the registry stays live
-so `JoinMetrics` fields remain derived views over published values.
+and the job epilogue publishes every `JoinMetrics` field into it once.
 """
 
 from __future__ import annotations

@@ -1,15 +1,13 @@
 """Metrics registry: counters, gauges and histograms for one join run.
 
-Every join run owns one :class:`MetricsRegistry`.  The executor, the
-shuffle layer, the block store and the fault machinery *publish* into it
-(counters for occurrences, gauges for end-of-run totals, histograms for
-latency distributions), and the scalar fields of
-:class:`~repro.engine.metrics.JoinMetrics` are *derived views* over the
-registry: the pipeline's accounting stages read the published values
-back instead of threading ad-hoc scalars through return tuples.  Because
-a gauge/counter stores exactly the value it was handed (no float
-coercion of ints), the derived fields are bit-identical to the legacy
-plumbing.
+Every join run owns one :class:`MetricsRegistry`.  A join's numbers
+have one home, :class:`~repro.engine.metrics.JoinMetrics`: the pipeline's
+stages assign its fields and the job epilogue publishes each of them
+once, as the gauge ``join.<field>`` (``join.extra.<key>`` for the
+annotations).  A gauge/counter stores exactly the value it was handed
+(no float coercion of ints), so the registry reads the same numbers the
+metrics hold.  The serving layer keeps its own registry of counters
+(occurrences) and histograms (latency distributions).
 
 Histograms use **fixed bucket bounds** (seconds by default) so quantile
 estimates are mergeable and never require keeping raw samples: the
@@ -18,9 +16,10 @@ interpolated inside the winning bucket.
 
 The registry additionally carries a ``meta`` side-table for small
 structured artifacts a :class:`~repro.engine.telemetry.report.RunReport`
-wants verbatim (the shuffle byte matrix, the per-worker clock snapshot,
-the task-failure log).  All metric updates are cheap enough to stay
-always-on; the registry exists even when tracing is disabled.
+wants verbatim (the job header, the per-worker modelled clocks, the
+modelled stage makespans, the shuffle byte matrix, the planner's
+pick).  All metric updates are cheap enough to stay always-on; the
+registry exists even when tracing is disabled.
 """
 
 from __future__ import annotations
@@ -65,9 +64,7 @@ class Gauge:
     """A point-in-time value (an end-of-run total, a peak, a size).
 
     ``set`` stores the value *as given* -- an int stays an int -- and
-    returns it, so ``metrics.field = registry.gauge(name).set(value)``
-    publishes and assigns the identical object in one step (the
-    derived-view idiom the pipeline uses).
+    returns it.
     """
 
     kind = "gauge"

@@ -427,9 +427,7 @@ def distance_join(
     )
     ctx = make_context(cfg, num_workers=cfg.num_workers, metrics=metrics)
     run_staged_join(distance_stages(cfg, r, s), ctx)
-    r_ids, s_ids = ctx.data["r_ids"], ctx.data["s_ids"]
-    metrics.results = len(r_ids) if cfg.collect_pairs else ctx.data["result_count"]
-    return JoinResult(r_ids, s_ids, metrics)
+    return JoinResult(ctx.data["r_ids"], ctx.data["s_ids"], metrics)
 
 
 def config_variants(base: JoinConfig, **changes) -> JoinConfig:

@@ -322,6 +322,7 @@ class _OwnershipStage(Stage):
         ctx.data["s_ids"] = (
             np.concatenate(out_s) if out_s else np.empty(0, dtype=np.int64)
         )
+        ctx.metrics.results = len(ctx.data["r_ids"])
 
 
 def generalized_stages(
@@ -356,6 +357,4 @@ def generalized_distance_join(
     )
     ctx = make_context(cfg, num_workers=cfg.num_workers, metrics=metrics)
     run_staged_join(generalized_stages(cfg, r, s), ctx)
-    r_ids, s_ids = ctx.data["r_ids"], ctx.data["s_ids"]
-    metrics.results = len(r_ids)
-    return JoinResult(r_ids, s_ids, metrics)
+    return JoinResult(ctx.data["r_ids"], ctx.data["s_ids"], metrics)

@@ -302,6 +302,7 @@ class _ExactRefineStage(Stage):
         ctx.data["cost_pos"] = cost_pos
         ctx.data["r_ids"] = np.asarray(out_r, dtype=np.int64)
         ctx.data["s_ids"] = np.asarray(out_s, dtype=np.int64)
+        ctx.metrics.results = len(out_r)
 
 
 def object_stages(
@@ -357,9 +358,7 @@ def object_join(
     )
     ctx = make_context(cfg, num_workers=cfg.num_workers, metrics=metrics)
     run_staged_join(object_stages(r, s, eps, eps_eff, predicate), ctx)
-    r_ids, s_ids = ctx.data["r_ids"], ctx.data["s_ids"]
-    metrics.results = len(r_ids)
-    return ObjectJoinResult(r_ids, s_ids, metrics)
+    return ObjectJoinResult(ctx.data["r_ids"], ctx.data["s_ids"], metrics)
 
 
 def object_distance_join(

@@ -11,11 +11,15 @@ This module makes that plan explicit.  A driver is a *stage list*
 (``distance_stages``, ``object_stages``, ``generalized_stages``): each
 :class:`Stage` is a small object that reads and writes a shared
 :class:`JoinContext` (inputs, outputs, per-stage accounting on the
-modelled :class:`~repro.engine.cluster.SimCluster` clocks and the
-measured :class:`~repro.engine.metrics.PhaseTimer`), and one generic
-driver, :func:`run_staged_join`, runs the list -- owning the phase
-timer, per-stage wall clocks (``JoinMetrics.stage_times``) and the
-lifecycle of the block store.
+modelled :class:`~repro.engine.cluster.SimCluster` clocks), and one
+generic driver, :func:`run_staged_join`, runs the list -- owning the
+per-stage wall clocks (``JoinMetrics.stage_times``, summed by phase
+into ``wall_times``) and the lifecycle of the block store.
+
+Stages *assign* the run's numbers to
+:class:`~repro.engine.metrics.JoinMetrics` fields; the job epilogue
+publishes them into the telemetry registry once
+(``JoinMetrics.publish``), so every number has one home.
 
 The stages shared by every driver live here:
 
@@ -70,7 +74,7 @@ from repro.engine.executor import (
 from repro.engine.faults import FaultPlan, ShuffleFetchError
 from repro.engine.kernels import get_kernel
 from repro.engine.lpt import lpt_assignment
-from repro.engine.metrics import COST_MODEL, CostModel, JoinMetrics, PhaseTimer
+from repro.engine.metrics import COST_MODEL, CostModel, JoinMetrics
 from repro.engine.shuffle import ShuffleStats, input_splits, read_seconds
 from repro.engine.sorting import run_starts, stable_argsort
 from repro.engine.telemetry import MetricsRegistry, Telemetry, Tracer, get_logger
@@ -100,8 +104,8 @@ class ExecutionSettings:
     injection, retry/speculation policy, shuffle spill and cell
     checkpointing, telemetry and the run history.  Every driver config
     (``JoinConfig``, ``ObjectJoinConfig``, ``GeneralizedJoinConfig``) is
-    a subclass, so the fields are flat keywords on each of them and
-    ``ctx.settings`` is the config itself.  Construction checks every
+    a subclass, so the fields are flat keywords on each of them and a
+    stage reads them off ``ctx.cfg``.  Construction checks every
     field: an invalid value raises a ``ValueError`` naming it before
     any stage runs.
     """
@@ -197,12 +201,11 @@ class ExecutionSettings:
 class JoinContext:
     """Everything a stage may read or write while a staged join runs."""
 
+    #: The driver config: an :class:`ExecutionSettings` subclass.
     cfg: Any
-    settings: ExecutionSettings
     cluster: SimCluster
     metrics: JoinMetrics
     shuffle: ShuffleStats
-    timer: PhaseTimer = field(default_factory=PhaseTimer)
     fault_plan: FaultPlan | None = None
     store: BlockStore | None = None
     telemetry: Telemetry = field(default_factory=Telemetry.disabled)
@@ -231,7 +234,7 @@ def make_context(
 ) -> JoinContext:
     """Build a :class:`JoinContext`: settings, cluster, store lifecycle.
 
-    ``cfg`` is a driver config, which *is* the context's ``settings``
+    ``cfg`` is a driver config, an :class:`ExecutionSettings` subclass
     (checked when it was constructed).  Opens the block store when a
     spill tier is configured; :func:`run_staged_join` closes it on every
     exit path.
@@ -239,7 +242,6 @@ def make_context(
     telemetry = cfg.telemetry or Telemetry.disabled()
     ctx = JoinContext(
         cfg=cfg,
-        settings=cfg,
         cluster=SimCluster(num_workers),
         metrics=metrics,
         shuffle=ShuffleStats(),
@@ -281,54 +283,53 @@ class Stage:
 def run_staged_join(stages: list[Stage], ctx: JoinContext) -> JoinContext:
     """Run a stage list to completion: the generic staged-join driver.
 
-    Owns the phase timer and the per-stage wall clocks, and guarantees
-    the block store is released on *every* exit
-    path -- including aborts mid-pipeline (exhausted retry budget, a
-    fetch that keeps failing).
+    Owns the per-stage wall clocks, and guarantees the block store is
+    released on *every* exit path -- including aborts mid-pipeline
+    (exhausted retry budget, a fetch that keeps failing).
 
     When the context carries enabled telemetry, the whole run becomes a
     ``job`` root span with one ``stage`` span per pipeline stage, and the
     run's registry is stocked with everything a
     :class:`~repro.engine.telemetry.RunReport` needs (per-worker clocks,
-    stage makespans, the shuffle matrix, the published metrics).
+    stage makespans, the shuffle matrix, the published metrics).  The
+    epilogue is the only writer of the run's numbers into the registry.
     """
     tracer = ctx.tracer
     try:
         with tracer.span(
             "job",
             cat="job",
-            backend=ctx.settings.execution_backend,
+            backend=ctx.cfg.execution_backend,
             workers=ctx.num_workers,
             method=getattr(ctx.cfg, "method", None),
         ):
             for stage in stages:
-                ctx.timer.start(stage.phase)
                 started = time.perf_counter()
                 with tracer.span(stage.name, cat="stage", phase=stage.phase) as span:
                     before = _thread_rusage()
                     stage.run(ctx)
                     spent = [now - was for was, now in zip(before, _thread_rusage())]
                 elapsed = time.perf_counter() - started
-                stage_times = ctx.metrics.stage_times
-                stage_times[stage.name] = (
-                    stage_times.get(stage.name, 0.0) + elapsed
-                )
+                # per stage, and summed by the stage's phase
+                m = ctx.metrics
+                for times, key in (
+                    (m.stage_times, stage.name), (m.wall_times, stage.phase)
+                ):
+                    times[key] = times.get(key, 0.0) + elapsed
                 # wall time cannot say "zeroing pages": the kernel's share
                 # of a stage, beside its wall (docs/EXECUTION.md, "Memory")
-                extra = ctx.metrics.extra
+                extra = m.extra
                 for name, delta in zip(("minflt", "sys_s"), spent):
                     if span is not None:
                         span.attrs[name] = delta
                     key = f"{name}.{stage.name}"
                     extra[key] = extra.get(key, 0.0) + delta
-        ctx.timer.stop()
     finally:
         # spilled blocks and checkpoints are job-transient: release them
         # even when the job aborts mid-spill
         if ctx.store is not None:
             ctx.store.close()
             ctx.store = None
-    ctx.metrics.wall_times = dict(ctx.timer.phases)
     _publish_run(ctx)
     _append_history(ctx)
     return ctx
@@ -352,7 +353,7 @@ def _append_history(ctx: JoinContext) -> None:
     serving layer sets predicted clocks before the run so the stored
     line replays through ``repro.planner.accuracy.replay_reports``).
     """
-    history = ctx.settings.history
+    history = ctx.cfg.history
     if history is None:
         return
     try:
@@ -364,35 +365,26 @@ def _append_history(ctx: JoinContext) -> None:
 
 
 def _publish_run(ctx: JoinContext) -> None:
-    """Stock the registry with the run-report artifacts (job epilogue)."""
+    """Stock the registry with the run-report artifacts (job epilogue).
+
+    The stages have assigned every number to ``ctx.metrics`` (the result
+    count included); this publishes them once, beside the structured
+    metas a :class:`~repro.engine.telemetry.RunReport` reads.
+    """
     registry = ctx.registry
     metrics = ctx.metrics
     metrics.publish(registry)
-    # drivers assign ``metrics.results`` only after run_staged_join
-    # returns; the pipeline already holds the result set, so derive the
-    # count here and keep the published gauge consistent with it
-    results = metrics.results
-    if not results:
-        if "result_count" in ctx.data:
-            results = int(ctx.data["result_count"])
-        elif "r_ids" in ctx.data:
-            results = int(len(ctx.data["r_ids"]))
-        elif "pairs" in ctx.data:
-            results = int(len(ctx.data["pairs"]))
-        if results:
-            registry.gauge("join.results").set(results)
     registry.set_meta(
         "job",
         {
             "method": metrics.method or getattr(ctx.cfg, "method", ""),
             "backend": metrics.execution_backend,
             "workers": ctx.num_workers,
-            "results": results,
+            "results": metrics.results,
             "grid_cells": metrics.grid_cells,
         },
     )
     registry.set_meta("cluster.clocks", ctx.cluster.clock_snapshot())
-    registry.set_meta("cluster.walls", ctx.cluster.wall_snapshot())
     modelled = {
         "shuffle": metrics.construction_time_model,
         "local_join": metrics.join_time_model,
@@ -740,20 +732,14 @@ class ShuffleStage(Stage):
         ctx.data["read_cost_w"] = read_cost_w
         ctx.data["read_records_w"] = read_records_w
         ctx.data["read_bytes_w"] = read_bytes_w
+        _assign_shuffle_volumes(ctx)
 
-        # the JoinMetrics fields are *derived views* over the registry:
-        # the gauge stores the exact int it is handed and returns it
-        # unchanged, so the goldens stay bit-identical
-        m = ctx.metrics
-        reg = ctx.registry
-        m.shuffle_records = reg.gauge("shuffle.records").set(ctx.shuffle.records)
-        m.shuffle_bytes = reg.gauge("shuffle.bytes").set(ctx.shuffle.bytes)
-        m.remote_records = reg.gauge("shuffle.remote_records").set(
-            ctx.shuffle.remote_records
-        )
-        m.remote_bytes = reg.gauge("shuffle.remote_bytes").set(
-            ctx.shuffle.remote_bytes
-        )
+
+def _assign_shuffle_volumes(ctx: JoinContext) -> None:
+    """Copy the shuffle's four exact volumes into the metrics."""
+    m, shuffle = ctx.metrics, ctx.shuffle
+    m.shuffle_records, m.shuffle_bytes = shuffle.records, shuffle.bytes
+    m.remote_records, m.remote_bytes = shuffle.remote_records, shuffle.remote_bytes
 
 
 class ShuffleRecoveryStage(Stage):
@@ -772,7 +758,6 @@ class ShuffleRecoveryStage(Stage):
     def run(self, ctx: JoinContext) -> None:
         cm = COST_MODEL
         cluster = ctx.cluster
-        settings = ctx.settings
         metrics = ctx.metrics
         read_cost_w = ctx.data["read_cost_w"]
         read_records_w = ctx.data["read_records_w"]
@@ -786,7 +771,7 @@ class ShuffleRecoveryStage(Stage):
                     continue
                 attempt = 0
                 while ctx.fault_plan.decide("fetch", w, attempt) is not None:
-                    if attempt >= settings.max_retries:
+                    if attempt >= ctx.cfg.max_retries:
                         tracer.event(
                             "fetch_failed",
                             cat="recovery",
@@ -822,20 +807,13 @@ class ShuffleRecoveryStage(Stage):
                             attempt=attempt,
                             records=int(read_records_w[w]),
                         )
-                    ctx.registry.counter("shuffle.fetch_retries").inc()
                     fetch_retries += 1
                     attempt += 1
             metrics.extra["fetch_retries"] = float(fetch_retries)
             metrics.extra["refetch_bytes"] = float(ctx.shuffle.refetch_bytes)
-        ctx.data["fetch_retries"] = fetch_retries
-        reg = ctx.registry
-        metrics.blocks_refetched = reg.gauge("blockstore.blocks_refetched").set(
-            ctx.shuffle.refetch_blocks
-        )
+        metrics.blocks_refetched = ctx.shuffle.refetch_blocks
         if ctx.store is not None:
-            metrics.blocks_spilled = reg.gauge("blockstore.blocks_spilled").set(
-                ctx.store.blocks_spilled
-            )
+            metrics.blocks_spilled = ctx.store.blocks_spilled
             metrics.extra["spilled_bytes"] = float(ctx.store.spilled_bytes)
 
         worker_heap = ctx.data["worker_heap"]
@@ -900,13 +878,12 @@ class LocalJoinStage(Stage):
             plan,
             self.kernel_name,
             self.eps,
-            backend=ctx.settings.execution_backend,
-            max_workers=ctx.settings.executor_workers,
+            backend=ctx.cfg.execution_backend,
+            max_workers=ctx.cfg.executor_workers,
             faults=ctx.fault_plan,
-            retry=ctx.settings.retry_policy(),
-            checkpoints=ctx.store if ctx.settings.checkpoint_cells else None,
+            retry=ctx.cfg.retry_policy(),
+            checkpoints=ctx.store if ctx.cfg.checkpoint_cells else None,
             tracer=ctx.tracer,
-            registry=ctx.registry,
             collect_pairs=self.collect_pairs,
         )
         ctx.data["plan"] = plan
@@ -915,13 +892,8 @@ class LocalJoinStage(Stage):
         # the other kernels R everywhere
         swapped = plan.swapped & (self.kernel_name == "grid_hash")
         probes = np.where(swapped, np.diff(plan.s_offsets), np.diff(plan.r_offsets))
-        reg = ctx.registry
-        ctx.metrics.extra["probe_records"] = float(
-            reg.gauge("join.probe_records").set(int(probes.sum()))
-        )
-        ctx.metrics.extra["swapped_cells"] = float(
-            reg.gauge("join.swapped_cells").set(int(swapped.sum()))
-        )
+        ctx.metrics.extra["probe_records"] = float(probes.sum())
+        ctx.metrics.extra["swapped_cells"] = float(swapped.sum())
 
 
 class JoinAccountingStage(Stage):
@@ -961,8 +933,6 @@ class JoinAccountingStage(Stage):
                 cluster.add_cost(int(w), phase, float(total[w]))
 
         charge("join", cost, slice(None))
-        for worker_id, seconds in report.worker_wall.items():
-            cluster.record_wall(worker_id, "join", seconds)
         for phase, counts in (
             ("recovery", report.resubmit_counts[by_cell]),
             (SALVAGE_PHASE, report.salvage_counts[by_cell]),
@@ -975,9 +945,11 @@ class JoinAccountingStage(Stage):
         metrics.candidate_pairs = int(report.candidates.sum())
         metrics.join_time_model = cluster.phase_makespan("join", "recovery")
         metrics.worker_join_costs = cluster.phase_loads("join")
-        metrics.execution_backend = ctx.settings.execution_backend
+        metrics.execution_backend = ctx.cfg.execution_backend
         metrics.join_wall_makespan = report.wall_makespan
-        metrics.worker_join_wall = cluster.phase_wall_loads("join")
+        metrics.worker_join_wall = [
+            report.worker_wall.get(w, 0.0) for w in range(ctx.num_workers)
+        ]
         metrics.extra["join_wall_total"] = report.wall_total
         metrics.extra["executor_os_workers"] = float(report.os_workers)
         # Serialization/launch overhead term (satellite of the columnar
@@ -1002,8 +974,8 @@ class JoinAccountingStage(Stage):
         metrics.cells_salvaged = report.cells_salvaged
         metrics.salvaged_seconds = report.salvaged_wall_seconds
         metrics.salvaged_time_model = cluster.salvaged_time()
-        metrics.fault_events = len(report.fault_events) + ctx.data.get(
-            "fetch_retries", 0
+        metrics.fault_events = len(report.fault_events) + int(
+            metrics.extra.get("fetch_retries", 0)
         )
         if report.degraded:
             metrics.fallback_backend = report.backend_used
@@ -1078,8 +1050,8 @@ class DistinctStage(Stage):
     Reads ``r_ids``/``s_ids`` and the executor's ``plan``/``report``
     (the pairs are task-major, so each source worker's pairs are one
     span of them); replaces the id arrays with their unique pairs and
-    folds the dedup makespan and refreshed shuffle volumes into the
-    metrics.
+    folds the result count, the dedup makespan and the refreshed shuffle
+    volumes into the metrics.
     """
 
     name = "distinct"
@@ -1105,17 +1077,10 @@ class DistinctStage(Stage):
         )
         d["r_ids"], d["s_ids"] = r_ids, s_ids
         m = ctx.metrics
-        reg = ctx.registry
+        m.results = len(r_ids)
         m.join_time_model += dedup_time
         m.extra["dedup_time_model"] = dedup_time
-        m.shuffle_records = reg.gauge("shuffle.records").set(ctx.shuffle.records)
-        m.shuffle_bytes = reg.gauge("shuffle.bytes").set(ctx.shuffle.bytes)
-        m.remote_records = reg.gauge("shuffle.remote_records").set(
-            ctx.shuffle.remote_records
-        )
-        m.remote_bytes = reg.gauge("shuffle.remote_bytes").set(
-            ctx.shuffle.remote_bytes
-        )
+        _assign_shuffle_volumes(ctx)
 
 
 # ----------------------------------------------------------------------
@@ -1125,9 +1090,9 @@ class CollectPairsStage(Stage):
     """Hand out the executor's result columns and price each plan position.
 
     Writes ``cost_pos`` (``candidates * compare + pairs * emit`` per
-    position), ``r_ids``/``s_ids`` -- the report's columns themselves,
+    position) and ``r_ids``/``s_ids`` -- the report's columns themselves,
     task-major, not a copy; empty when the local join did not collect --
-    and ``result_count``.
+    and sets ``metrics.results`` (the report's count, collected or not).
     """
 
     name = "collect"
@@ -1143,4 +1108,4 @@ class CollectPairsStage(Stage):
         )
         ctx.data["r_ids"] = report.r_col
         ctx.data["s_ids"] = report.s_col
-        ctx.data["result_count"] = int(report.bounds[-1])
+        ctx.metrics.results = int(report.bounds[-1])

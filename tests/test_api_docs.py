@@ -37,3 +37,15 @@ def test_main_writes_file(tmp_path):
     content = out.read_text()
     assert content.startswith("# API reference")
     assert content.count("### ") > 100
+
+
+def test_committed_docs_match_the_generator(tmp_path):
+    """``docs/API.md`` is the generator's output byte for byte: a changed
+    public signature fails here until the docs are regenerated with
+    ``python scripts/gen_api_docs.py docs/API.md``."""
+    gen = _load_generator()
+    out = tmp_path / "API.md"
+    gen.main(str(out))
+    with open("docs/API.md") as f:
+        committed = f.read()
+    assert out.read_text() == committed, "docs/API.md is stale: regenerate it"

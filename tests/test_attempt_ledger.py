@@ -13,7 +13,7 @@ import pytest
 
 from repro.engine.attempts import AttemptLedger
 from repro.engine.executor import ExecutionReport, RetryPolicy
-from repro.engine.telemetry import MetricsRegistry, Tracer
+from repro.engine.telemetry import Tracer
 
 TASKS = {0: np.arange(0, 3), 1: np.arange(3, 5)}
 
@@ -34,7 +34,6 @@ def make_ledger(policy=None, prepare=None, tasks=TASKS):
         None,
         ExecutionReport(backend="fake", os_workers=1),
         Tracer(enabled=False),
-        MetricsRegistry(),
         logging.getLogger("test.ledger"),
         prepare or (lambda task, positions: positions),
         lambda task, block, elapsed: absorbed.append((task, block, elapsed)),

@@ -243,6 +243,25 @@ def test_telemetry_sits_below_executor_and_pipeline():
     assert "repro.engine.telemetry.registry" in names
 
 
+def test_executor_and_ledger_publish_no_metrics():
+    """The executor and the attempt ledger report; they do not publish.
+    Every number they keep is an ``ExecutionReport`` field the pipeline
+    assigns to ``JoinMetrics``, and the job epilogue publishes it once,
+    so neither module may name the metrics registry."""
+    for consumer in ("repro.engine.executor", "repro.engine.attempts"):
+        with open(dict(MODULES)[consumer]) as f:
+            tree = ast.parse(f.read())
+        named = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                named.update(alias.name for alias in node.names)
+        assert "MetricsRegistry" not in named, consumer
+
+
 def _dataclass_fields(tree):
     """``{class name: [annotated field names]}`` of a module's dataclasses."""
     out = {}

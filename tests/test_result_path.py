@@ -437,7 +437,7 @@ def test_serial_result_is_the_memory_the_kernel_wrote(pool):
         assert slab is not None and slab.flags.owndata
         assert column.ctypes.data == slab.ctypes.data
     assert _slab_of(report.r_col) is not _slab_of(report.s_col)
-    assert len(report.r_col) == ctx.data["result_count"] == report.bounds[-1]
+    assert len(report.r_col) == ctx.metrics.results == report.bounds[-1]
     assert "src_workers" not in ctx.data
 
 
@@ -698,7 +698,7 @@ def test_count_only_reports_the_same_counts_everywhere(tmp_path, kernel, backend
         **_scenario_overrides(tmp_path, backend, scenario),
     )
     want, report = _clean_report(kernel), ctx.data["report"]
-    assert ctx.data["result_count"] == len(want.r_col) > 0
+    assert ctx.metrics.results == len(want.r_col) > 0
     np.testing.assert_array_equal(report.bounds, want.bounds)
     np.testing.assert_array_equal(report.candidates, want.candidates)
     for column in (report.r_col, report.s_col, ctx.data["r_ids"], ctx.data["s_ids"]):
