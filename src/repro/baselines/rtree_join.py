@@ -108,11 +108,11 @@ def rtree_samj_join(r: PointSet, s: PointSet, cfg: SamjConfig) -> JoinResult:
     timer.start("construction")
     tree_r = RTree(r.xs, r.ys, leaf_capacity=cfg.leaf_capacity)
     tree_s = RTree(s.xs, s.ys, leaf_capacity=cfg.leaf_capacity)
-    if tree_r.root is None or tree_s.root is None:
-        raise ValueError("both inputs must be non-empty")
 
     def top_level(tree: RTree) -> list[_Node]:
         root = tree.root
+        if root is None:  # an empty input: no task, no pairs
+            return []
         return root.children if not root.is_leaf else [root]
 
     tops_r, tops_s = top_level(tree_r), top_level(tree_s)

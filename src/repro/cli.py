@@ -33,7 +33,6 @@ from repro.engine.blockstore import SPILL_TIERS
 from repro.engine.executor import BACKENDS
 from repro.engine.faults import FaultPlan
 from repro.engine.telemetry import (
-    LOG_LEVELS,
     TRACE_FORMATS,
     Telemetry,
     configure as configure_logging,
@@ -114,11 +113,11 @@ def _register_spec(text: str) -> tuple[str, str]:
     return name, spec
 
 
-def _load_input(spec: str, base_n: int, payload: int):
+def _load_input(spec: str, base_n: int):
     """A dataset codename (R1/R2/S1/S2) or a path to an ``id,x,y`` file."""
     if spec in _DATASETS:
-        return load_dataset(spec, base_n=base_n, payload_bytes=payload)
-    return read_points_text(spec, payload_bytes=payload, name=spec)
+        return load_dataset(spec, base_n=base_n)
+    return read_points_text(spec, name=spec)
 
 
 #: Join variants of the ``--join`` flag; all run through the staged
@@ -177,8 +176,6 @@ def _validate_join_args(args: argparse.Namespace) -> str | None:
                 f"({', '.join(GRID_METHODS)})")
     if args.trace_format is not None and args.trace is None:
         return "--trace-format requires --trace"
-    if args.quiet and args.log_level not in (None, "quiet"):
-        return f"--quiet conflicts with --log-level {args.log_level}"
     if not staged and (
         args.trace is not None or args.report or args.history is not None
     ):
@@ -207,7 +204,7 @@ def _join_config(args: argparse.Namespace):
         if getattr(args, name) is not None:
             given[name] = getattr(args, name)
     if args.faults is not None:
-        given["faults"] = args.faults.with_seed(args.fault_seed)
+        given["faults"] = args.faults
     for name in ("telemetry", "history"):
         if getattr(args, f"_{name}", None) is not None:
             given[name] = getattr(args, f"_{name}")
@@ -245,8 +242,7 @@ def _join_inputs(args: argparse.Namespace) -> tuple:
 
         return (ObjectSet(random_boxes(args.base_n, Side.R, seed=11), "R"),
                 ObjectSet(random_boxes(args.base_n, Side.S, seed=22), "S"))
-    return (_load_input(args.r, args.base_n, args.payload),
-            _load_input(args.s, args.base_n, args.payload))
+    return _load_input(args.r, args.base_n), _load_input(args.s, args.base_n)
 
 
 def _run_join_variant(args: argparse.Namespace, config, r, s):
@@ -321,9 +317,8 @@ def _cmd_join(args: argparse.Namespace) -> int:
     if error is not None:
         print(error, file=sys.stderr)
         return 2
-    level = "quiet" if args.quiet else args.log_level
-    if level is not None:
-        configure_logging(level)
+    if args.quiet:
+        configure_logging("quiet")
     if args.trace is not None or args.report or args.history is not None:
         args._telemetry = Telemetry.create()
     if args.history is not None:
@@ -422,8 +417,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     """Plan a workload and print the candidate table, without running it."""
     from repro.planner import plan_join
 
-    r = _load_input(args.r, args.base_n, args.payload)
-    s = _load_input(args.s, args.base_n, args.payload)
+    r = _load_input(args.r, args.base_n)
+    s = _load_input(args.s, args.base_n)
     pins = _capture_pins(args)
     try:
         planned = plan_join(
@@ -478,61 +473,21 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-#: One-shot-only ``repro join`` flags that trap with a targeted error
-#: when combined with the serving commands (dest, flag string).
-_ONE_SHOT_TRAPS = (
-    ("faults", "--faults"),
-    ("fault_seed", "--fault-seed"),
-    ("spill", "--spill"),
-    ("spill_dir", "--spill-dir"),
-    ("checkpoint_cells", "--checkpoint-cells"),
-    ("task_timeout", "--task-timeout"),
-)
-
-
-def _add_one_shot_traps(parser: argparse.ArgumentParser) -> None:
-    """Accept (then reject with a clear message) one-shot-only flags."""
-    for dest, flag in _ONE_SHOT_TRAPS:
-        if dest in ("checkpoint_cells",):
-            parser.add_argument(flag, dest=dest, action="store_true",
-                                default=None, help=argparse.SUPPRESS)
-        else:
-            parser.add_argument(flag, dest=dest, default=None,
-                                help=argparse.SUPPRESS)
-
-
-def _one_shot_trap_error(args: argparse.Namespace, command: str) -> str | None:
-    for dest, flag in _ONE_SHOT_TRAPS:
-        if getattr(args, dest, None) is not None:
-            return (f"{flag} is a one-shot `repro join` flag: fault "
-                    f"injection, spill tiers and straggler policy do not "
-                    f"apply to `repro {command}` (the server owns its "
-                    f"execution policy; see docs/SERVING.md)")
-    return None
-
-
 def _address_error(args: argparse.Namespace, *, client: bool) -> str | None:
-    """The ``--socket`` / ``--port`` / ``--host`` checks of ``serve``,
-    ``query`` and ``top``; a client must name exactly one address."""
+    """The ``--socket`` / ``--port`` checks of ``serve`` and ``query``; a
+    client must name exactly one address."""
     if client and (args.socket is None) == (args.port is None):
         return ("provide exactly one of --socket and --port (where the "
                 "server listens)")
     if args.socket is not None and args.port is not None:
         return ("--socket and --port are mutually exclusive: the server "
                 "listens on one unix socket or one localhost TCP port")
-    if args.host is not None and args.port is None:
-        return "--host requires --port (unix sockets have no host)"
     return None
-
-
-def _validate_serve_args(args: argparse.Namespace) -> str | None:
-    """Semantic validation of ``repro serve``; error line or ``None``."""
-    return _one_shot_trap_error(args, "serve") or _address_error(args, client=False)
 
 
 def _validate_query_args(args: argparse.Namespace) -> str | None:
     """Semantic validation of ``repro query``; error line or ``None``."""
-    error = _one_shot_trap_error(args, "query") or _address_error(args, client=True)
+    error = _address_error(args, client=True)
     if error is not None:
         return error
     wants_join = any(
@@ -541,9 +496,9 @@ def _validate_query_args(args: argparse.Namespace) -> str | None:
     if wants_join and not (args.r and args.s and args.eps is not None):
         return "--r, --s and --eps must be given together for a join query"
     if not (wants_join or args.register or args.stats or args.stats_json
-            or args.ping or args.shutdown_server):
+            or args.ping):
         return ("nothing to do: give a query (--r/--s/--eps), --register, "
-                "--stats, --ping or --shutdown-server")
+                "--stats or --ping")
     return None
 
 
@@ -575,7 +530,7 @@ def _keep_freed_memory_in_heap() -> bool:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    error = _validate_serve_args(args)
+    error = _address_error(args, client=False)
     if error is not None:
         print(error, file=sys.stderr)
         return 2
@@ -592,16 +547,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     _keep_freed_memory_in_heap()
-    level = "quiet" if args.quiet else args.log_level
-    if level is not None:
-        configure_logging(level)
+    if args.quiet:
+        configure_logging("quiet")
     server = JoinServer(config)
-    for name, spec in args.register or ():
-        server.datasets.register_spec(
-            name, spec, base_n=args.base_n, payload_bytes=args.payload
-        )
-        if not args.quiet:
-            print(f"registered {name} <- {spec}")
 
     import asyncio as _asyncio
     import signal as _signal
@@ -637,11 +585,8 @@ def _connect(args: argparse.Namespace):
     (the reason printed) when it cannot be reached."""
     from repro.serving import JoinClient
 
-    address = {"socket_path": args.socket, "port": args.port}
-    if args.host is not None:
-        address["host"] = args.host
     try:
-        return JoinClient(**address, timeout=args.timeout)
+        return JoinClient(socket_path=args.socket, port=args.port, timeout=120.0)
     except (OSError, ValueError) as exc:
         print(f"cannot reach the server: {exc}", file=sys.stderr)
         return None
@@ -663,9 +608,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             print(f"server pid {pong['pid']} up {pong['uptime_seconds']:.1f}s "
                   f"(backend={pong['backend']})")
         for name, spec in args.register or ():
-            entry = client.register(
-                name, spec, base_n=args.base_n, payload=args.payload
-            )
+            entry = client.register(name, spec, base_n=args.base_n)
             print(f"registered {entry['name']}: {entry['n']:,} points "
                   f"(fingerprint {entry['fingerprint']})")
         if args.r is not None:
@@ -682,8 +625,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 request["report"] = True
             if args.tuning == "auto":
                 request["tuning"] = "auto"
-            if args.no_reuse_results:
-                request["reuse_results"] = False
             response = client.query(args.r, args.s, args.eps, **request)
             m = response["metrics"]
             source = ("result cache" if response["cached_result"]
@@ -718,40 +659,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 from repro.obs import render_stats
 
                 print(render_stats(stats), end="")
-        if args.shutdown_server:
-            client.shutdown()
-            print("server shutting down")
     except (ServerError, ConnectionError, OSError) as exc:
         print(str(exc), file=sys.stderr)
-        return 1
-    finally:
-        client.close()
-    return 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    """Live dashboard over a running server (see repro.obs.top)."""
-    error = _address_error(args, client=True)
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
-    from repro.obs import TopDashboard
-    from repro.serving import ServerError
-
-    client = _connect(args)
-    if client is None:
-        return 1
-    iterations = 1 if args.once else (args.iterations or None)
-    dashboard = TopDashboard(
-        client.stats,
-        interval=args.interval,
-        iterations=iterations,
-        clear=not (args.no_clear or args.once),
-    )
-    try:
-        dashboard.run()
-    except (ServerError, ConnectionError, OSError) as exc:
-        print(f"lost the server: {exc}", file=sys.stderr)
         return 1
     finally:
         client.close()
@@ -816,8 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="deterministic fault injection, e.g. "
                            "'kill:p=1:times=1,straggler:p=0.3:delay=0.1' "
                            "(see docs/FAULTS.md; grid methods only)")
-    join.add_argument("--fault-seed", type=int, default=0,
-                      help="seed of the fault plan's decision hash")
     join.add_argument("--max-retries", type=int, default=None,
                       help="per-task retry budget for failed tasks and "
                            "shuffle fetches")
@@ -838,8 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(requires --spill)")
     join.add_argument("--base-n", type=_positive_int, default=DEFAULT_BASE_N,
                       help="cardinality for generated datasets")
-    join.add_argument("--payload", type=_nonnegative_int, default=0,
-                      help="payload bytes per tuple")
     join.add_argument("--show-pairs", type=_nonnegative_int, default=0,
                       metavar="N",
                       help="print the first N result pairs")
@@ -856,12 +761,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="append this run's RunReport to a JSONL "
                            "run-history store (accumulates across runs; "
                            "see docs/OBSERVABILITY.md)")
-    join.add_argument("--log-level", choices=LOG_LEVELS, default=None,
-                      help="configure the 'repro' structured logger "
-                           "('quiet' silences warnings)")
     join.add_argument("--quiet", action="store_true",
-                      help="shorthand for --log-level quiet; also drops "
-                           "the trace-written notice")
+                      help="log nothing below CRITICAL; also drops the "
+                           "trace-written notice")
     join.set_defaults(fn=_cmd_join)
 
     exp = sub.add_parser("experiment", help="regenerate a paper table/figure")
@@ -900,7 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="candidate rows to print (0 = all)")
     explain.add_argument("--base-n", type=_positive_int, default=DEFAULT_BASE_N)
-    explain.add_argument("--payload", type=_nonnegative_int, default=0)
     explain.set_defaults(fn=_cmd_explain)
 
     gen = sub.add_parser("generate", help="write a dataset as an id,x,y file")
@@ -929,13 +830,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=None,
                        help="listen on this localhost TCP port instead of "
                             "a unix socket")
-    serve.add_argument("--host", default=None,
-                       help="bind address for --port")
     serve.add_argument("--backend", choices=BACKENDS, default=None,
                        help="execution backend every query runs on")
-    serve.add_argument("--executor-workers", type=int,
-                       default=None, metavar="N",
-                       help="OS-level worker cap of the parallel backends")
     serve.add_argument("--workers", dest="default_workers", type=int,
                        default=None, metavar="WORKERS",
                        help="simulated workers of the queries that do not "
@@ -953,29 +849,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-queue", type=int, default=None,
                        help="queries allowed to wait for a slot before the "
                             "server rejects with an overload error")
-    serve.add_argument("--register", type=_register_spec, action="append",
-                       metavar="NAME=SPEC",
-                       help="pre-register a dataset at startup (codename "
-                            "like R1 or an id,x,y file); repeatable")
-    serve.add_argument("--base-n", type=_positive_int, default=DEFAULT_BASE_N,
-                       help="cardinality for pre-registered codenames")
-    serve.add_argument("--payload", type=_nonnegative_int, default=0,
-                       help="payload bytes per tuple for pre-registered "
-                            "datasets")
-    serve.add_argument("--no-sweep", dest="sweep_on_start",
-                       action="store_false", default=None,
-                       help="skip the startup hygiene sweep of stale "
-                            "server state dirs and sockets")
     serve.add_argument("--history", dest="history_path", default=None,
                        metavar="PATH",
                        help="append every executed query's RunReport to "
                             "this JSONL run-history store (replayable via "
                             "repro.planner.accuracy.replay_reports; see "
                             "docs/OBSERVABILITY.md)")
-    serve.add_argument("--history-max-mb", dest="history_max_bytes",
-                       type=_megabytes, default=None, metavar="MB",
-                       help="rotate the history file past this size "
-                            "(0: never)")
     serve.add_argument("--metrics-port", type=int, default=None,
                        metavar="PORT",
                        help="serve Prometheus text-format metrics on this "
@@ -986,20 +865,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="SLO watchdog: rolling-window p95 latency "
                             "threshold; breaches log an alert and set the "
                             "stats op's degraded flag")
-    serve.add_argument("--slo-p99", dest="slo_p99_seconds", type=float,
-                       default=None, metavar="SECONDS",
-                       help="SLO watchdog: rolling-window p99 latency "
-                            "threshold")
     serve.add_argument("--slo-error-rate", type=float,
                        default=None, metavar="RATE",
                        help="SLO watchdog: rolling-window failed-query "
                             "rate threshold in (0, 1]")
-    serve.add_argument("--slo-window", dest="slo_window_seconds", type=float,
-                       default=None, metavar="SECONDS",
-                       help="SLO watchdog rolling-window length")
-    serve.add_argument("--log-level", choices=LOG_LEVELS, default=None)
     serve.add_argument("--quiet", action="store_true")
-    _add_one_shot_traps(serve)
     serve.set_defaults(fn=_cmd_serve)
 
     query = sub.add_parser(
@@ -1010,14 +880,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="the server's unix socket")
     query.add_argument("--port", type=_port, default=None,
                        help="the server's localhost TCP port")
-    query.add_argument("--host", default=None)
-    query.add_argument("--timeout", type=_positive_float, default=120.0,
-                       help="client-side response timeout in seconds")
     query.add_argument("--register", type=_register_spec, action="append",
                        metavar="NAME=SPEC",
                        help="register a dataset before querying; repeatable")
     query.add_argument("--base-n", type=_positive_int, default=DEFAULT_BASE_N)
-    query.add_argument("--payload", type=_nonnegative_int, default=0)
     query.add_argument("--r", default=None,
                        help="registered dataset name of the R side")
     query.add_argument("--s", default=None,
@@ -1048,9 +914,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--show-pairs", type=_nonnegative_int, default=0,
                        metavar="N",
                        help="fetch and print the first N result pairs")
-    query.add_argument("--no-reuse-results", action="store_true",
-                       help="skip the server's result cache (the build "
-                            "artifact cache still applies)")
     query.add_argument("--report", action="store_true",
                        help="print the server-rendered run report")
     query.add_argument("--stats", action="store_true",
@@ -1061,36 +924,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --stats: print the raw JSON payload "
                             "instead of the rendered dashboard")
     query.add_argument("--ping", action="store_true")
-    query.add_argument("--shutdown-server", action="store_true",
-                       help="ask the server to shut down")
-    _add_one_shot_traps(query)
     query.set_defaults(fn=_cmd_query)
-
-    top = sub.add_parser(
-        "top",
-        help="live terminal dashboard over a running join server "
-             "(latency percentiles, cache hit rates, queue depth; "
-             "polls the stats op)",
-    )
-    top.add_argument("--socket", default=None, metavar="PATH",
-                     help="the server's unix socket")
-    top.add_argument("--port", type=_port, default=None,
-                     help="the server's localhost TCP port")
-    top.add_argument("--host", default=None)
-    top.add_argument("--timeout", type=_positive_float, default=10.0,
-                     help="client-side response timeout in seconds")
-    top.add_argument("--interval", type=_positive_float, default=2.0,
-                     metavar="SECONDS",
-                     help="seconds between polls")
-    top.add_argument("--iterations", type=_nonnegative_int, default=0,
-                     metavar="N",
-                     help="frames to render before exiting (0 = loop "
-                          "until ctrl-c)")
-    top.add_argument("--once", action="store_true",
-                     help="render one frame and exit (no screen clears)")
-    top.add_argument("--no-clear", action="store_true",
-                     help="scroll frames instead of clearing the screen")
-    top.set_defaults(fn=_cmd_top)
 
     return parser
 

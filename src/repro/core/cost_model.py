@@ -532,12 +532,11 @@ class AnalyticalCostModel:
 def _build_models(r, s, eps, sample_rate, num_workers, seed):
     """Sample once; build coarse (2 eps) and fine (eps) models lazily."""
     from repro.data.pointset import joint_mbr
-    from repro.data.sampling import bernoulli_sample
+    from repro.data.sampling import sample_pair
     from repro.joins.local import grid_hash_join
 
     mbr = joint_mbr(r, s)
-    r_sample = bernoulli_sample(r, sample_rate, seed)
-    s_sample = bernoulli_sample(s, sample_rate, seed + 1)
+    r_sample, s_sample = sample_pair(r, s, sample_rate, seed)
 
     # sample-join estimator of the result cardinality: the two samples
     # joined as one cell by the production kernel (the exact predicate)

@@ -7,5 +7,5 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "generators": ("gaussian_clusters", "real_like", "uniform"),
     "io": ("read_points_text", "write_points_text"),
     "pointset": ("PointSet", "dataset_fingerprint"),
-    "sampling": ("bernoulli_sample",),
+    "sampling": ("bernoulli_sample", "sample_pair"),
 })

@@ -20,3 +20,12 @@ def bernoulli_sample(points: PointSet, rate: float, seed: int = 0) -> PointSet:
     rng = np.random.default_rng(seed)
     mask = rng.random(len(points)) < rate
     return points.subset(mask, name=f"{points.name}~{rate:g}")
+
+
+def sample_pair(
+    r: PointSet, s: PointSet, rate: float, seed: int
+) -> tuple[PointSet, PointSet]:
+    """The two inputs' samples a join's statistics are built from: R drawn
+    with ``seed``, S with ``seed + 1``.  The planner's cost model and the
+    drivers draw the same pair, so its predictions describe the join."""
+    return bernoulli_sample(r, rate, seed), bernoulli_sample(s, rate, seed + 1)

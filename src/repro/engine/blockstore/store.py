@@ -175,8 +175,8 @@ class BlockStore:
         path) falls back to a fresh temp directory -- with a *warning*,
         because spill data silently landing somewhere the user did not
         ask for is exactly the kind of surprise a post-mortem needs to
-        see.  The warning honours the CLI's ``--log-level``/``--quiet``
-        via the standard :mod:`logging` tree.
+        see.  The warning honours the CLI's ``--quiet`` via the standard
+        :mod:`logging` tree.
         """
         if self._dir is None:
             # the disk tier's own imports: a job without one never pays

@@ -211,8 +211,9 @@ class RetryPolicy:
     """
 
     max_retries: int = 2
+    #: The wait before retry ``i`` is ``backoff_base * 2**i``, at most
+    #: ``backoff_cap``.
     backoff_base: float = 0.01
-    backoff_factor: float = 2.0
     backoff_cap: float = 0.25
     #: Straggler threshold: a running task older than this gets a
     #: speculative copy (``None`` disables straggler detection).
@@ -227,9 +228,7 @@ class RetryPolicy:
         """Seconds to wait before retry number ``retry_index`` (0-based)."""
         if self.backoff_base <= 0:
             return 0.0
-        return min(
-            self.backoff_cap, self.backoff_base * self.backoff_factor**retry_index
-        )
+        return min(self.backoff_cap, self.backoff_base * 2.0**retry_index)
 
 
 @dataclass(frozen=True)

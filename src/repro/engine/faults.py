@@ -49,7 +49,7 @@ Examples::
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 #: Fault kinds a plan may inject.
 FAULT_KINDS = ("kill", "straggler", "fetch", "kernel")
@@ -258,9 +258,6 @@ class FaultPlan:
         if not clauses:
             raise ValueError(f"empty fault spec {spec!r}")
         return FaultPlan(tuple(clauses), seed=seed)
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        return replace(self, seed=seed)
 
     def spec(self) -> str:
         """The plan back in ``--faults`` grammar (round-trips via parse)."""

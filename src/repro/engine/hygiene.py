@@ -9,7 +9,7 @@ in their ``repro_<pid>_<seq>_<nonce>`` name -- so a later run can tell a
 *stale* resource (owner dead) from one belonging to a live sibling
 process, and sweep only the former.
 
-``repro serve`` sweeps on start-up (``ServerConfig.sweep_on_start``);
+``repro serve`` sweeps on every start-up;
 :func:`sweep_stale_resources` is also safe to call from anywhere else,
 because it touches nothing whose owner is still alive and nothing it
 cannot attribute to an owner.

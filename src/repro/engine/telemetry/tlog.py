@@ -11,9 +11,9 @@ The library itself never configures handlers: records propagate to the
 standard :mod:`logging` tree, where an application (or ``caplog`` in a
 test) sees them, and Python's last-resort handler prints warnings and
 errors to stderr when nothing is configured -- so e.g. the block store's
-spill-directory fallback warning is visible by default.  The CLI calls
-:func:`configure` to install a formatted stderr handler honouring
-``--log-level``/``--quiet``.
+spill-directory fallback warning is visible by default.  The CLI's
+``--quiet`` calls :func:`configure` to install a stderr handler that
+shows nothing below CRITICAL.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ __all__ = ["LOG_LEVELS", "ROOT_LOGGER", "configure", "get_logger"]
 #: The logger namespace every engine/pipeline logger lives beneath.
 ROOT_LOGGER = "repro"
 
-#: Levels the CLI's ``--log-level`` accepts (``quiet`` shows nothing
-#: below CRITICAL -- the ``--quiet`` flag is shorthand for it).
+#: Levels :func:`configure` accepts (``quiet`` shows nothing below
+#: CRITICAL -- the CLI's ``--quiet``).
 LOG_LEVELS = ("debug", "info", "warning", "error", "quiet")
 
 _FORMAT = "%(asctime)s %(levelname)s %(name)s [run=%(run_id)s] %(message)s"

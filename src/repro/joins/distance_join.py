@@ -39,7 +39,7 @@ import numpy as np
 from repro._checks import check_count
 from repro.agreements.marking import ORDERINGS
 from repro.data.pointset import PointSet, joint_mbr
-from repro.data.sampling import bernoulli_sample
+from repro.data.sampling import sample_pair
 from repro.engine.metrics import COST_MODEL, JoinMetrics
 from repro.engine.shuffle import KEY_BYTES
 from repro.engine.telemetry import Tracer
@@ -271,8 +271,7 @@ class _BuildPartitionStage(Stage):
         if needs_stats:
             with tracer.span("construction.sample_stats", cat="construction"):
                 stats = GridStatistics(grid)
-                r_sample = bernoulli_sample(r, cfg.sample_rate, cfg.seed)
-                s_sample = bernoulli_sample(s, cfg.sample_rate, cfg.seed + 1)
+                r_sample, s_sample = sample_pair(r, s, cfg.sample_rate, cfg.seed)
                 stats.add_points(r_sample.xs, r_sample.ys, Side.R)
                 stats.add_points(s_sample.xs, s_sample.ys, Side.S)
 

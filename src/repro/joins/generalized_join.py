@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.pointset import PointSet, joint_mbr
-from repro.data.sampling import bernoulli_sample
+from repro.data.sampling import sample_pair
 from repro.engine.lpt import lpt_assignment
 from repro.engine.metrics import COST_MODEL, JoinMetrics
 from repro.engine.shuffle import KEY_BYTES
@@ -178,8 +178,7 @@ class _RectangulationStage(Stage):
         cfg: GeneralizedJoinConfig = ctx.cfg
         r, s = self.r, self.s
         mbr = joint_mbr(r, s)
-        r_sample = bernoulli_sample(r, cfg.sample_rate, cfg.seed)
-        s_sample = bernoulli_sample(s, cfg.sample_rate, cfg.seed + 1)
+        r_sample, s_sample = sample_pair(r, s, cfg.sample_rate, cfg.seed)
         part = _build_partition(cfg, mbr, r_sample, s_sample)
         ctx.metrics.grid_cells = part.num_leaves
         ctx.metrics.num_partitions = part.num_leaves

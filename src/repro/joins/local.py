@@ -7,8 +7,8 @@ cost.  Three kernels are provided:
 
 * :func:`nested_loop_join` -- the quadratic reference;
 * :func:`plane_sweep_join` -- sort by x, compare only within an x-window
-  of ``eps`` (the classic PBSM local algorithm; ``JoinConfig``'s default
-  and the kernel the driver goldens pin);
+  of ``eps`` (the classic PBSM local algorithm, and the kernel the driver
+  goldens pin);
 * :func:`grid_hash_join` -- bucket the *build* side into horizontal bands
   of height ``eps`` sorted by x, and give each point of the *probe* side
   an x-window in its own band and the two adjacent ones, narrowed by its
@@ -19,7 +19,7 @@ cost.  Three kernels are provided:
   implementation in two steps -- :func:`grid_hash_probe` windows all
   cells of a worker task in one pass, :func:`grid_hash_expand` writes the
   hits into columns the caller supplies; the per-cell kernel is the
-  one-cell case.
+  one-cell case.  It is ``JoinConfig``'s default.
 
 All kernels take parallel arrays and return ``(r_ids, s_ids, candidates)``
 with one entry per result pair.  The keyword-only ``origin`` argument

@@ -71,15 +71,16 @@ class ObjectSet:
     """A collection of spatial objects forming one join input."""
 
     def __init__(self, objects: Sequence[SpatialObject], name: str = ""):
-        if not objects:
-            raise ValueError("object set must not be empty")
         sides = {obj.side for obj in objects}
-        if len(sides) != 1:
+        if len(sides) > 1:
             raise ValueError("all objects of a set must belong to one input")
         self.objects = list(objects)
-        self.side = sides.pop()
+        #: ``None`` for an empty set, which joins to no pairs
+        self.side = sides.pop() if sides else None
         self.name = name
-        anchors = np.array([obj.anchor() for obj in self.objects], dtype=np.float64)
+        anchors = np.array(
+            [obj.anchor() for obj in self.objects], dtype=np.float64
+        ).reshape(-1, 2)
         self.ax = np.ascontiguousarray(anchors[:, 0])
         self.ay = np.ascontiguousarray(anchors[:, 1])
         self.radii = np.array([obj.radius() for obj in self.objects])
@@ -124,7 +125,6 @@ class ObjectJoinConfig(ExecutionSettings):
     num_workers: int = 12
     num_partitions: int | None = None
     cell_assignment: str = "lpt"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -151,9 +151,9 @@ class ObjectJoinResult:
         return set(zip(self.r_ids.tolist(), self.s_ids.tolist()))
 
 
-def _anchor_stats(grid, r, s, rate, seed):
+def _anchor_stats(grid, r, s, rate):
     stats = GridStatistics(grid)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for side, objs in ((Side.R, r), (Side.S, s)):
         mask = rng.random(len(objs)) < rate
         if not mask.any():
@@ -184,7 +184,7 @@ class _AnchorReductionStage(Stage):
         )
         grid = Grid(mbr, self.eps_eff)
         ctx.metrics.grid_cells = grid.num_cells
-        stats = _anchor_stats(grid, r, s, cfg.sample_rate, cfg.seed)
+        stats = _anchor_stats(grid, r, s, cfg.sample_rate)
         assigner, _pair_types = build_grid_assigner(
             grid,
             cfg.method,
@@ -337,17 +337,9 @@ def object_join(
     ``eps`` is the object-distance threshold used for the MBR filter
     (``0`` for intersection joins); ``predicate`` decides each candidate
     pair exactly.  The driver runs :func:`object_stages` through
-    :func:`run_staged_join`.
+    :func:`run_staged_join`; a join with an empty side returns no pairs.
     """
-    if r.side == s.side:
-        raise ValueError("object sets must come from different inputs (R and S)")
-    if r.side is not Side.R:
-        flipped = object_join(s, r, eps, lambda a, b: predicate(b, a), cfg)
-        return ObjectJoinResult(flipped.s_ids, flipped.r_ids, flipped.metrics)
     cfg = cfg or ObjectJoinConfig()
-    eps_eff = eps + r.max_radius + s.max_radius
-    if not eps_eff > 0:
-        raise ValueError("degenerate join: eps and object radii are all zero")
     metrics = JoinMetrics(
         method=f"object-{cfg.method}",
         eps=eps,
@@ -356,6 +348,18 @@ def object_join(
         input_r=len(r),
         input_s=len(s),
     )
+    if not (len(r) and len(s)):
+        return ObjectJoinResult(
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), metrics
+        )
+    if r.side == s.side:
+        raise ValueError("object sets must come from different inputs (R and S)")
+    if r.side is not Side.R:
+        flipped = object_join(s, r, eps, lambda a, b: predicate(b, a), cfg)
+        return ObjectJoinResult(flipped.s_ids, flipped.r_ids, flipped.metrics)
+    eps_eff = eps + r.max_radius + s.max_radius
+    if not eps_eff > 0:
+        raise ValueError("degenerate join: eps and object radii are all zero")
     ctx = make_context(cfg, num_workers=cfg.num_workers, metrics=metrics)
     run_staged_join(object_stages(r, s, eps, eps_eff, predicate), ctx)
     return ObjectJoinResult(ctx.data["r_ids"], ctx.data["s_ids"], metrics)

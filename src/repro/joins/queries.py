@@ -47,6 +47,15 @@ class QueryResult:
         return set(zip(self.r_ids.tolist(), self.s_ids.tolist()))
 
 
+def _no_pairs(**extra) -> QueryResult:
+    """The answer of a query with an empty side: no pairs, no join run."""
+    return QueryResult(
+        np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0),
+        rounds=0, exec_time_model=0.0, shuffle_bytes=0, replicated_total=0,
+        extra=extra,
+    )
+
+
 def _given(options: dict, **values) -> dict:
     """``options`` plus the ``values`` a caller set (not ``None``); the
     rest take :class:`JoinConfig`'s defaults."""
@@ -103,10 +112,10 @@ def knn_join(
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if len(s) == 0:
-        raise ValueError("S must not be empty")
-    options = _given(options, method=method, seed=seed)
     k_eff = min(k, len(s))
+    if not len(r) or not k_eff:
+        return _no_pairs(k=k_eff)
+    options = _given(options, method=method, seed=seed)
     eps = _estimate_knn_radius(r, s, k_eff, options.get("seed", JoinConfig.seed))
 
     best: dict[int, list[tuple[float, int]]] = {int(pid): [] for pid in r.ids}
@@ -175,10 +184,10 @@ def closest_pairs(
     """The ``k`` closest (r, s) pairs over the whole data space."""
     if k < 1:
         raise ValueError("k must be positive")
-    if len(r) == 0 or len(s) == 0:
-        raise ValueError("both inputs must be non-empty")
-    options = _given(options, method=method, seed=seed)
     k_eff = min(k, len(r) * len(s))
+    if not k_eff:
+        return _no_pairs()
+    options = _given(options, method=method, seed=seed)
     # expected pairs within eps ~ |R| |S| pi eps^2 / area  =>  solve for k
     box = r.mbr().union(s.mbr())
     area = max(box.area, 1e-12)

@@ -20,9 +20,9 @@ registry, a RunReport.  This package observes the *system over time*:
   percentile tracking against configurable thresholds, emitting
   structured-log alerts on degradation and a ``degraded`` flag the
   server's ``stats`` op surfaces.
-* :mod:`repro.obs.top` -- ``repro top``: a live terminal dashboard
-  polling a running server's stats (latency percentiles, cache hit
-  rates, queue depth) with per-interval deltas.
+* :func:`~repro.obs.top.render_stats` -- a running server's stats
+  (latency percentiles, cache hit rates, queue depth) as the text
+  dashboard ``repro query --stats`` prints.
 
 Layering: ``repro.obs`` sits directly above ``repro.engine.telemetry``
 and below everything that composes it (pipeline via duck-typing,
@@ -41,5 +41,5 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     ),
     "history": ("RunHistory",),
     "slo": ("SLOConfig", "SLOWatchdog"),
-    "top": ("TopDashboard", "render_stats"),
+    "top": ("render_stats",),
 })

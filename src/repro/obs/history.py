@@ -59,22 +59,17 @@ class RunHistory:
     retain_files:
         How many rotated generations (``path.1`` .. ``path.N``) to keep;
         older generations are deleted at rotation time.
-
-    The class attributes are the defaults (``ServerConfig`` reads them),
-    and :meth:`check_rotation` is the one rule for both limits.
     """
-
-    MAX_BYTES = 64 * 1024 * 1024
-    RETAIN_FILES = 2
 
     def __init__(
         self,
         path: str,
         *,
-        max_bytes: int = MAX_BYTES,
-        retain_files: int = RETAIN_FILES,
+        max_bytes: int = 64 * 1024 * 1024,
+        retain_files: int = 2,
     ) -> None:
-        self.check_rotation(max_bytes, retain_files)
+        check_count("max_bytes", max_bytes, 0)
+        check_count("retain_files", retain_files, 1)
         self.path = os.fspath(path)
         self.max_bytes = int(max_bytes)
         self.retain_files = int(retain_files)
@@ -86,14 +81,6 @@ class RunHistory:
         self._corrupt_lines = 0
         parent = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(parent, exist_ok=True)
-
-    @staticmethod
-    def check_rotation(max_bytes: int, retain_files: int) -> None:
-        """The rotation limits' rule, each limit named as ``ServerConfig``
-        names it: whole numbers, ``max_bytes >= 0`` (0: never rotate) and
-        ``retain_files >= 1``."""
-        check_count("history_max_bytes", max_bytes, 0)
-        check_count("history_retain_files", retain_files, 1)
 
     # ------------------------------------------------------------------
     # writing

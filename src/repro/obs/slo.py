@@ -51,7 +51,6 @@ class SLOConfig:
 
     window_seconds: float = 300.0
     p95_seconds: Optional[float] = None
-    p99_seconds: Optional[float] = None
     error_rate: Optional[float] = None
     min_samples: int = 5
 
@@ -61,7 +60,6 @@ class SLOConfig:
         for label, value in (
             ("window_seconds", self.window_seconds),
             ("p95_seconds", self.p95_seconds),
-            ("p99_seconds", self.p99_seconds),
         ):
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"slo_{label} must be finite and > 0, got {value}")
@@ -76,11 +74,7 @@ class SLOConfig:
 
     @property
     def enabled(self) -> bool:
-        return (
-            self.p95_seconds is not None
-            or self.p99_seconds is not None
-            or self.error_rate is not None
-        )
+        return self.p95_seconds is not None or self.error_rate is not None
 
 
 def _percentile(ordered: List[float], q: float) -> float:
@@ -172,10 +166,6 @@ class SLOWatchdog:
             violations.append(
                 f"p95 {window['p95_seconds']:.4f}s > {cfg.p95_seconds:.4f}s"
             )
-        if cfg.p99_seconds is not None and window["p99_seconds"] > cfg.p99_seconds:
-            violations.append(
-                f"p99 {window['p99_seconds']:.4f}s > {cfg.p99_seconds:.4f}s"
-            )
         if cfg.error_rate is not None and window["error_rate"] > cfg.error_rate:
             violations.append(
                 f"error-rate {window['error_rate']:.3f} > {cfg.error_rate:.3f}"
@@ -233,7 +223,6 @@ class SLOWatchdog:
                 "window_seconds": self.config.window_seconds,
                 "thresholds": {
                     "p95_seconds": self.config.p95_seconds,
-                    "p99_seconds": self.config.p99_seconds,
                     "error_rate": self.config.error_rate,
                     "min_samples": self.config.min_samples,
                 },

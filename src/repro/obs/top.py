@@ -1,14 +1,9 @@
-"""``repro top``: a live terminal dashboard over a running join server.
+"""The text dashboard of a running join server's ``stats``.
 
-The renderer is a pure function -- ``render_stats(stats, prev=...)``
-turns one ``stats``-op payload (plus the previous poll, for deltas and
-rates) into fixed-width text -- and :class:`TopDashboard` is the small
-polling loop around it.  Keeping the renderer pure means the CLI's
-``repro query ... stats`` one-shot, the ``repro top`` loop, and the
-tests all share one formatting path, and the dashboard never imports the
-serving layer: it is handed an opaque ``poll()`` callable (the CLI wires
-in ``JoinClient.stats``), so ``repro.obs`` stays below ``repro.serving``
-in the import DAG.
+``render_stats(stats)`` is a pure function: it turns one ``stats``-op
+payload into fixed-width text, which ``repro query --stats`` prints.  It
+takes the payload, not a client, so ``repro.obs`` stays below
+``repro.serving`` in the import DAG.
 
 It renders the one shape the server sends: sections the server
 reports as off render no row.
@@ -16,15 +11,11 @@ reports as off render no row.
 
 from __future__ import annotations
 
-import time
-from typing import Any, Callable, Dict, List, Optional, TextIO
+from typing import Any, Dict, List
 
 from repro.engine.telemetry.report import fmt_bytes
 
-__all__ = ["TopDashboard", "render_stats"]
-
-#: ANSI clear-screen + cursor-home, used between dashboard frames
-CLEAR = "\x1b[2J\x1b[H"
+__all__ = ["render_stats"]
 
 
 def _fmt_seconds(value: float) -> str:
@@ -49,35 +40,13 @@ def _hit_rate(stats: Dict[str, Any]) -> str:
     return f"{100.0 * hits / total:.0f}% ({hits}/{total})"
 
 
-def _delta(
-    current: Dict[str, Any], prev: Optional[Dict[str, Any]], *path: str
-) -> Optional[float]:
-    if prev is None:
-        return None
-    for key in path:
-        current, prev = current[key], prev[key]
-    return float(current) - float(prev)
-
-
-def _with_delta(value: str, delta: Optional[float]) -> str:
-    if delta is None:
-        return value
-    return f"{value} (+{delta:g})" if delta >= 0 else f"{value} ({delta:g})"
-
-
-def render_stats(
-    stats: Dict[str, Any],
-    prev: Optional[Dict[str, Any]] = None,
-    *,
-    width: int = 78,
-) -> str:
+def render_stats(stats: Dict[str, Any], *, width: int = 78) -> str:
     """Render one ``stats`` payload as a fixed-width text dashboard.
 
     ``stats`` is what the server's ``stats`` op returns
-    (``JoinServer.snapshot()``).  ``prev`` (the previous poll of the same
-    server) adds per-interval deltas and a queries/sec rate; sections
-    the server reports as off (SLO, history, metrics endpoint) and
-    sections with nothing to show yet are omitted.
+    (``JoinServer.snapshot()``).  Sections the server reports as off
+    (SLO, history, metrics endpoint) and sections with nothing to show
+    yet are omitted.
     """
     lines: List[str] = []
 
@@ -92,16 +61,11 @@ def render_stats(
     lines.append("-" * width)
 
     # -- queries -------------------------------------------------------
-    dq = _delta(stats, prev, "queries_total")
-    rate = ""
-    du = _delta(stats, prev, "uptime_seconds")
-    if dq is not None and du and du > 0:
-        rate = f"  {dq / du:.2f} q/s"
-    row = f"queries    total {_with_delta(_fmt_count(stats['queries_total']), dq)}"
-    row += f"  failed {_with_delta(_fmt_count(stats['queries_failed']), _delta(stats, prev, 'queries_failed'))}"
-    row += f"  errors {_fmt_count(stats['serving']['errors'])}"
-    row += rate
-    lines.append(row)
+    lines.append(
+        f"queries    total {_fmt_count(stats['queries_total'])}"
+        f"  failed {_fmt_count(stats['queries_failed'])}"
+        f"  errors {_fmt_count(stats['serving']['errors'])}"
+    )
 
     # -- latency -------------------------------------------------------
     latency = stats["latency"]
@@ -133,7 +97,7 @@ def render_stats(
         f"/{_fmt_count(admission['max_inflight'])}"
         f"  queued {_fmt_count(admission['waiting'])}"
         f"/{_fmt_count(admission['max_queue'])}"
-        f"  rejected {_with_delta(_fmt_count(admission['rejected']), _delta(stats, prev, 'admission', 'rejected'))}"
+        f"  rejected {_fmt_count(admission['rejected'])}"
         f"  coalesced {_fmt_count(admission['coalesced'])}"
     )
 
@@ -175,7 +139,7 @@ def render_stats(
     if history is not None:
         lines.append(
             "history    "
-            f"runs {_with_delta(_fmt_count(history['appended']), _delta(stats, prev, 'history', 'appended'))}"
+            f"runs {_fmt_count(history['appended'])}"
             f"  {fmt_bytes(history['active_bytes'])}"
             f"  rotations {_fmt_count(history['rotations'])}"
             f"  -> {history['path']}"
@@ -190,54 +154,3 @@ def render_stats(
 
     return "\n".join(lines) + "\n"
 
-
-class TopDashboard:
-    """Poll ``poll()`` every ``interval`` seconds and render frames.
-
-    ``iterations=None`` loops until interrupted (Ctrl-C exits cleanly);
-    tests pass a small count and a ``StringIO`` sink.  ``clear=True``
-    prefixes each frame with an ANSI clear-screen so a terminal shows a
-    steady dashboard rather than a scroll.
-    """
-
-    def __init__(
-        self,
-        poll: Callable[[], Dict[str, Any]],
-        *,
-        interval: float = 2.0,
-        iterations: Optional[int] = None,
-        out: Optional[TextIO] = None,
-        clear: bool = True,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError("top interval must be > 0")
-        self.poll = poll
-        self.interval = float(interval)
-        self.iterations = iterations
-        self.out = out
-        self.clear = clear
-        self._sleep = sleep
-        self.frames = 0
-
-    def run(self) -> int:
-        """Render frames until the iteration budget or Ctrl-C; returns frames."""
-        import sys
-
-        out = self.out if self.out is not None else sys.stdout
-        prev: Optional[Dict[str, Any]] = None
-        try:
-            while self.iterations is None or self.frames < self.iterations:
-                if self.frames:
-                    self._sleep(self.interval)
-                stats = self.poll()
-                frame = render_stats(stats, prev)
-                if self.clear:
-                    out.write(CLEAR)
-                out.write(frame)
-                out.flush()
-                prev = stats
-                self.frames += 1
-        except KeyboardInterrupt:
-            pass
-        return self.frames

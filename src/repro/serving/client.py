@@ -33,7 +33,6 @@ class JoinClient:
     def __init__(
         self,
         socket_path: str | None = None,
-        host: str = "127.0.0.1",
         port: int | None = None,
         timeout: float = 60.0,
     ):
@@ -47,7 +46,7 @@ class JoinClient:
             self._sock.connect(socket_path)
         else:
             self._sock = socket.create_connection(
-                (host, port), timeout=timeout
+                ("127.0.0.1", port), timeout=timeout
             )
         self._file = self._sock.makefile("rb")
 
@@ -88,14 +87,8 @@ class JoinClient:
             "register", name=name, spec=spec or name, **fields
         )
 
-    def datasets(self) -> list[dict]:
-        return self.request("datasets")["datasets"]
-
     def query(self, r: str, s: str, eps: float, **fields) -> dict:
         return self.request("query", r=r, s=s, eps=eps, **fields)
-
-    def range(self, dataset: str, box, **fields) -> dict:
-        return self.request("range", dataset=dataset, box=list(box), **fields)
 
     def stats(self) -> dict:
         return self.request("stats")
@@ -118,11 +111,7 @@ class JoinClient:
 
 
 def connect(address: dict, timeout: float = 60.0) -> JoinClient:
-    """Open a client from a server ``address`` dict (socket or host/port)."""
+    """Open a client from a server ``address`` dict (socket or port)."""
     if "socket" in address and address["socket"]:
         return JoinClient(socket_path=address["socket"], timeout=timeout)
-    return JoinClient(
-        host=address.get("host", "127.0.0.1"),
-        port=address["port"],
-        timeout=timeout,
-    )
+    return JoinClient(port=address["port"], timeout=timeout)

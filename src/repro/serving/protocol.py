@@ -28,9 +28,7 @@ __all__ = [
 OPS = (
     "ping",
     "register",
-    "datasets",
     "query",
-    "range",
     "stats",
     "shutdown",
 )

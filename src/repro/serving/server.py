@@ -60,7 +60,6 @@ from repro.engine.hygiene import (
 )
 from repro.engine.lru import LRUCache
 from repro.engine.telemetry import MetricsRegistry, Telemetry, get_logger
-from repro.geometry.mbr import MBR
 from repro.obs import (
     Family,
     PrometheusEndpoint,
@@ -185,11 +184,7 @@ PLANNABLE_FIELDS = ("method", "kernel", "workers", "resolution_factor")
 #: Query fields that set a ``JoinConfig`` field, by wire name.  The
 #: config declares each one's default and checks its value; the server
 #: only converts the JSON value to the declared type.
-JOIN_FIELDS = (
-    "eps", "method", "kernel", "workers", "num_partitions",
-    "cell_assignment", "sample_rate", "seed", "resolution_factor",
-    "duplicate_free",
-)
+JOIN_FIELDS = ("eps", "method", "kernel", "workers", "seed", "resolution_factor")
 #: The wire names that differ from their ``JoinConfig`` field's name.
 WIRE_ALIASES = {"kernel": "local_kernel", "workers": "num_workers"}
 _WIRE_NAMES = {name: wire for wire, name in WIRE_ALIASES.items()}
@@ -208,10 +203,10 @@ class ServerConfig:
     #: Unix-domain socket path (``None``: a pid-stamped socket inside the
     #: state directory).  Mutually exclusive with ``port``.
     socket_path: str | None = None
-    #: TCP port (``None``: unix socket).  The server never binds beyond
-    #: localhost: serving the open internet is a reverse proxy's job.
+    #: TCP port (``None``: unix socket) on 127.0.0.1: the server never
+    #: binds beyond localhost, serving the open internet is a reverse
+    #: proxy's job.
     port: int | None = None
-    host: str = "127.0.0.1"
     #: Byte budget of the artifact cache (grids, graphs, placements).
     cache_budget_bytes: int = 256_000_000
     #: Byte budget of the cross-query result cache (block store tier).
@@ -223,30 +218,19 @@ class ServerConfig:
     #: ``BACKENDS``.  Fault injection belongs to one-shot runs
     #: (``faults`` stays a rejected one-shot field).
     backend: str = ExecutionSettings.execution_backend
-    #: OS-level worker cap for the parallel backends.
-    executor_workers: int | None = None
     #: Default simulated workers for queries that do not set ``workers``.
     default_workers: int = JoinConfig.num_workers
-    #: State directory (``None``: a fresh pid-tagged temp directory).
-    state_dir: str | None = None
-    #: Run the startup hygiene sweep before binding.
-    sweep_on_start: bool = True
     #: RunHistory JSONL path (``None``: history off).  Every executed
     #: query appends its RunReport; the file replays through
     #: ``repro.planner.accuracy.replay_reports``.
     history_path: str | None = None
-    #: Rotation limits, declared and checked by ``RunHistory``.
-    history_max_bytes: int = RunHistory.MAX_BYTES
-    history_retain_files: int = RunHistory.RETAIN_FILES
     #: Prometheus scrape endpoint port (``None``: exporter HTTP off;
     #: ``0``: bind an ephemeral port).  Loopback only.
     metrics_port: int | None = None
     #: SLO watchdog thresholds (all ``None``: watchdog off), declared and
     #: checked by ``SLOConfig``.
     slo_p95_seconds: float | None = SLOConfig.p95_seconds
-    slo_p99_seconds: float | None = SLOConfig.p99_seconds
     slo_error_rate: float | None = SLOConfig.error_rate
-    slo_window_seconds: float = SLOConfig.window_seconds
     slo_min_samples: int = SLOConfig.min_samples
 
     def __post_init__(self):
@@ -261,8 +245,6 @@ class ServerConfig:
             )
         if self.metrics_port is not None:  # 0: an ephemeral port
             check_count("metrics_port", self.metrics_port, 0, 65535)
-        if self.executor_workers is not None:  # None: one per CPU
-            check_count("executor_workers", self.executor_workers, 1)
         for name in (
             "cache_budget_bytes",
             "result_cache_bytes",
@@ -271,12 +253,9 @@ class ServerConfig:
         ):
             check_count(name, getattr(self, name), 1)
         check_count("max_queue", self.max_queue, 0)
-        RunHistory.check_rotation(self.history_max_bytes, self.history_retain_files)
         # delegate threshold validation (and hold the parsed config)
         object.__setattr__(self, "_slo_config", SLOConfig(
-            window_seconds=self.slo_window_seconds,
             p95_seconds=self.slo_p95_seconds,
-            p99_seconds=self.slo_p99_seconds,
             error_rate=self.slo_error_rate,
             min_samples=self.slo_min_samples,
         ))
@@ -313,19 +292,11 @@ class QuerySpec:
         for name in ONE_SHOT_ONLY_FIELDS:
             if name in request:
                 if tuning == "auto" and name in ("backend", "execution_backend"):
-                    server_pins = {"backend": config.backend}
-                    if config.executor_workers is not None:
-                        server_pins["executor_workers"] = (
-                            config.executor_workers
-                        )
-                    pinned_text = ", ".join(
-                        f"{k}={v}" for k, v in server_pins.items()
-                    )
                     raise ProtocolError(
                         f"{name!r} is not a plannable choice: the server "
-                        f"pins these plan dimensions for every query "
-                        f"({pinned_text}); `tuning: auto` searches method, "
-                        f"kernel, workers and resolution_factor only"
+                        f"pins the backend for every query "
+                        f"(backend={config.backend}); `tuning: auto` searches "
+                        f"method, kernel, workers and resolution_factor only"
                     )
                 raise ProtocolError(
                     f"{name!r} is a one-shot flag: fault injection, spill "
@@ -350,11 +321,7 @@ class QuerySpec:
                 name = WIRE_ALIASES.get(wire, wire)
                 settings[name] = _as_declared(name, request[wire])
         try:
-            join = JoinConfig(
-                execution_backend=config.backend,
-                executor_workers=config.executor_workers,
-                **settings,
-            )
+            join = JoinConfig(execution_backend=config.backend, **settings)
         except ValueError as exc:
             # the config names its field; the client knows the wire name
             name, _, rest = str(exc).partition(" ")
@@ -444,19 +411,13 @@ class JoinServer:
         self._server: asyncio.AbstractServer | None = None
         self._shutdown = None  # asyncio.Event, created on start
         self._state_dir: str | None = None
-        self._owns_state_dir = False
         self._socket_path: str | None = None
         self._started_at = time.time()
         self._closed = False
         self._shared_pools_enabled = False
-        self.sweep_report: dict | None = None
         # --- continuous observability (repro.obs), all off by default --
         self.history = (
-            RunHistory(
-                self.config.history_path,
-                max_bytes=self.config.history_max_bytes,
-                retain_files=self.config.history_retain_files,
-            )
+            RunHistory(self.config.history_path)
             if self.config.history_path
             else None
         )
@@ -471,10 +432,10 @@ class JoinServer:
         """Server state as one plain dict, read once.
 
         The ``stats`` op returns it, ``/metrics`` renders it through
-        :data:`METRIC_FAMILIES`, and ``repro top`` / ``repro query
-        --stats`` render the ``stats`` op.  Sections the server runs
-        without are reported as off: ``slo.enabled`` false, ``history``
-        and ``metrics_endpoint`` ``None``.
+        :data:`METRIC_FAMILIES`, and ``repro query --stats`` renders the
+        ``stats`` op.  Sections the server runs without are reported as
+        off: ``slo.enabled`` false, ``history`` and ``metrics_endpoint``
+        ``None``.
         """
         reg = self.registry
         phases = (*PHASE_STAGES[backend_clock(self.config.backend)], "total")
@@ -519,7 +480,7 @@ class JoinServer:
                 key: reg.value(f"serve.{key}")
                 for key in (
                     "plans", "plan_cache_hits", "result_cache_hits",
-                    "warm_builds", "cold_builds", "range_queries",
+                    "warm_builds", "cold_builds",
                     "registrations", "errors",
                 )
             },
@@ -536,31 +497,23 @@ class JoinServer:
     def address(self) -> dict:
         """Where the server listens (``{"socket": ...}`` or host/port)."""
         if self.config.port is not None:
-            return {"host": self.config.host, "port": self.config.port}
+            return {"host": "127.0.0.1", "port": self.config.port}
         return {"socket": self._socket_path}
 
     async def start(self) -> None:
         """Sweep, claim the state dir, bind the socket, start serving."""
-        if self.config.sweep_on_start:
-            try:
-                self.sweep_report = sweep_stale_resources()
-                removed = (
-                    len(self.sweep_report["dirs_removed"])
-                    + len(self.sweep_report["sockets_removed"])
+        try:
+            swept = sweep_stale_resources()
+            removed = len(swept["dirs_removed"]) + len(swept["sockets_removed"])
+            if removed:
+                self._log.info(
+                    "startup sweep reclaimed %d stale server "
+                    "resource(s)", removed,
                 )
-                if removed:
-                    self._log.info(
-                        "startup sweep reclaimed %d stale server "
-                        "resource(s)", removed,
-                    )
-            except Exception:  # pragma: no cover - hygiene never fatal
-                self.sweep_report = None
-        if self.config.state_dir is not None:
-            os.makedirs(self.config.state_dir, exist_ok=True)
-            self._state_dir = self.config.state_dir
-        else:
-            self._state_dir = tempfile.mkdtemp(prefix=SERVE_PREFIX)
-            self._owns_state_dir = True
+        except Exception:  # pragma: no cover - hygiene never fatal
+            pass
+        # a fresh pid-tagged directory per start, removed at stop
+        self._state_dir = tempfile.mkdtemp(prefix=SERVE_PREFIX)
         write_owner_marker(self._state_dir)
 
         from concurrent.futures import ThreadPoolExecutor
@@ -577,7 +530,7 @@ class JoinServer:
         if self.config.port is not None:
             self._server = await asyncio.start_server(
                 self._handle_connection,
-                host=self.config.host,
+                host="127.0.0.1",
                 port=self.config.port,
                 limit=MAX_LINE_BYTES,
             )
@@ -668,7 +621,7 @@ class JoinServer:
                 os.unlink(self._socket_path)
             except OSError:  # pragma: no cover - defensive
                 pass
-        if self._owns_state_dir and self._state_dir is not None:
+        if self._state_dir is not None:
             shutil.rmtree(self._state_dir, ignore_errors=True)
         self._state_dir = None
         self._log.info("join server stopped")
@@ -761,9 +714,6 @@ class JoinServer:
         self.registry.counter("serve.registrations").inc()
         return {"ok": True, **entry.describe()}
 
-    async def _op_datasets(self, request: dict) -> dict:
-        return {"ok": True, "datasets": self.datasets.describe()}
-
     async def _op_query(self, request: dict) -> dict:
         spec = QuerySpec.parse(request, self.config)
         r = self.datasets.get(spec.r)
@@ -852,48 +802,6 @@ class JoinServer:
             resolution_factor=chosen.resolution_factor,
         )
         return replace(spec, config=cfg), {"planned": cached, "cache_hit": cache_hit}
-
-    async def _op_range(self, request: dict) -> dict:
-        """Envelope query over one dataset via a cached STR R-tree."""
-        name = request.get("dataset")
-        box = request.get("box")
-        if not name or not isinstance(box, (list, tuple)) or len(box) != 4:
-            raise ProtocolError(
-                "range requires 'dataset' and 'box': [xmin, ymin, xmax, ymax]"
-            )
-        entry = self.datasets.get(str(name))
-        xmin, ymin, xmax, ymax = (float(v) for v in box)
-        if not (xmin <= xmax and ymin <= ymax):
-            raise ProtocolError("box must satisfy xmin <= xmax, ymin <= ymax")
-        max_ids = request.get("max_ids")
-        loop = asyncio.get_running_loop()
-
-        def _run():
-            key = ("rtree", entry.fingerprint)
-            index = self.artifacts.get(key)
-            if index is None:
-                from repro.baselines.rtree import RTree
-
-                index = RTree(entry.points.xs, entry.points.ys)
-                self.artifacts.put(key, index)
-            idx, visited = index.query_envelope(MBR(xmin, ymin, xmax, ymax))
-            ids = entry.points.ids[idx]
-            ids = np.sort(ids)
-            truncated = max_ids is not None and len(ids) > int(max_ids)
-            if truncated:
-                ids = ids[: int(max_ids)]
-            return {
-                "ok": True,
-                "dataset": entry.name,
-                "count": int(len(idx)),
-                "ids": ids.tolist(),
-                "ids_truncated": bool(truncated),
-                "nodes_visited": int(visited),
-            }
-
-        result = await loop.run_in_executor(self._pool, _run)
-        self.registry.counter("serve.range_queries").inc()
-        return result
 
     async def _op_stats(self, request: dict) -> dict:
         return {"ok": True, **self.snapshot()}

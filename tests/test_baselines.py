@@ -174,6 +174,16 @@ class TestSamjRtreeJoin:
             assert res.pairs_set() == truth, cap
 
 
+    def test_an_empty_side_yields_no_pairs(self):
+        from repro.baselines.rtree_join import SamjConfig, rtree_samj_join
+        from repro.data.pointset import PointSet
+
+        empty, s = PointSet([], [], name="none"), uniform(200, seed=3)
+        for a, b in ((empty, s), (s, empty), (empty, empty)):
+            res = rtree_samj_join(a, b, SamjConfig(eps=self.EPS))
+            assert len(res) == 0 and res.metrics.results == 0, (a.name, b.name)
+
+
 class TestSedonaJoin:
     EPS = 0.02
 

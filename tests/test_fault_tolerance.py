@@ -66,7 +66,7 @@ class TestFaultPlan:
 
     def test_seed_changes_decisions(self):
         base = FaultPlan.parse("kill:p=0.5:times=0")
-        reseeded = base.with_seed(99)
+        reseeded = FaultPlan.parse("kill:p=0.5:times=0", seed=99)
         draws = [(k, t) for k in range(50) for t in range(4)]
         fired = [base.decide("kill", k, t) is not None for k, t in draws]
         refired = [reseeded.decide("kill", k, t) is not None for k, t in draws]
@@ -303,7 +303,7 @@ class TestExecutorRecovery:
         every transport: same attempts, retries, fault events and failures
         as the serial tier, and the backoff waited counts as recovery."""
         plan = make_plan()
-        policy = RetryPolicy(max_retries=2, backoff_base=0.05, backoff_factor=1.0)
+        policy = RetryPolicy(max_retries=2, backoff_base=0.05)
 
         def account(backend):
             report = execute_plan(
@@ -364,7 +364,7 @@ class TestExecutorRecovery:
             RetryPolicy(max_retries=-1)
         with pytest.raises(ValueError):
             RetryPolicy(task_timeout=0.0)
-        policy = RetryPolicy(backoff_base=0.01, backoff_factor=2.0, backoff_cap=0.03)
+        policy = RetryPolicy(backoff_base=0.01, backoff_cap=0.03)
         assert policy.backoff(0) == pytest.approx(0.01)
         assert policy.backoff(1) == pytest.approx(0.02)
         assert policy.backoff(5) == pytest.approx(0.03)  # capped

@@ -74,8 +74,8 @@ FORBIDDEN = {
     # the continuous-observability layer sits directly above
     # engine.telemetry and below serving/cli: it may import telemetry
     # (and nothing else from repro), the pipeline reaches it duck-typed
-    # through ExecutionSettings.history, and repro top takes an opaque
-    # poll() callable instead of importing the serving client
+    # through ExecutionSettings.history, and the stats renderer takes a
+    # payload instead of importing the serving client
     "repro.obs": (
         "repro.joins",
         "repro.cli",
@@ -337,7 +337,7 @@ def test_cli_declares_no_config_default():
     import argparse
     from dataclasses import MISSING, fields
 
-    from repro.cli import _ONE_SHOT_TRAPS, build_parser
+    from repro.cli import build_parser
     from repro.joins.distance_join import PLAN_FIELDS, JoinConfig
     from repro.joins.generalized_join import GeneralizedJoinConfig
     from repro.joins.object_join import ObjectJoinConfig
@@ -373,10 +373,7 @@ def test_cli_declares_no_config_default():
         assert not unowned[command] & set(PLAN_FIELDS)
     # ... and every serve flag sets the ServerConfig field of its dest,
     # but for the ones that configure no server
-    assert unowned["serve"] == {
-        "help", "register", "base_n", "payload", "log_level", "quiet",
-        *(dest for dest, _ in _ONE_SHOT_TRAPS),
-    }
+    assert unowned["serve"] == {"help", "quiet"}
 
     # Help texts too: one that names a default reads it off the config,
     # so it says the value the config holds ...
@@ -409,6 +406,88 @@ def test_cli_declares_no_config_default():
                 for v in values)
     ]
     assert not copies, copies
+
+
+def _knockout_list():
+    """``scripts/knockout.py`` as a module: its list, never its sweep."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "knockout", os.path.join(REPO_ROOT, "scripts", "knockout.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_mechanism_has_a_knockout_row():
+    """The mechanism audit covers what the program carries: every field of
+    the execution, join, server, SLO and retry configs, every wire op and
+    query field, every backend and every ``repro`` flag has a row in
+    ``scripts/knockout.py`` (a flag that sets a field shares the field's
+    row), and every row's edit applies exactly once to this tree (a
+    deleted mechanism's edit applies nowhere).  The sweep is not run."""
+    import argparse
+    from dataclasses import fields
+
+    from repro.cli import build_parser
+    from repro.engine.executor import BACKENDS, RetryPolicy
+    from repro.joins.distance_join import PLAN_FIELDS, JoinConfig
+    from repro.joins.generalized_join import GeneralizedJoinConfig
+    from repro.joins.object_join import ObjectJoinConfig
+    from repro.joins.pipeline import ExecutionSettings
+    from repro.obs.slo import SLOConfig
+    from repro.serving.protocol import OPS
+    from repro.serving.server import QUERY_FIELDS, ServerConfig
+
+    knockout = _knockout_list()
+    live = [e for e in knockout.ENTRIES if e.id not in knockout.DELETED]
+    ids = {e.id for e in live}
+    assert len(ids) == len(live), "duplicate entry ids"
+
+    inherited = {f.name for f in fields(ExecutionSettings)}
+    joins = (JoinConfig, ObjectJoinConfig, GeneralizedJoinConfig)
+    wanted = {
+        f"{'ExecutionSettings' if c in joins and f.name in inherited else c.__name__}"
+        f".{f.name}"
+        for c in (ExecutionSettings, *joins, ServerConfig, SLOConfig, RetryPolicy)
+        for f in fields(c)
+    }
+    wanted |= {f"op.{op}" for op in OPS}
+    wanted |= {f"query.{name}" for name in QUERY_FIELDS}
+    wanted |= {f"backend.{name}" for name in BACKENDS}
+
+    # a flag has its own row, or sets the field of a row
+    owners = {
+        "join": ("ExecutionSettings", *(c.__name__ for c in joins)),
+        "explain": ("ExecutionSettings", *(c.__name__ for c in joins)),
+        "serve": ("ServerConfig",),
+        "query": ("query",),
+    }
+    renames = {"join": PLAN_FIELDS, "explain": PLAN_FIELDS,
+               "serve": {"socket": "socket_path"}, "query": {}}
+    commands = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    unmatched = []
+    for command, parser in commands.items():
+        for action in parser._actions:
+            if not action.option_strings or action.dest == "help":
+                continue
+            flag = f"repro {command} {action.option_strings[0]}"
+            name = renames.get(command, {}).get(action.dest, action.dest)
+            rows = {f"{owner}.{name}" for owner in owners.get(command, ())}
+            if flag not in ids and not rows & ids:
+                unmatched.append(flag)
+
+    missing = sorted(wanted - ids) + unmatched
+    assert not missing, f"no knockout row: {missing}"
+    tree = REPO_ROOT
+    assert not knockout.check(tree, live)
+    kept = [e.id for e in knockout.ENTRIES
+            if e.id in knockout.DELETED and not knockout.gone(tree, e)]
+    assert not kept, f"deleted, but still in the program: {kept}"
 
 
 def test_the_attempt_policy_is_read_in_one_module():
@@ -460,8 +539,8 @@ def _state_reads(node, scope=""):
 
 def test_server_state_is_read_in_one_place():
     """Every number the join server reports is read once, in
-    ``JoinServer.snapshot``, which ``stats``, ``/metrics``, ``repro top``
-    and ``repro query --stats`` all render.  Writes (``counter(...).inc``,
+    ``JoinServer.snapshot``, which ``stats``, ``/metrics`` and ``repro
+    query --stats`` all render.  Writes (``counter(...).inc``,
     ``histogram(...).observe``) are exempt; so is the query response's
     own ``artifact_cache`` echo in ``_finish``, part of the query path."""
     path = os.path.join(SRC_ROOT, "repro", "serving", "server.py")

@@ -152,9 +152,22 @@ class TestDegenerateObjects:
 
 
 class TestObjectSet:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ObjectSet([])
+    def test_empty_set_has_no_side(self):
+        empty = ObjectSet([])
+        assert len(empty) == 0 and empty.side is None
+
+    @pytest.mark.parametrize("join", ["distance", "intersection"])
+    def test_an_empty_side_yields_no_pairs(self, join):
+        empty = ObjectSet([], name="none")
+        r = ObjectSet(random_boxes(50, Side.R, seed=1), name="r")
+        s = ObjectSet(random_boxes(50, Side.S, seed=2), name="s")
+        for a, b in ((empty, s), (r, empty), (empty, empty)):
+            if join == "distance":
+                res = object_distance_join(a, b, EPS)
+            else:
+                res = object_intersection_join(a, b)
+            assert len(res.r_ids) == len(res.s_ids) == 0, (a.name, b.name)
+            assert res.metrics.results == 0
 
     def test_mixed_sides_rejected(self):
         objs = random_boxes(2, Side.R, seed=1) + random_boxes(2, Side.S, seed=2)

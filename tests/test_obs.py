@@ -13,8 +13,8 @@ Covers the four tentpole pieces and their serving integration:
   an independent parser;
 * the SLO watchdog -- edge-triggered breach/recovery transitions on a
   fake clock, window expiry, and the error-rate objective;
-* ``repro top`` -- the pure renderer over a stats payload and the
-  polling dashboard against a live server;
+* the stats dashboard -- the pure renderer, over a fed stats payload
+  and over a live server's;
 * serving integration -- history written by real served queries replays
   into per-phase planner clock errors, the scrape endpoint answers HTTP,
   a ``shutdown`` op and a SIGTERM both leave a fully-parseable history
@@ -24,7 +24,6 @@ Covers the four tentpole pieces and their serving integration:
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import os
@@ -47,7 +46,6 @@ from repro.obs import (
     RunHistory,
     SLOConfig,
     SLOWatchdog,
-    TopDashboard,
     check_families,
     render_metrics,
     render_stats,
@@ -436,8 +434,8 @@ class TestSLOWatchdog:
         latencies = np.round(rng.lognormal(-4.5, 0.6, steps), 3) + slow * 0.2
         failed = rng.random(steps) < np.where(slow, 0.3, 0.02)
         config = SLOConfig(
-            window_seconds=1.0, p95_seconds=0.05, p99_seconds=0.1,
-            error_rate=0.2, min_samples=5,
+            window_seconds=1.0, p95_seconds=0.05, error_rate=0.2,
+            min_samples=5,
         )
 
         def replay(cls):
@@ -471,17 +469,18 @@ class TestSLOWatchdog:
 
 
 # ----------------------------------------------------------------------
-# repro top (renderer + dashboard loop)
+# the stats dashboard (repro query --stats)
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def served_stats(tmp_path_factory):
     """The ``stats`` payload of a socket-less server whose state was fed:
-    queries, latencies breaching a 10 ms p95 SLO, planner errors,
-    daemon health, one history report and two datasets."""
+    queries, latencies breaching a 10 ms p95 SLO, a failure breaching a
+    20% error-rate SLO, planner errors, daemon health, one history
+    report and two datasets."""
     history = tmp_path_factory.mktemp("stats") / "history.jsonl"
     server = JoinServer(ServerConfig(
         history_path=str(history), metrics_port=None,
-        slo_p95_seconds=0.01, slo_min_samples=1,
+        slo_p95_seconds=0.01, slo_error_rate=0.2, slo_min_samples=1,
     ))
     reg = server.registry
     server.datasets.register_spec("R", "R1", base_n=100)
@@ -492,6 +491,7 @@ def served_stats(tmp_path_factory):
     for latency in (0.008, 0.01, 0.05):
         reg.histogram("serve.query_seconds").observe(latency)
         server.slo.observe(latency)
+    server.slo.observe(0.05, failed=True)  # 1 of 4 failed
     for phase in ("build", "join"):
         reg.histogram(
             f"serve.plan_abs_rel_error.{phase}", ERROR_RATIO_BUCKETS
@@ -503,11 +503,6 @@ def served_stats(tmp_path_factory):
     return json.loads(json.dumps(payload))  # what a client receives
 
 
-def _poll(stats, queries=10, uptime=100.0):
-    """``stats`` as polled at another moment: ``queries`` served by then."""
-    return {**stats, "queries_total": queries, "uptime_seconds": uptime}
-
-
 class TestRenderStats:
     def test_all_sections_render(self, served_stats):
         text = render_stats(served_stats)
@@ -516,15 +511,9 @@ class TestRenderStats:
                         "plan err", "slo", "history", "datasets"):
             assert section in text, f"missing section {section!r}"
         assert "R, S" in text
-        assert "! p95" in text  # the SLO violation detail line
+        assert "! p95" in text  # the SLO violation detail lines
+        assert "! error-rate" in text
         assert "n=3" in text and "ms" in text  # latency formatting
-
-    def test_deltas_and_rate_against_previous_poll(self, served_stats):
-        prev = _poll(served_stats, queries=10, uptime=100.0)
-        cur = _poll(served_stats, queries=30, uptime=110.0)
-        text = render_stats(cur, prev)
-        assert "(+20)" in text      # query delta
-        assert "2.00 q/s" in text   # 20 queries over 10 seconds
 
     def test_degrades_gracefully_on_minimal_payload(self):
         """A fresh server with history, SLO and endpoint off renders
@@ -539,45 +528,6 @@ class TestRenderStats:
     def test_degraded_flag_flips_the_header(self, served_stats):
         assert "healthy" in render_stats({**served_stats, "degraded": False})
         assert "DEGRADED" in render_stats({**served_stats, "degraded": True})
-
-
-class TestTopDashboard:
-    def test_renders_frames_with_deltas(self, served_stats):
-        polls = iter([_poll(served_stats, 10, 100.0),
-                      _poll(served_stats, 20, 102.0),
-                      _poll(served_stats, 30, 104.0)])
-        slept = []
-        out = io.StringIO()
-        dash = TopDashboard(
-            lambda: next(polls), interval=0.5, iterations=3, out=out,
-            clear=False, sleep=slept.append,
-        )
-        assert dash.run() == 3
-        assert slept == [0.5, 0.5]  # no sleep before the first frame
-        text = out.getvalue()
-        assert text.count(f"pid {os.getpid()}") == 3
-        assert "(+10)" in text
-        assert "\x1b[2J" not in text
-
-    def test_clear_prefixes_each_frame(self, served_stats):
-        out = io.StringIO()
-        TopDashboard(
-            lambda: served_stats, interval=1.0, iterations=2, out=out,
-            sleep=lambda _: None,
-        ).run()
-        assert out.getvalue().count("\x1b[2J") == 2
-
-    def test_keyboard_interrupt_exits_cleanly(self):
-        def poll():
-            raise KeyboardInterrupt
-
-        out = io.StringIO()
-        dash = TopDashboard(poll, interval=1.0, out=out)
-        assert dash.run() == 0
-
-    def test_rejects_non_positive_interval(self):
-        with pytest.raises(ValueError, match="interval"):
-            TopDashboard(lambda: {}, interval=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -804,19 +754,13 @@ class TestServerObservability:
         finally:
             handle.stop()
 
-    def test_top_dashboard_renders_a_live_server(self):
+    def test_stats_frame_renders_a_live_server(self):
         handle = start_in_thread(ServerConfig(backend="serial", metrics_port=0))
         try:
             with JoinClient(socket_path=handle.socket_path) as c:
                 _register(c)
                 c.query("R", "S", eps=EPS)
-                out = io.StringIO()
-                dash = TopDashboard(
-                    c.stats, interval=0.05, iterations=2, out=out,
-                    clear=False,
-                )
-                assert dash.run() == 2
-                text = out.getvalue()
+                text = render_stats(c.stats())
             assert f"pid {os.getpid()}" in text
             assert "backend=serial" in text
             assert "queries    total 1" in text
@@ -885,7 +829,7 @@ def _spawn_serve(tmp_path, history_path):
             sys.executable, "-c",
             "import sys; from repro.cli import main; sys.exit(main(sys.argv[1:]))",
             "serve", "--socket", socket_path, "--history", history_path,
-            "--quiet", "--no-sweep",
+            "--quiet",
         ],
         env=env,
         stdout=subprocess.DEVNULL,

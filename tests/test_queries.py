@@ -6,6 +6,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from repro.data.generators import gaussian_clusters, uniform
+from repro.data.pointset import PointSet
 from repro.joins.queries import closest_pairs, knn_join, self_join
 from repro.verify.oracle import kdtree_pairs
 
@@ -30,6 +31,15 @@ def oracle_knn(r, s, k):
         )
         out[pid] = ranked
     return out
+
+
+@pytest.mark.parametrize("query", [knn_join, closest_pairs])
+def test_an_empty_side_yields_no_pairs(query):
+    empty, s = PointSet([], [], name="none"), uniform(200, seed=3)
+    for a, b in ((empty, s), (s, empty), (empty, empty)):
+        res = query(a, b, 3)
+        assert len(res) == 0 and res.rounds == 0, (a.name, b.name)
+    assert len(self_join(empty, 0.1)) == 0
 
 
 class TestKnnJoin:

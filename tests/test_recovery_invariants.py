@@ -66,7 +66,7 @@ def golden():
 def run_join(mix, seed, backend, tmp_path, checkpoints):
     faults = None
     if FAULT_MIXES[mix] is not None:
-        faults = FaultPlan.parse(FAULT_MIXES[mix]).with_seed(seed)
+        faults = FaultPlan.parse(FAULT_MIXES[mix], seed=seed)
     spill = {}
     if checkpoints:
         spill = dict(

@@ -189,7 +189,6 @@ class TestValidation:
             ("executor_workers", 2.5),
         ]),
         *(pytest.param(ServerConfig, f, v, id=f"server-{f}-{v}") for f, v in [
-            ("slo_window_seconds", NAN),
             ("slo_p95_seconds", NAN),
             ("max_inflight", NAN),
             ("max_queue", NAN),

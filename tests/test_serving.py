@@ -330,6 +330,10 @@ class TestServedResults:
                 zip(other.r_ids.tolist(), other.s_ids.tolist())
             )
             assert got["metrics"]["method"] == "uni_r"
+            coarse = distance_join(r, s, JoinConfig(eps=EPS, resolution_factor=3.0))
+            got = c.query("R", "S", eps=EPS, resolution_factor=3.0)
+            assert got["metrics"]["grid_cells"] == coarse.metrics.grid_cells
+            assert coarse.metrics.grid_cells != other.metrics.grid_cells
 
     def test_max_pairs_truncates_payload_not_count(self, server, oneshot):
         with connect(server.address) as c:
@@ -338,25 +342,6 @@ class TestServedResults:
             assert got["results"] == len(oneshot.r_ids)
             assert len(got["pairs"]) == 5
             assert got["pairs_truncated"]
-
-    def test_rtree_range_query(self, server, inputs):
-        r, _ = inputs
-        box = (0.2, 0.2, 0.6, 0.6)
-        inside = (
-            (r.xs >= box[0]) & (r.xs <= box[2])
-            & (r.ys >= box[1]) & (r.ys <= box[3])
-        )
-        expected = sorted(r.ids[inside].tolist())
-        with connect(server.address) as c:
-            _register(c)
-            got = c.range("R", box)
-            assert got["count"] == len(expected)
-            assert got["ids"] == expected
-            again = c.range("R", box)
-            assert again["ids"] == expected
-            # second call reuses the cached index
-            stats = c.stats()["artifact_cache"]
-            assert stats["hits"] >= 1
 
 
 @pytest.mark.serving
@@ -637,8 +622,6 @@ class TestProtocolValidation:
             ServerConfig(max_inflight=0)
         with pytest.raises(ValueError, match="metrics_port"):
             ServerConfig(metrics_port=70000)
-        with pytest.raises(ValueError, match="history_retain_files"):
-            ServerConfig(history_retain_files=0)
         with pytest.raises(ValueError, match="p95"):
             ServerConfig(slo_p95_seconds=-1.0)
 
@@ -653,6 +636,16 @@ class TestTcpAndTelemetry:
                 _register(c)
                 got = c.query("R", "S", eps=EPS)
                 assert got["results"] == len(oneshot.r_ids)
+        finally:
+            handle.stop()
+
+    def test_cli_queries_a_tcp_server(self, capsys):
+        from repro.cli import main
+
+        handle = start_in_thread(ServerConfig(port=18473))
+        try:
+            assert main(["query", "--port", "18473", "--ping"]) == 0
+            assert "server pid" in capsys.readouterr().out
         finally:
             handle.stop()
 
@@ -742,7 +735,7 @@ def _served_faults_per_query(tmp_path, tag: str, policy: bool) -> float:
         # 1 MB caches: they evict from the first query on, so what a cold
         # query allocates is what it frees, not cache growth
         [sys.executable, "-c", code, "serve", "--socket", sock,
-         "--backend", "serial", "--quiet", "--no-sweep",
+         "--backend", "serial", "--quiet",
          "--cache-budget-mb", "1", "--result-cache-mb", "1"],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
