@@ -22,7 +22,9 @@ The stubs, by kind:
   command; the code reading it sees the flag's default.  A flag that
   sets a field shares that field's row.
 * ``cache``: every lookup misses.
-* ``op``, ``backend``, ``driver``, ``path``: calling it raises.
+* ``op``, ``backend``, ``driver``, ``path``: calling it raises -- or, for
+  a path that replaces a general one (a count-only shortcut), the
+  general one runs instead.
 
 An entry whose edit does not match exactly once stops the sweep and
 names the entry.  An entry in :data:`DELETED` names a mechanism that is
@@ -372,8 +374,8 @@ ENTRIES += [
           "    @staticmethod\n    def key(\n",
           _MISS + "    @staticmethod\n    def key(\n", _t("planner", "serving")),
     Entry("cache.results", "cache", SERVER,
-          "            cached = self._results.get(qkey)\n",
-          "            cached = self._results.get(object())\n", _t("serving", "obs")),
+          "                next((key for key in keys if self._results.contains(key)), qkey)\n",
+          "                object()\n", _t("serving", "obs")),
     Entry("cache.slab_pool", "cache", "src/repro/engine/slabs.py",
           "    if not _GRAIN <= nbytes <= RETAIN_BYTES:\n",
           "    if True:\n", _t("result_path")),
@@ -418,6 +420,22 @@ ENTRIES += [
         ("DirectedEdge", '    def __init__(self, graph: "AgreementGraph", row: int, col: int, '
                          'tail: int, head: int):\n'),
     )
+]
+
+# -- count-only paths: the collecting path runs instead ----------------------
+ENTRIES += [
+    # the count-only expand: an uncollected task leases and writes its ids
+    Entry("path.count_only_expand", "path", EXECUTOR,
+          "        if probe is not None and not collect:\n",
+          "        if False:\n", _t("result_path")),
+    # the served derivation: a ``max_pairs: 0`` query collects
+    Entry("path.served_count_only", "path", SERVER,
+          "        if max_pairs == 0 and join.duplicate_free:\n",
+          "        if False:\n", _QUERY),
+    # the pairs-entry fallback: a count query looks up its own key only
+    Entry("path.pairs_entry_fallback", "path", SERVER,
+          "            if not spec.config.collect_pairs:\n",
+          "            if False:\n", (*_QUERY, "tests/test_cli.py")),
 ]
 
 # -- CLI flags that set no config field -------------------------------------

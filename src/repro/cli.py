@@ -212,6 +212,8 @@ def _join_config(args: argparse.Namespace):
     point = _fields_of(JoinConfig, given)
     if not grid:
         point.pop("method", None)  # another driver's method
+    elif not args.show_pairs:
+        point["collect_pairs"] = False  # no pair is printed: only count
     config = JoinConfig(eps=args.eps, **point)
     if grid:
         return config
@@ -747,7 +749,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="cardinality for generated datasets")
     join.add_argument("--show-pairs", type=_nonnegative_int, default=0,
                       metavar="N",
-                      help="print the first N result pairs")
+                      help="print the first N result pairs (without it "
+                           "the distance join only counts them)")
     join.add_argument("--trace", default=None, metavar="PATH",
                       help="record a span trace of the run and write it to "
                            "PATH (see docs/OBSERVABILITY.md)")

@@ -533,18 +533,16 @@ def _build_models(r, s, eps, sample_rate, num_workers, seed):
     """Sample once; build coarse (2 eps) and fine (eps) models lazily."""
     from repro.data.pointset import joint_mbr
     from repro.data.sampling import sample_pair
-    from repro.joins.local import grid_hash_join
+    from repro.joins.local import grid_hash_count
 
     mbr = joint_mbr(r, s)
     r_sample, s_sample = sample_pair(r, s, sample_rate, seed)
 
     # sample-join estimator of the result cardinality: the two samples
-    # joined as one cell by the production kernel (the exact predicate)
-    sample_results = len(
-        grid_hash_join(
-            r_sample.ids, r_sample.xs, r_sample.ys,
-            s_sample.ids, s_sample.xs, s_sample.ys, eps,
-        )[0]
+    # counted as one cell by the production kernel (the exact predicate)
+    sample_results = grid_hash_count(
+        r_sample.ids, r_sample.xs, r_sample.ys,
+        s_sample.ids, s_sample.xs, s_sample.ys, eps,
     )
 
     # alternate points decide and count (see *Selection bias* above): the

@@ -28,8 +28,10 @@ candidate total and lets each task expand its hits at the running
 offset, so the report's columns *are* the memory the kernel wrote.
 Pooled tiers and the per-cell path return one block per task (a salvaged
 checkpoint one per cell) and the blocks are copied into the columns once.
-With ``collect_pairs=False`` a task's pairs are dropped on absorb and the
-report carries counts only (see ``docs/EXECUTION.md``, "Result path").
+With ``collect_pairs=False`` a batched task runs the count-only expand:
+it writes no pair and leases nothing, and the report carries counts only
+(the per-cell path's pairs are dropped on absorb; see
+``docs/EXECUTION.md``, "Result path").
 
 Execution is fault tolerant.  A :class:`RetryPolicy` governs what
 happens when a task fails -- whether the failure is injected by a
@@ -519,6 +521,7 @@ def _run_cells(
     fault_at: int | None = None,
     fire=None,
     staged=None,
+    collect: bool = True,
 ) -> TaskBlock:
     """Run a task's cells in order; return its pairs as one block.
 
@@ -533,9 +536,11 @@ def _run_cells(
     ``staged`` is the serial tier's ``(probe, out_r, out_s, offset)``: it
     has probed the task already, and the hits go into the job's columns
     at ``offset``; otherwise the task probes here and expands into
-    columns of its own.  Per-cell checkpoints need the per-cell loop: a
-    batched pass has no per-cell completion points to snapshot.  Kernels
-    without a batched variant, and probes that decline, run the loop too.
+    columns of its own -- or, without ``collect``, only counts: the block
+    carries bounds and candidates, no pairs.  Per-cell checkpoints need
+    the per-cell loop: a batched pass has no per-cell completion points
+    to snapshot.  Kernels without a batched variant, and probes that
+    decline, run the loop too.
     """
     from repro.engine.kernels import get_batch_kernel, get_kernel
 
@@ -552,6 +557,9 @@ def _run_cells(
                 probe.candidates, at,
             )
         probe = _probe_task(plan, positions, eps, probe_fn)
+        if probe is not None and not collect:
+            _, bounds = expand_fn(probe, None, None, 0)
+            return TaskBlock(positions, _EMPTY, _EMPTY, bounds, probe.candidates)
         if probe is not None:
             # sized for every candidate: pages past the last hit stay untouched
             out_r = lease(probe.total, plan.r_ids.dtype)
@@ -619,6 +627,7 @@ def _run_attempt(
     on_kill=None,
     staged=None,
     ship: bool = False,
+    collect: bool = True,
     **span_attrs,
 ) -> tuple[TaskBlock, float, list | None]:
     """One task attempt, wherever it runs: decide this attempt's injected
@@ -675,7 +684,8 @@ def _run_attempt(
     if fire is not None:
         fault_at = _fault_midpoint(len(positions)) if checkpoints is not None else 0
     block = _run_cells(
-        plan, positions, kernel_name, eps, checkpoints, fault_at, fire, staged
+        plan, positions, kernel_name, eps, checkpoints, fault_at, fire, staged,
+        collect,
     )
     elapsed = time.perf_counter() - start
     tracer.end(span)
@@ -763,6 +773,7 @@ def _make_process_task_args(
     trace_enabled: bool,
     run_id,
     parent_span_id,
+    collect: bool = True,
 ) -> tuple:
     """Build one process-pool task's argument tuple.
 
@@ -776,6 +787,7 @@ def _make_process_task_args(
     return (
         worker_id, span, kernel_name, eps, shm_name, sizes,
         attempt, faults, checkpoints, trace_enabled, run_id, parent_span_id,
+        collect,
     )
 
 
@@ -789,6 +801,7 @@ def _process_group(args) -> tuple[TaskBlock, float, list]:
     (
         worker_id, span, kernel_name, eps, shm_name, sizes,
         attempt, faults, checkpoints, trace_enabled, run_id, parent_span_id,
+        collect,
     ) = args
     if (
         checkpoints is None
@@ -809,6 +822,7 @@ def _process_group(args) -> tuple[TaskBlock, float, list]:
             plan, positions, kernel_name, eps, worker_id, attempt, faults,
             checkpoints, Tracer(enabled=trace_enabled, run_id=run_id),
             parent_span_id, on_kill=lambda: os._exit(13), ship=True,
+            collect=collect,
         )
     finally:
         shm.close()
@@ -833,8 +847,9 @@ class _ResultColumns:
     serial tier :meth:`reserve` s the columns up front and expands every
     task into them at its running offset, so its blocks already sit where
     they belong and ``finish`` hands out the written prefix; blocks from
-    anywhere else are copied into place once.  With ``collect`` off a
-    block's pairs are dropped as it is added: only the counts are kept.
+    anywhere else are copied into place once.  With ``collect`` off only
+    the counts are kept: a batched task's block has no pairs to begin
+    with, a per-cell one's are dropped as it is added.
     """
 
     def __init__(self, plan: ExecutionPlan, collect: bool = True):
@@ -891,8 +906,8 @@ def _serial_tier(plan, tasks, kernel_name, eps, ledger, checkpoints, columns):
     the job's result columns, and each task's attempt then expands into
     them at the running offset.  A failed attempt leaves the offset where
     it was, so the retry overwrites whatever it had written.  Uncollected
-    pairs are neither probed ahead nor reserved for: a task expands into a
-    leased pair of its own, as a pooled task does, and the next reuses it.
+    pairs are neither probed ahead nor reserved for: a task probes and
+    counts, as a pooled task does, and writes no pair anywhere.
     A retry's backoff is a blocking sleep: nothing else could run meanwhile.
     """
     from repro.engine.kernels import get_batch_kernel
@@ -919,7 +934,7 @@ def _serial_tier(plan, tasks, kernel_name, eps, ledger, checkpoints, columns):
                 block, elapsed, _ = _run_attempt(
                     plan, flight.positions, kernel_name, eps, worker_id,
                     flight.attempt, ledger.faults, checkpoints, ledger.tracer,
-                    flight.span_id, staged=staged,
+                    flight.span_id, staged=staged, collect=columns.collect,
                 )
             except Exception as exc:
                 pause = ledger.fail(flight, exc, ledger.clock())
@@ -932,12 +947,13 @@ def _serial_tier(plan, tasks, kernel_name, eps, ledger, checkpoints, columns):
                 ledger.win(flight, block, probe_seconds + elapsed)
                 if staged is not None:
                     offset += len(block.r)
-                del block  # uncollected pairs: their slabs are free again
                 break
     return ledger.close()
 
 
-def _pool_tier(backend, plan, tasks, kernel_name, eps, ledger, os_workers, checkpoints):
+def _pool_tier(
+    backend, plan, tasks, kernel_name, eps, ledger, os_workers, checkpoints, collect
+):
     """Run tasks on a thread or process pool; return unrecoverable tasks.
 
     The transport owns publishing the plan (``processes``: one shared
@@ -982,13 +998,14 @@ def _pool_tier(backend, plan, tasks, kernel_name, eps, ledger, os_workers, check
                 fut = pool.submit(
                     _run_attempt, plan, flight.positions, kernel_name, eps,
                     worker_id, flight.attempt, ledger.faults, checkpoints,
-                    ledger.tracer, flight.span_id,
+                    ledger.tracer, flight.span_id, collect=collect,
                 )
             else:
                 args = _make_process_task_args(
                     worker_id, flight.positions, kernel_name, eps,
                     shm.name, sizes, flight.attempt, ledger.faults, checkpoints,
                     ledger.tracer.enabled, ledger.tracer.run_id, flight.span_id,
+                    collect,
                 )
                 try:
                     fut = pool.submit(_process_group, args)
@@ -1120,8 +1137,9 @@ def execute_plan(
     bit-identical either way.
 
     ``collect_pairs=False``: nobody will read the pairs, so the report has
-    ``bounds`` (the counts) and ``candidates`` with empty columns, and a
-    task's result memory is the next task's, whatever the result size.
+    ``bounds`` (the counts) and ``candidates`` with empty columns.  A
+    batched task counts its hits without writing them, and nothing is
+    leased; the per-cell loop's pairs are dropped on absorb.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
@@ -1224,7 +1242,7 @@ def execute_plan(
                 report.os_workers = os_workers
             remaining = _pool_tier(
                 tier, plan, remaining, kernel_name, eps, ledger, os_workers,
-                checkpoints,
+                checkpoints, collect_pairs,
             )
         if not remaining:
             break

@@ -148,8 +148,10 @@ class JoinConfig(ExecutionSettings):
     local_kernel: str = "grid_hash"
     seed: int = 0
     #: When False, result pairs are counted but their ids are not
-    #: materialized -- used by large benchmark sweeps.  Requires
-    #: ``duplicate_free`` (the distinct step needs the ids).
+    #: materialized -- set by every caller that reads only a count
+    #: (served ``max_pairs: 0``, ``repro join`` without ``--show-pairs``,
+    #: benchmark sweeps).  Requires ``duplicate_free`` (the distinct step
+    #: needs the ids).
     collect_pairs: bool = True
     #: Algorithm 1 edge-examination order (see
     #: :data:`repro.agreements.marking.ORDERINGS`); only the ablation

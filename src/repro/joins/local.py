@@ -18,8 +18,8 @@ cost.  Three kernels are provided:
   because a probe costs about ten times what a built record does.  One
   implementation in two steps -- :func:`grid_hash_probe` windows all
   cells of a worker task in one pass, :func:`grid_hash_expand` writes the
-  hits into columns the caller supplies; the per-cell kernel is the
-  one-cell case.  It is ``JoinConfig``'s default.
+  hits into columns the caller supplies, or only counts them; the
+  per-cell kernel is the one-cell case.  It is ``JoinConfig``'s default.
 
 All kernels take parallel arrays and return ``(r_ids, s_ids, candidates)``
 with one entry per result pair.  The keyword-only ``origin`` argument
@@ -136,16 +136,31 @@ def grid_hash_join(
     against the extent that the keys would overflow) is answered by
     :func:`plane_sweep_join`, whose float window needs no keys.
     """
-    origins = None if origin is None else np.array([origin], dtype=np.float64)
-    probe = grid_hash_probe(
-        r_ids, r_xs, r_ys, np.array([0, len(r_ids)], dtype=np.int64),
-        s_ids, s_xs, s_ys, np.array([0, len(s_ids)], dtype=np.int64),
-        eps, origins,
-    )
+    probe = _one_cell_probe(r_ids, r_xs, r_ys, s_ids, s_xs, s_ys, eps, origin)
     if probe is None:
         return plane_sweep_join(r_ids, r_xs, r_ys, s_ids, s_xs, s_ys, eps)
     out_r, out_s, _ = _expand_owned(probe)
     return out_r, out_s, int(probe.candidates[0])
+
+
+def grid_hash_count(r_ids, r_xs, r_ys, s_ids, s_xs, s_ys, eps: float) -> int:
+    """``len(grid_hash_join(...)[0])`` with no pair written: the same
+    probe, the count-only :func:`grid_hash_expand`, and
+    :func:`plane_sweep_join` where the probe declines."""
+    probe = _one_cell_probe(r_ids, r_xs, r_ys, s_ids, s_xs, s_ys, eps, None)
+    if probe is None:
+        return len(plane_sweep_join(r_ids, r_xs, r_ys, s_ids, s_xs, s_ys, eps)[0])
+    return grid_hash_expand(probe, None, None)[0]
+
+
+def _one_cell_probe(r_ids, r_xs, r_ys, s_ids, s_xs, s_ys, eps, origin):
+    """:func:`grid_hash_probe` of the two sides as one cell."""
+    origins = None if origin is None else np.array([origin], dtype=np.float64)
+    return grid_hash_probe(
+        r_ids, r_xs, r_ys, np.array([0, len(r_ids)], dtype=np.int64),
+        s_ids, s_xs, s_ys, np.array([0, len(s_ids)], dtype=np.int64),
+        eps, origins,
+    )
 
 
 def _segment_min(vals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -408,13 +423,15 @@ def grid_hash_probe(
 
 
 def grid_hash_expand(
-    probe: GridHashProbe, out_r: np.ndarray, out_s: np.ndarray, offset: int = 0
+    probe: GridHashProbe, out_r: np.ndarray | None, out_s: np.ndarray | None, offset: int = 0
 ) -> tuple[int, np.ndarray]:
     """Test a probe's candidates; write the hits from ``offset`` onwards.
 
     ``out_r``/``out_s`` are the caller's columns, with room for
     ``probe.total`` entries from ``offset``; only the entries up to the
-    returned end offset are written (and their pages touched).
+    returned end offset are written (and their pages touched).  With
+    both ``None`` the expand only counts: the same blocks and the same
+    test give the same ``(end, bounds)``, and no id is gathered.
     Candidates are expanded in blocks of :data:`_BLOCK_CANDIDATES`, each
     taking the exact float64 test, and hits land in cell order,
     probe-major inside a cell.  No block straddles a change of roles:
@@ -459,9 +476,10 @@ def grid_hash_expand(
         d *= d
         hit = np.flatnonzero(d[0::2] + d[1::2] <= probe.eps_sq)
         upto = num_hits + len(hit)
-        out_probe, out_build = (out_s, out_r) if swap else (out_r, out_s)
-        out_probe[num_hits:upto] = np.repeat(probe_ids[a:b], cnt)[hit]
-        out_build[num_hits:upto] = build_ids[windows[hit]]
+        if out_r is not None:
+            out_probe, out_build = (out_s, out_r) if swap else (out_r, out_s)
+            out_probe[num_hits:upto] = np.repeat(probe_ids[a:b], cnt)[hit]
+            out_build[num_hits:upto] = build_ids[windows[hit]]
         # cells whose first candidate lies in this block start at the hit
         # count reached just before it
         last = int(np.searchsorted(cell_before, stop, side="left"))

@@ -849,8 +849,9 @@ class LocalJoinStage(Stage):
     plan, retry policy and block store all come from the
     context, so every driver composing this stage is fault tolerant on
     every backend.  ``collect_pairs=False`` counts results without
-    keeping the pairs (large benchmark sweeps): the report's columns are
-    empty and its ``bounds`` carry the counts.
+    writing the pairs (count-only callers: a served ``max_pairs: 0``
+    query, ``repro join`` without ``--show-pairs``, benchmark sweeps):
+    the report's columns are empty and its ``bounds`` carry the counts.
     """
 
     name = "local_join"

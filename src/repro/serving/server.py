@@ -203,7 +203,8 @@ class ServerConfig:
     #: Unix-domain socket path (``None``: a pid-stamped socket inside the
     #: state directory).  Mutually exclusive with ``port``.
     socket_path: str | None = None
-    #: TCP port (``None``: unix socket) on 127.0.0.1: the server never
+    #: TCP port (``None``: unix socket; ``0``: an ephemeral port, read
+    #: back from ``JoinServer.address``) on 127.0.0.1: the server never
     #: binds beyond localhost, serving the open internet is a reverse
     #: proxy's job.
     port: int | None = None
@@ -236,8 +237,8 @@ class ServerConfig:
     def __post_init__(self):
         if self.socket_path is not None and self.port is not None:
             raise ValueError("socket_path and port are mutually exclusive")
-        if self.port is not None:
-            check_count("port", self.port, 1, 65535)
+        if self.port is not None:  # 0: an ephemeral port
+            check_count("port", self.port, 0, 65535)
         if self.backend not in executor_mod.BACKENDS:
             raise ValueError(
                 f"serving backend must be one of {executor_mod.BACKENDS}, "
@@ -327,20 +328,24 @@ class QuerySpec:
             name, _, rest = str(exc).partition(" ")
             raise ProtocolError(f"{_WIRE_NAMES.get(name, name)} {rest}") from None
         max_pairs = request.get("max_pairs")
-        spec = cls(
+        max_pairs = int(max_pairs) if max_pairs is not None else None
+        if max_pairs is not None and max_pairs < 0:
+            raise ProtocolError("max_pairs must be >= 0")
+        if max_pairs == 0 and join.duplicate_free:
+            # no pair is sent back: the join only counts (the distinct
+            # step of a duplicate_free=False join needs the ids)
+            join = replace(join, collect_pairs=False)
+        return cls(
             r=str(request["r"]),
             s=str(request["s"]),
             config=join,
             reuse_results=bool(request.get("reuse_results", True)),
-            max_pairs=int(max_pairs) if max_pairs is not None else None,
+            max_pairs=max_pairs,
             trace=bool(request.get("trace", False)),
             report=bool(request.get("report", False)),
             tuning=tuning,
             pinned=tuple(sorted(d for d in PLANNABLE_FIELDS if d in request)),
         )
-        if spec.max_pairs is not None and spec.max_pairs < 0:
-            raise ProtocolError("max_pairs must be >= 0")
-        return spec
 
 
 #: The Python type each ``JoinConfig`` field declares, by field name.
@@ -405,7 +410,8 @@ class JoinServer:
         self.plans = PlanCache()
         self._log = get_logger("repro.serving.server")
         #: finished ``(r_ids, s_ids, metrics)`` triples across queries,
-        #: keyed by the query; a result over the whole budget is not kept
+        #: keyed by the query (the ids ``None`` for a count-only query); a
+        #: result over the whole budget is not kept
         self._results = LRUCache(limit_bytes=self.config.result_cache_bytes)
         self._pool = None  # query thread pool, created on start
         self._server: asyncio.AbstractServer | None = None
@@ -497,7 +503,10 @@ class JoinServer:
     def address(self) -> dict:
         """Where the server listens (``{"socket": ...}`` or host/port)."""
         if self.config.port is not None:
-            return {"host": "127.0.0.1", "port": self.config.port}
+            port = self.config.port
+            if self._server is not None:  # bound: ``port=0`` took a free one
+                port = self._server.sockets[0].getsockname()[1]
+            return {"host": "127.0.0.1", "port": port}
         return {"socket": self._socket_path}
 
     async def start(self) -> None:
@@ -827,13 +836,17 @@ class JoinServer:
     def _execute_query(self, spec, r, s, qkey, akey, planned=None) -> dict:
         started = time.perf_counter()
         if spec.reuse_results:
-            cached = self._results.get(qkey)
+            # a count query is answered by a cached pairs entry too
+            keys = [qkey]
+            if not spec.config.collect_pairs:
+                collecting = replace(spec.config, collect_pairs=True)
+                keys.append(query_key(collecting, r.fingerprint, s.fingerprint))
+            cached = self._results.get(
+                next((key for key in keys if self._results.contains(key)), qkey)
+            )
             if cached is not None:
-                r_ids, s_ids, metrics_payload = cached
                 self.registry.counter("serve.result_cache_hits").inc()
-                payload = self._result_payload(
-                    spec, r_ids, s_ids, metrics_payload
-                )
+                payload = self._result_payload(spec, *cached)
                 payload.update(
                     cached_result=True,
                     warm_artifacts=self.artifacts.contains(akey),
@@ -871,11 +884,12 @@ class JoinServer:
             telemetry.registry.set_meta("planner", planner_meta)
         result = distance_join(r.points, s.points, run_cfg)
         metrics_payload = _metrics_payload(result.metrics)
-        self._result_cache_put(qkey, result, metrics_payload)
+        # a count-only run's columns are empty: its count is the metrics'
+        kept = result if spec.config.collect_pairs else None
+        self._result_cache_put(qkey, kept, metrics_payload)
 
-        payload = self._result_payload(
-            spec, result.r_ids, result.s_ids, metrics_payload
-        )
+        ids = (None, None) if kept is None else (kept.r_ids, kept.s_ids)
+        payload = self._result_payload(spec, *ids, metrics_payload)
         payload.update(
             cached_result=False,
             warm_artifacts=warm,
@@ -914,19 +928,17 @@ class JoinServer:
         return payload
 
     def _result_payload(self, spec, r_ids, s_ids, metrics_payload) -> dict:
-        limit = spec.max_pairs
-        truncated = limit is not None and len(r_ids) > limit
-        if limit is not None:
-            out_r, out_s = r_ids[:limit], s_ids[:limit]
-        else:
-            out_r, out_s = r_ids, s_ids
+        """The response body: the count comes from the metrics, so a
+        count-only result (ids ``None``) answers as a collected one does."""
+        results, limit = metrics_payload["results"], spec.max_pairs
+        pairs = []
+        if r_ids is not None:
+            pairs = np.column_stack((r_ids[:limit], s_ids[:limit])).tolist()
         return {
             "ok": True,
-            "results": int(len(r_ids)),
-            "pairs": np.column_stack((out_r, out_s)).tolist()
-            if len(out_r)
-            else [],
-            "pairs_truncated": bool(truncated),
+            "results": results,
+            "pairs": pairs,
+            "pairs_truncated": limit is not None and results > limit,
             "metrics": metrics_payload,
         }
 
@@ -934,16 +946,17 @@ class JoinServer:
     # the cross-query result cache
     # ------------------------------------------------------------------
     def _result_cache_put(self, qkey, result, metrics_payload) -> None:
+        """Cache a finished query; ``result`` ``None``: the metrics alone."""
         # the cache owns its bytes: the job's columns are views of pool
         # slabs sized for every candidate, and a cached view would pin its
         # slab while the entry lives; an exact-size copy is what the budget
         # counts, and the slabs go back for the next query to lease
-        r_ids, s_ids = result.r_ids.copy(), result.s_ids.copy()
-        self._results.put(
-            qkey,
-            (r_ids, s_ids, metrics_payload),
-            r_ids.nbytes + s_ids.nbytes + estimate_nbytes(metrics_payload),
-        )
+        r_ids = s_ids = None
+        nbytes = estimate_nbytes(metrics_payload)
+        if result is not None:
+            r_ids, s_ids = result.r_ids.copy(), result.s_ids.copy()
+            nbytes += r_ids.nbytes + s_ids.nbytes
+        self._results.put(qkey, (r_ids, s_ids, metrics_payload), nbytes)
 
 
 # ----------------------------------------------------------------------

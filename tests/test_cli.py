@@ -32,6 +32,27 @@ class TestJoin:
         out = capsys.readouterr().out
         assert out.count("(") >= 2
 
+    def test_join_counts_unless_pairs_are_shown(self, capsys, monkeypatch):
+        """Without ``--show-pairs`` the distance join only counts, and
+        prints the ``results=`` line a collecting run prints."""
+        import repro.cli as cli
+
+        collected = []
+
+        def spy(r, s, config):
+            collected.append(config.collect_pairs)
+            return join(r, s, config)
+
+        join = cli.distance_join
+        monkeypatch.setattr(cli, "distance_join", spy)
+        lines = []
+        for extra in ([], ["--show-pairs", "1"]):
+            assert main(["join", "--base-n", "1500", "--eps", "0.02", *extra]) == 0
+            out = capsys.readouterr().out
+            lines.append([line for line in out.splitlines() if "results=" in line])
+        assert collected == [False, True]
+        assert len(lines[0]) == 1 and lines[0] == lines[1]
+
     @pytest.mark.parametrize("fmt", ["jsonl", "chrome"])
     def test_join_writes_its_trace(self, tmp_path, capsys, fmt):
         path = tmp_path / "trace"
@@ -355,7 +376,7 @@ class TestServeValidation:
 
     def test_bad_port_rejected(self, capsys):
         assert_config_rejects(capsys, ["serve", "--port", "99999"],
-                              "port must be a whole number in [1, 65535], "
+                              "port must be a whole number in [0, 65535], "
                               "got 99999")
         with pytest.raises(SystemExit):
             main(["query", "--port", "0", "--ping"])

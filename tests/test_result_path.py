@@ -20,8 +20,9 @@ Four guarantees (``docs/EXECUTION.md``, "Result path"):
    (:mod:`repro.engine.slabs`): a result is never overwritten while
    anything references it, and its slabs serve the next job once nothing
    does.
-6. *Count-only* -- ``collect_pairs=False`` reports the same counts,
-   candidates and bounds with empty columns, from one task-sized pair.
+6. *Count-only* -- the expand without columns returns the bounds the
+   column form does, and ``collect_pairs=False`` reports the same counts,
+   candidates and bounds with empty columns and no slab leased.
 """
 
 import gc
@@ -36,6 +37,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.engine.executor as executor
 import repro.engine.kernels as kernels
 import repro.engine.slabs as slabs
 from repro.data.generators import gaussian_clusters
@@ -105,6 +107,10 @@ def _assert_expand_matches_cells(cells, eps, origins, offset, slack):
     np.testing.assert_array_equal(bounds2, bounds)
     np.testing.assert_array_equal(again_r[offset:end], out_r[offset:end])
     np.testing.assert_array_equal(again_s[offset:end], out_s[offset:end])
+    # the count-only form: the same end and per-cell bounds, no columns
+    end3, bounds3 = grid_hash_expand(probe, None, None, offset)
+    assert end3 == end
+    np.testing.assert_array_equal(bounds3, bounds)
 
 
 @st.composite
@@ -154,6 +160,20 @@ def test_expand_spans_many_blocks_of_one_dense_cell():
     probe = grid_hash_probe(*_task(cells), 0.1, None)
     assert probe.candidates[2] > 3 * _BLOCK_CANDIDATES
     _assert_expand_matches_cells(cells, 0.1, None, offset=17, slack=4)
+
+
+@pytest.mark.parametrize("flip", ([False, True, False], [True, False, True]))
+def test_expand_counts_across_a_role_flip(flip):
+    """Cells whose probing side alternates: the block cut at each flip
+    keeps the column form per cell, and the count-only form's bounds."""
+    rng = np.random.default_rng(9)
+    cells = [
+        tuple(rng.uniform(0.0, 0.3, n) for n in ((60, 60, 15, 15) if s else (15, 15, 60, 60)))
+        for s in flip
+    ]
+    probe = grid_hash_probe(*_task(cells), 0.05, None)
+    assert probe.swapped.tolist() == flip
+    _assert_expand_matches_cells(cells, 0.05, None, offset=3, slack=0)
 
 
 @pytest.mark.parametrize("eps", [0.0, float("inf"), float("nan"), -1.0, 1e-9])
@@ -690,9 +710,17 @@ def _clean_report(kernel):
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 @pytest.mark.parametrize("backend", ("serial", "threads", "processes"))
 @pytest.mark.parametrize("kernel", ("grid_hash", "plane_sweep"))
-def test_count_only_reports_the_same_counts_everywhere(tmp_path, kernel, backend, scenario):
+def test_count_only_reports_the_same_counts_everywhere(
+    tmp_path, monkeypatch, kernel, backend, scenario
+):
     if scenario == "degraded" and backend == "serial":
         pytest.skip("serial has no tier to degrade to")
+    _clean_report(kernel)  # the collecting reference leases; the count must not
+
+    def no_lease(*_):  # forked workers inherit it
+        raise AssertionError("a count-only join leased a slab")
+
+    monkeypatch.setattr(executor, "lease", no_lease)
     ctx = _staged(
         kernel, backend, collect_pairs=False,
         **_scenario_overrides(tmp_path, backend, scenario),
@@ -710,15 +738,14 @@ def test_count_only_reports_the_same_counts_everywhere(tmp_path, kernel, backend
         assert ctx.metrics.fault_events > 0, "the injected fault never fired"
 
 
-def test_count_only_expands_every_task_into_one_task_sized_pair(pool):
-    collecting = _dense_join(61)
-    job_bytes = sorted(s.nbytes for s in pool._slabs)
+@pytest.mark.parametrize("backend", ("serial", "threads"))
+def test_count_only_leases_no_slab(pool, backend):
+    """A dense count (~0.4 M candidates: a collecting task's columns
+    would be pool slabs) writes no pair anywhere: the pool stays empty."""
+    collecting = _dense_join(61, backend)
     pool._slabs.clear()
-    counting = _dense_join(61, collect_pairs=False)
+    counting = _dense_join(61, backend, collect_pairs=False)
     assert counting.metrics.results == len(collecting) > 0
     assert counting.metrics.candidate_pairs == collecting.metrics.candidate_pairs
     assert len(counting.r_ids) == len(counting.s_ids) == 0
-    # one pair, smaller than the job's, and nothing of the result holds it
-    assert len(pool._slabs) == 2
-    assert all(s.nbytes < job_bytes[0] for s in pool._slabs)
-    assert pool._refcounts(pool._slabs) == [pool._IDLE] * 2
+    assert pool._slabs == []

@@ -304,8 +304,8 @@ class TestServedResults:
 
     def test_cli_query_runs_on_the_server_default_workers(self, capsys):
         """``repro query`` without ``--workers`` sends no ``workers``: the
-        query runs on ``repro serve --workers``, so the same query with
-        those workers spelled out is a result-cache hit."""
+        query runs on ``repro serve --workers``, so the same count query
+        with those workers spelled out is a result-cache hit."""
         from repro.cli import main
 
         handle = start_in_thread(ServerConfig(default_workers=4))
@@ -316,7 +316,7 @@ class TestServedResults:
                            "--r", "R", "--s", "S", "--eps", str(EPS)])
                 assert rc == 0
                 assert "[cold build]" in capsys.readouterr().out
-                assert c.query("R", "S", EPS, workers=4)["cached_result"]
+                assert c.query("R", "S", EPS, workers=4, max_pairs=0)["cached_result"]
         finally:
             handle.stop()
 
@@ -334,6 +334,43 @@ class TestServedResults:
             got = c.query("R", "S", eps=EPS, resolution_factor=3.0)
             assert got["metrics"]["grid_cells"] == coarse.metrics.grid_cells
             assert coarse.metrics.grid_cells != other.metrics.grid_cells
+
+    def test_count_queries_cache_counts_and_read_cached_pairs(self, server, oneshot):
+        """``max_pairs: 0`` runs the join count-only and caches its metrics
+        alone; a pairs query of the same join still runs and returns
+        pairs, and a count query answered from a cached pairs entry is
+        the same response as one that counted."""
+        srv = server.server
+        with connect(server.address) as c:
+            _register(c)
+            count = c.query("R", "S", eps=EPS, max_pairs=0)
+            assert not count["cached_result"]
+            assert count["results"] == len(oneshot) > 0
+            assert count["pairs"] == [] and count["pairs_truncated"]
+            ((r_ids, s_ids, meta), nbytes), = srv._results._entries.values()
+            assert r_ids is None and s_ids is None and meta == count["metrics"]
+            assert nbytes == estimate_nbytes(meta) < 16_000
+
+            five = c.query("R", "S", eps=EPS, max_pairs=5)
+            assert not five["cached_result"] and len(five["pairs"]) == 5
+            full = c.query("R", "S", eps=EPS)
+            assert full["cached_result"] and not full["pairs_truncated"]
+            assert full["results"] == count["results"]
+            assert _deterministic(full["metrics"]) == _deterministic(count["metrics"])
+
+            # another join: its pairs entry answers its first count query
+            pairs = c.query("R", "S", eps=EPS, method="uni_r")
+            misses = c.stats()["result_cache"]["misses"]
+            hit = c.query("R", "S", eps=EPS, method="uni_r", max_pairs=0)
+            assert hit["cached_result"] and hit["results"] == pairs["results"]
+            assert c.stats()["result_cache"]["misses"] == misses
+            counted = c.query(
+                "R", "S", eps=EPS, method="uni_r", max_pairs=0, reuse_results=False
+            )
+            assert not counted["cached_result"]
+            for key in ("results", "pairs", "pairs_truncated"):
+                assert hit[key] == counted[key], key
+            assert _deterministic(hit["metrics"]) == _deterministic(counted["metrics"])
 
     def test_max_pairs_truncates_payload_not_count(self, server, oneshot):
         with connect(server.address) as c:
@@ -629,10 +666,11 @@ class TestProtocolValidation:
 @pytest.mark.serving
 class TestTcpAndTelemetry:
     def test_tcp_front_end(self, oneshot):
-        handle = start_in_thread(ServerConfig(port=18472))
+        handle = start_in_thread(ServerConfig(port=0))
         try:
-            assert handle.address == {"host": "127.0.0.1", "port": 18472}
-            with connect(handle.address) as c:
+            address = handle.address
+            assert address["host"] == "127.0.0.1" and address["port"] > 0
+            with connect(address) as c:
                 _register(c)
                 got = c.query("R", "S", eps=EPS)
                 assert got["results"] == len(oneshot.r_ids)
@@ -642,9 +680,10 @@ class TestTcpAndTelemetry:
     def test_cli_queries_a_tcp_server(self, capsys):
         from repro.cli import main
 
-        handle = start_in_thread(ServerConfig(port=18473))
+        handle = start_in_thread(ServerConfig(port=0))
         try:
-            assert main(["query", "--port", "18473", "--ping"]) == 0
+            port = str(handle.address["port"])
+            assert main(["query", "--port", port, "--ping"]) == 0
             assert "server pid" in capsys.readouterr().out
         finally:
             handle.stop()
@@ -758,8 +797,10 @@ def _served_faults_per_query(tmp_path, tag: str, policy: bool) -> float:
             client.register("S", "S1", base_n=20_000)
 
             def cold(i):  # a new eps misses both caches
+                # one pair asked for: the join collects, the path whose
+                # temporaries the policy keeps (a count writes no pairs)
                 got = client.query(
-                    "R", "S", eps=0.004 + 1e-5 * i, kernel="grid_hash", max_pairs=0
+                    "R", "S", eps=0.004 + 1e-5 * i, kernel="grid_hash", max_pairs=1
                 )
                 assert not got["cached_result"] and got["results"] > 0
 
