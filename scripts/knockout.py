@@ -1,14 +1,23 @@
-"""The mechanism audit as a knockout run.
+"""The mechanism audit as a knockout run, judged by contract tests.
 
 Every mechanism the program carries -- a config field, a CLI flag, a wire
 op or query field, a backend, a cache, a driver -- must be justified by a
-test that fails without it or a benchmark that measures it.  For each
-entry of :data:`ENTRIES` this script exports a commit with ``git archive``
-into a temporary directory, applies the entry's one edit (its *stub*),
-runs the entry's tests with ``pytest -x`` under a timeout, restores the
-file, and prints one row::
+contract test that fails without it or a benchmark that measures it.
+For each entry of :data:`ENTRIES` this script exports a commit with
+``git archive`` into a temporary directory, applies the entry's one edit
+(its *stub*), runs every contract test with ``pytest -x`` under a
+timeout, restores the file, and prints one row::
 
-    | id | kind | first failing test, `none` or `timeout` | verdict |
+    | id | kind | first failing contract test, `none` or `timeout` | verdict |
+
+A *contract* test checks what a user of the program can see: the driver
+goldens, the oracle and property tests, the executor-equivalence and
+count-only matrices, the fault identity matrix, and the CLI and served
+end-to-end tests.  :data:`TESTS` classifies every test module once; the
+rest are *unit* tests, which check one mechanism from the inside and so
+fail by construction when it is stubbed: they never decide a verdict.
+Nor do the wall-bound perf guards (:data:`WALL_BOUND`), which fail under
+load whatever is stubbed.
 
 The stubs, by kind:
 
@@ -31,23 +40,19 @@ names the entry.  An entry in :data:`DELETED` names a mechanism that is
 gone: on a tree without it (its edit matches nothing, or the server no
 longer declares the query field) the row prints ``deleted`` without
 running.  A ``none`` row that stays is named in :data:`KEPT` with the
-reason -- a benchmark that runs it, safety, a test that varies it, a
-measured A/B, or the test the row gained; any other ``none`` row reads
-``delete``.
-
-An entry's test list may ``--deselect`` the mechanism's own unit tests
-where nothing else in the program reaches the mechanism (no CLI command,
-benchmark or example): a test that calls a mechanism only to check that
-it exists does not justify it.
+reason -- a benchmark that runs it or a measured A/B, safety, a
+deployment setting (a path, a memory budget), or a caller outside the
+tests; any other ``none`` row reads ``delete``.
 
 Usage, from the repo root::
 
-    python scripts/knockout.py [--rev REV] [--only ID ...] [--timeout S] [--full]
+    python scripts/knockout.py [--rev REV] [--only ID ...] [--timeout S]
     python scripts/knockout.py --check     # every edit applies, no tests
 
 The working tree is never written to, no test is edited, and the copy is
-deleted afterwards.  A full sweep takes about 15 minutes on 2 vCPUs; run
-nothing else meanwhile, since wall-bound tests fail under load.
+deleted afterwards.  A full sweep takes about 25 minutes on 2 vCPUs (a
+``none`` row runs every contract test, about 45 s); run nothing else
+meanwhile, since a loaded host can fail an end-to-end test on its own.
 """
 
 from __future__ import annotations
@@ -72,7 +77,100 @@ class Entry(NamedTuple):
     file: str  # relative to the repo root
     old: str
     new: str
-    tests: tuple[str, ...]
+    #: contract tests that check the stubbed mechanism's own bounds (node
+    #: ids, deselected for this row)
+    skip: tuple[str, ...] = ()
+
+
+# ----------------------------------------------------------------------
+# the tests that judge
+# ----------------------------------------------------------------------
+CONTRACT, UNIT = "contract", "unit"
+
+#: Every ``tests/test_<name>.py`` module by ``<name>``, classified once:
+#: :data:`CONTRACT`, :data:`UNIT`, or the contract tests of a module whose
+#: other tests are unit tests.  Contract selections run in this order, the
+#: quick and widely failing ones first (``pytest -x`` stops at the first
+#: failure).
+TESTS: dict[str, str | tuple[str, ...]] = {
+    # the driver goldens, the executor-equivalence matrix, the CLI end to end
+    "driver_equivalence": CONTRACT,
+    "executor_equivalence": ("test_backends_bit_identical", "test_kernels_agree_through_driver",
+                             "test_empty_intersection", "test_all_duplicate_coordinates",
+                             "test_plan_level_equivalence"),
+    "cli": CONTRACT,
+    # the served end-to-end tests
+    "serving": ("TestServedResults", "TestConcurrency", "TestProtocolValidation",
+                "TestTcpAndTelemetry"),
+    "obs": ("TestServerObservability", "TestCleanShutdown"),
+    "planner": ("TestForcedChoiceBitIdentity", "TestCliSurfaces", "TestServingPlanner"),
+    # the count-only matrix and the fault identity matrix
+    "result_path": ("test_count_only_reports_the_same_counts_everywhere",),
+    "fault_tolerance": ("test_chaos_matrix_bit_identical", "test_chaos_matrix_with_block_store",
+                        "test_chaos_object_join_bit_identical",
+                        "test_chaos_generalized_join_bit_identical"),
+    "columnar_fusion": ("test_distance_kernel_backend_matches_golden",
+                        "test_chaos_matches_fault_free_serial"),
+    # every driver against the oracle, and the answer under any setting
+    "api": CONTRACT,
+    "driver_matrix": CONTRACT,
+    "distance_join": ("TestCorrectness", "TestDegenerate"),
+    "robustness": ("TestDegenerateInputs", "TestFallbacks"),
+    "telemetry": ("test_telemetry_does_not_change_the_answer",),
+    "queries": ("TestKnnJoin::test_matches_oracle", "TestClosestPairs::test_matches_oracle",
+                "TestSelfJoin::test_matches_oracle_unordered"),
+    "baselines": ("TestSamjRtreeJoin::test_matches_oracle",
+                  "TestSedonaJoin::test_matches_oracle"),
+    "generalized_join": ("TestCorrectness", "test_property_quadtree_join_correct_and_duplicate_free"),
+    "object_join": ("TestDistanceJoin::test_boxes_match_brute_force",
+                    "test_property_box_join_matches_brute_force",
+                    "test_property_intersection_join_matches_brute_force"),
+    "oracle": CONTRACT,
+    "property_join": CONTRACT,
+    "examples": CONTRACT,
+    "exhaustive_quartet": CONTRACT,
+    # one mechanism each, from the inside
+    **{name: UNIT for name in (
+        "agreement_store", "agreements_graph", "api_docs", "areas", "attempt_ledger",
+        "bench_layer", "blockstore", "broadcast", "cost_model", "data", "engine",
+        "figures", "geometry", "grid", "layering", "lazy_exports", "local_kernels",
+        "map_side", "marking", "marking_lockstep", "objects", "partitioning",
+        "perf_smoke", "policies", "postprocess", "recovery_invariants",
+        "replication_assign", "replication_pbsm", "sample_join_estimator",
+        "segment_geometry", "statistics", "tuning", "wkt",
+    )},
+}
+
+#: Tests bounded by wall clock: under load they fail whatever is stubbed,
+#: so no verdict reads them (deselected from every contract run).
+WALL_BOUND = (
+    "tests/test_perf_smoke.py",
+    "tests/test_obs.py::test_observability_overhead_under_two_percent",
+    "tests/test_serving.py::test_serve_keeps_freed_temporaries_in_the_heap",
+    "tests/test_serving.py::TestServingPerfSmoke",
+    "tests/test_telemetry.py::test_disabled_tracer_overhead_under_two_percent",
+)
+
+
+def contract_selection() -> list[str]:
+    """The pytest node ids (or module paths) of every contract test."""
+    selected = []
+    for name, kind in TESTS.items():
+        path = f"tests/test_{name}.py"
+        if kind == CONTRACT:
+            selected.append(path)
+        elif kind != UNIT:
+            selected += [f"{path}::{test}" for test in kind]
+    return selected
+
+
+def is_contract(test: str) -> bool:
+    """Whether the sweep runs ``test`` (a node id or a module path)."""
+    def within(prefix: str) -> bool:
+        return test == prefix or test.startswith(prefix + "::")
+
+    return (any(within(sel) for sel in contract_selection())
+            and not any(within(wall) for wall in WALL_BOUND))
 
 
 # ----------------------------------------------------------------------
@@ -87,18 +185,6 @@ SERVER = "src/repro/serving/server.py"
 EXECUTOR = "src/repro/engine/executor.py"
 SLO = "src/repro/obs/slo.py"
 CLI_PY = "src/repro/cli.py"
-
-
-def _t(*names: str) -> tuple[str, ...]:
-    """Test files by short name (``cli`` -> ``tests/test_cli.py``); a path
-    or a pytest option passes as it is."""
-    out = []
-    for name in names:
-        if name.startswith("-") or "/" in name:
-            out.append(name)
-        else:
-            out.append(f"tests/test_{name}.py")
-    return tuple(out)
 
 
 def _ignored(name: str, value: str) -> str:
@@ -117,7 +203,7 @@ def _ignored(name: str, value: str) -> str:
     )
 
 
-def field(owner: str, path: str, decl: str, tests) -> Entry:
+def field(owner: str, path: str, decl: str) -> Entry:
     """``decl`` is the field's declaration line without its indentation."""
     name, _, rest = decl.partition(":")
     annotation, eq, default = rest.partition(" = ")
@@ -129,10 +215,10 @@ def field(owner: str, path: str, decl: str, tests) -> Entry:
         new = f"{name}:{annotation} = field(default={_ignored(name, value)},{tail}"
     else:
         new = f"{name}:{annotation} = {_ignored(name, default)}"
-    return Entry(f"{owner}.{name}", "field", path, f"    {decl}\n", f"    {new}\n", tests)
+    return Entry(f"{owner}.{name}", "field", path, f"    {decl}\n", f"    {new}\n")
 
 
-def raises(id_: str, kind: str, path: str, header: str, tests) -> Entry:
+def raises(id_: str, kind: str, path: str, header: str) -> Entry:
     """``header`` opens the definition (``def f(`` or ``    async def m(``):
     the name now raises, and the real body moves to an unused name."""
     indent = header[: len(header) - len(header.lstrip())]
@@ -143,7 +229,7 @@ def raises(id_: str, kind: str, path: str, header: str, tests) -> Entry:
         f"{indent}    raise RuntimeError('knocked out: {id_}')\n\n"
         f"{indent}{keyword}def _knocked_out_{name}("
     )
-    return Entry(id_, kind, path, header, new, tests)
+    return Entry(id_, kind, path, header, new)
 
 
 _PARSERS = {"join": "join", "experiment": "exp", "explain": "explain",
@@ -151,7 +237,7 @@ _PARSERS = {"join": "join", "experiment": "exp", "explain": "explain",
             "query": "query", "top": "top"}
 
 
-def flag(command: str, option: str, tests) -> Entry:
+def flag(command: str, option: str) -> Entry:
     """Remove ``repro <command> <option>``: the ``add_argument`` call sets
     the flag's default instead, so argparse rejects the flag and the code
     reading it sees its default.  The matrix that checks the flags' own
@@ -164,146 +250,102 @@ def flag(command: str, option: str, tests) -> Entry:
         f"False if action == 'store_true' and default is None else default}}))"
         f'("{option}"'
     )
-    return Entry(f"repro {command} {option}", "flag", CLI_PY, old, new,
-                 (*tests, "-k", "not sizes_are_bounded"))
+    return Entry(f"repro {command} {option}", "flag", CLI_PY, old, new, (
+        "tests/test_cli.py::TestJoinValidation::test_sizes_are_bounded_on_every_subcommand",
+    ))
 
 
 # ----------------------------------------------------------------------
 # the list
 # ----------------------------------------------------------------------
-_EXEC = _t("fault_tolerance", "blockstore", "robustness", "cli", "result_path")
-_JOIN = _t("driver_equivalence", "distance_join", "robustness", "planner")
-_SERVE = _t("serving", "obs")
-_OBJ = _t("engine", "object_join", "driver_equivalence", "robustness", "cli")
-
 ENTRIES: list[Entry] = [
     # -- ExecutionSettings (every driver config inherits these) --------
-    field("ExecutionSettings", PIPELINE, 'execution_backend: str = "serial"',
-          _t("executor_equivalence", "fault_tolerance")),
-    field("ExecutionSettings", PIPELINE, "executor_workers: int | None = None",
-          _t("executor_equivalence", "fault_tolerance", "result_path", "robustness")),
-    field("ExecutionSettings", PIPELINE, "faults: FaultPlan | str | None = None",
-          _t("fault_tolerance")),
-    field("ExecutionSettings", PIPELINE, "max_retries: int = 2", _EXEC),
-    field("ExecutionSettings", PIPELINE, "task_timeout: float | None = None", _EXEC),
-    field("ExecutionSettings", PIPELINE, 'spill: str = "none"', _EXEC),
-    field("ExecutionSettings", PIPELINE, "spill_dir: str | None = None",
-          (*_EXEC, "tests/test_telemetry.py")),
-    field("ExecutionSettings", PIPELINE, "checkpoint_cells: bool = False", _EXEC),
+    field("ExecutionSettings", PIPELINE, 'execution_backend: str = "serial"'),
+    field("ExecutionSettings", PIPELINE, "executor_workers: int | None = None"),
+    field("ExecutionSettings", PIPELINE, "faults: FaultPlan | str | None = None"),
+    field("ExecutionSettings", PIPELINE, "max_retries: int = 2"),
+    field("ExecutionSettings", PIPELINE, "task_timeout: float | None = None"),
+    field("ExecutionSettings", PIPELINE, 'spill: str = "none"'),
+    field("ExecutionSettings", PIPELINE, "spill_dir: str | None = None"),
+    field("ExecutionSettings", PIPELINE, "checkpoint_cells: bool = False"),
     field("ExecutionSettings", PIPELINE,
-          "telemetry: Telemetry | None = field(default=None, compare=False)",
-          _t("telemetry")),
+          "telemetry: Telemetry | None = field(default=None, compare=False)"),
     field("ExecutionSettings", PIPELINE,
-          "history: Any = field(default=None, repr=False, compare=False)",
-          _t("telemetry", "obs")),
-    # -- RetryPolicy ----------------------------------------------------
-    field("RetryPolicy", EXECUTOR, "max_retries: int = 2",
-          _t("fault_tolerance", "attempt_ledger", "robustness")),
-    field("RetryPolicy", EXECUTOR, "backoff_base: float = 0.01",
-          _t("fault_tolerance", "attempt_ledger", "result_path")),
-    field("RetryPolicy", EXECUTOR, "backoff_factor: float = 2.0",
-          _t("fault_tolerance", "attempt_ledger")),
-    field("RetryPolicy", EXECUTOR, "backoff_cap: float = 0.25",
-          _t("fault_tolerance", "attempt_ledger")),
-    field("RetryPolicy", EXECUTOR, "task_timeout: float | None = None",
-          _t("fault_tolerance", "attempt_ledger", "robustness")),
+          "history: Any = field(default=None, repr=False, compare=False)"),
+    # -- RetryPolicy (folded into ExecutionSettings) --------------------
+    field("RetryPolicy", EXECUTOR, "max_retries: int = 2"),
+    field("RetryPolicy", EXECUTOR, "backoff_base: float = 0.01"),
+    field("RetryPolicy", EXECUTOR, "backoff_factor: float = 2.0"),
+    field("RetryPolicy", EXECUTOR, "backoff_cap: float = 0.25"),
+    field("RetryPolicy", EXECUTOR, "task_timeout: float | None = None"),
     # -- JoinConfig -------------------------------------------------------
-    field("JoinConfig", DISTANCE, "eps: float", _JOIN),
-    field("JoinConfig", DISTANCE, 'method: str = "lpib"', _JOIN),
-    field("JoinConfig", DISTANCE, "sample_rate: float = 0.03",
-          _t("planner", "cost_model", "robustness", "queries")),
-    field("JoinConfig", DISTANCE, "num_workers: int = 12", _JOIN),
+    field("JoinConfig", DISTANCE, "eps: float"),
+    field("JoinConfig", DISTANCE, 'method: str = "lpib"'),
+    field("JoinConfig", DISTANCE, "sample_rate: float = 0.03"),
+    field("JoinConfig", DISTANCE, "num_workers: int = 12"),
     field("JoinConfig", DISTANCE,
-          "num_partitions: int | None = None  # defaults to 8 partitions per worker",
-          _t("engine", "robustness", "baselines")),
-    field("JoinConfig", DISTANCE, 'cell_assignment: str = "lpt"  # one of CELL_ASSIGNMENTS',
-          _t("driver_equivalence", "distance_join", "engine", "robustness")),
+          "num_partitions: int | None = None  # defaults to 8 partitions per worker"),
+    field("JoinConfig", DISTANCE, 'cell_assignment: str = "lpt"  # one of CELL_ASSIGNMENTS'),
     field("JoinConfig", DISTANCE,
-          "resolution_factor: float = 2.0  # grid cell side in multiples of eps",
-          _JOIN),
+          "resolution_factor: float = 2.0  # grid cell side in multiples of eps"),
     field("JoinConfig", DISTANCE,
-          "duplicate_free: bool = True  # False: unmarked graph + distinct (Table 6)",
-          _t("distance_join", "telemetry", "exhaustive_quartet")),
-    field("JoinConfig", DISTANCE, 'local_kernel: str = "grid_hash"', _JOIN),
-    field("JoinConfig", DISTANCE, "seed: int = 0", _JOIN),
-    field("JoinConfig", DISTANCE, "collect_pairs: bool = True",
-          _t("result_path", "cost_model")),
-    field("JoinConfig", DISTANCE, 'marking_ordering: str = "paper"',
-          _t("robustness", "cli", "benchmarks/bench_ablations.py")),
+          "duplicate_free: bool = True  # False: unmarked graph + distinct (Table 6)"),
+    field("JoinConfig", DISTANCE, 'local_kernel: str = "grid_hash"'),
+    field("JoinConfig", DISTANCE, "seed: int = 0"),
+    field("JoinConfig", DISTANCE, "collect_pairs: bool = True"),
+    field("JoinConfig", DISTANCE, 'marking_ordering: str = "paper"'),
     field("JoinConfig", DISTANCE,
-          "artifact_cache: Any = field(default=None, repr=False, compare=False)",
-          _t("serving", "agreement_store", "telemetry")),
+          "artifact_cache: Any = field(default=None, repr=False, compare=False)"),
     field("JoinConfig", DISTANCE,
-          "artifact_key: tuple | None = field(default=None, repr=False, compare=False)",
-          _t("serving", "agreement_store", "telemetry")),
+          "artifact_key: tuple | None = field(default=None, repr=False, compare=False)"),
     # -- ObjectJoinConfig -------------------------------------------------
-    field("ObjectJoinConfig", OBJECT, 'method: str = "lpib"', _OBJ),
-    field("ObjectJoinConfig", OBJECT, "sample_rate: float = 0.1", _OBJ),
-    field("ObjectJoinConfig", OBJECT, "num_workers: int = 12", _OBJ),
-    field("ObjectJoinConfig", OBJECT, "num_partitions: int | None = None", _OBJ),
-    field("ObjectJoinConfig", OBJECT, 'cell_assignment: str = "lpt"', _OBJ),
-    field("ObjectJoinConfig", OBJECT, "seed: int = 0", _OBJ),
+    field("ObjectJoinConfig", OBJECT, 'method: str = "lpib"'),
+    field("ObjectJoinConfig", OBJECT, "sample_rate: float = 0.1"),
+    field("ObjectJoinConfig", OBJECT, "num_workers: int = 12"),
+    field("ObjectJoinConfig", OBJECT, "num_partitions: int | None = None"),
+    field("ObjectJoinConfig", OBJECT, 'cell_assignment: str = "lpt"'),
+    field("ObjectJoinConfig", OBJECT, "seed: int = 0"),
     # -- GeneralizedJoinConfig --------------------------------------------
-    field("GeneralizedJoinConfig", GENERALIZED, "eps: float", _t("generalized_join")),
-    field("GeneralizedJoinConfig", GENERALIZED, 'partition: str = "quadtree"',
-          _t("generalized_join", "driver_equivalence")),
-    field("GeneralizedJoinConfig", GENERALIZED, 'method: str = "lpib"',
-          _t("generalized_join", "driver_equivalence")),
-    field("GeneralizedJoinConfig", GENERALIZED, "quadtree_capacity: int = 64",
-          _t("generalized_join", "driver_equivalence", "robustness")),
-    field("GeneralizedJoinConfig", GENERALIZED, "sample_rate: float = 0.05",
-          _t("generalized_join", "driver_equivalence")),
-    field("GeneralizedJoinConfig", GENERALIZED, "num_workers: int = 12",
-          _t("generalized_join", "driver_equivalence")),
-    field("GeneralizedJoinConfig", GENERALIZED, "seed: int = 0",
-          _t("generalized_join", "driver_equivalence")),
+    field("GeneralizedJoinConfig", GENERALIZED, "eps: float"),
+    field("GeneralizedJoinConfig", GENERALIZED, 'partition: str = "quadtree"'),
+    field("GeneralizedJoinConfig", GENERALIZED, 'method: str = "lpib"'),
+    field("GeneralizedJoinConfig", GENERALIZED, "quadtree_capacity: int = 64"),
+    field("GeneralizedJoinConfig", GENERALIZED, "sample_rate: float = 0.05"),
+    field("GeneralizedJoinConfig", GENERALIZED, "num_workers: int = 12"),
+    field("GeneralizedJoinConfig", GENERALIZED, "seed: int = 0"),
     # -- ServerConfig -----------------------------------------------------
-    field("ServerConfig", SERVER, "socket_path: str | None = None", _SERVE),
-    field("ServerConfig", SERVER, "port: int | None = None", _t("serving", "cli")),
-    field("ServerConfig", SERVER, 'host: str = "127.0.0.1"', _t("serving", "cli")),
-    field("ServerConfig", SERVER, "cache_budget_bytes: int = 256_000_000", _t("serving", "cli")),
-    field("ServerConfig", SERVER, "result_cache_bytes: int = 64_000_000",
-          _t("serving", "cli", "robustness")),
-    field("ServerConfig", SERVER, "max_inflight: int = 2", _t("serving", "robustness")),
-    field("ServerConfig", SERVER, "max_queue: int = 16", _t("serving", "robustness")),
-    field("ServerConfig", SERVER, "backend: str = ExecutionSettings.execution_backend",
-          _t("serving", "obs", "cli")),
-    field("ServerConfig", SERVER, "executor_workers: int | None = None",
-          _t("serving", "obs", "cli")),
-    field("ServerConfig", SERVER, "default_workers: int = JoinConfig.num_workers",
-          _t("serving", "robustness")),
-    field("ServerConfig", SERVER, "state_dir: str | None = None", _SERVE),
-    field("ServerConfig", SERVER, "sweep_on_start: bool = True",
-          _t("serving", "obs", "blockstore", "layering")),
-    field("ServerConfig", SERVER, "history_path: str | None = None", _SERVE),
-    field("ServerConfig", SERVER, "history_max_bytes: int = RunHistory.MAX_BYTES",
-          _t("obs", "serving", "cli")),
-    field("ServerConfig", SERVER, "history_retain_files: int = RunHistory.RETAIN_FILES",
-          _t("serving", "obs")),
-    field("ServerConfig", SERVER, "metrics_port: int | None = None", _t("obs", "serving")),
-    # -- SLOConfig --------------------------------------------------------
-    field("SLOConfig", SLO, "window_seconds: float = 300.0", _t("obs")),
-    field("SLOConfig", SLO, "p95_seconds: Optional[float] = None", _t("obs")),
-    field("SLOConfig", SLO, "p99_seconds: Optional[float] = None", _t("obs")),
-    field("SLOConfig", SLO, "error_rate: Optional[float] = None", _t("obs")),
-    field("SLOConfig", SLO, "min_samples: int = 5", _t("obs")),
-]
-
-# -- the server's SLO thresholds: ``ServerConfig.__post_init__`` hands them
-# to ``SLOConfig``; the stub lets a throwaway ``SLOConfig`` check the value
-# passed and hands on the default
-ENTRIES += [
-    Entry(f"ServerConfig.slo_{name}", "field", SERVER,
-          f"            {name}=self.slo_{name},\n",
-          f"            {name}=(SLOConfig({name}=self.slo_{name}), SLOConfig.{name})[1],\n",
-          _t("obs", "serving", "robustness"))
-    for name in ("p95_seconds", "p99_seconds", "error_rate", "window_seconds", "min_samples")
+    field("ServerConfig", SERVER, "socket_path: str | None = None"),
+    field("ServerConfig", SERVER, "port: int | None = None"),
+    field("ServerConfig", SERVER, 'host: str = "127.0.0.1"'),
+    field("ServerConfig", SERVER, "cache_budget_bytes: int = 256_000_000"),
+    field("ServerConfig", SERVER, "result_cache_bytes: int = 64_000_000"),
+    field("ServerConfig", SERVER, "max_inflight: int = 2"),
+    field("ServerConfig", SERVER, "max_queue: int = 16"),
+    field("ServerConfig", SERVER, "backend: str = ExecutionSettings.execution_backend"),
+    field("ServerConfig", SERVER, "executor_workers: int | None = None"),
+    field("ServerConfig", SERVER, "default_workers: int = JoinConfig.num_workers"),
+    field("ServerConfig", SERVER, "state_dir: str | None = None"),
+    field("ServerConfig", SERVER, "sweep_on_start: bool = True"),
+    field("ServerConfig", SERVER, "history_path: str | None = None"),
+    field("ServerConfig", SERVER, "history_max_bytes: int = RunHistory.MAX_BYTES"),
+    field("ServerConfig", SERVER, "history_retain_files: int = RunHistory.RETAIN_FILES"),
+    field("ServerConfig", SERVER, "metrics_port: int | None = None"),
+    field("ServerConfig", SERVER, "slo_p95_seconds: float | None = None"),
+    field("ServerConfig", SERVER, "slo_error_rate: float | None = None"),
+    field("ServerConfig", SERVER, "slo_p99_seconds: float | None = SLOConfig.p99_seconds"),
+    field("ServerConfig", SERVER, "slo_window_seconds: float = SLOConfig.window_seconds"),
+    field("ServerConfig", SERVER, "slo_min_samples: int = SLOConfig.min_samples"),
+    # -- SLOConfig (folded into ServerConfig and the watchdog's constants) -
+    field("SLOConfig", SLO, "window_seconds: float = 300.0"),
+    field("SLOConfig", SLO, "p95_seconds: Optional[float] = None"),
+    field("SLOConfig", SLO, "p99_seconds: Optional[float] = None"),
+    field("SLOConfig", SLO, "error_rate: Optional[float] = None"),
+    field("SLOConfig", SLO, "min_samples: int = 5"),
 ]
 
 # -- query fields: the server ignores the wire field -----------------------
 # A join field is still checked (``JoinConfig`` is built from it), then
 # the query runs with the field's default.
-_QUERY = _t("serving", "obs", "cli")
 _BUILT = '        max_pairs = request.get("max_pairs")\n'
 
 
@@ -311,56 +353,50 @@ def _default_join_field(wire: str, name: str) -> Entry:
     default = ("config.default_workers" if wire == "workers"
                else f'JoinConfig.__dataclass_fields__["{name}"].default')
     return Entry(f"query.{wire}", "query", SERVER, _BUILT,
-                 f"        join = replace(join, {name}={default})\n" + _BUILT, _QUERY)
+                 f"        join = replace(join, {name}={default})\n" + _BUILT)
 
 
 ENTRIES += [
     Entry("query.eps", "query", SERVER, "            if wire in request:\n",
-          '            if wire in request and wire != "eps":\n', _QUERY),
+          '            if wire in request and wire != "eps":\n'),
 ] + [
     _default_join_field(wire, {"kernel": "local_kernel", "workers": "num_workers"}.get(wire, wire))
     for wire in ("method", "kernel", "workers", "num_partitions", "cell_assignment",
                  "sample_rate", "seed", "resolution_factor", "duplicate_free")
 ] + [
     Entry("query.r", "query", SERVER, '            r=str(request["r"]),\n',
-          '            r="",\n', _QUERY),
+          '            r="",\n'),
     Entry("query.s", "query", SERVER, '            s=str(request["s"]),\n',
-          '            s="",\n', _QUERY),
+          '            s="",\n'),
     Entry("query.tuning", "query", SERVER,
           '        tuning = str(request.get("tuning", "static"))\n',
-          '        tuning = "static"\n', _t("serving", "planner", "obs", "cli")),
+          '        tuning = "static"\n'),
     Entry("query.reuse_results", "query", SERVER,
           '            reuse_results=bool(request.get("reuse_results", True)),\n',
-          "            reuse_results=True,\n", _QUERY),
+          "            reuse_results=True,\n"),
     Entry("query.max_pairs", "query", SERVER,
           '        max_pairs = request.get("max_pairs")\n',
-          "        max_pairs = None\n", _QUERY),
+          "        max_pairs = None\n"),
     Entry("query.trace", "query", SERVER,
           '            trace=bool(request.get("trace", False)),\n',
-          "            trace=False,\n", _QUERY),
+          "            trace=False,\n"),
     Entry("query.report", "query", SERVER,
           '            report=bool(request.get("report", False)),\n',
-          "            report=False,\n", _QUERY),
+          "            report=False,\n"),
 ]
 
 # -- wire ops: the handler raises ------------------------------------------
 ENTRIES += [
-    raises(f"op.{op}", "op", SERVER, f"    async def _op_{op}(", _QUERY)
-    for op in ("ping", "register", "datasets", "query", "stats", "shutdown")
-] + [
-    raises("op.range", "op", SERVER, "    async def _op_range(", _t(
-        "serving", "obs",
-        "--deselect=tests/test_serving.py::TestServedResults::test_rtree_range_query",
-    )),
+    raises(f"op.{op}", "op", SERVER, f"    async def _op_{op}(")
+    for op in ("ping", "register", "datasets", "query", "stats", "shutdown", "range")
 ]
 
 # -- backends: a run on it raises --------------------------------------------
-_BACKEND_TESTS = _t("executor_equivalence", "fault_tolerance", "result_path", "serving")
 ENTRIES += [
     Entry(f"backend.{name}", "backend", EXECUTOR, "    tier = backend\n",
           f'    if backend == "{name}":\n'
           f"        raise RuntimeError('knocked out: backend {name}')\n"
-          "    tier = backend\n", _BACKEND_TESTS)
+          "    tier = backend\n")
     for name in ("serial", "threads", "processes")
 ]
 
@@ -369,52 +405,44 @@ _MISS = "    def get(self, key):\n        return super().get(object())\n\n"
 ENTRIES += [
     Entry("cache.ArtifactCache", "cache", "src/repro/serving/cache.py",
           "    def put(self, key, value) -> None:\n",
-          _MISS + "    def put(self, key, value) -> None:\n", _t("serving")),
+          _MISS + "    def put(self, key, value) -> None:\n"),
     Entry("cache.PlanCache", "cache", "src/repro/planner/planner.py",
           "    @staticmethod\n    def key(\n",
-          _MISS + "    @staticmethod\n    def key(\n", _t("planner", "serving")),
+          _MISS + "    @staticmethod\n    def key(\n"),
     Entry("cache.results", "cache", SERVER,
           "                next((key for key in keys if self._results.contains(key)), qkey)\n",
-          "                object()\n", _t("serving", "obs")),
+          "                object()\n"),
     Entry("cache.slab_pool", "cache", "src/repro/engine/slabs.py",
           "    if not _GRAIN <= nbytes <= RETAIN_BYTES:\n",
-          "    if True:\n", _t("result_path")),
+          "    if True:\n"),
     Entry("cache.shared_pools", "cache", EXECUTOR,
           "        if not _shared_pools_enabled:\n",
-          "        if True:\n", _t("serving", "obs", "fault_tolerance")),
+          "        if True:\n"),
 ]
 
 # -- drivers: calling one raises ----------------------------------------------
 ENTRIES += [
-    raises("driver.distance_join", "driver", DISTANCE, "def distance_join(", _JOIN),
-    raises("driver.object_distance_join", "driver", OBJECT, "def object_distance_join(",
-           _t("cli", "driver_equivalence", "examples", "object_join")),
+    raises("driver.distance_join", "driver", DISTANCE, "def distance_join("),
+    raises("driver.object_distance_join", "driver", OBJECT, "def object_distance_join("),
     raises("driver.object_intersection_join", "driver", OBJECT,
-           "def object_intersection_join(",
-           _t("cli", "driver_equivalence", "examples", "object_join")),
+           "def object_intersection_join("),
     raises("driver.generalized_distance_join", "driver", GENERALIZED,
-           "def generalized_distance_join(",
-           _t("cli", "driver_equivalence", "examples", "generalized_join")),
+           "def generalized_distance_join("),
     raises("driver.sedona_join", "driver", "src/repro/baselines/sedona_like.py",
-           "def sedona_join(", _t("cli", "api", "examples", "baselines")),
+           "def sedona_join("),
     raises("driver.rtree_samj_join", "driver", "src/repro/baselines/rtree_join.py",
-           "def rtree_samj_join(", _t("cli", "examples", "baselines")),
-    raises("driver.naive", "driver", "src/repro/joins/api.py", "def _naive_join(",
-           _t("cli", "api", "examples")),
-    raises("driver.knn_join", "driver", QUERIES, "def knn_join(", _t("examples", "queries")),
-    raises("driver.closest_pairs", "driver", QUERIES, "def closest_pairs(",
-           _t("examples", "queries")),
-    raises("driver.self_join", "driver", QUERIES, "def self_join(", _t("examples", "queries")),
+           "def rtree_samj_join("),
+    raises("driver.naive", "driver", "src/repro/joins/api.py", "def _naive_join("),
+    raises("driver.knn_join", "driver", QUERIES, "def knn_join("),
+    raises("driver.closest_pairs", "driver", QUERIES, "def closest_pairs("),
+    raises("driver.self_join", "driver", QUERIES, "def self_join("),
 ]
 
 # -- the scalar agreement-graph views (a former open audit row) ------------
-# the drivers' tests first: a failure further on is a reference test's
-_VIEWS = _t("driver_equivalence", "distance_join", "agreement_store", "agreements_graph",
-            "marking_lockstep", "replication_assign")
 _GRAPH = "src/repro/agreements/graph.py"
 ENTRIES += [
-    Entry(f"path.{cls}", "path", _GRAPH, init, init + f"        raise RuntimeError('knocked out: {cls}')\n",
-          _VIEWS)
+    Entry(f"path.{cls}", "path", _GRAPH, init,
+          init + f"        raise RuntimeError('knocked out: {cls}')\n")
     for cls, init in (
         ("QuartetSubgraph", '    def __init__(self, graph: "AgreementGraph", row: int):\n'),
         ("DirectedEdge", '    def __init__(self, graph: "AgreementGraph", row: int, col: int, '
@@ -427,44 +455,41 @@ ENTRIES += [
     # the count-only expand: an uncollected task leases and writes its ids
     Entry("path.count_only_expand", "path", EXECUTOR,
           "        if probe is not None and not collect:\n",
-          "        if False:\n", _t("result_path")),
+          "        if False:\n"),
     # the served derivation: a ``max_pairs: 0`` query collects
     Entry("path.served_count_only", "path", SERVER,
           "        if max_pairs == 0 and join.duplicate_free:\n",
-          "        if False:\n", _QUERY),
+          "        if False:\n"),
     # the pairs-entry fallback: a count query looks up its own key only
     Entry("path.pairs_entry_fallback", "path", SERVER,
           "            if not spec.config.collect_pairs:\n",
-          "            if False:\n", (*_QUERY, "tests/test_cli.py")),
+          "            if False:\n"),
 ]
 
 # -- CLI flags that set no config field -------------------------------------
-_JOIN_FLAGS = _t("cli", "planner", "telemetry", "obs")
-_SERVE_FLAGS = _t("cli", "serving", "obs")
 ENTRIES += [
-    flag("join", option, _JOIN_FLAGS)
+    flag("join", option)
     for option in ("--join", "--r", "--s", "--tuning", "--fault-seed", "--base-n",
                    "--payload", "--show-pairs", "--trace", "--trace-format",
                    "--report", "--log-level", "--quiet")
 ] + [
-    flag("experiment", option, _t("cli")) for option in ("--list", "--base-n", "--quick")
+    flag("experiment", option) for option in ("--list", "--base-n", "--quick")
 ] + [
-    flag("explain", option, _t("cli", "planner"))
-    for option in ("--r", "--s", "--limit", "--base-n", "--payload")
+    flag("explain", option) for option in ("--r", "--s", "--limit", "--base-n", "--payload")
 ] + [
-    flag("generate", "--base-n", _t("cli")),
+    flag("generate", "--base-n"),
 ] + [
-    flag("report", option, _t("cli")) for option in ("--output", "--base-n", "--quick", "--only")
+    flag("report", option) for option in ("--output", "--base-n", "--quick", "--only")
 ] + [
-    flag("serve", option, _SERVE_FLAGS)
+    flag("serve", option)
     for option in ("--register", "--base-n", "--payload", "--log-level", "--quiet")
 ] + [
-    flag("query", option, _SERVE_FLAGS)
+    flag("query", option)
     for option in ("--socket", "--port", "--host", "--timeout", "--register", "--base-n",
                    "--payload", "--show-pairs", "--no-reuse-results", "--stats",
                    "--stats-json", "--ping", "--shutdown-server")
 ] + [
-    flag("top", option, _t("cli", "obs"))
+    flag("top", option)
     for option in ("--socket", "--port", "--host", "--timeout", "--interval",
                    "--iterations", "--once", "--no-clear")
 ] + [
@@ -473,18 +498,18 @@ ENTRIES += [
     Entry("repro serve/query one-shot traps", "flag", CLI_PY,
           '    """Accept (then reject with a clear message) one-shot-only flags."""\n',
           '    """Accept (then reject with a clear message) one-shot-only flags."""\n'
-          "    return\n",
-          _SERVE_FLAGS + (
-             "--deselect=tests/test_cli.py::TestServeValidation::"
-             "test_one_shot_flags_trapped_on_serve",
-             "--deselect=tests/test_cli.py::TestServeValidation::"
-             "test_one_shot_flags_trapped_on_query",
-          )),
+          "    return\n"),
 ]
 
 #: Mechanisms deleted after a sweep read ``none`` for them; their edits
 #: match nothing on a tree without them.
 _TOP = "`repro top` went: `repro query --stats` prints the same frame"
+_RETRY = ("`RetryPolicy` went: the attempt ledger takes `ExecutionSettings.max_retries` "
+          "and `task_timeout`, and the backoff is `attempts.BACKOFF_BASE` (0.01 s) "
+          "doubling to `BACKOFF_CAP` (0.25 s)")
+_SLO = ("`SLOConfig` went: `SLOWatchdog(p95_seconds, error_rate)` takes "
+        "`ServerConfig`'s two thresholds, checked there; the window is "
+        "`slo.WINDOW_SECONDS` (300 s) and a verdict needs `slo.MIN_SAMPLES` (5)")
 DELETED: dict[str, str] = {
     "op.range": "with `JoinClient.range`, the `serve.range_queries` counter and "
                 "the per-dataset R-trees it parked in the artifact cache",
@@ -494,6 +519,8 @@ DELETED: dict[str, str] = {
     "repro serve/query one-shot traps": "argparse rejects the flags (exit 2); the "
                                         "server still rejects the wire fields",
     "RetryPolicy.backoff_factor": "the backoff doubles",
+    **{f"RetryPolicy.{name}": _RETRY for name in (
+        "max_retries", "backoff_base", "backoff_cap", "task_timeout")},
     "ServerConfig.host": "with `--host` on serve and query: the server binds "
                          "127.0.0.1 only",
     "ServerConfig.state_dir": "a server's state dir is a fresh temp dir",
@@ -508,8 +535,21 @@ DELETED: dict[str, str] = {
     "ServerConfig.slo_p99_seconds": "with `--slo-p99` and `SLOConfig.p99_seconds`",
     "SLOConfig.p99_seconds": "the watchdog's objectives are p95 and the error rate",
     "ServerConfig.slo_window_seconds": "with `--slo-window`: the window is "
-                                       "`SLOConfig`'s 300 s",
+                                       "`slo.WINDOW_SECONDS`, 300 s",
+    **{f"SLOConfig.{name}": _SLO for name in (
+        "window_seconds", "p95_seconds", "error_rate", "min_samples")},
+    "ServerConfig.slo_min_samples": "no flag set it: the watchdog renders a verdict "
+                                    "from `slo.MIN_SAMPLES` = 5 samples",
     "ObjectJoinConfig.seed": "the anchor sample draws with seed 0",
+    "ObjectJoinConfig.sample_rate": "only tests set it: the anchor sample's rate is "
+                                    "`object_join.SAMPLE_RATE` (0.1)",
+    **{f"ObjectJoinConfig.{name}": "only tests set it: an object join places cells by "
+                                   "LPT, and its hash branch went"
+       for name in ("cell_assignment", "num_partitions")},
+    **{f"GeneralizedJoinConfig.{name}": f"only tests set it: `generalized_join.{constant}"
+       for name, constant in (("quadtree_capacity", "QUADTREE_CAPACITY` (64)"),
+                              ("sample_rate", "SAMPLE_RATE` (0.05)"),
+                              ("seed", "SAMPLE_SEED` (0)"))},
     **{f"query.{wire}": "the server rejects the field; `JoinConfig`'s default applies"
        for wire in ("num_partitions", "cell_assignment", "sample_rate", "duplicate_free")},
     **{option: "the flag's default applies" for option in (
@@ -530,50 +570,51 @@ DELETED: dict[str, str] = {
 
 #: ``none`` rows that stay, with the reason.
 _SERVED = "benchmark: `served` starts `repro serve` with it (benchmarks/perf/README.md)"
-_QUADTREE = ("test input: `test_generalized_join.py` varies the quadtree's leaves through "
-             "it (`test_quadtree_capacity_sweep`, the property test); fixed, they check "
-             "one rectangulation")
 KEPT: dict[str, str] = {
     "ExecutionSettings.executor_workers":
         "benchmark: `benchmarks/perf/layers.py` sets it for `executor.procs_*`",
+    "ExecutionSettings.max_retries":
+        "safety: the retry budget of fault recovery; `repro join --max-retries` sets it",
     "ExecutionSettings.task_timeout":
         "safety: the drivers' one switch for straggler speculation (fault recovery); "
-        "`RetryPolicy.task_timeout` fails `test_speculative_copy_wins_over_straggler`",
+        "`repro join --task-timeout` sets it",
+    "ExecutionSettings.spill_dir":
+        "deployment setting: the path spilled blocks go to, `repro join --spill-dir`",
     "JoinConfig.sample_rate":
         "benchmark: `benchmarks/perf/layers.py` samples at it (`grid.sample_stats_s`); "
         "`benchmarks/bench_ablations.py::test_ablation_sample_rate` sweeps it",
+    "JoinConfig.num_partitions":
+        "caller: `repro.bench.harness` sizes it per scale and `repro.bench.experiments` "
+        "sweeps it (the paper's figures; `benchmarks/bench_fig13_scalability_data_size.py`, "
+        "`benchmarks/bench_fig14_nodes.py`)",
+    "JoinConfig.duplicate_free":
+        "caller: the paper's Table 6 runs `False` (`repro.bench.experiments`, "
+        "`benchmarks/bench_table6_dedup.py`)",
     "JoinConfig.marking_ordering":
         "benchmark: `benchmarks/bench_ablations.py::test_ablation_edge_ordering` "
         "(Sect. 5.2's ordering ablation) runs `arbitrary`",
-    "GeneralizedJoinConfig.quadtree_capacity": _QUADTREE,
-    "GeneralizedJoinConfig.sample_rate": _QUADTREE,
-    "GeneralizedJoinConfig.seed": _QUADTREE,
+    "ObjectJoinConfig.num_workers":
+        "benchmark: `benchmarks/bench_backend_object.py` sets it; so does "
+        "`repro join --join object --workers`",
+    "ServerConfig.cache_budget_bytes":
+        "deployment setting: a memory budget, `repro serve --cache-budget-mb`",
+    "ServerConfig.result_cache_bytes":
+        "deployment setting: a memory budget, `repro serve --result-cache-mb`",
     "ServerConfig.max_inflight": _SERVED,
     "ServerConfig.max_queue": _SERVED,
     "ServerConfig.backend": _SERVED,
-    "op.ping": "benchmark: `served` times `serving.spawn_to_ping_s` and "
-               "`serving.ping_p50_ms` through `JoinClient.ping`",
     "query.kernel": "benchmark: `served` sends it (benchmarks/perf/README.md)",
-    "query.seed": "benchmark: `served` sends it (benchmarks/perf/README.md)",
+    "query.seed": "benchmark: `served` sends a fresh seed with every cold query, so "
+                  "each one misses both caches (benchmarks/perf/served.py)",
     "repro join --quiet": "benchmark: the one-shot workloads run `repro join ... --quiet`",
+    "cache.slab_pool": "benchmark: `skew_kernel`'s result columns lie above glibc's 32 MiB "
+                       "mmap ceiling, so without the pool every op faults them in again: "
+                       "204-499 minor faults and 4-12 ms system time an op, 0 and 0.2 ms "
+                       "with it (docs/EXECUTION.md, \"Memory\")",
     "cache.shared_pools": "A/B: a `processes` join repeated as a server runs it "
                           "(`gaussian_clusters` 20k x 20k, eps 0.004, 4 simulated / 2 OS "
                           "workers, 7 joins after a warm-up, 2 rounds, 2 vCPUs): p50 "
                           "47-59 ms without, 31-34 ms with; `threads` within noise",
-    # none at 3e396eb; each gained the test named here, which the row
-    # reads from then on
-    "repro join --trace": "gained `test_cli.py::TestJoin::test_join_writes_its_trace`",
-    "repro join --trace-format": "gained `test_cli.py::TestJoin::test_join_writes_its_trace`",
-    "repro query --port": "gained `test_serving.py::TestTcpAndTelemetry::"
-                          "test_cli_queries_a_tcp_server` (the client half of "
-                          "`ServerConfig.port`)",
-    "ServerConfig.slo_error_rate": "gained `test_obs.py::TestRenderStats::"
-                                   "test_all_sections_render` (its server arms the "
-                                   "error-rate objective)",
-    "query.resolution_factor": "gained `test_serving.py::TestServedResults::"
-                               "test_distinct_configs_do_not_share_results` (a "
-                               "served factor-3 grid; a plan dimension `tuning: "
-                               "auto` pins)",
 }
 
 
@@ -626,21 +667,17 @@ def check(tree: str, entries) -> list[str]:
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.M)
 
 
-def run_entry(tree: str, entry: Entry, timeout: float, full: bool = False) -> str:
-    """``entry``'s first failing test, ``none`` or ``timeout``; ``full``
-    runs every test, with the entry's options."""
+def run_entry(tree: str, entry: Entry, timeout: float) -> str:
+    """``entry``'s first failing contract test, ``none`` or ``timeout``."""
     path = os.path.join(tree, entry.file)
     with open(path, encoding="utf-8") as fh:
         original = fh.read()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(original.replace(entry.old, entry.new, 1))
     env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
-    tests = entry.tests
-    if full:  # keep the options, and the value after ``-k``
-        tests = tuple(a for i, a in enumerate(tests)
-                      if a.startswith("-") or (i and tests[i - 1] == "-k"))
+    deselect = [f"--deselect={test}" for test in (*WALL_BOUND, *entry.skip)]
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
-           *tests]
+           *contract_selection(), *deselect]
     proc = subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.STDOUT, text=True, start_new_session=True)
     try:
@@ -682,9 +719,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--only", nargs="+", metavar="ID", help="entry ids to run")
     parser.add_argument("--timeout", type=float, default=300.0,
                         help="seconds per entry; past it the row reads `timeout`")
-    parser.add_argument("--full", action="store_true",
-                        help="run the whole suite for each entry (its options "
-                             "still apply): confirms a `none` row")
     parser.add_argument("--check", action="store_true",
                         help="only check that every edit applies; run no test")
     args = parser.parse_args(argv)
@@ -706,14 +740,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{len(entries)} entries apply to {args.rev}")
             return 0
         print(f"knockout sweep of {args.rev}: {len(entries)} entries")
-        print("| id | kind | first failing test | verdict |")
-        print("|----|------|--------------------|---------|")
+        print("| id | kind | first failing contract test | verdict |")
+        print("|----|------|-----------------------------|---------|")
         start = time.monotonic()
         for entry in entries:
             if entry.id in DELETED and gone(tree, entry):
                 first = "deleted"
             else:
-                first = run_entry(tree, entry, args.timeout, args.full)
+                first = run_entry(tree, entry, args.timeout)
             print(f"| `{entry.id}` | {entry.kind} | {first} | {verdict(entry, first)} |",
                   flush=True)
         print(f"swept in {time.monotonic() - start:.0f} s")

@@ -16,7 +16,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     ),
     "cluster": ("SimCluster", "Worker"),
     "executor": (
-        "BACKENDS", "ExecutionPlan", "ExecutionReport", "RetryPolicy",
+        "BACKENDS", "ExecutionPlan", "ExecutionReport",
         "build_execution_plan", "execute_plan",
     ),
     "faults": (

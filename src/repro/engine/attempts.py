@@ -36,6 +36,16 @@ import numpy as np
 
 from repro.engine.faults import FaultEvent, RetryBudgetExhausted, TaskFailure
 
+#: The wait before retry ``i`` of a task is ``BACKOFF_BASE * 2**i``
+#: seconds, at most ``BACKOFF_CAP``.
+BACKOFF_BASE = 0.01
+BACKOFF_CAP = 0.25
+
+
+def backoff(retry_index: int) -> float:
+    """Seconds to wait before retry number ``retry_index`` (0-based)."""
+    return min(BACKOFF_CAP, BACKOFF_BASE * 2.0**retry_index)
+
 
 @dataclass(eq=False)
 class Flight:
@@ -60,6 +70,13 @@ class Flight:
 class AttemptLedger:
     """Attempt bookkeeping for one job, shared by every tier it runs on.
 
+    ``max_retries`` is a *per-task, per-tier* budget: a task may be re-run
+    up to that many times on the tier it started on before that tier
+    declares it exhausted; it then moves down the fallback chain
+    (processes -> threads -> serial), where the budget applies afresh.
+    A running attempt older than ``task_timeout`` seconds gets a
+    speculative copy (``None``: no straggler detection).
+
     ``prepare(task, positions)`` salvages checkpointed cells and returns
     the positions still to run; ``absorb(task, block, elapsed)`` takes a
     winner's output.  :meth:`open` starts a tier; the per-task attempt
@@ -68,10 +85,11 @@ class AttemptLedger:
     """
 
     def __init__(
-        self, policy, faults, report, tracer, log, prepare, absorb,
-        clock=time.monotonic,
+        self, max_retries, task_timeout, faults, report, tracer, log, prepare,
+        absorb, clock=time.monotonic,
     ):
-        self.policy = policy
+        self.max_retries = max_retries
+        self.task_timeout = task_timeout
         self.faults = faults
         self.report = report
         self.tracer = tracer
@@ -152,10 +170,10 @@ class AttemptLedger:
         if any(fl.task == task for fl in self.flights.values()):
             return None  # a sibling attempt may still win
         self.failures[task] += 1
-        if self.failures[task] > self.policy.max_retries:
+        if self.failures[task] > self.max_retries:
             self.exhausted[task] = self.tasks[task]
             return None
-        pause = self.policy.backoff(self.failures[task] - 1)
+        pause = backoff(self.failures[task] - 1)
         self.report.recovery_seconds += pause
         self.queued[task] = now + pause
         return pause
@@ -183,7 +201,7 @@ class AttemptLedger:
         """Attempts that deserve a speculative copy: older than
         ``task_timeout``, not speculative themselves, not speculated
         already, and the only attempt of their task in flight."""
-        timeout = self.policy.task_timeout
+        timeout = self.task_timeout
         if timeout is None:
             return []
         flying = Counter(fl.task for fl in self.flights.values())
@@ -205,7 +223,7 @@ class AttemptLedger:
 
     def budget_exhausted(self, remaining: int, tier: str) -> RetryBudgetExhausted:
         """The error for ``remaining`` tasks no tier could finish."""
-        retries = self.policy.max_retries
+        retries = self.max_retries
         return RetryBudgetExhausted(
             f"{remaining} task(s) failed after {retries} "
             f"retr{'y' if retries == 1 else 'ies'} on the {tier!r} backend"

@@ -33,13 +33,16 @@ it writes no pair and leases nothing, and the report carries counts only
 (the per-cell path's pairs are dropped on absorb; see
 ``docs/EXECUTION.md``, "Result path").
 
-Execution is fault tolerant.  A :class:`RetryPolicy` governs what
-happens when a task fails -- whether the failure is injected by a
-:class:`~repro.engine.faults.FaultPlan` or real (a crashed pool worker,
-a kernel exception):
+Execution is fault tolerant.  The retry budget ``max_retries`` and the
+straggler threshold ``task_timeout`` (both the join's
+``ExecutionSettings``) govern what happens when a task fails -- whether
+the failure is injected by a :class:`~repro.engine.faults.FaultPlan` or
+real (a crashed pool worker, a kernel exception):
 
-* failed tasks are retried with exponential backoff up to a retry
-  budget;
+* failed tasks are retried with exponential backoff
+  (:data:`~repro.engine.attempts.BACKOFF_BASE` doubling up to
+  :data:`~repro.engine.attempts.BACKOFF_CAP`) up to the retry budget,
+  counted per task and per backend;
 * tasks running past ``task_timeout`` are treated as stragglers and a
   speculative copy is launched -- the first finisher wins, the loser is
   cancelled or its result discarded;
@@ -74,7 +77,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from repro._checks import check_count, check_positive
 from repro.engine.attempts import AttemptLedger
 from repro.engine.faults import (
     FaultEvent,
@@ -197,40 +199,6 @@ def _discard_pool(backend: str, os_workers, pool, shared: bool) -> None:
                 del _shared_pools[key]
             _shared_pool_counters["discarded"] += 1
     pool.shutdown(wait=False)
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How the executor recovers from task failures.
-
-    ``max_retries`` is a *per-task, per-backend* budget: a task may be
-    re-run up to ``max_retries`` times on the backend it started on
-    before that backend declares it unrecoverable; the task then moves
-    down the fallback chain (processes -> threads -> serial), where the
-    budget applies afresh.  Attempt *numbers* keep incrementing across
-    backends, so a deterministic fault plan never re-fires a fault the
-    task already survived.
-    """
-
-    max_retries: int = 2
-    #: The wait before retry ``i`` is ``backoff_base * 2**i``, at most
-    #: ``backoff_cap``.
-    backoff_base: float = 0.01
-    backoff_cap: float = 0.25
-    #: Straggler threshold: a running task older than this gets a
-    #: speculative copy (``None`` disables straggler detection).
-    task_timeout: float | None = None
-
-    def __post_init__(self):
-        check_count("max_retries", self.max_retries, 0)
-        if self.task_timeout is not None:
-            check_positive("task_timeout", self.task_timeout)
-
-    def backoff(self, retry_index: int) -> float:
-        """Seconds to wait before retry number ``retry_index`` (0-based)."""
-        if self.backoff_base <= 0:
-            return 0.0
-        return min(self.backoff_cap, self.backoff_base * 2.0**retry_index)
 
 
 @dataclass(frozen=True)
@@ -1029,7 +997,7 @@ def _pool_tier(
                     time.sleep(min(soonest - now, 0.05))
                 continue
             timeout = None
-            if ledger.policy.task_timeout is not None or ledger.queued:
+            if ledger.task_timeout is not None or ledger.queued:
                 timeout = _TICK
             done, _ = wait(
                 set(pending), timeout=timeout, return_when=FIRST_COMPLETED
@@ -1102,7 +1070,8 @@ def execute_plan(
     backend: str = "serial",
     max_workers: int | None = None,
     faults: FaultPlan | None = None,
-    retry: RetryPolicy | None = None,
+    max_retries: int = 2,
+    task_timeout: float | None = None,
     checkpoints=None,
     tracer: Tracer | None = None,
     collect_pairs: bool = True,
@@ -1116,8 +1085,10 @@ def execute_plan(
     backend produced them.
 
     ``faults`` injects deterministic failures (see
-    :mod:`repro.engine.faults`); ``retry`` configures recovery (default
-    :class:`RetryPolicy`).  ``checkpoints`` (the job's
+    :mod:`repro.engine.faults`).  A failed task is re-run up to
+    ``max_retries`` times on each backend of the fallback chain; a running
+    attempt older than ``task_timeout`` seconds gets a speculative copy
+    (``None``: no straggler detection).  ``checkpoints`` (the job's
     :class:`~repro.engine.blockstore.BlockStore`) enables
     fine-grained recovery: finished cells are snapshotted and a retried
     task salvages them instead of recomputing its whole group.  Raises
@@ -1143,7 +1114,6 @@ def execute_plan(
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-    policy = retry if retry is not None else RetryPolicy()
     if faults is not None and not faults:
         faults = None
     if tracer is None:
@@ -1224,7 +1194,7 @@ def execute_plan(
         return positions
 
     ledger = AttemptLedger(
-        policy, faults, report, tracer, log, prepare, absorb
+        max_retries, task_timeout, faults, report, tracer, log, prepare, absorb
     )
     remaining = dict(groups)
     tier = backend

@@ -129,11 +129,11 @@ class JoinMetrics:
     join_wall_makespan: float = 0.0
     worker_join_wall: list[float] = field(default_factory=list)
 
-    # fault tolerance (see repro.engine.faults / the executor's
-    # RetryPolicy): task attempts include first runs, retries and
-    # speculative copies; recovery is reported both measured (host
-    # seconds lost to failed attempts and backoff) and modelled (lineage
-    # recomputation + fetch re-reads charged to the simulated clocks)
+    # fault tolerance (see repro.engine.faults / repro.engine.attempts):
+    # task attempts include first runs, retries and speculative copies;
+    # recovery is reported both measured (host seconds lost to failed
+    # attempts and backoff) and modelled (lineage recomputation + fetch
+    # re-reads charged to the simulated clocks)
     task_attempts: int = 0
     task_retries: int = 0
     speculative_launched: int = 0

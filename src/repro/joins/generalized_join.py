@@ -50,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._checks import check_count
 from repro.data.pointset import PointSet, joint_mbr
 from repro.data.sampling import sample_pair
 from repro.engine.lpt import lpt_assignment
@@ -57,7 +58,7 @@ from repro.engine.metrics import COST_MODEL, JoinMetrics
 from repro.engine.shuffle import KEY_BYTES
 from repro.geometry.point import Side
 from repro.grid.grid import Grid
-from repro.joins.distance_join import JoinResult, check_choice, check_eps, check_sizing
+from repro.joins.distance_join import JoinResult, check_choice, check_eps
 from repro.joins.pipeline import (
     ExecutionSettings,
     JoinAccountingStage,
@@ -83,6 +84,12 @@ from repro.partitioning.rect_partition import (
 #: price of roughly doubling PBSM's replication.
 METHODS = ("lpib", "diff", "uni_r", "uni_s", "clone")
 PARTITIONS = ("grid", "quadtree")
+#: The statistics sample (Bernoulli rate; R draws with the seed, S with
+#: the seed + 1), and the sample points a quadtree leaf holds before it
+#: splits.
+SAMPLE_RATE = 0.05
+SAMPLE_SEED = 0
+QUADTREE_CAPACITY = 64
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -98,21 +105,14 @@ class GeneralizedJoinConfig(ExecutionSettings):
     eps: float
     partition: str = "quadtree"
     method: str = "lpib"
-    quadtree_capacity: int = 64
-    sample_rate: float = 0.05
     num_workers: int = 12
-    seed: int = 0
 
     def __post_init__(self) -> None:
         super().__post_init__()
         check_eps(self.eps)
         check_choice("partition", self.partition, PARTITIONS)
         check_choice("method", self.method, METHODS)
-        if not self.quadtree_capacity >= 1:
-            raise ValueError(
-                f"quadtree_capacity must be >= 1, got {self.quadtree_capacity}"
-            )
-        check_sizing(self.num_workers, self.sample_rate)
+        check_count("num_workers", self.num_workers, 1)
 
 
 class _PartitionStats:
@@ -161,7 +161,7 @@ def _build_partition(cfg, mbr, r_sample, s_sample) -> RectPartition:
         return GridRectPartition(Grid(mbr, cfg.eps))
     xs = np.concatenate([r_sample.xs, s_sample.xs])
     ys = np.concatenate([r_sample.ys, s_sample.ys])
-    return QuadtreeRectPartition(mbr, cfg.eps, xs, ys, capacity=cfg.quadtree_capacity)
+    return QuadtreeRectPartition(mbr, cfg.eps, xs, ys, capacity=QUADTREE_CAPACITY)
 
 
 class _RectangulationStage(Stage):
@@ -178,7 +178,7 @@ class _RectangulationStage(Stage):
         cfg: GeneralizedJoinConfig = ctx.cfg
         r, s = self.r, self.s
         mbr = joint_mbr(r, s)
-        r_sample, s_sample = sample_pair(r, s, cfg.sample_rate, cfg.seed)
+        r_sample, s_sample = sample_pair(r, s, SAMPLE_RATE, SAMPLE_SEED)
         part = _build_partition(cfg, mbr, r_sample, s_sample)
         ctx.metrics.grid_cells = part.num_leaves
         ctx.metrics.num_partitions = part.num_leaves

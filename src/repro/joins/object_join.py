@@ -40,6 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro._checks import check_count
 from repro.engine.metrics import COST_MODEL, JoinMetrics
 from repro.engine.shuffle import KEY_BYTES
 from repro.geometry.mbr import MBR
@@ -47,7 +48,7 @@ from repro.geometry.objects import SpatialObject, objects_intersect
 from repro.geometry.point import Side
 from repro.grid.grid import Grid
 from repro.grid.statistics import GridStatistics
-from repro.joins.distance_join import CELL_ASSIGNMENTS, check_choice, check_sizing
+from repro.joins.distance_join import check_choice
 from repro.joins.pipeline import (
     GRID_METHODS,
     ExecutionSettings,
@@ -59,7 +60,6 @@ from repro.joins.pipeline import (
     SideRecords,
     Stage,
     build_grid_assigner,
-    hash_cell_workers,
     lpt_partitioner,
     make_context,
     record_armed_points,
@@ -110,6 +110,10 @@ class ObjectSet:
         )
 
 
+#: Bernoulli rate of the anchor sample the join's statistics come from.
+SAMPLE_RATE = 0.1
+
+
 @dataclass(frozen=True, kw_only=True)
 class ObjectJoinConfig(ExecutionSettings):
     """Configuration of an object join (mirrors the point JoinConfig).
@@ -117,23 +121,17 @@ class ObjectJoinConfig(ExecutionSettings):
     The execution surface -- backend choice, fault injection, retries,
     spill and cell checkpointing -- is inherited from
     :class:`~repro.joins.pipeline.ExecutionSettings` and applies to the
-    anchor join identically.
+    anchor join identically.  The anchor sample's rate is
+    :data:`SAMPLE_RATE`, and cells are placed on workers by LPT.
     """
 
     method: str = "lpib"
-    sample_rate: float = 0.1
     num_workers: int = 12
-    num_partitions: int | None = None
-    cell_assignment: str = "lpt"
 
     def __post_init__(self) -> None:
         super().__post_init__()
         check_choice("method", self.method, GRID_METHODS)
-        check_choice("cell_assignment", self.cell_assignment, CELL_ASSIGNMENTS)
-        check_sizing(self.num_workers, self.sample_rate, self.num_partitions)
-
-    def resolved_partitions(self) -> int:
-        return self.num_partitions or 8 * self.num_workers
+        check_count("num_workers", self.num_workers, 1)
 
 
 @dataclass
@@ -184,7 +182,7 @@ class _AnchorReductionStage(Stage):
         )
         grid = Grid(mbr, self.eps_eff)
         ctx.metrics.grid_cells = grid.num_cells
-        stats = _anchor_stats(grid, r, s, cfg.sample_rate)
+        stats = _anchor_stats(grid, r, s, SAMPLE_RATE)
         assigner, _pair_types = build_grid_assigner(
             grid,
             cfg.method,
@@ -192,15 +190,9 @@ class _AnchorReductionStage(Stage):
             input_sizes=(len(r), len(s)),
             metrics=ctx.metrics,
         )
-        if cfg.cell_assignment == "lpt":
-            r_count, s_count = stats.cell_count_table().astype(np.float64)
-            cell_workers = lpt_partitioner(r_count * s_count, cfg.num_workers)
-        else:
-            cell_workers = hash_cell_workers(
-                grid.num_cells, cfg.resolved_partitions(), cfg.num_workers
-            )
+        r_count, s_count = stats.cell_count_table().astype(np.float64)
         ctx.data["assigner"] = assigner
-        ctx.data["cell_workers"] = cell_workers
+        ctx.data["cell_workers"] = lpt_partitioner(r_count * s_count, cfg.num_workers)
 
 
 class _AnchorAssignStage(Stage):
@@ -344,7 +336,7 @@ def object_join(
         method=f"object-{cfg.method}",
         eps=eps,
         num_workers=cfg.num_workers,
-        num_partitions=cfg.resolved_partitions(),
+        num_partitions=8 * cfg.num_workers,
         input_r=len(r),
         input_s=len(s),
     )

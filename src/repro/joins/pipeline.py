@@ -55,7 +55,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro._checks import check_count
+from repro._checks import check_count, check_positive
 from repro.agreements.graph import AgreementGraph, agreed_r_mask
 from repro.agreements.marking import generate_duplicate_free_graph
 from repro.agreements.policies import (
@@ -67,7 +67,6 @@ from repro.engine.blockstore import SPILL_TIERS, BlockId, BlockLost, BlockStore
 from repro.engine.cluster import SALVAGE_PHASE, SimCluster
 from repro.engine.executor import (
     BACKENDS,
-    RetryPolicy,
     build_execution_plan,
     execute_plan,
 )
@@ -121,8 +120,9 @@ class ExecutionSettings:
     #: Deterministic fault injection (a :class:`FaultPlan` or a spec
     #: string in the ``--faults`` grammar; ``None`` disables injection).
     faults: FaultPlan | str | None = None
-    #: Per-task retry budget for failed local-join tasks and shuffle
-    #: fetches (see :class:`~repro.engine.executor.RetryPolicy`).
+    #: Per-task retry budget for failed local-join tasks (per backend of
+    #: the fallback chain; see :mod:`repro.engine.attempts`) and shuffle
+    #: fetches.
     max_retries: int = 2
     #: Straggler threshold (seconds): a task attempt older than this gets
     #: a speculative copy; ``None`` disables straggler detection.
@@ -165,7 +165,9 @@ class ExecutionSettings:
             self.fault_plan()
         except ValueError as exc:
             raise ValueError(f"faults: {exc}") from None
-        self.retry_policy()  # checks max_retries and task_timeout
+        check_count("max_retries", self.max_retries, 0)
+        if self.task_timeout is not None:
+            check_positive("task_timeout", self.task_timeout)
         if self.spill not in SPILL_TIERS:
             raise ValueError(
                 f"spill: unknown spill tier {self.spill!r}; "
@@ -189,12 +191,6 @@ class ExecutionSettings:
         if plan is not None and not plan:
             return None
         return plan
-
-    def retry_policy(self) -> RetryPolicy:
-        return RetryPolicy(
-            max_retries=self.max_retries,
-            task_timeout=self.task_timeout,
-        )
 
 
 @dataclass
@@ -882,7 +878,8 @@ class LocalJoinStage(Stage):
             backend=ctx.cfg.execution_backend,
             max_workers=ctx.cfg.executor_workers,
             faults=ctx.fault_plan,
-            retry=ctx.cfg.retry_policy(),
+            max_retries=ctx.cfg.max_retries,
+            task_timeout=ctx.cfg.task_timeout,
             checkpoints=ctx.store if ctx.cfg.checkpoint_cells else None,
             tracer=ctx.tracer,
             collect_pairs=self.collect_pairs,

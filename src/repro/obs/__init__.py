@@ -40,6 +40,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "validate_metric_name",
     ),
     "history": ("RunHistory",),
-    "slo": ("SLOConfig", "SLOWatchdog"),
+    "slo": ("SLOWatchdog",),
     "top": ("render_stats",),
 })

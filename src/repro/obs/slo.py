@@ -4,7 +4,9 @@ A resident server needs more than raw latency samples -- it needs to
 *know* when it is degraded.  :class:`SLOWatchdog` keeps a time-bounded
 window of per-query ``(timestamp, latency, failed)`` samples, computes
 exact percentiles over the window on demand, and compares them (plus the
-window error rate) against :class:`SLOConfig` thresholds.
+window error rate) against its two thresholds.  The window is
+:data:`WINDOW_SECONDS` long, and no verdict is rendered until it holds
+:data:`MIN_SAMPLES` samples.
 
 Alerting is edge-triggered: one structured-log ``warning`` through
 ``repro.engine.telemetry.get_logger`` when the window first breaches
@@ -25,56 +27,23 @@ inside its 2% overhead envelope.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.engine.telemetry import get_logger
 
-__all__ = ["SLOConfig", "SLOWatchdog"]
+__all__ = ["MIN_SAMPLES", "WINDOW_SECONDS", "SLOWatchdog"]
 
 _LOG = get_logger("repro.obs.slo")
 
-
-@dataclass(frozen=True)
-class SLOConfig:
-    """Service-level objectives for the rolling window.
-
-    A threshold of ``None`` disables that objective.  ``min_samples``
-    stops a single slow cold query from flapping the flag: no verdict is
-    rendered until the window holds that many samples.
-    """
-
-    window_seconds: float = 300.0
-    p95_seconds: Optional[float] = None
-    error_rate: Optional[float] = None
-    min_samples: int = 5
-
-    def __post_init__(self) -> None:
-        # each named as ServerConfig names it (slo_<field>); the checks
-        # are written so that NaN fails them
-        for label, value in (
-            ("window_seconds", self.window_seconds),
-            ("p95_seconds", self.p95_seconds),
-        ):
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"slo_{label} must be finite and > 0, got {value}")
-        if self.error_rate is not None and not 0 < self.error_rate <= 1:
-            raise ValueError(
-                f"slo_error_rate must be in (0, 1] when set, got {self.error_rate}"
-            )
-        if not (float(self.min_samples).is_integer() and self.min_samples >= 1):
-            raise ValueError(
-                f"slo_min_samples must be a whole number >= 1, got {self.min_samples}"
-            )
-
-    @property
-    def enabled(self) -> bool:
-        return self.p95_seconds is not None or self.error_rate is not None
+#: The rolling window's length: samples older than this expire.
+WINDOW_SECONDS = 300.0
+#: No verdict until the window holds this many samples, so a single slow
+#: cold query cannot flap the flag.
+MIN_SAMPLES = 5
 
 
 def _percentile(ordered: List[float], q: float) -> float:
@@ -84,15 +53,22 @@ def _percentile(ordered: List[float], q: float) -> float:
 
 
 class SLOWatchdog:
-    """Track per-query latency/failure samples and flag SLO breaches."""
+    """Track per-query latency/failure samples and flag SLO breaches.
+
+    ``p95_seconds`` bounds the window's p95 latency and ``error_rate`` its
+    share of failed queries; ``None`` disables that objective.  The
+    server checks both values (``ServerConfig``).
+    """
 
     def __init__(
         self,
-        config: SLOConfig,
+        p95_seconds: Optional[float],
+        error_rate: Optional[float],
         *,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.config = config
+        self.p95_seconds = p95_seconds
+        self.error_rate = error_rate
         self._clock = clock
         self._lock = threading.Lock()
         self._samples: Deque[Tuple[float, float, bool]] = deque()
@@ -106,6 +82,10 @@ class SLOWatchdog:
         self._observed = 0
         self._failed = 0
         self._last_violations: List[str] = []
+
+    @property
+    def enabled(self) -> bool:
+        return self.p95_seconds is not None or self.error_rate is not None
 
     # ------------------------------------------------------------------
     # hot path
@@ -127,7 +107,7 @@ class SLOWatchdog:
             self._evaluate_locked()
 
     def _expire_locked(self, now: float) -> None:
-        horizon = now - self.config.window_seconds
+        horizon = now - WINDOW_SECONDS
         samples, ordered = self._samples, self._ordered
         while samples and samples[0][0] < horizon:
             _, latency, failed = samples.popleft()
@@ -155,20 +135,18 @@ class SLOWatchdog:
         }
 
     def _evaluate_locked(self) -> None:
-        cfg = self.config
-        if not cfg.enabled:
+        if not self.enabled:
             return
         window = self._window_locked()
-        if window["samples"] < cfg.min_samples:
+        if window["samples"] < MIN_SAMPLES:
             return
+        p95, error_rate = self.p95_seconds, self.error_rate
         violations = []
-        if cfg.p95_seconds is not None and window["p95_seconds"] > cfg.p95_seconds:
+        if p95 is not None and window["p95_seconds"] > p95:
+            violations.append(f"p95 {window['p95_seconds']:.4f}s > {p95:.4f}s")
+        if error_rate is not None and window["error_rate"] > error_rate:
             violations.append(
-                f"p95 {window['p95_seconds']:.4f}s > {cfg.p95_seconds:.4f}s"
-            )
-        if cfg.error_rate is not None and window["error_rate"] > cfg.error_rate:
-            violations.append(
-                f"error-rate {window['error_rate']:.3f} > {cfg.error_rate:.3f}"
+                f"error-rate {window['error_rate']:.3f} > {error_rate:.3f}"
             )
         if violations and not self._degraded:
             self._degraded = True
@@ -176,7 +154,7 @@ class SLOWatchdog:
             self._last_violations = violations
             _LOG.warning(
                 "SLO breach (window %.0fs, %d samples): %s",
-                cfg.window_seconds,
+                WINDOW_SECONDS,
                 window["samples"],
                 "; ".join(violations),
             )
@@ -186,7 +164,7 @@ class SLOWatchdog:
             self._last_violations = []
             _LOG.info(
                 "SLO recovered (window %.0fs, %d samples, p95=%.4fs)",
-                cfg.window_seconds,
+                WINDOW_SECONDS,
                 window["samples"],
                 window["p95_seconds"],
             )
@@ -213,18 +191,18 @@ class SLOWatchdog:
             self._expire_locked(self._clock())
             window = self._window_locked()
             return {
-                "enabled": self.config.enabled,
+                "enabled": self.enabled,
                 "degraded": self._degraded,
                 "violations": list(self._last_violations),
                 "alerts": self._alerts,
                 "recoveries": self._recoveries,
                 "observed": self._observed,
                 "failed": self._failed,
-                "window_seconds": self.config.window_seconds,
+                "window_seconds": WINDOW_SECONDS,
                 "thresholds": {
-                    "p95_seconds": self.config.p95_seconds,
-                    "error_rate": self.config.error_rate,
-                    "min_samples": self.config.min_samples,
+                    "p95_seconds": self.p95_seconds,
+                    "error_rate": self.error_rate,
+                    "min_samples": MIN_SAMPLES,
                 },
                 "window": window,
             }

@@ -3,18 +3,17 @@
 A :class:`JoinSpec` is the planner's input value: join kind, the two
 datasets (names, content fingerprints, cardinalities, tuple widths), the
 distance threshold, and the sampling parameters the cost model will
-calibrate its clocks from.  It is a frozen, hashable value -- two equal
-specs describe the same planning problem and may share a cached plan.
+calibrate its clocks from.  It is a frozen value.
 
 Content fingerprints are :func:`~repro.data.pointset.dataset_fingerprint`,
 the hash the server's dataset registry keys by, computed where they are
-read (``describe``, the serving payload, spec equality): a one-shot
+read (``describe``, the serving payload): a one-shot
 ``plan_join`` that only wants the chosen plan never hashes its inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
 
@@ -61,21 +60,6 @@ class JoinSpec:
         return tuple(
             fp or dataset_fingerprint(ps) for fp, ps in zip(given, self.points)
         )
-
-    def _identity(self) -> tuple:
-        """What two specs must share to be the same planning problem."""
-        lazy = ("r_fingerprint", "s_fingerprint", "points")
-        return tuple(
-            getattr(self, f.name) for f in fields(self) if f.name not in lazy
-        ) + self.fingerprints
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, JoinSpec):
-            return NotImplemented
-        return self._identity() == other._identity()
-
-    def __hash__(self) -> int:
-        return hash(self._identity())
 
     @classmethod
     def from_pointsets(

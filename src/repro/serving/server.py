@@ -51,7 +51,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from repro._checks import check_count
+from repro._checks import check_count, check_positive
 from repro.engine import executor as executor_mod
 from repro.engine.hygiene import (
     SERVE_PREFIX,
@@ -64,7 +64,6 @@ from repro.obs import (
     Family,
     PrometheusEndpoint,
     RunHistory,
-    SLOConfig,
     SLOWatchdog,
     check_families,
     render_metrics,
@@ -210,7 +209,8 @@ class ServerConfig:
     port: int | None = None
     #: Byte budget of the artifact cache (grids, graphs, placements).
     cache_budget_bytes: int = 256_000_000
-    #: Byte budget of the cross-query result cache (block store tier).
+    #: Byte budget of the cross-query result cache: an ``LRUCache`` of
+    #: finished queries' pairs and metrics (metrics alone for a count).
     result_cache_bytes: int = 64_000_000
     #: Admission control: concurrent executing queries / waiting queries.
     max_inflight: int = 2
@@ -228,11 +228,10 @@ class ServerConfig:
     #: Prometheus scrape endpoint port (``None``: exporter HTTP off;
     #: ``0``: bind an ephemeral port).  Loopback only.
     metrics_port: int | None = None
-    #: SLO watchdog thresholds (all ``None``: watchdog off), declared and
-    #: checked by ``SLOConfig``.
-    slo_p95_seconds: float | None = SLOConfig.p95_seconds
-    slo_error_rate: float | None = SLOConfig.error_rate
-    slo_min_samples: int = SLOConfig.min_samples
+    #: SLO watchdog thresholds (both ``None``: watchdog off): the rolling
+    #: window's p95 latency in seconds and its share of failed queries.
+    slo_p95_seconds: float | None = None
+    slo_error_rate: float | None = None
 
     def __post_init__(self):
         if self.socket_path is not None and self.port is not None:
@@ -254,12 +253,12 @@ class ServerConfig:
         ):
             check_count(name, getattr(self, name), 1)
         check_count("max_queue", self.max_queue, 0)
-        # delegate threshold validation (and hold the parsed config)
-        object.__setattr__(self, "_slo_config", SLOConfig(
-            p95_seconds=self.slo_p95_seconds,
-            error_rate=self.slo_error_rate,
-            min_samples=self.slo_min_samples,
-        ))
+        if self.slo_p95_seconds is not None:
+            check_positive("slo_p95_seconds", self.slo_p95_seconds)
+        if self.slo_error_rate is not None and not 0 < self.slo_error_rate <= 1:
+            raise ValueError(
+                f"slo_error_rate must be in (0, 1] when set, got {self.slo_error_rate}"
+            )
 
 
 @dataclass(frozen=True)
@@ -427,8 +426,8 @@ class JoinServer:
             if self.config.history_path
             else None
         )
-        slo_config: SLOConfig = self.config._slo_config
-        self.slo = SLOWatchdog(slo_config) if slo_config.enabled else None
+        slo = SLOWatchdog(self.config.slo_p95_seconds, self.config.slo_error_rate)
+        self.slo = slo if slo.enabled else None
         self._metrics_endpoint: PrometheusEndpoint | None = None
 
     # ------------------------------------------------------------------

@@ -138,6 +138,14 @@ def cell_layout(cells):
 
 
 @pytest.fixture
+def no_backoff(monkeypatch):
+    """A failed task's retry is due at once: the backoff's base is 0."""
+    import repro.engine.attempts as attempts
+
+    monkeypatch.setattr(attempts, "BACKOFF_BASE", 0.0)
+
+
+@pytest.fixture
 def small_clusters():
     """A pair of small clustered point sets for end-to-end tests."""
     r = gaussian_clusters(1500, seed=11, name="R")

@@ -11,8 +11,8 @@ import logging
 import numpy as np
 import pytest
 
-from repro.engine.attempts import AttemptLedger
-from repro.engine.executor import ExecutionReport, RetryPolicy
+from repro.engine.attempts import AttemptLedger, backoff
+from repro.engine.executor import ExecutionReport
 from repro.engine.telemetry import Tracer
 
 TASKS = {0: np.arange(0, 3), 1: np.arange(3, 5)}
@@ -26,11 +26,12 @@ class Clock:
         return self.now
 
 
-def make_ledger(policy=None, prepare=None, tasks=TASKS):
+def make_ledger(max_retries=2, task_timeout=None, prepare=None, tasks=TASKS):
     clock = Clock()
     absorbed = []
     ledger = AttemptLedger(
-        policy or RetryPolicy(max_retries=2, backoff_base=0.5, backoff_cap=10.0),
+        max_retries,
+        task_timeout,
         None,
         ExecutionReport(backend="fake", os_workers=1),
         Tracer(enabled=False),
@@ -60,7 +61,7 @@ def test_budget_is_exhausted_after_max_retries_plus_one_failures():
 
 
 def test_a_failure_while_a_sibling_flies_charges_nothing():
-    ledger, clock, _ = make_ledger(RetryPolicy(max_retries=0, task_timeout=1.0))
+    ledger, clock, _ = make_ledger(max_retries=0, task_timeout=1.0)
     original = ledger.begin(0)
     copy = ledger.begin(0, speculative=True)
     assert ledger.fail(copy, RuntimeError("copy died"), clock.now) is None
@@ -73,13 +74,12 @@ def test_a_failure_while_a_sibling_flies_charges_nothing():
 
 def test_the_retry_is_due_exactly_at_its_backoff():
     ledger, clock, _ = make_ledger()
-    policy = ledger.policy
     waited = 0.0
     for retry in range(2):
         flight = ledger.begin(0)
         clock.now += 0.25  # the attempt ran this long before failing
         pause = ledger.fail(flight, RuntimeError("boom"), clock.now)
-        assert pause == policy.backoff(retry) == 0.5 * 2**retry
+        assert pause == backoff(retry) == 0.01 * 2**retry
         waited += pause
         assert ledger.due(clock.now + pause - 1e-6) == []
         assert ledger.due(clock.now + pause) == [0]
@@ -89,15 +89,15 @@ def test_the_retry_is_due_exactly_at_its_backoff():
     assert ledger.report.recovery_seconds == pytest.approx(2 * 0.25 + waited)
 
 
-def test_due_is_in_task_order():
-    ledger, clock, _ = make_ledger(RetryPolicy(backoff_base=0.0))
+def test_due_is_in_task_order(no_backoff):
+    ledger, clock, _ = make_ledger()
     for task in (1, 0):
         ledger.fail(ledger.begin(task), RuntimeError("boom"), clock.now)
     assert ledger.due(clock.now) == [0, 1]
 
 
 def test_a_speculative_win_counts_once_and_a_late_duplicate_is_ignored():
-    ledger, clock, absorbed = make_ledger(RetryPolicy(task_timeout=1.0))
+    ledger, clock, absorbed = make_ledger(task_timeout=1.0)
     original = ledger.begin(0)
     clock.now += 2.0
     assert ledger.stragglers(clock.now) == [original]
@@ -113,7 +113,7 @@ def test_a_speculative_win_counts_once_and_a_late_duplicate_is_ignored():
 
 
 def test_stragglers_are_old_sole_first_copies():
-    ledger, clock, _ = make_ledger(RetryPolicy(task_timeout=1.0))
+    ledger, clock, _ = make_ledger(task_timeout=1.0)
     slow = ledger.begin(0)
     clock.now += 0.5
     assert ledger.stragglers(clock.now) == []  # not old enough yet
@@ -125,7 +125,7 @@ def test_stragglers_are_old_sole_first_copies():
     # neither the speculated original nor its speculative copy, ever again
     assert ledger.stragglers(clock.now) == [young]
     assert copy.speculative and slow.speculated
-    no_timeout, clock2, _ = make_ledger(RetryPolicy(task_timeout=None))
+    no_timeout, clock2, _ = make_ledger(task_timeout=None)
     no_timeout.begin(0)
     assert no_timeout.stragglers(clock2.now + 1e9) == []
 
@@ -141,8 +141,8 @@ def test_an_all_salvaged_begin_completes_the_task_without_an_attempt():
     assert ledger.begin(1) is not None and ledger.per_task == {1: 1}
 
 
-def test_a_new_tier_has_a_fresh_budget_and_the_next_attempt_number():
-    ledger, clock, _ = make_ledger(RetryPolicy(max_retries=0, backoff_base=0.0))
+def test_a_new_tier_has_a_fresh_budget_and_the_next_attempt_number(no_backoff):
+    ledger, clock, _ = make_ledger(max_retries=0)
     ledger.fail(ledger.begin(0), RuntimeError("boom"), clock.now)
     remaining = ledger.close()
     assert set(remaining) == {0}

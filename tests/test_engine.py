@@ -165,29 +165,20 @@ class TestDriverPlacement:
         cells = np.arange(seen["cells"])
         assert np.array_equal(seen["cell_workers"], cells % 23 % 5)
 
-    @pytest.mark.parametrize("assignment", ["lpt", "hash"])
-    def test_object_join(self, monkeypatch, assignment):
+    def test_object_join(self, monkeypatch):
         from repro.data.object_generators import random_boxes
         from repro.geometry.point import Side
         driver = importlib.import_module("repro.joins.object_join")
 
         r = driver.ObjectSet(random_boxes(400, Side.R, seed=11))
         s = driver.ObjectSet(random_boxes(400, Side.S, seed=22))
+        monkeypatch.setattr(driver, "SAMPLE_RATE", 1.0)
         seen = self.run_capturing(
             monkeypatch, driver, "lpt_partitioner",
-            lambda: driver.object_distance_join(
-                r, s, 0.01, num_workers=5, sample_rate=1.0, cell_assignment=assignment,
-                num_partitions=17,
-            ),
+            lambda: driver.object_distance_join(r, s, 0.01, num_workers=5),
         )
-        if assignment == "hash":
-            cells = np.arange(seen["cells"])
-            assert np.array_equal(seen["cell_workers"], cells % 17 % 5)
-        else:
-            assert np.count_nonzero(seen["costs"]) > 5
-            assert np.array_equal(
-                seen["cell_workers"], reference_placement(seen["costs"], 5)
-            )
+        assert np.count_nonzero(seen["costs"]) > 5
+        assert np.array_equal(seen["cell_workers"], reference_placement(seen["costs"], 5))
 
     @pytest.mark.parametrize("partition", ["quadtree", "grid"])
     def test_generalized_join(self, monkeypatch, partition):

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro.data.generators import gaussian_clusters
-from repro.engine.executor import RetryPolicy, build_execution_plan, execute_plan
+import repro.engine.attempts as attempts
+from repro.engine.executor import build_execution_plan, execute_plan
 from repro.engine.faults import (
     FaultClause,
     FaultPlan,
@@ -230,7 +231,7 @@ class TestExecutorRecovery:
         assert report.fault_events == []
         assert not report.degraded
 
-    def test_worker_crash_survives_on_processes(self):
+    def test_worker_crash_survives_on_processes(self, no_backoff):
         """A really-dying pool worker (os._exit in the child) must not
         fail the join: the pool is rebuilt and the task re-executed."""
         plan = make_plan()
@@ -238,7 +239,7 @@ class TestExecutorRecovery:
         report = execute_plan(
             plan, "grid_hash", EPS, backend="processes", max_workers=2,
             faults=FaultPlan.parse("kill:p=1:times=1"),
-            retry=RetryPolicy(max_retries=3, backoff_base=0.0),
+            max_retries=3,
         )
         assert_same_results(ref, report)
         assert report.attempts > 2
@@ -246,19 +247,19 @@ class TestExecutorRecovery:
         assert not report.degraded
 
     @pytest.mark.parametrize("backend", ("serial", "threads"))
-    def test_injected_kill_retried(self, backend):
+    def test_injected_kill_retried(self, backend, no_backoff):
         plan = make_plan()
         ref = execute_plan(plan, "plane_sweep", EPS, backend="serial")
         report = execute_plan(
             plan, "plane_sweep", EPS, backend=backend, max_workers=2,
             faults=FaultPlan.parse("kill:p=1:times=1"),
-            retry=RetryPolicy(max_retries=2, backoff_base=0.0),
+            max_retries=2,
         )
         assert_same_results(ref, report)
         assert report.attempts == 4  # 2 tasks, each died once
         assert report.recovery_seconds > 0
 
-    def test_degradation_chain_ends_on_serial(self):
+    def test_degradation_chain_ends_on_serial(self, no_backoff):
         """Zero retry budget: each tier gets one shot, the fault plan
         kills attempts 0 and 1, so only the serial tier's attempt 2
         succeeds -- after walking processes -> threads -> serial."""
@@ -267,19 +268,19 @@ class TestExecutorRecovery:
         report = execute_plan(
             plan, "grid_hash", EPS, backend="processes", max_workers=2,
             faults=FaultPlan.parse("kill:p=1:times=2"),
-            retry=RetryPolicy(max_retries=0, backoff_base=0.0),
+            max_retries=0,
         )
         assert_same_results(ref, report)
         assert report.degraded == ["threads", "serial"]
         assert report.backend_used == "serial"
 
-    def test_kernel_fault_surfaces_original_error(self):
+    def test_kernel_fault_surfaces_original_error(self, no_backoff):
         plan = make_plan()
         with pytest.raises(RetryBudgetExhausted) as exc:
             execute_plan(
                 plan, "plane_sweep", EPS, backend="serial",
                 faults=FaultPlan.parse("kernel:p=1:times=0"),
-                retry=RetryPolicy(max_retries=0, backoff_base=0.0),
+                max_retries=0,
             )
         assert isinstance(exc.value.__cause__, InjectedKernelError)
 
@@ -291,24 +292,24 @@ class TestExecutorRecovery:
         report = execute_plan(
             plan, "grid_hash", EPS, backend="threads", max_workers=2,
             faults=FaultPlan.parse("straggler:worker=0:delay=0.6:times=1"),
-            retry=RetryPolicy(max_retries=2, task_timeout=0.05),
+            max_retries=2, task_timeout=0.05,
         )
         assert_same_results(ref, report)
         assert report.speculative_launched >= 1
         assert report.speculative_wins >= 1
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_every_tier_accounts_for_a_failed_attempt_alike(self, backend):
+    def test_every_tier_accounts_for_a_failed_attempt_alike(self, backend, monkeypatch):
         """The policy is the ledger's, so one fault plan reads the same on
         every transport: same attempts, retries, fault events and failures
         as the serial tier, and the backoff waited counts as recovery."""
         plan = make_plan()
-        policy = RetryPolicy(max_retries=2, backoff_base=0.05)
+        monkeypatch.setattr(attempts, "BACKOFF_BASE", 0.05)
 
         def account(backend):
             report = execute_plan(
                 plan, "plane_sweep", EPS, backend=backend, max_workers=2,
-                faults=FaultPlan.parse("kernel:p=1:times=1"), retry=policy,
+                faults=FaultPlan.parse("kernel:p=1:times=1"), max_retries=2,
             )
             assert report.backend_used == backend
             return report, (
@@ -322,9 +323,9 @@ class TestExecutorRecovery:
         assert seen[:3] == (4, 2, {0: 2, 1: 2})
         assert {f.error_type for f in report.failures} == {"InjectedKernelError"}
         # each task failed once and waited out one backoff before its retry
-        assert report.recovery_seconds >= 2 * policy.backoff(0)
+        assert report.recovery_seconds >= 2 * attempts.backoff(0)
 
-    def test_shm_segments_released_when_worker_raises(self):
+    def test_shm_segments_released_when_worker_raises(self, no_backoff):
         """Regression: a raising pool worker must not leak the shared
         memory blocks the plan was published through."""
         if not os.path.isdir("/dev/shm"):
@@ -335,7 +336,7 @@ class TestExecutorRecovery:
             execute_plan(
                 plan, "grid_hash", EPS, backend="processes", max_workers=2,
                 faults=FaultPlan.parse("kernel:p=1:times=0"),
-                retry=RetryPolicy(max_retries=1, backoff_base=0.0),
+                max_retries=1,
             )
         leaked = {
             name for name in set(os.listdir("/dev/shm")) - before
@@ -343,7 +344,7 @@ class TestExecutorRecovery:
         }
         assert not leaked, f"leaked shared-memory segments: {leaked}"
 
-    def test_shm_segments_released_after_crash_recovery(self):
+    def test_shm_segments_released_after_crash_recovery(self, no_backoff):
         if not os.path.isdir("/dev/shm"):
             pytest.skip("no /dev/shm on this platform")
         before = set(os.listdir("/dev/shm"))
@@ -351,7 +352,7 @@ class TestExecutorRecovery:
         execute_plan(
             plan, "grid_hash", EPS, backend="processes", max_workers=2,
             faults=FaultPlan.parse("kill:p=1:times=1"),
-            retry=RetryPolicy(max_retries=3, backoff_base=0.0),
+            max_retries=3,
         )
         leaked = {
             name for name in set(os.listdir("/dev/shm")) - before
@@ -360,14 +361,13 @@ class TestExecutorRecovery:
         assert not leaked, f"leaked shared-memory segments: {leaked}"
 
     def test_retry_policy_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(task_timeout=0.0)
-        policy = RetryPolicy(backoff_base=0.01, backoff_cap=0.03)
-        assert policy.backoff(0) == pytest.approx(0.01)
-        assert policy.backoff(1) == pytest.approx(0.02)
-        assert policy.backoff(5) == pytest.approx(0.03)  # capped
+        with pytest.raises(ValueError, match="max_retries"):
+            JoinConfig(eps=EPS, max_retries=-1)
+        with pytest.raises(ValueError, match="task_timeout"):
+            JoinConfig(eps=EPS, task_timeout=0.0)
+        assert attempts.backoff(0) == pytest.approx(0.01)
+        assert attempts.backoff(1) == pytest.approx(0.02)
+        assert attempts.backoff(5) == pytest.approx(0.25)  # capped
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Integration and property tests for the generalized (partition-agnostic)
 adaptive join -- the paper's QuadTree future-work item."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.joins.generalized_join as generalized_join
 from repro.data.generators import gaussian_clusters, real_like, uniform
 from repro.joins.generalized_join import (
     GeneralizedJoinConfig,
@@ -34,12 +37,11 @@ class TestCorrectness:
         assert res.pairs_set() == truth
         assert len(res) == len(truth)  # duplicate-free
 
-    def test_quadtree_capacity_sweep(self, inputs):
+    def test_quadtree_capacity_sweep(self, inputs, monkeypatch):
         r, s, truth = inputs
+        cfg = GeneralizedJoinConfig(eps=EPS, partition="quadtree")
         for capacity in (50, 200, 1000):
-            cfg = GeneralizedJoinConfig(
-                eps=EPS, partition="quadtree", quadtree_capacity=capacity
-            )
+            monkeypatch.setattr(generalized_join, "QUADTREE_CAPACITY", capacity)
             res = generalized_distance_join(r, s, cfg)
             assert res.pairs_set() == truth, capacity
 
@@ -125,10 +127,10 @@ def test_property_quadtree_join_correct_and_duplicate_free(
         name="s",
     )
     truth = kdtree_pairs(list(r.iter_triples()), list(s.iter_triples()), eps)
-    cfg = GeneralizedJoinConfig(
-        eps=eps, partition="quadtree", method=method,
-        quadtree_capacity=capacity, sample_rate=0.5, seed=seed,
-    )
-    res = generalized_distance_join(r, s, cfg)
+    cfg = GeneralizedJoinConfig(eps=eps, partition="quadtree", method=method)
+    with mock.patch.multiple(
+        generalized_join, QUADTREE_CAPACITY=capacity, SAMPLE_RATE=0.5, SAMPLE_SEED=seed,
+    ):
+        res = generalized_distance_join(r, s, cfg)
     assert res.pairs_set() == truth
     assert len(res) == len(truth)

@@ -1,9 +1,12 @@
 """Integration tests for object joins (the Sect. 8 extension)."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.joins.object_join as object_join
 from repro.data.object_generators import (
     random_boxes,
     random_polygons,
@@ -202,10 +205,8 @@ def test_property_box_join_matches_brute_force(seed, n, eps, method, mean_size):
     r_objs = random_boxes(n, Side.R, mean_size=mean_size, seed=seed)
     s_objs = random_boxes(n, Side.S, mean_size=mean_size, seed=seed + 1)
     truth = brute_distance(r_objs, s_objs, eps)
-    res = object_distance_join(
-        ObjectSet(r_objs), ObjectSet(s_objs), eps, method=method,
-        sample_rate=0.5,
-    )
+    with mock.patch.object(object_join, "SAMPLE_RATE", 0.5):
+        res = object_distance_join(ObjectSet(r_objs), ObjectSet(s_objs), eps, method=method)
     assert res.pairs_set() == truth
     assert len(res) == len(truth)
 

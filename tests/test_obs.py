@@ -44,7 +44,6 @@ from repro.joins.distance_join import JoinConfig, distance_join
 from repro.obs import (
     Family,
     RunHistory,
-    SLOConfig,
     SLOWatchdog,
     check_families,
     render_metrics,
@@ -52,7 +51,7 @@ from repro.obs import (
     validate_metric_name,
 )
 from repro.obs.exporter import CONTENT_TYPE
-from repro.obs.slo import _percentile
+from repro.obs.slo import MIN_SAMPLES, WINDOW_SECONDS, _percentile
 from repro.planner.accuracy import replay_reports
 from repro.serving import (
     JoinClient,
@@ -330,25 +329,23 @@ class TestExporterRender:
 # ----------------------------------------------------------------------
 class TestSLOWatchdog:
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="window"):
-            SLOConfig(window_seconds=0)
-        with pytest.raises(ValueError, match="p95"):
-            SLOConfig(p95_seconds=-1)
-        with pytest.raises(ValueError, match="error_rate"):
-            SLOConfig(error_rate=1.5)
-        with pytest.raises(ValueError, match="min_samples"):
-            SLOConfig(min_samples=0)
-        assert not SLOConfig().enabled
-        assert SLOConfig(p95_seconds=0.5).enabled
+        for bad in (-1, 0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="slo_p95_seconds"):
+                ServerConfig(slo_p95_seconds=bad)
+        for bad in (0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="slo_error_rate"):
+                ServerConfig(slo_error_rate=bad)
+        assert not SLOWatchdog(None, None).enabled
+        assert SLOWatchdog(0.5, None).enabled
+        assert SLOWatchdog(None, 0.1).enabled
+        assert JoinServer(ServerConfig()).slo is None
+        assert JoinServer(ServerConfig(slo_error_rate=0.1)).slo is not None
 
     def test_breach_and_recovery_are_edge_triggered(self, caplog):
         clock = [0.0]
-        dog = SLOWatchdog(
-            SLOConfig(window_seconds=60.0, p95_seconds=0.1, min_samples=3),
-            clock=lambda: clock[0],
-        )
+        dog = SLOWatchdog(0.1, None, clock=lambda: clock[0])
         with caplog.at_level(logging.INFO, logger="repro"):
-            for _ in range(3):
+            for _ in range(MIN_SAMPLES):
                 clock[0] += 1.0
                 dog.observe(0.01)
             assert not dog.degraded
@@ -371,8 +368,8 @@ class TestSLOWatchdog:
             assert dog.alerts == 1
 
             # window slides past the slow samples -> recovery logged once
-            clock[0] += 120.0
-            for _ in range(5):
+            clock[0] += WINDOW_SECONDS
+            for _ in range(MIN_SAMPLES):
                 clock[0] += 1.0
                 dog.observe(0.01)
             assert not dog.degraded
@@ -386,10 +383,7 @@ class TestSLOWatchdog:
 
     def test_error_rate_objective_counts_failures(self):
         clock = [0.0]
-        dog = SLOWatchdog(
-            SLOConfig(window_seconds=60.0, error_rate=0.2, min_samples=5),
-            clock=lambda: clock[0],
-        )
+        dog = SLOWatchdog(None, 0.2, clock=lambda: clock[0])
         for _ in range(8):
             clock[0] += 0.1
             dog.observe(0.01)
@@ -426,21 +420,18 @@ class TestSLOWatchdog:
                     "max_seconds": latencies[-1] if latencies else 0.0,
                 }
 
+        # the trace's clock in units of the window
         rng = np.random.default_rng(7)
         steps = 3_000
-        gaps = rng.exponential(0.01, steps)
-        gaps[rng.random(steps) < 0.005] = 3.0  # idle spells empty the window
+        gaps = rng.exponential(0.01, steps) * WINDOW_SECONDS
+        gaps[rng.random(steps) < 0.005] = 3.0 * WINDOW_SECONDS  # idle spells empty it
         slow = (np.arange(steps) // 250) % 3 == 1  # alternating slow phases
         latencies = np.round(rng.lognormal(-4.5, 0.6, steps), 3) + slow * 0.2
         failed = rng.random(steps) < np.where(slow, 0.3, 0.02)
-        config = SLOConfig(
-            window_seconds=1.0, p95_seconds=0.05, error_rate=0.2,
-            min_samples=5,
-        )
 
         def replay(cls):
             clock = [0.0]
-            dog = cls(config, clock=lambda: clock[0])
+            dog = cls(0.05, 0.2, clock=lambda: clock[0])
             statuses = []
             caplog.clear()
             with caplog.at_level(logging.INFO, logger="repro"):
@@ -460,8 +451,8 @@ class TestSLOWatchdog:
         assert {s["window"]["samples"] for s in statuses} >= {1, 50}
 
     def test_min_samples_suppresses_flapping(self):
-        dog = SLOWatchdog(SLOConfig(p95_seconds=0.1, min_samples=5))
-        for _ in range(4):
+        dog = SLOWatchdog(0.1, None)
+        for _ in range(MIN_SAMPLES - 1):
             dog.observe(9.9)
         assert not dog.degraded  # not enough evidence yet
         dog.observe(9.9)
@@ -474,24 +465,25 @@ class TestSLOWatchdog:
 @pytest.fixture(scope="module")
 def served_stats(tmp_path_factory):
     """The ``stats`` payload of a socket-less server whose state was fed:
-    queries, latencies breaching a 10 ms p95 SLO, a failure breaching a
-    20% error-rate SLO, planner errors, daemon health, one history
+    queries, latencies breaching a 10 ms p95 SLO, two failures breaching
+    a 20% error-rate SLO, planner errors, daemon health, one history
     report and two datasets."""
     history = tmp_path_factory.mktemp("stats") / "history.jsonl"
     server = JoinServer(ServerConfig(
         history_path=str(history), metrics_port=None,
-        slo_p95_seconds=0.01, slo_error_rate=0.2, slo_min_samples=1,
+        slo_p95_seconds=0.01, slo_error_rate=0.2,
     ))
     reg = server.registry
     server.datasets.register_spec("R", "R1", base_n=100)
     server.datasets.register_spec("S", "S1", base_n=100)
     reg.counter("serve.queries").inc(10)
-    reg.counter("serve.queries_failed").inc()
-    reg.counter("serve.errors").inc()
+    reg.counter("serve.queries_failed").inc(2)
+    reg.counter("serve.errors").inc(2)
     for latency in (0.008, 0.01, 0.05):
         reg.histogram("serve.query_seconds").observe(latency)
         server.slo.observe(latency)
-    server.slo.observe(0.05, failed=True)  # 1 of 4 failed
+    for _ in range(2):  # 2 of 5 failed: the window holds MIN_SAMPLES
+        server.slo.observe(0.05, failed=True)
     for phase in ("build", "join"):
         reg.histogram(
             f"serve.plan_abs_rel_error.{phase}", ERROR_RATIO_BUCKETS
@@ -585,7 +577,7 @@ class TestServerObservability:
                 history_path=history_path,
                 metrics_port=0,
                 slo_p95_seconds=30.0,
-                slo_min_samples=1,
+                slo_error_rate=0.75,
             )
         )
         try:
@@ -603,6 +595,11 @@ class TestServerObservability:
             assert stats["latency"]["p95"] > 0
             assert stats["slo"]["enabled"] is True
             assert stats["slo"]["observed"] == 2  # 1 ok + 1 failed
+            assert stats["slo"]["window_seconds"] == WINDOW_SECONDS == 300.0
+            assert stats["slo"]["thresholds"] == {
+                "p95_seconds": 30.0, "error_rate": 0.75, "min_samples": MIN_SAMPLES,
+            }
+            assert MIN_SAMPLES == 5
             assert stats["history"]["appended"] == 1
             assert stats["history"]["path"] == history_path
             assert stats["metrics_endpoint"].startswith("http://127.0.0.1:")
@@ -652,12 +649,14 @@ class TestServerObservability:
             ServerConfig(
                 backend="serial",
                 slo_p95_seconds=1e-9,  # everything breaches
-                slo_min_samples=1,
             )
         )
         try:
             with JoinClient(socket_path=handle.socket_path) as c:
                 _register(c)
+                for _ in range(MIN_SAMPLES - 1):
+                    c.query("R", "S", eps=EPS)
+                assert c.stats()["degraded"] is False  # too few samples yet
                 c.query("R", "S", eps=EPS)
                 stats = c.stats()
             assert stats["degraded"] is True
@@ -672,7 +671,7 @@ class TestServerObservability:
         its table path in a ``stats`` call taken straight after."""
         handle = start_in_thread(ServerConfig(
             backend="serial", history_path=str(tmp_path / "h.jsonl"),
-            metrics_port=0, slo_p95_seconds=30.0, slo_min_samples=1,
+            metrics_port=0, slo_p95_seconds=30.0,
         ))
         try:
             with JoinClient(socket_path=handle.socket_path) as c:
@@ -793,6 +792,7 @@ class TestServerObservability:
                 history_path=str(tmp_path / "h.jsonl"),
                 metrics_port=0,
                 slo_p95_seconds=30.0,
+                slo_error_rate=0.75,
             )
         )
         assert plain == observed
@@ -922,7 +922,7 @@ def test_observability_overhead_under_two_percent(tmp_path):
     ) / n
     history.close()
 
-    dog = SLOWatchdog(SLOConfig(p95_seconds=30.0))
+    dog = SLOWatchdog(30.0, None)
     observe_cost = timeit.timeit(
         lambda: dog.observe(0.01), number=5_000
     ) / 5_000

@@ -160,8 +160,11 @@ def test_samj_rtree_join_matches_oracle(seed, n, eps):
 @given(seed=st.integers(0, 10_000), n=st.integers(50, 250), eps=st.floats(0.02, 0.06))
 def test_clone_join_matches_oracle(seed, n, eps):
     """The clone join (both-side replication + midpoint ownership)."""
+    from unittest import mock
+
     import numpy as np
 
+    import repro.joins.generalized_join as generalized_join
     from repro.data.pointset import PointSet
     from repro.joins.generalized_join import (
         GeneralizedJoinConfig,
@@ -174,10 +177,9 @@ def test_clone_join_matches_oracle(seed, n, eps):
     s = PointSet(rng.uniform(0, 1, n), rng.uniform(0, 1, n), name="s")
     truth = kdtree_pairs(list(r.iter_triples()), list(s.iter_triples()), eps)
     for partition in ("grid", "quadtree"):
-        cfg = GeneralizedJoinConfig(
-            eps=eps, partition=partition, method="clone", sample_rate=0.5, seed=seed
-        )
-        res = generalized_distance_join(r, s, cfg)
+        cfg = GeneralizedJoinConfig(eps=eps, partition=partition, method="clone")
+        with mock.patch.multiple(generalized_join, SAMPLE_RATE=0.5, SAMPLE_SEED=seed):
+            res = generalized_distance_join(r, s, cfg)
         assert res.pairs_set() == truth, partition
         assert len(res) == len(truth), partition
 

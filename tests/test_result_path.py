@@ -42,7 +42,7 @@ import repro.engine.kernels as kernels
 import repro.engine.slabs as slabs
 from repro.data.generators import gaussian_clusters
 from repro.data.pointset import PointSet
-from repro.engine.executor import RetryPolicy, build_execution_plan, execute_plan
+from repro.engine.executor import build_execution_plan, execute_plan
 from repro.engine.faults import FaultPlan
 from repro.engine.kernels import get_kernel
 from repro.engine.metrics import JoinMetrics
@@ -316,7 +316,7 @@ def _plan(n=500, seed=9):
     )
 
 
-def test_attempt_dying_between_two_expands_leaves_no_stale_pairs(monkeypatch):
+def test_attempt_dying_between_two_expands_leaves_no_stale_pairs(monkeypatch, no_backoff):
     """The second task's first attempt writes garbage at its offset (and
     past where its real pairs will end), then dies; the retry overwrites
     it and the report is bit-identical to a clean run."""
@@ -336,7 +336,7 @@ def test_attempt_dying_between_two_expands_leaves_no_stale_pairs(monkeypatch):
     monkeypatch.setitem(kernels._BATCH_REGISTRY, "grid_hash", (probe_fn, flaky_expand))
     report = execute_plan(
         plan, "grid_hash", EPS, backend="serial",
-        retry=RetryPolicy(max_retries=2, backoff_base=0.0),
+        max_retries=2,
     )
     assert calls[1] == calls[2] > 0, "the retry must start where the attempt did"
     assert len(calls) == 4 and report.attempts == 4
@@ -348,13 +348,13 @@ def test_attempt_dying_between_two_expands_leaves_no_stale_pairs(monkeypatch):
 
 
 @pytest.mark.parametrize("backend", ("serial", "threads"))
-def test_injected_fault_retry_is_bit_identical(backend):
+def test_injected_fault_retry_is_bit_identical(backend, no_backoff):
     plan = _plan()
     clean = execute_plan(plan, "grid_hash", EPS, backend="serial")
     report = execute_plan(
         plan, "grid_hash", EPS, backend=backend, max_workers=2,
         faults=FaultPlan.parse("kernel:worker=1:times=1"),
-        retry=RetryPolicy(max_retries=2, backoff_base=0.0),
+        max_retries=2,
     )
     assert report.task_attempts == {0: 1, 1: 2, 2: 1}
     np.testing.assert_array_equal(report.r_col, clean.r_col)
@@ -365,7 +365,7 @@ def test_injected_fault_retry_is_bit_identical(backend):
     assert all(wall > 0.0 for wall in report.worker_wall.values())
 
 
-def test_a_pool_that_dies_while_tasks_are_submitted_is_rebuilt(monkeypatch):
+def test_a_pool_that_dies_while_tasks_are_submitted_is_rebuilt(monkeypatch, no_backoff):
     """A killed worker can break the pool before the scheduler has
     submitted every task: the refused submission is a lost attempt."""
     from concurrent.futures import ProcessPoolExecutor
@@ -384,7 +384,7 @@ def test_a_pool_that_dies_while_tasks_are_submitted_is_rebuilt(monkeypatch):
     monkeypatch.setattr(ProcessPoolExecutor, "submit", dies_once)
     report = execute_plan(
         plan, "grid_hash", EPS, backend="processes", max_workers=2,
-        retry=RetryPolicy(max_retries=2, backoff_base=0.0),
+        max_retries=2,
     )
     assert report.pool_rebuilds == 1 and report.backend_used == "processes"
     np.testing.assert_array_equal(report.r_col, clean.r_col)

@@ -167,19 +167,16 @@ class TestValidation:
         ]),
         *(pytest.param(ObjectJoinConfig, f, v, id=f"object-{f}-{v}") for f, v in [
             ("method", "bogus"),
-            ("cell_assignment", "bogus"),
             ("num_workers", 0),
-            ("num_partitions", 0),
-            ("sample_rate", 0.0),
+            ("num_workers", 2.5),
         ]),
         *(pytest.param(GeneralizedJoinConfig, f, v, id=f"generalized-{f}-{v}") for f, v in [
             ("eps", NAN),
             ("eps", 0.0),
             ("method", "bogus"),
             ("partition", "voronoi"),
-            ("quadtree_capacity", 0),
             ("num_workers", 0),
-            ("sample_rate", 1.5),
+            ("num_workers", 2.5),
         ]),
         # the command line's rules, now the configs' own: finite values,
         # whole counts, its ranges
